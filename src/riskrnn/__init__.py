@@ -2,7 +2,7 @@
 localization, and future-location imagination on synthetic scenarios."""
 
 from .geometry import (Box, BoxTransform, RelativeConfig, apply_box_transform,
-                       encode_box_transform, iou, relative_config, smooth_l1)
+                       encode_box_transform, iou, relative_config)
 from .model import (FrameInput, FramePrediction, ModelConfig, RiskModel,
                     VARIANTS, forward_video, fuse_predictions, variant_config)
 from .losses import VideoTargets, region_labels, total_loss
@@ -17,7 +17,7 @@ from .pipeline import evaluate_model
 
 __all__ = [
     "Box", "BoxTransform", "RelativeConfig", "apply_box_transform",
-    "encode_box_transform", "iou", "relative_config", "smooth_l1",
+    "encode_box_transform", "iou", "relative_config",
     "FrameInput", "FramePrediction", "ModelConfig", "RiskModel", "VARIANTS",
     "forward_video", "fuse_predictions", "variant_config",
     "VideoTargets", "region_labels", "total_loss",

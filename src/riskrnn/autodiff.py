@@ -400,3 +400,57 @@ def lstm_core(z: Node, c_prev: Node) -> tuple[Node, Node]:
         _accum(c_prev, dc * f)
     hc = z.tape._make(np.concatenate([hidden, cell]), (z, c_prev), backward)
     return vec_slice(hc, 0, hdim), vec_slice(hc, hdim, 2 * hdim)
+
+
+def relative_config(agent: Node, regions) -> Node:
+    """Fused (9, N) configuration of every region relative to one agent box.
+
+    ``agent`` holds (cx, cy, w, h). ``regions`` supplies (N,) arrays ``cx``,
+    ``cy``, ``w``, ``h``, ``x1``, ``y1``, ``x2``, ``y2`` and ``area``, as
+    model.RegionSet does. Rows are the region's center, min-corner and
+    max-corner offsets from the agent center (x over agent width, y over agent
+    height), its size ratios, and the IoU of the two boxes, the same cues as
+    geometry.relative_config. The backward pass returns the gradient with
+    respect to the agent box only; overlap ties route the way ``minimum``,
+    ``maximum`` and ``relu`` route them.
+    """
+    cx, cy, w, h = agent.value.tolist()
+    inv_w, inv_h = 1.0 / w, 1.0 / h
+    ax1, ax2 = cx - 0.5 * w, cx + 0.5 * w
+    ay1, ay2 = cy - 0.5 * h, cy + 0.5 * h
+    span_x = np.minimum(ax2, regions.x2) - np.maximum(ax1, regions.x1)
+    span_y = np.minimum(ay2, regions.y2) - np.maximum(ay1, regions.y1)
+    iw, ih = np.maximum(span_x, 0.0), np.maximum(span_y, 0.0)
+    inter = iw * ih
+    union = w * h + regions.area - inter
+    out = np.stack([
+        (regions.cx - cx) * inv_w,
+        (regions.cy - cy) * inv_h,
+        (regions.x1 - cx) * inv_w,
+        (regions.y1 - cy) * inv_h,
+        (regions.x2 - cx) * inv_w,
+        (regions.y2 - cy) * inv_h,
+        regions.w * inv_w,
+        regions.h * inv_h,
+        inter / union,
+    ])
+
+    def backward(g):
+        g_x, g_y, g_iou = g[0:7:2], g[1:8:2], g[8]
+        # IoU = inter / union with union = w * h + area - inter
+        g_inter = g_iou * (1.0 / union + inter / (union * union))
+        g_union = -g_iou * inter / (union * union)
+        g_span_x = g_inter * ih * (span_x > 0.0)
+        g_span_y = g_inter * iw * (span_y > 0.0)
+        # span = min(a2, r2) - max(a1, r1); ties go to the agent's corner
+        g_ax2, g_ax1 = g_span_x * (ax2 <= regions.x2), -g_span_x * (ax1 >= regions.x1)
+        g_ay2, g_ay1 = g_span_y * (ay2 <= regions.y2), -g_span_y * (ay1 >= regions.y1)
+        # each offset row is (r - c) / s and each size row r / s
+        g_cx = -inv_w * g_x[:3].sum() + (g_ax1 + g_ax2).sum()
+        g_cy = -inv_h * g_y[:3].sum() + (g_ay1 + g_ay2).sum()
+        g_w = (-inv_w * (g_x * out[0:7:2]).sum()
+               + (0.5 * (g_ax2 - g_ax1) + g_union * h).sum())
+        g_h = (-inv_h * (g_y * out[1:8:2]).sum()
+               + (0.5 * (g_ay2 - g_ay1) + g_union * w).sum())
+        _accum(agent, np.array([g_cx, g_cy, g_w, g_h]))
+    return agent.tape._make(out, (agent,), backward)

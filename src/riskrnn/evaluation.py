@@ -50,19 +50,19 @@ def average_precision(items, n_positive: int | None = None) -> float:
     Items are ranked by descending score with positives after negatives on
     ties. ``n_positive`` overrides the recall denominator (detection-style
     evaluation counts ground-truth boxes, some of which may go unmatched).
+    Precisions are summed exactly and divided once, so a perfect ranking
+    scores exactly 1.
     """
     if n_positive is None:
         n_positive = sum(1 for it in items if it.is_positive)
     if n_positive < 1:
         raise ValueError("average precision is undefined without positives")
     ranked = sorted(items, key=lambda it: (-it.score, it.is_positive))
-    tp = 0
-    ap = 0.0
+    precisions = []
     for rank, item in enumerate(ranked, start=1):
         if item.is_positive:
-            tp += 1
-            ap += (tp / rank) / n_positive
-    return ap
+            precisions.append((len(precisions) + 1) / rank)
+    return math.fsum(precisions) / n_positive
 
 
 def video_level_scores(videos) -> list[ScoredItem]:
@@ -83,7 +83,9 @@ def tta_atta(videos):
     are inclusive) we compute precision/recall over video-level scores and,
     for the recalled positives, the mean time to accident T - t_hat, floored
     at zero. The scalar summary integrates mean TTA over the recall axis by
-    recall increments. Returns (rows, atta) where each row is
+    recall increments, summed exactly as newly recalled positives times mean
+    TTA over the positive count, so it never exceeds the largest accident
+    frame. Returns (rows, atta) where each row is
     (threshold, precision, recall, mean_tta).
     """
     positives = [v for v in videos if v.positive]
@@ -92,8 +94,8 @@ def tta_atta(videos):
     scores = np.array([float(v.probs.max()) for v in videos])
     n_pos = len(positives)
     rows = []
-    atta = 0.0
-    prev_recall = 0.0
+    terms = []
+    prev_recalled = 0
     for threshold in sorted(set(scores.tolist()), reverse=True):
         predicted = int(np.sum(scores >= threshold))
         recalled = [v for v in positives if float(v.probs.max()) >= threshold]
@@ -104,10 +106,10 @@ def tta_atta(videos):
             t_hat = first_crossing(v.probs, threshold)
             ttas.append(max(0.0, float(v.t_accident - t_hat)))
         mean_tta = float(np.mean(ttas)) if ttas else 0.0
-        atta += (recall - prev_recall) * mean_tta
+        terms.append((len(recalled) - prev_recalled) * mean_tta)
         rows.append((threshold, precision, recall, mean_tta))
-        prev_recall = recall
-    return rows, atta
+        prev_recalled = len(recalled)
+    return rows, math.fsum(terms) / n_pos
 
 
 # ---------------------------------------------------------------------------

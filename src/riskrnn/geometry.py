@@ -2,8 +2,9 @@
 
 All coordinates are frame-normalized fractions, center-parameterized as
 (cx, cy, w, h). Everything here is a pure function; nothing records onto an
-autodiff tape (the model has its own differentiable counterparts for the
-imagined path).
+autodiff tape. The model computes relative configurations with the fused tape
+op autodiff.relative_config; the scalar :func:`relative_config` here is the
+reference its tests compare against.
 """
 from __future__ import annotations
 
@@ -169,16 +170,6 @@ def encode_box_transform(p_from: Box, p_to: Box) -> BoxTransform:
         cw_log=math.log(p_to.w / p_from.w),
         ch_log=math.log(p_to.h / p_from.h),
     )
-
-
-def smooth_l1(z):
-    """Huber-style penalty: quadratic inside |z| < 1, linear outside.
-
-    Accepts scalars or arrays and applies element-wise.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    out = np.where(np.abs(z) < 1.0, 0.5 * z * z, np.abs(z) - 0.5)
-    return float(out) if out.ndim == 0 else out
 
 
 def boxes_to_array(boxes) -> np.ndarray:

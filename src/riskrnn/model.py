@@ -22,8 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
-from .geometry import (MAX_LOG_SCALE, RELATIVE_CONFIG_DIM, Box, BoxTransform,
-                       boxes_to_array)
+from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM, Box, boxes_to_array
 from .nn import (LstmState, ParameterStore, dense, init_params, load_params,
                  lstm_step, lstm_zero_state, save_params)
 
@@ -118,34 +117,6 @@ class RegionSet:
         return len(self.boxes)
 
 
-def relative_config_array(agent_box: Box, regions: RegionSet) -> np.ndarray:
-    """(9, N) relative configuration of every region, plain numpy.
-
-    Used for observed frames, where the agent box is data and nothing needs
-    a gradient; row semantics match :func:`relative_config_nodes` and
-    geometry.relative_config.
-    """
-    cx, cy, w, h = agent_box.cx, agent_box.cy, agent_box.w, agent_box.h
-    inv_w, inv_h = 1.0 / w, 1.0 / h
-    ax1, ax2 = cx - 0.5 * w, cx + 0.5 * w
-    ay1, ay2 = cy - 0.5 * h, cy + 0.5 * h
-    iw = np.maximum(np.minimum(ax2, regions.x2) - np.maximum(ax1, regions.x1), 0.0)
-    ih = np.maximum(np.minimum(ay2, regions.y2) - np.maximum(ay1, regions.y1), 0.0)
-    inter = iw * ih
-    iou = inter / (w * h + regions.area - inter)
-    return np.stack([
-        (regions.cx - cx) * inv_w,
-        (regions.cy - cy) * inv_h,
-        (regions.x1 - cx) * inv_w,
-        (regions.y1 - cy) * inv_h,
-        (regions.x2 - cx) * inv_w,
-        (regions.y2 - cy) * inv_h,
-        regions.w * inv_w,
-        regions.h * inv_h,
-        iou,
-    ])
-
-
 @dataclass
 class FrameInput:
     """One frame of observations: the agent plus its candidate regions."""
@@ -154,11 +125,6 @@ class FrameInput:
     agent_box: Box
     regions: RegionSet
 
-    @classmethod
-    def make(cls, agent_feat, agent_box, region_feats, region_boxes) -> "FrameInput":
-        return cls(np.asarray(agent_feat, dtype=np.float64), agent_box,
-                   RegionSet(region_boxes, region_feats))
-
     @property
     def region_boxes(self):
         return self.regions.boxes
@@ -166,15 +132,6 @@ class FrameInput:
     @property
     def region_feats(self) -> np.ndarray:
         return self.regions.feats
-
-    @property
-    def observed_u(self) -> np.ndarray:
-        """Cached agent-vs-regions geometry; frame inputs are immutable."""
-        cached = getattr(self, "_observed_u", None)
-        if cached is None:
-            cached = relative_config_array(self.agent_box, self.regions)
-            object.__setattr__(self, "_observed_u", cached)
-        return cached
 
 
 @dataclass
@@ -217,10 +174,6 @@ class FramePrediction:
     def s(self) -> np.ndarray:
         return self.s_node.value.copy()
 
-    @property
-    def c_raw(self) -> BoxTransform | None:
-        return None if self.c_node is None else BoxTransform.from_array(self.c_node.value)
-
 
 # ---------------------------------------------------------------------------
 # parameter construction
@@ -246,37 +199,7 @@ def param_specs(cfg: ModelConfig):
 
 
 # ---------------------------------------------------------------------------
-# differentiable geometry (used for both observed and imagined agent boxes;
-# with a constant box the tape records nothing)
-
-def relative_config_nodes(tape: Tape, agent_vec: Node, regions: RegionSet) -> Node:
-    """The (9, N) relative-configuration matrix for one agent box vs all regions."""
-    cx, cy = ad.pick(agent_vec, 0), ad.pick(agent_vec, 1)
-    w, h = ad.pick(agent_vec, 2), ad.pick(agent_vec, 3)
-    inv_w, inv_h = 1.0 / w, 1.0 / h
-    r_cx, r_cy = tape.const(regions.cx), tape.const(regions.cy)
-    r_x1, r_y1 = tape.const(regions.x1), tape.const(regions.y1)
-    r_x2, r_y2 = tape.const(regions.x2), tape.const(regions.y2)
-
-    dxc = (r_cx - cx) * inv_w
-    dyc = (r_cy - cy) * inv_h
-    dxmin = (r_x1 - cx) * inv_w
-    dymin = (r_y1 - cy) * inv_h
-    dxmax = (r_x2 - cx) * inv_w
-    dymax = (r_y2 - cy) * inv_h
-    dw = tape.const(regions.w) * inv_w
-    dh = tape.const(regions.h) * inv_h
-
-    ax1, ax2 = cx - 0.5 * w, cx + 0.5 * w
-    ay1, ay2 = cy - 0.5 * h, cy + 0.5 * h
-    iw = ad.relu(ad.minimum(ax2, r_x2) - ad.maximum(ax1, r_x1))
-    ih = ad.relu(ad.minimum(ay2, r_y2) - ad.maximum(ay1, r_y1))
-    inter = iw * ih
-    union = w * h + tape.const(regions.area) - inter
-    iou = inter / union
-
-    return ad.stack_rows([dxc, dyc, dxmin, dymin, dxmax, dymax, dw, dh, iou])
-
+# differentiable box transform
 
 def apply_box_transform_nodes(box_vec: Node, c: Node) -> Node:
     """Differentiable counterpart of geometry.apply_box_transform on (cx,cy,w,h)."""
@@ -347,7 +270,7 @@ def imagined_reassessment(tape: Tape, store: ParameterStore, cfg: ModelConfig,
     committed state is never mutated.
     """
     c, new_box = imagine_location(tape, store, o_prev, box_vec)
-    u_hat = relative_config_nodes(tape, new_box, regions)
+    u_hat = ad.relative_config(new_box, regions)
     s_hat, _ = score_regions(tape, store, agent_code, u_hat, regions)
     pooled = pool_regions(tape, s_hat, regions)
     new_state, new_o, y_hat = anticipate_step(tape, store, cfg, state, agent_code, pooled)
@@ -397,7 +320,7 @@ def forward_video(store: ParameterStore, cfg: ModelConfig, frames,
         else:
             agent_code = tape.const(frame.agent_feat)
 
-        u = tape.const(frame.observed_u)
+        u = ad.relative_config(tape.const(frame.agent_box.as_array()), frame.regions)
         s, _ = score_regions(tape, store, agent_code, u, frame.regions)
         pooled = pool_regions(tape, s, frame.regions)
         aa_state, o, y = anticipate_step(tape, store, cfg, aa_state, agent_code, pooled)

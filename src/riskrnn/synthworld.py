@@ -185,7 +185,9 @@ def generate_scenario(cfg: ScenarioConfig, positive: bool, *, index: int = 0,
                       split: str = "train", video_id: str | None = None) -> VideoSample:
     """Build one deterministic video with features, targets, and proposals."""
     cfg.validate()
-    rng = _video_rng(cfg, _SPLIT_TAGS.get(split, 0), index)
+    if split not in _SPLIT_TAGS:
+        raise ValueError(f"unknown split {split!r}, expected one of {tuple(_SPLIT_TAGS)}")
+    rng = _video_rng(cfg, _SPLIT_TAGS[split], index)
     embeddings = class_embeddings(cfg)
     n_frames = cfg.frames_per_video
 

@@ -128,9 +128,3 @@ def track_from_targets(sample) -> Track:
         feats=[frame.agent_feat for frame in sample.frames],
         scores=[1.0] * sample.n_frames,
     )
-
-
-def track_iou_with_boxes(track: Track, boxes) -> np.ndarray:
-    """Per-frame IoU between a track and a reference box sequence."""
-    n = min(len(track), len(boxes))
-    return np.array([iou(track.boxes[t], boxes[t]) for t in range(n)])

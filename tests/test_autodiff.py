@@ -3,6 +3,8 @@ import pytest
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
+from riskrnn.geometry import Box
+from riskrnn.model import RegionSet
 
 
 def numeric_gradient(fn, x, h=1e-6):
@@ -217,3 +219,73 @@ class TestOpGradients:
         tape = Tape()
         with pytest.raises(ValueError):
             ad.matmul(tape.const(np.ones((2, 3))), tape.const(np.ones(4)))
+
+
+def composed_relative_config(tape, agent, regions):
+    """Reference for ad.relative_config built from primitive ops."""
+    cx, cy = ad.pick(agent, 0), ad.pick(agent, 1)
+    w, h = ad.pick(agent, 2), ad.pick(agent, 3)
+    inv_w, inv_h = 1.0 / w, 1.0 / h
+    r = {k: tape.const(getattr(regions, k))
+         for k in ("cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")}
+    ax1, ax2 = cx - 0.5 * w, cx + 0.5 * w
+    ay1, ay2 = cy - 0.5 * h, cy + 0.5 * h
+    iw = ad.relu(ad.minimum(ax2, r["x2"]) - ad.maximum(ax1, r["x1"]))
+    ih = ad.relu(ad.minimum(ay2, r["y2"]) - ad.maximum(ay1, r["y1"]))
+    inter = iw * ih
+    iou = inter / (w * h + r["area"] - inter)
+    return ad.stack_rows([
+        (r["cx"] - cx) * inv_w, (r["cy"] - cy) * inv_h,
+        (r["x1"] - cx) * inv_w, (r["y1"] - cy) * inv_h,
+        (r["x2"] - cx) * inv_w, (r["y2"] - cy) * inv_h,
+        r["w"] * inv_w, r["h"] * inv_h, iou,
+    ])
+
+
+def region_set(boxes):
+    return RegionSet([Box(*b) for b in boxes], np.zeros((len(boxes), 1)))
+
+
+class TestRelativeConfig:
+    AGENT = np.array([0.5, 0.5, 0.2, 0.3])  # x in [0.4, 0.6], y in [0.35, 0.65]
+
+    @pytest.mark.parametrize("box", [
+        (0.58, 0.43, 0.16, 0.2),   # partial overlap, every edge clear of a tie
+        (0.9, 0.1, 0.1, 0.1),      # no overlap
+        (0.52, 0.48, 0.5, 0.6),    # region contains the agent
+        (0.49, 0.52, 0.1, 0.12),   # agent contains the region
+    ], ids=["partial_overlap", "no_overlap", "region_contains_agent",
+            "agent_contains_region"])
+    def test_agent_gradient_matches_finite_differences(self, box):
+        regions = region_set([box, (0.3, 0.74, 0.3, 0.1)])
+        weights = np.random.default_rng(31).normal(size=(9, 2))
+        check_gradient(
+            lambda t, x: ad.vsum(ad.relative_config(x, regions) * t.const(weights)),
+            self.AGENT)
+
+    def test_ties_route_like_the_primitive_ops(self):
+        # dyadic boxes: agent x/y in [0.375, 0.625]; regions coincide with
+        # the agent, share edges with it, or touch it along x or y
+        regions = region_set([(0.5, 0.5, 0.25, 0.25), (0.5625, 0.5, 0.125, 0.5),
+                              (0.4375, 0.375, 0.375, 0.25), (0.75, 0.5, 0.25, 0.25),
+                              (0.5, 0.75, 0.25, 0.25)])
+        weights = np.random.default_rng(32).normal(size=(9, 5))
+        grads, values = [], []
+        for op in (lambda t, x: ad.relative_config(x, regions),
+                   lambda t, x: composed_relative_config(t, x, regions)):
+            tape = Tape()
+            agent = tape.leaf([0.5, 0.5, 0.25, 0.25])
+            out = op(tape, agent)
+            tape.backward(ad.vsum(out * tape.const(weights)))
+            values.append(out.value)
+            grads.append(agent.grad)
+        np.testing.assert_array_equal(values[0], values[1])
+        np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=1e-12)
+
+    def test_one_node_on_a_leaf_and_none_on_a_constant(self):
+        regions = region_set([(0.58, 0.43, 0.16, 0.2)])
+        tape = Tape()
+        ad.relative_config(tape.const(self.AGENT), regions)
+        assert tape.nodes == []
+        ad.relative_config(tape.leaf(self.AGENT), regions)
+        assert len(tape.nodes) == 2  # the leaf and the op

@@ -9,8 +9,7 @@ from riskrnn.model import (FrameInput, ModelConfig, RegionSet, RiskModel,
                            agent_rnn_step, anticipate_step,
                            apply_box_transform_nodes, forward_video,
                            fuse_predictions, imagine_location, param_specs,
-                           pool_regions, relative_config_nodes, score_regions,
-                           variant_config)
+                           pool_regions, score_regions, variant_config)
 from riskrnn.nn import lstm_step, lstm_zero_state
 
 from helpers import (TINY_CONFIG, random_box, random_frames, random_targets,
@@ -55,7 +54,7 @@ class TestTapeGeometry:
             regions = RegionSet([random_box(rng) for _ in range(5)],
                                 rng.normal(size=(5, 3)))
             tape = Tape()
-            got = relative_config_nodes(tape, tape.const(agent.as_array()), regions)
+            got = ad.relative_config(tape.const(agent.as_array()), regions)
             want = np.stack([relative_config(agent, r).as_array()
                              for r in regions.boxes], axis=1)
             np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=1e-12)
@@ -81,7 +80,7 @@ class TestScoreRegions:
         regions = RegionSet([random_box(rng) for _ in range(4)],
                             rng.normal(size=(4, TINY_CONFIG.d_region)))
         tape = Tape()
-        u = relative_config_nodes(tape, tape.const(random_box(rng).as_array()), regions)
+        u = ad.relative_config(tape.const(random_box(rng).as_array()), regions)
         scores, _ = score_regions(tape, model.store, tape.const(np.zeros(8)), u, regions)
         np.testing.assert_allclose(scores.value, 0.5)
 
@@ -92,7 +91,7 @@ class TestScoreRegions:
         feat = rng.normal(size=TINY_CONFIG.d_region)
         regions = RegionSet([box, box], np.stack([feat, feat]))
         tape = Tape()
-        u = relative_config_nodes(tape, tape.const(random_box(rng).as_array()), regions)
+        u = ad.relative_config(tape.const(random_box(rng).as_array()), regions)
         scores, _ = score_regions(tape, model.store, tape.const(np.zeros(8)), u, regions)
         assert scores.value[0] == scores.value[1]
 
