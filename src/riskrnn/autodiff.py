@@ -407,7 +407,7 @@ def relative_config(agent: Node, regions) -> Node:
 
     ``agent`` holds (cx, cy, w, h). ``regions`` supplies (N,) arrays ``cx``,
     ``cy``, ``w``, ``h``, ``x1``, ``y1``, ``x2``, ``y2`` and ``area``, as
-    model.RegionSet does. Rows are the region's center, min-corner and
+    data.RegionSet does. Rows are the region's center, min-corner and
     max-corner offsets from the agent center (x over agent width, y over agent
     height), its size ratios, and the IoU of the two boxes, the same cues as
     geometry.relative_config. The backward pass returns the gradient with

@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import ModelConfig, variant_config
+from .nn import parse_config_value
 from .synthworld import ScenarioConfig
 
 
@@ -69,29 +70,11 @@ class RunConfig:
         self.model_config("L-RAI").validate()
 
     def scenario_config(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            frames_per_video=self.frames_per_video,
-            n_regions=self.n_regions,
-            feature_dim=self.feature_dim,
-            n_classes=self.n_classes,
-            noise_sigma=self.noise_sigma,
-            collision_iou=self.collision_iou,
-            proposal_jitter=self.proposal_jitter,
-            n_distractor_proposals=self.n_distractor_proposals,
-            seed=self.seed,
-        )
+        return ScenarioConfig(**{f.name: getattr(self, f.name) for f in fields(ScenarioConfig)})
 
     def model_config(self, variant: str) -> ModelConfig:
-        base = ModelConfig(
-            d_agent=self.feature_dim,
-            d_region=self.feature_dim,
-            d_u=self.d_u,
-            h_agent=self.h_agent,
-            h_aa=self.h_aa,
-            horizon=self.horizon,
-            imagine_steps=self.imagine_steps,
-            lambdas=tuple(self.lambdas),
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name in _FIELD_TYPES}
+        base = ModelConfig(d_agent=self.feature_dim, d_region=self.feature_dim, **shared)
         return variant_config(base, variant)
 
 
@@ -99,24 +82,10 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == "tuple":
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        return raw
-    except ValueError:
-        raise ConfigError(f"cannot parse value {raw!r} for key {key!r} as {kind}") from None
+        return parse_config_value(_FIELD_TYPES[key], raw)
+    except ValueError as err:
+        raise ConfigError(f"{err} for key {key!r}") from None
 
 
 def parse_config_file(path) -> dict:

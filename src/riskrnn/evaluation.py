@@ -53,10 +53,13 @@ def average_precision(items, n_positive: int | None = None) -> float:
     Precisions are summed exactly and divided once, so a perfect ranking
     scores exactly 1.
     """
+    positives = sum(1 for it in items if it.is_positive)
     if n_positive is None:
-        n_positive = sum(1 for it in items if it.is_positive)
+        n_positive = positives
     if n_positive < 1:
         raise ValueError("average precision is undefined without positives")
+    if n_positive < positives:
+        raise ValueError(f"n_positive={n_positive} is below the {positives} positive items")
     ranked = sorted(items, key=lambda it: (-it.score, it.is_positive))
     precisions = []
     for rank, item in enumerate(ranked, start=1):

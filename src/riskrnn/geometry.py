@@ -17,7 +17,7 @@ import numpy as np
 MAX_LOG_SCALE = 20.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned rectangle with positive, finite sides."""
 
@@ -60,32 +60,6 @@ class Box:
         return Box(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
 
-@dataclass(frozen=True)
-class RelativeConfig:
-    """Region geometry seen from the agent, agent sides normalized to one.
-
-    Center and corner offsets are measured from the agent center, the x axis
-    normalized by agent width and the y axis by agent height.
-    """
-
-    dxc: float
-    dyc: float
-    dxmin: float
-    dymin: float
-    dxmax: float
-    dymax: float
-    dw: float
-    dh: float
-    iou: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.dxc, self.dyc, self.dxmin, self.dymin, self.dxmax,
-             self.dymax, self.dw, self.dh, self.iou],
-            dtype=np.float64,
-        )
-
-
 #: Dimensionality of the relative configuration vector.
 RELATIVE_CONFIG_DIM = 9
 
@@ -102,10 +76,6 @@ class BoxTransform:
     def as_array(self) -> np.ndarray:
         return np.array([self.cx_off, self.cy_off, self.cw_log, self.ch_log],
                         dtype=np.float64)
-
-    @staticmethod
-    def from_array(a) -> "BoxTransform":
-        return BoxTransform(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
 
 def iou(a: Box, b: Box) -> float:
@@ -126,26 +96,24 @@ def iou(a: Box, b: Box) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def relative_config(agent: Box, region: Box) -> RelativeConfig:
-    """Describe ``region`` relative to ``agent``.
-
-    Offsets of the region center and corners are taken from the agent center
-    and normalized per axis by the agent's width/height; size ratios and the
-    IoU of the two boxes complete the 9 cues.
-    """
+def relative_config(agent: Box, region: Box) -> np.ndarray:
+    """The (9,) cues of ``region`` seen from ``agent``, in the row order of
+    autodiff.relative_config: offsets of the region center, min corner and max
+    corner from the agent center, x over agent width and y over agent height;
+    then the two size ratios and the IoU of the boxes."""
     inv_w = 1.0 / agent.w
     inv_h = 1.0 / agent.h
-    return RelativeConfig(
-        dxc=(region.cx - agent.cx) * inv_w,
-        dyc=(region.cy - agent.cy) * inv_h,
-        dxmin=(region.x1 - agent.cx) * inv_w,
-        dymin=(region.y1 - agent.cy) * inv_h,
-        dxmax=(region.x2 - agent.cx) * inv_w,
-        dymax=(region.y2 - agent.cy) * inv_h,
-        dw=region.w * inv_w,
-        dh=region.h * inv_h,
-        iou=iou(agent, region),
-    )
+    return np.array([
+        (region.cx - agent.cx) * inv_w,
+        (region.cy - agent.cy) * inv_h,
+        (region.x1 - agent.cx) * inv_w,
+        (region.y1 - agent.cy) * inv_h,
+        (region.x2 - agent.cx) * inv_w,
+        (region.y2 - agent.cy) * inv_h,
+        region.w * inv_w,
+        region.h * inv_h,
+        iou(agent, region),
+    ], dtype=np.float64)
 
 
 def apply_box_transform(p: Box, c: BoxTransform) -> Box:
@@ -170,10 +138,3 @@ def encode_box_transform(p_from: Box, p_to: Box) -> BoxTransform:
         cw_log=math.log(p_to.w / p_from.w),
         ch_log=math.log(p_to.h / p_from.h),
     )
-
-
-def boxes_to_array(boxes) -> np.ndarray:
-    """Stack boxes into an (N, 4) array of (cx, cy, w, h) rows."""
-    if len(boxes) == 0:
-        return np.zeros((0, 4), dtype=np.float64)
-    return np.stack([b.as_array() for b in boxes])

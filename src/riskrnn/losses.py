@@ -6,41 +6,19 @@ the trainer's job. Log arguments are clamped to [1e-12, 1 - 1e-12].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
-from .geometry import Box, encode_box_transform, iou
+from .geometry import encode_box_transform, iou
+
+if TYPE_CHECKING:
+    from .data import VideoTargets
 
 PROB_CLAMP = 1e-12
 RISKY_IOU_THRESHOLD = 0.4
-
-
-@dataclass
-class VideoTargets:
-    """Supervision for one video.
-
-    ``t_accident`` and ``risky_boxes`` are meaningful for positives only;
-    ``agent_track`` covers every frame for both labels.
-    """
-
-    positive: bool
-    t_accident: int | None
-    agent_track: list
-    risky_boxes: list  # per frame, list of ground-truth boxes (empty lists when negative)
-
-    def validate(self, n_frames: int) -> None:
-        if len(self.agent_track) != n_frames:
-            raise ValueError(
-                f"agent track has {len(self.agent_track)} boxes for {n_frames} frames"
-            )
-        if self.positive:
-            if self.t_accident is None or not (0 <= self.t_accident < n_frames):
-                raise ValueError(f"positive video needs an accident frame in range, got {self.t_accident}")
-            if len(self.risky_boxes) != n_frames:
-                raise ValueError("positive video needs ground-truth risky boxes per frame")
 
 
 def region_labels(region_boxes, risky_boxes) -> np.ndarray:

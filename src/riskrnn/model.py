@@ -16,15 +16,19 @@ imagination), L-RA (adds the two LSTMs), and L-RAI (everything).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
-from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM, Box, boxes_to_array
+from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM, Box
 from .nn import (LstmState, ParameterStore, dense, init_params, load_params,
-                 lstm_step, lstm_zero_state, save_params)
+                 lstm_step, lstm_zero_state, parse_config_value, save_params)
+
+if TYPE_CHECKING:
+    from .data import RegionSet
 
 VARIANTS = ("RA", "RAI", "L-RA", "L-RAI")
 
@@ -90,48 +94,6 @@ def variant_config(base: ModelConfig, variant: str) -> ModelConfig:
         cfg = replace(cfg, imagine_steps=0, lambdas=(1.0,))
     cfg.validate()
     return cfg
-
-
-class RegionSet:
-    """A frame's candidate regions with cached geometry/feature arrays."""
-
-    def __init__(self, boxes, feats):
-        self.boxes = list(boxes)
-        self.feats = np.asarray(feats, dtype=np.float64)
-        if len(self.boxes) < 1:
-            raise ValueError("a frame needs at least one candidate region")
-        if self.feats.shape[0] != len(self.boxes):
-            raise ValueError(
-                f"{len(self.boxes)} region boxes but {self.feats.shape[0]} feature rows"
-            )
-        arr = boxes_to_array(self.boxes)
-        self.cx, self.cy, self.w, self.h = arr.T.copy()
-        self.x1 = self.cx - 0.5 * self.w
-        self.y1 = self.cy - 0.5 * self.h
-        self.x2 = self.cx + 0.5 * self.w
-        self.y2 = self.cy + 0.5 * self.h
-        self.area = self.w * self.h
-        self.feats_t = self.feats.T.copy()
-
-    def __len__(self):
-        return len(self.boxes)
-
-
-@dataclass
-class FrameInput:
-    """One frame of observations: the agent plus its candidate regions."""
-
-    agent_feat: np.ndarray
-    agent_box: Box
-    regions: RegionSet
-
-    @property
-    def region_boxes(self):
-        return self.regions.boxes
-
-    @property
-    def region_feats(self) -> np.ndarray:
-        return self.regions.feats
 
 
 @dataclass
@@ -369,35 +331,26 @@ class RiskModel:
         return forward_video(self.store, self.cfg, frames, tape)
 
     def save(self, path) -> None:
-        cfg = self.cfg
-        header = {
-            "variant": cfg.variant,
-            "d_agent": cfg.d_agent,
-            "d_region": cfg.d_region,
-            "d_u": cfg.d_u,
-            "h_agent": cfg.h_agent,
-            "h_aa": cfg.h_aa,
-            "horizon": cfg.horizon,
-            "imagine_steps": cfg.imagine_steps,
-            "lambdas": cfg.lambdas,
-            "use_memory": cfg.use_memory,
-            "use_imagination": cfg.use_imagination,
-        }
+        header = {"variant": self.cfg.variant}
+        header.update((f.name, getattr(self.cfg, f.name)) for f in fields(ModelConfig))
         save_params(path, self.store, header)
 
     @classmethod
     def load(cls, path) -> "RiskModel":
+        """Read a model file; its parameters must be the ones its config needs."""
         store, raw = load_params(path)
-        cfg = ModelConfig(
-            d_agent=int(raw["d_agent"]),
-            d_region=int(raw["d_region"]),
-            d_u=int(raw["d_u"]),
-            h_agent=int(raw["h_agent"]),
-            h_aa=int(raw["h_aa"]),
-            horizon=int(raw["horizon"]),
-            imagine_steps=int(raw["imagine_steps"]),
-            lambdas=tuple(float(v) for v in raw["lambdas"].split(",")),
-            use_memory=raw["use_memory"] == "true",
-            use_imagination=raw["use_imagination"] == "true",
-        )
+        values = {}
+        for f in fields(ModelConfig):
+            if f.name not in raw:
+                raise ValueError(f"{path}: missing config key {f.name!r}")
+            try:
+                values[f.name] = parse_config_value(f.type, raw[f.name])
+            except ValueError as err:
+                raise ValueError(f"{path}: {err} for key {f.name!r}") from None
+        cfg = ModelConfig(**values)
+        expected = {name: (rows, cols) for name, rows, cols in param_specs(cfg)}
+        found = {pm.name: pm.values.shape for pm in store}
+        if found != expected:
+            raise ValueError(f"{path}: parameters {found} are not the {expected} "
+                             f"its {cfg.variant} config needs")
         return cls(cfg, store)

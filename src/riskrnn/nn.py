@@ -236,47 +236,38 @@ def save_params(path, store: ParameterStore, config: dict | None = None) -> None
 def load_params(path) -> tuple[ParameterStore, dict[str, str]]:
     """Read a model file back; returns (store, raw config strings).
 
-    Raises ValueError on a bad header or a checksum mismatch.
+    Raises ValueError on a bad header, a malformed block, a missing final
+    checksum line (a truncated file) or a checksum mismatch.
     """
     with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
+        lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != MODEL_HEADER:
         raise ValueError(f"{path}: not a {MODEL_HEADER} file")
+    if not lines[-1].startswith("checksum "):
+        raise ValueError(f"{path}: no checksum line at the end; the file is truncated")
     config: dict[str, str] = {}
     store = ParameterStore()
-    everything = []
     i = 1
-    while i < len(lines):
-        line = lines[i]
-        if " = " in line:
-            key, _, value = line.partition(" = ")
-            config[key.strip()] = value.strip()
-            i += 1
-            continue
-        if line.startswith("checksum "):
-            expected = float(line.split()[1])
-            actual = math.fsum(everything)
-            if actual != expected:
-                raise ValueError(
-                    f"{path}: checksum mismatch (file {expected!r}, data {actual!r})"
-                )
-            i += 1
-            continue
-        if not line.strip():
-            i += 1
-            continue
-        name, rows_s, cols_s = line.split()
-        rows, cols = int(rows_s), int(cols_s)
-        block = np.empty((rows, cols), dtype=np.float64)
-        for r in range(rows):
-            i += 1
-            row = np.array([float(v) for v in lines[i].split()], dtype=np.float64)
-            if row.shape[0] != cols:
-                raise ValueError(f"{path}: row {r} of {name} has {row.shape[0]} values, wanted {cols}")
-            block[r] = row
-            everything.extend(row)
-        store.add(ParamMatrix(name, block))
-        i += 1
+    try:
+        expected = float(lines[-1].split()[1])
+        while i < len(lines) - 1:
+            if " = " in lines[i]:
+                key, _, value = lines[i].partition(" = ")
+                config[key.strip()] = value.strip()
+                i += 1
+                continue
+            name, rows, cols = lines[i].split()
+            block = np.array([[float(v) for v in line.split()]
+                              for line in lines[i + 1:i + 1 + int(rows)]], dtype=np.float64)
+            if block.shape != (int(rows), int(cols)):
+                raise ValueError(f"block {name} is {block.shape}, wanted {rows}x{cols}")
+            store.add(ParamMatrix(name, block))
+            i += 1 + int(rows)
+    except ValueError as err:
+        raise ValueError(f"{path}: line {i + 1}: {err}") from None
+    actual = math.fsum(v for pm in store for v in pm.values.flat)
+    if actual != expected:
+        raise ValueError(f"{path}: checksum mismatch (file {expected!r}, data {actual!r})")
     return store, config
 
 
@@ -288,3 +279,17 @@ def _format_config_value(value) -> str:
     if isinstance(value, (tuple, list)):
         return ",".join(_format_config_value(v) for v in value)
     return str(value)
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_PARSERS = {"int": int, "float": float, "bool": lambda raw: _BOOLS[raw.lower()],
+            "tuple": lambda raw: tuple(float(v) for v in raw.split(",") if v.strip())}
+
+
+def parse_config_value(kind: str, raw: str):
+    """Read back a value of a dataclass field annotated ``kind`` (int, float,
+    bool or tuple of floats), as written above or typed in a config file."""
+    try:
+        return _PARSERS[kind](raw.strip())
+    except (KeyError, ValueError):
+        raise ValueError(f"cannot parse {raw!r} as {kind}") from None

@@ -10,16 +10,14 @@ function of their configuration.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .data import FrameInput, Proposal, RegionSet, VideoSample, VideoTargets
+from .data import read_dataset, write_dataset  # noqa: F401 - the split files' API
 from .geometry import Box, iou
-from .losses import VideoTargets
-from .model import FrameInput, RegionSet
 
-DATASET_HEADER = "RISKRNN-DATASET v1"
 HAZARD_CLASS = 0
 
 _EMBED_TAG = 101
@@ -51,31 +49,6 @@ class ScenarioConfig:
             raise ValueError("noise levels and proposal counts must be non-negative")
         if not (0.0 < self.collision_iou < 1.0):
             raise ValueError(f"collision_iou must lie in (0, 1), got {self.collision_iou}")
-
-
-@dataclass
-class Proposal:
-    box: Box
-    score: float
-    feat: np.ndarray
-
-
-@dataclass
-class VideoSample:
-    video_id: str
-    frames: list
-    targets: VideoTargets
-    proposals: list = field(default_factory=list)  # per frame
-    agent_class: int = -1
-    region_classes: list = field(default_factory=list)
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.frames)
-
-    @property
-    def positive(self) -> bool:
-        return self.targets.positive
 
 
 def class_embeddings(cfg: ScenarioConfig) -> np.ndarray:
@@ -208,36 +181,29 @@ def generate_scenario(cfg: ScenarioConfig, positive: bool, *, index: int = 0,
     agent_feats = synthesize_features(cfg, embeddings, [agent_class_id(cfg)], n_frames, rng)[:, 0]
     region_feats = synthesize_features(cfg, embeddings, region_classes, n_frames, rng)
 
-    frames = [
-        FrameInput(agent_feats[t], track[t], RegionSet(region_boxes, region_feats[t]))
-        for t in range(n_frames)
-    ]
-    targets = VideoTargets(
-        positive=positive,
-        t_accident=t_accident,
-        agent_track=list(track),
-        risky_boxes=[[hazard] for _ in range(n_frames)] if positive else [[] for _ in range(n_frames)],
-    )
-    sample = VideoSample(
+    frames = tuple(FrameInput(agent_feats[t], track[t], RegionSet(region_boxes, region_feats[t]))
+                   for t in range(n_frames))
+    risky_boxes = tuple((hazard,) if positive else () for _ in range(n_frames))
+    targets = VideoTargets(positive, t_accident, tuple(track), risky_boxes)
+    return VideoSample(
         video_id=video_id or f"{split}-{index:05d}",
         frames=frames,
         targets=targets,
+        proposals=synthesize_proposals(cfg, frames, region_classes, embeddings, rng),
         agent_class=agent_class_id(cfg),
-        region_classes=region_classes,
+        region_classes=tuple(region_classes),
     )
-    sample.proposals = synthesize_proposals(cfg, sample, embeddings, rng)
-    return sample
 
 
-def synthesize_proposals(cfg: ScenarioConfig, sample: VideoSample,
-                         embeddings: np.ndarray, rng) -> list:
+def synthesize_proposals(cfg: ScenarioConfig, frames, region_classes,
+                         embeddings: np.ndarray, rng) -> tuple:
     """Per frame: one jittered high-score copy of each true box plus random
     low-score distractor boxes, each carrying a feature of its source class."""
     out = []
     sigma = cfg.proposal_jitter
-    for t, frame in enumerate(sample.frames):
+    true_classes = [agent_class_id(cfg)] + list(region_classes)
+    for frame in frames:
         true_boxes = [frame.agent_box] + list(frame.region_boxes)
-        true_classes = [sample.agent_class] + list(sample.region_classes)
         props = []
         for box, cls in zip(true_boxes, true_classes):
             jittered = Box(
@@ -253,8 +219,8 @@ def synthesize_proposals(cfg: ScenarioConfig, sample: VideoSample,
             cls = int(rng.integers(0, cfg.n_classes))
             feat = embeddings[cls] + rng.normal(0.0, cfg.noise_sigma, cfg.feature_dim)
             props.append(Proposal(_random_box(rng), float(rng.uniform(0.0, 0.5)), feat))
-        out.append(props)
-    return out
+        out.append(tuple(props))
+    return tuple(out)
 
 
 def generate_split(cfg: ScenarioConfig, n_videos: int, split: str) -> list[VideoSample]:
@@ -274,83 +240,3 @@ def verify_collision_predicate(sample: VideoSample, collision_iou: float) -> boo
     if sample.positive:
         return hit[-1] and not any(hit[:-1])
     return not any(hit)
-
-
-# ---------------------------------------------------------------------------
-# dataset files: a header line, then one JSON record per video
-
-def _floats(a) -> list:
-    return [float(v) for v in np.asarray(a).reshape(-1)]
-
-
-def write_dataset(path, samples) -> None:
-    with open(path, "w") as fh:
-        fh.write(DATASET_HEADER + "\n")
-        for sample in samples:
-            record = {
-                "id": sample.video_id,
-                "label": 1 if sample.positive else 0,
-                "t_accident": sample.targets.t_accident,
-                "agent_class": sample.agent_class,
-                "region_classes": list(sample.region_classes),
-                "frames": [
-                    {
-                        "agent_box": _floats(frame.agent_box.as_array()),
-                        "agent_feat": _floats(frame.agent_feat),
-                        "region_boxes": [_floats(b.as_array()) for b in frame.region_boxes],
-                        "region_feats": [_floats(f) for f in frame.region_feats],
-                        "risky_boxes": [_floats(b.as_array())
-                                        for b in sample.targets.risky_boxes[t]],
-                        "proposals": [
-                            {"box": _floats(p.box.as_array()), "score": p.score,
-                             "feat": _floats(p.feat)}
-                            for p in sample.proposals[t]
-                        ],
-                    }
-                    for t, frame in enumerate(sample.frames)
-                ],
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-
-def read_dataset(path) -> list[VideoSample]:
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != DATASET_HEADER:
-            raise ValueError(f"{path}: not a {DATASET_HEADER} file")
-        samples = []
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            frames = []
-            proposals = []
-            risky = []
-            for fr in rec["frames"]:
-                frames.append(FrameInput(
-                    np.asarray(fr["agent_feat"], dtype=np.float64),
-                    Box.from_array(fr["agent_box"]),
-                    RegionSet([Box.from_array(b) for b in fr["region_boxes"]],
-                              np.asarray(fr["region_feats"], dtype=np.float64)),
-                ))
-                risky.append([Box.from_array(b) for b in fr["risky_boxes"]])
-                proposals.append([
-                    Proposal(Box.from_array(p["box"]), float(p["score"]),
-                             np.asarray(p["feat"], dtype=np.float64))
-                    for p in fr["proposals"]
-                ])
-            positive = rec["label"] == 1
-            samples.append(VideoSample(
-                video_id=rec["id"],
-                frames=frames,
-                targets=VideoTargets(
-                    positive=positive,
-                    t_accident=rec["t_accident"],
-                    agent_track=[f.agent_box for f in frames],
-                    risky_boxes=risky,
-                ),
-                proposals=proposals,
-                agent_class=rec["agent_class"],
-                region_classes=list(rec["region_classes"]),
-            ))
-    return samples

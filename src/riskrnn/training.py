@@ -17,8 +17,9 @@ import numpy as np
 from .autodiff import Tape
 from .config import RunConfig, derive_seed
 from .evaluation import ScoredItem, average_precision
+from .data import FrameInput
 from .losses import total_loss
-from .model import FrameInput, RiskModel, forward_video
+from .model import RiskModel, forward_video
 from .nn import TrainingError, adam_step
 from .tracking import (Track, deduplicate_tracks, select_training_track,
                        track_by_detection, track_from_targets)

@@ -1,9 +1,9 @@
 """Shared builders for model-level tests: random frames, targets, and stores."""
 import numpy as np
 
+from riskrnn.data import FrameInput, RegionSet, VideoTargets
 from riskrnn.geometry import Box
-from riskrnn.losses import VideoTargets
-from riskrnn.model import FrameInput, ModelConfig, RegionSet, RiskModel
+from riskrnn.model import ModelConfig, RiskModel
 
 TINY_CONFIG = ModelConfig(d_agent=8, d_region=8, d_u=6, h_agent=8, h_aa=8,
                           horizon=1, imagine_steps=1, lambdas=(0.6, 0.4))

@@ -3,8 +3,8 @@ import pytest
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
+from riskrnn.data import RegionSet
 from riskrnn.geometry import Box
-from riskrnn.model import RegionSet
 
 
 def numeric_gradient(fn, x, h=1e-6):

@@ -55,3 +55,12 @@ def test_unknown_key_is_a_configuration_error(tmp_path):
 def test_missing_dataset_is_a_runtime_failure(tmp_path):
     assert main(["train", "--data", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "m.rrm"), *TINY]) == 1
+
+
+@pytest.mark.parametrize("cut", [0, 1000], ids=["empty", "truncated"])
+def test_unreadable_dataset_is_a_runtime_failure_naming_it(data_dir, tmp_path, capsys, cut):
+    bad = tmp_path / "test.dat"
+    bad.write_bytes((data_dir / "test.dat").read_bytes()[:cut])
+    assert main(["eval", "--data", str(bad), "--model", str(tmp_path / "m.rrm"),
+                 "--out", str(tmp_path / "report.txt"), *TINY]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not a ")

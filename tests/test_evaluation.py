@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,12 @@ class TestAveragePrecision:
         items = [ScoredItem(1.0 - 0.05 * i, True) for i in range(9)]
         items += [ScoredItem(0.1 - 0.01 * i, False) for i in range(5)]
         assert average_precision(items) == 1.0
+
+    def test_recall_denominator_below_the_positive_items_is_rejected(self):
+        items = [ScoredItem(0.5, True), ScoredItem(0.4, True)]
+        with pytest.raises(ValueError, match="n_positive=1 is below the 2 positive items"):
+            average_precision(items, n_positive=1)
+        assert average_precision(items, n_positive=4) == 0.5
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(unit_floats, st.booleans()), min_size=1, max_size=60)

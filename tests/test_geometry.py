@@ -59,32 +59,32 @@ class TestRelativeConfig:
         rng = np.random.default_rng(2)
         for _ in range(50):
             agent = random_box(rng)
-            got = relative_config(agent, agent).as_array()
+            got = relative_config(agent, agent)
             np.testing.assert_allclose(
                 got, [0, 0, -0.5, -0.5, 0.5, 0.5, 1, 1, 1], atol=1e-12)
 
     def test_shifted_same_size_region(self):
         agent = Box(0.5, 0.5, 0.1, 0.1)
         region = Box(0.6, 0.5, 0.1, 0.1)
-        got = relative_config(agent, region).as_array()
+        got = relative_config(agent, region)
         np.testing.assert_allclose(got, [1, 0, 0.5, -0.5, 1.5, 0.5, 1, 1, 0], atol=1e-12)
 
     def test_concentric_double_size_region(self):
         agent = Box(0.5, 0.5, 0.2, 0.2)
         region = Box(0.5, 0.5, 0.4, 0.4)
-        got = relative_config(agent, region).as_array()
+        got = relative_config(agent, region)
         np.testing.assert_allclose(got, [0, 0, -1, -1, 1, 1, 2, 2, 0.25], atol=1e-12)
 
     def test_translation_and_scale_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             agent, region = random_box(rng), random_box(rng)
-            base = relative_config(agent, region).as_array()
+            base = relative_config(agent, region)
             k = rng.uniform(0.5, 4.0)
             dx, dy = rng.uniform(-3, 3, size=2)
             agent2 = Box(k * (agent.cx + dx), k * (agent.cy + dy), k * agent.w, k * agent.h)
             region2 = Box(k * (region.cx + dx), k * (region.cy + dy), k * region.w, k * region.h)
-            moved = relative_config(agent2, region2).as_array()
+            moved = relative_config(agent2, region2)
             np.testing.assert_allclose(moved, base, rtol=1e-9, atol=1e-12)
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from riskrnn.autodiff import Tape
+from riskrnn.data import VideoTargets
 from riskrnn.geometry import Box, iou
-from riskrnn.losses import (VideoTargets, anticipation_loss, region_labels,
+from riskrnn.losses import (anticipation_loss, region_labels,
                             region_loss, total_loss, transform_loss)
 from riskrnn.model import RiskModel, forward_video, variant_config
 

@@ -3,9 +3,10 @@ import pytest
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
+from riskrnn.data import FrameInput, RegionSet
 from riskrnn.geometry import Box, relative_config
 from riskrnn.losses import total_loss
-from riskrnn.model import (FrameInput, ModelConfig, RegionSet, RiskModel,
+from riskrnn.model import (ModelConfig, RiskModel,
                            agent_rnn_step, anticipate_step,
                            apply_box_transform_nodes, forward_video,
                            fuse_predictions, imagine_location, param_specs,
@@ -55,7 +56,7 @@ class TestTapeGeometry:
                                 rng.normal(size=(5, 3)))
             tape = Tape()
             got = ad.relative_config(tape.const(agent.as_array()), regions)
-            want = np.stack([relative_config(agent, r).as_array()
+            want = np.stack([relative_config(agent, r)
                              for r in regions.boxes], axis=1)
             np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=1e-12)
 
@@ -348,6 +349,80 @@ class TestGradients:
                                     TINY_CONFIG.lambdas, TINY_CONFIG.horizon)
 
         assert finite_diff_check(model.store, make_loss) < 1e-4
+
+
+# A model file as the first version of the format wrote it, variant line included.
+EARLIER_FORMAT_RA = """RISKRNN-MODEL v1
+variant = RA
+d_agent = 1
+d_region = 1
+d_u = 1
+h_agent = 1
+h_aa = 1
+horizon = 2
+imagine_steps = 0
+lambdas = 1.0
+use_memory = false
+use_imagination = false
+geom_fc_W 1 9
+0.25 0.5 0.75 1 1.25 1.5 1.75 2 2.25
+geom_fc_b 1 1
+2.5
+scorer_fc_W 1 2
+2.75 3
+scorer_fc_b 1 1
+3.25
+accident_head_W 2 2
+3.5 3.75
+4 4.25
+checksum 38.25
+"""
+
+
+class TestModelFiles:
+    def saved_ra(self, tmp_path):
+        path = tmp_path / "ra.rrm"
+        RiskModel.create(variant_config(TINY_CONFIG, "RA"), seed=22).save(path)
+        return path, path.read_text().splitlines()
+
+    def test_earlier_format_loads_and_saves_unchanged(self, tmp_path):
+        path = tmp_path / "old.rrm"
+        path.write_text(EARLIER_FORMAT_RA)
+        model = RiskModel.load(path)
+        tiny = ModelConfig(d_agent=1, d_region=1, d_u=1, h_agent=1, h_aa=1, horizon=2)
+        assert model.cfg == variant_config(tiny, "RA")
+        assert model.store["accident_head_W"].values.tolist() == [[3.5, 3.75], [4.0, 4.25]]
+        model.save(tmp_path / "again.rrm")
+        assert (tmp_path / "again.rrm").read_text() == EARLIER_FORMAT_RA
+
+    def test_file_cut_after_a_block_is_rejected(self, tmp_path):
+        path, lines = self.saved_ra(tmp_path)
+        cut = next(i for i, line in enumerate(lines) if line.startswith("geom_fc_b "))
+        path.write_text("\n".join(lines[:cut]) + "\n")
+        with pytest.raises(ValueError, match="truncated"):
+            RiskModel.load(path)
+
+    def test_one_changed_digit_fails_the_checksum(self, tmp_path):
+        path, lines = self.saved_ra(tmp_path)
+        row = next(i for i, line in enumerate(lines) if line.startswith("scorer_fc_W ")) + 1
+        j = lines[row].index(".") + 1
+        lines[row] = lines[row][:j] + "45"[lines[row][j] == "4"] + lines[row][j + 1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            RiskModel.load(path)
+
+    def test_missing_config_key_names_the_file_and_the_key(self, tmp_path):
+        path, lines = self.saved_ra(tmp_path)
+        path.write_text("\n".join(line for line in lines if not line.startswith("h_aa ")))
+        with pytest.raises(ValueError, match="missing config key 'h_aa'") as err:
+            RiskModel.load(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_parameters_must_be_the_ones_the_config_needs(self, tmp_path):
+        path, lines = self.saved_ra(tmp_path)
+        path.write_text("\n".join(lines).replace("use_memory = false", "use_memory = true"))
+        with pytest.raises(ValueError, match="L-RA config needs"):
+            RiskModel.load(path)
 
 
 class TestSaveLoad:

@@ -228,6 +228,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="checksum"):
             load_params(path)
 
+    def test_file_without_its_checksum_line_is_truncated(self, tmp_path):
+        store = init_params([("a", 2, 2), ("b", 1, 3)], seed=1)
+        path = tmp_path / "model.rrm"
+        save_params(path, store)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:lines.index("b 1 3")]) + "\n")
+        with pytest.raises(ValueError, match="truncated"):
+            load_params(path)
+
+    def test_short_block_names_the_file(self, tmp_path):
+        path = tmp_path / "model.rrm"
+        path.write_text("RISKRNN-MODEL v1\na 2 2\n0.5 0.5\nchecksum 1\n")
+        with pytest.raises(ValueError, match="line 2: ") as err:
+            load_params(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bogus.rrm"
         path.write_text("NOT-A-MODEL\n")
