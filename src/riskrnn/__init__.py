@@ -5,7 +5,7 @@ from .geometry import (Box, BoxTransform, apply_box_transform, encode_box_transf
                        relative_config)
 from .data import (FrameInput, Proposal, RegionSet, VideoSample, VideoTargets,
                    read_dataset, write_dataset)
-from .model import (FramePrediction, ModelConfig, RiskModel, VARIANTS, forward_video,
+from .model import (ModelConfig, ModelOutput, RiskModel, VARIANTS, forward_video,
                     fuse_predictions, variant_config)
 from .losses import region_labels, total_loss
 from .synthworld import ScenarioConfig, generate_scenario, generate_split
@@ -21,7 +21,7 @@ __all__ = [
     "relative_config",
     "FrameInput", "Proposal", "RegionSet", "VideoSample", "VideoTargets",
     "read_dataset", "write_dataset",
-    "FramePrediction", "ModelConfig", "RiskModel", "VARIANTS", "forward_video",
+    "ModelConfig", "ModelOutput", "RiskModel", "VARIANTS", "forward_video",
     "fuse_predictions", "variant_config", "region_labels", "total_loss",
     "ScenarioConfig", "generate_scenario", "generate_split",
     "Track", "deduplicate_tracks", "select_training_track", "track_by_detection",

@@ -9,7 +9,9 @@ creation entirely, which keeps constant-only subgraphs (frozen inference,
 observed-frame geometry) cheap.
 
 A tape is single-use for backward; build a fresh one per forward/backward
-pass.
+pass. A recording tape and its nodes form a reference cycle (each node points
+back at its tape), so a trainer releases the tape once its gradients are in
+the parameters rather than leave it to the cyclic garbage collector.
 """
 from __future__ import annotations
 
@@ -127,6 +129,12 @@ class Tape:
             if node.grad is not None:
                 pm.grad += node.grad
 
+    def release(self) -> None:
+        """Forget the recorded nodes, which breaks the tape's reference cycle
+        so the tape and its graph are freed as soon as callers drop them."""
+        self.nodes = []
+        self._params = {}
+
 
 def _wrap(tape: Tape, x) -> Node:
     return x if isinstance(x, Node) else tape.const(x)
@@ -237,12 +245,13 @@ def log(x: Node) -> Node:
 
 
 def softmax(x: Node) -> Node:
-    """Stable softmax over a 1-D vector; output sums to one."""
-    shifted = x.value - x.value.max()
+    """Stable softmax over the first axis: of a vector, or of each column of
+    a matrix; every output column sums to one."""
+    shifted = x.value - x.value.max(axis=0)
     e = np.exp(shifted)
-    out = e / e.sum()
+    out = e / e.sum(axis=0)
     def backward(g):
-        _accum(x, out * (g - np.dot(g, out)))
+        _accum(x, out * (g - (g * out).sum(axis=0)))
     return x.tape._make(out, (x,), backward)
 
 
@@ -300,24 +309,14 @@ def vsum(x: Node, axis=None) -> Node:
 
 
 def concat(parts) -> Node:
-    """Join 1-D nodes end to end."""
+    """Join nodes along the first axis: vectors end to end, matrices with the
+    same columns one above the other."""
     sizes = [p.value.shape[0] for p in parts]
     offsets = np.cumsum([0] + sizes)
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             _accum(p, g[lo:hi])
     return parts[0].tape._make(np.concatenate([p.value for p in parts]),
-                               tuple(parts), backward)
-
-
-def vstack(parts) -> Node:
-    """Stack 2-D nodes on the row axis."""
-    sizes = [p.value.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi])
-    return parts[0].tape._make(np.concatenate([p.value for p in parts], axis=0),
                                tuple(parts), backward)
 
 
@@ -330,19 +329,13 @@ def stack_rows(parts) -> Node:
                                tuple(parts), backward)
 
 
-def stack_scalars(parts) -> Node:
+def repeat_cols(x: Node, n: int) -> Node:
+    """Repeat each column of a (k, T) matrix n times, copies side by side:
+    column t * n + j of the (k, T * n) result is column t."""
+    rows, cols = x.value.shape
     def backward(g):
-        for i, p in enumerate(parts):
-            _accum(p, g[i])
-    return parts[0].tape._make(np.array([float(p.value) for p in parts]),
-                               tuple(parts), backward)
-
-
-def tile_cols(x: Node, n: int) -> Node:
-    """Repeat a 1-D vector as n columns, yielding (len(x), n)."""
-    def backward(g):
-        _accum(x, g.sum(axis=1))
-    return x.tape._make(np.repeat(x.value[:, None], n, axis=1), (x,), backward)
+        _accum(x, g.reshape(rows, cols, n).sum(axis=2))
+    return x.tape._make(np.repeat(x.value, n, axis=1), (x,), backward)
 
 
 def vec_slice(x: Node, lo: int, hi: int) -> Node:
@@ -354,7 +347,8 @@ def vec_slice(x: Node, lo: int, hi: int) -> Node:
 
 
 def pick(x: Node, i: int) -> Node:
-    """Select one element of a 1-D vector as a 0-d scalar node."""
+    """Select entry i along the first axis: an element of a vector as a 0-d
+    node, or a row of a matrix."""
     def backward(g):
         full = np.zeros_like(x.value)
         full[i] = g
@@ -362,23 +356,29 @@ def pick(x: Node, i: int) -> Node:
     return x.tape._make(np.asarray(x.value[i]), (x,), backward)
 
 
-def flatten(x: Node) -> Node:
+def reshape(x: Node, shape) -> Node:
     def backward(g):
         _accum(x, g.reshape(x.value.shape))
-    return x.tape._make(x.value.reshape(-1), (x,), backward)
+    return x.tape._make(x.value.reshape(shape), (x,), backward)
+
+
+def flatten(x: Node) -> Node:
+    return reshape(x, (-1,))
 
 
 def lstm_core(z: Node, c_prev: Node) -> tuple[Node, Node]:
     """Fused LSTM cell body: gates from preactivations, then the state update.
 
     ``z`` holds the stacked (4H,) gate preactivations ordered
-    [input, forget, candidate, output]. Returns (hidden, cell). Fusing the
-    gate nonlinearities and products into one taped op keeps per-step node
-    counts low, which dominates training cost at desk scale.
+    [input, forget, candidate, output], or a (4H, B) matrix of them with one
+    independent cell per column and a (H, B) ``c_prev``. Returns (hidden,
+    cell). Fusing the gate nonlinearities and products into one taped op keeps
+    node counts low, which dominates training cost at desk scale.
     """
     hdim = c_prev.value.shape[0]
-    if z.value.shape != (4 * hdim,):
-        raise ValueError(f"lstm_core expects ({4 * hdim},) preactivations, got {z.value.shape}")
+    want = (4 * hdim,) + c_prev.value.shape[1:]
+    if z.value.shape != want:
+        raise ValueError(f"lstm_core expects {want} preactivations, got {z.value.shape}")
     zv = z.value
     i = 1.0 / (1.0 + np.exp(-zv[0:hdim]))
     f = 1.0 / (1.0 + np.exp(-zv[hdim:2 * hdim]))
@@ -402,19 +402,86 @@ def lstm_core(z: Node, c_prev: Node) -> tuple[Node, Node]:
     return vec_slice(hc, 0, hdim), vec_slice(hc, hdim, 2 * hdim)
 
 
-def relative_config(agent: Node, regions) -> Node:
-    """Fused (9, N) configuration of every region relative to one agent box.
+def lstm_sweep(w: Node, b: Node, x: Node) -> tuple[Node, Node]:
+    """An LSTM run over the T columns of ``x`` from a zero state, as one op.
 
-    ``agent`` holds (cx, cy, w, h). ``regions`` supplies (N,) arrays ``cx``,
-    ``cy``, ``w``, ``h``, ``x1``, ``y1``, ``x2``, ``y2`` and ``area``, as
-    data.RegionSet does. Rows are the region's center, min-corner and
-    max-corner offsets from the agent center (x over agent width, y over agent
-    height), its size ratios, and the IoU of the two boxes, the same cues as
+    ``w`` is the (4H, I + H) weight acting on [input; previous hidden] and
+    ``b`` the (4H, 1) bias, gates ordered as in ``lstm_core``; ``x`` is
+    (I, T). Returns the (H, T) hidden and cell sequences, column t being the
+    state after step t. The inputs of all T steps are projected in one matmul;
+    the backward pass runs backpropagation through time and forms the weight
+    gradient as one product dZ @ [X; H_prev]^T.
+    """
+    wv, xv = w.value, x.value
+    n_in, steps = xv.shape
+    hdim = wv.shape[0] // 4
+    if wv.shape != (4 * hdim, n_in + hdim) or b.value.shape != (4 * hdim, 1):
+        raise ValueError(f"lstm_sweep shape mismatch: weight {wv.shape}, "
+                         f"bias {b.value.shape}, input {xv.shape}")
+    w_x, w_h = wv[:, :n_in], wv[:, n_in:]
+    z_in = w_x @ xv + b.value
+    acts = np.empty((4 * hdim, steps))   # [input; forget; candidate; output] gates
+    tanh_c = np.empty((hdim, steps))
+    hc = np.empty((2 * hdim, steps))     # [hidden; cell]
+    h = c = np.zeros(hdim)
+    for t in range(steps):
+        z = z_in[:, t] + w_h @ h
+        a = 1.0 / (1.0 + np.exp(-z))
+        a[2 * hdim:3 * hdim] = np.tanh(z[2 * hdim:3 * hdim])
+        c = a[hdim:2 * hdim] * c + a[0:hdim] * a[2 * hdim:3 * hdim]
+        tanh_c[:, t] = np.tanh(c)
+        h = a[3 * hdim:] * tanh_c[:, t]
+        acts[:, t] = a
+        hc[:hdim, t] = h
+        hc[hdim:, t] = c
+
+    def backward(grad):
+        i, f, g_, o = acts[0:hdim], acts[hdim:2 * hdim], acts[2 * hdim:3 * hdim], acts[3 * hdim:]
+        h_prev = np.zeros((hdim, steps))
+        h_prev[:, 1:] = hc[:hdim, :-1]
+        c_prev = np.zeros((hdim, steps))
+        c_prev[:, 1:] = hc[hdim:, :-1]
+        # local derivatives, a column per step: of the input, forget and
+        # candidate preactivations per unit of cell gradient, of the output
+        # preactivation per unit of hidden gradient, and of hidden = o * tanh(cell)
+        # with respect to the cell
+        dz_dc = np.stack([g_ * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g_ * g_)])
+        dz_dh = tanh_c * o * (1.0 - o)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((4 * hdim, steps))
+        dz_cell = dz[:3 * hdim].reshape(3, hdim, steps)
+        dh_next = dc_next = np.zeros(hdim)
+        for t in range(steps - 1, -1, -1):
+            dh = grad[:hdim, t] + dh_next
+            dc = grad[hdim:, t] + dc_next + dh * dc_dh[:, t]
+            dz_cell[:, :, t] = dc * dz_dc[:, :, t]
+            dz[3 * hdim:, t] = dh * dz_dh[:, t]
+            dc_next = dc * f[:, t]
+            dh_next = dz[:, t] @ w_h
+        _accum(w, dz @ np.concatenate([xv, h_prev]).T)
+        _accum(b, dz.sum(axis=1, keepdims=True))
+        if x.requires_grad:
+            _accum(x, w_x.T @ dz)
+    out = w.tape._make(hc, (w, b, x), backward)
+    return vec_slice(out, 0, hdim), vec_slice(out, hdim, 2 * hdim)
+
+
+def relative_config(agent: Node, regions) -> Node:
+    """Fused configuration of every region relative to the agent box.
+
+    ``agent`` holds (cx, cy, w, h), either one (4,) box or a (4, T) column per
+    frame. ``regions`` supplies arrays ``cx``, ``cy``, ``w``, ``h``, ``x1``,
+    ``y1``, ``x2``, ``y2`` and ``area`` of shape (N,) for one box, as
+    data.RegionSet does, or (T, N) for T columns. The output is (9, N) or
+    (9, T, N). Rows are the region's center, min-corner and max-corner
+    offsets from the agent center (x over agent width, y over agent height),
+    its size ratios, and the IoU of the two boxes, the same cues as
     geometry.relative_config. The backward pass returns the gradient with
     respect to the agent box only; overlap ties route the way ``minimum``,
     ``maximum`` and ``relu`` route them.
     """
-    cx, cy, w, h = agent.value.tolist()
+    a = agent.value if agent.value.ndim == 1 else agent.value[:, :, None]
+    cx, cy, w, h = a
     inv_w, inv_h = 1.0 / w, 1.0 / h
     ax1, ax2 = cx - 0.5 * w, cx + 0.5 * w
     ay1, ay2 = cy - 0.5 * h, cy + 0.5 * h
@@ -436,6 +503,8 @@ def relative_config(agent: Node, regions) -> Node:
     ])
 
     def backward(g):
+        def per_box(v):  # sum over the regions of each agent box
+            return v.sum(axis=-1, keepdims=True)
         g_x, g_y, g_iou = g[0:7:2], g[1:8:2], g[8]
         # IoU = inter / union with union = w * h + area - inter
         g_inter = g_iou * (1.0 / union + inter / (union * union))
@@ -446,11 +515,29 @@ def relative_config(agent: Node, regions) -> Node:
         g_ax2, g_ax1 = g_span_x * (ax2 <= regions.x2), -g_span_x * (ax1 >= regions.x1)
         g_ay2, g_ay1 = g_span_y * (ay2 <= regions.y2), -g_span_y * (ay1 >= regions.y1)
         # each offset row is (r - c) / s and each size row r / s
-        g_cx = -inv_w * g_x[:3].sum() + (g_ax1 + g_ax2).sum()
-        g_cy = -inv_h * g_y[:3].sum() + (g_ay1 + g_ay2).sum()
-        g_w = (-inv_w * (g_x * out[0:7:2]).sum()
-               + (0.5 * (g_ax2 - g_ax1) + g_union * h).sum())
-        g_h = (-inv_h * (g_y * out[1:8:2]).sum()
-               + (0.5 * (g_ay2 - g_ay1) + g_union * w).sum())
-        _accum(agent, np.array([g_cx, g_cy, g_w, g_h]))
+        g_cx = -inv_w * per_box(g_x[:3].sum(axis=0)) + per_box(g_ax1 + g_ax2)
+        g_cy = -inv_h * per_box(g_y[:3].sum(axis=0)) + per_box(g_ay1 + g_ay2)
+        g_w = (-inv_w * per_box((g_x * out[0:7:2]).sum(axis=0))
+               + per_box(0.5 * (g_ax2 - g_ax1) + g_union * h))
+        g_h = (-inv_h * per_box((g_y * out[1:8:2]).sum(axis=0))
+               + per_box(0.5 * (g_ay2 - g_ay1) + g_union * w))
+        _accum(agent, np.stack([g_cx, g_cy, g_w, g_h]).reshape(agent.value.shape))
     return agent.tape._make(out, (agent,), backward)
+
+
+def apply_box_transform(box: Node, c: Node) -> Node:
+    """Boxes (cx, cy, w, h) moved by transforms (dx, dy, log sw, log sh).
+
+    The center moves by the offsets times the box size and each side is
+    scaled by the exponent of its log ratio, as geometry.apply_box_transform
+    does. ``box`` and ``c`` are (4,) or (4, T) with one box per column.
+    """
+    p, cv = box.value, c.value
+    scale = np.exp(cv[2:4])
+    out = np.concatenate([cv[0:2] * p[2:4] + p[0:2], scale * p[2:4]])
+
+    def backward(g):
+        g_xy, g_wh = g[0:2], g[2:4]
+        _accum(c, np.concatenate([g_xy * p[2:4], g_wh * out[2:4]]))
+        _accum(box, np.concatenate([g_xy, g_xy * cv[0:2] + g_wh * scale]))
+    return box.tape._make(out, (box, c), backward)

@@ -55,10 +55,6 @@ class Box:
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
-    @staticmethod
-    def from_array(a) -> "Box":
-        return Box(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
 
 #: Dimensionality of the relative configuration vector.
 RELATIVE_CONFIG_DIM = 9

@@ -13,22 +13,31 @@ and fuses observed and imagined outputs as a convex combination.
 
 Four ablation variants are supported: RA (single frame), RAI (adds
 imagination), L-RA (adds the two LSTMs), and L-RAI (everything).
+
+A video runs as whole-video passes with one column per frame (or per frame
+and region), each a handful of tape nodes however long the video is:
+
+1. the agent memory: one LSTM sweep over the frames' appearance and box;
+2. region scoring and pooling over all T x N (frame, region) columns;
+3. the risk memory: one LSTM sweep over the pooled frames, then the
+   anticipation head on all T columns;
+4. each imagination hop: the box transform, the relative geometry, scoring,
+   pooling and one branched LSTM step, for all T frames at once.
+
+Only the two memory sweeps (1 and 3) are sequential over time; RA and RAI
+have none.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
-from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM, Box
+from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM
 from .nn import (LstmState, ParameterStore, dense, init_params, load_params,
-                 lstm_step, lstm_zero_state, parse_config_value, save_params)
-
-if TYPE_CHECKING:
-    from .data import RegionSet
+                 lstm_step, lstm_sweep, parse_config_value, save_params)
 
 VARIANTS = ("RA", "RAI", "L-RA", "L-RAI")
 
@@ -97,20 +106,17 @@ def variant_config(base: ModelConfig, variant: str) -> ModelConfig:
 
 
 @dataclass
-class ImaginedStep:
-    """Outputs of one imagination hop: predicted box and re-scored risk."""
+class Assessment:
+    """One assessment of every frame of a video, as tape nodes: the (2, T)
+    (non-accident, accident) distributions and the (T, N) region scores.
+    The ``y`` and ``s`` arrays are frame-major: (T, 2) and (T, N)."""
 
-    box_node: Node
     y_node: Node
     s_node: Node
 
     @property
-    def box(self) -> Box:
-        return Box.from_array(self.box_node.value)
-
-    @property
     def y(self) -> np.ndarray:
-        return self.y_node.value.copy()
+        return self.y_node.value.T.copy()
 
     @property
     def s(self) -> np.ndarray:
@@ -118,23 +124,37 @@ class ImaginedStep:
 
 
 @dataclass
-class FramePrediction:
-    """Per-frame outputs, with tape nodes kept for loss construction."""
+class ModelOutput(Assessment):
+    """A video's observed assessment, the fused (T, 2) and (T, N) outputs,
+    one more assessment per imagination hop, and the first hop's (4, T) box
+    transforms ``c_node`` (None without imagination). The nodes are kept for
+    loss construction."""
 
-    y_node: Node
-    s_node: Node
-    imagined: list = field(default_factory=list)
-    c_node: Node | None = None
-    y_fused: np.ndarray | None = None
-    s_fused: np.ndarray | None = None
+    y_fused: np.ndarray
+    s_fused: np.ndarray
+    imagined: list
+    c_node: Node | None
 
-    @property
-    def y(self) -> np.ndarray:
-        return self.y_node.value.copy()
 
-    @property
-    def s(self) -> np.ndarray:
-        return self.s_node.value.copy()
+class VideoRegions:
+    """The candidate regions of every frame of a video, stacked: the (N,)
+    box arrays of each frame's data.RegionSet become (T, N) arrays ``cx``,
+    ``cy``, ``w``, ``h``, ``x1``, ``y1``, ``x2``, ``y2`` and ``area``, and
+    its appearances the (D, T, N) matrix ``feats``. The region passes need
+    one N for the whole video."""
+
+    BOX_ARRAYS = ("cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")
+    __slots__ = ("n", "feats") + BOX_ARRAYS
+
+    def __init__(self, region_sets):
+        self.n = len(region_sets[0])
+        for t, regions in enumerate(region_sets):
+            if len(regions) != self.n:
+                raise ValueError(f"frame {t} has {len(regions)} regions and frame 0 "
+                                 f"has {self.n}; a video needs one region count")
+        for name in self.BOX_ARRAYS:
+            setattr(self, name, np.stack([getattr(r, name) for r in region_sets]))
+        self.feats = np.stack([r.feats_t for r in region_sets], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,55 +181,52 @@ def param_specs(cfg: ModelConfig):
 
 
 # ---------------------------------------------------------------------------
-# differentiable box transform
-
-def apply_box_transform_nodes(box_vec: Node, c: Node) -> Node:
-    """Differentiable counterpart of geometry.apply_box_transform on (cx,cy,w,h)."""
-    if np.max(np.abs(c.value[2:4])) > MAX_LOG_SCALE:
-        raise ValueError(f"log size ratios out of range: {c.value[2:4]}")
-    xy_off = ad.vec_slice(c, 0, 2)
-    wh_log = ad.vec_slice(c, 2, 4)
-    p_xy = ad.vec_slice(box_vec, 0, 2)
-    p_wh = ad.vec_slice(box_vec, 2, 4)
-    return ad.concat([xy_off * p_wh + p_xy, ad.exp(wh_log) * p_wh])
-
-
-# ---------------------------------------------------------------------------
-# model stages
+# model stages, each over every frame of a video at once
 
 def score_regions(tape: Tape, store: ParameterStore, agent_code: Node,
-                  u_mat: Node, regions: RegionSet):
-    """Risk scores for every region, plus the predicted per-region weights.
+                  u: Node, regions: VideoRegions) -> Node:
+    """(T, N) risk scores of every region of every frame.
 
-    Each column of the (9, N) geometry matrix is embedded, joined with the
-    agent code, and mapped to a weight vector whose dot product with that
-    region's appearance is squashed to a probability.
+    Each (frame, region) column of the (9, T, N) geometry is embedded, joined
+    with that frame's column of the (A, T) agent code, and mapped to a weight
+    vector whose dot product with the region's appearance is squashed to a
+    probability.
     """
-    embedded = ad.relu(dense(tape, store["geom_fc_W"], u_mat, store["geom_fc_b"]))
-    joined = ad.vstack([ad.tile_cols(agent_code, len(regions)), embedded])
+    u_cols = ad.reshape(u, (u.value.shape[0], -1))
+    embedded = ad.relu(dense(tape, store["geom_fc_W"], u_cols, store["geom_fc_b"]))
+    joined = ad.concat([ad.repeat_cols(agent_code, regions.n), embedded])
     weights = ad.relu(dense(tape, store["scorer_fc_W"], joined, store["scorer_fc_b"]))
-    logits = ad.vsum(weights * tape.const(regions.feats_t), axis=0)
-    return ad.sigmoid(logits), weights
+    feats = tape.const(regions.feats.reshape(weights.value.shape))
+    logits = ad.reshape(ad.vsum(weights * feats, axis=0), u.value.shape[1:])
+    return ad.sigmoid(logits)
 
 
-def pool_regions(tape: Tape, scores: Node, regions: RegionSet) -> Node:
-    """Risk-weighted sum of region appearances; output dim is fixed, any N."""
-    return ad.matmul(tape.const(regions.feats_t), scores)
+def pool_regions(tape: Tape, scores: Node, regions: VideoRegions) -> Node:
+    """(D, T): per frame, the risk-weighted sum of its region appearances."""
+    return ad.vsum(tape.const(regions.feats) * scores, axis=2)
 
 
-def agent_rnn_step(tape: Tape, store: ParameterStore, state: LstmState,
-                   agent_feat: np.ndarray, agent_box: Box) -> LstmState:
-    """Advance the agent memory on (appearance, normalized box) input."""
-    x = tape.const(np.concatenate([agent_feat, agent_box.as_array()]))
-    return lstm_step(tape, store["agent_rnn_W"], store["agent_rnn_b"], x, state)
+def agent_rnn_step(tape: Tape, store: ParameterStore, inputs: np.ndarray) -> LstmState:
+    """The agent memory over the video: one sweep over the (d_agent + 4, T)
+    columns of appearance and normalized box."""
+    return lstm_sweep(tape, store["agent_rnn_W"], store["agent_rnn_b"], tape.const(inputs))
 
 
 def anticipate_step(tape: Tape, store: ParameterStore, cfg: ModelConfig,
                     state: LstmState | None, agent_code: Node, pooled: Node):
-    """One anticipation step; returns (new state, holistic code, probabilities)."""
+    """Anticipation for every frame; returns (state, holistic code, (2, T) probabilities).
+
+    With memory, ``state=None`` runs the risk memory over the T columns as a
+    sequence from a zero state, while a given state (a column per frame)
+    advances each column by one branched step.
+    """
     q = ad.concat([agent_code, pooled])
     if cfg.use_memory:
-        state = lstm_step(tape, store["risk_rnn_W"], store["risk_rnn_b"], q, state)
+        weight, bias = store["risk_rnn_W"], store["risk_rnn_b"]
+        if state is None:
+            state = lstm_sweep(tape, weight, bias, q)
+        else:
+            state = lstm_step(tape, weight, bias, q, state)
         o = state.hidden
     else:
         o = q
@@ -217,35 +234,35 @@ def anticipate_step(tape: Tape, store: ParameterStore, cfg: ModelConfig,
     return state, o, y
 
 
-def imagine_location(tape: Tape, store: ParameterStore, o: Node, box_vec: Node):
-    """Regress the transform taking the current box to the imagined one."""
+def imagine_location(tape: Tape, store: ParameterStore, o: Node, boxes: Node):
+    """Regress the (4, T) transforms taking each frame's box to the imagined one."""
     c = ad.matmul(tape.param(store["imagine_head_W"]), o)
-    return c, apply_box_transform_nodes(box_vec, c)
+    largest = np.abs(c.value[2:4]).max()
+    if largest > MAX_LOG_SCALE:
+        raise ValueError(f"log size ratios out of range: |{largest}| > {MAX_LOG_SCALE}")
+    return c, ad.apply_box_transform(boxes, c)
 
 
 def imagined_reassessment(tape: Tape, store: ParameterStore, cfg: ModelConfig,
                           agent_code: Node, state: LstmState | None,
-                          o_prev: Node, box_vec: Node, regions: RegionSet):
-    """One imagination hop: move the agent, re-score the unchanged regions.
+                          o_prev: Node, boxes: Node, regions: VideoRegions):
+    """One imagination hop for every frame: move the agent, re-score the
+    unchanged regions.
 
     The recurrent state advances on a branched copy only; the caller's
     committed state is never mutated.
     """
-    c, new_box = imagine_location(tape, store, o_prev, box_vec)
-    u_hat = ad.relative_config(new_box, regions)
-    s_hat, _ = score_regions(tape, store, agent_code, u_hat, regions)
+    c, new_boxes = imagine_location(tape, store, o_prev, boxes)
+    u_hat = ad.relative_config(new_boxes, regions)
+    s_hat = score_regions(tape, store, agent_code, u_hat, regions)
     pooled = pool_regions(tape, s_hat, regions)
     new_state, new_o, y_hat = anticipate_step(tape, store, cfg, state, agent_code, pooled)
-    return c, new_box, y_hat, s_hat, new_state, new_o
+    return c, new_boxes, y_hat, s_hat, new_state, new_o
 
 
 def fuse_predictions(y: np.ndarray, s: np.ndarray, imagined_ys, imagined_ss, lambdas):
     """Convex combination of observed and imagined outputs."""
     lam = np.asarray(lambdas, dtype=np.float64)
-    if lam.shape[0] != 1 + len(imagined_ys):
-        raise ValueError(
-            f"need {1 + len(imagined_ys)} fusion weights, got {lam.shape[0]}"
-        )
     y_fused = lam[0] * y
     s_fused = lam[0] * s
     for weight, y_hat, s_hat in zip(lam[1:], imagined_ys, imagined_ss):
@@ -255,59 +272,49 @@ def fuse_predictions(y: np.ndarray, s: np.ndarray, imagined_ys, imagined_ss, lam
 
 
 def forward_video(store: ParameterStore, cfg: ModelConfig, frames,
-                  tape: Tape) -> list[FramePrediction]:
+                  tape: Tape) -> ModelOutput:
     """Run the configured variant over a frame sequence.
 
-    Both recurrent memories are threaded across frames; imagination runs on a
-    branched state so observed outputs are identical with it on or off.
+    Every frame is a column, so the video runs as whole-video passes: the
+    agent memory sweep, region scoring and pooling over all T x N (frame,
+    region) columns, the risk memory sweep with the anticipation head, and
+    each imagination hop for all frames at once. Only the two memory sweeps
+    are sequential. Imagination branches from the risk state of each frame,
+    so observed outputs are identical with it on or off.
     """
     if len(frames) == 0:
         raise ValueError("cannot run forward on an empty video")
-    agent_state = lstm_zero_state(tape, cfg.h_agent) if cfg.use_memory else None
-    aa_state = lstm_zero_state(tape, cfg.h_aa) if cfg.use_memory else None
-    preds = []
-    for frame in frames:
+    for t, frame in enumerate(frames):
         if frame.agent_feat.shape != (cfg.d_agent,):
-            raise ValueError(
-                f"agent feature shape {frame.agent_feat.shape} != ({cfg.d_agent},)"
-            )
+            raise ValueError(f"frame {t}: agent feature shape {frame.agent_feat.shape} "
+                             f"!= ({cfg.d_agent},)")
         if frame.regions.feats.shape[1] != cfg.d_region:
-            raise ValueError(
-                f"region feature dim {frame.regions.feats.shape[1]} != {cfg.d_region}"
-            )
-        if cfg.use_memory:
-            agent_state = agent_rnn_step(tape, store, agent_state,
-                                         frame.agent_feat, frame.agent_box)
-            agent_code = agent_state.hidden
-        else:
-            agent_code = tape.const(frame.agent_feat)
+            raise ValueError(f"frame {t}: region feature dim "
+                             f"{frame.regions.feats.shape[1]} != {cfg.d_region}")
+    regions = VideoRegions([frame.regions for frame in frames])
+    feats = np.stack([frame.agent_feat for frame in frames], axis=1)
+    boxes = tape.const(np.array([frame.agent_box.as_array() for frame in frames]).T)
+    if cfg.use_memory:
+        agent_code = agent_rnn_step(tape, store, np.concatenate([feats, boxes.value])).hidden
+    else:
+        agent_code = tape.const(feats)
 
-        u = ad.relative_config(tape.const(frame.agent_box.as_array()), frame.regions)
-        s, _ = score_regions(tape, store, agent_code, u, frame.regions)
-        pooled = pool_regions(tape, s, frame.regions)
-        aa_state, o, y = anticipate_step(tape, store, cfg, aa_state, agent_code, pooled)
+    s = score_regions(tape, store, agent_code, ad.relative_config(boxes, regions), regions)
+    pooled = pool_regions(tape, s, regions)
+    state, o, y = anticipate_step(tape, store, cfg, None, agent_code, pooled)
 
-        imagined = []
-        c_first = None
-        if cfg.use_imagination:
-            branch_state, branch_o, branch_box = aa_state, o, box_vec
-            for n in range(cfg.imagine_steps):
-                c, branch_box, y_hat, s_hat, branch_state, branch_o = imagined_reassessment(
-                    tape, store, cfg, agent_code, branch_state, branch_o,
-                    branch_box, frame.regions)
-                if n == 0:
-                    c_first = c
-                imagined.append(ImaginedStep(branch_box, y_hat, s_hat))
+    imagined = []
+    c_first = None
+    for _ in range(cfg.imagine_steps):
+        c, boxes, y_hat, s_hat, state, o = imagined_reassessment(
+            tape, store, cfg, agent_code, state, o, boxes, regions)
+        c_first = c if c_first is None else c_first
+        imagined.append(Assessment(y_hat, s_hat))
 
-        y_fused, s_fused = fuse_predictions(
-            y.value, s.value,
-            [step.y_node.value for step in imagined],
-            [step.s_node.value for step in imagined],
-            cfg.lambdas)
-        preds.append(FramePrediction(y_node=y, s_node=s, imagined=imagined,
-                                     c_node=c_first, y_fused=y_fused,
-                                     s_fused=s_fused))
-    return preds
+    y_fused, s_fused = fuse_predictions(
+        y.value.T, s.value, [a.y for a in imagined], [a.s for a in imagined], cfg.lambdas)
+    return ModelOutput(y_node=y, s_node=s, imagined=imagined, c_node=c_first,
+                       y_fused=y_fused, s_fused=s_fused)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +332,7 @@ class RiskModel:
         cfg.validate()
         return cls(cfg, init_params(param_specs(cfg), seed))
 
-    def forward_video(self, frames, tape: Tape | None = None) -> list[FramePrediction]:
+    def forward_video(self, frames, tape: Tape | None = None) -> ModelOutput:
         if tape is None:
             tape = Tape(train=False)
         return forward_video(self.store, self.cfg, frames, tape)

@@ -121,7 +121,8 @@ def dense(tape: Tape, weight: ParamMatrix, x: Node, bias: ParamMatrix | None = N
 
 @dataclass
 class LstmState:
-    """Hidden and cell vectors threaded through time as tape nodes."""
+    """Hidden and cell states as tape nodes: (H,) vectors, or (H, T) with a
+    column per step or per independent cell."""
 
     hidden: Node
     cell: Node
@@ -134,16 +135,27 @@ def lstm_zero_state(tape: Tape, hidden_dim: int) -> LstmState:
 
 def lstm_step(tape: Tape, weight: ParamMatrix, bias: ParamMatrix,
               x: Node, state: LstmState) -> LstmState:
-    """One vanilla LSTM step (no peepholes), gates ordered i, f, g, o."""
+    """One vanilla LSTM step (no peepholes), gates ordered i, f, g, o.
+
+    ``x`` is an (I,) input or an (I, B) matrix that advances B independent
+    cells, one per column of ``state``, by one step each.
+    """
     hidden_dim = weight.rows // 4
-    if x.value.ndim != 1 or weight.cols != x.value.shape[0] + hidden_dim:
+    if (x.value.ndim not in (1, 2) or weight.cols != x.value.shape[0] + hidden_dim
+            or x.value.shape[1:] != state.hidden.value.shape[1:]):
         raise ValueError(
             f"lstm shape mismatch: weight {weight.values.shape}, "
-            f"input {x.value.shape}, hidden {hidden_dim}"
+            f"input {x.value.shape}, hidden {state.hidden.value.shape}"
         )
     z = dense(tape, weight, ad.concat([x, state.hidden]), bias)
     hidden, cell = ad.lstm_core(z, state.cell)
     return LstmState(hidden, cell)
+
+
+def lstm_sweep(tape: Tape, weight: ParamMatrix, bias: ParamMatrix, x: Node) -> LstmState:
+    """The LSTM of ``lstm_step`` run over the T columns of an (I, T) input
+    from a zero state; returns the (H, T) hidden and cell sequences."""
+    return LstmState(*ad.lstm_sweep(tape.param(weight), tape.param(bias), x))
 
 
 def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,

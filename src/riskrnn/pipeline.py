@@ -56,16 +56,10 @@ def eval_video(model: RiskModel, sample, run_cfg: RunConfig) -> VideoEvalResult:
     probs = np.zeros((len(tracks), n_frames))
     region_scores = []
     for k, track in enumerate(tracks):
-        preds = model.forward_video(frames_for_track(sample, track))
-        scores = []
-        for t, pred in enumerate(preds):
-            if run_cfg.use_fused:
-                probs[k, t] = pred.y_fused[1]
-                scores.append(pred.s_fused.copy())
-            else:
-                probs[k, t] = pred.y[1]
-                scores.append(pred.s)
-        region_scores.append(scores)
+        out = model.forward_video(frames_for_track(sample, track))
+        y, s = (out.y_fused, out.s_fused) if run_cfg.use_fused else (out.y, out.s)
+        probs[k] = y[:, 1]
+        region_scores.append(s)
 
     frame_probs = probs.max(axis=0)
     picks = probs.argmax(axis=0)

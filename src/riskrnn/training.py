@@ -49,10 +49,10 @@ def frames_for_track(sample, track: Track) -> list[FrameInput]:
 def video_loss(model: RiskModel, sample, track: Track, time_scale: float,
                tape: Tape):
     frames = frames_for_track(sample, track)
-    preds = forward_video(model.store, model.cfg, frames, tape)
-    loss = total_loss(tape, frames, preds, sample.targets, model.cfg.lambdas,
+    out = forward_video(model.store, model.cfg, frames, tape)
+    loss = total_loss(tape, frames, out, sample.targets, model.cfg.lambdas,
                       model.cfg.horizon, time_scale)
-    return loss, preds
+    return loss, out
 
 
 def detected_tracks(sample, run_cfg: RunConfig) -> list[Track]:
@@ -68,12 +68,12 @@ def _validation_pass(model: RiskModel, videos, run_cfg: RunConfig):
     for sample in videos:
         tape = Tape(train=False)
         frames = frames_for_track(sample, track_from_targets(sample))
-        preds = forward_video(model.store, model.cfg, frames, tape)
-        loss = total_loss(tape, frames, preds, sample.targets, model.cfg.lambdas,
+        out = forward_video(model.store, model.cfg, frames, tape)
+        loss = total_loss(tape, frames, out, sample.targets, model.cfg.lambdas,
                           model.cfg.horizon, run_cfg.time_scale)
         losses.append(float(loss.value))
-        probs = [p.y_fused[1] if run_cfg.use_fused else p.y[1] for p in preds]
-        items.append(ScoredItem(float(max(probs)), sample.positive))
+        probs = out.y_fused[:, 1] if run_cfg.use_fused else out.y[:, 1]
+        items.append(ScoredItem(float(probs.max()), sample.positive))
     val_map = average_precision(items) if any(i.is_positive for i in items) else 0.0
     return float(np.mean(losses)), val_map
 
@@ -114,6 +114,7 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, video {sample.video_id}")
                 tape.backward(loss, seed=1.0 / len(batch))
+                tape.release()
                 epoch_losses.append(value)
             step += 1
             adam_step(model.store, lr=run_cfg.lr, t=step)

@@ -1,10 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
 from riskrnn.data import RegionSet
-from riskrnn.geometry import Box
+from riskrnn.geometry import Box, BoxTransform, apply_box_transform
+from riskrnn.model import VideoRegions
 
 
 def numeric_gradient(fn, x, h=1e-6):
@@ -114,6 +118,22 @@ class TestBasics:
         assert v1 == v2
         assert np.array_equal(g1, g2)
 
+    def test_released_tape_is_freed_without_the_cycle_collector(self):
+        def backward_once(release):
+            tape = Tape()
+            leaf = tape.leaf(np.ones(3))
+            tape.backward(ad.vsum(ad.sigmoid(leaf * 2.0)))
+            if release:
+                tape.release()
+            return weakref.ref(tape)
+
+        gc.disable()
+        try:
+            assert backward_once(release=False)() is not None  # a reference cycle
+            assert backward_once(release=True)() is None
+        finally:
+            gc.enable()
+
 
 class TestSoftmax:
     def test_uniform_on_equal_inputs(self):
@@ -129,6 +149,17 @@ class TestSoftmax:
             out = ad.softmax(tape.const(x)).value
             assert np.all(out >= 0.0)
             assert abs(out.sum() - 1.0) <= 1e-12
+
+    def test_columns_are_independent_distributions(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(3, 5)) * 50.0
+        tape = Tape()
+        out = ad.softmax(tape.const(x)).value
+        for t in range(5):
+            np.testing.assert_array_equal(out[:, t], ad.softmax(tape.const(x[:, t])).value)
+        weights = rng.normal(size=(3, 5))
+        check_gradient(lambda t, v: ad.vsum(ad.softmax(v) * t.const(weights)),
+                       rng.normal(size=(3, 5)))
 
 
 class TestOpGradients:
@@ -187,16 +218,22 @@ class TestOpGradients:
             a = ad.vec_slice(x, 0, 2)
             b = ad.vec_slice(x, 2, 5)
             joined = ad.concat([a, b, a])
-            tiled = ad.tile_cols(joined, 3)
-            stacked = ad.vstack([tiled, tiled * 0.5])
-            return ad.vsum(ad.sigmoid(stacked))
+            columns = ad.reshape(ad.concat([joined, joined * 0.5]), (2, 7))
+            repeated = ad.repeat_cols(columns, 3)
+            stacked = ad.concat([repeated, repeated * 0.5])
+            return ad.vsum(ad.sigmoid(stacked) * t.const(np.arange(84.0).reshape(4, 21) / 7))
         check_gradient(build, np.array([0.3, -0.2, 0.8, 1.1, -0.5]))
+
+    def test_repeat_cols_keeps_each_column_together(self):
+        tape = Tape()
+        out = ad.repeat_cols(tape.const([[1.0, 2.0], [3.0, 4.0]]), 3)
+        np.testing.assert_array_equal(out.value, [[1, 1, 1, 2, 2, 2], [3, 3, 3, 4, 4, 4]])
 
     def test_stack_rows_and_scalars(self):
         def build(t, x):
             rows = ad.stack_rows([x, x * 2.0])
-            scalars = ad.stack_scalars([ad.pick(x, 0), ad.pick(x, 2)])
-            return ad.vsum(rows) + ad.dot(scalars, scalars)
+            picked = ad.pick(rows, 1) * ad.pick(x, 0) + ad.pick(x, 2)
+            return ad.vsum(rows) + ad.dot(picked, picked)
         check_gradient(build, np.array([0.5, 1.5, -0.7]))
 
     def test_clip_interior_passes_gradient(self):
@@ -282,6 +319,30 @@ class TestRelativeConfig:
         np.testing.assert_array_equal(values[0], values[1])
         np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=1e-12)
 
+    def test_batched_agent_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(33)
+        sets = [region_set([(0.58, 0.43, 0.16, 0.2), (0.9, 0.1, 0.1, 0.1)]),
+                region_set([(0.52, 0.48, 0.5, 0.6), (0.3, 0.74, 0.3, 0.1)]),
+                region_set([(0.49, 0.52, 0.1, 0.12), (0.55, 0.45, 0.2, 0.2)])]
+        regions = VideoRegions(sets)
+        agents = np.array([self.AGENT, [0.45, 0.55, 0.3, 0.25], [0.5, 0.5, 0.4, 0.4]]).T.copy()
+        weights = rng.normal(size=(9, 3, 2))
+        check_gradient(
+            lambda t, x: ad.vsum(ad.relative_config(x, regions) * t.const(weights)),
+            agents)
+        # column t and its gradient are those of frame t on its own
+        tape = Tape()
+        batched = tape.leaf(agents)
+        out = ad.relative_config(batched, regions)
+        tape.backward(ad.vsum(out * tape.const(weights)))
+        for t, frame in enumerate(sets):
+            single = Tape()
+            agent = single.leaf(agents[:, t])
+            frame_out = ad.relative_config(agent, frame)
+            single.backward(ad.vsum(frame_out * single.const(weights[:, t])))
+            np.testing.assert_array_equal(out.value[:, t], frame_out.value)
+            np.testing.assert_allclose(batched.grad[:, t], agent.grad, rtol=1e-12, atol=1e-12)
+
     def test_one_node_on_a_leaf_and_none_on_a_constant(self):
         regions = region_set([(0.58, 0.43, 0.16, 0.2)])
         tape = Tape()
@@ -289,3 +350,24 @@ class TestRelativeConfig:
         assert tape.nodes == []
         ad.relative_config(tape.leaf(self.AGENT), regions)
         assert len(tape.nodes) == 2  # the leaf and the op
+
+
+class TestBoxTransform:
+    BOXES = np.array([[0.5, 0.3, 0.2, 0.1], [0.4, 0.6, 0.05, 0.3]]).T.copy()
+
+    def test_matches_the_scalar_version_per_column(self):
+        c = np.random.default_rng(41).normal(scale=0.5, size=(4, 2))
+        tape = Tape()
+        out = ad.apply_box_transform(tape.const(self.BOXES), tape.const(c)).value
+        for t in range(2):
+            want = apply_box_transform(Box(*self.BOXES[:, t]), BoxTransform(*c[:, t]))
+            np.testing.assert_allclose(out[:, t], want.as_array(), rtol=1e-15)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(42)
+        c = rng.normal(scale=0.5, size=(4, 2))
+        weights = rng.normal(size=(4, 2))
+        check_gradient(lambda t, x: ad.vsum(ad.apply_box_transform(t.const(self.BOXES), x)
+                                            * t.const(weights)), c)
+        check_gradient(lambda t, x: ad.vsum(ad.apply_box_transform(x, t.const(c))
+                                            * t.const(weights)), self.BOXES)

@@ -5,10 +5,6 @@ from riskrnn.evaluation import read_report
 
 TINY = ["--n_train", "2", "--n_val", "2", "--n_test", "4", "--epochs", "1"]
 
-IMAGINATION_BROKEN = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 0: forward_video leaves box_vec undefined")
-
-
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
@@ -23,11 +19,7 @@ def train(data_dir, out_dir, variant):
     return code, model
 
 
-@pytest.mark.parametrize("variant", [
-    "RA", "L-RA",
-    pytest.param("RAI", marks=IMAGINATION_BROKEN),
-    pytest.param("L-RAI", marks=IMAGINATION_BROKEN),
-])
+@pytest.mark.parametrize("variant", ["RA", "L-RA", "RAI", "L-RAI"])
 def test_generate_train_eval(data_dir, tmp_path, variant):
     code, model = train(data_dir, tmp_path, variant)
     assert code == 0

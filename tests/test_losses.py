@@ -14,8 +14,9 @@ from helpers import TINY_CONFIG, random_frames, random_targets, tiny_model
 
 
 def prob_nodes(tape, values):
-    """Sequence of 2-vector probability constants."""
-    return [tape.const([1.0 - v, v]) for v in values]
+    """(2, T) constant: per frame the distribution (1 - v, v)."""
+    values = np.asarray(values, dtype=np.float64)
+    return tape.const(np.stack([1.0 - values, values]))
 
 
 class TestRegionLabels:
@@ -101,13 +102,13 @@ class TestAnticipationLoss:
 class TestRegionLoss:
     def test_risky_half_score(self):
         tape = Tape()
-        loss = region_loss(tape, [tape.const([0.5])], [[1.0]])
+        loss = region_loss(tape, tape.const([[0.5]]), [[1.0]])
         assert float(loss.value) == pytest.approx(math.log(2), abs=1e-12)
         assert math.log(2) == pytest.approx(0.6931, abs=1e-4)
 
     def test_confident_non_risky_is_tiny(self):
         tape = Tape()
-        loss = region_loss(tape, [tape.const([1e-9])], [[0.0]])
+        loss = region_loss(tape, tape.const([[1e-9]]), [[0.0]])
         assert float(loss.value) == pytest.approx(0.0, abs=1e-8)
 
     def test_symmetry(self):
@@ -115,21 +116,20 @@ class TestRegionLoss:
         for _ in range(20):
             s = float(rng.uniform(0.01, 0.99))
             tape = Tape()
-            risky = region_loss(tape, [tape.const([s])], [[1.0]])
-            flipped = region_loss(tape, [tape.const([1.0 - s])], [[0.0]])
+            risky = region_loss(tape, tape.const([[s]]), [[1.0]])
+            flipped = region_loss(tape, tape.const([[1.0 - s]]), [[0.0]])
             assert float(risky.value) == pytest.approx(float(flipped.value), rel=1e-12)
 
     def test_sums_over_frames_and_regions(self):
         tape = Tape()
-        loss = region_loss(tape,
-                           [tape.const([0.5, 0.5]), tape.const([0.5, 0.5])],
+        loss = region_loss(tape, tape.const([[0.5, 0.5], [0.5, 0.5]]),
                            [[1.0, 0.0], [0.0, 1.0]])
         assert float(loss.value) == pytest.approx(4 * math.log(2), rel=1e-12)
 
     def test_length_mismatch(self):
         tape = Tape()
         with pytest.raises(ValueError):
-            region_loss(tape, [tape.const([0.5])], [[1.0, 0.0]])
+            region_loss(tape, tape.const([[0.5]]), [[1.0, 0.0]])
 
 
 class TestTransformLoss:
@@ -140,34 +140,41 @@ class TestTransformLoss:
         from riskrnn.geometry import encode_box_transform
         tape = Tape()
         track = self.track(4)
-        c_nodes = [tape.const(encode_box_transform(track[t], track[t + 1]).as_array())
-                   for t in range(3)] + [None]
-        loss = transform_loss(tape, c_nodes, track, horizon=1)
+        c = np.zeros((4, 4))
+        for t in range(3):
+            c[:, t] = encode_box_transform(track[t], track[t + 1]).as_array()
+        c[:, 3] = 5.0  # the last frame has no target
+        loss = transform_loss(tape, tape.const(c), track, horizon=1)
         assert float(loss.value) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_half_unit_error(self):
         tape = Tape()
         track = [Box(0.5, 0.5, 0.1, 0.1)] * 2
-        c_nodes = [tape.const([0.5, 0.0, 0.0, 0.0]), None]
-        loss = transform_loss(tape, c_nodes, track, horizon=1)
+        c = tape.const([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        loss = transform_loss(tape, c, track, horizon=1)
         assert float(loss.value) == pytest.approx(0.125, abs=1e-12)
 
     def test_static_track_zero_transform(self):
         tape = Tape()
         track = [Box(0.5, 0.5, 0.1, 0.1)] * 5
-        c_nodes = [tape.const(np.zeros(4)) for _ in range(5)]
-        loss = transform_loss(tape, c_nodes, track, horizon=2)
+        loss = transform_loss(tape, tape.const(np.zeros((4, 5))), track, horizon=2)
         assert float(loss.value) == 0.0
 
     def test_tail_frames_skipped(self):
         tape = Tape()
         track = self.track(3)
         # only frame 0 has a target at horizon 2; frames 1, 2 contribute nothing
-        c_nodes = [tape.const(np.zeros(4)), tape.const([9.0, 9.0, 0.0, 0.0]),
-                   tape.const([9.0, 9.0, 0.0, 0.0])]
-        with_tail = transform_loss(tape, c_nodes, track, horizon=2)
-        only_first = transform_loss(tape, c_nodes[:1], track[:3], horizon=2)
-        assert float(with_tail.value) == pytest.approx(float(only_first.value))
+        c = np.array([[0.0, 9.0, 9.0], [0.0, 9.0, 9.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with_tail = tape.leaf(c)
+        loss = transform_loss(tape, with_tail, track, horizon=2)
+        only_first = transform_loss(tape, tape.const(c[:, :1]), track, horizon=2)
+        assert float(loss.value) == pytest.approx(float(only_first.value))
+        tape.backward(loss)
+        np.testing.assert_array_equal(with_tail.grad[:, 1:], 0.0)
+
+    def test_no_transform_head_is_zero(self):
+        tape = Tape()
+        assert float(transform_loss(tape, None, self.track(3), horizon=1).value) == 0.0
 
 
 class TestTotalLoss:
@@ -178,13 +185,12 @@ class TestTotalLoss:
         frames = random_frames(rng, cfg, 4, 3)
         targets = random_targets(rng, frames, positive=True)
         tape = Tape(train=False)
-        preds = forward_video(model.store, cfg, frames, tape)
-        total = total_loss(tape, frames, preds, targets, (1.0,), cfg.horizon)
+        out = forward_video(model.store, cfg, frames, tape)
+        total = total_loss(tape, frames, out, targets, (1.0,), cfg.horizon)
         labels = [region_labels(f.region_boxes, targets.risky_boxes[t])
                   for t, f in enumerate(frames)]
-        want = (float(anticipation_loss(tape, [p.y_node for p in preds], True,
-                                        targets.t_accident).value)
-                + float(region_loss(tape, [p.s_node for p in preds], labels).value))
+        want = (float(anticipation_loss(tape, out.y_node, True, targets.t_accident).value)
+                + float(region_loss(tape, out.s_node, labels).value))
         assert float(total.value) == pytest.approx(want, rel=1e-12)
 
     def test_equal_level_losses_average_out(self):
@@ -197,15 +203,14 @@ class TestTotalLoss:
         frames = random_frames(rng, cfg, 3, 3)
         targets = random_targets(rng, frames, positive=False)
         tape = Tape(train=False)
-        preds = forward_video(model.store, cfg, frames, tape)
-        total = total_loss(tape, frames, preds, targets, cfg.lambdas, cfg.horizon)
+        out = forward_video(model.store, cfg, frames, tape)
+        total = total_loss(tape, frames, out, targets, cfg.lambdas, cfg.horizon)
         labels = [[0.0] * 3 for _ in frames]
-        obs = (float(anticipation_loss(tape, [p.y_node for p in preds], False).value)
-               + float(region_loss(tape, [p.s_node for p in preds], labels).value))
-        imag = (float(anticipation_loss(tape, [p.imagined[0].y_node for p in preds], False).value)
-                + float(region_loss(tape, [p.imagined[0].s_node for p in preds], labels).value))
-        lp = float(transform_loss(tape, [p.c_node for p in preds],
-                                  targets.agent_track, cfg.horizon).value)
+        obs = (float(anticipation_loss(tape, out.y_node, False).value)
+               + float(region_loss(tape, out.s_node, labels).value))
+        imag = (float(anticipation_loss(tape, out.imagined[0].y_node, False).value)
+                + float(region_loss(tape, out.imagined[0].s_node, labels).value))
+        lp = float(transform_loss(tape, out.c_node, targets.agent_track, cfg.horizon).value)
         assert float(total.value) == pytest.approx(lp + 0.6 * obs + 0.4 * imag, rel=1e-12)
 
     def test_lambda_mismatch_rejected(self):
@@ -214,9 +219,9 @@ class TestTotalLoss:
         frames = random_frames(rng, TINY_CONFIG, 2, 3)
         targets = random_targets(rng, frames, positive=False)
         tape = Tape(train=False)
-        preds = forward_video(model.store, TINY_CONFIG, frames, tape)
+        out = forward_video(model.store, TINY_CONFIG, frames, tape)
         with pytest.raises(ValueError):
-            total_loss(tape, frames, preds, targets, (1.0,), TINY_CONFIG.horizon)
+            total_loss(tape, frames, out, targets, (1.0,), TINY_CONFIG.horizon)
 
     def test_gradient_matches_finite_differences(self):
         from riskrnn.nn import finite_diff_check
@@ -227,8 +232,8 @@ class TestTotalLoss:
 
         def make_loss():
             tape = Tape()
-            preds = forward_video(model.store, TINY_CONFIG, frames, tape)
-            return tape, total_loss(tape, frames, preds, targets,
+            out = forward_video(model.store, TINY_CONFIG, frames, tape)
+            return tape, total_loss(tape, frames, out, targets,
                                     TINY_CONFIG.lambdas, TINY_CONFIG.horizon)
 
         assert finite_diff_check(model.store, make_loss) < 1e-4

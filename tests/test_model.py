@@ -1,20 +1,33 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
 from riskrnn.data import FrameInput, RegionSet
 from riskrnn.geometry import Box, relative_config
 from riskrnn.losses import total_loss
-from riskrnn.model import (ModelConfig, RiskModel,
-                           agent_rnn_step, anticipate_step,
-                           apply_box_transform_nodes, forward_video,
+from riskrnn.model import (ModelConfig, RiskModel, VideoRegions,
+                           agent_rnn_step, anticipate_step, forward_video,
                            fuse_predictions, imagine_location, param_specs,
                            pool_regions, score_regions, variant_config)
-from riskrnn.nn import lstm_step, lstm_zero_state
+from riskrnn.nn import LstmState, lstm_step
 
+import oracles
 from helpers import (TINY_CONFIG, random_box, random_frames, random_targets,
                      tiny_model, zeroed_model)
+
+
+def video_regions(rng, n_frames, n_regions, d_feat):
+    return VideoRegions([RegionSet([random_box(rng) for _ in range(n_regions)],
+                                   rng.normal(size=(n_regions, d_feat)))
+                         for _ in range(n_frames)])
+
+
+def box_columns(boxes):
+    return np.array([b.as_array() for b in boxes]).T
 
 
 class TestConfig:
@@ -60,41 +73,65 @@ class TestTapeGeometry:
                              for r in regions.boxes], axis=1)
             np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=1e-12)
 
+    def test_batched_relative_config_column_is_the_frame(self):
+        rng = np.random.default_rng(22)
+        sets = [RegionSet([random_box(rng) for _ in range(4)], rng.normal(size=(4, 3)))
+                for _ in range(6)]
+        agents = [random_box(rng) for _ in sets]
+        got = ad.relative_config(Tape().const(box_columns(agents)), VideoRegions(sets))
+        assert got.value.shape == (9, 6, 4)
+        for t, (agent, regions) in enumerate(zip(agents, sets)):
+            want = np.stack([relative_config(agent, r) for r in regions.boxes], axis=1)
+            np.testing.assert_allclose(got.value[:, t], want, rtol=1e-12, atol=1e-12)
+
     def test_box_transform_matches_scalar_version(self):
         tape = Tape()
         p = tape.const([2.0, 3.0, 4.0, 5.0])
         c = tape.const([1.0, 0.0, 0.0, 0.0])
-        out = apply_box_transform_nodes(p, c)
+        out = ad.apply_box_transform(p, c)
         np.testing.assert_allclose(out.value, [6, 3, 4, 5])
+        # one box per column
+        cols = ad.apply_box_transform(tape.const([[2.0, 0.5], [3.0, 0.5], [4.0, 0.2], [5.0, 0.1]]),
+                                      tape.const([[1.0, 0.0], [0.0, 0.5], [0.0, np.log(2.0)],
+                                                  [0.0, 0.0]]))
+        np.testing.assert_allclose(cols.value, [[6, 0.5], [3, 0.55], [4, 0.4], [5, 0.1]])
 
     def test_box_transform_range_check(self):
+        model = zeroed_model(TINY_CONFIG)
+        model.store["imagine_head_W"].values[2, 0] = 25.0
         tape = Tape()
-        with pytest.raises(ValueError):
-            apply_box_transform_nodes(tape.const([0.0, 0.0, 1.0, 1.0]),
-                                      tape.const([0.0, 0.0, 25.0, 0.0]))
+        o = np.zeros((TINY_CONFIG.o_dim, 2))
+        o[0, 1] = 1.0
+        with pytest.raises(ValueError, match="log size ratios out of range"):
+            imagine_location(tape, model.store, tape.const(o),
+                             tape.const([[0.5, 0.5], [0.5, 0.5], [1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestScoreRegions:
     def test_zero_scorer_gives_half(self):
         model = zeroed_model(TINY_CONFIG)
         rng = np.random.default_rng(1)
-        regions = RegionSet([random_box(rng) for _ in range(4)],
-                            rng.normal(size=(4, TINY_CONFIG.d_region)))
+        regions = video_regions(rng, 3, 4, TINY_CONFIG.d_region)
         tape = Tape()
-        u = ad.relative_config(tape.const(random_box(rng).as_array()), regions)
-        scores, _ = score_regions(tape, model.store, tape.const(np.zeros(8)), u, regions)
+        u = ad.relative_config(tape.const(box_columns([random_box(rng) for _ in range(3)])),
+                               regions)
+        scores = score_regions(tape, model.store, tape.const(np.zeros((8, 3))), u, regions)
+        assert scores.value.shape == (3, 4)
         np.testing.assert_allclose(scores.value, 0.5)
 
     def test_identical_regions_get_identical_scores(self):
         model = tiny_model(3)
         rng = np.random.default_rng(2)
-        box = random_box(rng)
-        feat = rng.normal(size=TINY_CONFIG.d_region)
-        regions = RegionSet([box, box], np.stack([feat, feat]))
+        sets = []
+        for _ in range(3):
+            box, feat = random_box(rng), rng.normal(size=TINY_CONFIG.d_region)
+            sets.append(RegionSet([box, box], np.stack([feat, feat])))
+        regions = VideoRegions(sets)
         tape = Tape()
-        u = ad.relative_config(tape.const(random_box(rng).as_array()), regions)
-        scores, _ = score_regions(tape, model.store, tape.const(np.zeros(8)), u, regions)
-        assert scores.value[0] == scores.value[1]
+        u = ad.relative_config(tape.const(box_columns([random_box(rng) for _ in range(3)])),
+                               regions)
+        scores = score_regions(tape, model.store, tape.const(rng.normal(size=(8, 3))), u, regions)
+        np.testing.assert_array_equal(scores.value[:, 0], scores.value[:, 1])
 
     def test_sigmoid_of_logit(self):
         # doubling the appearance doubles the logit: sigmoid(2) -> sigmoid(4)
@@ -105,79 +142,80 @@ class TestScoreRegions:
 class TestPoolRegions:
     def test_zero_scores_give_zero_vector(self):
         rng = np.random.default_rng(3)
-        regions = RegionSet([random_box(rng) for _ in range(3)],
-                            rng.normal(size=(3, 4)))
+        regions = video_regions(rng, 2, 3, 4)
         tape = Tape()
-        out = pool_regions(tape, tape.const(np.zeros(3)), regions)
+        out = pool_regions(tape, tape.const(np.zeros((2, 3))), regions)
+        assert out.value.shape == (4, 2)
         np.testing.assert_allclose(out.value, 0.0)
 
     def test_single_region_full_weight(self):
         rng = np.random.default_rng(4)
-        feat = rng.normal(size=4)
-        regions = RegionSet([random_box(rng)], feat[None, :])
+        feats = rng.normal(size=(2, 4))
+        regions = VideoRegions([RegionSet([random_box(rng)], f[None, :]) for f in feats])
         tape = Tape()
-        out = pool_regions(tape, tape.const(np.ones(1)), regions)
-        np.testing.assert_allclose(out.value, feat)
+        out = pool_regions(tape, tape.const(np.ones((2, 1))), regions)
+        np.testing.assert_allclose(out.value, feats.T)
 
     def test_hand_weighted_sum(self):
         rng = np.random.default_rng(5)
-        regions = RegionSet([random_box(rng), random_box(rng)],
-                            np.array([[1.0, 0.0], [0.0, 1.0]]))
+        regions = VideoRegions([RegionSet([random_box(rng), random_box(rng)],
+                                          np.array([[1.0, 0.0], [0.0, 1.0]]))] * 2)
         tape = Tape()
-        out = pool_regions(tape, tape.const([0.5, 0.5]), regions)
-        np.testing.assert_allclose(out.value, [0.5, 0.5])
+        out = pool_regions(tape, tape.const([[0.5, 0.5], [1.0, 0.25]]), regions)
+        np.testing.assert_allclose(out.value, [[0.5, 1.0], [0.5, 0.25]])
 
 
 class TestRecurrentSteps:
     def test_agent_rnn_matches_plain_lstm_on_concat_input(self):
         model = tiny_model(6)
         rng = np.random.default_rng(6)
-        feat = rng.normal(size=8)
-        box = random_box(rng)
+        inputs = np.concatenate([rng.normal(size=(8, 5)),
+                                 box_columns([random_box(rng) for _ in range(5)])])
         tape = Tape()
-        state = lstm_zero_state(tape, 8)
-        got = agent_rnn_step(tape, model.store, state, feat, box)
-        ref = lstm_step(tape, model.store["agent_rnn_W"], model.store["agent_rnn_b"],
-                        tape.const(np.concatenate([feat, box.as_array()])), state)
-        np.testing.assert_array_equal(got.hidden.value, ref.hidden.value)
-        np.testing.assert_array_equal(got.cell.value, ref.cell.value)
+        got = agent_rnn_step(tape, model.store, inputs)
+        state = LstmState(tape.const(np.zeros(8)), tape.const(np.zeros(8)))
+        for t in range(5):
+            state = lstm_step(tape, model.store["agent_rnn_W"], model.store["agent_rnn_b"],
+                              tape.const(inputs[:, t]), state)
+            np.testing.assert_allclose(got.hidden.value[:, t], state.hidden.value,
+                                       rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(got.cell.value[:, t], state.cell.value,
+                                       rtol=1e-13, atol=1e-15)
 
     def test_zero_everything_gives_zero_code(self):
         model = zeroed_model(TINY_CONFIG)
         rng = np.random.default_rng(7)
-        tape = Tape()
-        state = lstm_zero_state(tape, 8)
-        out = agent_rnn_step(tape, model.store, state, np.zeros(8), random_box(rng))
+        inputs = np.concatenate([np.zeros((8, 3)), box_columns([random_box(rng)] * 3)])
+        out = agent_rnn_step(Tape(), model.store, inputs)
         np.testing.assert_allclose(out.hidden.value, 0.0)
 
     def test_anticipate_zero_head_gives_half(self):
         model = zeroed_model(TINY_CONFIG)
         tape = Tape()
-        state = lstm_zero_state(tape, 8)
-        _, _, y = anticipate_step(tape, model.store, TINY_CONFIG, state,
-                                  tape.const(np.zeros(8)), tape.const(np.ones(8)))
-        np.testing.assert_allclose(y.value, [0.5, 0.5])
+        _, _, y = anticipate_step(tape, model.store, TINY_CONFIG, None,
+                                  tape.const(np.zeros((8, 3))), tape.const(np.ones((8, 3))))
+        np.testing.assert_allclose(y.value, 0.5)
 
     def test_y_sums_to_one(self):
         model = tiny_model(8)
         rng = np.random.default_rng(8)
         tape = Tape()
-        state = lstm_zero_state(tape, 8)
-        for _ in range(20):
-            _, _, y = anticipate_step(tape, model.store, TINY_CONFIG, state,
-                                      tape.const(rng.normal(size=8)),
-                                      tape.const(rng.normal(size=8)))
-            assert abs(y.value.sum() - 1.0) <= 1e-12
+        code, pooled = tape.const(rng.normal(size=(8, 20))), tape.const(rng.normal(size=(8, 20)))
+        state, _, y = anticipate_step(tape, model.store, TINY_CONFIG, None, code, pooled)
+        _, _, y_branch = anticipate_step(tape, model.store, TINY_CONFIG, state, code, pooled)
+        for probs in (y.value, y_branch.value):
+            assert probs.shape == (2, 20)
+            assert np.all(np.abs(probs.sum(axis=0) - 1.0) <= 1e-12)
 
 
 class TestImagination:
     def test_zero_head_is_identity(self):
         model = zeroed_model(TINY_CONFIG)
         tape = Tape()
-        box = tape.const([0.4, 0.6, 0.1, 0.2])
-        c, moved = imagine_location(tape, model.store, tape.const(np.zeros(8)), box)
+        boxes = tape.const([[0.4, 0.3], [0.6, 0.5], [0.1, 0.2], [0.2, 0.1]])
+        c, moved = imagine_location(tape, model.store, tape.const(np.zeros((8, 2))), boxes)
         np.testing.assert_allclose(c.value, 0.0)
-        np.testing.assert_allclose(moved.value, box.value)
+        np.testing.assert_allclose(moved.value, boxes.value)
 
     def test_zero_head_reassessment_reproduces_observed_scores(self):
         # with a zero transform head the imagined box equals the observed one,
@@ -185,9 +223,8 @@ class TestImagination:
         model = tiny_model(9)
         model.store["imagine_head_W"].values[...] = 0.0
         rng = np.random.default_rng(9)
-        frames = random_frames(rng, TINY_CONFIG, 3, 4)
-        for pred in model.forward_video(frames):
-            np.testing.assert_allclose(pred.imagined[0].s, pred.s, atol=1e-12)
+        out = model.forward_video(random_frames(rng, TINY_CONFIG, 3, 4))
+        np.testing.assert_allclose(out.imagined[0].s, out.s, atol=1e-12)
 
     def test_zero_head_reassessment_memoryless_reproduces_y(self):
         # without memory the anticipation is a pure function of q, so an
@@ -197,10 +234,9 @@ class TestImagination:
         model = RiskModel.create(cfg, seed=9)
         model.store["imagine_head_W"].values[...] = 0.0
         rng = np.random.default_rng(9)
-        frames = random_frames(rng, cfg, 3, 4)
-        for pred in model.forward_video(frames):
-            np.testing.assert_allclose(pred.imagined[0].y, pred.y, atol=1e-12)
-            np.testing.assert_allclose(pred.imagined[0].s, pred.s, atol=1e-12)
+        out = model.forward_video(random_frames(rng, cfg, 3, 4))
+        np.testing.assert_allclose(out.imagined[0].y, out.y, atol=1e-12)
+        np.testing.assert_allclose(out.imagined[0].s, out.s, atol=1e-12)
 
     def test_committed_state_untouched_by_imagination(self):
         cfg_on = TINY_CONFIG
@@ -210,22 +246,24 @@ class TestImagination:
         frames = random_frames(rng, cfg_on, 4, 3)
         on = forward_video(model.store, cfg_on, frames, Tape(train=False))
         off = forward_video(model.store, cfg_off, frames, Tape(train=False))
-        for a, b in zip(on, off):
-            assert np.array_equal(a.y, b.y)
-            assert np.array_equal(a.s, b.s)
+        assert np.array_equal(on.y, off.y)
+        assert np.array_equal(on.s, off.s)
 
     def test_two_step_recursion_chains_boxes(self):
+        # the second hop starts from the first imagined box, as the per-frame
+        # reference chains them
         cfg = ModelConfig(d_agent=8, d_region=8, d_u=6, h_agent=8, h_aa=8,
                           horizon=1, imagine_steps=2, lambdas=(0.5, 0.3, 0.2))
         model = RiskModel.create(cfg, seed=11)
         rng = np.random.default_rng(11)
         frames = random_frames(rng, cfg, 2, 3)
-        preds = model.forward_video(frames)
-        for pred in preds:
-            assert len(pred.imagined) == 2
-            first, second = pred.imagined
-            # second hop starts from the first imagined box
-            assert second.box != first.box
+        out = model.forward_video(frames)
+        assert len(out.imagined) == 2
+        for t, ref in enumerate(oracles.forward(model.store, cfg, frames)):
+            first, second = ref["hops"]
+            assert second[0] != first[0]  # the hops moved the box twice
+            np.testing.assert_allclose(out.imagined[1].s[t], second[2], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out.imagined[1].y[t], second[1], rtol=1e-12, atol=1e-12)
 
 
 class TestFusion:
@@ -252,26 +290,35 @@ class TestFusion:
             assert np.all(y_f >= 0.0)
 
     def test_weight_count_mismatch(self):
-        with pytest.raises(ValueError):
-            fuse_predictions(np.ones(2), np.ones(1), [], [], (0.6, 0.4))
+        # the model config checks the fusion weights once, before any fusion
+        with pytest.raises(ValueError, match="fusion weights"):
+            RiskModel.create(replace(TINY_CONFIG, lambdas=(0.5, 0.3, 0.2)), seed=0)
 
 
 class TestForwardVideo:
     def test_zero_model_single_frame(self):
         model = zeroed_model(TINY_CONFIG)
         rng = np.random.default_rng(13)
-        preds = model.forward_video(random_frames(rng, TINY_CONFIG, 1, 4))
-        np.testing.assert_allclose(preds[0].y, [0.5, 0.5])
-        np.testing.assert_allclose(preds[0].s, 0.5)
+        out = model.forward_video(random_frames(rng, TINY_CONFIG, 1, 4))
+        np.testing.assert_allclose(out.y, [[0.5, 0.5]])
+        np.testing.assert_allclose(out.s, np.full((1, 4), 0.5))
 
     def test_empty_video_rejected(self):
         with pytest.raises(ValueError):
             tiny_model(0).forward_video([])
 
+    def test_frames_need_one_region_count(self):
+        rng = np.random.default_rng(14)
+        frames = random_frames(rng, TINY_CONFIG, 2, 3) + random_frames(rng, TINY_CONFIG, 1, 4)
+        with pytest.raises(ValueError, match="frame 2 has 4 regions"):
+            tiny_model(14).forward_video(frames)
+
     def test_frame_count_preserved(self):
         model = tiny_model(14)
         rng = np.random.default_rng(14)
-        assert len(model.forward_video(random_frames(rng, TINY_CONFIG, 5, 3))) == 5
+        out = model.forward_video(random_frames(rng, TINY_CONFIG, 5, 3))
+        assert out.y.shape == out.y_fused.shape == (5, 2)
+        assert out.s.shape == out.s_fused.shape == (5, 3)
 
     def test_region_permutation_equivariance(self):
         model = tiny_model(15)
@@ -284,22 +331,20 @@ class TestForwardVideo:
                                  f.region_feats[perm]))
             for f in frames
         ]
-        base = model.forward_video(frames)
-        swapped = model.forward_video(frames_p)
-        for a, b in zip(base, swapped):
-            np.testing.assert_allclose(b.s, a.s[perm], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(b.y, a.y, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(b.y_fused, a.y_fused, rtol=0, atol=1e-12)
+        a = model.forward_video(frames)
+        b = model.forward_video(frames_p)
+        np.testing.assert_allclose(b.s, a.s[:, perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.y, a.y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.y_fused, a.y_fused, rtol=0, atol=1e-12)
 
     def test_probability_invariants_random_passes(self):
         rng = np.random.default_rng(16)
         for trial in range(25):
             model = tiny_model(100 + trial)
-            frames = random_frames(rng, TINY_CONFIG, 2, 3)
-            for pred in model.forward_video(frames):
-                assert abs(pred.y.sum() - 1.0) <= 1e-12
-                assert abs(pred.y_fused.sum() - 1.0) <= 1e-12
-                assert np.all((pred.s > 0.0) & (pred.s < 1.0))
+            out = model.forward_video(random_frames(rng, TINY_CONFIG, 2, 3))
+            assert np.all(np.abs(out.y.sum(axis=1) - 1.0) <= 1e-12)
+            assert np.all(np.abs(out.y_fused.sum(axis=1) - 1.0) <= 1e-12)
+            assert np.all((out.s > 0.0) & (out.s < 1.0))
 
     def test_translation_invariance_with_box_inputs_zeroed(self):
         # dyadic coordinates keep the translation arithmetic exact
@@ -329,9 +374,70 @@ class TestForwardVideo:
                 Box(agent.cx + shift, agent.cy + shift, agent.w, agent.h),
                 RegionSet([Box(b.cx + shift, b.cy + shift, b.w, b.h) for b in boxes],
                           feats)))
-        for a, b in zip(model.forward_video(frames), model.forward_video(moved)):
-            assert np.array_equal(a.y, b.y)
-            assert np.array_equal(a.s, b.s)
+        a, b = model.forward_video(frames), model.forward_video(moved)
+        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a.s, b.s)
+
+
+class TestMatchesPerFrameReference:
+    """The whole-video passes against the per-frame numpy reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(["RA", "RAI", "L-RA", "L-RAI"]),
+           imagine_steps=st.sampled_from([1, 2]),
+           n_frames=st.integers(1, 12), n_regions=st.integers(1, 8),
+           horizon=st.integers(1, 4), positive=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_outputs_and_loss(self, variant, imagine_steps, n_frames, n_regions,
+                              horizon, positive, seed):
+        lambdas = (0.6, 0.4) if imagine_steps == 1 else (0.5, 0.3, 0.2)
+        cfg = variant_config(replace(TINY_CONFIG, horizon=horizon, imagine_steps=imagine_steps,
+                                     lambdas=lambdas), variant)
+        rng = np.random.default_rng(seed)
+        model = RiskModel.create(cfg, seed=seed)
+        frames = random_frames(rng, cfg, n_frames, n_regions)
+        targets = random_targets(rng, frames, positive)
+        # untrained weights can push a region logit below -709, where exp
+        # overflows and the sigmoid is exactly 0 on both paths
+        with np.errstate(over="ignore"):
+            tape = Tape()
+            out = forward_video(model.store, cfg, frames, tape)
+            loss = total_loss(tape, frames, out, targets, cfg.lambdas, cfg.horizon)
+            ref = oracles.forward(model.store, cfg, frames)
+            ref_loss = oracles.total_loss(cfg, frames, ref, targets)
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+        for name in ("y", "s", "y_fused", "s_fused"):
+            close(getattr(out, name), [r[name] for r in ref])
+        assert len(out.imagined) == cfg.imagine_steps
+        for level, step in enumerate(out.imagined):
+            close(step.y, [r["hops"][level][1] for r in ref])
+            close(step.s, [r["hops"][level][2] for r in ref])
+        if cfg.use_imagination:
+            close(out.c_node.value.T, [r["c"] for r in ref])
+        else:
+            assert out.c_node is None
+        close(loss.value, ref_loss)
+
+
+class TestNodeCount:
+    """Taped nodes of forward plus loss for a 12-frame, 8-region training
+    video: the whole-video passes record a handful of nodes per pass, not per
+    frame, so the count does not grow with the video."""
+
+    @pytest.mark.parametrize("variant,limit", [("RA", 50), ("RAI", 100),
+                                               ("L-RA", 60), ("L-RAI", 150)])
+    def test_at_most(self, variant, limit):
+        cfg = variant_config(TINY_CONFIG, variant)
+        rng = np.random.default_rng(23)
+        frames = random_frames(rng, cfg, 12, 8)
+        targets = random_targets(rng, frames, positive=True)
+        tape = Tape()
+        out = forward_video(RiskModel.create(cfg, seed=23).store, cfg, frames, tape)
+        total_loss(tape, frames, out, targets, cfg.lambdas, cfg.horizon)
+        assert len(tape.nodes) <= limit
 
 
 class TestGradients:
@@ -434,10 +540,10 @@ class TestSaveLoad:
         model.save(path)
         loaded = RiskModel.load(path)
         assert loaded.cfg == model.cfg
-        for a, b in zip(model.forward_video(frames), loaded.forward_video(frames)):
-            assert np.array_equal(a.y, b.y)
-            assert np.array_equal(a.s, b.s)
-            assert np.array_equal(a.y_fused, b.y_fused)
+        a, b = model.forward_video(frames), loaded.forward_video(frames)
+        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a.s, b.s)
+        assert np.array_equal(a.y_fused, b.y_fused)
 
     def test_variant_roundtrip(self, tmp_path):
         for variant in ("RA", "RAI", "L-RA", "L-RAI"):

@@ -7,7 +7,10 @@ import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
 from riskrnn.nn import (LstmState, ParamMatrix, ParameterStore, TrainingError,
                         adam_step, dense, finite_diff_check, init_params,
-                        load_params, lstm_step, lstm_zero_state, save_params)
+                        load_params, lstm_step, lstm_sweep, lstm_zero_state,
+                        save_params)
+
+from oracles import lstm_step as reference_lstm_step
 
 
 def store_from_arrays(**named):
@@ -70,19 +73,6 @@ class TestDense:
             dense(tape, store["w"], tape.const(np.ones(4)))
 
 
-def reference_lstm_step(W, b, x, h, c):
-    """Straight-line gate equations, independent of the tape ops."""
-    H = W.shape[0] // 4
-    z = W @ np.concatenate([x, h]) + b[:, 0]
-    i = 1 / (1 + np.exp(-z[0:H]))
-    f = 1 / (1 + np.exp(-z[H:2 * H]))
-    g = np.tanh(z[2 * H:3 * H])
-    o = 1 / (1 + np.exp(-z[3 * H:4 * H]))
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
-
-
 class TestLstmStep:
     def test_all_zero_parameters_and_state(self):
         store = store_from_arrays(w=np.zeros((8, 5)), b=np.zeros((8, 1)))
@@ -125,6 +115,73 @@ class TestLstmStep:
         with pytest.raises(ValueError):
             lstm_step(tape, store["w"], store["b"], tape.const(np.ones(9)),
                       lstm_zero_state(tape, 2))
+
+
+    def test_columns_are_independent_cells(self):
+        rng = np.random.default_rng(12)
+        W = rng.normal(scale=0.5, size=(12, 7))
+        b = rng.normal(scale=0.5, size=(12, 1))
+        x, h, c = rng.normal(size=(4, 5)), rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+        store = store_from_arrays(w=W, b=b)
+        tape = Tape()
+        out = lstm_step(tape, store["w"], store["b"], tape.const(x),
+                        LstmState(tape.const(h), tape.const(c)))
+        for t in range(5):
+            ref_h, ref_c = reference_lstm_step(W, b, x[:, t], h[:, t], c[:, t])
+            np.testing.assert_allclose(out.hidden.value[:, t], ref_h, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(out.cell.value[:, t], ref_c, rtol=1e-13, atol=1e-15)
+
+
+class TestLstmSweep:
+    """The fused sweep against T chained ``lstm_step`` calls."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(14)
+        self.W = rng.normal(scale=0.5, size=(12, 7))
+        self.b = rng.normal(scale=0.5, size=(12, 1))
+        self.x = rng.normal(size=(4, 6))
+        self.gh, self.gc = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
+
+    def sweep(self, store, x_source):
+        """x_source: an array, taken as a leaf, or a ParamMatrix."""
+        tape = Tape()
+        x = tape.param(x_source) if isinstance(x_source, ParamMatrix) else tape.leaf(x_source)
+        state = lstm_sweep(tape, store["w"], store["b"], x)
+        loss = (ad.vsum(state.hidden * tape.const(self.gh))
+                + ad.vsum(state.cell * tape.const(self.gc)))
+        return tape, loss, x
+
+    def test_matches_chained_steps(self):
+        store = store_from_arrays(w=self.W, b=self.b)
+        tape, loss, x = self.sweep(store, self.x)
+        tape.backward(loss)
+        swept = float(loss.value), store["w"].grad.copy(), store["b"].grad.copy(), x.grad
+
+        store.zero_grads()
+        tape = Tape()
+        columns = [tape.leaf(self.x[:, t]) for t in range(6)]
+        state = lstm_zero_state(tape, 3)
+        chained = tape.const(0.0)
+        for t, column in enumerate(columns):
+            state = lstm_step(tape, store["w"], store["b"], column, state)
+            chained = (chained + ad.dot(state.hidden, tape.const(self.gh[:, t]))
+                       + ad.dot(state.cell, tape.const(self.gc[:, t])))
+        tape.backward(chained)
+        stepped = (float(chained.value), store["w"].grad, store["b"].grad,
+                   np.stack([c.grad for c in columns], axis=1))
+        for got, want in zip(swept, stepped):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_gradient_matches_central_differences(self):
+        store = store_from_arrays(w=self.W, b=self.b)
+        assert finite_diff_check(store, lambda: self.sweep(store, self.x)[:2]) < 1e-6
+        inputs = store_from_arrays(x=self.x)
+        assert finite_diff_check(inputs, lambda: self.sweep(store, inputs["x"])[:2]) < 1e-6
+
+    def test_shape_mismatch(self):
+        store = store_from_arrays(w=np.zeros((8, 5)), b=np.zeros((8, 1)))
+        with pytest.raises(ValueError):
+            lstm_sweep(Tape(), store["w"], store["b"], Tape().const(np.ones((4, 3))))
 
 
 class TestAdam:
