@@ -1,8 +1,7 @@
 """Agent-centric risk assessment: accident anticipation, risky-region
 localization, and future-location imagination on synthetic scenarios."""
 
-from .geometry import (Box, BoxTransform, apply_box_transform, encode_box_transform, iou,
-                       relative_config)
+from .geometry import Box, encode_box_transform, iou, stack_boxes
 from .data import (FrameInput, Proposal, RegionSet, VideoSample, VideoTargets,
                    read_dataset, write_dataset)
 from .model import (ModelConfig, ModelOutput, RiskModel, VARIANTS, forward_video,
@@ -17,8 +16,7 @@ from .training import train_model
 from .pipeline import evaluate_model
 
 __all__ = [
-    "Box", "BoxTransform", "apply_box_transform", "encode_box_transform", "iou",
-    "relative_config",
+    "Box", "encode_box_transform", "iou", "stack_boxes",
     "FrameInput", "Proposal", "RegionSet", "VideoSample", "VideoTargets",
     "read_dataset", "write_dataset",
     "ModelConfig", "ModelOutput", "RiskModel", "VARIANTS", "forward_video",

@@ -217,8 +217,14 @@ def relu(x: Node) -> Node:
     return x.tape._make(out, (x,), backward)
 
 
+def _logistic(z: np.ndarray) -> np.ndarray:
+    # below about -709 exp(-z) overflows to inf, which gives exactly 0, the right limit
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(x: Node) -> Node:
-    out = 1.0 / (1.0 + np.exp(-x.value))
+    out = _logistic(x.value)
     def backward(g):
         _accum(x, g * out * (1.0 - out))
     return x.tape._make(out, (x,), backward)
@@ -380,10 +386,10 @@ def lstm_core(z: Node, c_prev: Node) -> tuple[Node, Node]:
     if z.value.shape != want:
         raise ValueError(f"lstm_core expects {want} preactivations, got {z.value.shape}")
     zv = z.value
-    i = 1.0 / (1.0 + np.exp(-zv[0:hdim]))
-    f = 1.0 / (1.0 + np.exp(-zv[hdim:2 * hdim]))
+    i = _logistic(zv[0:hdim])
+    f = _logistic(zv[hdim:2 * hdim])
     g_ = np.tanh(zv[2 * hdim:3 * hdim])
-    o = 1.0 / (1.0 + np.exp(-zv[3 * hdim:4 * hdim]))
+    o = _logistic(zv[3 * hdim:4 * hdim])
     cell = f * c_prev.value + i * g_
     tanh_c = np.tanh(cell)
     hidden = o * tanh_c
@@ -426,7 +432,7 @@ def lstm_sweep(w: Node, b: Node, x: Node) -> tuple[Node, Node]:
     h = c = np.zeros(hdim)
     for t in range(steps):
         z = z_in[:, t] + w_h @ h
-        a = 1.0 / (1.0 + np.exp(-z))
+        a = _logistic(z)
         a[2 * hdim:3 * hdim] = np.tanh(z[2 * hdim:3 * hdim])
         c = a[hdim:2 * hdim] * c + a[0:hdim] * a[2 * hdim:3 * hdim]
         tanh_c[:, t] = np.tanh(c)
@@ -475,8 +481,8 @@ def relative_config(agent: Node, regions) -> Node:
     data.RegionSet does, or (T, N) for T columns. The output is (9, N) or
     (9, T, N). Rows are the region's center, min-corner and max-corner
     offsets from the agent center (x over agent width, y over agent height),
-    its size ratios, and the IoU of the two boxes, the same cues as
-    geometry.relative_config. The backward pass returns the gradient with
+    its size ratios, and the IoU of the two boxes, the same cues as the scalar
+    reference in tests/oracles.py. The backward pass returns the gradient with
     respect to the agent box only; overlap ties route the way ``minimum``,
     ``maximum`` and ``relu`` route them.
     """
@@ -529,8 +535,8 @@ def apply_box_transform(box: Node, c: Node) -> Node:
     """Boxes (cx, cy, w, h) moved by transforms (dx, dy, log sw, log sh).
 
     The center moves by the offsets times the box size and each side is
-    scaled by the exponent of its log ratio, as geometry.apply_box_transform
-    does. ``box`` and ``c`` are (4,) or (4, T) with one box per column.
+    scaled by the exponent of its log ratio; geometry.encode_box_transform is
+    its inverse. ``box`` and ``c`` are (4,) or (4, T) with one box per column.
     """
     p, cv = box.value, c.value
     scale = np.exp(cv[2:4])

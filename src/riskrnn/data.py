@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, stack_boxes
 
 DATASET_HEADER = "RISKRNN-DATASET v2"
 
@@ -49,7 +49,8 @@ _LAYOUT = {
 
 @dataclass(frozen=True, eq=False)
 class RegionSet:
-    """A frame's candidate regions. Construction also sets the (N,) arrays
+    """A frame's candidate regions. Construction also sets the (N, 4) array
+    ``xywh`` of the box rows, which the region labels read, the (N,) arrays
     ``cx``, ``cy``, ``w``, ``h``, ``x1``, ``y1``, ``x2``, ``y2`` and ``area``
     and the (D, N) matrix ``feats_t`` that the model reads."""
 
@@ -63,8 +64,9 @@ class RegionSet:
             raise ValueError("a frame needs at least one candidate region")
         if feats.shape[0] != len(boxes):
             raise ValueError(f"{len(boxes)} region boxes but {feats.shape[0]} feature rows")
-        cx, cy, w, h = np.array(_box_rows(boxes), dtype=np.float64).T.copy()
-        for name, value in dict(boxes=boxes, feats=feats, cx=cx, cy=cy, w=w, h=h,
+        xywh = stack_boxes(boxes)
+        cx, cy, w, h = xywh.T.copy()
+        for name, value in dict(boxes=boxes, feats=feats, xywh=xywh, cx=cx, cy=cy, w=w, h=h,
                                 x1=cx - 0.5 * w, y1=cy - 0.5 * h, x2=cx + 0.5 * w,
                                 y2=cy + 0.5 * h, area=w * h, feats_t=feats.T.copy()).items():
             object.__setattr__(self, name, value)
@@ -112,6 +114,16 @@ class VideoTargets:
             if len(self.risky_boxes) != n_frames:
                 raise ValueError("positive video needs ground-truth risky boxes per frame")
 
+    def risky_array(self, n_risky: int | None = None) -> np.ndarray:
+        """The (T, R, 4) risky boxes, R = ``n_risky`` or else the most any
+        frame has; NaN rows, which overlap nothing, pad frames with fewer."""
+        if n_risky is None:
+            n_risky = max(map(len, self.risky_boxes), default=0)
+        risky = np.full((len(self.risky_boxes), n_risky, 4), np.nan)
+        for t, boxes in enumerate(self.risky_boxes):
+            risky[t, :len(boxes)] = stack_boxes(boxes)
+        return risky
+
 
 @dataclass(frozen=True, slots=True)
 class Proposal:
@@ -141,31 +153,24 @@ class VideoSample:
 # ---------------------------------------------------------------------------
 # dataset files
 
-def _box_rows(boxes) -> list:
-    return [(b.cx, b.cy, b.w, b.h) for b in boxes]
-
-
 def _video_rows(sample: VideoSample, n_risky: int) -> dict:
     """One video's entries of every array but ``video_id``."""
     frames, props, targets = sample.frames, sample.proposals, sample.targets
     if tuple(targets.agent_track) != tuple(f.agent_box for f in frames):
         raise ValueError(f"video {sample.video_id}: the agent track is not the frames' agent boxes")
-    risky = np.full((len(frames), n_risky, 4), np.nan)
-    for t, boxes in enumerate(targets.risky_boxes):
-        risky[t, :len(boxes)] = np.reshape(_box_rows(boxes), (-1, 4))
     return {
         "positive": sample.positive,
         "t_accident": -1 if targets.t_accident is None else targets.t_accident,
         "agent_class": sample.agent_class,
         "region_class": sample.region_classes,
-        "agent_box": _box_rows(f.agent_box for f in frames),
+        "agent_box": stack_boxes(f.agent_box for f in frames),
         "agent_feat": [f.agent_feat for f in frames],
-        "region_box": [_box_rows(f.region_boxes) for f in frames],
+        "region_box": [f.regions.xywh for f in frames],
         "region_feat": [f.region_feats for f in frames],
-        "proposal_box": [_box_rows(p.box for p in ps) for ps in props],
+        "proposal_box": [stack_boxes(p.box for p in ps) for ps in props],
         "proposal_score": [[p.score for p in ps] for ps in props],
         "proposal_feat": [[p.feat for p in ps] for ps in props],
-        "risky_box": risky,
+        "risky_box": targets.risky_array(n_risky),
     }
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import iou
+from .geometry import iou, stack_boxes
 
 REPORT_HEADER = "RISKRNN-REPORT v1"
 REGION_IOU_THRESHOLD = 0.4
@@ -126,24 +126,27 @@ def match_frame_detections(detections, gt_boxes, iou_threshold=REGION_IOU_THRESH
     truth overlapping at or above the threshold. Returns (score, matched)
     pairs in input order.
     """
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i][1], i))
-    taken = [False] * len(gt_boxes)
     matched = [False] * len(detections)
-    for i in order:
-        box = detections[i][0]
-        best_j = -1
-        best_iou = iou_threshold
-        for j, gt in enumerate(gt_boxes):
-            if taken[j]:
-                continue
-            overlap = iou(box, gt)
-            if overlap >= best_iou:
-                best_iou = overlap
-                best_j = j
-        if best_j >= 0:
-            taken[best_j] = True
+    overlaps = _overlaps(detections, gt_boxes)
+    over = overlaps >= iou_threshold
+    can_match = over.any(axis=1).tolist()
+    open_gt = np.ones(len(gt_boxes), dtype=bool)
+    for i in sorted(range(len(detections)), key=lambda i: (-detections[i][1], i)):
+        if not can_match[i]:
+            continue
+        # the best open ground truth; of equal ones, the last
+        candidates = np.flatnonzero(open_gt & over[i])[::-1]
+        if candidates.size:
+            open_gt[candidates[np.argmax(overlaps[i, candidates])]] = False
             matched[i] = True
     return [(float(score), matched[i]) for i, (_, score) in enumerate(detections)]
+
+
+def _overlaps(detections, gt_boxes) -> np.ndarray:
+    """(detections, ground truth) IoU matrix of one frame."""
+    if len(gt_boxes) == 0:  # every frame of a negative video
+        return np.zeros((len(detections), 0))
+    return iou(stack_boxes(box for box, _ in detections)[:, None], stack_boxes(gt_boxes)[None])
 
 
 def region_average_precision(frames, per_video: bool = False):
@@ -187,10 +190,8 @@ def oracle_region_average_precision(frames, per_video: bool = False):
     for video in frames:
         new_video = []
         for detections, gt_boxes in video:
-            new_dets = [
-                (box, 1.0 if any(iou(box, gt) >= REGION_IOU_THRESHOLD for gt in gt_boxes) else 0.0)
-                for box, _ in detections
-            ]
+            hits = (_overlaps(detections, gt_boxes) >= REGION_IOU_THRESHOLD).any(axis=1)
+            new_dets = [(box, float(hit)) for (box, _), hit in zip(detections, hits)]
             new_video.append((new_dets, gt_boxes))
         rescored.append(new_video)
     hits = sum(score for video in rescored for dets, _ in video for _, score in dets)

@@ -1,10 +1,10 @@
-"""Axis-aligned box arithmetic: IoU, agent-relative configuration, box transforms.
+"""Axis-aligned box arithmetic: the box record, IoU and box transforms.
 
 All coordinates are frame-normalized fractions, center-parameterized as
-(cx, cy, w, h). Everything here is a pure function; nothing records onto an
-autodiff tape. The model computes relative configurations with the fused tape
-op autodiff.relative_config; the scalar :func:`relative_config` here is the
-reference its tests compare against.
+(cx, cy, w, h). ``Box`` is the record the data layer stores; the
+arithmetic takes arrays of such rows so a caller makes one call over all
+its boxes. Everything here is a pure function; nothing records onto an
+autodiff tape.
 """
 from __future__ import annotations
 
@@ -60,77 +60,34 @@ class Box:
 RELATIVE_CONFIG_DIM = 9
 
 
-@dataclass(frozen=True)
-class BoxTransform:
-    """Center offsets in source-box units plus log size ratios."""
-
-    cx_off: float
-    cy_off: float
-    cw_log: float
-    ch_log: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cx_off, self.cy_off, self.cw_log, self.ch_log],
-                        dtype=np.float64)
+def stack_boxes(boxes) -> np.ndarray:
+    """The (n, 4) array of (cx, cy, w, h) rows of a sequence of boxes."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes, in [0, 1].
+def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union of (..., 4) arrays of (cx, cy, w, h) boxes,
+    which broadcast against each other; each value lies in [0, 1].
 
-    Areas are computed from the same corner expressions as the overlap so
-    iou(a, a) is exactly 1 despite rounding.
+    Areas are computed from the same corner expressions as the overlap so a
+    box's IoU with itself is exactly 1 despite rounding. A row of NaNs gives
+    NaN, which no threshold comparison passes.
     """
-    ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
-    bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    return inter / (area_a + area_b - inter)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    a_center, b_center = a[..., :2], b[..., :2]
+    a_half, b_half = 0.5 * a[..., 2:], 0.5 * b[..., 2:]
+    a_lo, a_hi = a_center - a_half, a_center + a_half
+    b_lo, b_hi = b_center - b_half, b_center + b_half
+    span = np.maximum(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0.0)
+    a_side, b_side = a_hi - a_lo, b_hi - b_lo
+    inter = span[..., 0] * span[..., 1]
+    return inter / (a_side[..., 0] * a_side[..., 1] + b_side[..., 0] * b_side[..., 1] - inter)
 
 
-def relative_config(agent: Box, region: Box) -> np.ndarray:
-    """The (9,) cues of ``region`` seen from ``agent``, in the row order of
-    autodiff.relative_config: offsets of the region center, min corner and max
-    corner from the agent center, x over agent width and y over agent height;
-    then the two size ratios and the IoU of the boxes."""
-    inv_w = 1.0 / agent.w
-    inv_h = 1.0 / agent.h
-    return np.array([
-        (region.cx - agent.cx) * inv_w,
-        (region.cy - agent.cy) * inv_h,
-        (region.x1 - agent.cx) * inv_w,
-        (region.y1 - agent.cy) * inv_h,
-        (region.x2 - agent.cx) * inv_w,
-        (region.y2 - agent.cy) * inv_h,
-        region.w * inv_w,
-        region.h * inv_h,
-        iou(agent, region),
-    ], dtype=np.float64)
-
-
-def apply_box_transform(p: Box, c: BoxTransform) -> Box:
-    """Move/rescale ``p`` by transform ``c``: offsets in box units, log scales."""
-    if abs(c.cw_log) > MAX_LOG_SCALE or abs(c.ch_log) > MAX_LOG_SCALE:
-        raise ValueError(
-            f"log size ratios out of range (|{c.cw_log}|, |{c.ch_log}| > {MAX_LOG_SCALE})"
-        )
-    return Box(
-        cx=c.cx_off * p.w + p.cx,
-        cy=c.cy_off * p.h + p.cy,
-        w=math.exp(c.cw_log) * p.w,
-        h=math.exp(c.ch_log) * p.h,
-    )
-
-
-def encode_box_transform(p_from: Box, p_to: Box) -> BoxTransform:
-    """Inverse of :func:`apply_box_transform`: the transform taking p_from to p_to."""
-    return BoxTransform(
-        cx_off=(p_to.cx - p_from.cx) / p_from.w,
-        cy_off=(p_to.cy - p_from.cy) / p_from.h,
-        cw_log=math.log(p_to.w / p_from.w),
-        ch_log=math.log(p_to.h / p_from.h),
-    )
+def encode_box_transform(p_from: np.ndarray, p_to: np.ndarray) -> np.ndarray:
+    """The (dx, dy, log sw, log sh) transforms taking boxes ``p_from`` to
+    ``p_to``: (4, ...) arrays with (cx, cy, w, h) along the first axis, one
+    box per column as autodiff.apply_box_transform takes them; this is its
+    inverse."""
+    return np.concatenate([(p_to[0:2] - p_from[0:2]) / p_from[2:4],
+                           np.log(p_to[2:4] / p_from[2:4])])

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
-from .geometry import encode_box_transform, iou
+from .geometry import encode_box_transform, iou, stack_boxes
 
 if TYPE_CHECKING:
     from .data import VideoTargets
@@ -23,20 +23,17 @@ PROB_CLAMP = 1e-12
 RISKY_IOU_THRESHOLD = 0.4
 
 
-def region_labels(region_boxes, risky_boxes) -> np.ndarray:
-    """1 for regions overlapping any ground-truth risky box above 0.4 IoU.
+def region_labels(region_boxes: np.ndarray, risky_boxes: np.ndarray) -> np.ndarray:
+    """(T, N) labels of a video's (T, N, 4) region boxes against its
+    (T, R, 4) ground-truth risky boxes: 1 for a region overlapping any risky
+    box of its frame above 0.4 IoU.
 
-    The comparison is strict (> 0.4). An empty ground-truth list (negative
-    videos) labels everything 0.
+    The comparison is strict (> 0.4). No ground truth (R = 0, as in negative
+    videos) labels everything 0, and NaN rows, which pad frames with fewer
+    risky boxes, overlap nothing.
     """
-    labels = np.zeros(len(region_boxes), dtype=np.float64)
-    if not risky_boxes:
-        return labels
-    for i, box in enumerate(region_boxes):
-        best = max(iou(box, gt) for gt in risky_boxes)
-        if best > RISKY_IOU_THRESHOLD:
-            labels[i] = 1.0
-    return labels
+    overlaps = iou(region_boxes[:, :, None], risky_boxes[:, None])
+    return (overlaps > RISKY_IOU_THRESHOLD).any(axis=2).astype(np.float64)
 
 
 def anticipation_loss(tape: Tape, y: Node, positive: bool,
@@ -82,9 +79,9 @@ def transform_loss(tape: Tape, c: Node | None, agent_track, horizon: int) -> Nod
     n_targets = len(agent_track) - horizon
     if c is None or n_targets <= 0:
         return tape.const(0.0)
+    track = stack_boxes(agent_track).T
     target = np.zeros(c.value.shape)
-    for t in range(n_targets):
-        target[:, t] = encode_box_transform(agent_track[t], agent_track[t + horizon]).as_array()
+    target[:, :n_targets] = encode_box_transform(track[:, :n_targets], track[:, horizon:])
     has_target = np.arange(c.value.shape[1]) < n_targets
     return ad.vsum(ad.smooth_l1(c - tape.const(target)) * tape.const(has_target))
 
@@ -103,11 +100,8 @@ def total_loss(tape: Tape, frames, predictions: ModelOutput, targets: VideoTarge
         raise ValueError(f"need {len(levels)} fusion weights, got {lam.shape[0]}")
     targets.validate(len(frames))
 
-    labels = np.stack([
-        region_labels(frame.region_boxes,
-                      targets.risky_boxes[t] if targets.positive else [])
-        for t, frame in enumerate(frames)
-    ])
+    risky = targets.risky_array() if targets.positive else np.empty((len(frames), 0, 4))
+    labels = region_labels(np.stack([frame.regions.xywh for frame in frames]), risky)
 
     loss = transform_loss(tape, predictions.c_node, targets.agent_track, horizon)
     for weight, level in zip(lam, levels):

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
-from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM
+from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM, stack_boxes
 from .nn import (LstmState, ParameterStore, dense, init_params, load_params,
                  lstm_step, lstm_sweep, parse_config_value, save_params)
 
@@ -293,7 +293,7 @@ def forward_video(store: ParameterStore, cfg: ModelConfig, frames,
                              f"{frame.regions.feats.shape[1]} != {cfg.d_region}")
     regions = VideoRegions([frame.regions for frame in frames])
     feats = np.stack([frame.agent_feat for frame in frames], axis=1)
-    boxes = tape.const(np.array([frame.agent_box.as_array() for frame in frames]).T)
+    boxes = tape.const(stack_boxes(frame.agent_box for frame in frames).T)
     if cfg.use_memory:
         agent_code = agent_rnn_step(tape, store, np.concatenate([feats, boxes.value])).hidden
     else:

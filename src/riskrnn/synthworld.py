@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import FrameInput, Proposal, RegionSet, VideoSample, VideoTargets
 from .data import read_dataset, write_dataset  # noqa: F401 - the split files' API
-from .geometry import Box, iou
+from .geometry import Box, iou, stack_boxes
 
 HAZARD_CLASS = 0
 
@@ -75,25 +75,30 @@ def _video_rng(cfg: ScenarioConfig, split_tag: int, index: int):
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, split_tag, index]))
 
 
-def _iou_at_distance(agent_w, agent_h, hazard: Box, direction, d) -> float:
-    box = Box(hazard.cx + direction[0] * d, hazard.cy + direction[1] * d,
-              agent_w, agent_h)
-    return iou(box, hazard)
-
-
 def _collision_distance(agent_w, agent_h, hazard: Box, direction, threshold) -> float:
     """Center distance along ``direction`` where the agent-hazard IoU hits the
     collision threshold (bisection; IoU decreases with distance)."""
-    if _iou_at_distance(agent_w, agent_h, hazard, direction, 0.0) <= threshold:
+    hazard_box = hazard.as_array()
+
+    def overlap(d):  # of the hazard and the agent at distance d from its center
+        return iou(np.array([hazard.cx + direction[0] * d, hazard.cy + direction[1] * d,
+                             agent_w, agent_h]), hazard_box)
+
+    if overlap(0.0) <= threshold:
         raise GenerationError("hazard too small for the collision threshold")
     lo, hi = 0.0, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _iou_at_distance(agent_w, agent_h, hazard, direction, mid) > threshold:
+        if overlap(mid) > threshold:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _track_rows(xs, ys, agent_w, agent_h) -> np.ndarray:
+    """The (T, 4) agent boxes of a walk through the centers (xs, ys)."""
+    return np.stack([xs, ys, np.full_like(xs, agent_w), np.full_like(xs, agent_h)], axis=1)
 
 
 def _random_box(rng, size_lo=0.06, size_hi=0.18) -> Box:
@@ -125,10 +130,10 @@ def _positive_walk(cfg: ScenarioConfig, rng):
         ys = ys + perp[1] * wobble
         if xs.min() < 0.03 or xs.max() > 0.97 or ys.min() < 0.03 or ys.max() > 0.97:
             continue
-        track = [Box(float(x), float(y), agent_w, agent_h) for x, y in zip(xs, ys)]
-        ious = [iou(b, hazard) for b in track]
-        if ious[last] > cfg.collision_iou and all(v <= cfg.collision_iou for v in ious[:last]):
-            return track, hazard
+        track = _track_rows(xs, ys, agent_w, agent_h)
+        hit = iou(track, hazard.as_array()) > cfg.collision_iou
+        if hit[last] and not hit[:last].any():
+            return [Box(*row) for row in track.tolist()], hazard
     raise GenerationError("could not construct a positive walk within the attempt budget")
 
 
@@ -146,11 +151,11 @@ def _negative_walk(cfg: ScenarioConfig, rng):
         ys = start[1] + direction[1] * offsets + rng.normal(0.0, 0.006, cfg.frames_per_video)
         if xs.min() < 0.03 or xs.max() > 0.97 or ys.min() < 0.03 or ys.max() > 0.97:
             continue
-        track = [Box(float(x), float(y), agent_w, agent_h) for x, y in zip(xs, ys)]
         hazard = Box(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
                      agent_w * rng.uniform(0.9, 1.3), agent_h * rng.uniform(0.9, 1.3))
-        if all(iou(b, hazard) == 0.0 for b in track):
-            return track, hazard
+        track = _track_rows(xs, ys, agent_w, agent_h)
+        if not iou(track, hazard.as_array()).any():
+            return [Box(*row) for row in track.tolist()], hazard
     raise GenerationError("could not construct a negative walk within the attempt budget")
 
 
@@ -233,10 +238,9 @@ def generate_split(cfg: ScenarioConfig, n_videos: int, split: str) -> list[Video
 
 def verify_collision_predicate(sample: VideoSample, collision_iou: float) -> bool:
     """Re-check the label against the stored boxes, independent of generation."""
-    hazards = [box for box, cls in zip(sample.frames[0].region_boxes, sample.region_classes)
-               if cls == HAZARD_CLASS]
-    track = sample.targets.agent_track
-    hit = [max(iou(b, hz) for hz in hazards) > collision_iou for b in track]
+    hazards = sample.frames[0].regions.xywh[np.asarray(sample.region_classes) == HAZARD_CLASS]
+    track = stack_boxes(sample.targets.agent_track)
+    hit = iou(track[:, None], hazards[None]).max(axis=1) > collision_iou
     if sample.positive:
-        return hit[-1] and not any(hit[:-1])
-    return not any(hit)
+        return bool(hit[-1] and not hit[:-1].any())
+    return not hit.any()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, iou
+from .geometry import iou, stack_boxes
 
 
 @dataclass
@@ -32,13 +32,6 @@ class Track:
         return float(np.mean(self.scores)) if self.scores else 0.0
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(a, b)) / denom
-
-
 def track_by_detection(proposals_per_frame, top_init: int = 10,
                        top_iou: int = 10) -> list[Track]:
     """Chain proposals into tracks.
@@ -51,36 +44,42 @@ def track_by_detection(proposals_per_frame, top_init: int = 10,
             chooses among. Candidate ties on similarity fall to the higher
             object score, then the lower proposal index.
 
-    A frame with no proposals terminates every live track there.
+    Each step compares every live track with every proposal of the next
+    frame at once, as one IoU and one cosine-similarity matrix. A frame with
+    no proposals terminates every live track there.
     """
     if len(proposals_per_frame) == 0:
         raise ValueError("need at least one frame of proposals")
-    first = proposals_per_frame[0]
-    order = sorted(range(len(first)), key=lambda i: (-first[i].score, i))
-    tracks = []
-    for i in order[:top_init]:
-        p = first[i]
-        tracks.append(Track(start_frame=0, boxes=[p.box], feats=[p.feat],
-                            scores=[p.score]))
-
+    boxes, feats, scores = _frame_arrays(proposals_per_frame[0])
+    chosen = np.argsort(-scores, kind="stable")[:top_init]
+    picks = [chosen]
     for frame in proposals_per_frame[1:]:
-        if len(frame) == 0:
+        if len(frame) == 0 or len(chosen) == 0:
             break
-        for track in tracks:
-            cur_box = track.boxes[-1]
-            cur_feat = track.feats[-1]
-            ious = np.array([iou(cur_box, p.box) for p in frame])
-            gate = np.argsort(-ious, kind="stable")[:top_iou]
-            best = min(
-                gate,
-                key=lambda i: (-cosine_similarity(cur_feat, frame[i].feat),
-                               -frame[i].score, i),
-            )
-            chosen = frame[best]
-            track.boxes.append(chosen.box)
-            track.feats.append(chosen.feat)
-            track.scores.append(chosen.score)
+        track_boxes, track_feats = boxes[chosen], feats[chosen]
+        boxes, feats, scores = _frame_arrays(frame)
+        gate = np.argsort(-iou(track_boxes[:, None], boxes[None]), axis=1,
+                          kind="stable")[:, :top_iou]
+        norms = np.linalg.norm(track_feats, axis=1)[:, None] * np.linalg.norm(feats, axis=1)
+        similarity = np.divide(track_feats @ feats.T, norms, out=np.zeros_like(norms),
+                               where=norms != 0.0)
+        order = np.lexsort((gate, -scores[gate], -np.take_along_axis(similarity, gate, axis=1)),
+                           axis=1)
+        chosen = np.take_along_axis(gate, order[:, :1], axis=1)[:, 0]
+        picks.append(chosen)
+
+    tracks = []
+    for track_picks in zip(*picks):
+        props = [frame[i] for frame, i in zip(proposals_per_frame, track_picks)]
+        tracks.append(Track(boxes=[p.box for p in props], feats=[p.feat for p in props],
+                            scores=[p.score for p in props]))
     return tracks
+
+
+def _frame_arrays(frame):
+    """The (M, 4) boxes, (M, D) features and (M,) object scores of a frame's proposals."""
+    return (stack_boxes(p.box for p in frame), np.array([p.feat for p in frame], dtype=np.float64),
+            np.array([p.score for p in frame], dtype=np.float64))
 
 
 def deduplicate_tracks(tracks, overlap_iou: float = 0.7) -> list[Track]:
@@ -89,29 +88,22 @@ def deduplicate_tracks(tracks, overlap_iou: float = 0.7) -> list[Track]:
     Grouping is single-link on final-frame IoU; each group keeps the track
     with the highest mean object score (first one on a tie).
     """
-    n = len(tracks)
-    if n == 0:
+    if len(tracks) == 0:
         return []
-    group = list(range(n))
-
-    def find(i):
-        while group[i] != i:
-            group[i] = group[group[i]]
-            i = group[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if iou(tracks[i].boxes[-1], tracks[j].boxes[-1]) > overlap_iou:
-                group[find(j)] = find(i)
+    last = stack_boxes(track.boxes[-1] for track in tracks)
+    linked = iou(last[:, None], last[None]) > overlap_iou
+    np.fill_diagonal(linked, True)
+    # each track takes the lowest group label it links to until none
+    # changes, which labels every group by its lowest index
+    group, previous = np.arange(len(tracks)), None
+    while not np.array_equal(group, previous):
+        group, previous = np.where(linked, group, len(tracks)).min(axis=1), group
 
     best: dict[int, int] = {}
-    for i, track in enumerate(tracks):
-        root = find(i)
-        if root not in best or track.mean_score > tracks[best[root]].mean_score:
+    for i, root in enumerate(group.tolist()):
+        if root not in best or tracks[i].mean_score > tracks[best[root]].mean_score:
             best[root] = i
-    keep = sorted(best.values())
-    return [tracks[i] for i in keep]
+    return [tracks[i] for i in sorted(best.values())]
 
 
 def select_training_track(gt_track: Track, td_tracks, rng) -> Track:

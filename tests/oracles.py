@@ -1,18 +1,87 @@
-"""Plain-numpy reference of the risk model: one frame at a time, no tape.
+"""Scalar references that tests compare the array code with.
 
-This is the per-frame forward and loss that the model computed before it ran
-whole videos as column passes, written out with numpy and the scalar
-geometry functions. Tests compare the batched model with it.
+- box geometry one pair of boxes at a time: IoU, the agent-relative
+  configuration and the box transform;
+- the per-frame forward and loss that the model computed before it ran whole
+  videos as column passes, written out with numpy and the scalar geometry;
+- the tracker, the per-frame detection matching and the oracle rescoring as
+  pair loops over scalar IoU, the way they were written before they took
+  whole IoU matrices.
 """
+import math
+
 import numpy as np
 
-from riskrnn.geometry import (BoxTransform, apply_box_transform, encode_box_transform,
-                              iou, relative_config)
+from riskrnn.evaluation import REGION_IOU_THRESHOLD
+from riskrnn.geometry import MAX_LOG_SCALE, Box, encode_box_transform
 from riskrnn.losses import PROB_CLAMP, RISKY_IOU_THRESHOLD
+from riskrnn.tracking import Track
 
+
+# ---------------------------------------------------------------------------
+# box geometry
+
+def iou(a: Box, b: Box) -> float:
+    """Intersection over union of two boxes, in [0, 1].
+
+    Areas are computed from the same corner expressions as the overlap so
+    iou(a, a) is exactly 1 despite rounding.
+    """
+    ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
+    bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    area_a = (ax2 - ax1) * (ay2 - ay1)
+    area_b = (bx2 - bx1) * (by2 - by1)
+    return inter / (area_a + area_b - inter)
+
+
+def relative_config(agent: Box, region: Box) -> np.ndarray:
+    """The (9,) cues of ``region`` seen from ``agent``, in the row order of
+    autodiff.relative_config: offsets of the region center, min corner and max
+    corner from the agent center, x over agent width and y over agent height;
+    then the two size ratios and the IoU of the boxes."""
+    inv_w = 1.0 / agent.w
+    inv_h = 1.0 / agent.h
+    return np.array([
+        (region.cx - agent.cx) * inv_w,
+        (region.cy - agent.cy) * inv_h,
+        (region.x1 - agent.cx) * inv_w,
+        (region.y1 - agent.cy) * inv_h,
+        (region.x2 - agent.cx) * inv_w,
+        (region.y2 - agent.cy) * inv_h,
+        region.w * inv_w,
+        region.h * inv_h,
+        iou(agent, region),
+    ], dtype=np.float64)
+
+
+def apply_box_transform(p: Box, c) -> Box:
+    """Move/rescale ``p`` by the transform ``c`` = (dx, dy, log sw, log sh):
+    offsets in box units, log scales."""
+    cx_off, cy_off, cw_log, ch_log = c
+    if abs(cw_log) > MAX_LOG_SCALE or abs(ch_log) > MAX_LOG_SCALE:
+        raise ValueError(
+            f"log size ratios out of range (|{cw_log}|, |{ch_log}| > {MAX_LOG_SCALE})"
+        )
+    return Box(
+        cx=cx_off * p.w + p.cx,
+        cy=cy_off * p.h + p.cy,
+        w=math.exp(cw_log) * p.w,
+        h=math.exp(ch_log) * p.h,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the per-frame model
 
 def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    # below about -709 exp overflows and the value is exactly 0, as in the model
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def relu(z):
@@ -70,7 +139,7 @@ def forward(store, cfg, frames):
         for _ in range(cfg.imagine_steps):
             c = p["imagine_head_W"] @ o
             c_first = c if c_first is None else c_first
-            box = apply_box_transform(box, BoxTransform(*c))
+            box = apply_box_transform(box, c)
             s_hat = score_regions(p, code, box, frame)
             state, o, y_hat = anticipate(p, cfg, state, code, frame.region_feats.T @ s_hat)
             hops.append((box, y_hat, s_hat))
@@ -89,8 +158,8 @@ def total_loss(cfg, frames, preds, targets, time_scale=1.0):
     loss = 0.0
     for t, pred in enumerate(preds):
         if pred["c"] is not None and t + cfg.horizon < len(frames):
-            target = encode_box_transform(targets.agent_track[t],
-                                          targets.agent_track[t + cfg.horizon]).as_array()
+            target = encode_box_transform(targets.agent_track[t].as_array(),
+                                          targets.agent_track[t + cfg.horizon].as_array())
             a = np.abs(pred["c"] - target)
             loss += np.where(a < 1.0, 0.5 * a * a, a - 0.5).sum()
     for level, weight in enumerate(cfg.lambdas):
@@ -109,3 +178,104 @@ def total_loss(cfg, frames, preds, targets, time_scale=1.0):
             level_loss -= (labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).sum()
         loss += weight * level_loss
     return loss
+
+
+# ---------------------------------------------------------------------------
+# tracking and detection matching
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
+    if denom == 0.0:
+        return 0.0
+    return float(np.dot(a, b)) / denom
+
+
+def track_by_detection(proposals_per_frame, top_init: int = 10,
+                       top_iou: int = 10) -> list[Track]:
+    """tracking.track_by_detection, one track and one proposal at a time."""
+    if len(proposals_per_frame) == 0:
+        raise ValueError("need at least one frame of proposals")
+    first = proposals_per_frame[0]
+    order = sorted(range(len(first)), key=lambda i: (-first[i].score, i))
+    tracks = []
+    for i in order[:top_init]:
+        p = first[i]
+        tracks.append(Track(start_frame=0, boxes=[p.box], feats=[p.feat],
+                            scores=[p.score]))
+
+    for frame in proposals_per_frame[1:]:
+        if len(frame) == 0:
+            break
+        for track in tracks:
+            cur_box = track.boxes[-1]
+            cur_feat = track.feats[-1]
+            ious = np.array([iou(cur_box, p.box) for p in frame])
+            gate = np.argsort(-ious, kind="stable")[:top_iou]
+            best = min(
+                gate,
+                key=lambda i: (-cosine_similarity(cur_feat, frame[i].feat),
+                               -frame[i].score, i),
+            )
+            chosen = frame[best]
+            track.boxes.append(chosen.box)
+            track.feats.append(chosen.feat)
+            track.scores.append(chosen.score)
+    return tracks
+
+
+def deduplicate_tracks(tracks, overlap_iou: float = 0.7) -> list[Track]:
+    """tracking.deduplicate_tracks with a union-find over every pair."""
+    n = len(tracks)
+    if n == 0:
+        return []
+    group = list(range(n))
+
+    def find(i):
+        while group[i] != i:
+            group[i] = group[group[i]]
+            i = group[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if iou(tracks[i].boxes[-1], tracks[j].boxes[-1]) > overlap_iou:
+                group[find(j)] = find(i)
+
+    best: dict[int, int] = {}
+    for i, track in enumerate(tracks):
+        root = find(i)
+        if root not in best or track.mean_score > tracks[best[root]].mean_score:
+            best[root] = i
+    keep = sorted(best.values())
+    return [tracks[i] for i in keep]
+
+
+def match_frame_detections(detections, gt_boxes, iou_threshold=REGION_IOU_THRESHOLD):
+    """evaluation.match_frame_detections, one detection-ground truth pair at a time."""
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i][1], i))
+    taken = [False] * len(gt_boxes)
+    matched = [False] * len(detections)
+    for i in order:
+        box = detections[i][0]
+        best_j = -1
+        best_iou = iou_threshold
+        for j, gt in enumerate(gt_boxes):
+            if taken[j]:
+                continue
+            overlap = iou(box, gt)
+            if overlap >= best_iou:
+                best_iou = overlap
+                best_j = j
+        if best_j >= 0:
+            taken[best_j] = True
+            matched[i] = True
+    return [(float(score), matched[i]) for i, (_, score) in enumerate(detections)]
+
+
+def oracle_rescore(frames):
+    """The detections of evaluation.oracle_region_average_precision: each one
+    overlapping any ground truth at the threshold scores 1, else 0."""
+    return [[([(box, 1.0 if any(iou(box, gt) >= REGION_IOU_THRESHOLD for gt in gt_boxes)
+                else 0.0) for box, _ in detections], gt_boxes)
+             for detections, gt_boxes in video]
+            for video in frames]

@@ -4,7 +4,7 @@ names still exists and that a traced training run still goes through them."""
 import sys
 from pathlib import Path
 
-from riskrnn import model, training
+from riskrnn import geometry, model, training
 from riskrnn.config import RunConfig
 from riskrnn.model import VARIANTS
 from riskrnn.synthworld import generate_split
@@ -17,6 +17,13 @@ def test_every_patched_attribute_exists():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in tracing._patches() if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_every_patched_iou_is_the_geometry_one():
+    # a module-local copy would silently drop out of the geometry.iou counts
+    owners = [owner for owner, attr, _ in tracing._patches() if attr == "iou"]
+    assert owners
+    assert [o.__name__ for o in owners if o.iou is not geometry.iou] == []
 
 
 def test_a_traced_training_epoch_reaches_every_wrapper():

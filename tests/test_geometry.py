@@ -5,8 +5,10 @@ import pytest
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
-from riskrnn.geometry import (Box, BoxTransform, apply_box_transform,
-                              encode_box_transform, iou, relative_config)
+from riskrnn.geometry import Box, encode_box_transform, iou, stack_boxes
+
+import oracles
+from oracles import apply_box_transform, relative_config
 
 
 def random_box(rng) -> Box:
@@ -33,25 +35,50 @@ class TestBox:
             Box(float("nan"), 0.5, 0.1, 0.1)
 
 
+class TestStackBoxes:
+    def test_rows_are_the_box_fields(self):
+        boxes = [Box(0.5, 0.4, 0.2, 0.1), Box(0.1, 0.2, 0.3, 0.4)]
+        assert stack_boxes(boxes).tolist() == [[0.5, 0.4, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]]
+
+    def test_no_boxes_is_an_empty_table(self):
+        assert stack_boxes(iter([])).shape == (0, 4)
+
+
 class TestIou:
     def test_identical_boxes(self):
-        b = Box(0.5, 0.5, 0.2, 0.2)
+        b = np.array([0.5, 0.5, 0.2, 0.2])
         assert iou(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(Box(0.1, 0.1, 0.1, 0.1), Box(0.9, 0.9, 0.1, 0.1)) == 0.0
+        assert iou([0.1, 0.1, 0.1, 0.1], [0.9, 0.9, 0.1, 0.1]) == 0.0
 
     def test_hand_computed_overlap(self):
         # intersection 1, union 4 + 4 - 1 = 7
-        assert iou(Box(0, 0, 2, 2), Box(1, 1, 2, 2)) == pytest.approx(1 / 7, abs=1e-12)
+        assert iou([0, 0, 2, 2], [1, 1, 2, 2]) == pytest.approx(1 / 7, abs=1e-12)
 
     def test_symmetry_and_self(self):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            a, b = random_box(rng), random_box(rng)
-            assert iou(a, b) == pytest.approx(iou(b, a), abs=1e-15)
-            assert 0.0 <= iou(a, b) <= 1.0
-            assert iou(a, a) == 1.0
+        a = stack_boxes([random_box(rng) for _ in range(200)])
+        b = stack_boxes([random_box(rng) for _ in range(200)])
+        np.testing.assert_array_equal(iou(a, b), iou(b, a))
+        assert np.all((0.0 <= iou(a, b)) & (iou(a, b) <= 1.0))
+        assert np.all(iou(a, a) == 1.0)
+
+    def test_pair_matrix_equals_the_scalar_reference(self):
+        rng = np.random.default_rng(5)
+        a = [random_box(rng) for _ in range(7)]
+        b = [random_box(rng) for _ in range(5)] + a[:2]
+        got = iou(stack_boxes(a)[:, None], stack_boxes(b)[None])
+        assert got.shape == (7, 7)
+        np.testing.assert_array_equal(got, [[oracles.iou(x, y) for y in b] for x in a])
+
+    def test_leading_axes_broadcast(self):
+        rng = np.random.default_rng(6)
+        regions = rng.uniform(0.1, 0.3, size=(3, 4, 1, 4))
+        risky = rng.uniform(0.1, 0.3, size=(3, 1, 2, 4))
+        got = iou(regions, risky)
+        assert got.shape == (3, 4, 2)
+        assert got[2, 1, 0] == iou(regions[2, 1, 0], risky[2, 0, 0])
 
 
 class TestRelativeConfig:
@@ -91,35 +118,37 @@ class TestRelativeConfig:
 class TestBoxTransform:
     def test_identity_transform(self):
         p = Box(0.3, 0.7, 0.2, 0.1)
-        assert apply_box_transform(p, BoxTransform(0, 0, 0, 0)) == p
+        assert apply_box_transform(p, (0, 0, 0, 0)) == p
 
     def test_pure_shift(self):
-        got = apply_box_transform(Box(2, 3, 4, 5), BoxTransform(1, 0, 0, 0))
+        got = apply_box_transform(Box(2, 3, 4, 5), (1, 0, 0, 0))
         assert got == Box(6, 3, 4, 5)
 
     def test_pure_width_scale(self):
-        got = apply_box_transform(Box(0, 0, 1, 1), BoxTransform(0, 0, math.log(2), 0))
+        got = apply_box_transform(Box(0, 0, 1, 1), (0, 0, math.log(2), 0))
         assert got.as_array() == pytest.approx([0, 0, 2, 1])
 
     def test_rejects_extreme_log_scale(self):
         with pytest.raises(ValueError):
-            apply_box_transform(Box(0, 0, 1, 1), BoxTransform(0, 0, 21.0, 0))
+            apply_box_transform(Box(0, 0, 1, 1), (0, 0, 21.0, 0))
 
     def test_encode_identity(self):
-        p = Box(0.3, 0.7, 0.2, 0.1)
-        assert encode_box_transform(p, p).as_array() == pytest.approx([0, 0, 0, 0])
+        p = np.array([0.3, 0.7, 0.2, 0.1])
+        assert encode_box_transform(p, p).tolist() == [0, 0, 0, 0]
 
     def test_encode_inverts_shift(self):
-        got = encode_box_transform(Box(2, 3, 4, 5), Box(6, 3, 4, 5))
-        assert got.as_array() == pytest.approx([1, 0, 0, 0])
+        got = encode_box_transform(np.array([2.0, 3, 4, 5]), np.array([6.0, 3, 4, 5]))
+        assert got.tolist() == [1, 0, 0, 0]
 
-    def test_round_trip(self):
+    def test_round_trip_per_column(self):
         rng = np.random.default_rng(4)
-        for _ in range(200):
-            src, dst = random_box(rng), random_box(rng)
-            back = apply_box_transform(src, encode_box_transform(src, dst))
-            np.testing.assert_allclose(back.as_array(), dst.as_array(),
-                                       rtol=1e-9, atol=1e-12)
+        src = [random_box(rng) for _ in range(200)]
+        dst = [random_box(rng) for _ in range(200)]
+        c = encode_box_transform(stack_boxes(src).T, stack_boxes(dst).T)
+        assert c.shape == (4, 200)
+        for t, (s, d) in enumerate(zip(src, dst)):
+            back = apply_box_transform(s, c[:, t])
+            np.testing.assert_allclose(back.as_array(), d.as_array(), rtol=1e-9, atol=1e-12)
 
 
 def smooth_l1(z):

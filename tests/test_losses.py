@@ -5,12 +5,13 @@ import pytest
 
 from riskrnn.autodiff import Tape
 from riskrnn.data import VideoTargets
-from riskrnn.geometry import Box, iou
+from riskrnn.geometry import Box, encode_box_transform, iou, stack_boxes
 from riskrnn.losses import (anticipation_loss, region_labels,
                             region_loss, total_loss, transform_loss)
 from riskrnn.model import RiskModel, forward_video, variant_config
 
-from helpers import TINY_CONFIG, random_frames, random_targets, tiny_model
+import oracles
+from helpers import TINY_CONFIG, random_box, random_frames, random_targets, tiny_model
 
 
 def prob_nodes(tape, values):
@@ -19,14 +20,19 @@ def prob_nodes(tape, values):
     return tape.const(np.stack([1.0 - values, values]))
 
 
+def frame_labels(region_boxes, risky_boxes):
+    """Labels of one frame's regions: a video of one frame."""
+    return region_labels(stack_boxes(region_boxes)[None], stack_boxes(risky_boxes)[None])[0]
+
+
 class TestRegionLabels:
     def test_exact_match_is_risky(self):
         box = Box(0.5, 0.5, 0.2, 0.2)
-        assert region_labels([box], [box]).tolist() == [1.0]
+        assert frame_labels([box], [box]).tolist() == [1.0]
 
     def test_disjoint_is_not_risky(self):
-        assert region_labels([Box(0.1, 0.1, 0.1, 0.1)],
-                             [Box(0.9, 0.9, 0.1, 0.1)]).tolist() == [0.0]
+        assert frame_labels([Box(0.1, 0.1, 0.1, 0.1)],
+                            [Box(0.9, 0.9, 0.1, 0.1)]).tolist() == [0.0]
 
     def test_boundary_iou_is_strict(self):
         # dyadic sides/centers make intersection 0.125 and union 0.3125 exact,
@@ -34,21 +40,34 @@ class TestRegionLabels:
         # leave the region unlabeled
         region = Box(0.25, 0.25, 0.5, 0.5)
         gt = Box(0.125, 0.25, 0.75, 0.25)
-        assert iou(region, gt) == 0.4
-        assert region_labels([region], [gt]).tolist() == [0.0]
+        assert iou(region.as_array(), gt.as_array()) == 0.4
+        assert frame_labels([region], [gt]).tolist() == [0.0]
 
     def test_negative_video_all_zero(self):
         boxes = [Box(0.5, 0.5, 0.2, 0.2), Box(0.3, 0.3, 0.1, 0.1)]
-        assert region_labels(boxes, []).tolist() == [0.0, 0.0]
+        assert frame_labels(boxes, []).tolist() == [0.0, 0.0]
 
     def test_invariant_to_gt_order(self):
         rng = np.random.default_rng(0)
         boxes = [Box(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8), 0.2, 0.2)
                  for _ in range(6)]
         gts = boxes[:2] + [Box(0.9, 0.9, 0.05, 0.05)]
-        a = region_labels(boxes, gts)
-        b = region_labels(boxes, gts[::-1])
+        a = frame_labels(boxes, gts)
+        b = frame_labels(boxes, gts[::-1])
         assert np.array_equal(a, b)
+
+    def test_each_frame_against_its_own_risky_boxes_as_the_scalar_reference(self):
+        rng = np.random.default_rng(7)
+        regions = [[random_box(rng) for _ in range(5)] for _ in range(4)]
+        # frames 1 and 3 hold one of their own regions; the NaN rows that pad
+        # frames 0, 2 and 3 to two risky boxes overlap nothing
+        risky = [[random_box(rng)], [random_box(rng), regions[1][0]], [], [regions[3][2]]]
+        targets = VideoTargets(True, 3, [b[0] for b in regions], risky)
+        got = region_labels(np.stack([stack_boxes(r) for r in regions]), targets.risky_array())
+        want = [[float(any(oracles.iou(box, gt) > 0.4 for gt in gts)) for box in boxes]
+                for boxes, gts in zip(regions, risky)]
+        assert got.tolist() == want
+        assert got[1, 0] == got[3, 2] == 1.0
 
 
 class TestAnticipationLoss:
@@ -137,12 +156,11 @@ class TestTransformLoss:
         return [Box(0.1 + 0.05 * t, 0.5, 0.1, 0.1) for t in range(n)]
 
     def test_perfect_prediction_is_zero(self):
-        from riskrnn.geometry import encode_box_transform
         tape = Tape()
         track = self.track(4)
         c = np.zeros((4, 4))
         for t in range(3):
-            c[:, t] = encode_box_transform(track[t], track[t + 1]).as_array()
+            c[:, t] = encode_box_transform(track[t].as_array(), track[t + 1].as_array())
         c[:, 3] = 5.0  # the last frame has no target
         loss = transform_loss(tape, tape.const(c), track, horizon=1)
         assert float(loss.value) == pytest.approx(0.0, abs=1e-12)
@@ -187,8 +205,8 @@ class TestTotalLoss:
         tape = Tape(train=False)
         out = forward_video(model.store, cfg, frames, tape)
         total = total_loss(tape, frames, out, targets, (1.0,), cfg.horizon)
-        labels = [region_labels(f.region_boxes, targets.risky_boxes[t])
-                  for t, f in enumerate(frames)]
+        labels = region_labels(np.stack([f.regions.xywh for f in frames]),
+                               targets.risky_array())
         want = (float(anticipation_loss(tape, out.y_node, True, targets.t_accident).value)
                 + float(region_loss(tape, out.s_node, labels).value))
         assert float(total.value) == pytest.approx(want, rel=1e-12)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
 from riskrnn.data import FrameInput, RegionSet
-from riskrnn.geometry import Box, relative_config
+from riskrnn.geometry import Box, stack_boxes
 from riskrnn.losses import total_loss
 from riskrnn.model import (ModelConfig, RiskModel, VideoRegions,
                            agent_rnn_step, anticipate_step, forward_video,
@@ -27,7 +27,7 @@ def video_regions(rng, n_frames, n_regions, d_feat):
 
 
 def box_columns(boxes):
-    return np.array([b.as_array() for b in boxes]).T
+    return stack_boxes(boxes).T
 
 
 class TestConfig:
@@ -69,7 +69,7 @@ class TestTapeGeometry:
                                 rng.normal(size=(5, 3)))
             tape = Tape()
             got = ad.relative_config(tape.const(agent.as_array()), regions)
-            want = np.stack([relative_config(agent, r)
+            want = np.stack([oracles.relative_config(agent, r)
                              for r in regions.boxes], axis=1)
             np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=1e-12)
 
@@ -81,7 +81,7 @@ class TestTapeGeometry:
         got = ad.relative_config(Tape().const(box_columns(agents)), VideoRegions(sets))
         assert got.value.shape == (9, 6, 4)
         for t, (agent, regions) in enumerate(zip(agents, sets)):
-            want = np.stack([relative_config(agent, r) for r in regions.boxes], axis=1)
+            want = np.stack([oracles.relative_config(agent, r) for r in regions.boxes], axis=1)
             np.testing.assert_allclose(got.value[:, t], want, rtol=1e-12, atol=1e-12)
 
     def test_box_transform_matches_scalar_version(self):
@@ -397,14 +397,11 @@ class TestMatchesPerFrameReference:
         model = RiskModel.create(cfg, seed=seed)
         frames = random_frames(rng, cfg, n_frames, n_regions)
         targets = random_targets(rng, frames, positive)
-        # untrained weights can push a region logit below -709, where exp
-        # overflows and the sigmoid is exactly 0 on both paths
-        with np.errstate(over="ignore"):
-            tape = Tape()
-            out = forward_video(model.store, cfg, frames, tape)
-            loss = total_loss(tape, frames, out, targets, cfg.lambdas, cfg.horizon)
-            ref = oracles.forward(model.store, cfg, frames)
-            ref_loss = oracles.total_loss(cfg, frames, ref, targets)
+        tape = Tape()
+        out = forward_video(model.store, cfg, frames, tape)
+        loss = total_loss(tape, frames, out, targets, cfg.lambdas, cfg.horizon)
+        ref = oracles.forward(model.store, cfg, frames)
+        ref_loss = oracles.total_loss(cfg, frames, ref, targets)
 
         def close(got, want):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
