@@ -140,7 +140,7 @@ class TestBoxTransform:
         got = encode_box_transform(np.array([2.0, 3, 4, 5]), np.array([6.0, 3, 4, 5]))
         assert got.tolist() == [1, 0, 0, 0]
 
-    def test_round_trip_per_column(self):
+    def test_round_trip(self):
         rng = np.random.default_rng(4)
         src = [random_box(rng) for _ in range(200)]
         dst = [random_box(rng) for _ in range(200)]
