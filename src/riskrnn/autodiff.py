@@ -8,6 +8,13 @@ weighted gradient sum. Nodes that cannot reach a parameter skip closure
 creation entirely, which keeps constant-only subgraphs (frozen inference,
 observed-frame geometry) cheap.
 
+The ops are the ones the risk model and its losses run, on whole-video
+matrices: broadcasting arithmetic, the nonlinearities and matrix and shape
+ops they need, and three fused ops with hand-derived backward passes. These
+are ``lstm``, the only LSTM, which runs S steps of B independent cells,
+``relative_config`` and ``apply_box_transform``. Tests compose references
+from these ops and from the few extra ops in tests/oracles.py.
+
 A tape is single-use for backward; build a fresh one per forward/backward
 pass. A recording tape and its nodes form a reference cycle (each node points
 back at its tape), so a trainer releases the tape once its gradients are in
@@ -28,13 +35,6 @@ class Node:
         self.requires_grad = requires_grad
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def item(self) -> float:
-        return float(self.value)
-
     # operators; raw numbers/arrays are wrapped as constants
     def __add__(self, other):
         return add(self, _wrap(self.tape, other))
@@ -53,12 +53,6 @@ class Node:
 
     def __rmul__(self, other):
         return mul(_wrap(self.tape, other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(self.tape, other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(self.tape, other), self)
 
     def __neg__(self):
         return self * -1.0
@@ -183,30 +177,6 @@ def mul(a: Node, b: Node) -> Node:
     return a.tape._make(a.value * b.value, (a, b), backward)
 
 
-def div(a: Node, b: Node) -> Node:
-    def backward(g):
-        _accum(a, _unbroadcast(g / b.value, a.value.shape))
-        _accum(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-    return a.tape._make(a.value / b.value, (a, b), backward)
-
-
-def maximum(a: Node, b: Node) -> Node:
-    # ties route the gradient to the first operand
-    mask = a.value >= b.value
-    def backward(g):
-        _accum(a, _unbroadcast(g * mask, a.value.shape))
-        _accum(b, _unbroadcast(g * ~mask, b.value.shape))
-    return a.tape._make(np.maximum(a.value, b.value), (a, b), backward)
-
-
-def minimum(a: Node, b: Node) -> Node:
-    mask = a.value <= b.value
-    def backward(g):
-        _accum(a, _unbroadcast(g * mask, a.value.shape))
-        _accum(b, _unbroadcast(g * ~mask, b.value.shape))
-    return a.tape._make(np.minimum(a.value, b.value), (a, b), backward)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -227,20 +197,6 @@ def sigmoid(x: Node) -> Node:
     out = _logistic(x.value)
     def backward(g):
         _accum(x, g * out * (1.0 - out))
-    return x.tape._make(out, (x,), backward)
-
-
-def tanh(x: Node) -> Node:
-    out = np.tanh(x.value)
-    def backward(g):
-        _accum(x, g * (1.0 - out * out))
-    return x.tape._make(out, (x,), backward)
-
-
-def exp(x: Node) -> Node:
-    out = np.exp(x.value)
-    def backward(g):
-        _accum(x, g * out)
     return x.tape._make(out, (x,), backward)
 
 
@@ -283,18 +239,13 @@ def smooth_l1(x: Node) -> Node:
 # linear algebra and shape ops
 
 def matmul(a: Node, b: Node) -> Node:
-    """2-D @ 1-D or 2-D @ 2-D product."""
+    """Product of two matrices."""
     av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim not in (1, 2) or av.shape[1] != bv.shape[0]:
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-    if bv.ndim == 1:
-        def backward(g):
-            _accum(a, np.outer(g, bv))
-            _accum(b, av.T @ g)
-    else:
-        def backward(g):
-            _accum(a, g @ bv.T)
-            _accum(b, av.T @ g)
+    def backward(g):
+        _accum(a, g @ bv.T)
+        _accum(b, av.T @ g)
     return a.tape._make(av @ bv, (a, b), backward)
 
 
@@ -323,15 +274,6 @@ def concat(parts) -> Node:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             _accum(p, g[lo:hi])
     return parts[0].tape._make(np.concatenate([p.value for p in parts]),
-                               tuple(parts), backward)
-
-
-def stack_rows(parts) -> Node:
-    """Stack 1-D nodes of equal length into a (len(parts), n) matrix."""
-    def backward(g):
-        for i, p in enumerate(parts):
-            _accum(p, g[i])
-    return parts[0].tape._make(np.stack([p.value for p in parts]),
                                tuple(parts), backward)
 
 
@@ -368,68 +310,41 @@ def reshape(x: Node, shape) -> Node:
     return x.tape._make(x.value.reshape(shape), (x,), backward)
 
 
-def flatten(x: Node) -> Node:
-    return reshape(x, (-1,))
+# ---------------------------------------------------------------------------
+# fused model ops with hand-derived backward passes
 
-
-def lstm_core(z: Node, c_prev: Node) -> tuple[Node, Node]:
-    """Fused LSTM cell body: gates from preactivations, then the state update.
-
-    ``z`` holds the stacked (4H,) gate preactivations ordered
-    [input, forget, candidate, output], or a (4H, B) matrix of them with one
-    independent cell per column and a (H, B) ``c_prev``. Returns (hidden,
-    cell). Fusing the gate nonlinearities and products into one taped op keeps
-    node counts low, which dominates training cost at desk scale.
-    """
-    hdim = c_prev.value.shape[0]
-    want = (4 * hdim,) + c_prev.value.shape[1:]
-    if z.value.shape != want:
-        raise ValueError(f"lstm_core expects {want} preactivations, got {z.value.shape}")
-    zv = z.value
-    i = _logistic(zv[0:hdim])
-    f = _logistic(zv[hdim:2 * hdim])
-    g_ = np.tanh(zv[2 * hdim:3 * hdim])
-    o = _logistic(zv[3 * hdim:4 * hdim])
-    cell = f * c_prev.value + i * g_
-    tanh_c = np.tanh(cell)
-    hidden = o * tanh_c
-
-    def backward(g):
-        gh = g[0:hdim]
-        dc = g[hdim:2 * hdim] + gh * o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty_like(zv)
-        dz[0:hdim] = dc * g_ * i * (1.0 - i)
-        dz[hdim:2 * hdim] = dc * c_prev.value * f * (1.0 - f)
-        dz[2 * hdim:3 * hdim] = dc * i * (1.0 - g_ * g_)
-        dz[3 * hdim:4 * hdim] = gh * tanh_c * o * (1.0 - o)
-        _accum(z, dz)
-        _accum(c_prev, dc * f)
-    hc = z.tape._make(np.concatenate([hidden, cell]), (z, c_prev), backward)
-    return vec_slice(hc, 0, hdim), vec_slice(hc, hdim, 2 * hdim)
-
-
-def lstm_sweep(w: Node, b: Node, x: Node) -> tuple[Node, Node]:
-    """An LSTM run over the T columns of ``x`` from a zero state, as one op.
+def lstm(w: Node, b: Node, x: Node, h0: Node | None = None,
+         c0: Node | None = None) -> tuple[Node, Node]:
+    """S steps of B independent LSTM cells (no peepholes) as one op.
 
     ``w`` is the (4H, I + H) weight acting on [input; previous hidden] and
-    ``b`` the (4H, 1) bias, gates ordered as in ``lstm_core``; ``x`` is
-    (I, T). Returns the (H, T) hidden and cell sequences, column t being the
-    state after step t. The inputs of all T steps are projected in one matmul;
-    the backward pass runs backpropagation through time and forms the weight
-    gradient as one product dZ @ [X; H_prev]^T.
+    ``b`` the (4H, 1) bias, gates ordered [input, forget, candidate, output].
+    ``x`` is (I, S, B): column (s, b) is the input of cell b at step s. The
+    cells start from the (H, B) states ``h0`` and ``c0``, zero when None.
+    Returns the (H, S, B) hidden and cell sequences, entry s being the state
+    after step s. The inputs of all steps are projected in one matmul; the
+    backward pass runs backpropagation through time, forms the weight
+    gradient as one product dZ @ [X; H_prev]^T and passes gradients on to
+    ``x``, ``h0`` and ``c0``. Fusing the gates and the recurrence into one
+    taped op keeps node counts low, which dominates training cost at desk
+    scale.
     """
     wv, xv = w.value, x.value
-    n_in, steps = xv.shape
     hdim = wv.shape[0] // 4
-    if wv.shape != (4 * hdim, n_in + hdim) or b.value.shape != (4 * hdim, 1):
-        raise ValueError(f"lstm_sweep shape mismatch: weight {wv.shape}, "
-                         f"bias {b.value.shape}, input {xv.shape}")
+    n_in, batch = xv.shape[0], xv.shape[-1]
+    h0v = np.zeros((hdim, batch)) if h0 is None else h0.value
+    c0v = np.zeros((hdim, batch)) if c0 is None else c0.value
+    if (xv.ndim != 3 or wv.shape != (4 * hdim, n_in + hdim) or b.value.shape != (4 * hdim, 1)
+            or h0v.shape != (hdim, batch) or c0v.shape != (hdim, batch)):
+        raise ValueError(f"lstm shape mismatch: weight {wv.shape}, bias {b.value.shape}, "
+                         f"input {xv.shape}, states {h0v.shape} and {c0v.shape}")
+    steps = xv.shape[1]
     w_x, w_h = wv[:, :n_in], wv[:, n_in:]
-    z_in = w_x @ xv + b.value
-    acts = np.empty((4 * hdim, steps))   # [input; forget; candidate; output] gates
-    tanh_c = np.empty((hdim, steps))
-    hc = np.empty((2 * hdim, steps))     # [hidden; cell]
-    h = c = np.zeros(hdim)
+    z_in = (w_x @ xv.reshape(n_in, steps * batch) + b.value).reshape(4 * hdim, steps, batch)
+    acts = np.empty((4 * hdim, steps, batch))  # [input; forget; candidate; output] gates
+    tanh_c = np.empty((hdim, steps, batch))
+    hc = np.empty((2 * hdim, steps, batch))    # [hidden; cell]
+    h, c = h0v, c0v
     for t in range(steps):
         z = z_in[:, t] + w_h @ h
         a = _logistic(z)
@@ -443,51 +358,54 @@ def lstm_sweep(w: Node, b: Node, x: Node) -> tuple[Node, Node]:
 
     def backward(grad):
         i, f, g_, o = acts[0:hdim], acts[hdim:2 * hdim], acts[2 * hdim:3 * hdim], acts[3 * hdim:]
-        h_prev = np.zeros((hdim, steps))
-        h_prev[:, 1:] = hc[:hdim, :-1]
-        c_prev = np.zeros((hdim, steps))
-        c_prev[:, 1:] = hc[hdim:, :-1]
-        # local derivatives, a column per step: of the input, forget and
-        # candidate preactivations per unit of cell gradient, of the output
-        # preactivation per unit of hidden gradient, and of hidden = o * tanh(cell)
-        # with respect to the cell
+        h_prev = np.concatenate([h0v[:, None], hc[:hdim, :-1]], axis=1)
+        c_prev = np.concatenate([c0v[:, None], hc[hdim:, :-1]], axis=1)
+        # local derivatives, an entry per step and cell: of the input, forget
+        # and candidate preactivations per unit of cell gradient, of the
+        # output preactivation per unit of hidden gradient, and of
+        # hidden = o * tanh(cell) with respect to the cell
         dz_dc = np.stack([g_ * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g_ * g_)])
         dz_dh = tanh_c * o * (1.0 - o)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty((4 * hdim, steps))
-        dz_cell = dz[:3 * hdim].reshape(3, hdim, steps)
-        dh_next = dc_next = np.zeros(hdim)
+        dz = np.empty((4 * hdim, steps, batch))
+        dz_cell = dz[:3 * hdim].reshape(3, hdim, steps, batch)
+        dh_next = dc_next = np.zeros((hdim, batch))
         for t in range(steps - 1, -1, -1):
             dh = grad[:hdim, t] + dh_next
             dc = grad[hdim:, t] + dc_next + dh * dc_dh[:, t]
             dz_cell[:, :, t] = dc * dz_dc[:, :, t]
             dz[3 * hdim:, t] = dh * dz_dh[:, t]
             dc_next = dc * f[:, t]
-            dh_next = dz[:, t] @ w_h
-        _accum(w, dz @ np.concatenate([xv, h_prev]).T)
-        _accum(b, dz.sum(axis=1, keepdims=True))
+            dh_next = (dz[:, t].T @ w_h).T
+        dz_cols = dz.reshape(4 * hdim, steps * batch)
+        inputs = np.concatenate([xv, h_prev]).reshape(n_in + hdim, steps * batch)
+        _accum(w, dz_cols @ inputs.T)
+        _accum(b, dz_cols.sum(axis=1, keepdims=True))
         if x.requires_grad:
-            _accum(x, w_x.T @ dz)
-    out = w.tape._make(hc, (w, b, x), backward)
+            _accum(x, (w_x.T @ dz_cols).reshape(xv.shape))
+        if h0 is not None:
+            _accum(h0, dh_next)
+        if c0 is not None:
+            _accum(c0, dc_next)
+    states = tuple(s for s in (h0, c0) if s is not None)
+    out = w.tape._make(hc, (w, b, x) + states, backward)
     return vec_slice(out, 0, hdim), vec_slice(out, hdim, 2 * hdim)
 
 
 def relative_config(agent: Node, regions) -> Node:
     """Fused configuration of every region relative to the agent box.
 
-    ``agent`` holds (cx, cy, w, h), either one (4,) box or a (4, T) column per
-    frame. ``regions`` supplies arrays ``cx``, ``cy``, ``w``, ``h``, ``x1``,
-    ``y1``, ``x2``, ``y2`` and ``area`` of shape (N,) for one box, as
-    data.RegionSet does, or (T, N) for T columns. The output is (9, N) or
+    ``agent`` holds a (cx, cy, w, h) column per frame, (4, T). ``regions``
+    supplies (T, N) arrays ``cx``, ``cy``, ``w``, ``h``, ``x1``, ``y1``,
+    ``x2``, ``y2`` and ``area``, as model.VideoRegions does. The output is
     (9, T, N). Rows are the region's center, min-corner and max-corner
     offsets from the agent center (x over agent width, y over agent height),
     its size ratios, and the IoU of the two boxes, the same cues as the scalar
     reference in tests/oracles.py. The backward pass returns the gradient with
-    respect to the agent box only; overlap ties route the way ``minimum``,
-    ``maximum`` and ``relu`` route them.
+    respect to the agent box only; overlap ties route to the agent's corner,
+    and a span of exactly zero passes no gradient.
     """
-    a = agent.value if agent.value.ndim == 1 else agent.value[:, :, None]
-    cx, cy, w, h = a
+    cx, cy, w, h = agent.value[:, :, None]
     inv_w, inv_h = 1.0 / w, 1.0 / h
     ax1, ax2 = cx - 0.5 * w, cx + 0.5 * w
     ay1, ay2 = cy - 0.5 * h, cy + 0.5 * h

@@ -49,10 +49,9 @@ _LAYOUT = {
 
 @dataclass(frozen=True, eq=False)
 class RegionSet:
-    """A frame's candidate regions. Construction also sets the (N, 4) array
-    ``xywh`` of the box rows, which the region labels read, the (N,) arrays
-    ``cx``, ``cy``, ``w``, ``h``, ``x1``, ``y1``, ``x2``, ``y2`` and ``area``
-    and the (D, N) matrix ``feats_t`` that the model reads."""
+    """A frame's candidate regions: N boxes and their (N, D) appearances.
+    Construction also sets the (N, 4) array ``xywh`` of the box rows, which
+    the region labels and model.VideoRegions read."""
 
     boxes: tuple
     feats: np.ndarray
@@ -64,11 +63,7 @@ class RegionSet:
             raise ValueError("a frame needs at least one candidate region")
         if feats.shape[0] != len(boxes):
             raise ValueError(f"{len(boxes)} region boxes but {feats.shape[0]} feature rows")
-        xywh = stack_boxes(boxes)
-        cx, cy, w, h = xywh.T.copy()
-        for name, value in dict(boxes=boxes, feats=feats, xywh=xywh, cx=cx, cy=cy, w=w, h=h,
-                                x1=cx - 0.5 * w, y1=cy - 0.5 * h, x2=cx + 0.5 * w,
-                                y2=cy + 0.5 * h, area=w * h, feats_t=feats.T.copy()).items():
+        for name, value in dict(boxes=boxes, feats=feats, xywh=stack_boxes(boxes)).items():
             object.__setattr__(self, name, value)
 
     def __len__(self):
@@ -96,7 +91,7 @@ class FrameInput:
 class VideoTargets:
     """Supervision for one video.
 
-    ``t_accident`` and ``risky_boxes`` are meaningful for positives only;
+    A negative has no ``t_accident`` (None) and no risky box;
     ``agent_track`` covers every frame for both labels.
     """
 
@@ -113,6 +108,10 @@ class VideoTargets:
                 raise ValueError(f"positive video needs an accident frame in range, got {self.t_accident}")
             if len(self.risky_boxes) != n_frames:
                 raise ValueError("positive video needs ground-truth risky boxes per frame")
+        elif self.t_accident is not None or any(self.risky_boxes):
+            raise ValueError(f"negative video needs no accident frame and no risky box, got "
+                             f"accident frame {self.t_accident} and "
+                             f"{sum(map(len, self.risky_boxes))} risky boxes")
 
     def risky_array(self, n_risky: int | None = None) -> np.ndarray:
         """The (T, R, 4) risky boxes, R = ``n_risky`` or else the most any
@@ -236,7 +235,12 @@ def _read_video(a: dict, v: int) -> VideoSample:
     risky = tuple(tuple(Box(*row) for row in rows if not math.isnan(row[0]))
                   for rows in a["risky_box"][v].tolist())
     t_accident = int(a["t_accident"][v])
-    targets = VideoTargets(bool(a["positive"][v]), None if t_accident < 0 else t_accident,
+    video_id = str(a["video_id"][v])
+    targets = VideoTargets(bool(a["positive"][v]), None if t_accident == -1 else t_accident,
                            agent_boxes, risky)
-    return VideoSample(str(a["video_id"][v]), frames, targets, proposals,
+    try:
+        targets.validate(len(frames))
+    except ValueError as err:
+        raise ValueError(f"video {video_id}: {err}") from None
+    return VideoSample(video_id, frames, targets, proposals,
                        int(a["agent_class"][v]), tuple(a["region_class"][v].tolist()))

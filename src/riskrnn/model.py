@@ -137,14 +137,12 @@ class ModelOutput(Assessment):
 
 
 class VideoRegions:
-    """The candidate regions of every frame of a video, stacked: the (N,)
-    box arrays of each frame's data.RegionSet become (T, N) arrays ``cx``,
-    ``cy``, ``w``, ``h``, ``x1``, ``y1``, ``x2``, ``y2`` and ``area``, and
-    its appearances the (D, T, N) matrix ``feats``. The region passes need
-    one N for the whole video."""
+    """The candidate regions of every frame of a video, stacked: the (T, N)
+    box arrays ``cx``, ``cy``, ``w``, ``h``, ``x1``, ``y1``, ``x2``, ``y2``
+    and ``area`` that ad.relative_config reads, and the (D, T, N)
+    appearances ``feats``. The region passes need one N for the whole video."""
 
-    BOX_ARRAYS = ("cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")
-    __slots__ = ("n", "feats") + BOX_ARRAYS
+    __slots__ = ("n", "feats", "cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")
 
     def __init__(self, region_sets):
         self.n = len(region_sets[0])
@@ -152,9 +150,12 @@ class VideoRegions:
             if len(regions) != self.n:
                 raise ValueError(f"frame {t} has {len(regions)} regions and frame 0 "
                                  f"has {self.n}; a video needs one region count")
-        for name in self.BOX_ARRAYS:
-            setattr(self, name, np.stack([getattr(r, name) for r in region_sets]))
-        self.feats = np.stack([r.feats_t for r in region_sets], axis=1)
+        cx, cy, w, h = np.moveaxis(np.stack([r.xywh for r in region_sets]), 2, 0).copy()
+        self.cx, self.cy, self.w, self.h = cx, cy, w, h
+        self.x1, self.y1 = cx - 0.5 * w, cy - 0.5 * h
+        self.x2, self.y2 = cx + 0.5 * w, cy + 0.5 * h
+        self.area = w * h
+        self.feats = np.stack([r.feats.T for r in region_sets], axis=1)
 
 
 # ---------------------------------------------------------------------------

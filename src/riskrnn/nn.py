@@ -104,58 +104,43 @@ def init_params(specs, seed: int) -> ParameterStore:
 
 
 def dense(tape: Tape, weight: ParamMatrix, x: Node, bias: ParamMatrix | None = None) -> Node:
-    """weight @ x (+ bias), recorded on the tape.
-
-    ``x`` may be a vector or a matrix of column samples; the (n, 1) bias
-    broadcasts across columns in the matrix case.
-    """
-    w = tape.param(weight)
-    out = ad.matmul(w, x)
+    """weight @ x (+ bias) over a matrix of column samples, recorded on the
+    tape; the (n, 1) bias broadcasts across the columns."""
+    out = ad.matmul(tape.param(weight), x)
     if bias is not None:
-        b = tape.param(bias)
-        if x.value.ndim == 1:
-            b = ad.flatten(b)
-        out = out + b
+        out = out + tape.param(bias)
     return out
 
 
 @dataclass
 class LstmState:
-    """Hidden and cell states as tape nodes: (H,) vectors, or (H, T) with a
-    column per step or per independent cell."""
+    """Hidden and cell states as (H, T) tape nodes, with a column per step
+    or per independent cell."""
 
     hidden: Node
     cell: Node
 
 
-def lstm_zero_state(tape: Tape, hidden_dim: int) -> LstmState:
-    return LstmState(tape.const(np.zeros(hidden_dim)),
-                     tape.const(np.zeros(hidden_dim)))
+def _columns(seq: Node) -> Node:
+    """An (H, S, B) sequence of ad.lstm as (H, S * B) columns."""
+    return ad.reshape(seq, (seq.value.shape[0], -1))
 
 
 def lstm_step(tape: Tape, weight: ParamMatrix, bias: ParamMatrix,
               x: Node, state: LstmState) -> LstmState:
-    """One vanilla LSTM step (no peepholes), gates ordered i, f, g, o.
-
-    ``x`` is an (I,) input or an (I, B) matrix that advances B independent
-    cells, one per column of ``state``, by one step each.
-    """
-    hidden_dim = weight.rows // 4
-    if (x.value.ndim not in (1, 2) or weight.cols != x.value.shape[0] + hidden_dim
-            or x.value.shape[1:] != state.hidden.value.shape[1:]):
-        raise ValueError(
-            f"lstm shape mismatch: weight {weight.values.shape}, "
-            f"input {x.value.shape}, hidden {state.hidden.value.shape}"
-        )
-    z = dense(tape, weight, ad.concat([x, state.hidden]), bias)
-    hidden, cell = ad.lstm_core(z, state.cell)
-    return LstmState(hidden, cell)
+    """One LSTM step of B independent cells: the (I, B) input advances
+    column b of the (H, B) state by one step."""
+    hidden, cell = ad.lstm(tape.param(weight), tape.param(bias),
+                           ad.reshape(x, (x.value.shape[0], 1, -1)), state.hidden, state.cell)
+    return LstmState(_columns(hidden), _columns(cell))
 
 
 def lstm_sweep(tape: Tape, weight: ParamMatrix, bias: ParamMatrix, x: Node) -> LstmState:
-    """The LSTM of ``lstm_step`` run over the T columns of an (I, T) input
-    from a zero state; returns the (H, T) hidden and cell sequences."""
-    return LstmState(*ad.lstm_sweep(tape.param(weight), tape.param(bias), x))
+    """One LSTM cell run over the T columns of an (I, T) input from a zero
+    state; returns the (H, T) hidden and cell sequences."""
+    hidden, cell = ad.lstm(tape.param(weight), tape.param(bias),
+                           ad.reshape(x, x.value.shape + (1,)))
+    return LstmState(_columns(hidden), _columns(cell))
 
 
 def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,
@@ -179,41 +164,6 @@ def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,
         v_hat = v / (1.0 - beta2 ** t)
         pm.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
     store.zero_grads()
-
-
-def finite_diff_check(store: ParameterStore, make_loss, h: float = 1e-5) -> float:
-    """Worst relative disagreement between tape gradients and central differences.
-
-    ``make_loss`` rebuilds the forward pass from the store's current values
-    and returns (tape, scalar loss node); it must be deterministic. Relative
-    error uses a small denominator floor so near-zero gradients are compared
-    absolutely.
-    """
-    store.zero_grads()
-    tape, loss = make_loss()
-    tape.backward(loss)
-    analytic = {pm.name: pm.grad.copy() for pm in store}
-    store.zero_grads()
-
-    def loss_value() -> float:
-        return float(make_loss()[1].value)
-
-    worst = 0.0
-    for pm in store:
-        values = pm.values
-        flat = values.reshape(-1)
-        for idx in range(flat.shape[0]):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up = loss_value()
-            flat[idx] = orig - h
-            down = loss_value()
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * h)
-            a = analytic[pm.name].reshape(-1)[idx]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
-            worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Shared builders for model-level tests: random frames, targets, and stores."""
+"""Shared builders for model-level tests: random frames, targets, and stores,
+and the finite-difference gradient check."""
 import numpy as np
 
 from riskrnn.data import FrameInput, RegionSet, VideoTargets
 from riskrnn.geometry import Box
 from riskrnn.model import ModelConfig, RiskModel
+from riskrnn.nn import ParameterStore
 
 TINY_CONFIG = ModelConfig(d_agent=8, d_region=8, d_u=6, h_agent=8, h_aa=8,
                           horizon=1, imagine_steps=1, lambdas=(0.6, 0.4))
@@ -75,3 +77,38 @@ def zeroed_model(cfg: ModelConfig) -> RiskModel:
     for pm in model.store:
         pm.values[...] = 0.0
     return model
+
+
+def finite_diff_check(store: ParameterStore, make_loss, h: float = 1e-5) -> float:
+    """Worst relative disagreement between tape gradients and central differences.
+
+    ``make_loss`` rebuilds the forward pass from the store's current values
+    and returns (tape, scalar loss node); it must be deterministic. Relative
+    error uses a small denominator floor so near-zero gradients are compared
+    absolutely.
+    """
+    store.zero_grads()
+    tape, loss = make_loss()
+    tape.backward(loss)
+    analytic = {pm.name: pm.grad.copy() for pm in store}
+    store.zero_grads()
+
+    def loss_value() -> float:
+        return float(make_loss()[1].value)
+
+    worst = 0.0
+    for pm in store:
+        values = pm.values
+        flat = values.reshape(-1)
+        for idx in range(flat.shape[0]):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = loss_value()
+            flat[idx] = orig - h
+            down = loss_value()
+            flat[idx] = orig
+            numeric = (up - down) / (2.0 * h)
+            a = analytic[pm.name].reshape(-1)[idx]
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
+            worst = max(worst, err)
+    return worst

@@ -6,12 +6,15 @@
   videos as column passes, written out with numpy and the scalar geometry;
 - the tracker, the per-frame detection matching and the oracle rescoring as
   pair loops over scalar IoU, the way they were written before they took
-  whole IoU matrices.
+  whole IoU matrices;
+- the tape ops that only references composed from primitive ops use:
+  division, maximum, minimum and row stacking.
 """
 import math
 
 import numpy as np
 
+from riskrnn.autodiff import Node, _accum, _unbroadcast
 from riskrnn.evaluation import REGION_IOU_THRESHOLD
 from riskrnn.geometry import MAX_LOG_SCALE, Box, encode_box_transform
 from riskrnn.losses import PROB_CLAMP, RISKY_IOU_THRESHOLD
@@ -279,3 +282,39 @@ def oracle_rescore(frames):
                 else 0.0) for box, _ in detections], gt_boxes)
              for detections, gt_boxes in video]
             for video in frames]
+
+
+# ---------------------------------------------------------------------------
+# tape ops for references built from primitive ops
+
+def div(a: Node, b: Node) -> Node:
+    def backward(g):
+        _accum(a, _unbroadcast(g / b.value, a.value.shape))
+        _accum(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
+    return a.tape._make(a.value / b.value, (a, b), backward)
+
+
+def maximum(a: Node, b: Node) -> Node:
+    # ties route the gradient to the first operand
+    mask = a.value >= b.value
+    def backward(g):
+        _accum(a, _unbroadcast(g * mask, a.value.shape))
+        _accum(b, _unbroadcast(g * ~mask, b.value.shape))
+    return a.tape._make(np.maximum(a.value, b.value), (a, b), backward)
+
+
+def minimum(a: Node, b: Node) -> Node:
+    mask = a.value <= b.value
+    def backward(g):
+        _accum(a, _unbroadcast(g * mask, a.value.shape))
+        _accum(b, _unbroadcast(g * ~mask, b.value.shape))
+    return a.tape._make(np.minimum(a.value, b.value), (a, b), backward)
+
+
+def stack_rows(parts) -> Node:
+    """Stack nodes of one shape along a new first axis of len(parts)."""
+    def backward(g):
+        for i, p in enumerate(parts):
+            _accum(p, g[i])
+    return parts[0].tape._make(np.stack([p.value for p in parts]),
+                               tuple(parts), backward)

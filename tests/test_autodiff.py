@@ -77,7 +77,7 @@ class TestBasics:
         def grads(scale):
             tape = Tape()
             leaf = tape.leaf(x0)
-            loss = ad.vsum(ad.tanh(leaf) * leaf) * scale
+            loss = ad.vsum(ad.sigmoid(leaf) * leaf) * scale
             tape.backward(loss)
             return leaf.grad
 
@@ -115,7 +115,7 @@ class TestBasics:
         def run():
             tape = Tape()
             leaf = tape.leaf(np.linspace(-1, 1, 7))
-            loss = ad.vsum(ad.softmax(leaf) * ad.tanh(leaf))
+            loss = ad.vsum(ad.softmax(leaf) * ad.sigmoid(leaf))
             tape.backward(loss)
             return float(loss.value), leaf.grad.copy()
 
@@ -173,28 +173,20 @@ class TestOpGradients:
 
     def test_elementwise_chain(self):
         check_gradient(
-            lambda t, x: ad.vsum(ad.sigmoid(x) * ad.tanh(x) + ad.exp(x * 0.3)),
+            lambda t, x: ad.vsum(ad.sigmoid(x) * ad.relu(x + 1.0) + ad.log(x * 0.3 + 1.0)),
             np.array([0.2, -0.7, 1.3]))
 
     def test_division_and_log(self):
         check_gradient(
-            lambda t, x: ad.vsum(ad.log(x) / (x + 2.0)),
+            lambda t, x: ad.vsum(oracles.div(ad.log(x), x + 2.0)),
             np.array([0.5, 1.7, 3.0]))
-
-    def test_matmul_vector(self):
-        rng = np.random.default_rng(5)
-        w0 = rng.normal(size=(3, 4))
-        x = rng.normal(size=4)
-        check_gradient(
-            lambda t, w: ad.vsum(ad.relu(ad.matmul(w, t.const(x)))),
-            w0)
 
     def test_matmul_matrix(self):
         rng = np.random.default_rng(6)
         w0 = rng.normal(size=(2, 3))
         m = rng.normal(size=(3, 5))
         check_gradient(
-            lambda t, w: ad.vsum(ad.tanh(ad.matmul(w, t.const(m)))),
+            lambda t, w: ad.vsum(ad.sigmoid(ad.matmul(w, t.const(m)))),
             w0)
 
     def test_broadcast_column_bias(self):
@@ -207,8 +199,8 @@ class TestOpGradients:
 
     def test_maximum_minimum(self):
         check_gradient(
-            lambda t, x: ad.vsum(ad.maximum(x, t.const(np.array([0.0, 1.0, -1.0])))
-                                 + ad.minimum(x * 2.0, t.const(np.array([0.5, 0.5, 0.5])))),
+            lambda t, x: ad.vsum(oracles.maximum(x, t.const(np.array([0.0, 1.0, -1.0])))
+                                 + oracles.minimum(x * 2.0, t.const(np.array([0.5, 0.5, 0.5])))),
             np.array([0.4, -0.6, 1.2]))
 
     def test_smooth_l1(self):
@@ -237,7 +229,7 @@ class TestOpGradients:
 
     def test_stack_rows_and_scalars(self):
         def build(t, x):
-            rows = ad.stack_rows([x, x * 2.0])
+            rows = oracles.stack_rows([x, x * 2.0])
             picked = ad.pick(rows, 1) * ad.pick(x, 0) + ad.pick(x, 2)
             return ad.vsum(rows) + ad.dot(picked, picked)
         check_gradient(build, np.array([0.5, 1.5, -0.7]))
@@ -253,31 +245,28 @@ class TestOpGradients:
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [0.0, 1.0])
 
-    def test_flatten(self):
-        rng = np.random.default_rng(8)
-        check_gradient(lambda t, x: ad.dot(ad.flatten(x), ad.flatten(x)),
-                       rng.normal(size=(3, 2)))
-
     def test_matmul_shape_mismatch(self):
         tape = Tape()
         with pytest.raises(ValueError):
-            ad.matmul(tape.const(np.ones((2, 3))), tape.const(np.ones(4)))
+            ad.matmul(tape.const(np.ones((2, 3))), tape.const(np.ones((4, 2))))
+        with pytest.raises(ValueError):  # a vector is a one-column matrix
+            ad.matmul(tape.const(np.ones((2, 3))), tape.const(np.ones(3)))
 
 
 def composed_relative_config(tape, agent, regions):
     """Reference for ad.relative_config built from primitive ops."""
     cx, cy = ad.pick(agent, 0), ad.pick(agent, 1)
     w, h = ad.pick(agent, 2), ad.pick(agent, 3)
-    inv_w, inv_h = 1.0 / w, 1.0 / h
+    inv_w, inv_h = oracles.div(tape.const(1.0), w), oracles.div(tape.const(1.0), h)
     r = {k: tape.const(getattr(regions, k))
          for k in ("cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")}
     ax1, ax2 = cx - 0.5 * w, cx + 0.5 * w
     ay1, ay2 = cy - 0.5 * h, cy + 0.5 * h
-    iw = ad.relu(ad.minimum(ax2, r["x2"]) - ad.maximum(ax1, r["x1"]))
-    ih = ad.relu(ad.minimum(ay2, r["y2"]) - ad.maximum(ay1, r["y1"]))
+    iw = ad.relu(oracles.minimum(ax2, r["x2"]) - oracles.maximum(ax1, r["x1"]))
+    ih = ad.relu(oracles.minimum(ay2, r["y2"]) - oracles.maximum(ay1, r["y1"]))
     inter = iw * ih
-    iou = inter / (w * h + r["area"] - inter)
-    return ad.stack_rows([
+    iou = oracles.div(inter, w * h + r["area"] - inter)
+    return oracles.stack_rows([
         (r["cx"] - cx) * inv_w, (r["cy"] - cy) * inv_h,
         (r["x1"] - cx) * inv_w, (r["y1"] - cy) * inv_h,
         (r["x2"] - cx) * inv_w, (r["y2"] - cy) * inv_h,
@@ -285,12 +274,13 @@ def composed_relative_config(tape, agent, regions):
     ])
 
 
-def region_set(boxes):
-    return RegionSet([Box(*b) for b in boxes], np.zeros((len(boxes), 1)))
+def one_frame(boxes):
+    """The regions of a one-frame video, as ad.relative_config reads them."""
+    return VideoRegions([RegionSet([Box(*b) for b in boxes], np.zeros((len(boxes), 1)))])
 
 
 class TestRelativeConfig:
-    AGENT = np.array([0.5, 0.5, 0.2, 0.3])  # x in [0.4, 0.6], y in [0.35, 0.65]
+    AGENT = np.array([[0.5], [0.5], [0.2], [0.3]])  # x in [0.4, 0.6], y in [0.35, 0.65]
 
     @pytest.mark.parametrize("box", [
         (0.58, 0.43, 0.16, 0.2),   # partial overlap, every edge clear of a tie
@@ -300,8 +290,8 @@ class TestRelativeConfig:
     ], ids=["partial_overlap", "no_overlap", "region_contains_agent",
             "agent_contains_region"])
     def test_agent_gradient_matches_finite_differences(self, box):
-        regions = region_set([box, (0.3, 0.74, 0.3, 0.1)])
-        weights = np.random.default_rng(31).normal(size=(9, 2))
+        regions = one_frame([box, (0.3, 0.74, 0.3, 0.1)])
+        weights = np.random.default_rng(31).normal(size=(9, 1, 2))
         check_gradient(
             lambda t, x: ad.vsum(ad.relative_config(x, regions) * t.const(weights)),
             self.AGENT)
@@ -309,15 +299,15 @@ class TestRelativeConfig:
     def test_ties_route_like_the_primitive_ops(self):
         # dyadic boxes: agent x/y in [0.375, 0.625]; regions coincide with
         # the agent, share edges with it, or touch it along x or y
-        regions = region_set([(0.5, 0.5, 0.25, 0.25), (0.5625, 0.5, 0.125, 0.5),
-                              (0.4375, 0.375, 0.375, 0.25), (0.75, 0.5, 0.25, 0.25),
-                              (0.5, 0.75, 0.25, 0.25)])
-        weights = np.random.default_rng(32).normal(size=(9, 5))
+        regions = one_frame([(0.5, 0.5, 0.25, 0.25), (0.5625, 0.5, 0.125, 0.5),
+                             (0.4375, 0.375, 0.375, 0.25), (0.75, 0.5, 0.25, 0.25),
+                             (0.5, 0.75, 0.25, 0.25)])
+        weights = np.random.default_rng(32).normal(size=(9, 1, 5))
         grads, values = [], []
         for op in (lambda t, x: ad.relative_config(x, regions),
                    lambda t, x: composed_relative_config(t, x, regions)):
             tape = Tape()
-            agent = tape.leaf([0.5, 0.5, 0.25, 0.25])
+            agent = tape.leaf([[0.5], [0.5], [0.25], [0.25]])
             out = op(tape, agent)
             tape.backward(ad.vsum(out * tape.const(weights)))
             values.append(out.value)
@@ -327,11 +317,12 @@ class TestRelativeConfig:
 
     def test_batched_agent_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(33)
-        sets = [region_set([(0.58, 0.43, 0.16, 0.2), (0.9, 0.1, 0.1, 0.1)]),
-                region_set([(0.52, 0.48, 0.5, 0.6), (0.3, 0.74, 0.3, 0.1)]),
-                region_set([(0.49, 0.52, 0.1, 0.12), (0.55, 0.45, 0.2, 0.2)])]
-        regions = VideoRegions(sets)
-        agents = np.array([self.AGENT, [0.45, 0.55, 0.3, 0.25], [0.5, 0.5, 0.4, 0.4]]).T.copy()
+        sets = [[(0.58, 0.43, 0.16, 0.2), (0.9, 0.1, 0.1, 0.1)],
+                [(0.52, 0.48, 0.5, 0.6), (0.3, 0.74, 0.3, 0.1)],
+                [(0.49, 0.52, 0.1, 0.12), (0.55, 0.45, 0.2, 0.2)]]
+        regions = VideoRegions([RegionSet([Box(*b) for b in boxes], np.zeros((2, 1)))
+                                for boxes in sets])
+        agents = np.array([self.AGENT[:, 0], [0.45, 0.55, 0.3, 0.25], [0.5, 0.5, 0.4, 0.4]]).T.copy()
         weights = rng.normal(size=(9, 3, 2))
         check_gradient(
             lambda t, x: ad.vsum(ad.relative_config(x, regions) * t.const(weights)),
@@ -341,16 +332,17 @@ class TestRelativeConfig:
         batched = tape.leaf(agents)
         out = ad.relative_config(batched, regions)
         tape.backward(ad.vsum(out * tape.const(weights)))
-        for t, frame in enumerate(sets):
+        for t, boxes in enumerate(sets):
             single = Tape()
-            agent = single.leaf(agents[:, t])
-            frame_out = ad.relative_config(agent, frame)
-            single.backward(ad.vsum(frame_out * single.const(weights[:, t])))
-            np.testing.assert_array_equal(out.value[:, t], frame_out.value)
-            np.testing.assert_allclose(batched.grad[:, t], agent.grad, rtol=1e-12, atol=1e-12)
+            agent = single.leaf(agents[:, t:t + 1])
+            frame_out = ad.relative_config(agent, one_frame(boxes))
+            single.backward(ad.vsum(frame_out * single.const(weights[:, t:t + 1])))
+            np.testing.assert_array_equal(out.value[:, t:t + 1], frame_out.value)
+            np.testing.assert_allclose(batched.grad[:, t:t + 1], agent.grad,
+                                       rtol=1e-12, atol=1e-12)
 
     def test_one_node_on_a_leaf_and_none_on_a_constant(self):
-        regions = region_set([(0.58, 0.43, 0.16, 0.2)])
+        regions = one_frame([(0.58, 0.43, 0.16, 0.2)])
         tape = Tape()
         ad.relative_config(tape.const(self.AGENT), regions)
         assert tape.nodes == []

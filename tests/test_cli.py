@@ -1,7 +1,13 @@
+import inspect
+import sys
+
+import numpy as np
 import pytest
 
+from riskrnn import autodiff, nn
 from riskrnn.cli import main
 from riskrnn.evaluation import read_report
+from riskrnn.model import VARIANTS
 
 TINY = ["--n_train", "2", "--n_val", "2", "--n_test", "4", "--epochs", "1"]
 
@@ -56,3 +62,45 @@ def test_unreadable_dataset_is_a_runtime_failure_naming_it(data_dir, tmp_path, c
     assert main(["eval", "--data", str(bad), "--model", str(tmp_path / "m.rrm"),
                  "--out", str(tmp_path / "report.txt"), *TINY]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: not a ")
+
+
+def test_inconsistent_accident_labels_are_a_runtime_failure_naming_the_file(
+        data_dir, tmp_path, capsys):
+    with np.load(data_dir / "test.dat", allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    assert arrays["positive"].any()
+    arrays["t_accident"][arrays["positive"].argmax()] = -1
+    bad = tmp_path / "test.dat"
+    with open(bad, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert main(["eval", "--data", str(bad), "--model", str(tmp_path / "m.rrm"),
+                 "--out", str(tmp_path / "report.txt"), *TINY]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_the_cli_calls_every_autodiff_and_nn_function(tmp_path):
+    # the tape and nn hold only what the program runs; a function that only
+    # tests reach belongs with the tests
+    defined = {fn.__code__: f"{module.__name__}.{name}" for module in (autodiff, nn)
+               for name, fn in vars(module).items()
+               if inspect.isfunction(fn) and fn.__module__ == module.__name__}
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        assert main(["generate", "--out", str(tmp_path), *TINY]) == 0
+        models = []
+        for variant in VARIANTS:
+            code, model = train(tmp_path, tmp_path, variant)
+            assert code == 0
+            models += ["--model", str(model)]
+        assert main(["eval", "--data", str(tmp_path), *models,
+                     "--out", str(tmp_path / "report.txt"), *TINY]) == 0
+    finally:
+        sys.setprofile(previous)
+    assert sorted(name for code, name in defined.items() if code not in called) == []

@@ -100,3 +100,24 @@ def test_malformed_file_raises_value_error_naming_it(dataset, corrupt):
     corrupt(dataset)
     with pytest.raises(ValueError, match=re.escape(f"{dataset}: ")):
         read_dataset(dataset)
+
+
+def _copy_risky_box(a, src, dst):
+    a["risky_box"][dst] = a["risky_box"][src]
+
+
+LABEL_FAULTS = {
+    # the fixture's videos 0 and 2 are positive with 4 frames, video 1 negative
+    "positive without an accident frame": (0, lambda a: a["t_accident"].__setitem__(0, -1)),
+    "positive accident after the last frame": (2, lambda a: a["t_accident"].__setitem__(2, 99)),
+    "negative with an accident frame": (1, lambda a: a["t_accident"].__setitem__(1, 2)),
+    "negative with a risky box": (1, lambda a: _copy_risky_box(a, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("video,fault", LABEL_FAULTS.values(), ids=LABEL_FAULTS.keys())
+def test_inconsistent_accident_labels_name_the_file_and_the_video(dataset, video, fault):
+    _rewrite(dataset, fault)
+    with pytest.raises(ValueError, match=re.escape(f"{dataset}: ")) as err:
+        read_dataset(dataset)
+    assert f"video val-{video:05d}: " in str(err.value)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from riskrnn import evaluation
 from riskrnn.evaluation import (ScoredItem, VideoPrediction, average_precision,
                                 match_frame_detections, oracle_region_average_precision,
-                                region_average_precision, tta_atta)
+                                region_average_precision, risk_map_raster, tta_atta)
 from riskrnn.geometry import Box, iou
 
 import oracles
@@ -32,6 +32,26 @@ class TestAveragePrecision:
     def test_lies_in_the_unit_interval(self, pairs):
         ap = average_precision([ScoredItem(score, positive) for score, positive in pairs])
         assert 0.0 < ap <= 1.0
+
+    @settings(deadline=None)
+    @given(st.data(), st.lists(st.tuples(unit_floats, st.booleans()), min_size=1, max_size=60)
+           .filter(lambda pairs: any(positive for _, positive in pairs)))
+    def test_invariant_to_item_order(self, data, pairs):
+        items = [ScoredItem(score, positive) for score, positive in pairs]
+        shuffled = data.draw(st.permutations(items))
+        assert average_precision(shuffled) == average_precision(items)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.2, 0.5, 0.8]), st.booleans()),
+                    min_size=1, max_size=40)
+           .filter(lambda pairs: any(positive for _, positive in pairs)))
+    def test_ties_rank_positives_after_negatives(self, pairs):
+        # lowering each positive just below its tie ranks it after the
+        # negatives of its score and before every lower score
+        tied = average_precision([ScoredItem(score, positive) for score, positive in pairs])
+        after = average_precision([ScoredItem(score - 0.01 if positive else score, positive)
+                                   for score, positive in pairs])
+        assert tied == after
 
 
 @st.composite
@@ -118,3 +138,17 @@ class TestOracleRegionAp:
             patch.setattr(evaluation, "match_frame_detections", oracles.match_frame_detections)
             want = region_average_precision(oracles.oracle_rescore(frames), per_video=per_video)
         assert 0.0 < got == want
+
+
+class TestRiskMapRaster:
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.builds(Box, st.floats(-0.5, 1.5), st.floats(-0.5, 1.5),
+                                        st.floats(1e-3, 2.0), st.floats(1e-3, 2.0)),
+                              unit_floats), max_size=8),
+           st.integers(1, 16), st.integers(1, 16))
+    def test_values_lie_in_the_unit_interval(self, scored, grid_w, grid_h):
+        boxes = [box for box, _ in scored]
+        scores = [score for _, score in scored]
+        values = risk_map_raster(boxes, scores, grid_w, grid_h).values
+        assert values.shape == (grid_h, grid_w)
+        assert np.all((values >= 0.0) & (values <= 1.0))

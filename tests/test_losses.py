@@ -242,8 +242,7 @@ class TestTotalLoss:
             total_loss(tape, frames, out, targets, (1.0,), TINY_CONFIG.horizon)
 
     def test_gradient_matches_finite_differences(self):
-        from riskrnn.nn import finite_diff_check
-        from helpers import gradcheck_fixture
+        from helpers import finite_diff_check, gradcheck_fixture
         model = tiny_model(6)
         rng = np.random.default_rng(6)
         frames, targets = gradcheck_fixture(rng, TINY_CONFIG, 2, 3, positive=True)

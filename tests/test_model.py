@@ -68,10 +68,10 @@ class TestTapeGeometry:
             regions = RegionSet([random_box(rng) for _ in range(5)],
                                 rng.normal(size=(5, 3)))
             tape = Tape()
-            got = ad.relative_config(tape.const(agent.as_array()), regions)
+            got = ad.relative_config(tape.const(box_columns([agent])), VideoRegions([regions]))
             want = np.stack([oracles.relative_config(agent, r)
                              for r in regions.boxes], axis=1)
-            np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got.value[:, 0], want, rtol=1e-12, atol=1e-12)
 
     def test_batched_relative_config_column_is_the_frame(self):
         rng = np.random.default_rng(22)
@@ -173,13 +173,13 @@ class TestRecurrentSteps:
                                  box_columns([random_box(rng) for _ in range(5)])])
         tape = Tape()
         got = agent_rnn_step(tape, model.store, inputs)
-        state = LstmState(tape.const(np.zeros(8)), tape.const(np.zeros(8)))
+        state = LstmState(tape.const(np.zeros((8, 1))), tape.const(np.zeros((8, 1))))
         for t in range(5):
             state = lstm_step(tape, model.store["agent_rnn_W"], model.store["agent_rnn_b"],
-                              tape.const(inputs[:, t]), state)
-            np.testing.assert_allclose(got.hidden.value[:, t], state.hidden.value,
+                              tape.const(inputs[:, t:t + 1]), state)
+            np.testing.assert_allclose(got.hidden.value[:, t:t + 1], state.hidden.value,
                                        rtol=1e-13, atol=1e-15)
-            np.testing.assert_allclose(got.cell.value[:, t], state.cell.value,
+            np.testing.assert_allclose(got.cell.value[:, t:t + 1], state.cell.value,
                                        rtol=1e-13, atol=1e-15)
 
     def test_zero_everything_gives_zero_code(self):
@@ -439,8 +439,7 @@ class TestNodeCount:
 
 class TestGradients:
     def test_full_model_matches_finite_differences(self):
-        from riskrnn.nn import finite_diff_check
-        from helpers import gradcheck_fixture
+        from helpers import finite_diff_check, gradcheck_fixture
         model = tiny_model(19)
         rng = np.random.default_rng(19)
         frames, targets = gradcheck_fixture(rng, TINY_CONFIG, 3, 4, positive=True)

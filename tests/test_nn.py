@@ -6,10 +6,10 @@ import pytest
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
 from riskrnn.nn import (LstmState, ParamMatrix, ParameterStore, TrainingError,
-                        adam_step, dense, finite_diff_check, init_params,
-                        load_params, lstm_step, lstm_sweep, lstm_zero_state,
-                        save_params)
+                        adam_step, dense, init_params, load_params, lstm_step,
+                        lstm_sweep, save_params)
 
+from helpers import finite_diff_check
 from oracles import lstm_step as reference_lstm_step
 
 
@@ -51,34 +51,39 @@ class TestDense:
     def test_identity(self):
         store = store_from_arrays(w=np.eye(3))
         tape = Tape()
-        out = dense(tape, store["w"], tape.const([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out.value, [1, 2, 3])
+        out = dense(tape, store["w"], tape.const([[1.0], [2.0], [3.0]]))
+        np.testing.assert_allclose(out.value, [[1], [2], [3]])
 
     def test_zero_weight(self):
         store = store_from_arrays(w=np.zeros((2, 3)))
         tape = Tape()
-        out = dense(tape, store["w"], tape.const([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out.value, [0, 0])
+        out = dense(tape, store["w"], tape.const([[1.0], [2.0], [3.0]]))
+        np.testing.assert_allclose(out.value, [[0], [0]])
 
     def test_hand_product_with_bias(self):
         store = store_from_arrays(w=[[1, 2], [3, 4]], b=[[0.5], [-0.5]])
         tape = Tape()
-        out = dense(tape, store["w"], tape.const([1.0, 1.0]), store["b"])
-        np.testing.assert_allclose(out.value, [3.5, 6.5])
+        out = dense(tape, store["w"], tape.const([[1.0, 2.0], [1.0, 0.0]]), store["b"])
+        np.testing.assert_allclose(out.value, [[3.5, 2.5], [6.5, 5.5]])
 
     def test_shape_mismatch(self):
         store = store_from_arrays(w=np.ones((2, 3)))
         tape = Tape()
         with pytest.raises(ValueError):
-            dense(tape, store["w"], tape.const(np.ones(4)))
+            dense(tape, store["w"], tape.const(np.ones((4, 1))))
+
+
+def zero_state(tape, hidden_dim, batch=1):
+    return LstmState(tape.const(np.zeros((hidden_dim, batch))),
+                     tape.const(np.zeros((hidden_dim, batch))))
 
 
 class TestLstmStep:
     def test_all_zero_parameters_and_state(self):
         store = store_from_arrays(w=np.zeros((8, 5)), b=np.zeros((8, 1)))
         tape = Tape()
-        state = lstm_zero_state(tape, 2)
-        out = lstm_step(tape, store["w"], store["b"], tape.const(np.ones(3)), state)
+        out = lstm_step(tape, store["w"], store["b"], tape.const(np.ones((3, 1))),
+                        zero_state(tape, 2))
         np.testing.assert_allclose(out.hidden.value, 0.0)
         np.testing.assert_allclose(out.cell.value, 0.0)
 
@@ -89,9 +94,9 @@ class TestLstmStep:
         b[0:2] = -30.0  # input gate -> 0
         store = store_from_arrays(w=np.zeros((8, 5)), b=b)
         tape = Tape()
-        cell = np.array([0.7, -0.3])
-        state = LstmState(tape.const(np.zeros(2)), tape.const(cell))
-        out = lstm_step(tape, store["w"], store["b"], tape.const(np.ones(3)), state)
+        cell = np.array([[0.7], [-0.3]])
+        state = LstmState(tape.const(np.zeros((2, 1))), tape.const(cell))
+        out = lstm_step(tape, store["w"], store["b"], tape.const(np.ones((3, 1))), state)
         np.testing.assert_allclose(out.cell.value, cell, atol=1e-12)
 
     def test_matches_scalar_reference(self):
@@ -103,19 +108,21 @@ class TestLstmStep:
         c = rng.normal(size=3)
         store = store_from_arrays(w=W, b=b)
         tape = Tape()
-        out = lstm_step(tape, store["w"], store["b"], tape.const(x),
-                        LstmState(tape.const(h), tape.const(c)))
+        out = lstm_step(tape, store["w"], store["b"], tape.const(x[:, None]),
+                        LstmState(tape.const(h[:, None]), tape.const(c[:, None])))
         ref_h, ref_c = reference_lstm_step(W, b, x, h, c)
-        np.testing.assert_allclose(out.hidden.value, ref_h, atol=1e-12)
-        np.testing.assert_allclose(out.cell.value, ref_c, atol=1e-12)
+        np.testing.assert_allclose(out.hidden.value[:, 0], ref_h, atol=1e-12)
+        np.testing.assert_allclose(out.cell.value[:, 0], ref_c, atol=1e-12)
 
     def test_shape_mismatch(self):
         store = store_from_arrays(w=np.zeros((8, 5)), b=np.zeros((8, 1)))
         tape = Tape()
         with pytest.raises(ValueError):
-            lstm_step(tape, store["w"], store["b"], tape.const(np.ones(9)),
-                      lstm_zero_state(tape, 2))
-
+            lstm_step(tape, store["w"], store["b"], tape.const(np.ones((9, 1))),
+                      zero_state(tape, 2))
+        with pytest.raises(ValueError):  # three inputs for two cells
+            lstm_step(tape, store["w"], store["b"], tape.const(np.ones((3, 3))),
+                      zero_state(tape, 2, batch=2))
 
     def test_columns_are_independent_cells(self):
         rng = np.random.default_rng(12)
@@ -159,16 +166,16 @@ class TestLstmSweep:
 
         store.zero_grads()
         tape = Tape()
-        columns = [tape.leaf(self.x[:, t]) for t in range(6)]
-        state = lstm_zero_state(tape, 3)
+        columns = [tape.leaf(self.x[:, t:t + 1]) for t in range(6)]
+        state = zero_state(tape, 3)
         chained = tape.const(0.0)
         for t, column in enumerate(columns):
             state = lstm_step(tape, store["w"], store["b"], column, state)
-            chained = (chained + ad.dot(state.hidden, tape.const(self.gh[:, t]))
-                       + ad.dot(state.cell, tape.const(self.gc[:, t])))
+            chained = (chained + ad.vsum(state.hidden * tape.const(self.gh[:, t:t + 1]))
+                       + ad.vsum(state.cell * tape.const(self.gc[:, t:t + 1])))
         tape.backward(chained)
         stepped = (float(chained.value), store["w"].grad, store["b"].grad,
-                   np.stack([c.grad for c in columns], axis=1))
+                   np.concatenate([c.grad for c in columns], axis=1))
         for got, want in zip(swept, stepped):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -182,6 +189,48 @@ class TestLstmSweep:
         store = store_from_arrays(w=np.zeros((8, 5)), b=np.zeros((8, 1)))
         with pytest.raises(ValueError):
             lstm_sweep(Tape(), store["w"], store["b"], Tape().const(np.ones((4, 3))))
+
+
+class TestLstmOp:
+    """ad.lstm with S steps of B cells from given states."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(15)
+        self.store = store_from_arrays(w=rng.normal(scale=0.5, size=(12, 7)),
+                                       b=rng.normal(scale=0.5, size=(12, 1)))
+        self.states = store_from_arrays(x=rng.normal(size=(4, 3, 2)), h0=rng.normal(size=(3, 2)),
+                                        c0=rng.normal(size=(3, 2)))
+        self.gh, self.gc = rng.normal(size=(3, 3, 2)), rng.normal(size=(3, 3, 2))
+
+    def run(self):
+        tape = Tape()
+        x, h0, c0 = (tape.param(self.states[k]) for k in ("x", "h0", "c0"))
+        hidden, cell = ad.lstm(tape.param(self.store["w"]), tape.param(self.store["b"]),
+                               x, h0, c0)
+        loss = (ad.vsum(hidden * tape.const(self.gh))
+                + ad.vsum(cell * tape.const(self.gc)))
+        return tape, loss, hidden, cell
+
+    def test_each_cell_is_the_scalar_reference_from_its_state(self):
+        _, _, hidden, cell = self.run()
+        w, b = self.store["w"].values, self.store["b"].values
+        x, h0, c0 = (self.states[k].values for k in ("x", "h0", "c0"))
+        for k in range(2):
+            h, c = h0[:, k], c0[:, k]
+            for s in range(3):
+                h, c = reference_lstm_step(w, b, x[:, s, k], h, c)
+                np.testing.assert_allclose(hidden.value[:, s, k], h, rtol=1e-13, atol=1e-15)
+                np.testing.assert_allclose(cell.value[:, s, k], c, rtol=1e-13, atol=1e-15)
+
+    def test_gradients_into_the_inputs_and_states_match_central_differences(self):
+        assert finite_diff_check(self.store, lambda: self.run()[:2]) < 1e-6
+        assert finite_diff_check(self.states, lambda: self.run()[:2]) < 1e-6
+
+    def test_states_must_have_a_column_per_cell(self):
+        tape = Tape()
+        with pytest.raises(ValueError, match="lstm shape mismatch"):
+            ad.lstm(tape.param(self.store["w"]), tape.param(self.store["b"]),
+                    tape.const(np.ones((4, 3, 2))), tape.const(np.zeros((3, 1))))
 
 
 class TestAdam:
@@ -235,15 +284,15 @@ class TestFiniteDiffCheck:
 
         def make_loss():
             tape = Tape()
-            w = ad.flatten(tape.param(store["w"]))
-            return tape, ad.pick(w * w, 0)
+            w = tape.param(store["w"])
+            return tape, ad.vsum(w * w)
 
         assert finite_diff_check(store, make_loss) < 1e-9
 
     def test_dense_sigmoid_layer(self):
         rng = np.random.default_rng(13)
         store = store_from_arrays(w=rng.normal(size=(3, 4)), b=rng.normal(size=(3, 1)))
-        x = rng.normal(size=4)
+        x = rng.normal(size=(4, 1))
 
         def make_loss():
             tape = Tape()
