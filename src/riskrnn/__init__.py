@@ -4,8 +4,8 @@ localization, and future-location imagination on synthetic scenarios."""
 from .geometry import Box, encode_box_transform, iou, stack_boxes
 from .data import (FrameInput, Proposal, RegionSet, VideoSample, VideoTargets,
                    read_dataset, write_dataset)
-from .model import (ModelConfig, ModelOutput, RiskModel, VARIANTS, forward_video,
-                    fuse_predictions, variant_config)
+from .model import (AgentTracks, ModelConfig, ModelOutput, RiskModel, VARIANTS,
+                    VideoRegions, forward_video, fuse_predictions, variant_config)
 from .losses import region_labels, total_loss
 from .synthworld import ScenarioConfig, generate_scenario, generate_split
 from .tracking import Track, deduplicate_tracks, select_training_track, track_by_detection
@@ -19,8 +19,8 @@ __all__ = [
     "Box", "encode_box_transform", "iou", "stack_boxes",
     "FrameInput", "Proposal", "RegionSet", "VideoSample", "VideoTargets",
     "read_dataset", "write_dataset",
-    "ModelConfig", "ModelOutput", "RiskModel", "VARIANTS", "forward_video",
-    "fuse_predictions", "variant_config", "region_labels", "total_loss",
+    "AgentTracks", "ModelConfig", "ModelOutput", "RiskModel", "VARIANTS", "VideoRegions",
+    "forward_video", "fuse_predictions", "variant_config", "region_labels", "total_loss",
     "ScenarioConfig", "generate_scenario", "generate_split",
     "Track", "deduplicate_tracks", "select_training_track", "track_by_detection",
     "average_precision", "region_average_precision", "risk_map_raster",

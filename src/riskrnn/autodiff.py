@@ -395,15 +395,16 @@ def lstm(w: Node, b: Node, x: Node, h0: Node | None = None,
 def relative_config(agent: Node, regions) -> Node:
     """Fused configuration of every region relative to the agent box.
 
-    ``agent`` holds a (cx, cy, w, h) column per frame, (4, T). ``regions``
-    supplies (T, N) arrays ``cx``, ``cy``, ``w``, ``h``, ``x1``, ``y1``,
-    ``x2``, ``y2`` and ``area``, as model.VideoRegions does. The output is
-    (9, T, N). Rows are the region's center, min-corner and max-corner
-    offsets from the agent center (x over agent width, y over agent height),
-    its size ratios, and the IoU of the two boxes, the same cues as the scalar
-    reference in tests/oracles.py. The backward pass returns the gradient with
-    respect to the agent box only; overlap ties route to the agent's corner,
-    and a span of exactly zero passes no gradient.
+    ``agent`` holds a (cx, cy, w, h) column per model column, (4, C).
+    ``regions`` supplies (C, N) arrays ``cx``, ``cy``, ``w``, ``h``, ``x1``,
+    ``y1``, ``x2``, ``y2`` and ``area``, row c being the regions column c
+    sees, as model.VideoRegions does. The output is (9, C, N). Rows are the
+    region's center, min-corner and max-corner offsets from the agent center
+    (x over agent width, y over agent height), its size ratios, and the IoU
+    of the two boxes, the same cues as the scalar reference in
+    tests/oracles.py. The backward pass returns the gradient with respect to
+    the agent box only; overlap ties route to the agent's corner, and a span
+    of exactly zero passes no gradient.
     """
     cx, cy, w, h = agent.value[:, :, None]
     inv_w, inv_h = 1.0 / w, 1.0 / h

@@ -17,7 +17,7 @@ from .geometry import encode_box_transform, iou, stack_boxes
 
 if TYPE_CHECKING:
     from .data import VideoTargets
-    from .model import ModelOutput
+    from .model import AgentTracks, ModelOutput
 
 PROB_CLAMP = 1e-12
 RISKY_IOU_THRESHOLD = 0.4
@@ -86,9 +86,10 @@ def transform_loss(tape: Tape, c: Node | None, agent_track, horizon: int) -> Nod
     return ad.vsum(ad.smooth_l1(c - tape.const(target)) * tape.const(has_target))
 
 
-def total_loss(tape: Tape, frames, predictions: ModelOutput, targets: VideoTargets,
-               lambdas, horizon: int, time_scale: float = 1.0) -> Node:
-    """Transform loss plus the fusion-weighted sum of per-level task losses.
+def total_loss(tape: Tape, frames: AgentTracks, predictions: ModelOutput,
+               targets: VideoTargets, lambdas, horizon: int, time_scale: float = 1.0) -> Node:
+    """Transform loss plus the fusion-weighted sum of per-level task losses
+    of a one-track forward, whose columns are the frames.
 
     Level 0 is the observed predictions; level n >= 1 is the n-th imagination
     hop, scored against the same accident time and the same per-frame region
@@ -101,7 +102,7 @@ def total_loss(tape: Tape, frames, predictions: ModelOutput, targets: VideoTarge
     targets.validate(len(frames))
 
     risky = targets.risky_array() if targets.positive else np.empty((len(frames), 0, 4))
-    labels = region_labels(np.stack([frame.regions.xywh for frame in frames]), risky)
+    labels = region_labels(frames.regions.xywh, risky)
 
     loss = transform_loss(tape, predictions.c_node, targets.agent_track, horizon)
     for weight, level in zip(lam, levels):

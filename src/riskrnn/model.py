@@ -14,15 +14,21 @@ and fuses observed and imagined outputs as a convex combination.
 Four ablation variants are supported: RA (single frame), RAI (adds
 imagination), L-RA (adds the two LSTMs), and L-RAI (everything).
 
-A video runs as whole-video passes with one column per frame (or per frame
-and region), each a handful of tape nodes however long the video is:
+The input is K candidate agent tracks over one video's T frames, all
+sharing its regions (AgentTracks). Every (frame, track) pair is one column,
+frame-major: column t * K + k is track k at frame t. Training runs one
+track (K = 1), so a column is a frame; eval runs every detected track of a
+video at once. The video runs as passes over those columns (or over the
+(frame, track, region) columns), each a handful of tape nodes however long
+the video is and however many tracks it has:
 
-1. the agent memory: one LSTM sweep over the frames' appearance and box;
-2. region scoring and pooling over all T x N (frame, region) columns;
-3. the risk memory: one LSTM sweep over the pooled frames, then the
-   anticipation head on all T columns;
+1. the agent memory: one LSTM sweep over the tracks' appearance and box,
+   the K tracks as K independent sequences;
+2. region scoring and pooling over all T x K x N columns;
+3. the risk memory: one LSTM sweep over the pooled columns, again K
+   sequences, then the anticipation head on all T x K columns;
 4. each imagination hop: the box transform, the relative geometry, scoring,
-   pooling and one branched LSTM step, for all T frames at once.
+   pooling and one branched LSTM step, for all T x K columns at once.
 
 Only the two memory sweeps (1 and 3) are sequential over time; RA and RAI
 have none.
@@ -35,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
-from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM, stack_boxes
+from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM
 from .nn import (LstmState, ParameterStore, dense, init_params, load_params,
                  lstm_step, lstm_sweep, parse_config_value, save_params)
 
@@ -107,9 +113,10 @@ def variant_config(base: ModelConfig, variant: str) -> ModelConfig:
 
 @dataclass
 class Assessment:
-    """One assessment of every frame of a video, as tape nodes: the (2, T)
-    (non-accident, accident) distributions and the (T, N) region scores.
-    The ``y`` and ``s`` arrays are frame-major: (T, 2) and (T, N)."""
+    """One assessment of every column of a video, as tape nodes: the (2, C)
+    (non-accident, accident) distributions and the (C, N) region scores,
+    C = T * K (frame, track) columns, frame-major. The ``y`` and ``s``
+    arrays have a row per column: (C, 2) and (C, N)."""
 
     y_node: Node
     s_node: Node
@@ -125,8 +132,8 @@ class Assessment:
 
 @dataclass
 class ModelOutput(Assessment):
-    """A video's observed assessment, the fused (T, 2) and (T, N) outputs,
-    one more assessment per imagination hop, and the first hop's (4, T) box
+    """A video's observed assessment, the fused (C, 2) and (C, N) outputs,
+    one more assessment per imagination hop, and the first hop's (4, C) box
     transforms ``c_node`` (None without imagination). The nodes are kept for
     loss construction."""
 
@@ -137,25 +144,66 @@ class ModelOutput(Assessment):
 
 
 class VideoRegions:
-    """The candidate regions of every frame of a video, stacked: the (T, N)
-    box arrays ``cx``, ``cy``, ``w``, ``h``, ``x1``, ``y1``, ``x2``, ``y2``
-    and ``area`` that ad.relative_config reads, and the (D, T, N)
-    appearances ``feats``. The region passes need one N for the whole video."""
+    """The candidate regions of every frame of a video, stacked: the (T, N, 4)
+    boxes ``xywh``, the (T, N) box arrays ``cx``, ``cy``, ``w``, ``h``,
+    ``x1``, ``y1``, ``x2``, ``y2`` and ``area`` that ad.relative_config
+    reads, and the (D, T, N) appearances ``feats``. The region passes need one
+    N for the whole video."""
 
-    __slots__ = ("n", "feats", "cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")
+    __slots__ = ("n", "xywh", "feats", "cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")
 
     def __init__(self, region_sets):
-        self.n = len(region_sets[0])
+        if len(region_sets) == 0:
+            raise ValueError("a video needs at least one frame")
+        n = len(region_sets[0])
         for t, regions in enumerate(region_sets):
-            if len(regions) != self.n:
+            if len(regions) != n:
                 raise ValueError(f"frame {t} has {len(regions)} regions and frame 0 "
-                                 f"has {self.n}; a video needs one region count")
-        cx, cy, w, h = np.moveaxis(np.stack([r.xywh for r in region_sets]), 2, 0).copy()
+                                 f"has {n}; a video needs one region count")
+        self._set(np.stack([r.xywh for r in region_sets]),
+                  np.stack([r.feats.T for r in region_sets], axis=1))
+
+    def _set(self, xywh: np.ndarray, feats: np.ndarray) -> None:
+        self.n = xywh.shape[1]
+        self.xywh, self.feats = xywh, feats
+        cx, cy, w, h = np.moveaxis(xywh, 2, 0).copy()
         self.cx, self.cy, self.w, self.h = cx, cy, w, h
         self.x1, self.y1 = cx - 0.5 * w, cy - 0.5 * h
         self.x2, self.y2 = cx + 0.5 * w, cy + 0.5 * h
         self.area = w * h
-        self.feats = np.stack([r.feats.T for r in region_sets], axis=1)
+
+    def __len__(self) -> int:
+        return self.xywh.shape[0]
+
+    def repeat(self, k: int) -> "VideoRegions":
+        """The regions with each frame repeated k times, one row per (frame,
+        track) column: row t * k + j holds frame t."""
+        out = object.__new__(VideoRegions)
+        out._set(np.repeat(self.xywh, k, axis=0), np.repeat(self.feats, k, axis=1))
+        return out
+
+
+class AgentTracks:
+    """The model input: K candidate agent tracks over a video's T frames,
+    with the video's ``regions``. ``feats`` holds the (D, T, K) agent
+    appearances and ``boxes`` the (4, T, K) agent boxes as (cx, cy, w, h)
+    rows; entry (t, k) is track k at frame t. ``len()`` is T."""
+
+    __slots__ = ("feats", "boxes", "regions")
+
+    def __init__(self, feats: np.ndarray, boxes: np.ndarray, regions: VideoRegions):
+        feats = np.ascontiguousarray(feats, dtype=np.float64)
+        boxes = np.ascontiguousarray(boxes, dtype=np.float64)
+        if feats.ndim != 3 or boxes.shape != (4,) + feats.shape[1:]:
+            raise ValueError(f"agent features {feats.shape} and boxes {boxes.shape} are not "
+                             f"(D, T, K) and (4, T, K)")
+        if feats.shape[1] != len(regions):
+            raise ValueError(f"tracks cover {feats.shape[1]} frames and the regions "
+                             f"{len(regions)}")
+        self.feats, self.boxes, self.regions = feats, boxes, regions
+
+    def __len__(self) -> int:
+        return self.feats.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +230,16 @@ def param_specs(cfg: ModelConfig):
 
 
 # ---------------------------------------------------------------------------
-# model stages, each over every frame of a video at once
+# model stages, each over every (frame, track) column of a video at once
 
 def score_regions(tape: Tape, store: ParameterStore, agent_code: Node,
                   u: Node, regions: VideoRegions) -> Node:
-    """(T, N) risk scores of every region of every frame.
+    """(C, N) risk scores of every region of every column.
 
-    Each (frame, region) column of the (9, T, N) geometry is embedded, joined
-    with that frame's column of the (A, T) agent code, and mapped to a weight
+    Each (column, region) pair of the (9, C, N) geometry is embedded, joined
+    with that column of the (A, C) agent code, and mapped to a weight
     vector whose dot product with the region's appearance is squashed to a
-    probability.
+    probability. ``regions`` has one row per column.
     """
     u_cols = ad.reshape(u, (u.value.shape[0], -1))
     embedded = ad.relu(dense(tape, store["geom_fc_W"], u_cols, store["geom_fc_b"]))
@@ -203,29 +251,33 @@ def score_regions(tape: Tape, store: ParameterStore, agent_code: Node,
 
 
 def pool_regions(tape: Tape, scores: Node, regions: VideoRegions) -> Node:
-    """(D, T): per frame, the risk-weighted sum of its region appearances."""
+    """(D, C): per column, the risk-weighted sum of its region appearances."""
     return ad.vsum(tape.const(regions.feats) * scores, axis=2)
 
 
 def agent_rnn_step(tape: Tape, store: ParameterStore, inputs: np.ndarray) -> LstmState:
-    """The agent memory over the video: one sweep over the (d_agent + 4, T)
-    columns of appearance and normalized box."""
-    return lstm_sweep(tape, store["agent_rnn_W"], store["agent_rnn_b"], tape.const(inputs))
+    """The agent memory over the video: one sweep over the (d_agent + 4, T, K)
+    appearances and boxes, each of the K tracks its own sequence; returns
+    (H, T * K) states, frame-major."""
+    rows, _, tracks = inputs.shape
+    return lstm_sweep(tape, store["agent_rnn_W"], store["agent_rnn_b"],
+                      tape.const(inputs.reshape(rows, -1)), tracks)
 
 
 def anticipate_step(tape: Tape, store: ParameterStore, cfg: ModelConfig,
-                    state: LstmState | None, agent_code: Node, pooled: Node):
-    """Anticipation for every frame; returns (state, holistic code, (2, T) probabilities).
+                    state: LstmState | None, agent_code: Node, pooled: Node,
+                    tracks: int = 1):
+    """Anticipation for every column; returns (state, holistic code, (2, C) probabilities).
 
-    With memory, ``state=None`` runs the risk memory over the T columns as a
-    sequence from a zero state, while a given state (a column per frame)
-    advances each column by one branched step.
+    With memory, ``state=None`` runs the risk memory over the C = T * K
+    frame-major columns as ``tracks`` = K sequences from a zero state, while
+    a given state (one per column) advances each column by one branched step.
     """
     q = ad.concat([agent_code, pooled])
     if cfg.use_memory:
         weight, bias = store["risk_rnn_W"], store["risk_rnn_b"]
         if state is None:
-            state = lstm_sweep(tape, weight, bias, q)
+            state = lstm_sweep(tape, weight, bias, q, tracks)
         else:
             state = lstm_step(tape, weight, bias, q, state)
         o = state.hidden
@@ -236,7 +288,7 @@ def anticipate_step(tape: Tape, store: ParameterStore, cfg: ModelConfig,
 
 
 def imagine_location(tape: Tape, store: ParameterStore, o: Node, boxes: Node):
-    """Regress the (4, T) transforms taking each frame's box to the imagined one."""
+    """Regress the (4, C) transforms taking each column's box to the imagined one."""
     c = ad.matmul(tape.param(store["imagine_head_W"]), o)
     largest = np.abs(c.value[2:4]).max()
     if largest > MAX_LOG_SCALE:
@@ -247,7 +299,7 @@ def imagine_location(tape: Tape, store: ParameterStore, o: Node, boxes: Node):
 def imagined_reassessment(tape: Tape, store: ParameterStore, cfg: ModelConfig,
                           agent_code: Node, state: LstmState | None,
                           o_prev: Node, boxes: Node, regions: VideoRegions):
-    """One imagination hop for every frame: move the agent, re-score the
+    """One imagination hop for every column: move the agent, re-score the
     unchanged regions.
 
     The recurrent state advances on a branched copy only; the caller's
@@ -272,37 +324,35 @@ def fuse_predictions(y: np.ndarray, s: np.ndarray, imagined_ys, imagined_ss, lam
     return y_fused, s_fused
 
 
-def forward_video(store: ParameterStore, cfg: ModelConfig, frames,
+def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
                   tape: Tape) -> ModelOutput:
-    """Run the configured variant over a frame sequence.
+    """Run the configured variant over K agent tracks of one video.
 
-    Every frame is a column, so the video runs as whole-video passes: the
-    agent memory sweep, region scoring and pooling over all T x N (frame,
-    region) columns, the risk memory sweep with the anticipation head, and
-    each imagination hop for all frames at once. Only the two memory sweeps
-    are sequential. Imagination branches from the risk state of each frame,
-    so observed outputs are identical with it on or off.
+    Every (frame, track) pair is a column, t * K + k, so the video runs as
+    passes over all its tracks at once: the agent memory sweep, region
+    scoring and pooling over all T x K x N columns, the risk memory sweep
+    with the anticipation head, and each imagination hop. Only the two
+    memory sweeps are sequential, each over K independent sequences.
+    Imagination branches from the risk state of each column, so observed
+    outputs are identical with it on or off. The outputs have T * K columns.
     """
-    if len(frames) == 0:
-        raise ValueError("cannot run forward on an empty video")
-    for t, frame in enumerate(frames):
-        if frame.agent_feat.shape != (cfg.d_agent,):
-            raise ValueError(f"frame {t}: agent feature shape {frame.agent_feat.shape} "
-                             f"!= ({cfg.d_agent},)")
-        if frame.regions.feats.shape[1] != cfg.d_region:
-            raise ValueError(f"frame {t}: region feature dim "
-                             f"{frame.regions.feats.shape[1]} != {cfg.d_region}")
-    regions = VideoRegions([frame.regions for frame in frames])
-    feats = np.stack([frame.agent_feat for frame in frames], axis=1)
-    boxes = tape.const(stack_boxes(frame.agent_box for frame in frames).T)
+    d_agent, _, tracks = frames.feats.shape
+    if d_agent != cfg.d_agent:
+        raise ValueError(f"agent feature dim {d_agent} != {cfg.d_agent}")
+    if frames.regions.feats.shape[0] != cfg.d_region:
+        raise ValueError(f"region feature dim {frames.regions.feats.shape[0]} "
+                         f"!= {cfg.d_region}")
+    regions = frames.regions.repeat(tracks)
+    boxes = tape.const(frames.boxes.reshape(4, -1))
     if cfg.use_memory:
-        agent_code = agent_rnn_step(tape, store, np.concatenate([feats, boxes.value])).hidden
+        agent_code = agent_rnn_step(tape, store,
+                                    np.concatenate([frames.feats, frames.boxes])).hidden
     else:
-        agent_code = tape.const(feats)
+        agent_code = tape.const(frames.feats.reshape(d_agent, -1))
 
     s = score_regions(tape, store, agent_code, ad.relative_config(boxes, regions), regions)
     pooled = pool_regions(tape, s, regions)
-    state, o, y = anticipate_step(tape, store, cfg, None, agent_code, pooled)
+    state, o, y = anticipate_step(tape, store, cfg, None, agent_code, pooled, tracks)
 
     imagined = []
     c_first = None
@@ -333,7 +383,7 @@ class RiskModel:
         cfg.validate()
         return cls(cfg, init_params(param_specs(cfg), seed))
 
-    def forward_video(self, frames, tape: Tape | None = None) -> ModelOutput:
+    def forward_video(self, frames: AgentTracks, tape: Tape | None = None) -> ModelOutput:
         if tape is None:
             tape = Tape(train=False)
         return forward_video(self.store, self.cfg, frames, tape)

@@ -114,8 +114,8 @@ def dense(tape: Tape, weight: ParamMatrix, x: Node, bias: ParamMatrix | None = N
 
 @dataclass
 class LstmState:
-    """Hidden and cell states as (H, T) tape nodes, with a column per step
-    or per independent cell."""
+    """Hidden and cell states as (H, C) tape nodes, with a column per step of
+    each sequence or per independent cell."""
 
     hidden: Node
     cell: Node
@@ -135,11 +135,14 @@ def lstm_step(tape: Tape, weight: ParamMatrix, bias: ParamMatrix,
     return LstmState(_columns(hidden), _columns(cell))
 
 
-def lstm_sweep(tape: Tape, weight: ParamMatrix, bias: ParamMatrix, x: Node) -> LstmState:
-    """One LSTM cell run over the T columns of an (I, T) input from a zero
-    state; returns the (H, T) hidden and cell sequences."""
+def lstm_sweep(tape: Tape, weight: ParamMatrix, bias: ParamMatrix, x: Node,
+               sequences: int = 1) -> LstmState:
+    """One LSTM cell run over B = ``sequences`` independent sequences from a
+    zero state. The (I, T * B) input is frame-major: column t * B + b is step
+    t of sequence b. Returns the (H, T * B) hidden and cell states in the same
+    layout."""
     hidden, cell = ad.lstm(tape.param(weight), tape.param(bias),
-                           ad.reshape(x, x.value.shape + (1,)))
+                           ad.reshape(x, (x.value.shape[0], -1, sequences)))
     return LstmState(_columns(hidden), _columns(cell))
 
 

@@ -1,6 +1,10 @@
 """Test-time protocol: detected tracks only, per-frame max over tracks for
 the video-level anticipation score, and region riskiness taken from whichever
 track is most alarmed at each frame.
+
+All detected tracks of a video run through the model as one forward pass,
+its (frame, track) columns frame-major, and each frame reduces over its K
+columns.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from .evaluation import (VideoPrediction, average_precision,
                          region_average_precision, tta_atta,
                          video_level_scores)
 from .model import RiskModel
-from .training import detected_tracks, frames_for_track
+from .training import detected_tracks, track_inputs
 
 
 @dataclass
@@ -50,21 +54,19 @@ class EvalSummary:
 
 
 def eval_video(model: RiskModel, sample, run_cfg: RunConfig) -> VideoEvalResult:
-    """Run every candidate track through the model and reduce per frame."""
+    """Run every candidate track through the model in one pass and reduce
+    per frame."""
     tracks = detected_tracks(sample, run_cfg)
     n_frames = sample.n_frames
-    probs = np.zeros((len(tracks), n_frames))
-    region_scores = []
-    for k, track in enumerate(tracks):
-        out = model.forward_video(frames_for_track(sample, track))
-        y, s = (out.y_fused, out.s_fused) if run_cfg.use_fused else (out.y, out.s)
-        probs[k] = y[:, 1]
-        region_scores.append(s)
+    out = model.forward_video(track_inputs(sample, tracks))
+    y, s = (out.y_fused, out.s_fused) if run_cfg.use_fused else (out.y, out.s)
+    probs = y[:, 1].reshape(n_frames, len(tracks))
+    region_scores = s.reshape(n_frames, len(tracks), -1)
 
-    frame_probs = probs.max(axis=0)
-    picks = probs.argmax(axis=0)
+    frame_probs = probs.max(axis=1)
+    picks = probs.argmax(axis=1)
     frame_regions = [
-        (sample.frames[t].region_boxes, region_scores[picks[t]][t])
+        (sample.frames[t].region_boxes, region_scores[t, picks[t]])
         for t in range(n_frames)
     ]
     return VideoEvalResult(

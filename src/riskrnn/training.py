@@ -17,9 +17,9 @@ import numpy as np
 from .autodiff import Tape
 from .config import RunConfig, derive_seed
 from .evaluation import ScoredItem, average_precision
-from .data import FrameInput
+from .geometry import stack_boxes
 from .losses import total_loss
-from .model import RiskModel, forward_video
+from .model import AgentTracks, RiskModel, VideoRegions, forward_video
 from .nn import TrainingError, adam_step
 from .tracking import (Track, deduplicate_tracks, select_training_track,
                        track_by_detection, track_from_targets)
@@ -36,26 +36,34 @@ class EpochStats:
     val_map: float
 
 
-def frames_for_track(sample, track: Track) -> list[FrameInput]:
-    """Frame inputs where the chosen track plays the agent; regions are the
-    video's own candidate set."""
-    return [
-        FrameInput(np.asarray(track.feats[t], dtype=np.float64),
-                   track.boxes[t], sample.frames[t].regions)
-        for t in range(len(track))
-    ]
+def track_inputs(sample, tracks) -> AgentTracks:
+    """The model input where each of the K tracks plays the agent over the
+    video's own candidate regions: track k is entry k of every frame."""
+    feats = np.array([track.feats for track in tracks], dtype=np.float64)
+    boxes = np.array([stack_boxes(track.boxes) for track in tracks])
+    return AgentTracks(feats.transpose(2, 1, 0), boxes.transpose(2, 1, 0),
+                       VideoRegions([frame.regions for frame in sample.frames]))
 
 
 def video_loss(model: RiskModel, sample, track: Track, time_scale: float,
                tape: Tape):
-    frames = frames_for_track(sample, track)
-    out = forward_video(model.store, model.cfg, frames, tape)
-    loss = total_loss(tape, frames, out, sample.targets, model.cfg.lambdas,
+    inputs = track_inputs(sample, [track])
+    out = forward_video(model.store, model.cfg, inputs, tape)
+    loss = total_loss(tape, inputs, out, sample.targets, model.cfg.lambdas,
                       model.cfg.horizon, time_scale)
     return loss, out
 
 
 def detected_tracks(sample, run_cfg: RunConfig) -> list[Track]:
+    """The deduplicated tracks the tracker finds in a video's proposals.
+
+    Raises ValueError naming the video and its first frame without
+    proposals: the tracker would end every track there, short of the video.
+    """
+    empty = [t for t, frame in enumerate(sample.proposals) if len(frame) == 0]
+    if empty:
+        raise ValueError(f"video {sample.video_id}: frame {empty[0]} has no proposals "
+                         f"to track the agent through")
     tracks = track_by_detection(sample.proposals, top_init=run_cfg.top_init,
                                 top_iou=run_cfg.top_iou)
     return deduplicate_tracks(tracks, overlap_iou=run_cfg.dedup_iou)
@@ -67,9 +75,9 @@ def _validation_pass(model: RiskModel, videos, run_cfg: RunConfig):
     items = []
     for sample in videos:
         tape = Tape(train=False)
-        frames = frames_for_track(sample, track_from_targets(sample))
-        out = forward_video(model.store, model.cfg, frames, tape)
-        loss = total_loss(tape, frames, out, sample.targets, model.cfg.lambdas,
+        inputs = track_inputs(sample, [track_from_targets(sample)])
+        out = forward_video(model.store, model.cfg, inputs, tape)
+        loss = total_loss(tape, inputs, out, sample.targets, model.cfg.lambdas,
                           model.cfg.horizon, run_cfg.time_scale)
         losses.append(float(loss.value))
         probs = out.y_fused[:, 1] if run_cfg.use_fused else out.y[:, 1]

@@ -1,11 +1,15 @@
-"""Shared builders for model-level tests: random frames, targets, and stores,
-and the finite-difference gradient check."""
+"""Shared builders for model-level tests: random frames, targets, stores and
+the model input, and the finite-difference gradient check."""
+from types import SimpleNamespace
+
 import numpy as np
 
 from riskrnn.data import FrameInput, RegionSet, VideoTargets
 from riskrnn.geometry import Box
-from riskrnn.model import ModelConfig, RiskModel
+from riskrnn.model import AgentTracks, ModelConfig, RiskModel
 from riskrnn.nn import ParameterStore
+from riskrnn.tracking import Track
+from riskrnn.training import track_inputs
 
 TINY_CONFIG = ModelConfig(d_agent=8, d_region=8, d_u=6, h_agent=8, h_aa=8,
                           horizon=1, imagine_steps=1, lambdas=(0.6, 0.4))
@@ -57,6 +61,15 @@ def random_frames(rng, cfg: ModelConfig, n_frames: int, n_regions: int):
                       rng.normal(size=(n_regions, cfg.d_region))),
         ))
     return frames
+
+
+def agent_tracks(*tracks) -> AgentTracks:
+    """The model input of K tracks, each a list of FrameInput over the same
+    frames, built as training.track_inputs builds it; the regions are the
+    first track's."""
+    agents = [Track(boxes=[frame.agent_box for frame in track],
+                    feats=[frame.agent_feat for frame in track]) for track in tracks]
+    return track_inputs(SimpleNamespace(frames=tracks[0]), agents)
 
 
 def random_targets(rng, frames, positive: bool) -> VideoTargets:

@@ -1,10 +1,11 @@
 """The benchmark's traced run replaces program functions by the names their
 callers look up (``bench/tracing.py``). This checks that every one of those
-names still exists and that a traced training run still goes through them."""
+names still exists and that traced training and eval runs still go through
+them."""
 import sys
 from pathlib import Path
 
-from riskrnn import geometry, model, training
+from riskrnn import geometry, model, pipeline, training
 from riskrnn.config import RunConfig
 from riskrnn.model import VARIANTS
 from riskrnn.synthworld import generate_split
@@ -49,4 +50,22 @@ def test_a_traced_training_epoch_reaches_every_wrapper():
         assert 0 < tracer.total("autodiff.grad_nodes", variant) <= tracer.total(
             "autodiff.taped_nodes", variant)
     metrics = tracing.layer_metrics("train", tracer)
+    assert all(metrics[name] is not None for name in metrics), metrics
+
+
+def test_a_traced_eval_runs_one_forward_per_video():
+    cfg = RunConfig(n_test=4, seed=5)
+    test_videos = generate_split(cfg.scenario_config(), cfg.n_test, "test")
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        for variant in VARIANTS:
+            tracer.variant = variant
+            riskmodel = model.RiskModel.create(cfg.model_config(variant), seed=5)
+            pipeline.evaluate_model(riskmodel, test_videos, cfg)
+            tracer.commit(cfg.n_test)
+    for variant in VARIANTS:
+        # every candidate track of a video runs in its one forward pass
+        assert len(tracer.seconds("model.forward_video.inference", variant)) == cfg.n_test
+        assert len(tracer.seconds("pipeline.eval_video", variant)) == cfg.n_test
+    metrics = tracing.layer_metrics("eval", tracer)
     assert all(metrics[name] is not None for name in metrics), metrics

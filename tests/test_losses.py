@@ -11,7 +11,8 @@ from riskrnn.losses import (anticipation_loss, region_labels,
 from riskrnn.model import RiskModel, forward_video, variant_config
 
 import oracles
-from helpers import TINY_CONFIG, random_box, random_frames, random_targets, tiny_model
+from helpers import (TINY_CONFIG, agent_tracks, random_box, random_frames, random_targets,
+                     tiny_model)
 
 
 def prob_nodes(tape, values):
@@ -203,8 +204,9 @@ class TestTotalLoss:
         frames = random_frames(rng, cfg, 4, 3)
         targets = random_targets(rng, frames, positive=True)
         tape = Tape(train=False)
-        out = forward_video(model.store, cfg, frames, tape)
-        total = total_loss(tape, frames, out, targets, (1.0,), cfg.horizon)
+        inputs = agent_tracks(frames)
+        out = forward_video(model.store, cfg, inputs, tape)
+        total = total_loss(tape, inputs, out, targets, (1.0,), cfg.horizon)
         labels = region_labels(np.stack([f.regions.xywh for f in frames]),
                                targets.risky_array())
         want = (float(anticipation_loss(tape, out.y_node, True, targets.t_accident).value)
@@ -221,8 +223,9 @@ class TestTotalLoss:
         frames = random_frames(rng, cfg, 3, 3)
         targets = random_targets(rng, frames, positive=False)
         tape = Tape(train=False)
-        out = forward_video(model.store, cfg, frames, tape)
-        total = total_loss(tape, frames, out, targets, cfg.lambdas, cfg.horizon)
+        inputs = agent_tracks(frames)
+        out = forward_video(model.store, cfg, inputs, tape)
+        total = total_loss(tape, inputs, out, targets, cfg.lambdas, cfg.horizon)
         labels = [[0.0] * 3 for _ in frames]
         obs = (float(anticipation_loss(tape, out.y_node, False).value)
                + float(region_loss(tape, out.s_node, labels).value))
@@ -237,20 +240,22 @@ class TestTotalLoss:
         frames = random_frames(rng, TINY_CONFIG, 2, 3)
         targets = random_targets(rng, frames, positive=False)
         tape = Tape(train=False)
-        out = forward_video(model.store, TINY_CONFIG, frames, tape)
+        inputs = agent_tracks(frames)
+        out = forward_video(model.store, TINY_CONFIG, inputs, tape)
         with pytest.raises(ValueError):
-            total_loss(tape, frames, out, targets, (1.0,), TINY_CONFIG.horizon)
+            total_loss(tape, inputs, out, targets, (1.0,), TINY_CONFIG.horizon)
 
     def test_gradient_matches_finite_differences(self):
         from helpers import finite_diff_check, gradcheck_fixture
         model = tiny_model(6)
         rng = np.random.default_rng(6)
         frames, targets = gradcheck_fixture(rng, TINY_CONFIG, 2, 3, positive=True)
+        inputs = agent_tracks(frames)
 
         def make_loss():
             tape = Tape()
-            out = forward_video(model.store, TINY_CONFIG, frames, tape)
-            return tape, total_loss(tape, frames, out, targets,
+            out = forward_video(model.store, TINY_CONFIG, inputs, tape)
+            return tape, total_loss(tape, inputs, out, targets,
                                     TINY_CONFIG.lambdas, TINY_CONFIG.horizon)
 
         assert finite_diff_check(model.store, make_loss) < 1e-4

@@ -16,7 +16,7 @@ from riskrnn.model import (ModelConfig, RiskModel, VideoRegions,
 from riskrnn.nn import LstmState, lstm_step
 
 import oracles
-from helpers import (TINY_CONFIG, random_box, random_frames, random_targets,
+from helpers import (TINY_CONFIG, agent_tracks, random_box, random_frames, random_targets,
                      tiny_model, zeroed_model)
 
 
@@ -172,7 +172,7 @@ class TestRecurrentSteps:
         inputs = np.concatenate([rng.normal(size=(8, 5)),
                                  box_columns([random_box(rng) for _ in range(5)])])
         tape = Tape()
-        got = agent_rnn_step(tape, model.store, inputs)
+        got = agent_rnn_step(tape, model.store, inputs[:, :, None])
         state = LstmState(tape.const(np.zeros((8, 1))), tape.const(np.zeros((8, 1))))
         for t in range(5):
             state = lstm_step(tape, model.store["agent_rnn_W"], model.store["agent_rnn_b"],
@@ -186,7 +186,7 @@ class TestRecurrentSteps:
         model = zeroed_model(TINY_CONFIG)
         rng = np.random.default_rng(7)
         inputs = np.concatenate([np.zeros((8, 3)), box_columns([random_box(rng)] * 3)])
-        out = agent_rnn_step(Tape(), model.store, inputs)
+        out = agent_rnn_step(Tape(), model.store, inputs[:, :, None])
         np.testing.assert_allclose(out.hidden.value, 0.0)
 
     def test_anticipate_zero_head_gives_half(self):
@@ -223,7 +223,7 @@ class TestImagination:
         model = tiny_model(9)
         model.store["imagine_head_W"].values[...] = 0.0
         rng = np.random.default_rng(9)
-        out = model.forward_video(random_frames(rng, TINY_CONFIG, 3, 4))
+        out = model.forward_video(agent_tracks(random_frames(rng, TINY_CONFIG, 3, 4)))
         np.testing.assert_allclose(out.imagined[0].s, out.s, atol=1e-12)
 
     def test_zero_head_reassessment_memoryless_reproduces_y(self):
@@ -234,7 +234,7 @@ class TestImagination:
         model = RiskModel.create(cfg, seed=9)
         model.store["imagine_head_W"].values[...] = 0.0
         rng = np.random.default_rng(9)
-        out = model.forward_video(random_frames(rng, cfg, 3, 4))
+        out = model.forward_video(agent_tracks(random_frames(rng, cfg, 3, 4)))
         np.testing.assert_allclose(out.imagined[0].y, out.y, atol=1e-12)
         np.testing.assert_allclose(out.imagined[0].s, out.s, atol=1e-12)
 
@@ -244,8 +244,8 @@ class TestImagination:
         model = tiny_model(10)
         rng = np.random.default_rng(10)
         frames = random_frames(rng, cfg_on, 4, 3)
-        on = forward_video(model.store, cfg_on, frames, Tape(train=False))
-        off = forward_video(model.store, cfg_off, frames, Tape(train=False))
+        on = forward_video(model.store, cfg_on, agent_tracks(frames), Tape(train=False))
+        off = forward_video(model.store, cfg_off, agent_tracks(frames), Tape(train=False))
         assert np.array_equal(on.y, off.y)
         assert np.array_equal(on.s, off.s)
 
@@ -257,7 +257,7 @@ class TestImagination:
         model = RiskModel.create(cfg, seed=11)
         rng = np.random.default_rng(11)
         frames = random_frames(rng, cfg, 2, 3)
-        out = model.forward_video(frames)
+        out = model.forward_video(agent_tracks(frames))
         assert len(out.imagined) == 2
         for t, ref in enumerate(oracles.forward(model.store, cfg, frames)):
             first, second = ref["hops"]
@@ -299,24 +299,24 @@ class TestForwardVideo:
     def test_zero_model_single_frame(self):
         model = zeroed_model(TINY_CONFIG)
         rng = np.random.default_rng(13)
-        out = model.forward_video(random_frames(rng, TINY_CONFIG, 1, 4))
+        out = model.forward_video(agent_tracks(random_frames(rng, TINY_CONFIG, 1, 4)))
         np.testing.assert_allclose(out.y, [[0.5, 0.5]])
         np.testing.assert_allclose(out.s, np.full((1, 4), 0.5))
 
     def test_empty_video_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_model(0).forward_video([])
+        with pytest.raises(ValueError, match="at least one frame"):
+            VideoRegions([])
 
     def test_frames_need_one_region_count(self):
         rng = np.random.default_rng(14)
         frames = random_frames(rng, TINY_CONFIG, 2, 3) + random_frames(rng, TINY_CONFIG, 1, 4)
         with pytest.raises(ValueError, match="frame 2 has 4 regions"):
-            tiny_model(14).forward_video(frames)
+            tiny_model(14).forward_video(agent_tracks(frames))
 
     def test_frame_count_preserved(self):
         model = tiny_model(14)
         rng = np.random.default_rng(14)
-        out = model.forward_video(random_frames(rng, TINY_CONFIG, 5, 3))
+        out = model.forward_video(agent_tracks(random_frames(rng, TINY_CONFIG, 5, 3)))
         assert out.y.shape == out.y_fused.shape == (5, 2)
         assert out.s.shape == out.s_fused.shape == (5, 3)
 
@@ -331,8 +331,8 @@ class TestForwardVideo:
                                  f.region_feats[perm]))
             for f in frames
         ]
-        a = model.forward_video(frames)
-        b = model.forward_video(frames_p)
+        a = model.forward_video(agent_tracks(frames))
+        b = model.forward_video(agent_tracks(frames_p))
         np.testing.assert_allclose(b.s, a.s[:, perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.y, a.y, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.y_fused, a.y_fused, rtol=0, atol=1e-12)
@@ -341,7 +341,7 @@ class TestForwardVideo:
         rng = np.random.default_rng(16)
         for trial in range(25):
             model = tiny_model(100 + trial)
-            out = model.forward_video(random_frames(rng, TINY_CONFIG, 2, 3))
+            out = model.forward_video(agent_tracks(random_frames(rng, TINY_CONFIG, 2, 3)))
             assert np.all(np.abs(out.y.sum(axis=1) - 1.0) <= 1e-12)
             assert np.all(np.abs(out.y_fused.sum(axis=1) - 1.0) <= 1e-12)
             assert np.all((out.s > 0.0) & (out.s < 1.0))
@@ -374,7 +374,8 @@ class TestForwardVideo:
                 Box(agent.cx + shift, agent.cy + shift, agent.w, agent.h),
                 RegionSet([Box(b.cx + shift, b.cy + shift, b.w, b.h) for b in boxes],
                           feats)))
-        a, b = model.forward_video(frames), model.forward_video(moved)
+        a = model.forward_video(agent_tracks(frames))
+        b = model.forward_video(agent_tracks(moved))
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.s, b.s)
 
@@ -398,8 +399,9 @@ class TestMatchesPerFrameReference:
         frames = random_frames(rng, cfg, n_frames, n_regions)
         targets = random_targets(rng, frames, positive)
         tape = Tape()
-        out = forward_video(model.store, cfg, frames, tape)
-        loss = total_loss(tape, frames, out, targets, cfg.lambdas, cfg.horizon)
+        inputs = agent_tracks(frames)
+        out = forward_video(model.store, cfg, inputs, tape)
+        loss = total_loss(tape, inputs, out, targets, cfg.lambdas, cfg.horizon)
         ref = oracles.forward(model.store, cfg, frames)
         ref_loss = oracles.total_loss(cfg, frames, ref, targets)
 
@@ -419,6 +421,44 @@ class TestMatchesPerFrameReference:
         close(loss.value, ref_loss)
 
 
+class TestTracksAsColumns:
+    """A K-track pass: each track's columns, t * K + k, against the per-frame
+    reference run on that track alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(["RA", "RAI", "L-RA", "L-RAI"]),
+           imagine_steps=st.sampled_from([1, 2]), n_tracks=st.integers(1, 6),
+           n_frames=st.integers(1, 12), n_regions=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_track_matches_its_own_run(self, variant, imagine_steps, n_tracks,
+                                             n_frames, n_regions, seed):
+        lambdas = (0.6, 0.4) if imagine_steps == 1 else (0.5, 0.3, 0.2)
+        cfg = variant_config(replace(TINY_CONFIG, imagine_steps=imagine_steps,
+                                     lambdas=lambdas), variant)
+        rng = np.random.default_rng(seed)
+        model = RiskModel.create(cfg, seed=seed)
+        shared = random_frames(rng, cfg, n_frames, n_regions)
+        tracks = [[FrameInput(rng.normal(size=cfg.d_agent), random_box(rng), frame.regions)
+                   for frame in shared] for _ in range(n_tracks)]
+        out = forward_video(model.store, cfg, agent_tracks(*tracks), Tape(train=False))
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+        assert out.y.shape == (n_frames * n_tracks, 2)
+        assert out.s.shape == (n_frames * n_tracks, n_regions)
+        for k, track in enumerate(tracks):
+            ref = oracles.forward(model.store, cfg, track)
+            columns = slice(k, None, n_tracks)
+            for name in ("y", "s", "y_fused", "s_fused"):
+                close(getattr(out, name)[columns], [r[name] for r in ref])
+            for level, step in enumerate(out.imagined):
+                close(step.y[columns], [r["hops"][level][1] for r in ref])
+                close(step.s[columns], [r["hops"][level][2] for r in ref])
+            if cfg.use_imagination:
+                close(out.c_node.value[:, columns].T, [r["c"] for r in ref])
+
+
 class TestNodeCount:
     """Taped nodes of forward plus loss for a 12-frame, 8-region training
     video: the whole-video passes record a handful of nodes per pass, not per
@@ -432,8 +472,9 @@ class TestNodeCount:
         frames = random_frames(rng, cfg, 12, 8)
         targets = random_targets(rng, frames, positive=True)
         tape = Tape()
-        out = forward_video(RiskModel.create(cfg, seed=23).store, cfg, frames, tape)
-        total_loss(tape, frames, out, targets, cfg.lambdas, cfg.horizon)
+        inputs = agent_tracks(frames)
+        out = forward_video(RiskModel.create(cfg, seed=23).store, cfg, inputs, tape)
+        total_loss(tape, inputs, out, targets, cfg.lambdas, cfg.horizon)
         assert len(tape.nodes) <= limit
 
 
@@ -443,11 +484,12 @@ class TestGradients:
         model = tiny_model(19)
         rng = np.random.default_rng(19)
         frames, targets = gradcheck_fixture(rng, TINY_CONFIG, 3, 4, positive=True)
+        inputs = agent_tracks(frames)
 
         def make_loss():
             tape = Tape()
-            preds = forward_video(model.store, TINY_CONFIG, frames, tape)
-            return tape, total_loss(tape, frames, preds, targets,
+            preds = forward_video(model.store, TINY_CONFIG, inputs, tape)
+            return tape, total_loss(tape, inputs, preds, targets,
                                     TINY_CONFIG.lambdas, TINY_CONFIG.horizon)
 
         assert finite_diff_check(model.store, make_loss) < 1e-4
@@ -536,7 +578,8 @@ class TestSaveLoad:
         model.save(path)
         loaded = RiskModel.load(path)
         assert loaded.cfg == model.cfg
-        a, b = model.forward_video(frames), loaded.forward_video(frames)
+        inputs = agent_tracks(frames)
+        a, b = model.forward_video(inputs), loaded.forward_video(inputs)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.s, b.s)
         assert np.array_equal(a.y_fused, b.y_fused)

@@ -1,6 +1,6 @@
 """The test-time protocol of pipeline.eval_video: every detected track runs
-through the model, and each frame takes its score and its region scores from
-the most alarmed track."""
+through the model in one pass, and each frame takes its score and its region
+scores from the most alarmed track."""
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +10,7 @@ from riskrnn.config import RunConfig
 from riskrnn.model import VARIANTS, RiskModel
 from riskrnn.pipeline import eval_video
 from riskrnn.synthworld import generate_split
-from riskrnn.training import detected_tracks, frames_for_track
+from riskrnn.training import detected_tracks, track_inputs
 
 CFG = RunConfig(n_test=3, seed=6)
 
@@ -20,6 +20,10 @@ def samples():
     return generate_split(CFG.scenario_config(), CFG.n_test, "test")
 
 
+def outputs(out, use_fused):
+    return (out.y_fused, out.s_fused) if use_fused else (out.y, out.s)
+
+
 @pytest.mark.parametrize("use_fused", [True, False])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_each_frame_follows_its_most_alarmed_track(samples, variant, use_fused):
@@ -27,14 +31,42 @@ def test_each_frame_follows_its_most_alarmed_track(samples, variant, use_fused):
     model = RiskModel.create(cfg.model_config(variant), seed=6)
     for sample in samples:
         tracks = detected_tracks(sample, cfg)
-        outs = [model.forward_video(frames_for_track(sample, track)) for track in tracks]
-        probs = [(out.y_fused if use_fused else out.y)[:, 1] for out in outs]
-        scores = [out.s_fused if use_fused else out.s for out in outs]
+        y, s = outputs(model.forward_video(track_inputs(sample, tracks)), use_fused)
+        # column t * K + k is track k at frame t
+        probs = y[:, 1].reshape(sample.n_frames, len(tracks))
+        scores = s.reshape(sample.n_frames, len(tracks), -1)
         result = eval_video(model, sample, cfg)
         assert result.n_tracks == len(tracks) > 1
         assert len(result.frame_probs) == len(result.frame_regions) == sample.n_frames
         for t, (boxes, region_scores) in enumerate(result.frame_regions):
-            frame = [p[t] for p in probs]
-            assert result.frame_probs[t] == max(frame)
+            assert result.frame_probs[t] == probs[t].max()
             assert boxes == sample.frames[t].region_boxes
-            np.testing.assert_array_equal(region_scores, scores[frame.index(max(frame))][t])
+            np.testing.assert_array_equal(region_scores, scores[t, probs[t].argmax()])
+
+
+@pytest.mark.parametrize("use_fused", [True, False])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_batched_pass_matches_one_forward_per_track(samples, variant, use_fused):
+    # the batched matmuls sum in another order than one track's, so the
+    # columns agree with the separate forwards to rounding, not bit for bit
+    cfg = replace(CFG, use_fused=use_fused)
+    model = RiskModel.create(cfg.model_config(variant), seed=6)
+    for sample in samples:
+        tracks = detected_tracks(sample, cfg)
+        y, s = outputs(model.forward_video(track_inputs(sample, tracks)), use_fused)
+        for k, track in enumerate(tracks):
+            y_k, s_k = outputs(model.forward_video(track_inputs(sample, [track])), use_fused)
+            np.testing.assert_allclose(y[k::len(tracks)], y_k, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(s[k::len(tracks)], s_k, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("empty_frame", [0, 5])
+def test_a_frame_without_proposals_names_the_video_and_the_frame(samples, empty_frame):
+    sample = samples[0]
+    proposals = list(sample.proposals)
+    proposals[empty_frame] = ()
+    broken = replace(sample, proposals=tuple(proposals))
+    model = RiskModel.create(CFG.model_config("L-RA"), seed=6)
+    with pytest.raises(ValueError, match=f"^video {sample.video_id}: frame {empty_frame} "
+                                         f"has no proposals"):
+        eval_video(model, broken, CFG)

@@ -41,6 +41,18 @@ def test_a_non_finite_loss_names_the_epoch_and_the_video(splits):
         train_model(CFG, "RA", [dataclasses.replace(sample, frames=frames)], val)
 
 
+@pytest.mark.parametrize("empty_frame", [0, 5])
+def test_a_frame_without_proposals_names_the_video_and_the_frame(splits, empty_frame):
+    train, val = splits
+    sample = train[1]
+    proposals = list(sample.proposals)
+    proposals[empty_frame] = ()
+    broken = dataclasses.replace(sample, proposals=tuple(proposals))
+    with pytest.raises(ValueError, match=f"^video {sample.video_id}: frame {empty_frame} "
+                                         f"has no proposals"):
+        train_model(CFG, "L-RA", [train[0], broken], val)
+
+
 def test_one_seed_gives_one_run(splits):
     (first, first_history), (second, second_history) = (
         train_model(CFG, "L-RAI", *splits) for _ in range(2))
