@@ -1,7 +1,7 @@
 """A golden end-to-end run: ``generate``, ``train`` for each variant and
 ``eval`` through ``cli.main`` on a tiny seeded configuration, compared with
-values pinned before the tracks of an eval video ran as one batched pass.
-Refactors of the model, training or eval must keep these numbers."""
+pinned training logs and report fields. Refactors of the model, training or
+eval must keep these numbers; re-pin only for a change meant to alter them."""
 import numpy as np
 import pytest
 
