@@ -6,7 +6,7 @@ from .data import (FrameInput, Proposal, RegionSet, VideoSample, VideoTargets,
                    read_dataset, write_dataset)
 from .model import (AgentTracks, ModelConfig, ModelOutput, RiskModel, VARIANTS,
                     VideoRegions, forward_video, fuse_predictions, variant_config)
-from .losses import region_labels, total_loss
+from .losses import SequenceTargets, region_labels, total_loss
 from .synthworld import ScenarioConfig, generate_scenario, generate_split
 from .tracking import Track, deduplicate_tracks, select_training_track, track_by_detection
 from .evaluation import (average_precision, region_average_precision,
@@ -20,7 +20,8 @@ __all__ = [
     "FrameInput", "Proposal", "RegionSet", "VideoSample", "VideoTargets",
     "read_dataset", "write_dataset",
     "AgentTracks", "ModelConfig", "ModelOutput", "RiskModel", "VARIANTS", "VideoRegions",
-    "forward_video", "fuse_predictions", "variant_config", "region_labels", "total_loss",
+    "forward_video", "fuse_predictions", "variant_config",
+    "SequenceTargets", "region_labels", "total_loss",
     "ScenarioConfig", "generate_scenario", "generate_split",
     "Track", "deduplicate_tracks", "select_training_track", "track_by_detection",
     "average_precision", "region_average_precision", "risk_map_raster",

@@ -249,13 +249,6 @@ def matmul(a: Node, b: Node) -> Node:
     return a.tape._make(av @ bv, (a, b), backward)
 
 
-def dot(a: Node, b: Node) -> Node:
-    def backward(g):
-        _accum(a, g * b.value)
-        _accum(b, g * a.value)
-    return a.tape._make(np.dot(a.value, b.value), (a, b), backward)
-
-
 def vsum(x: Node, axis=None) -> Node:
     def backward(g):
         if axis is None:
@@ -292,16 +285,6 @@ def vec_slice(x: Node, lo: int, hi: int) -> Node:
         full[lo:hi] = g
         _accum(x, full)
     return x.tape._make(x.value[lo:hi].copy(), (x,), backward)
-
-
-def pick(x: Node, i: int) -> Node:
-    """Select entry i along the first axis: an element of a vector as a 0-d
-    node, or a row of a matrix."""
-    def backward(g):
-        full = np.zeros_like(x.value)
-        full[i] = g
-        _accum(x, full)
-    return x.tape._make(np.asarray(x.value[i]), (x,), backward)
 
 
 def reshape(x: Node, shape) -> Node:

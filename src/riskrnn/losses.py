@@ -1,12 +1,16 @@
 """Task losses: anticipation, region risk, box-transform regression, and the
 imagination-weighted total.
 
-Each term reads a whole video's outputs at once. Per-frame terms are summed
-(not averaged) within a video; batch averaging is the trainer's job. Log
-arguments are clamped to [1e-12, 1 - 1e-12].
+The losses read the model's (frame, sequence) columns, t * B + b, with a
+SequenceTargets per sequence. Each term gives a loss per column, and the
+total sums each sequence's columns, so a batch of B videos records as many
+tape nodes as one video, and each video's loss is the one its own pass gives.
+Per-frame terms are summed (not averaged) within a video; batch averaging is
+the trainer's job. Log arguments are clamped to [1e-12, 1 - 1e-12].
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -14,10 +18,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, Tape
 from .geometry import encode_box_transform, iou, stack_boxes
+from .model import frame_major
 
 if TYPE_CHECKING:
     from .data import VideoTargets
-    from .model import AgentTracks, ModelOutput
+    from .model import ModelOutput, VideoRegions
 
 PROB_CLAMP = 1e-12
 RISKY_IOU_THRESHOLD = 0.4
@@ -36,60 +41,103 @@ def region_labels(region_boxes: np.ndarray, risky_boxes: np.ndarray) -> np.ndarr
     return (overlaps > RISKY_IOU_THRESHOLD).any(axis=2).astype(np.float64)
 
 
-def anticipation_loss(tape: Tape, y: Node, positive: bool,
-                      t_accident: int | None = None,
-                      time_scale: float = 1.0) -> Node:
-    """Cross-entropy over the accident/non-accident sequence.
+def anticipation_weights(positive: bool, t_accident: int | None, n_frames: int,
+                         time_scale: float = 1.0) -> np.ndarray:
+    """(2, T) weights of the per-frame (non-accident, accident) log
+    probabilities in the anticipation loss.
 
-    ``y`` holds a (non-accident, accident) distribution per frame as its
-    (2, T) columns. Negatives pay -log y[0] every frame. Positives pay
-    -log y[1] weighted by exp(-(T - t) * time_scale), so frames close to the
-    accident dominate. ``time_scale`` rescales the frame-unit gap (1.0 = one
-    e-fold per frame).
+    Negatives pay -log y[0] every frame. Positives pay -log y[1] weighted by
+    exp(-(t_accident - t) * time_scale), so frames close to the accident
+    dominate. ``time_scale`` rescales the frame-unit gap (1.0 = one e-fold
+    per frame).
     """
-    idx = 1 if positive else 0
-    logs = ad.log(ad.clip(ad.pick(y, idx), PROB_CLAMP, 1.0 - PROB_CLAMP))
+    weights = np.zeros((2, n_frames))
     if positive:
         if t_accident is None:
             raise ValueError("positive sequence needs the accident frame index")
-        t = np.arange(y.value.shape[1], dtype=np.float64)
-        weights = np.exp(-(t_accident - t) * time_scale)
-        return -ad.dot(logs, tape.const(weights))
-    return -ad.vsum(logs)
+        t = np.arange(n_frames, dtype=np.float64)
+        weights[1] = np.exp(-(t_accident - t) * time_scale)
+    else:
+        weights[0] = 1.0
+    return weights
+
+
+def anticipation_loss(tape: Tape, y: Node, weights: np.ndarray) -> Node:
+    """(C,) cross-entropy of each column's (non-accident, accident)
+    distribution, the (2, C) columns of ``y``, under the (2, C) weights
+    anticipation_weights gives."""
+    logs = ad.log(ad.clip(y, PROB_CLAMP, 1.0 - PROB_CLAMP))
+    return ad.vsum(logs * tape.const(-weights), axis=0)
 
 
 def region_loss(tape: Tape, scores: Node, labels) -> Node:
-    """Per-region sigmoid cross entropy of (T, N) scores against (T, N)
-    labels, summed over frames and regions."""
-    lbl = tape.const(np.asarray(labels, dtype=np.float64))
-    if scores.value.shape != lbl.value.shape:
-        raise ValueError(f"scores {scores.value.shape} vs labels {lbl.value.shape}")
+    """(C,) sigmoid cross entropy of each column's N region scores against
+    its 0/1 labels, from (C, N) scores and labels, summed over the regions."""
+    lbl = np.asarray(labels, dtype=np.float64)
+    if scores.value.shape != lbl.shape:
+        raise ValueError(f"scores {scores.value.shape} vs labels {lbl.shape}")
     p = ad.clip(scores, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    ce = -(lbl * ad.log(p) + (1.0 - lbl) * ad.log(1.0 - p))
-    return ad.vsum(ce)
+    # the likelihood of the label: p where it is 1 and 1 - p where it is 0, both exact
+    likelihood = p * tape.const(2.0 * lbl - 1.0) + tape.const(1.0 - lbl)
+    return -ad.vsum(ad.log(likelihood), axis=1)
 
 
-def transform_loss(tape: Tape, c: Node | None, agent_track, horizon: int) -> Node:
-    """Smooth-L1 between the (4, T) predicted transforms and the track's
-    true ones.
-
-    The target at frame t encodes the move from track[t] to track[t + K];
-    frames within K of the end contribute nothing.
-    """
-    n_targets = len(agent_track) - horizon
-    if c is None or n_targets <= 0:
-        return tape.const(0.0)
+def transform_targets(agent_track, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (4, T) true transforms of a track and the (T,) mask of frames
+    that have one: the target at frame t encodes the move from track[t] to
+    track[t + horizon], so frames within ``horizon`` of the end have none."""
     track = stack_boxes(agent_track).T
-    target = np.zeros(c.value.shape)
-    target[:, :n_targets] = encode_box_transform(track[:, :n_targets], track[:, horizon:])
-    has_target = np.arange(c.value.shape[1]) < n_targets
-    return ad.vsum(ad.smooth_l1(c - tape.const(target)) * tape.const(has_target))
+    n_targets = max(track.shape[1] - horizon, 0)
+    target = np.zeros(track.shape)
+    if n_targets:
+        target[:, :n_targets] = encode_box_transform(track[:, :n_targets], track[:, horizon:])
+    return target, np.arange(track.shape[1]) < n_targets
 
 
-def total_loss(tape: Tape, frames: AgentTracks, predictions: ModelOutput,
-               targets: VideoTargets, lambdas, horizon: int, time_scale: float = 1.0) -> Node:
-    """Transform loss plus the fusion-weighted sum of per-level task losses
-    of a one-track forward, whose columns are the frames.
+def transform_loss(tape: Tape, c: Node, target: np.ndarray, has_target: np.ndarray) -> Node:
+    """(C,) smooth-L1 between each column's predicted (4, C) transform and
+    its target, zero where the mask is off."""
+    return ad.vsum(ad.smooth_l1(c - tape.const(target)) * tape.const(has_target), axis=0)
+
+
+@dataclass(frozen=True)
+class SequenceTargets:
+    """A video's loss targets over its T frames: the (2, T) anticipation
+    weights, the (T, N) region labels, and the (4, T) box transforms with
+    the (T,) mask of frames that have one. They depend only on the video and
+    the loss settings, so a trainer builds them once per video."""
+
+    weights: np.ndarray
+    labels: np.ndarray
+    transforms: np.ndarray
+    has_transform: np.ndarray
+
+    @classmethod
+    def of(cls, targets: VideoTargets, regions: VideoRegions, horizon: int,
+           time_scale: float = 1.0) -> "SequenceTargets":
+        """The targets of a video with the given regions and labels."""
+        n_frames = len(regions)
+        targets.validate(n_frames)
+        risky = targets.risky_array() if targets.positive else np.empty((n_frames, 0, 4))
+        return cls(anticipation_weights(targets.positive, targets.t_accident, n_frames,
+                                        time_scale),
+                   region_labels(regions.xywh, risky),
+                   *transform_targets(targets.agent_track, horizon))
+
+
+@dataclass
+class SequenceLosses:
+    """The loss of a pass: ``total`` is the scalar tape node summing the
+    (B,) ``per_sequence`` losses, each sequence's loss as its own pass gives
+    it."""
+
+    total: Node
+    per_sequence: np.ndarray
+
+
+def total_loss(tape: Tape, predictions: ModelOutput, targets, lambdas) -> SequenceLosses:
+    """Transform loss plus the fusion-weighted sum of per-level task losses,
+    for each of the B sequences of a pass, one SequenceTargets each.
 
     Level 0 is the observed predictions; level n >= 1 is the n-th imagination
     hop, scored against the same accident time and the same per-frame region
@@ -99,15 +147,23 @@ def total_loss(tape: Tape, frames: AgentTracks, predictions: ModelOutput,
     levels = [predictions] + list(predictions.imagined)
     if lam.shape[0] != len(levels):
         raise ValueError(f"need {len(levels)} fusion weights, got {lam.shape[0]}")
-    targets.validate(len(frames))
+    n_frames = targets[0].labels.shape[0]
+    columns = predictions.y_node.value.shape[1]
+    if columns != n_frames * len(targets) or any(
+            t.labels.shape[0] != n_frames for t in targets):
+        raise ValueError(f"{columns} columns are not {len(targets)} sequences of "
+                         f"{[t.labels.shape[0] for t in targets]} frames")
 
-    risky = targets.risky_array() if targets.positive else np.empty((len(frames), 0, 4))
-    labels = region_labels(frames.regions.xywh, risky)
-
-    loss = transform_loss(tape, predictions.c_node, targets.agent_track, horizon)
+    weights = frame_major([t.weights for t in targets], 1)
+    labels = frame_major([t.labels for t in targets], 0)
+    per_column = None
+    if predictions.c_node is not None:
+        per_column = transform_loss(tape, predictions.c_node,
+                                    frame_major([t.transforms for t in targets], 1),
+                                    frame_major([t.has_transform for t in targets], 0))
     for weight, level in zip(lam, levels):
-        level_loss = (anticipation_loss(tape, level.y_node, targets.positive,
-                                        targets.t_accident, time_scale)
-                      + region_loss(tape, level.s_node, labels))
-        loss = loss + float(weight) * level_loss
-    return loss
+        level_loss = float(weight) * (anticipation_loss(tape, level.y_node, weights)
+                                      + region_loss(tape, level.s_node, labels))
+        per_column = level_loss if per_column is None else per_column + level_loss
+    per_sequence = ad.vsum(ad.reshape(per_column, (n_frames, len(targets))), axis=0)
+    return SequenceLosses(ad.vsum(per_sequence), per_sequence.value)

@@ -14,21 +14,23 @@ and fuses observed and imagined outputs as a convex combination.
 Four ablation variants are supported: RA (single frame), RAI (adds
 imagination), L-RA (adds the two LSTMs), and L-RAI (everything).
 
-The input is K candidate agent tracks over one video's T frames, all
-sharing its regions (AgentTracks). Every (frame, track) pair is one column,
-frame-major: column t * K + k is track k at frame t. Training runs one
-track (K = 1), so a column is a frame; eval runs every detected track of a
-video at once. The video runs as passes over those columns (or over the
-(frame, track, region) columns), each a handful of tape nodes however long
-the video is and however many tracks it has:
+The input is B sequences over T frames (AgentTracks), each an agent track
+over its own video's regions. Every (frame, sequence) pair is one column,
+frame-major: column t * B + b is sequence b at frame t, seeing the regions
+of sequence b's video at frame t. Eval runs every detected track of one
+video as its sequences, all over that video's regions; training runs each
+video of a batch on one track, over its own regions. The model never needs
+to know whether sequences share a video. The passes run over those columns
+(or over the (frame, sequence, region) columns), each a handful of tape
+nodes however long the videos are and however many sequences there are:
 
 1. the agent memory: one LSTM sweep over the tracks' appearance and box,
-   the K tracks as K independent sequences;
-2. region scoring and pooling over all T x K x N columns;
-3. the risk memory: one LSTM sweep over the pooled columns, again K
-   sequences, then the anticipation head on all T x K columns;
+   the B sequences independent;
+2. region scoring and pooling over all T x B x N columns;
+3. the risk memory: one LSTM sweep over the pooled columns, again B
+   sequences, then the anticipation head on all T x B columns;
 4. each imagination hop: the box transform, the relative geometry, scoring,
-   pooling and one branched LSTM step, for all T x K columns at once.
+   pooling and one branched LSTM step, for all T x B columns at once.
 
 Only the two memory sweeps (1 and 3) are sequential over time; RA and RAI
 have none.
@@ -113,9 +115,9 @@ def variant_config(base: ModelConfig, variant: str) -> ModelConfig:
 
 @dataclass
 class Assessment:
-    """One assessment of every column of a video, as tape nodes: the (2, C)
+    """One assessment of every column, as tape nodes: the (2, C)
     (non-accident, accident) distributions and the (C, N) region scores,
-    C = T * K (frame, track) columns, frame-major. The ``y`` and ``s``
+    C = T * B (frame, sequence) columns, frame-major. The ``y`` and ``s``
     arrays have a row per column: (C, 2) and (C, N)."""
 
     y_node: Node
@@ -132,7 +134,7 @@ class Assessment:
 
 @dataclass
 class ModelOutput(Assessment):
-    """A video's observed assessment, the fused (C, 2) and (C, N) outputs,
+    """The observed assessment, the fused (C, 2) and (C, N) outputs,
     one more assessment per imagination hop, and the first hop's (4, C) box
     transforms ``c_node`` (None without imagination). The nodes are kept for
     loss construction."""
@@ -148,7 +150,8 @@ class VideoRegions:
     boxes ``xywh``, the (T, N) box arrays ``cx``, ``cy``, ``w``, ``h``,
     ``x1``, ``y1``, ``x2``, ``y2`` and ``area`` that ad.relative_config
     reads, and the (D, T, N) appearances ``feats``. The region passes need one
-    N for the whole video."""
+    N for the whole video. ``interleave`` joins the regions of several
+    videos as rows of (frame, sequence) columns, the layout the model reads."""
 
     __slots__ = ("n", "xywh", "feats", "cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")
 
@@ -175,19 +178,31 @@ class VideoRegions:
     def __len__(self) -> int:
         return self.xywh.shape[0]
 
-    def repeat(self, k: int) -> "VideoRegions":
-        """The regions with each frame repeated k times, one row per (frame,
-        track) column: row t * k + j holds frame t."""
-        out = object.__new__(VideoRegions)
-        out._set(np.repeat(self.xywh, k, axis=0), np.repeat(self.feats, k, axis=1))
+    @classmethod
+    def interleave(cls, videos) -> "VideoRegions":
+        """The regions of B videos with one T and one N, one row per (frame,
+        sequence) column: row t * B + b holds frame t of ``videos[b]``."""
+        out = object.__new__(cls)
+        out._set(frame_major([v.xywh for v in videos], 0),
+                 frame_major([v.feats for v in videos], 1))
         return out
 
 
+def frame_major(arrays, axis: int) -> np.ndarray:
+    """B arrays of one shape, T frames along ``axis``, joined along it as
+    the T * B (frame, sequence) columns of the model: entry t * B + b is
+    ``arrays[b]`` at frame t."""
+    shape = list(arrays[0].shape)
+    shape[axis] = -1
+    return np.stack(arrays, axis=axis + 1).reshape(shape)
+
+
 class AgentTracks:
-    """The model input: K candidate agent tracks over a video's T frames,
-    with the video's ``regions``. ``feats`` holds the (D, T, K) agent
-    appearances and ``boxes`` the (4, T, K) agent boxes as (cx, cy, w, h)
-    rows; entry (t, k) is track k at frame t. ``len()`` is T."""
+    """The model input: B agent sequences over T frames. ``feats`` holds
+    the (D, T, B) agent appearances and ``boxes`` the (4, T, B) agent boxes
+    as (cx, cy, w, h) rows; entry (t, b) is sequence b at frame t.
+    ``regions`` has a row per (frame, sequence) column, t * B + b, holding
+    the regions sequence b sees at frame t. ``len()`` is T."""
 
     __slots__ = ("feats", "boxes", "regions")
 
@@ -196,10 +211,10 @@ class AgentTracks:
         boxes = np.ascontiguousarray(boxes, dtype=np.float64)
         if feats.ndim != 3 or boxes.shape != (4,) + feats.shape[1:]:
             raise ValueError(f"agent features {feats.shape} and boxes {boxes.shape} are not "
-                             f"(D, T, K) and (4, T, K)")
-        if feats.shape[1] != len(regions):
-            raise ValueError(f"tracks cover {feats.shape[1]} frames and the regions "
-                             f"{len(regions)}")
+                             f"(D, T, B) and (4, T, B)")
+        if feats.shape[1] * feats.shape[2] != len(regions):
+            raise ValueError(f"{feats.shape[2]} sequences of {feats.shape[1]} frames need a "
+                             f"row of regions per column, got {len(regions)} rows")
         self.feats, self.boxes, self.regions = feats, boxes, regions
 
     def __len__(self) -> int:
@@ -230,7 +245,7 @@ def param_specs(cfg: ModelConfig):
 
 
 # ---------------------------------------------------------------------------
-# model stages, each over every (frame, track) column of a video at once
+# model stages, each over every (frame, sequence) column at once
 
 def score_regions(tape: Tape, store: ParameterStore, agent_code: Node,
                   u: Node, regions: VideoRegions) -> Node:
@@ -256,28 +271,28 @@ def pool_regions(tape: Tape, scores: Node, regions: VideoRegions) -> Node:
 
 
 def agent_rnn_step(tape: Tape, store: ParameterStore, inputs: np.ndarray) -> LstmState:
-    """The agent memory over the video: one sweep over the (d_agent + 4, T, K)
-    appearances and boxes, each of the K tracks its own sequence; returns
-    (H, T * K) states, frame-major."""
-    rows, _, tracks = inputs.shape
+    """The agent memory: one sweep over the (d_agent + 4, T, B) appearances
+    and boxes of B independent sequences; returns (H, T * B) states,
+    frame-major."""
+    rows, _, sequences = inputs.shape
     return lstm_sweep(tape, store["agent_rnn_W"], store["agent_rnn_b"],
-                      tape.const(inputs.reshape(rows, -1)), tracks)
+                      tape.const(inputs.reshape(rows, -1)), sequences)
 
 
 def anticipate_step(tape: Tape, store: ParameterStore, cfg: ModelConfig,
                     state: LstmState | None, agent_code: Node, pooled: Node,
-                    tracks: int = 1):
+                    sequences: int = 1):
     """Anticipation for every column; returns (state, holistic code, (2, C) probabilities).
 
-    With memory, ``state=None`` runs the risk memory over the C = T * K
-    frame-major columns as ``tracks`` = K sequences from a zero state, while
+    With memory, ``state=None`` runs the risk memory over the C = T * B
+    frame-major columns as ``sequences`` = B sequences from a zero state, while
     a given state (one per column) advances each column by one branched step.
     """
     q = ad.concat([agent_code, pooled])
     if cfg.use_memory:
         weight, bias = store["risk_rnn_W"], store["risk_rnn_b"]
         if state is None:
-            state = lstm_sweep(tape, weight, bias, q, tracks)
+            state = lstm_sweep(tape, weight, bias, q, sequences)
         else:
             state = lstm_step(tape, weight, bias, q, state)
         o = state.hidden
@@ -326,23 +341,23 @@ def fuse_predictions(y: np.ndarray, s: np.ndarray, imagined_ys, imagined_ss, lam
 
 def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
                   tape: Tape) -> ModelOutput:
-    """Run the configured variant over K agent tracks of one video.
+    """Run the configured variant over B agent sequences of T frames.
 
-    Every (frame, track) pair is a column, t * K + k, so the video runs as
-    passes over all its tracks at once: the agent memory sweep, region
-    scoring and pooling over all T x K x N columns, the risk memory sweep
-    with the anticipation head, and each imagination hop. Only the two
-    memory sweeps are sequential, each over K independent sequences.
+    Every (frame, sequence) pair is a column, t * B + b, with its own row of
+    ``frames.regions``, so all sequences run as passes at once: the agent
+    memory sweep, region scoring and pooling over all T x B x N columns, the
+    risk memory sweep with the anticipation head, and each imagination hop.
+    Only the two memory sweeps are sequential, each over B independent
+    sequences.
     Imagination branches from the risk state of each column, so observed
-    outputs are identical with it on or off. The outputs have T * K columns.
+    outputs are identical with it on or off. The outputs have T * B columns.
     """
-    d_agent, _, tracks = frames.feats.shape
+    d_agent, _, sequences = frames.feats.shape
     if d_agent != cfg.d_agent:
         raise ValueError(f"agent feature dim {d_agent} != {cfg.d_agent}")
     if frames.regions.feats.shape[0] != cfg.d_region:
         raise ValueError(f"region feature dim {frames.regions.feats.shape[0]} "
                          f"!= {cfg.d_region}")
-    regions = frames.regions.repeat(tracks)
     boxes = tape.const(frames.boxes.reshape(4, -1))
     if cfg.use_memory:
         agent_code = agent_rnn_step(tape, store,
@@ -350,15 +365,16 @@ def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
     else:
         agent_code = tape.const(frames.feats.reshape(d_agent, -1))
 
-    s = score_regions(tape, store, agent_code, ad.relative_config(boxes, regions), regions)
-    pooled = pool_regions(tape, s, regions)
-    state, o, y = anticipate_step(tape, store, cfg, None, agent_code, pooled, tracks)
+    s = score_regions(tape, store, agent_code, ad.relative_config(boxes, frames.regions),
+                      frames.regions)
+    pooled = pool_regions(tape, s, frames.regions)
+    state, o, y = anticipate_step(tape, store, cfg, None, agent_code, pooled, sequences)
 
     imagined = []
     c_first = None
     for _ in range(cfg.imagine_steps):
         c, boxes, y_hat, s_hat, state, o = imagined_reassessment(
-            tape, store, cfg, agent_code, state, o, boxes, regions)
+            tape, store, cfg, agent_code, state, o, boxes, frames.regions)
         c_first = c if c_first is None else c_first
         imagined.append(Assessment(y_hat, s_hat))
 

@@ -3,8 +3,8 @@ the video-level anticipation score, and region riskiness taken from whichever
 track is most alarmed at each frame.
 
 All detected tracks of a video run through the model as one forward pass,
-its (frame, track) columns frame-major, and each frame reduces over its K
-columns.
+each track a sequence over the video's regions, its (frame, track) columns
+frame-major, and each frame reduces over its K columns.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .evaluation import (VideoPrediction, average_precision,
                          region_average_precision, tta_atta,
                          video_level_scores)
 from .model import RiskModel
-from .training import detected_tracks, track_inputs
+from .training import detected_tracks, track_inputs, video_regions
 
 
 @dataclass
@@ -58,7 +58,7 @@ def eval_video(model: RiskModel, sample, run_cfg: RunConfig) -> VideoEvalResult:
     per frame."""
     tracks = detected_tracks(sample, run_cfg)
     n_frames = sample.n_frames
-    out = model.forward_video(track_inputs(sample, tracks))
+    out = model.forward_video(track_inputs(tracks, [video_regions(sample)] * len(tracks)))
     y, s = (out.y_fused, out.s_fused) if run_cfg.use_fused else (out.y, out.s)
     probs = y[:, 1].reshape(n_frames, len(tracks))
     region_scores = s.reshape(n_frames, len(tracks), -1)

@@ -1,11 +1,14 @@
-"""Training loop: noisy-track selection, batched gradient accumulation, Adam,
+"""Training loop: noisy-track selection, one pass per batch of videos, Adam,
 and early stopping on validation loss.
 
 Each epoch runs every training video once on a track drawn uniformly from
 {annotated track} + {detected tracks}; the video's accident label is shared
-by whichever track is drawn. Gradients are averaged over batches of videos.
-Validation uses the annotated track so the early-stopping signal is
-deterministic.
+by whichever track is drawn. A batch of B videos runs as one forward pass of
+B sequences, each video's track over that video's own regions, so column
+t * B + b is video b at frame t; one loss and one backward pass give the
+batch's mean gradient. Validation runs the annotated tracks, batch_size
+videos per forward pass, so the early-stopping signal is deterministic. The
+videos of one pass need one frame count and one region count.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from .autodiff import Tape
 from .config import RunConfig, derive_seed
 from .evaluation import ScoredItem, average_precision
 from .geometry import stack_boxes
-from .losses import total_loss
+from .losses import SequenceTargets, total_loss
 from .model import AgentTracks, RiskModel, VideoRegions, forward_video
 from .nn import TrainingError, adam_step
 from .tracking import (Track, deduplicate_tracks, select_training_track,
@@ -36,22 +39,20 @@ class EpochStats:
     val_map: float
 
 
-def track_inputs(sample, tracks) -> AgentTracks:
-    """The model input where each of the K tracks plays the agent over the
-    video's own candidate regions: track k is entry k of every frame."""
+def video_regions(sample) -> VideoRegions:
+    """The candidate regions of every frame of a video."""
+    return VideoRegions([frame.regions for frame in sample.frames])
+
+
+def track_inputs(tracks, regions) -> AgentTracks:
+    """The model input of B sequences: sequence b is ``tracks[b]`` playing
+    the agent over ``regions[b]``, the VideoRegions of its video. Eval passes
+    one video's regions for each of its tracks, training each batch video's
+    own."""
     feats = np.array([track.feats for track in tracks], dtype=np.float64)
     boxes = np.array([stack_boxes(track.boxes) for track in tracks])
     return AgentTracks(feats.transpose(2, 1, 0), boxes.transpose(2, 1, 0),
-                       VideoRegions([frame.regions for frame in sample.frames]))
-
-
-def video_loss(model: RiskModel, sample, track: Track, time_scale: float,
-               tape: Tape):
-    inputs = track_inputs(sample, [track])
-    out = forward_video(model.store, model.cfg, inputs, tape)
-    loss = total_loss(tape, inputs, out, sample.targets, model.cfg.lambdas,
-                      model.cfg.horizon, time_scale)
-    return loss, out
+                       VideoRegions.interleave(regions))
 
 
 def detected_tracks(sample, run_cfg: RunConfig) -> list[Track]:
@@ -69,21 +70,71 @@ def detected_tracks(sample, run_cfg: RunConfig) -> list[Track]:
     return deduplicate_tracks(tracks, overlap_iou=run_cfg.dedup_iou)
 
 
-def _validation_pass(model: RiskModel, videos, run_cfg: RunConfig):
+class _Split:
+    """A split's videos with what every epoch reuses, built once: each
+    video's regions, annotated track and loss targets."""
+
+    def __init__(self, videos, horizon: int, time_scale: float):
+        self.videos = list(videos)
+        self.regions = [video_regions(v) for v in self.videos]
+        self.annotated = [track_from_targets(v) for v in self.videos]
+        self.targets = [SequenceTargets.of(v.targets, regions, horizon, time_scale)
+                        for v, regions in zip(self.videos, self.regions)]
+
+    def loss(self, model: RiskModel, batch, tracks, tape: Tape):
+        """One forward pass and loss of the batch's videos, each on its track.
+
+        Raises ValueError naming the first video whose frame or region count
+        differs from the batch's first video.
+        """
+        first = self.regions[batch[0]]
+        for i in batch[1:]:
+            for what, got, want in (("frames", len(self.regions[i]), len(first)),
+                                    ("regions per frame", self.regions[i].n, first.n)):
+                if got != want:
+                    raise ValueError(
+                        f"video {self.videos[i].video_id} has {got} {what} and video "
+                        f"{self.videos[batch[0]].video_id} has {want}; the videos of a "
+                        f"batch need one frame count and one region count")
+        out = forward_video(model.store, model.cfg,
+                            track_inputs(tracks, [self.regions[i] for i in batch]), tape)
+        return total_loss(tape, out, [self.targets[i] for i in batch], model.cfg.lambdas), out
+
+
+def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig):
     """Deterministic loss and anticipation AP on the annotated tracks."""
     losses = []
     items = []
-    for sample in videos:
-        tape = Tape(train=False)
-        inputs = track_inputs(sample, [track_from_targets(sample)])
-        out = forward_video(model.store, model.cfg, inputs, tape)
-        loss = total_loss(tape, inputs, out, sample.targets, model.cfg.lambdas,
-                          model.cfg.horizon, run_cfg.time_scale)
-        losses.append(float(loss.value))
+    for start in range(0, len(split.videos), run_cfg.batch_size):
+        chunk = range(start, min(start + run_cfg.batch_size, len(split.videos)))
+        loss, out = split.loss(model, chunk, [split.annotated[i] for i in chunk],
+                               Tape(train=False))
+        losses.extend(loss.per_sequence)
         probs = out.y_fused[:, 1] if run_cfg.use_fused else out.y[:, 1]
-        items.append(ScoredItem(float(probs.max()), sample.positive))
+        peaks = probs.reshape(-1, len(chunk)).max(axis=0)
+        items.extend(ScoredItem(float(peak), split.videos[i].positive)
+                     for peak, i in zip(peaks, chunk))
     val_map = average_precision(items) if any(i.is_positive for i in items) else 0.0
     return float(np.mean(losses)), val_map
+
+
+def _backward_pass(model: RiskModel, split: _Split, batch, tracks, epoch: int) -> np.ndarray:
+    """Add the batch's mean gradient to the parameters with one forward and
+    one backward pass; returns each video's loss. The pass's graph is freed
+    on return, before the next pass builds its own.
+
+    Raises TrainingError naming the epoch and the first video of the batch
+    whose loss is not finite.
+    """
+    tape = Tape(train=True)
+    loss, _ = split.loss(model, batch, tracks, tape)
+    bad = np.flatnonzero(~np.isfinite(loss.per_sequence))
+    if len(bad):
+        raise TrainingError(f"non-finite loss at epoch {epoch}, "
+                            f"video {split.videos[batch[bad[0]]].video_id}")
+    tape.backward(loss.total, seed=1.0 / len(batch))
+    tape.release()
+    return loss.per_sequence
 
 
 def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
@@ -97,37 +148,29 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
     rng = np.random.default_rng(
         np.random.SeedSequence([run_cfg.seed, _TRAIN_STREAM]))
 
-    gt_tracks = [track_from_targets(v) for v in train_videos]
-    td_tracks = [detected_tracks(v, run_cfg) for v in train_videos]
+    train = _Split(train_videos, model.cfg.horizon, run_cfg.time_scale)
+    val = _Split(val_videos, model.cfg.horizon, run_cfg.time_scale)
+    td_tracks = [detected_tracks(v, run_cfg) for v in train.videos]
 
     history: list[EpochStats] = []
     best_snapshot = model.store.snapshot()
     best_val = math.inf
     epochs_since_best = 0
     step = 0
-    n = len(train_videos)
+    n = len(train.videos)
 
     for epoch in range(1, run_cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, run_cfg.batch_size):
             batch = order[start:start + run_cfg.batch_size]
-            for idx in batch:
-                sample = train_videos[idx]
-                track = select_training_track(gt_tracks[idx], td_tracks[idx], rng)
-                tape = Tape(train=True)
-                loss, _ = video_loss(model, sample, track, run_cfg.time_scale, tape)
-                value = float(loss.value)
-                if not math.isfinite(value):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, video {sample.video_id}")
-                tape.backward(loss, seed=1.0 / len(batch))
-                tape.release()
-                epoch_losses.append(value)
+            tracks = [select_training_track(train.annotated[i], td_tracks[i], rng)
+                      for i in batch]
+            epoch_losses.extend(_backward_pass(model, train, batch, tracks, epoch))
             step += 1
             adam_step(model.store, lr=run_cfg.lr, t=step)
 
-        val_loss, val_map = _validation_pass(model, val_videos, run_cfg)
+        val_loss, val_map = _validation_pass(model, val, run_cfg)
         stats = EpochStats(epoch, float(np.mean(epoch_losses)), val_loss, val_map)
         history.append(stats)
         if progress is not None:

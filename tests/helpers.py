@@ -1,12 +1,12 @@
-"""Shared builders for model-level tests: random frames, targets, stores and
-the model input, and the finite-difference gradient check."""
-from types import SimpleNamespace
-
+"""Shared builders for model-level tests: random frames, targets, stores,
+the model input and the loss targets, and the finite-difference gradient
+check."""
 import numpy as np
 
 from riskrnn.data import FrameInput, RegionSet, VideoTargets
 from riskrnn.geometry import Box
-from riskrnn.model import AgentTracks, ModelConfig, RiskModel
+from riskrnn.losses import SequenceTargets
+from riskrnn.model import AgentTracks, ModelConfig, RiskModel, VideoRegions
 from riskrnn.nn import ParameterStore
 from riskrnn.tracking import Track
 from riskrnn.training import track_inputs
@@ -63,13 +63,24 @@ def random_frames(rng, cfg: ModelConfig, n_frames: int, n_regions: int):
     return frames
 
 
+def video_regions(frames) -> VideoRegions:
+    return VideoRegions([frame.regions for frame in frames])
+
+
 def agent_tracks(*tracks) -> AgentTracks:
-    """The model input of K tracks, each a list of FrameInput over the same
-    frames, built as training.track_inputs builds it; the regions are the
-    first track's."""
+    """The model input of B sequences, each a list of FrameInput over T
+    frames playing the agent over its own frames' regions, built as
+    training.track_inputs builds it: K tracks of one video share its
+    RegionSets, B videos of a batch have their own."""
     agents = [Track(boxes=[frame.agent_box for frame in track],
                     feats=[frame.agent_feat for frame in track]) for track in tracks]
-    return track_inputs(SimpleNamespace(frames=tracks[0]), agents)
+    return track_inputs(agents, [video_regions(track) for track in tracks])
+
+
+def loss_targets(frames, targets: VideoTargets, horizon: int,
+                 time_scale: float = 1.0) -> SequenceTargets:
+    """The loss targets of a video of FrameInput."""
+    return SequenceTargets.of(targets, video_regions(frames), horizon, time_scale)
 
 
 def random_targets(rng, frames, positive: bool) -> VideoTargets:

@@ -8,7 +8,8 @@
   pair loops over scalar IoU, the way they were written before they took
   whole IoU matrices;
 - the tape ops that only references composed from primitive ops use:
-  division, maximum, minimum and row stacking.
+  division, maximum, minimum, row stacking, the dot product and picking
+  one entry.
 """
 import math
 
@@ -318,3 +319,20 @@ def stack_rows(parts) -> Node:
             _accum(p, g[i])
     return parts[0].tape._make(np.stack([p.value for p in parts]),
                                tuple(parts), backward)
+
+
+def dot(a: Node, b: Node) -> Node:
+    def backward(g):
+        _accum(a, g * b.value)
+        _accum(b, g * a.value)
+    return a.tape._make(np.dot(a.value, b.value), (a, b), backward)
+
+
+def pick(x: Node, i: int) -> Node:
+    """Select entry i along the first axis: an element of a vector as a 0-d
+    node, or a row of a matrix."""
+    def backward(g):
+        full = np.zeros_like(x.value)
+        full[i] = g
+        _accum(x, full)
+    return x.tape._make(np.asarray(x.value[i]), (x,), backward)

@@ -208,7 +208,7 @@ class TestOpGradients:
                        np.array([0.3, -0.4, 1.8, -2.5]))
 
     def test_softmax_pick(self):
-        check_gradient(lambda t, x: ad.pick(ad.softmax(x), 1),
+        check_gradient(lambda t, x: oracles.pick(ad.softmax(x), 1),
                        np.array([0.1, 0.9, -0.4]))
 
     def test_shape_ops(self):
@@ -230,8 +230,8 @@ class TestOpGradients:
     def test_stack_rows_and_scalars(self):
         def build(t, x):
             rows = oracles.stack_rows([x, x * 2.0])
-            picked = ad.pick(rows, 1) * ad.pick(x, 0) + ad.pick(x, 2)
-            return ad.vsum(rows) + ad.dot(picked, picked)
+            picked = oracles.pick(rows, 1) * oracles.pick(x, 0) + oracles.pick(x, 2)
+            return ad.vsum(rows) + oracles.dot(picked, picked)
         check_gradient(build, np.array([0.5, 1.5, -0.7]))
 
     def test_clip_interior_passes_gradient(self):
@@ -255,8 +255,8 @@ class TestOpGradients:
 
 def composed_relative_config(tape, agent, regions):
     """Reference for ad.relative_config built from primitive ops."""
-    cx, cy = ad.pick(agent, 0), ad.pick(agent, 1)
-    w, h = ad.pick(agent, 2), ad.pick(agent, 3)
+    cx, cy = oracles.pick(agent, 0), oracles.pick(agent, 1)
+    w, h = oracles.pick(agent, 2), oracles.pick(agent, 3)
     inv_w, inv_h = oracles.div(tape.const(1.0), w), oracles.div(tape.const(1.0), h)
     r = {k: tape.const(getattr(regions, k))
          for k in ("cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,19 +7,32 @@ import pytest
 from riskrnn.autodiff import Tape
 from riskrnn.data import VideoTargets
 from riskrnn.geometry import Box, encode_box_transform, iou, stack_boxes
-from riskrnn.losses import (anticipation_loss, region_labels,
-                            region_loss, total_loss, transform_loss)
+import riskrnn.autodiff as ad
+from riskrnn.losses import (anticipation_loss, anticipation_weights, region_labels,
+                            region_loss, total_loss, transform_loss, transform_targets)
 from riskrnn.model import RiskModel, forward_video, variant_config
 
 import oracles
-from helpers import (TINY_CONFIG, agent_tracks, random_box, random_frames, random_targets,
-                     tiny_model)
+from helpers import (TINY_CONFIG, agent_tracks, loss_targets, random_box, random_frames,
+                     random_targets, tiny_model)
 
 
 def prob_nodes(tape, values):
     """(2, T) constant: per frame the distribution (1 - v, v)."""
     values = np.asarray(values, dtype=np.float64)
     return tape.const(np.stack([1.0 - values, values]))
+
+
+def anticipation(values, positive, t_accident=None, time_scale=1.0) -> float:
+    """The anticipation loss of one video with per-frame accident
+    probabilities ``values``, summed over its frames."""
+    tape = Tape()
+    weights = anticipation_weights(positive, t_accident, len(values), time_scale)
+    return float(anticipation_loss(tape, prob_nodes(tape, values), weights).value.sum())
+
+
+def summed(loss) -> float:
+    return float(loss.value.sum())
 
 
 def frame_labels(region_boxes, risky_boxes):
@@ -73,63 +87,53 @@ class TestRegionLabels:
 
 class TestAnticipationLoss:
     def test_unit_weight_at_accident_frame(self):
-        tape = Tape()
-        loss = anticipation_loss(tape, prob_nodes(tape, [0.8]), positive=True,
-                                 t_accident=0)
-        assert float(loss.value) == pytest.approx(-math.log(0.8), abs=1e-12)
+        loss = anticipation([0.8], positive=True, t_accident=0)
+        assert loss == pytest.approx(-math.log(0.8), abs=1e-12)
 
     def test_one_frame_before_accident(self):
-        tape = Tape()
-        loss = anticipation_loss(tape, prob_nodes(tape, [0.5, 0.5]), positive=True,
-                                 t_accident=1)
+        loss = anticipation([0.5, 0.5], positive=True, t_accident=1)
         want = math.exp(-1) * math.log(2) + math.log(2)
-        assert float(loss.value) == pytest.approx(want, abs=1e-12)
+        assert loss == pytest.approx(want, abs=1e-12)
         assert math.exp(-1) * math.log(2) == pytest.approx(0.2550, abs=1e-4)
 
     def test_perfect_negative_is_zero(self):
-        tape = Tape()
-        loss = anticipation_loss(tape, prob_nodes(tape, [0.0, 0.0, 0.0]),
-                                 positive=False)
-        assert float(loss.value) == pytest.approx(0.0, abs=1e-9)
+        loss = anticipation([0.0, 0.0, 0.0], positive=False)
+        assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_summed_formula_and_weights_grow(self):
-        tape = Tape()
         n, p = 6, 0.3
-        loss = anticipation_loss(tape, prob_nodes(tape, [p] * n), positive=True,
-                                 t_accident=n - 1)
+        tape = Tape()
+        loss = anticipation_loss(tape, prob_nodes(tape, [p] * n),
+                                 anticipation_weights(True, n - 1, n))
         terms = [math.exp(-(n - 1 - t)) * -math.log(p) for t in range(n)]
-        assert float(loss.value) == pytest.approx(sum(terms), rel=1e-12)
+        np.testing.assert_allclose(loss.value, terms, rtol=1e-12)
+        assert summed(loss) == pytest.approx(sum(terms), rel=1e-12)
         assert all(a < b for a, b in zip(terms, terms[1:]))
 
     def test_time_scale_rescales_gap(self):
-        tape = Tape()
-        loss = anticipation_loss(tape, prob_nodes(tape, [0.5, 0.5]), positive=True,
-                                 t_accident=1, time_scale=0.5)
+        loss = anticipation([0.5, 0.5], positive=True, t_accident=1, time_scale=0.5)
         want = math.exp(-0.5) * math.log(2) + math.log(2)
-        assert float(loss.value) == pytest.approx(want, rel=1e-12)
+        assert loss == pytest.approx(want, rel=1e-12)
 
     def test_always_non_negative(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            tape = Tape()
             probs = rng.uniform(0.001, 0.999, size=5)
             positive = bool(rng.integers(2))
-            loss = anticipation_loss(tape, prob_nodes(tape, probs), positive,
-                                     t_accident=4)
-            assert float(loss.value) >= 0.0
+            assert anticipation(probs, positive, t_accident=4) >= 0.0
 
 
 class TestRegionLoss:
     def test_risky_half_score(self):
         tape = Tape()
         loss = region_loss(tape, tape.const([[0.5]]), [[1.0]])
-        assert float(loss.value) == pytest.approx(math.log(2), abs=1e-12)
+        assert summed(loss) == pytest.approx(math.log(2), abs=1e-12)
         assert math.log(2) == pytest.approx(0.6931, abs=1e-4)
 
     def test_confident_non_risky_is_tiny(self):
         tape = Tape()
         loss = region_loss(tape, tape.const([[1e-9]]), [[0.0]])
-        assert float(loss.value) == pytest.approx(0.0, abs=1e-8)
+        assert summed(loss) == pytest.approx(0.0, abs=1e-8)
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
@@ -138,13 +142,14 @@ class TestRegionLoss:
             tape = Tape()
             risky = region_loss(tape, tape.const([[s]]), [[1.0]])
             flipped = region_loss(tape, tape.const([[1.0 - s]]), [[0.0]])
-            assert float(risky.value) == pytest.approx(float(flipped.value), rel=1e-12)
+            assert summed(risky) == pytest.approx(summed(flipped), rel=1e-12)
 
     def test_sums_over_frames_and_regions(self):
         tape = Tape()
         loss = region_loss(tape, tape.const([[0.5, 0.5], [0.5, 0.5]]),
                            [[1.0, 0.0], [0.0, 1.0]])
-        assert float(loss.value) == pytest.approx(4 * math.log(2), rel=1e-12)
+        np.testing.assert_allclose(loss.value, [2 * math.log(2)] * 2, rtol=1e-12)
+        assert summed(loss) == pytest.approx(4 * math.log(2), rel=1e-12)
 
     def test_length_mismatch(self):
         tape = Tape()
@@ -163,21 +168,22 @@ class TestTransformLoss:
         for t in range(3):
             c[:, t] = encode_box_transform(track[t].as_array(), track[t + 1].as_array())
         c[:, 3] = 5.0  # the last frame has no target
-        loss = transform_loss(tape, tape.const(c), track, horizon=1)
-        assert float(loss.value) == pytest.approx(0.0, abs=1e-12)
+        loss = transform_loss(tape, tape.const(c), *transform_targets(track, horizon=1))
+        assert summed(loss) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_half_unit_error(self):
         tape = Tape()
         track = [Box(0.5, 0.5, 0.1, 0.1)] * 2
         c = tape.const([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        loss = transform_loss(tape, c, track, horizon=1)
-        assert float(loss.value) == pytest.approx(0.125, abs=1e-12)
+        loss = transform_loss(tape, c, *transform_targets(track, horizon=1))
+        assert summed(loss) == pytest.approx(0.125, abs=1e-12)
 
     def test_static_track_zero_transform(self):
         tape = Tape()
         track = [Box(0.5, 0.5, 0.1, 0.1)] * 5
-        loss = transform_loss(tape, tape.const(np.zeros((4, 5))), track, horizon=2)
-        assert float(loss.value) == 0.0
+        loss = transform_loss(tape, tape.const(np.zeros((4, 5))),
+                              *transform_targets(track, horizon=2))
+        assert summed(loss) == 0.0
 
     def test_tail_frames_skipped(self):
         tape = Tape()
@@ -185,15 +191,27 @@ class TestTransformLoss:
         # only frame 0 has a target at horizon 2; frames 1, 2 contribute nothing
         c = np.array([[0.0, 9.0, 9.0], [0.0, 9.0, 9.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with_tail = tape.leaf(c)
-        loss = transform_loss(tape, with_tail, track, horizon=2)
-        only_first = transform_loss(tape, tape.const(c[:, :1]), track, horizon=2)
-        assert float(loss.value) == pytest.approx(float(only_first.value))
-        tape.backward(loss)
+        target, has_target = transform_targets(track, horizon=2)
+        assert has_target.tolist() == [True, False, False]
+        loss = transform_loss(tape, with_tail, target, has_target)
+        only_first = transform_loss(tape, tape.const(c[:, :1]), target[:, :1], has_target[:1])
+        assert summed(loss) == pytest.approx(summed(only_first))
+        tape.backward(ad.vsum(loss))
         np.testing.assert_array_equal(with_tail.grad[:, 1:], 0.0)
 
     def test_no_transform_head_is_zero(self):
+        # without imagination there is no transform head, so the total never
+        # reads the transform targets
+        cfg = variant_config(TINY_CONFIG, "RA")
+        rng = np.random.default_rng(8)
+        frames = random_frames(rng, cfg, 3, 2)
+        seq = loss_targets(frames, random_targets(rng, frames, positive=True), cfg.horizon)
         tape = Tape()
-        assert float(transform_loss(tape, None, self.track(3), horizon=1).value) == 0.0
+        out = forward_video(RiskModel.create(cfg, seed=8).store, cfg, agent_tracks(frames), tape)
+        assert out.c_node is None
+        garbled = replace(seq, transforms=np.full_like(seq.transforms, np.nan))
+        assert (float(total_loss(tape, out, [garbled], (1.0,)).total.value)
+                == float(total_loss(tape, out, [seq], (1.0,)).total.value))
 
 
 class TestTotalLoss:
@@ -206,12 +224,14 @@ class TestTotalLoss:
         tape = Tape(train=False)
         inputs = agent_tracks(frames)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, inputs, out, targets, (1.0,), cfg.horizon)
+        total = total_loss(tape, out, [loss_targets(frames, targets, cfg.horizon)], (1.0,))
         labels = region_labels(np.stack([f.regions.xywh for f in frames]),
                                targets.risky_array())
-        want = (float(anticipation_loss(tape, out.y_node, True, targets.t_accident).value)
-                + float(region_loss(tape, out.s_node, labels).value))
-        assert float(total.value) == pytest.approx(want, rel=1e-12)
+        weights = anticipation_weights(True, targets.t_accident, len(frames))
+        want = (summed(anticipation_loss(tape, out.y_node, weights))
+                + summed(region_loss(tape, out.s_node, labels)))
+        assert float(total.total.value) == pytest.approx(want, rel=1e-12)
+        assert total.per_sequence.tolist() == [float(total.total.value)]
 
     def test_equal_level_losses_average_out(self):
         # fabricate predictions whose imagined outputs equal the observed ones;
@@ -225,14 +245,18 @@ class TestTotalLoss:
         tape = Tape(train=False)
         inputs = agent_tracks(frames)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, inputs, out, targets, cfg.lambdas, cfg.horizon)
+        total = total_loss(tape, out, [loss_targets(frames, targets, cfg.horizon)],
+                           cfg.lambdas)
         labels = [[0.0] * 3 for _ in frames]
-        obs = (float(anticipation_loss(tape, out.y_node, False).value)
-               + float(region_loss(tape, out.s_node, labels).value))
-        imag = (float(anticipation_loss(tape, out.imagined[0].y_node, False).value)
-                + float(region_loss(tape, out.imagined[0].s_node, labels).value))
-        lp = float(transform_loss(tape, out.c_node, targets.agent_track, cfg.horizon).value)
-        assert float(total.value) == pytest.approx(lp + 0.6 * obs + 0.4 * imag, rel=1e-12)
+        weights = anticipation_weights(False, None, len(frames))
+        obs = (summed(anticipation_loss(tape, out.y_node, weights))
+               + summed(region_loss(tape, out.s_node, labels)))
+        imag = (summed(anticipation_loss(tape, out.imagined[0].y_node, weights))
+                + summed(region_loss(tape, out.imagined[0].s_node, labels)))
+        lp = summed(transform_loss(tape, out.c_node,
+                                   *transform_targets(targets.agent_track, cfg.horizon)))
+        assert float(total.total.value) == pytest.approx(lp + 0.6 * obs + 0.4 * imag,
+                                                         rel=1e-12)
 
     def test_lambda_mismatch_rejected(self):
         model = tiny_model(5)
@@ -240,10 +264,9 @@ class TestTotalLoss:
         frames = random_frames(rng, TINY_CONFIG, 2, 3)
         targets = random_targets(rng, frames, positive=False)
         tape = Tape(train=False)
-        inputs = agent_tracks(frames)
-        out = forward_video(model.store, TINY_CONFIG, inputs, tape)
+        out = forward_video(model.store, TINY_CONFIG, agent_tracks(frames), tape)
         with pytest.raises(ValueError):
-            total_loss(tape, inputs, out, targets, (1.0,), TINY_CONFIG.horizon)
+            total_loss(tape, out, [loss_targets(frames, targets, TINY_CONFIG.horizon)], (1.0,))
 
     def test_gradient_matches_finite_differences(self):
         from helpers import finite_diff_check, gradcheck_fixture
@@ -251,12 +274,12 @@ class TestTotalLoss:
         rng = np.random.default_rng(6)
         frames, targets = gradcheck_fixture(rng, TINY_CONFIG, 2, 3, positive=True)
         inputs = agent_tracks(frames)
+        seq = [loss_targets(frames, targets, TINY_CONFIG.horizon)]
 
         def make_loss():
             tape = Tape()
             out = forward_video(model.store, TINY_CONFIG, inputs, tape)
-            return tape, total_loss(tape, inputs, out, targets,
-                                    TINY_CONFIG.lambdas, TINY_CONFIG.horizon)
+            return tape, total_loss(tape, out, seq, TINY_CONFIG.lambdas).total
 
         assert finite_diff_check(model.store, make_loss) < 1e-4
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
-from riskrnn.data import FrameInput, RegionSet
+from riskrnn.data import FrameInput, RegionSet, VideoTargets
 from riskrnn.geometry import Box, stack_boxes
 from riskrnn.losses import total_loss
 from riskrnn.model import (ModelConfig, RiskModel, VideoRegions,
@@ -16,8 +16,8 @@ from riskrnn.model import (ModelConfig, RiskModel, VideoRegions,
 from riskrnn.nn import LstmState, lstm_step
 
 import oracles
-from helpers import (TINY_CONFIG, agent_tracks, random_box, random_frames, random_targets,
-                     tiny_model, zeroed_model)
+from helpers import (TINY_CONFIG, agent_tracks, loss_targets, random_box, random_frames,
+                     random_targets, tiny_model, zeroed_model)
 
 
 def video_regions(rng, n_frames, n_regions, d_feat):
@@ -401,7 +401,8 @@ class TestMatchesPerFrameReference:
         tape = Tape()
         inputs = agent_tracks(frames)
         out = forward_video(model.store, cfg, inputs, tape)
-        loss = total_loss(tape, inputs, out, targets, cfg.lambdas, cfg.horizon)
+        loss = total_loss(tape, out, [loss_targets(frames, targets, cfg.horizon)],
+                          cfg.lambdas).total
         ref = oracles.forward(model.store, cfg, frames)
         ref_loss = oracles.total_loss(cfg, frames, ref, targets)
 
@@ -459,10 +460,63 @@ class TestTracksAsColumns:
                 close(out.c_node.value[:, columns].T, [r["c"] for r in ref])
 
 
+def mixed_targets(rng, frames, positive: bool) -> VideoTargets:
+    """Targets with an accident frame anywhere in a positive video and, at
+    each frame, a risky box that is one of its regions or a random box."""
+    track = [frame.agent_box for frame in frames]
+    if not positive:
+        return VideoTargets(False, None, track, [[] for _ in frames])
+    risky = [[frame.region_boxes[rng.integers(len(frame.region_boxes))]
+              if rng.random() < 0.5 else random_box(rng)] for frame in frames]
+    return VideoTargets(True, int(rng.integers(len(frames))), track, risky)
+
+
+class TestVideosAsSequences:
+    """A batch of B videos as one pass, column t * B + b being video b at
+    frame t: each video's loss against its one-video pass, and the gradient
+    against the sum of the one-video gradients."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(["RA", "RAI", "L-RA", "L-RAI"]),
+           imagine_steps=st.sampled_from([1, 2]), n_videos=st.integers(1, 5),
+           positives=st.lists(st.booleans(), min_size=5, max_size=5),
+           n_frames=st.integers(1, 12), n_regions=st.integers(1, 8),
+           horizon=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_each_video_matches_its_own_pass(self, variant, imagine_steps, n_videos,
+                                             positives, n_frames, n_regions, horizon, seed):
+        lambdas = (0.6, 0.4) if imagine_steps == 1 else (0.5, 0.3, 0.2)
+        cfg = variant_config(replace(TINY_CONFIG, horizon=horizon, imagine_steps=imagine_steps,
+                                     lambdas=lambdas), variant)
+        rng = np.random.default_rng(seed)
+        model = RiskModel.create(cfg, seed=seed)
+        videos = [random_frames(rng, cfg, n_frames, n_regions) for _ in range(n_videos)]
+        seqs = [loss_targets(frames, mixed_targets(rng, frames, positive), cfg.horizon)
+                for frames, positive in zip(videos, positives)]
+
+        def run(batch, batch_seqs):
+            tape = Tape()
+            out = forward_video(model.store, cfg, agent_tracks(*batch), tape)
+            loss = total_loss(tape, out, batch_seqs, cfg.lambdas)
+            tape.backward(loss.total)
+            grads = {pm.name: pm.grad.copy() for pm in model.store}
+            model.store.zero_grads()
+            return loss.per_sequence, grads
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+        losses, grads = run(videos, seqs)
+        alone = [run([frames], [seq]) for frames, seq in zip(videos, seqs)]
+        close(losses, [loss[0] for loss, _ in alone])
+        for name, grad in grads.items():
+            close(grad, sum(video_grads[name] for _, video_grads in alone))
+
+
 class TestNodeCount:
     """Taped nodes of forward plus loss for a 12-frame, 8-region training
     video: the whole-video passes record a handful of nodes per pass, not per
-    frame, so the count does not grow with the video."""
+    frame, so the count grows neither with the video nor with the videos of a
+    batch."""
 
     @pytest.mark.parametrize("variant,limit", [("RA", 50), ("RAI", 100),
                                                ("L-RA", 60), ("L-RAI", 150)])
@@ -474,8 +528,24 @@ class TestNodeCount:
         tape = Tape()
         inputs = agent_tracks(frames)
         out = forward_video(RiskModel.create(cfg, seed=23).store, cfg, inputs, tape)
-        total_loss(tape, inputs, out, targets, cfg.lambdas, cfg.horizon)
+        total_loss(tape, out, [loss_targets(frames, targets, cfg.horizon)], cfg.lambdas)
         assert len(tape.nodes) <= limit
+
+    @pytest.mark.parametrize("variant", ["RA", "RAI", "L-RA", "L-RAI"])
+    def test_a_batch_records_as_many_nodes_as_one_video(self, variant):
+        cfg = variant_config(TINY_CONFIG, variant)
+        rng = np.random.default_rng(24)
+        store = RiskModel.create(cfg, seed=24).store
+        counts = []
+        for n_videos in range(1, 6):
+            videos = [random_frames(rng, cfg, 12, 8) for _ in range(n_videos)]
+            seqs = [loss_targets(frames, random_targets(rng, frames, positive=b % 2 == 0),
+                                 cfg.horizon) for b, frames in enumerate(videos)]
+            tape = Tape()
+            out = forward_video(store, cfg, agent_tracks(*videos), tape)
+            total_loss(tape, out, seqs, cfg.lambdas)
+            counts.append(len(tape.nodes))
+        assert counts == [counts[0]] * 5
 
 
 class TestGradients:
@@ -485,12 +555,12 @@ class TestGradients:
         rng = np.random.default_rng(19)
         frames, targets = gradcheck_fixture(rng, TINY_CONFIG, 3, 4, positive=True)
         inputs = agent_tracks(frames)
+        seq = [loss_targets(frames, targets, TINY_CONFIG.horizon)]
 
         def make_loss():
             tape = Tape()
             preds = forward_video(model.store, TINY_CONFIG, inputs, tape)
-            return tape, total_loss(tape, inputs, preds, targets,
-                                    TINY_CONFIG.lambdas, TINY_CONFIG.horizon)
+            return tape, total_loss(tape, preds, seq, TINY_CONFIG.lambdas).total
 
         assert finite_diff_check(model.store, make_loss) < 1e-4
 

@@ -10,7 +10,7 @@ from riskrnn.config import RunConfig
 from riskrnn.model import VARIANTS, RiskModel
 from riskrnn.pipeline import eval_video
 from riskrnn.synthworld import generate_split
-from riskrnn.training import detected_tracks, track_inputs
+from riskrnn.training import detected_tracks, track_inputs, video_regions
 
 CFG = RunConfig(n_test=3, seed=6)
 
@@ -31,7 +31,8 @@ def test_each_frame_follows_its_most_alarmed_track(samples, variant, use_fused):
     model = RiskModel.create(cfg.model_config(variant), seed=6)
     for sample in samples:
         tracks = detected_tracks(sample, cfg)
-        y, s = outputs(model.forward_video(track_inputs(sample, tracks)), use_fused)
+        y, s = outputs(model.forward_video(
+            track_inputs(tracks, [video_regions(sample)] * len(tracks))), use_fused)
         # column t * K + k is track k at frame t
         probs = y[:, 1].reshape(sample.n_frames, len(tracks))
         scores = s.reshape(sample.n_frames, len(tracks), -1)
@@ -53,9 +54,11 @@ def test_the_batched_pass_matches_one_forward_per_track(samples, variant, use_fu
     model = RiskModel.create(cfg.model_config(variant), seed=6)
     for sample in samples:
         tracks = detected_tracks(sample, cfg)
-        y, s = outputs(model.forward_video(track_inputs(sample, tracks)), use_fused)
+        y, s = outputs(model.forward_video(
+            track_inputs(tracks, [video_regions(sample)] * len(tracks))), use_fused)
         for k, track in enumerate(tracks):
-            y_k, s_k = outputs(model.forward_video(track_inputs(sample, [track])), use_fused)
+            y_k, s_k = outputs(model.forward_video(
+                track_inputs([track], [video_regions(sample)])), use_fused)
             np.testing.assert_allclose(y[k::len(tracks)], y_k, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(s[k::len(tracks)], s_k, rtol=1e-12, atol=1e-12)
 

@@ -1,5 +1,5 @@
-"""The training loop: the best-validation model it returns, its check on the
-loss, and its determinism."""
+"""The training loop: the best-validation model it returns, its checks on the
+loss and on the shapes of a batch, and its determinism."""
 import dataclasses
 
 import numpy as np
@@ -8,8 +8,8 @@ import pytest
 from riskrnn.config import RunConfig
 from riskrnn.data import RegionSet
 from riskrnn.nn import TrainingError
-from riskrnn.synthworld import generate_split
-from riskrnn.training import _validation_pass, train_model
+from riskrnn.synthworld import generate_scenario, generate_split
+from riskrnn.training import _Split, _validation_pass, train_model
 
 # a learning rate this high makes validation loss rise after epoch 3 on this
 # split, so the returned model is not the last epoch's
@@ -28,17 +28,51 @@ def test_the_returned_model_has_the_least_validation_loss(splits, variant):
     model, history = train_model(CFG, variant, *splits)
     best = min(stats.val_loss for stats in history)
     assert history[-1].val_loss > best
-    assert _validation_pass(model, splits[1], CFG)[0] == best
+    val = _Split(splits[1], model.cfg.horizon, CFG.time_scale)
+    assert _validation_pass(model, val, CFG)[0] == best
+
+
+def with_nan_region_features(sample):
+    return dataclasses.replace(sample, frames=tuple(dataclasses.replace(
+        frame, regions=RegionSet(frame.regions.boxes, np.full_like(frame.regions.feats, np.nan)))
+        for frame in sample.frames))
 
 
 def test_a_non_finite_loss_names_the_epoch_and_the_video(splits):
     train, val = splits
     sample = train[1]
-    frames = tuple(dataclasses.replace(
-        frame, regions=RegionSet(frame.regions.boxes, np.full_like(frame.regions.feats, np.nan)))
-        for frame in sample.frames)
     with pytest.raises(TrainingError, match=f"at epoch 1, video {sample.video_id}$"):
-        train_model(CFG, "RA", [dataclasses.replace(sample, frames=frames)], val)
+        train_model(CFG, "RA", [with_nan_region_features(sample)], val)
+    # with batch_size 3 the three videos run as one batch, and at most one of
+    # the three choices of the broken video puts it first in that batch
+    for broken, sample in enumerate(train):
+        videos = list(train)
+        videos[broken] = with_nan_region_features(sample)
+        with pytest.raises(TrainingError, match=f"at epoch 1, video {sample.video_id}$"):
+            train_model(dataclasses.replace(CFG, batch_size=3), "RA", videos, val)
+
+
+@pytest.mark.parametrize("field,what", [("frames_per_video", "frames"),
+                                        ("n_regions", "regions per frame")])
+def test_a_batch_of_two_shapes_names_the_first_odd_video_and_both_counts(splits, field, what):
+    train, val = splits
+    odd_cfg = dataclasses.replace(CFG, **{field: getattr(CFG, field) - 2})
+    odd = generate_scenario(odd_cfg.scenario_config(), positive=True, split="test",
+                            video_id="odd")
+    n, odd_n = getattr(CFG, field), getattr(odd_cfg, field)
+    cfg = dataclasses.replace(CFG, batch_size=4)
+    # a training batch comes in drawn order: the odd video is either the first
+    # to differ from the batch's first video, or that first video itself
+    with pytest.raises(ValueError, match=(
+            rf"^video ({odd.video_id} has {odd_n} {what} and video \S+ has {n}|"
+            rf"\S+ has {n} {what} and video {odd.video_id} has {odd_n}); the videos of a "
+            rf"batch need one frame count and one region count$")):
+        train_model(cfg, "RA", [*train, odd], val)
+    # validation runs its videos in order
+    with pytest.raises(ValueError, match=(
+            rf"^video {odd.video_id} has {odd_n} {what} and video {val[0].video_id} "
+            rf"has {n}; ")):
+        train_model(cfg, "RA", train, [val[0], odd])
 
 
 @pytest.mark.parametrize("empty_frame", [0, 5])
