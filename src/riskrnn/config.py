@@ -66,8 +66,11 @@ class RunConfig:
             raise ConfigError("lr, fps and time_scale must be positive")
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("split sizes must be >= 1")
-        self.scenario_config().validate()
-        self.model_config("L-RAI").validate()
+        try:
+            self.scenario_config().validate()
+            self.model_config("L-RAI").validate()
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     def scenario_config(self) -> ScenarioConfig:
         return ScenarioConfig(**{f.name: getattr(self, f.name) for f in fields(ScenarioConfig)})

@@ -29,7 +29,8 @@ class Box:
     def __post_init__(self):
         if not (self.w > 0.0 and self.h > 0.0):
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
-        if not all(math.isfinite(v) for v in (self.cx, self.cy, self.w, self.h)):
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)
+                and math.isfinite(self.w) and math.isfinite(self.h)):
             raise ValueError("box fields must be finite")
 
     @property

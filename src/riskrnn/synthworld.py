@@ -7,6 +7,11 @@ exceeds the collision threshold exactly at the last frame; a negative video
 keeps the whole walk clear of the hazard. Every random draw comes from a
 per-video generator derived from (seed, split, index), so datasets are a pure
 function of their configuration.
+
+Distractor regions and each frame's proposals are drawn as arrays, in the
+order in which a loop drawing one value at a time would take them from the
+generator, so the datasets are those of that loop bit for bit;
+``tests/oracles.py`` keeps the loop as the reference.
 """
 from __future__ import annotations
 
@@ -23,6 +28,10 @@ HAZARD_CLASS = 0
 _EMBED_TAG = 101
 _SPLIT_TAGS = {"train": 1, "val": 2, "test": 3}
 _MAX_ATTEMPTS = 200
+# uniform bounds of a random (cx, cy, w, h) box, then of a distractor proposal's score
+_RANDOM_LO = np.array([0.1, 0.1, 0.06, 0.06, 0.0])
+_RANDOM_HI = np.array([0.9, 0.9, 0.18, 0.18, 0.5])
+_RANDOM_SPAN = _RANDOM_HI - _RANDOM_LO
 
 
 class GenerationError(RuntimeError):
@@ -49,6 +58,9 @@ class ScenarioConfig:
             raise ValueError("noise levels and proposal counts must be non-negative")
         if not (0.0 < self.collision_iou < 1.0):
             raise ValueError(f"collision_iou must lie in (0, 1), got {self.collision_iou}")
+        if self.n_regions > 1 and self.n_classes < 2:
+            raise ValueError(f"{self.n_regions - 1} distractor regions need a class besides "
+                             f"the hazard's, so n_classes must be >= 2, got {self.n_classes}")
 
 
 def class_embeddings(cfg: ScenarioConfig) -> np.ndarray:
@@ -99,11 +111,6 @@ def _collision_distance(agent_w, agent_h, hazard: Box, direction, threshold) -> 
 def _track_rows(xs, ys, agent_w, agent_h) -> np.ndarray:
     """The (T, 4) agent boxes of a walk through the centers (xs, ys)."""
     return np.stack([xs, ys, np.full_like(xs, agent_w), np.full_like(xs, agent_h)], axis=1)
-
-
-def _random_box(rng, size_lo=0.06, size_hi=0.18) -> Box:
-    return Box(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
-               rng.uniform(size_lo, size_hi), rng.uniform(size_lo, size_hi))
 
 
 def _positive_walk(cfg: ScenarioConfig, rng):
@@ -159,6 +166,13 @@ def _negative_walk(cfg: ScenarioConfig, rng):
     raise GenerationError("could not construct a negative walk within the attempt budget")
 
 
+def _distractor_regions(cfg: ScenarioConfig, rng):
+    """The boxes and the non-hazard classes of the ``n_regions - 1`` benign regions."""
+    n = cfg.n_regions - 1
+    rows = rng.uniform(_RANDOM_LO[:4], _RANDOM_HI[:4], size=(n, 4))
+    return [Box(*row) for row in rows.tolist()], rng.integers(1, cfg.n_classes, size=n).tolist()
+
+
 def generate_scenario(cfg: ScenarioConfig, positive: bool, *, index: int = 0,
                       split: str = "train", video_id: str | None = None) -> VideoSample:
     """Build one deterministic video with features, targets, and proposals."""
@@ -176,9 +190,9 @@ def generate_scenario(cfg: ScenarioConfig, positive: bool, *, index: int = 0,
         track, hazard = _negative_walk(cfg, rng)
         t_accident = None
 
-    distractors = [_random_box(rng) for _ in range(cfg.n_regions - 1)]
+    distractors, distractor_classes = _distractor_regions(cfg, rng)
     region_boxes = distractors + [hazard]
-    region_classes = [int(rng.integers(1, cfg.n_classes)) for _ in distractors] + [HAZARD_CLASS]
+    region_classes = distractor_classes + [HAZARD_CLASS]
     order = rng.permutation(cfg.n_regions)
     region_boxes = [region_boxes[i] for i in order]
     region_classes = [region_classes[i] for i in order]
@@ -203,29 +217,40 @@ def generate_scenario(cfg: ScenarioConfig, positive: bool, *, index: int = 0,
 def synthesize_proposals(cfg: ScenarioConfig, frames, region_classes,
                          embeddings: np.ndarray, rng) -> tuple:
     """Per frame: one jittered high-score copy of each true box plus random
-    low-score distractor boxes, each carrying a feature of its source class."""
-    out = []
-    sigma = cfg.proposal_jitter
-    true_classes = [agent_class_id(cfg)] + list(region_classes)
-    for frame in frames:
-        true_boxes = [frame.agent_box] + list(frame.region_boxes)
-        props = []
-        for box, cls in zip(true_boxes, true_classes):
-            jittered = Box(
-                box.cx + rng.normal(0.0, sigma) * box.w,
-                box.cy + rng.normal(0.0, sigma) * box.h,
-                box.w * float(np.exp(rng.normal(0.0, sigma))),
-                box.h * float(np.exp(rng.normal(0.0, sigma))),
-            )
-            score = float(np.clip(0.9 + rng.normal(0.0, 0.05), 0.0, 1.0))
-            feat = embeddings[cls] + rng.normal(0.0, cfg.noise_sigma, cfg.feature_dim)
-            props.append(Proposal(jittered, score, feat))
-        for _ in range(cfg.n_distractor_proposals):
-            cls = int(rng.integers(0, cfg.n_classes))
-            feat = embeddings[cls] + rng.normal(0.0, cfg.noise_sigma, cfg.feature_dim)
-            props.append(Proposal(_random_box(rng), float(rng.uniform(0.0, 0.5)), feat))
-        out.append(tuple(props))
-    return tuple(out)
+    low-score distractor boxes, each carrying a feature of its source class.
+
+    A frame takes from ``rng`` one normal draw for all its true boxes (the
+    agent's, then the regions'), each row holding four jitters, a score and
+    the feature noise; then for each distractor its class, its feature noise
+    and the uniforms of its box and score.
+    """
+    n_frames, n_fake = len(frames), cfg.n_distractor_proposals
+    true_classes = [agent_class_id(cfg), *region_classes]
+    true_z = np.empty((n_frames, len(true_classes), 5 + cfg.feature_dim))
+    fake_classes = np.empty((n_frames, n_fake), dtype=np.int64)
+    fake_z = np.empty((n_frames, n_fake, cfg.feature_dim))
+    fake_u = np.empty((n_frames, n_fake, len(_RANDOM_LO)))
+    for t in range(n_frames):
+        rng.standard_normal(out=true_z[t])
+        for j in range(n_fake):
+            fake_classes[t, j] = rng.integers(0, cfg.n_classes)
+            rng.standard_normal(out=fake_z[t, j])
+            rng.random(out=fake_u[t, j])
+
+    # rng.normal(0, s) and rng.uniform(lo, hi) are 0 + s * z and lo + (hi - lo) * u
+    true_boxes = np.stack([np.vstack((f.agent_box.as_array(), f.regions.xywh)) for f in frames])
+    sides = true_boxes[..., 2:]
+    jitter = 0.0 + cfg.proposal_jitter * true_z[..., :4]
+    fakes = _RANDOM_LO + _RANDOM_SPAN * fake_u
+    boxes = np.concatenate((true_boxes[..., :2] + jitter[..., :2] * sides,
+                            sides * np.exp(jitter[..., 2:])), axis=-1)
+    boxes = np.concatenate((boxes, fakes[..., :4]), axis=1)
+    scores = np.concatenate((np.clip(0.9 + (0.0 + 0.05 * true_z[..., 4]), 0.0, 1.0),
+                             fakes[..., 4]), axis=1)
+    feats = np.concatenate((embeddings[true_classes] + (0.0 + cfg.noise_sigma * true_z[..., 5:]),
+                            embeddings[fake_classes] + (0.0 + cfg.noise_sigma * fake_z)), axis=1)
+    return tuple(tuple(Proposal(Box(*box), score, feat) for box, score, feat in zip(*frame))
+                 for frame in zip(boxes.tolist(), scores.tolist(), feats))
 
 
 def generate_split(cfg: ScenarioConfig, n_videos: int, split: str) -> list[VideoSample]:

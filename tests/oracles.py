@@ -7,6 +7,8 @@
 - the tracker, the per-frame detection matching and the oracle rescoring as
   pair loops over scalar IoU, the way they were written before they took
   whole IoU matrices;
+- the synthetic world's distractor regions and per-frame proposals drawn
+  one value at a time, the stream order that synthworld's array draws keep;
 - the tape ops that only references composed from primitive ops use:
   division, maximum, minimum, row stacking, the dot product and picking
   one entry.
@@ -16,9 +18,11 @@ import math
 import numpy as np
 
 from riskrnn.autodiff import Node, _accum, _unbroadcast
+from riskrnn.data import Proposal
 from riskrnn.evaluation import REGION_IOU_THRESHOLD
 from riskrnn.geometry import MAX_LOG_SCALE, Box, encode_box_transform
 from riskrnn.losses import PROB_CLAMP, RISKY_IOU_THRESHOLD
+from riskrnn.synthworld import agent_class_id
 from riskrnn.tracking import Track
 
 
@@ -182,6 +186,47 @@ def total_loss(cfg, frames, preds, targets, time_scale=1.0):
             level_loss -= (labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).sum()
         loss += weight * level_loss
     return loss
+
+
+# ---------------------------------------------------------------------------
+# synthetic world
+
+def random_box(rng) -> Box:
+    return Box(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
+               rng.uniform(0.06, 0.18), rng.uniform(0.06, 0.18))
+
+
+def distractor_regions(cfg, rng):
+    """synthworld._distractor_regions, one box and one class at a time."""
+    boxes = [random_box(rng) for _ in range(cfg.n_regions - 1)]
+    return boxes, [int(rng.integers(1, cfg.n_classes)) for _ in boxes]
+
+
+def synthesize_proposals(cfg, frames, region_classes, embeddings: np.ndarray, rng) -> tuple:
+    """synthworld.synthesize_proposals, one draw per jitter, score, feature
+    and coordinate."""
+    out = []
+    sigma = cfg.proposal_jitter
+    true_classes = [agent_class_id(cfg)] + list(region_classes)
+    for frame in frames:
+        true_boxes = [frame.agent_box] + list(frame.region_boxes)
+        props = []
+        for box, cls in zip(true_boxes, true_classes):
+            jittered = Box(
+                box.cx + rng.normal(0.0, sigma) * box.w,
+                box.cy + rng.normal(0.0, sigma) * box.h,
+                box.w * float(np.exp(rng.normal(0.0, sigma))),
+                box.h * float(np.exp(rng.normal(0.0, sigma))),
+            )
+            score = float(np.clip(0.9 + rng.normal(0.0, 0.05), 0.0, 1.0))
+            feat = embeddings[cls] + rng.normal(0.0, cfg.noise_sigma, cfg.feature_dim)
+            props.append(Proposal(jittered, score, feat))
+        for _ in range(cfg.n_distractor_proposals):
+            cls = int(rng.integers(0, cfg.n_classes))
+            feat = embeddings[cls] + rng.normal(0.0, cfg.noise_sigma, cfg.feature_dim)
+            props.append(Proposal(random_box(rng), float(rng.uniform(0.0, 0.5)), feat))
+        out.append(tuple(props))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

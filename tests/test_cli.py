@@ -50,6 +50,16 @@ def test_unknown_key_is_a_configuration_error(tmp_path):
     assert main(["generate", "--out", str(tmp_path), "--no_such_key", "1"]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_regions", "0"), ("collision_iou", "1.5"), ("noise_sigma", "-1"), ("h_agent", "0"),
+    ("n_classes", "1"),
+])
+def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, key, value):
+    assert main(["generate", "--out", str(tmp_path), f"--{key}", value, *TINY]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_missing_dataset_is_a_runtime_failure(tmp_path):
     assert main(["train", "--data", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "m.rrm"), *TINY]) == 1

@@ -25,14 +25,18 @@ class TestBox:
         assert b.y2 == pytest.approx(0.7)
         assert b.area == pytest.approx(0.08)
 
-    @pytest.mark.parametrize("w,h", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0)])
+    @pytest.mark.parametrize("w,h", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.1)])
     def test_rejects_degenerate_sides(self, w, h):
         with pytest.raises(ValueError):
             Box(0.5, 0.5, w, h)
 
-    def test_rejects_non_finite(self):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["cx", "cy", "w", "h"])
+    def test_rejects_non_finite(self, field, value):
+        fields = dict(cx=0.5, cy=0.5, w=0.1, h=0.1)
+        fields[field] = value
         with pytest.raises(ValueError):
-            Box(float("nan"), 0.5, 0.1, 0.1)
+            Box(**fields)
 
 
 class TestStackBoxes:
