@@ -127,7 +127,8 @@ def cmd_train(cfg, args) -> int:
 
 
 def cmd_eval(cfg, args) -> int:
-    samples = read_dataset(_dataset_path(args.data, "test"))
+    path = _dataset_path(args.data, "test")
+    samples = read_dataset(path)
     sections = {}
     out = Path(args.out)
     for model_path in args.model:
@@ -135,7 +136,10 @@ def cmd_eval(cfg, args) -> int:
         name = model.cfg.variant
         if name in sections:
             name = f"{name}#{sum(1 for k in sections if k.split('#')[0] == model.cfg.variant)}"
-        summary = evaluate_model(model, samples, cfg)
+        try:
+            summary = evaluate_model(model, samples, cfg)
+        except ValueError as err:  # the split cannot be scored: name its file
+            raise ValueError(f"{path}: {err}") from err
         sections[name] = summary.report_fields()
         curve_path = out.with_name(f"{out.stem}_curves_{name.replace('#', '_')}.csv")
         write_curve_csv(curve_path, summary.curve_rows)

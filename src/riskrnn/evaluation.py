@@ -2,6 +2,11 @@
 curves, per-frame region detection AP with its oracle bound, and risk-map
 rasterization, plus the report/CSV/PGM writers.
 
+The metrics take arrays: AP a score and a positive flag per item; region AP
+and its oracle, per video, the (T, N) detection scores and one (T, N, R) IoU
+matrix with the ground truth (``region_overlaps``), whose NaN columns pad
+frames with fewer ground-truth boxes and count as none.
+
 Tie conventions are pessimistic and deterministic: at equal scores negatives
 rank before positives, and equal-scored detections keep their input order.
 """
@@ -14,17 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import iou, stack_boxes
+from .geometry import iou
 
 REPORT_HEADER = "RISKRNN-REPORT v1"
 REGION_IOU_THRESHOLD = 0.4
-
-
-@dataclass
-class ScoredItem:
-    score: float
-    is_positive: bool
-    tta_value: float | None = None
 
 
 @dataclass
@@ -44,8 +42,9 @@ class RiskMap:
     values: np.ndarray  # (height, width), each cell in [0, 1]
 
 
-def average_precision(items, n_positive: int | None = None) -> float:
-    """Area under the all-point precision-recall curve.
+def average_precision(scores, positive, n_positive: int | None = None) -> float:
+    """Area under the all-point precision-recall curve of items given as
+    ``scores`` and boolean ``positive`` flags, two arrays of one length.
 
     Items are ranked by descending score with positives after negatives on
     ties. ``n_positive`` overrides the recall denominator (detection-style
@@ -53,24 +52,22 @@ def average_precision(items, n_positive: int | None = None) -> float:
     Precisions are summed exactly and divided once, so a perfect ranking
     scores exactly 1.
     """
-    positives = sum(1 for it in items if it.is_positive)
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = np.asarray(positive, dtype=bool)
+    positives = int(np.count_nonzero(positive))
     if n_positive is None:
         n_positive = positives
     if n_positive < 1:
         raise ValueError("average precision is undefined without positives")
     if n_positive < positives:
         raise ValueError(f"n_positive={n_positive} is below the {positives} positive items")
-    ranked = sorted(items, key=lambda it: (-it.score, it.is_positive))
-    precisions = []
-    for rank, item in enumerate(ranked, start=1):
-        if item.is_positive:
-            precisions.append((len(precisions) + 1) / rank)
-    return math.fsum(precisions) / n_positive
+    ranks = np.flatnonzero(positive[np.lexsort((positive, -scores))]) + 1
+    return math.fsum((np.arange(1, positives + 1) / ranks).tolist()) / n_positive
 
 
-def video_level_scores(videos) -> list[ScoredItem]:
-    """One item per video: the max per-frame probability as the video score."""
-    return [ScoredItem(float(v.probs.max()), v.positive) for v in videos]
+def video_level_scores(videos) -> np.ndarray:
+    """The (V,) video scores: each video's max per-frame probability."""
+    return np.array([v.probs.max() for v in videos], dtype=np.float64)
 
 
 def first_crossing(probs: np.ndarray, threshold: float) -> int | None:
@@ -94,7 +91,7 @@ def tta_atta(videos):
     positives = [v for v in videos if v.positive]
     if not positives:
         raise ValueError("time-to-accident needs at least one positive video")
-    scores = np.array([float(v.probs.max()) for v in videos])
+    scores = video_level_scores(videos)
     n_pos = len(positives)
     rows = []
     terms = []
@@ -118,84 +115,77 @@ def tta_atta(videos):
 # ---------------------------------------------------------------------------
 # risky-region detection AP
 
-def match_frame_detections(detections, gt_boxes, iou_threshold=REGION_IOU_THRESHOLD):
-    """Greedy matching within one frame.
+def region_overlaps(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
+    """The (T, N, R) IoU of a video's (T, N, 4) detections with its (T, R, 4)
+    ground truth; NaN padding rows give NaN columns."""
+    return iou(boxes[:, :, None], gt_boxes[:, None])
 
-    Detections are (box, score) pairs, visited in descending score order
-    (ties keep input order); each claims the best still-unmatched ground
-    truth overlapping at or above the threshold. Returns (score, matched)
-    pairs in input order.
+
+def match_frame_detections(scores, overlaps, iou_threshold=REGION_IOU_THRESHOLD) -> np.ndarray:
+    """Greedy matching within one frame of N detections and R ground truths.
+
+    Takes the (N,) detection scores and their (N, R) IoU matrix. Detections
+    are visited in descending score order (ties keep input order); each
+    claims the best still-unmatched ground truth overlapping at or above the
+    threshold. Returns the (N,) matched flags in input order.
     """
-    matched = [False] * len(detections)
-    overlaps = _overlaps(detections, gt_boxes)
     over = overlaps >= iou_threshold
-    can_match = over.any(axis=1).tolist()
-    open_gt = np.ones(len(gt_boxes), dtype=bool)
-    for i in sorted(range(len(detections)), key=lambda i: (-detections[i][1], i)):
-        if not can_match[i]:
-            continue
+    matched = np.zeros(len(scores), dtype=bool)
+    open_gt = np.ones(overlaps.shape[1], dtype=bool)
+    order = np.argsort(-scores, kind="stable")
+    for i in order[over.any(axis=1)[order]]:
         # the best open ground truth; of equal ones, the last
         candidates = np.flatnonzero(open_gt & over[i])[::-1]
         if candidates.size:
             open_gt[candidates[np.argmax(overlaps[i, candidates])]] = False
             matched[i] = True
-    return [(float(score), matched[i]) for i, (_, score) in enumerate(detections)]
+    return matched
 
 
-def _overlaps(detections, gt_boxes) -> np.ndarray:
-    """(detections, ground truth) IoU matrix of one frame."""
-    if len(gt_boxes) == 0:  # every frame of a negative video
-        return np.zeros((len(detections), 0))
-    return iou(stack_boxes(box for box, _ in detections)[:, None], stack_boxes(gt_boxes)[None])
+def _ground_truth_count(overlaps: np.ndarray) -> int:
+    """The columns of a (T, N, R) IoU matrix that are not NaN padding."""
+    return int(np.count_nonzero(~np.isnan(overlaps).all(axis=1)))
 
 
-def region_average_precision(frames, per_video: bool = False):
-    """Detection AP over per-frame (detections, ground-truth boxes) pairs.
+def region_average_precision(videos, per_video: bool = False):
+    """Detection AP over videos given as (scores, overlaps) pairs: the
+    (T, N) detection scores and their (T, N, R) IoU matrix.
 
-    ``frames`` is a list of videos, each a list of (detections, gt_boxes)
-    frame pairs. Pairs are pooled across every frame of every video and the
-    recall axis counts all ground-truth boxes. With ``per_video`` the AP is
-    instead averaged over videos that have any ground truth.
+    Detections are matched frame by frame, pooled across every frame of
+    every video, and the recall axis counts all ground-truth boxes. With
+    ``per_video`` the AP is instead averaged over videos that have any
+    ground truth.
     """
     def pooled_ap(video_list):
-        items = []
+        scores, hits = [], []
         n_gt = 0
-        for video in video_list:
-            for detections, gt_boxes in video:
-                n_gt += len(gt_boxes)
-                for score, hit in match_frame_detections(detections, gt_boxes):
-                    items.append(ScoredItem(score, hit))
+        for video_scores, overlaps in video_list:
+            n_gt += _ground_truth_count(overlaps)
+            scores.append(np.ravel(video_scores))
+            hits.extend(match_frame_detections(s, o) for s, o in zip(video_scores, overlaps))
         if n_gt == 0:
             raise ValueError("region AP needs at least one ground-truth box")
-        return average_precision(items, n_positive=n_gt)
+        return average_precision(np.concatenate(scores), np.concatenate(hits), n_positive=n_gt)
 
     if not per_video:
-        return pooled_ap(frames)
-    aps = []
-    for video in frames:
-        if any(len(gt) for _, gt in video):
-            aps.append(pooled_ap([video]))
+        return pooled_ap(videos)
+    aps = [pooled_ap([video]) for video in videos if _ground_truth_count(video[1])]
     if not aps:
         raise ValueError("region AP needs at least one ground-truth box")
     return float(np.mean(aps))
 
 
-def oracle_region_average_precision(frames, per_video: bool = False):
+def oracle_region_average_precision(videos, per_video: bool = False):
     """Upper bound: every detection overlapping ground truth scores 1, else 0.
+    Takes the (scores, overlaps) pairs of ``region_average_precision`` and
+    rescores from the same overlaps.
 
     Degenerate inputs where no detection overlaps any ground truth report 0
     with a warning instead of failing.
     """
-    rescored = []
-    for video in frames:
-        new_video = []
-        for detections, gt_boxes in video:
-            hits = (_overlaps(detections, gt_boxes) >= REGION_IOU_THRESHOLD).any(axis=1)
-            new_dets = [(box, float(hit)) for (box, _), hit in zip(detections, hits)]
-            new_video.append((new_dets, gt_boxes))
-        rescored.append(new_video)
-    hits = sum(score for video in rescored for dets, _ in video for _, score in dets)
-    if hits == 0:
+    rescored = [((overlaps >= REGION_IOU_THRESHOLD).any(axis=2).astype(np.float64), overlaps)
+                for _, overlaps in videos]
+    if not any(scores.any() for scores, _ in rescored):
         warnings.warn("no proposal overlaps any ground truth; oracle region AP reported as 0")
         return 0.0
     return region_average_precision(rescored, per_video=per_video)

@@ -5,6 +5,8 @@ track is most alarmed at each frame.
 All detected tracks of a video run through the model as one forward pass,
 each track a sequence over the video's regions, its (frame, track) columns
 frame-major, and each frame reduces over its K columns.
+Region AP and its oracle bound share one IoU matrix per video, of its
+regions with its risky boxes.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 from .config import RunConfig
 from .evaluation import (VideoPrediction, average_precision,
                          oracle_region_average_precision,
-                         region_average_precision, tta_atta,
+                         region_average_precision, region_overlaps, tta_atta,
                          video_level_scores)
 from .model import RiskModel
 from .training import detected_tracks, track_inputs, video_regions
@@ -80,26 +82,30 @@ def eval_video(model: RiskModel, sample, run_cfg: RunConfig) -> VideoEvalResult:
 
 
 def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig) -> EvalSummary:
+    """Score the split; one without a positive video raises ValueError
+    before any forward pass."""
+    if not any(sample.positive for sample in samples):
+        raise ValueError(f"no positive video among the {len(samples)} test videos; "
+                         f"anticipation AP, ATTA and region AP need at least one")
     results = [eval_video(model, sample, run_cfg) for sample in samples]
 
     vpreds = [VideoPrediction(r.frame_probs, r.positive, r.t_accident)
               for r in results]
-    anticipation_map = average_precision(video_level_scores(vpreds))
+    anticipation_map = average_precision(video_level_scores(vpreds),
+                                         [r.positive for r in results])
     curve_rows, atta_frames = tta_atta(vpreds)
 
-    region_frames = []
+    region_videos = []
     for sample, result in zip(samples, results):
-        video = []
-        for t in range(sample.n_frames):
-            boxes, scores = result.frame_regions[t]
-            detections = [(box, float(score)) for box, score in zip(boxes, scores)]
-            gt = sample.targets.risky_boxes[t] if sample.positive else []
-            video.append((detections, gt))
-        region_frames.append(video)
-    region_map = region_average_precision(region_frames,
+        boxes = np.stack([frame.regions.xywh for frame in sample.frames])
+        gt = (sample.targets.risky_array() if sample.positive
+              else np.empty((sample.n_frames, 0, 4)))
+        scores = np.stack([frame_scores for _, frame_scores in result.frame_regions])
+        region_videos.append((scores, region_overlaps(boxes, gt)))
+    region_map = region_average_precision(region_videos,
                                           per_video=run_cfg.per_video_region_ap)
     oracle_map = oracle_region_average_precision(
-        region_frames, per_video=run_cfg.per_video_region_ap)
+        region_videos, per_video=run_cfg.per_video_region_ap)
 
     return EvalSummary(
         anticipation_map=float(anticipation_map),

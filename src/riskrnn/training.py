@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .config import RunConfig, derive_seed
-from .evaluation import ScoredItem, average_precision
+from .evaluation import average_precision
 from .geometry import stack_boxes
 from .losses import SequenceTargets, total_loss
 from .model import AgentTracks, RiskModel, VideoRegions, forward_video
@@ -104,17 +104,16 @@ class _Split:
 def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig):
     """Deterministic loss and anticipation AP on the annotated tracks."""
     losses = []
-    items = []
+    peaks = []
     for start in range(0, len(split.videos), run_cfg.batch_size):
         chunk = range(start, min(start + run_cfg.batch_size, len(split.videos)))
         loss, out = split.loss(model, chunk, [split.annotated[i] for i in chunk],
                                Tape(train=False))
         losses.extend(loss.per_sequence)
         probs = out.y_fused[:, 1] if run_cfg.use_fused else out.y[:, 1]
-        peaks = probs.reshape(-1, len(chunk)).max(axis=0)
-        items.extend(ScoredItem(float(peak), split.videos[i].positive)
-                     for peak, i in zip(peaks, chunk))
-    val_map = average_precision(items) if any(i.is_positive for i in items) else 0.0
+        peaks.append(probs.reshape(-1, len(chunk)).max(axis=0))
+    positive = [video.positive for video in split.videos]
+    val_map = average_precision(np.concatenate(peaks), positive) if any(positive) else 0.0
     return float(np.mean(losses)), val_map
 
 

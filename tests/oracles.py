@@ -7,6 +7,9 @@
 - the tracker, the per-frame detection matching and the oracle rescoring as
   pair loops over scalar IoU, the way they were written before they took
   whole IoU matrices;
+- average precision over (score, positive) pairs and region AP over
+  per-frame (detections, ground-truth boxes) lists, the way they were
+  written before the metrics took arrays;
 - the synthetic world's distractor regions and per-frame proposals drawn
   one value at a time, the stream order that synthworld's array draws keep;
 - the tape ops that only references composed from primitive ops use:
@@ -14,6 +17,7 @@
   one entry.
 """
 import math
+import warnings
 
 import numpy as np
 
@@ -328,6 +332,55 @@ def oracle_rescore(frames):
                 else 0.0) for box, _ in detections], gt_boxes)
              for detections, gt_boxes in video]
             for video in frames]
+
+
+def average_precision(pairs, n_positive=None) -> float:
+    """evaluation.average_precision over (score, is_positive) pairs, ranked
+    with a sort key."""
+    positives = sum(1 for _, positive in pairs if positive)
+    if n_positive is None:
+        n_positive = positives
+    if n_positive < 1:
+        raise ValueError("average precision is undefined without positives")
+    ranked = sorted(pairs, key=lambda pair: (-pair[0], pair[1]))
+    precisions = []
+    for rank, (_, positive) in enumerate(ranked, start=1):
+        if positive:
+            precisions.append((len(precisions) + 1) / rank)
+    return math.fsum(precisions) / n_positive
+
+
+def region_average_precision(frames, per_video=False):
+    """evaluation.region_average_precision over videos given as lists of
+    per-frame (detections, gt_boxes) pairs, detections being (box, score)
+    pairs."""
+    def pooled_ap(videos):
+        pairs = []
+        n_gt = 0
+        for video in videos:
+            for detections, gt_boxes in video:
+                n_gt += len(gt_boxes)
+                pairs.extend(match_frame_detections(detections, gt_boxes))
+        if n_gt == 0:
+            raise ValueError("region AP needs at least one ground-truth box")
+        return average_precision(pairs, n_positive=n_gt)
+
+    if not per_video:
+        return pooled_ap(frames)
+    aps = [pooled_ap([video]) for video in frames if any(gt for _, gt in video)]
+    if not aps:
+        raise ValueError("region AP needs at least one ground-truth box")
+    return float(np.mean(aps))
+
+
+def oracle_region_average_precision(frames, per_video=False):
+    """evaluation.oracle_region_average_precision over the per-frame lists
+    of region_average_precision."""
+    rescored = oracle_rescore(frames)
+    if not any(score for video in rescored for dets, _ in video for _, score in dets):
+        warnings.warn("no proposal overlaps any ground truth; oracle region AP reported as 0")
+        return 0.0
+    return region_average_precision(rescored, per_video=per_video)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import sys
 import numpy as np
 import pytest
 
-from riskrnn import autodiff, nn
+from riskrnn import autodiff, nn, pipeline
 from riskrnn.cli import main
+from riskrnn.config import RunConfig
 from riskrnn.evaluation import read_report
-from riskrnn.model import VARIANTS
+from riskrnn.model import VARIANTS, RiskModel
+from riskrnn.synthworld import read_dataset, write_dataset
 
 TINY = ["--n_train", "2", "--n_val", "2", "--n_test", "4", "--epochs", "1"]
 
@@ -86,6 +88,25 @@ def test_inconsistent_accident_labels_are_a_runtime_failure_naming_the_file(
     assert main(["eval", "--data", str(bad), "--model", str(tmp_path / "m.rrm"),
                  "--out", str(tmp_path / "report.txt"), *TINY]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_a_split_without_positives_is_a_runtime_failure_naming_the_file(
+        data_dir, tmp_path, capsys, monkeypatch):
+    negatives = [s for s in read_dataset(data_dir / "test.dat") if not s.positive]
+    assert negatives
+    bad = tmp_path / "test.dat"
+    write_dataset(bad, negatives)
+    model = tmp_path / "RA.rrm"
+    RiskModel.create(RunConfig().model_config("RA"), seed=0).save(model)
+
+    def forward_pass(*args):
+        raise AssertionError("a split without positives reached the model")
+
+    monkeypatch.setattr(pipeline, "eval_video", forward_pass)
+    assert main(["eval", "--data", str(bad), "--model", str(model),
+                 "--out", str(tmp_path / "report.txt"), *TINY]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: no positive video among the {len(negatives)} test videos")
 
 
 def test_the_cli_calls_every_autodiff_and_nn_function(tmp_path):

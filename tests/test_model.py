@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
@@ -482,6 +482,11 @@ class TestVideosAsSequences:
            positives=st.lists(st.booleans(), min_size=5, max_size=5),
            n_frames=st.integers(1, 12), n_regions=st.integers(1, 8),
            horizon=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    # per-video gradients of about -1.4, -17.3, 18.6 and -0.3 cancel to -0.42
+    # in imagine_head_W[3, 5]; the batch's sum rounds them in another order
+    @example(variant="RAI", imagine_steps=1, n_videos=4,
+             positives=[False, True, False, True, False], n_frames=12, n_regions=8,
+             horizon=1, seed=47596)
     def test_each_video_matches_its_own_pass(self, variant, imagine_steps, n_videos,
                                              positives, n_frames, n_regions, horizon, seed):
         lambdas = (0.6, 0.4) if imagine_steps == 1 else (0.5, 0.3, 0.2)
@@ -509,7 +514,12 @@ class TestVideosAsSequences:
         alone = [run([frames], [seq]) for frames, seq in zip(videos, seqs)]
         close(losses, [loss[0] for loss, _ in alone])
         for name, grad in grads.items():
-            close(grad, sum(video_grads[name] for _, video_grads in alone))
+            # a sum of terms that cancel keeps their rounding, not its own:
+            # bound each element's error by the magnitude of its terms
+            terms = np.stack([video_grads[name] for _, video_grads in alone])
+            error = np.abs(grad - terms.sum(axis=0))
+            bound = 1e-12 * np.abs(terms).sum(axis=0) + 1e-12
+            assert np.all(error <= bound), (name, np.max(error - bound))
 
 
 class TestNodeCount:
