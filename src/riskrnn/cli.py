@@ -16,7 +16,7 @@ from .evaluation import risk_map_raster, write_curve_csv, write_pgm, write_repor
 from .model import VARIANTS, RiskModel
 from .pipeline import eval_video, evaluate_model
 from .synthworld import generate_split, read_dataset, write_dataset
-from .training import train_model, write_training_log
+from .training import detected_tracks, train_model, write_training_log
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +167,7 @@ def cmd_infer(cfg, args) -> int:
     samples = read_dataset(_dataset_path(args.data, "test"))
     sample = _pick_video(samples, args.video_id)
     model = RiskModel.load(args.model)
-    result = eval_video(model, sample, cfg)
+    result = eval_video(model, sample, detected_tracks([sample], cfg)[0], cfg)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         n_regions = len(sample.frames[0].region_boxes)
@@ -186,7 +186,7 @@ def cmd_riskmap(cfg, args) -> int:
     samples = read_dataset(_dataset_path(args.data, "test"))
     sample = _pick_video(samples, args.video_id)
     model = RiskModel.load(args.model)
-    result = eval_video(model, sample, cfg)
+    result = eval_video(model, sample, detected_tracks([sample], cfg)[0], cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for t, (boxes, scores) in enumerate(result.frame_regions):

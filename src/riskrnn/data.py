@@ -92,7 +92,7 @@ class VideoTargets:
     """Supervision for one video.
 
     A negative has no ``t_accident`` (None) and no risky box;
-    ``agent_track`` covers every frame for both labels.
+    ``agent_track`` and ``risky_boxes`` cover every frame for both labels.
     """
 
     positive: bool
@@ -103,11 +103,12 @@ class VideoTargets:
     def validate(self, n_frames: int) -> None:
         if len(self.agent_track) != n_frames:
             raise ValueError(f"agent track has {len(self.agent_track)} boxes for {n_frames} frames")
+        if len(self.risky_boxes) != n_frames:
+            raise ValueError(f"risky boxes have {len(self.risky_boxes)} entries for {n_frames} "
+                             f"frames; a video needs one, empty when negative, per frame")
         if self.positive:
             if self.t_accident is None or not (0 <= self.t_accident < n_frames):
                 raise ValueError(f"positive video needs an accident frame in range, got {self.t_accident}")
-            if len(self.risky_boxes) != n_frames:
-                raise ValueError("positive video needs ground-truth risky boxes per frame")
         elif self.t_accident is not None or any(self.risky_boxes):
             raise ValueError(f"negative video needs no accident frame and no risky box, got "
                              f"accident frame {self.t_accident} and "

@@ -70,45 +70,43 @@ def video_level_scores(videos) -> np.ndarray:
     return np.array([v.probs.max() for v in videos], dtype=np.float64)
 
 
-def first_crossing(probs: np.ndarray, threshold: float) -> int | None:
-    """First frame whose probability reaches the threshold, else None."""
-    hits = np.nonzero(probs >= threshold)[0]
-    return int(hits[0]) if hits.shape[0] else None
-
-
 def tta_atta(videos):
     """Sweep thresholds over the distinct video scores and summarize lead time.
 
     At each operating point (taken just below a distinct score, so crossings
     are inclusive) we compute precision/recall over video-level scores and,
     for the recalled positives, the mean time to accident T - t_hat, floored
-    at zero. The scalar summary integrates mean TTA over the recall axis by
-    recall increments, summed exactly as newly recalled positives times mean
-    TTA over the positive count, so it never exceeds the largest accident
-    frame. Returns (rows, atta) where each row is
+    at zero, where t_hat is the first frame reaching the threshold. The
+    scalar summary integrates mean TTA over the recall axis by recall
+    increments, summed exactly as newly recalled positives times mean TTA
+    over the positive count, so it never exceeds the largest accident frame.
+    Returns (rows, atta) where each row is
     (threshold, precision, recall, mean_tta).
     """
     positives = [v for v in videos if v.positive]
     if not positives:
         raise ValueError("time-to-accident needs at least one positive video")
     scores = video_level_scores(videos)
+    thresholds = sorted(set(scores.tolist()), reverse=True)
+    # each positive's first crossing of every threshold is where its running
+    # maximum first reaches it; above its peak, where it is not recalled, the
+    # search gives its length, which is never read
+    crossings = np.array([np.searchsorted(np.maximum.accumulate(v.probs), thresholds,
+                                          side="left") for v in positives])
+    ttas = np.maximum(0.0, np.array([v.t_accident for v in positives])[:, None] - crossings)
+    recalled = video_level_scores(positives)[:, None] >= np.array(thresholds)
+    predicted = len(scores) - np.searchsorted(np.sort(scores), thresholds, side="left")
     n_pos = len(positives)
     rows = []
     terms = []
     prev_recalled = 0
-    for threshold in sorted(set(scores.tolist()), reverse=True):
-        predicted = int(np.sum(scores >= threshold))
-        recalled = [v for v in positives if float(v.probs.max()) >= threshold]
-        recall = len(recalled) / n_pos
-        precision = len(recalled) / predicted if predicted else 0.0
-        ttas = []
-        for v in recalled:
-            t_hat = first_crossing(v.probs, threshold)
-            ttas.append(max(0.0, float(v.t_accident - t_hat)))
-        mean_tta = float(np.mean(ttas)) if ttas else 0.0
-        terms.append((len(recalled) - prev_recalled) * mean_tta)
-        rows.append((threshold, precision, recall, mean_tta))
-        prev_recalled = len(recalled)
+    for j, threshold in enumerate(thresholds):
+        n_recalled = int(np.count_nonzero(recalled[:, j]))
+        precision = n_recalled / int(predicted[j])
+        mean_tta = float(np.mean(ttas[recalled[:, j], j])) if n_recalled else 0.0
+        terms.append((n_recalled - prev_recalled) * mean_tta)
+        rows.append((threshold, precision, n_recalled / n_pos, mean_tta))
+        prev_recalled = n_recalled
     return rows, math.fsum(terms) / n_pos
 
 
@@ -162,7 +160,11 @@ def region_average_precision(videos, per_video: bool = False):
         for video_scores, overlaps in video_list:
             n_gt += _ground_truth_count(overlaps)
             scores.append(np.ravel(video_scores))
-            hits.extend(match_frame_detections(s, o) for s, o in zip(video_scores, overlaps))
+            # a frame where no detection reaches a ground truth matches none
+            video_hits = np.zeros(video_scores.shape, dtype=bool)
+            for t in np.flatnonzero((overlaps >= REGION_IOU_THRESHOLD).any(axis=(1, 2))):
+                video_hits[t] = match_frame_detections(video_scores[t], overlaps[t])
+            hits.append(video_hits.ravel())
         if n_gt == 0:
             raise ValueError("region AP needs at least one ground-truth box")
         return average_precision(np.concatenate(scores), np.concatenate(hits), n_positive=n_gt)

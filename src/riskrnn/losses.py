@@ -118,10 +118,9 @@ class SequenceTargets:
         """The targets of a video with the given regions and labels."""
         n_frames = len(regions)
         targets.validate(n_frames)
-        risky = targets.risky_array() if targets.positive else np.empty((n_frames, 0, 4))
         return cls(anticipation_weights(targets.positive, targets.t_accident, n_frames,
                                         time_scale),
-                   region_labels(regions.xywh, risky),
+                   region_labels(regions.xywh, targets.risky_array()),
                    *transform_targets(targets.agent_track, horizon))
 
 

@@ -2,9 +2,10 @@
 the video-level anticipation score, and region riskiness taken from whichever
 track is most alarmed at each frame.
 
-All detected tracks of a video run through the model as one forward pass,
-each track a sequence over the video's regions, its (frame, track) columns
-frame-major, and each frame reduces over its K columns.
+The split is tracked once, before any forward pass (``detected_tracks``).
+Then all detected tracks of a video run through the model as one forward
+pass, each track a sequence over the video's regions, its (frame, track)
+columns frame-major, and each frame reduces over its K columns.
 Region AP and its oracle bound share one IoU matrix per video, of its
 regions with its risky boxes.
 """
@@ -55,10 +56,9 @@ class EvalSummary:
         }
 
 
-def eval_video(model: RiskModel, sample, run_cfg: RunConfig) -> VideoEvalResult:
-    """Run every candidate track through the model in one pass and reduce
-    per frame."""
-    tracks = detected_tracks(sample, run_cfg)
+def eval_video(model: RiskModel, sample, tracks, run_cfg: RunConfig) -> VideoEvalResult:
+    """Run every candidate track of the video, its ``detected_tracks``, through
+    the model in one pass and reduce per frame."""
     n_frames = sample.n_frames
     out = model.forward_video(track_inputs(tracks, [video_regions(sample)] * len(tracks)))
     y, s = (out.y_fused, out.s_fused) if run_cfg.use_fused else (out.y, out.s)
@@ -83,11 +83,12 @@ def eval_video(model: RiskModel, sample, run_cfg: RunConfig) -> VideoEvalResult:
 
 def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig) -> EvalSummary:
     """Score the split; one without a positive video raises ValueError
-    before any forward pass."""
+    before any tracking or forward pass."""
     if not any(sample.positive for sample in samples):
         raise ValueError(f"no positive video among the {len(samples)} test videos; "
                          f"anticipation AP, ATTA and region AP need at least one")
-    results = [eval_video(model, sample, run_cfg) for sample in samples]
+    results = [eval_video(model, sample, tracks, run_cfg)
+               for sample, tracks in zip(samples, detected_tracks(samples, run_cfg))]
 
     vpreds = [VideoPrediction(r.frame_probs, r.positive, r.t_accident)
               for r in results]
@@ -98,10 +99,8 @@ def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig) -> EvalSummary
     region_videos = []
     for sample, result in zip(samples, results):
         boxes = np.stack([frame.regions.xywh for frame in sample.frames])
-        gt = (sample.targets.risky_array() if sample.positive
-              else np.empty((sample.n_frames, 0, 4)))
         scores = np.stack([frame_scores for _, frame_scores in result.frame_regions])
-        region_videos.append((scores, region_overlaps(boxes, gt)))
+        region_videos.append((scores, region_overlaps(boxes, sample.targets.risky_array())))
     region_map = region_average_precision(region_videos,
                                           per_video=run_cfg.per_video_region_ap)
     oracle_map = oracle_region_average_precision(

@@ -1,5 +1,9 @@
 """Training loop: noisy-track selection, one pass per batch of videos, Adam,
-and early stopping on validation loss.
+and early stopping on validation loss; and the tracks a split's videos give.
+
+``detected_tracks`` tracks a whole split before any forward pass: its videos
+of one frame count and one proposal count run as one tracker call, and each
+video's tracks are then deduplicated on their own.
 
 Each epoch runs every training video once on a track drawn uniformly from
 {annotated track} + {detected tracks}; the video's accident label is shared
@@ -13,6 +17,7 @@ videos of one pass need one frame count and one region count.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,24 +55,55 @@ def track_inputs(tracks, regions) -> AgentTracks:
     one video's regions for each of its tracks, training each batch video's
     own."""
     feats = np.array([track.feats for track in tracks], dtype=np.float64)
-    boxes = np.array([stack_boxes(track.boxes) for track in tracks])
+    boxes = np.array([track.boxes for track in tracks], dtype=np.float64)
     return AgentTracks(feats.transpose(2, 1, 0), boxes.transpose(2, 1, 0),
                        VideoRegions.interleave(regions))
 
 
-def detected_tracks(sample, run_cfg: RunConfig) -> list[Track]:
-    """The deduplicated tracks the tracker finds in a video's proposals.
+def _proposal_arrays(frames):
+    """The (V, M, 4) boxes, (V, M, D) features and (V, M) object scores of
+    V frames' proposals, M in each frame."""
+    props = [p for frame in frames for p in frame]
+    feats = np.array([p.feat for p in props], dtype=np.float64)
+    return (stack_boxes(p.box for p in props).reshape(len(frames), -1, 4),
+            feats.reshape(len(frames), -1, feats.shape[-1]),
+            np.array([p.score for p in props], dtype=np.float64).reshape(len(frames), -1))
 
-    Raises ValueError naming the video and its first frame without
-    proposals: the tracker would end every track there, short of the video.
+
+def detected_tracks(samples, run_cfg: RunConfig) -> list[list[Track]]:
+    """Each video's deduplicated tracks, found in its proposals.
+
+    Videos of one frame count and one proposal count are tracked in one
+    tracker call, each frame's proposal arrays built when the tracker reaches
+    it; every video's tracks are then deduplicated on their own.
+
+    Raises ValueError naming the first video that has a frame without
+    proposals, and that frame, or frames of different proposal counts.
     """
-    empty = [t for t, frame in enumerate(sample.proposals) if len(frame) == 0]
-    if empty:
-        raise ValueError(f"video {sample.video_id}: frame {empty[0]} has no proposals "
-                         f"to track the agent through")
-    tracks = track_by_detection(sample.proposals, top_init=run_cfg.top_init,
-                                top_iou=run_cfg.top_iou)
-    return deduplicate_tracks(tracks, overlap_iou=run_cfg.dedup_iou)
+    samples = list(samples)
+    groups = defaultdict(list)
+    for i, sample in enumerate(samples):
+        counts = [len(frame) for frame in sample.proposals]
+        if 0 in counts:
+            raise ValueError(f"video {sample.video_id}: frame {counts.index(0)} has no "
+                             f"proposals to track the agent through")
+        if len(set(counts)) > 1:
+            raise ValueError(f"video {sample.video_id}: frames have {min(counts)} to "
+                             f"{max(counts)} proposals; the tracker needs one proposal "
+                             f"count per video")
+        groups[len(counts), counts[0] if counts else 0].append(i)
+
+    tracks = [None] * len(samples)
+    for (n_frames, _), members in groups.items():
+        frames = (_proposal_arrays([samples[i].proposals[t] for i in members])
+                  for t in range(n_frames))
+        boxes, feats, scores = track_by_detection(frames, top_init=run_cfg.top_init,
+                                                  top_iou=run_cfg.top_iou)
+        for j, i in enumerate(members):
+            found = [Track(boxes[j, :, k], feats[j, :, k], scores[j, :, k])
+                     for k in range(boxes.shape[2])]
+            tracks[i] = deduplicate_tracks(found, overlap_iou=run_cfg.dedup_iou)
+    return tracks
 
 
 class _Split:
@@ -149,7 +185,7 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
 
     train = _Split(train_videos, model.cfg.horizon, run_cfg.time_scale)
     val = _Split(val_videos, model.cfg.horizon, run_cfg.time_scale)
-    td_tracks = [detected_tracks(v, run_cfg) for v in train.videos]
+    td_tracks = detected_tracks(train.videos, run_cfg)
 
     history: list[EpochStats] = []
     best_snapshot = model.store.snapshot()

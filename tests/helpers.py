@@ -4,7 +4,7 @@ check."""
 import numpy as np
 
 from riskrnn.data import FrameInput, RegionSet, VideoTargets
-from riskrnn.geometry import Box
+from riskrnn.geometry import Box, stack_boxes
 from riskrnn.losses import SequenceTargets
 from riskrnn.model import AgentTracks, ModelConfig, RiskModel, VideoRegions
 from riskrnn.nn import ParameterStore
@@ -72,8 +72,9 @@ def agent_tracks(*tracks) -> AgentTracks:
     frames playing the agent over its own frames' regions, built as
     training.track_inputs builds it: K tracks of one video share its
     RegionSets, B videos of a batch have their own."""
-    agents = [Track(boxes=[frame.agent_box for frame in track],
-                    feats=[frame.agent_feat for frame in track]) for track in tracks]
+    agents = [Track(stack_boxes(frame.agent_box for frame in track),
+                    np.array([frame.agent_feat for frame in track]), np.ones(len(track)))
+              for track in tracks]
     return track_inputs(agents, [video_regions(track) for track in tracks])
 
 

@@ -4,9 +4,14 @@
   configuration and the box transform;
 - the per-frame forward and loss that the model computed before it ran whole
   videos as column passes, written out with numpy and the scalar geometry;
-- the tracker, the per-frame detection matching and the oracle rescoring as
-  pair loops over scalar IoU, the way they were written before they took
-  whole IoU matrices;
+- the tracker, one video, one track and one proposal at a time over scalar
+  IoU, the way it was written before it ran a split's videos as arrays;
+- the per-frame detection matching and the oracle rescoring as pair loops
+  over scalar IoU, the way they were written before they took whole IoU
+  matrices;
+- the time-to-accident sweep with one first-crossing search per recalled
+  positive and threshold, the way it was written before it searched each
+  positive's running maximum once;
 - average precision over (score, positive) pairs and region AP over
   per-frame (detections, ground-truth boxes) lists, the way they were
   written before the metrics took arrays;
@@ -23,8 +28,8 @@ import numpy as np
 
 from riskrnn.autodiff import Node, _accum, _unbroadcast
 from riskrnn.data import Proposal
-from riskrnn.evaluation import REGION_IOU_THRESHOLD
-from riskrnn.geometry import MAX_LOG_SCALE, Box, encode_box_transform
+from riskrnn.evaluation import REGION_IOU_THRESHOLD, video_level_scores
+from riskrnn.geometry import MAX_LOG_SCALE, Box, encode_box_transform, stack_boxes
 from riskrnn.losses import PROB_CLAMP, RISKY_IOU_THRESHOLD
 from riskrnn.synthworld import agent_class_id
 from riskrnn.tracking import Track
@@ -245,35 +250,26 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 def track_by_detection(proposals_per_frame, top_init: int = 10,
                        top_iou: int = 10) -> list[Track]:
-    """tracking.track_by_detection, one track and one proposal at a time."""
+    """tracking.track_by_detection of one video given as per-frame lists of
+    Proposal records, one track and one proposal at a time."""
     if len(proposals_per_frame) == 0:
         raise ValueError("need at least one frame of proposals")
     first = proposals_per_frame[0]
     order = sorted(range(len(first)), key=lambda i: (-first[i].score, i))
-    tracks = []
-    for i in order[:top_init]:
-        p = first[i]
-        tracks.append(Track(start_frame=0, boxes=[p.box], feats=[p.feat],
-                            scores=[p.score]))
-
+    chains = [[first[i]] for i in order[:top_init]]
     for frame in proposals_per_frame[1:]:
-        if len(frame) == 0:
-            break
-        for track in tracks:
-            cur_box = track.boxes[-1]
-            cur_feat = track.feats[-1]
-            ious = np.array([iou(cur_box, p.box) for p in frame])
+        for chain in chains:
+            current = chain[-1]
+            ious = np.array([iou(current.box, p.box) for p in frame])
             gate = np.argsort(-ious, kind="stable")[:top_iou]
             best = min(
                 gate,
-                key=lambda i: (-cosine_similarity(cur_feat, frame[i].feat),
+                key=lambda i: (-cosine_similarity(current.feat, frame[i].feat),
                                -frame[i].score, i),
             )
-            chosen = frame[best]
-            track.boxes.append(chosen.box)
-            track.feats.append(chosen.feat)
-            track.scores.append(chosen.score)
-    return tracks
+            chain.append(frame[best])
+    return [Track(stack_boxes(p.box for p in chain), np.array([p.feat for p in chain]),
+                  np.array([p.score for p in chain])) for chain in chains]
 
 
 def deduplicate_tracks(tracks, overlap_iou: float = 0.7) -> list[Track]:
@@ -291,7 +287,7 @@ def deduplicate_tracks(tracks, overlap_iou: float = 0.7) -> list[Track]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if iou(tracks[i].boxes[-1], tracks[j].boxes[-1]) > overlap_iou:
+            if iou(Box(*tracks[i].boxes[-1]), Box(*tracks[j].boxes[-1])) > overlap_iou:
                 group[find(j)] = find(i)
 
     best: dict[int, int] = {}
@@ -381,6 +377,42 @@ def oracle_region_average_precision(frames, per_video=False):
         warnings.warn("no proposal overlaps any ground truth; oracle region AP reported as 0")
         return 0.0
     return region_average_precision(rescored, per_video=per_video)
+
+
+# ---------------------------------------------------------------------------
+# time to accident
+
+def first_crossing(probs: np.ndarray, threshold: float) -> int | None:
+    """First frame whose probability reaches the threshold, else None."""
+    hits = np.nonzero(probs >= threshold)[0]
+    return int(hits[0]) if hits.shape[0] else None
+
+
+def tta_atta(videos):
+    """evaluation.tta_atta with a first-crossing search per recalled positive
+    at every threshold."""
+    positives = [v for v in videos if v.positive]
+    if not positives:
+        raise ValueError("time-to-accident needs at least one positive video")
+    scores = video_level_scores(videos)
+    n_pos = len(positives)
+    rows = []
+    terms = []
+    prev_recalled = 0
+    for threshold in sorted(set(scores.tolist()), reverse=True):
+        predicted = int(np.sum(scores >= threshold))
+        recalled = [v for v in positives if float(v.probs.max()) >= threshold]
+        recall = len(recalled) / n_pos
+        precision = len(recalled) / predicted if predicted else 0.0
+        ttas = []
+        for v in recalled:
+            t_hat = first_crossing(v.probs, threshold)
+            ttas.append(max(0.0, float(v.t_accident - t_hat)))
+        mean_tta = float(np.mean(ttas)) if ttas else 0.0
+        terms.append((len(recalled) - prev_recalled) * mean_tta)
+        rows.append((threshold, precision, recall, mean_tta))
+        prev_recalled = len(recalled)
+    return rows, math.fsum(terms) / n_pos
 
 
 # ---------------------------------------------------------------------------

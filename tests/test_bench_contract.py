@@ -67,5 +67,8 @@ def test_a_traced_eval_runs_one_forward_per_video():
         # every candidate track of a video runs in its one forward pass
         assert len(tracer.seconds("model.forward_video.inference", variant)) == cfg.n_test
         assert len(tracer.seconds("pipeline.eval_video", variant)) == cfg.n_test
+        # the split is tracked in one call, but each video is deduplicated on
+        # its own, so tracking.tracks_per_video still counts per video
+        assert len(tracer.seconds("tracking.deduplicate_tracks", variant)) == cfg.n_test
     metrics = tracing.layer_metrics("eval", tracer)
     assert all(metrics[name] is not None for name in metrics), metrics

@@ -48,6 +48,14 @@ class TestRecords:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, None)
 
+    def test_a_negative_needs_an_empty_risky_entry_per_frame(self, samples):
+        b = samples[0].targets.agent_track[0]
+        with pytest.raises(ValueError, match="risky boxes have 0 entries for 2 frames"):
+            data.VideoTargets(False, None, (b, b), ()).validate(2)
+        negative = data.VideoTargets(False, None, (b, b), ((), ()))
+        negative.validate(2)
+        assert negative.risky_array().shape == (2, 0, 4)
+
     def test_data_layer_does_not_import_the_model(self):
         stdlib = set(sys.stdlib_module_names) | {"__future__"}
         assert imported_modules(data) - stdlib == {"numpy", ".geometry"}

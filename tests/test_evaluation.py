@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrnn.evaluation import (VideoPrediction, average_precision, match_frame_detections,
-                                oracle_region_average_precision, region_average_precision,
-                                region_overlaps, risk_map_raster, tta_atta)
+from riskrnn.evaluation import (REGION_IOU_THRESHOLD, VideoPrediction, average_precision,
+                                match_frame_detections, oracle_region_average_precision,
+                                region_average_precision, region_overlaps, risk_map_raster,
+                                tta_atta)
 from riskrnn.geometry import Box, iou, stack_boxes
 
 import oracles
@@ -69,17 +70,20 @@ class TestAveragePrecision:
         assert ap_of(pairs, n_positive) == oracles.average_precision(pairs, n_positive)
 
 
+# probabilities that often tie, within and across videos, and hit 0 and 1
+tied_probs = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), unit_floats)
+
+
 @st.composite
 def labelled_videos(draw):
-    n_frames = draw(st.integers(1, 12))
     videos = []
     for _ in range(draw(st.integers(1, 15))):
-        probs = np.array(draw(st.lists(unit_floats, min_size=n_frames, max_size=n_frames)))
+        probs = np.array(draw(st.lists(tied_probs, min_size=1, max_size=12)))
         positive = draw(st.booleans())
-        t_accident = draw(st.integers(0, n_frames - 1)) if positive else None
+        t_accident = draw(st.integers(0, len(probs) - 1)) if positive else None
         videos.append(VideoPrediction(probs, positive, t_accident))
     if not any(v.positive for v in videos):
-        videos[0] = VideoPrediction(videos[0].probs, True, n_frames - 1)
+        videos[0] = VideoPrediction(videos[0].probs, True, len(videos[0].probs) - 1)
     return videos
 
 
@@ -96,6 +100,11 @@ class TestTtaAtta:
         assert 0.0 <= atta <= max(v.t_accident for v in videos if v.positive)
         recalls = [recall for _, _, recall, _ in rows]
         assert recalls == sorted(recalls)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_videos())
+    def test_equals_the_scalar_reference_bit_for_bit(self, videos):
+        assert tta_atta(videos) == oracles.tta_atta(videos)
 
 
 # grid boxes make equal IoUs, and so ties between ground-truth boxes, common
@@ -179,6 +188,11 @@ class TestRegionAp:
         padded = np.concatenate([overlaps, np.full(overlaps.shape[:2] + (2,), np.nan)], axis=2)
         assert region_average_precision([(scores, padded)]) == \
             region_average_precision(arrays) == oracles.region_average_precision(frames)
+
+    def test_an_overlap_exactly_at_the_threshold_matches(self):
+        scores = np.array([[0.9, 0.5]])
+        overlaps = np.array([[[REGION_IOU_THRESHOLD], [0.1]]])
+        assert region_average_precision([(scores, overlaps)]) == 1.0
 
 
 class TestOracleRegionAp:

@@ -1,6 +1,6 @@
-"""The test-time protocol of pipeline.eval_video: every detected track runs
-through the model in one pass, and each frame takes its score and its region
-scores from the most alarmed track."""
+"""The test-time protocol of pipeline.eval_video: every detected track of a
+video runs through the model in one pass, and each frame takes its score and
+its region scores from the most alarmed track."""
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 
 from riskrnn.config import RunConfig
 from riskrnn.model import VARIANTS, RiskModel
-from riskrnn.pipeline import eval_video
+from riskrnn.pipeline import eval_video, evaluate_model
 from riskrnn.synthworld import generate_split
 from riskrnn.training import detected_tracks, track_inputs, video_regions
 
@@ -29,14 +29,13 @@ def outputs(out, use_fused):
 def test_each_frame_follows_its_most_alarmed_track(samples, variant, use_fused):
     cfg = replace(CFG, use_fused=use_fused)
     model = RiskModel.create(cfg.model_config(variant), seed=6)
-    for sample in samples:
-        tracks = detected_tracks(sample, cfg)
+    for sample, tracks in zip(samples, detected_tracks(samples, cfg)):
         y, s = outputs(model.forward_video(
             track_inputs(tracks, [video_regions(sample)] * len(tracks))), use_fused)
         # column t * K + k is track k at frame t
         probs = y[:, 1].reshape(sample.n_frames, len(tracks))
         scores = s.reshape(sample.n_frames, len(tracks), -1)
-        result = eval_video(model, sample, cfg)
+        result = eval_video(model, sample, tracks, cfg)
         assert result.n_tracks == len(tracks) > 1
         assert len(result.frame_probs) == len(result.frame_regions) == sample.n_frames
         for t, (boxes, region_scores) in enumerate(result.frame_regions):
@@ -52,8 +51,7 @@ def test_the_batched_pass_matches_one_forward_per_track(samples, variant, use_fu
     # columns agree with the separate forwards to rounding, not bit for bit
     cfg = replace(CFG, use_fused=use_fused)
     model = RiskModel.create(cfg.model_config(variant), seed=6)
-    for sample in samples:
-        tracks = detected_tracks(sample, cfg)
+    for sample, tracks in zip(samples, detected_tracks(samples, cfg)):
         y, s = outputs(model.forward_video(
             track_inputs(tracks, [video_regions(sample)] * len(tracks))), use_fused)
         for k, track in enumerate(tracks):
@@ -65,11 +63,11 @@ def test_the_batched_pass_matches_one_forward_per_track(samples, variant, use_fu
 
 @pytest.mark.parametrize("empty_frame", [0, 5])
 def test_a_frame_without_proposals_names_the_video_and_the_frame(samples, empty_frame):
-    sample = samples[0]
+    sample = samples[1]
     proposals = list(sample.proposals)
     proposals[empty_frame] = ()
     broken = replace(sample, proposals=tuple(proposals))
     model = RiskModel.create(CFG.model_config("L-RA"), seed=6)
     with pytest.raises(ValueError, match=f"^video {sample.video_id}: frame {empty_frame} "
                                          f"has no proposals"):
-        eval_video(model, broken, CFG)
+        evaluate_model(model, [samples[0], broken, samples[2]], CFG)
