@@ -84,7 +84,7 @@ class Tape:
         return node
 
     def param(self, pm) -> Node:
-        """Leaf node viewing a ParamMatrix; cached so reuse shares one node."""
+        """Leaf node viewing a ParamMatrix's values; cached so reuse shares one node."""
         cached = self._params.get(pm.name)
         if cached is not None:
             return cached[1]
@@ -107,9 +107,9 @@ class Tape:
     def backward(self, loss: Node, seed: float = 1.0) -> None:
         """Propagate d(seed * loss) into every reachable leaf and parameter.
 
-        ``loss`` must be scalar. Parameter gradients are ADDED into their
-        ParamMatrix.grad buffers, so calling this once per sample accumulates
-        a batch gradient.
+        ``loss`` must be scalar. Parameter gradients are ADDED into each
+        ParamMatrix's grad view, which is its span of the store's flat grad
+        vector, so calling this once per sample accumulates a batch gradient.
         """
         if loss.value.ndim != 0:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")

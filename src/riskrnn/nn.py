@@ -1,9 +1,11 @@
 """Parameter storage, dense/LSTM building blocks, Adam, and model files.
 
-Parameters live in a ParameterStore of named 2-D float64 matrices (biases are
-(n, 1) columns). Names ending in ``_rnn_b`` are LSTM bias blocks laid out as
-[input, forget, candidate, output]; their forget quarter is initialized to
-one so fresh cells retain memory.
+A ParameterStore holds every parameter in one flat float64 vector, in
+declaration order, with the gradients and Adam moments in vectors beside it.
+Each ParamMatrix views its span of ``values`` and ``grad`` in its declared
+shape (biases are (n, 1) columns). Names ending in ``_rnn_b`` are LSTM bias
+blocks laid out as [input, forget, candidate, output]; their forget quarter is
+initialized to one so fresh cells retain memory.
 """
 from __future__ import annotations
 
@@ -21,85 +23,71 @@ class TrainingError(RuntimeError):
 
 
 class ParamMatrix:
+    """A name plus ``values`` and ``grad`` views into its store's vectors."""
+
     __slots__ = ("name", "values", "grad")
 
-    def __init__(self, name: str, values: np.ndarray):
+    def __init__(self, name: str, values: np.ndarray, grad: np.ndarray):
         self.name = name
-        self.values = np.asarray(values, dtype=np.float64)
-        self.grad = np.zeros_like(self.values)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    def __repr__(self):
-        return f"ParamMatrix({self.name}, {self.rows}x{self.cols})"
+        self.values = values
+        self.grad = grad
 
 
 class ParameterStore:
-    """Ordered collection of named parameter matrices plus optimizer moments."""
+    """Zero-filled parameters laid out in the order of the ``(name, shape)``
+    pairs given, in a flat ``values`` vector with a ``grad`` vector of the same
+    length. The first adam_step adds ``adam_m`` and ``adam_v`` of that length."""
 
-    def __init__(self):
+    def __init__(self, shapes):
+        shapes = list(shapes)
+        size = sum(math.prod(shape) for _, shape in shapes)
+        self.values = np.zeros(size)
+        self.grad = np.zeros(size)
+        self.adam_m = self.adam_v = None  # a model that only infers needs no moments
         self._params: dict[str, ParamMatrix] = {}
-        self.adam_m: dict[str, np.ndarray] = {}
-        self.adam_v: dict[str, np.ndarray] = {}
-
-    def add(self, pm: ParamMatrix) -> None:
-        if pm.name in self._params:
-            raise ValueError(f"duplicate parameter name: {pm.name}")
-        self._params[pm.name] = pm
+        start = 0
+        for name, shape in shapes:
+            if name in self._params:
+                raise ValueError(f"duplicate parameter name: {name}")
+            span = slice(start, start + math.prod(shape))
+            self._params[name] = ParamMatrix(name, self.values[span].reshape(shape),
+                                             self.grad[span].reshape(shape))
+            start = span.stop
 
     def __getitem__(self, name: str) -> ParamMatrix:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __iter__(self):
         return iter(self._params.values())
 
-    def __len__(self):
-        return len(self._params)
 
-    def names(self):
-        return list(self._params.keys())
-
-    def zero_grads(self) -> None:
-        for pm in self:
-            pm.grad.fill(0.0)
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: pm.values.copy() for name, pm in self._params.items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, values in snap.items():
-            self._params[name].values[...] = values
+def _first_non_finite(store: ParameterStore, field: str) -> str | None:
+    """The first parameter with a non-finite ``field`` entry, or None if none has one."""
+    if np.isfinite(getattr(store, field)).all():
+        return None
+    return next(pm.name for pm in store if not np.isfinite(getattr(pm, field)).all())
 
 
 def init_params(specs, seed: int) -> ParameterStore:
     """Build a store from (name, rows, cols) triples.
 
-    Entries are drawn uniformly from +/- sqrt(6 / (rows + cols)); the forget
-    quarter of any ``*_rnn_b`` block is then overwritten with exactly 1.0.
-    Deterministic for a given seed.
+    Entries are drawn uniformly from +/- sqrt(6 / (rows + cols)), one block
+    at a time in spec order; the forget quarter of any ``*_rnn_b`` block is
+    then overwritten with exactly 1.0. Deterministic for a given seed.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    store = ParameterStore()
     for name, rows, cols in specs:
         if rows < 1 or cols < 1:
             raise ValueError(f"parameter {name!r} needs positive dims, got {rows}x{cols}")
+        if name.endswith("_rnn_b") and (rows % 4 != 0 or cols != 1):
+            raise ValueError(f"LSTM bias {name!r} must be a (4H, 1) column")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    store = ParameterStore((name, (rows, cols)) for name, rows, cols in specs)
+    for (name, rows, cols), pm in zip(specs, store):
         bound = math.sqrt(6.0 / (rows + cols))
-        values = rng.uniform(-bound, bound, size=(rows, cols))
+        pm.values[...] = rng.uniform(-bound, bound, size=(rows, cols))
         if name.endswith("_rnn_b"):
-            if rows % 4 != 0 or cols != 1:
-                raise ValueError(f"LSTM bias {name!r} must be a (4H, 1) column")
             h = rows // 4
-            values[h:2 * h, 0] = 1.0
-        store.add(ParamMatrix(name, values))
+            pm.values[h:2 * h, 0] = 1.0
     return store
 
 
@@ -151,22 +139,26 @@ def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,
     """Bias-corrected Adam update from accumulated grads; zeroes grads after.
 
     ``t`` is the 1-based step index; first and second moments persist in the
-    store across calls.
+    store across calls. One elementwise pass updates the whole flat vector;
+    a non-finite gradient anywhere leaves every parameter unchanged.
     """
     if t < 1:
         raise ValueError(f"adam step index must be >= 1, got {t}")
-    for pm in store:
-        g = pm.grad
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in parameter {pm.name!r}")
-        m = store.adam_m.setdefault(pm.name, np.zeros_like(g))
-        v = store.adam_v.setdefault(pm.name, np.zeros_like(g))
-        m[...] = beta1 * m + (1.0 - beta1) * g
-        v[...] = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        pm.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    store.zero_grads()
+    bad = _first_non_finite(store, "grad")
+    if bad is not None:
+        raise TrainingError(f"non-finite gradient in parameter {bad!r}")
+    if store.adam_m is None:
+        store.adam_m, store.adam_v = np.zeros_like(store.grad), np.zeros_like(store.grad)
+    g, m, v = store.grad, store.adam_m, store.adam_v
+    # in place: a temporary as long as a large model costs more than its arithmetic
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    store.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +179,11 @@ def save_params(path, store: ParameterStore, config: dict | None = None) -> None
     if config:
         for key, value in config.items():
             lines.append(f"{key} = {_format_config_value(value)}")
-    everything = []
     for pm in store:
-        lines.append(f"{pm.name} {pm.rows} {pm.cols}")
-        for row in pm.values:
-            lines.append(" ".join(f"{v:.17g}" for v in row))
-            everything.extend(row)
-    lines.append(f"checksum {math.fsum(everything):.17g}")
+        rows, cols = pm.values.shape
+        lines.append(f"{pm.name} {rows} {cols}")
+        lines.extend(" ".join(f"{v:.17g}" for v in row) for row in pm.values)
+    lines.append(f"checksum {math.fsum(store.values):.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -201,8 +191,9 @@ def save_params(path, store: ParameterStore, config: dict | None = None) -> None
 def load_params(path) -> tuple[ParameterStore, dict[str, str]]:
     """Read a model file back; returns (store, raw config strings).
 
-    Raises ValueError on a bad header, a malformed block, a missing final
-    checksum line (a truncated file) or a checksum mismatch.
+    Raises ValueError on a bad header, a malformed or repeated block, a
+    missing final checksum line (a truncated file), a non-finite value or a
+    checksum mismatch.
     """
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
@@ -211,7 +202,7 @@ def load_params(path) -> tuple[ParameterStore, dict[str, str]]:
     if not lines[-1].startswith("checksum "):
         raise ValueError(f"{path}: no checksum line at the end; the file is truncated")
     config: dict[str, str] = {}
-    store = ParameterStore()
+    blocks: dict[str, np.ndarray] = {}
     i = 1
     try:
         expected = float(lines[-1].split()[1])
@@ -222,15 +213,23 @@ def load_params(path) -> tuple[ParameterStore, dict[str, str]]:
                 i += 1
                 continue
             name, rows, cols = lines[i].split()
+            if name in blocks:
+                raise ValueError(f"duplicate parameter name: {name}")
             block = np.array([[float(v) for v in line.split()]
                               for line in lines[i + 1:i + 1 + int(rows)]], dtype=np.float64)
             if block.shape != (int(rows), int(cols)):
                 raise ValueError(f"block {name} is {block.shape}, wanted {rows}x{cols}")
-            store.add(ParamMatrix(name, block))
+            blocks[name] = block
             i += 1 + int(rows)
     except ValueError as err:
         raise ValueError(f"{path}: line {i + 1}: {err}") from None
-    actual = math.fsum(v for pm in store for v in pm.values.flat)
+    store = ParameterStore((name, block.shape) for name, block in blocks.items())
+    for pm, block in zip(store, blocks.values()):
+        pm.values[...] = block
+    bad = _first_non_finite(store, "values")
+    if bad is not None:
+        raise ValueError(f"{path}: block {bad} holds a non-finite value")
+    actual = math.fsum(store.values)
     if actual != expected:
         raise ValueError(f"{path}: checksum mismatch (file {expected!r}, data {actual!r})")
     return store, config

@@ -188,7 +188,7 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
     td_tracks = detected_tracks(train.videos, run_cfg)
 
     history: list[EpochStats] = []
-    best_snapshot = model.store.snapshot()
+    best_values = model.store.values.copy()
     best_val = math.inf
     epochs_since_best = 0
     step = 0
@@ -213,14 +213,14 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
 
         if val_loss < best_val:
             best_val = val_loss
-            best_snapshot = model.store.snapshot()
+            best_values = model.store.values.copy()
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= run_cfg.patience:
                 break
 
-    model.store.restore(best_snapshot)
+    model.store.values[...] = best_values
     return model, history
 
 

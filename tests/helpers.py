@@ -112,11 +112,11 @@ def finite_diff_check(store: ParameterStore, make_loss, h: float = 1e-5) -> floa
     error uses a small denominator floor so near-zero gradients are compared
     absolutely.
     """
-    store.zero_grads()
+    store.grad.fill(0.0)
     tape, loss = make_loss()
     tape.backward(loss)
     analytic = {pm.name: pm.grad.copy() for pm in store}
-    store.zero_grads()
+    store.grad.fill(0.0)
 
     def loss_value() -> float:
         return float(make_loss()[1].value)

@@ -17,6 +17,8 @@
   written before the metrics took arrays;
 - the synthetic world's distractor regions and per-frame proposals drawn
   one value at a time, the stream order that synthworld's array draws keep;
+- Adam one named matrix at a time, with a dict of moments per parameter,
+  the way it ran before the store held one flat vector;
 - the tape ops that only references composed from primitive ops use:
   division, maximum, minimum, row stacking, the dot product and picking
   one entry.
@@ -413,6 +415,26 @@ def tta_atta(videos):
         rows.append((threshold, precision, recall, mean_tta))
         prev_recalled = len(recalled)
     return rows, math.fsum(terms) / n_pos
+
+
+# ---------------------------------------------------------------------------
+# Adam
+
+def adam_step(params, moments, lr, beta1, beta2, eps, t):
+    """One Adam step over ``params``, a dict of name -> (values, grad)
+    arrays updated in place; ``moments`` is the (m, v) pair of name -> array
+    dicts that persists across steps. Zeroes every grad after."""
+    m_all, v_all = moments
+    for name, (values, g) in params.items():
+        m = m_all.setdefault(name, np.zeros_like(g))
+        v = v_all.setdefault(name, np.zeros_like(g))
+        m[...] = beta1 * m + (1.0 - beta1) * g
+        v[...] = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    for _, g in params.values():
+        g.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

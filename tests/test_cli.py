@@ -110,11 +110,19 @@ def test_a_split_without_positives_is_a_runtime_failure_naming_the_file(
 
 
 def test_the_cli_calls_every_autodiff_and_nn_function(tmp_path):
-    # the tape and nn hold only what the program runs; a function that only
-    # tests reach belongs with the tests
+    # the tape and nn hold only what the program runs; a function, method or
+    # property that only tests reach belongs with the tests
     defined = {fn.__code__: f"{module.__name__}.{name}" for module in (autodiff, nn)
                for name, fn in vars(module).items()
                if inspect.isfunction(fn) and fn.__module__ == module.__name__}
+    for owner, cls in vars(nn).items():
+        if not (inspect.isclass(cls) and cls.__module__ == nn.__name__):
+            continue
+        for name, attr in vars(cls).items():
+            fn = attr.fget if isinstance(attr, property) else attr
+            # a dataclass's generated methods are compiled from strings, not nn.py
+            if inspect.isfunction(fn) and fn.__code__.co_filename == nn.__file__:
+                defined[fn.__code__] = f"{nn.__name__}.{owner}.{name}"
     called = set()
 
     def profile(frame, event, arg):

@@ -504,7 +504,7 @@ class TestVideosAsSequences:
             loss = total_loss(tape, out, batch_seqs, cfg.lambdas)
             tape.backward(loss.total)
             grads = {pm.name: pm.grad.copy() for pm in model.store}
-            model.store.zero_grads()
+            model.store.grad.fill(0.0)
             return loss.per_sequence, grads
 
         def close(got, want):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
@@ -9,14 +11,15 @@ from riskrnn.nn import (LstmState, ParamMatrix, ParameterStore, TrainingError,
                         adam_step, dense, init_params, load_params, lstm_step,
                         lstm_sweep, save_params)
 
+import oracles
 from helpers import finite_diff_check
 from oracles import lstm_step as reference_lstm_step
 
 
 def store_from_arrays(**named):
-    store = ParameterStore()
-    for name, values in named.items():
-        store.add(ParamMatrix(name, np.asarray(values, dtype=np.float64)))
+    store = ParameterStore((name, np.shape(values)) for name, values in named.items())
+    for pm, values in zip(store, named.values()):
+        pm.values[...] = values
     return store
 
 
@@ -164,7 +167,7 @@ class TestLstmSweep:
         tape.backward(loss)
         swept = float(loss.value), store["w"].grad.copy(), store["b"].grad.copy(), x.grad
 
-        store.zero_grads()
+        store.grad.fill(0.0)
         tape = Tape()
         columns = [tape.leaf(self.x[:, t:t + 1]) for t in range(6)]
         state = zero_state(tape, 3)
@@ -267,15 +270,92 @@ class TestAdam:
         assert np.all(store["w"].grad == 0.0)
 
     def test_non_finite_gradient_names_parameter(self):
-        store = store_from_arrays(bad=[[1.0]])
-        store["bad"].grad[...] = np.nan
-        with pytest.raises(TrainingError, match="bad"):
-            adam_step(store, lr=0.1, t=1)
+        store = store_from_arrays(a=[[1.0]], bad=[[1.0, 2.0]], c=[[3.0]])
+        store.grad[...] = 1.0
+        adam_step(store, lr=0.1, t=1)
+        before = [store.values.copy(), store.adam_m.copy(), store.adam_v.copy()]
+        store.grad[...] = 1.0
+        store["bad"].grad[0, 1] = np.inf
+        with pytest.raises(TrainingError, match="'bad'"):
+            adam_step(store, lr=0.1, t=2)
+        # the step updates nothing: not even the parameter before the bad one
+        for got, want in zip([store.values, store.adam_m, store.adam_v], before):
+            assert (got == want).all()
 
     def test_step_index_must_be_positive(self):
         store = store_from_arrays(w=[[1.0]])
         with pytest.raises(ValueError):
             adam_step(store, lr=0.1, t=0)
+
+
+# (n, 1) columns, matrices and the 3-D arrays that finite-difference tests use
+_SHAPES = st.one_of(st.tuples(st.integers(1, 5), st.just(1)),
+                    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(_SHAPES, min_size=1, max_size=4), steps=st.integers(1, 4),
+       lr=st.sampled_from([1e-4, 0.01, 0.3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_flat_adam_equals_the_per_matrix_reference(shapes, steps, lr, seed):
+    rng = np.random.default_rng(seed)
+    named = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+    store = store_from_arrays(**named)
+    params = {name: (values.copy(), np.zeros_like(values)) for name, values in named.items()}
+    moments = ({}, {})
+
+    def flat(arrays):
+        return np.concatenate([arrays[name].reshape(-1) for name in named])
+
+    for t in range(1, steps + 1):
+        for pm in store:
+            # a zero gradient still decays a parameter's moments and moves it
+            g = rng.normal(size=pm.grad.shape) if rng.random() < 0.7 else 0.0
+            pm.grad[...] = g
+            params[pm.name][1][...] = g
+        adam_step(store, lr=lr, t=t)
+        oracles.adam_step(params, moments, lr, 0.9, 0.999, 1e-8, t)
+        assert (store.values == flat({n: values for n, (values, _) in params.items()})).all()
+        assert (store.adam_m == flat(moments[0])).all()
+        assert (store.adam_v == flat(moments[1])).all()
+        assert (store.grad == 0.0).all()
+        assert all((grad == 0.0).all() for _, grad in params.values())
+
+
+class TestFlatLayout:
+    SPECS = [("a", 3, 5), ("agent_rnn_b", 8, 1), ("c", 2, 2)]
+
+    def assert_flat(self, store):
+        """Every view lies in its store's vectors in spec order, with no gaps."""
+        assert [(pm.name, pm.values.shape) for pm in store] == [
+            (name, (rows, cols)) for name, rows, cols in self.SPECS]
+        offset = 0
+        for pm in store:
+            for view, flat in ((pm.values, store.values), (pm.grad, store.grad)):
+                assert np.shares_memory(view, flat)
+                assert view.flags.c_contiguous
+                assert view.ctypes.data == flat.ctypes.data + offset * flat.itemsize
+            offset += pm.values.size
+        assert offset == store.values.size == store.grad.size
+
+    def test_init_params_lays_out_one_vector(self):
+        self.assert_flat(init_params(self.SPECS, seed=4))
+
+    def test_load_params_lays_out_one_vector(self, tmp_path):
+        path = tmp_path / "model.rrm"
+        save_params(path, init_params(self.SPECS, seed=4))
+        self.assert_flat(load_params(path)[0])
+
+    def test_backward_through_dense_adds_into_the_flat_grad(self):
+        store = store_from_arrays(unused=np.ones((1, 2)), w=np.arange(6.0).reshape(3, 2),
+                                  b=np.zeros((3, 1)))
+        x = np.array([[1.0, -1.0], [2.0, 0.5]])
+        tape = Tape()
+        tape.backward(ad.vsum(dense(tape, store["w"], tape.const(x), store["b"])))
+        # d sum(W x + b) / dW = ones(3, 2) @ x.T, and each bias feeds 2 columns
+        expected = np.concatenate([[0.0, 0.0], (np.ones((3, 2)) @ x.T).reshape(-1),
+                                   [2.0, 2.0, 2.0]])
+        assert (store.grad == expected).all()
 
 
 class TestFiniteDiffCheck:
@@ -312,9 +392,8 @@ class TestSerialization:
         store = init_params([("a", 3, 5), ("agent_rnn_b", 8, 1)], seed=42)
         loaded, config = self.roundtrip(tmp_path, store)
         assert config == {}
-        assert loaded.names() == store.names()
-        for pm in store:
-            assert np.array_equal(loaded[pm.name].values, pm.values)
+        assert [pm.name for pm in loaded] == [pm.name for pm in store]
+        assert np.array_equal(loaded.values, store.values)
 
     def test_config_header_roundtrip(self, tmp_path):
         store = init_params([("a", 2, 2)], seed=1)
@@ -349,6 +428,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 2: ") as err:
             load_params(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    def test_non_finite_value_names_the_file_and_block(self, tmp_path, entry):
+        # an inf total matches an inf checksum, and a nan one matches nothing
+        path = tmp_path / "model.rrm"
+        path.write_text(f"RISKRNN-MODEL v1\na 1 2\n0.25 0.5\nb 1 2\n{entry} 0.5\n"
+                        f"checksum {entry}\n")
+        with pytest.raises(ValueError, match="block b holds a non-finite value") as err:
+            load_params(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_repeated_block_names_its_line(self, tmp_path):
+        path = tmp_path / "model.rrm"
+        path.write_text("RISKRNN-MODEL v1\na 1 1\n0.5\na 1 1\n0.25\nchecksum 0.75\n")
+        with pytest.raises(ValueError) as err:
+            load_params(path)
+        assert str(err.value) == f"{path}: line 4: duplicate parameter name: a"
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bogus.rrm"
