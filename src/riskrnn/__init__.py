@@ -2,7 +2,7 @@
 localization, and future-location imagination on synthetic scenarios."""
 
 from .geometry import Box, encode_box_transform, iou, stack_boxes
-from .data import (FrameInput, Proposal, RegionSet, VideoSample, VideoTargets,
+from .data import (FrameInput, Proposal, ProposalSet, RegionSet, VideoSample, VideoTargets,
                    read_dataset, write_dataset)
 from .model import (AgentTracks, ModelConfig, ModelOutput, RiskModel, VARIANTS,
                     VideoRegions, forward_video, fuse_predictions, variant_config)
@@ -17,7 +17,7 @@ from .pipeline import evaluate_model
 
 __all__ = [
     "Box", "encode_box_transform", "iou", "stack_boxes",
-    "FrameInput", "Proposal", "RegionSet", "VideoSample", "VideoTargets",
+    "FrameInput", "Proposal", "ProposalSet", "RegionSet", "VideoSample", "VideoTargets",
     "read_dataset", "write_dataset",
     "AgentTracks", "ModelConfig", "ModelOutput", "RiskModel", "VARIANTS", "VideoRegions",
     "forward_video", "fuse_predictions", "variant_config",

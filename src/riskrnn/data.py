@@ -3,6 +3,16 @@
 A video holds its frames (the agent's appearance and box, and the candidate
 regions), its targets and its per-frame proposals; every record is frozen.
 
+A frame's proposals are arrays: its ``ProposalSet`` holds row views of the
+video's (T, M, 4) boxes, (T, M) object scores and (T, M, D) features, the
+arrays the generator draws and the file holds, checked once per video by
+``proposal_frames``. Indexing or iterating a ``ProposalSet`` builds
+``Proposal`` records on demand and keeps none; no program path does so.
+``Proposal`` remains for readers that compare proposal by proposal: the
+benchmark's check that a dataset reads back as written, and the scalar
+tracker reference of the tests. The agent, region and risky boxes are still
+``Box`` records.
+
 A dataset file is one uncompressed ``.npz`` per split, written by ``np.savez``
 under the path as given and read with ``allow_pickle=False``. For V videos of
 T frames, N regions and M proposals per frame, D feature dimensions and at
@@ -132,12 +142,47 @@ class Proposal:
     feat: np.ndarray
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class ProposalSet:
+    """A frame's M proposals: the (M, 4) boxes ``xywh``, the (M,) object
+    scores ``scores`` and the (M, D) appearances ``feats``."""
+
+    xywh: np.ndarray
+    scores: np.ndarray
+    feats: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i) -> Proposal:
+        """Proposal ``i`` as a record, built on each call. Iteration calls
+        this with 0, 1, ... until the IndexError of index M."""
+        return Proposal(Box(*self.xywh[i].tolist()), float(self.scores[i]), self.feats[i])
+
+
+def proposal_frames(xywh, scores, feats) -> tuple:
+    """Each frame's ProposalSet of a video's (T, M, 4) proposal boxes,
+    (T, M) object scores and (T, M, D) features, as row views of them.
+
+    Raises ValueError naming the first frame and proposal whose box is not
+    finite or has a side <= 0, or whose score is not finite.
+    """
+    good = (np.isfinite(xywh).all(axis=2) & (xywh[..., 2:] > 0.0).all(axis=2)
+            & np.isfinite(scores))
+    if not good.all():
+        t, i = np.argwhere(~good)[0]
+        raise ValueError(f"frame {t}: proposal {i} has box {xywh[t, i].tolist()} and score "
+                         f"{scores[t, i]}; a proposal needs a finite box with positive "
+                         f"sides and a finite score")
+    return tuple(map(ProposalSet, xywh, scores, feats))
+
+
 @dataclass(frozen=True, slots=True)
 class VideoSample:
     video_id: str
     frames: tuple
     targets: VideoTargets
-    proposals: tuple  # per frame, a tuple of Proposal
+    proposals: tuple  # per frame, a ProposalSet
     agent_class: int
     region_classes: tuple
 
@@ -167,9 +212,9 @@ def _video_rows(sample: VideoSample, n_risky: int) -> dict:
         "agent_feat": [f.agent_feat for f in frames],
         "region_box": [f.regions.xywh for f in frames],
         "region_feat": [f.region_feats for f in frames],
-        "proposal_box": [stack_boxes(p.box for p in ps) for ps in props],
-        "proposal_score": [[p.score for p in ps] for ps in props],
-        "proposal_feat": [[p.feat for p in ps] for ps in props],
+        "proposal_box": [ps.xywh for ps in props],
+        "proposal_score": [ps.scores for ps in props],
+        "proposal_feat": [ps.feats for ps in props],
         "risky_box": targets.risky_array(n_risky),
     }
 
@@ -229,10 +274,6 @@ def _read_video(a: dict, v: int) -> VideoSample:
         FrameInput(feat, box, RegionSet([Box(*row) for row in rows], region_feat))
         for feat, box, rows, region_feat in zip(
             a["agent_feat"][v], agent_boxes, a["region_box"][v].tolist(), a["region_feat"][v]))
-    proposals = tuple(
-        tuple(Proposal(Box(*row), score, feat) for row, score, feat in zip(rows, scores, feats))
-        for rows, scores, feats in zip(a["proposal_box"][v].tolist(),
-                                       a["proposal_score"][v].tolist(), a["proposal_feat"][v]))
     risky = tuple(tuple(Box(*row) for row in rows if not math.isnan(row[0]))
                   for rows in a["risky_box"][v].tolist())
     t_accident = int(a["t_accident"][v])
@@ -240,6 +281,8 @@ def _read_video(a: dict, v: int) -> VideoSample:
     targets = VideoTargets(bool(a["positive"][v]), None if t_accident == -1 else t_accident,
                            agent_boxes, risky)
     try:
+        proposals = proposal_frames(a["proposal_box"][v], a["proposal_score"][v],
+                                    a["proposal_feat"][v])
         targets.validate(len(frames))
     except ValueError as err:
         raise ValueError(f"video {video_id}: {err}") from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FrameInput, Proposal, RegionSet, VideoSample, VideoTargets
+from .data import FrameInput, RegionSet, VideoSample, VideoTargets, proposal_frames
 from .data import read_dataset, write_dataset  # noqa: F401 - the split files' API
 from .geometry import Box, iou, stack_boxes
 
@@ -216,8 +216,10 @@ def generate_scenario(cfg: ScenarioConfig, positive: bool, *, index: int = 0,
 
 def synthesize_proposals(cfg: ScenarioConfig, frames, region_classes,
                          embeddings: np.ndarray, rng) -> tuple:
-    """Per frame: one jittered high-score copy of each true box plus random
-    low-score distractor boxes, each carrying a feature of its source class.
+    """Per frame, a ProposalSet: one jittered high-score copy of each true
+    box plus random low-score distractor boxes, each carrying a feature of
+    its source class. Every frame's set is a row view of the video's
+    (T, M, ·) arrays, checked by ``data.proposal_frames``.
 
     A frame takes from ``rng`` one normal draw for all its true boxes (the
     agent's, then the regions'), each row holding four jitters, a score and
@@ -249,8 +251,7 @@ def synthesize_proposals(cfg: ScenarioConfig, frames, region_classes,
                              fakes[..., 4]), axis=1)
     feats = np.concatenate((embeddings[true_classes] + (0.0 + cfg.noise_sigma * true_z[..., 5:]),
                             embeddings[fake_classes] + (0.0 + cfg.noise_sigma * fake_z)), axis=1)
-    return tuple(tuple(Proposal(Box(*box), score, feat) for box, score, feat in zip(*frame))
-                 for frame in zip(boxes.tolist(), scores.tolist(), feats))
+    return proposal_frames(boxes, scores, feats)
 
 
 def generate_split(cfg: ScenarioConfig, n_videos: int, split: str) -> list[VideoSample]:

@@ -36,14 +36,16 @@ class Track:
         return float(np.mean(self.scores))
 
 
-def track_by_detection(frames, top_init: int = 10, top_iou: int = 10):
+def track_by_detection(videos, top_init: int = 10, top_iou: int = 10):
     """Chain each video's proposals into tracks, all videos in one loop over
     frames.
 
     Args:
-        frames: per frame, the (V, M, 4) boxes, (V, M, D) features and
-            (V, M) object scores of V videos' M proposals each. Any iterable
-            of such triples; each is read once, when the loop reaches it.
+        videos: V videos, each its T frames' proposals (data.ProposalSet):
+            M proposals' (M, 4) boxes ``xywh``, (M, D) features ``feats``
+            and (M,) object scores ``scores``, one T and one M for all
+            videos. Each frame's (V, M, ·) arrays are stacked when the loop
+            reaches it.
         top_init: how many top object-score proposals of frame 0 seed tracks.
         top_iou: per step, how many best-IoU candidates the feature match
             chooses among. Candidate ties on similarity fall to the higher
@@ -51,13 +53,22 @@ def track_by_detection(frames, top_init: int = 10, top_iou: int = 10):
 
     Returns the (V, T, K, 4) boxes, (V, T, K, D) features and (V, T, K)
     object scores of each video's K = min(top_init, M) tracks, ordered by
-    their first frame's object score (stable on ties).
+    their first frame's object score (stable on ties). Each frame's picks
+    are written into these arrays, allocated at frame 0.
     """
-    picks = []
-    for boxes, feats, scores in frames:
-        videos = np.arange(len(scores))[:, None]
-        if not picks:
+    n_frames = len(videos[0]) if len(videos) else 0
+    if n_frames == 0:
+        raise ValueError("need at least one video and one frame of proposals")
+    rows = np.arange(len(videos))[:, None]
+    for t in range(n_frames):
+        frame = [video[t] for video in videos]
+        boxes = np.stack([proposals.xywh for proposals in frame])
+        feats = np.stack([proposals.feats for proposals in frame])
+        scores = np.stack([proposals.scores for proposals in frame])
+        if t == 0:
             chosen = np.argsort(-scores, axis=1, kind="stable")[:, :top_init]
+            shape = (len(videos), n_frames, chosen.shape[1])
+            tracks = np.empty(shape + (4,)), np.empty(shape + feats.shape[2:]), np.empty(shape)
         else:
             gate = np.argsort(-iou(track_boxes[:, :, None], boxes[:, None]), axis=2,
                               kind="stable")[:, :, :top_iou]
@@ -65,14 +76,13 @@ def track_by_detection(frames, top_init: int = 10, top_iou: int = 10):
                      * np.linalg.norm(feats, axis=2)[:, None])
             similarity = np.divide(track_feats @ feats.transpose(0, 2, 1), norms,
                                    out=np.zeros_like(norms), where=norms != 0.0)
-            order = np.lexsort((gate, -scores[videos[:, :, None], gate],
+            order = np.lexsort((gate, -scores[rows[:, :, None], gate],
                                 -np.take_along_axis(similarity, gate, axis=2)), axis=2)
             chosen = np.take_along_axis(gate, order[:, :, :1], axis=2)[:, :, 0]
-        track_boxes, track_feats = boxes[videos, chosen], feats[videos, chosen]
-        picks.append((track_boxes, track_feats, scores[videos, chosen]))
-    if not picks:
-        raise ValueError("need at least one frame of proposals")
-    return tuple(np.stack(part, axis=1) for part in zip(*picks))
+        track_boxes, track_feats = boxes[rows, chosen], feats[rows, chosen]
+        for part, picked in zip(tracks, (track_boxes, track_feats, scores[rows, chosen])):
+            part[:, t] = picked
+    return tracks
 
 
 def deduplicate_tracks(tracks, overlap_iou: float = 0.7) -> list[Track]:

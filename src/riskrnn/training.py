@@ -2,8 +2,10 @@
 and early stopping on validation loss; and the tracks a split's videos give.
 
 ``detected_tracks`` tracks a whole split before any forward pass: its videos
-of one frame count and one proposal count run as one tracker call, and each
-video's tracks are then deduplicated on their own.
+of one frame count and one proposal count run as one tracker call, which
+stacks each frame's proposal arrays from the videos' ProposalSets without
+building a proposal record, and each video's tracks are then deduplicated on
+their own.
 
 Each epoch runs every training video once on a track drawn uniformly from
 {annotated track} + {detected tracks}; the video's accident label is shared
@@ -25,7 +27,6 @@ import numpy as np
 from .autodiff import Tape
 from .config import RunConfig, derive_seed
 from .evaluation import average_precision
-from .geometry import stack_boxes
 from .losses import SequenceTargets, total_loss
 from .model import AgentTracks, RiskModel, VideoRegions, forward_video
 from .nn import TrainingError, adam_step
@@ -60,22 +61,12 @@ def track_inputs(tracks, regions) -> AgentTracks:
                        VideoRegions.interleave(regions))
 
 
-def _proposal_arrays(frames):
-    """The (V, M, 4) boxes, (V, M, D) features and (V, M) object scores of
-    V frames' proposals, M in each frame."""
-    props = [p for frame in frames for p in frame]
-    feats = np.array([p.feat for p in props], dtype=np.float64)
-    return (stack_boxes(p.box for p in props).reshape(len(frames), -1, 4),
-            feats.reshape(len(frames), -1, feats.shape[-1]),
-            np.array([p.score for p in props], dtype=np.float64).reshape(len(frames), -1))
-
-
 def detected_tracks(samples, run_cfg: RunConfig) -> list[list[Track]]:
     """Each video's deduplicated tracks, found in its proposals.
 
     Videos of one frame count and one proposal count are tracked in one
-    tracker call, each frame's proposal arrays built when the tracker reaches
-    it; every video's tracks are then deduplicated on their own.
+    tracker call, which reads their ProposalSets' arrays; every video's
+    tracks are then deduplicated on their own.
 
     Raises ValueError naming the first video that has a frame without
     proposals, and that frame, or frames of different proposal counts.
@@ -94,10 +85,9 @@ def detected_tracks(samples, run_cfg: RunConfig) -> list[list[Track]]:
         groups[len(counts), counts[0] if counts else 0].append(i)
 
     tracks = [None] * len(samples)
-    for (n_frames, _), members in groups.items():
-        frames = (_proposal_arrays([samples[i].proposals[t] for i in members])
-                  for t in range(n_frames))
-        boxes, feats, scores = track_by_detection(frames, top_init=run_cfg.top_init,
+    for members in groups.values():
+        boxes, feats, scores = track_by_detection([samples[i].proposals for i in members],
+                                                  top_init=run_cfg.top_init,
                                                   top_iou=run_cfg.top_iou)
         for j, i in enumerate(members):
             found = [Track(boxes[j, :, k], feats[j, :, k], scores[j, :, k])

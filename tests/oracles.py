@@ -252,10 +252,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 def track_by_detection(proposals_per_frame, top_init: int = 10,
                        top_iou: int = 10) -> list[Track]:
-    """tracking.track_by_detection of one video given as per-frame lists of
-    Proposal records, one track and one proposal at a time."""
+    """tracking.track_by_detection of one video given as per-frame
+    ProposalSets, over their Proposal records, one track and one proposal at
+    a time."""
     if len(proposals_per_frame) == 0:
         raise ValueError("need at least one frame of proposals")
+    proposals_per_frame = [list(frame) for frame in proposals_per_frame]
     first = proposals_per_frame[0]
     order = sorted(range(len(first)), key=lambda i: (-first[i].score, i))
     chains = [[first[i]] for i in order[:top_init]]

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import riskrnn.data as data
 import riskrnn.synthworld as synthworld
@@ -44,7 +47,7 @@ class TestRecords:
         s = samples[0]
         for record, name in ((s, "proposals"), (s.targets, "t_accident"),
                              (s.frames[0], "agent_box"), (s.frames[0].regions, "feats"),
-                             (s.proposals[0][0], "score")):
+                             (s.proposals[0], "scores"), (s.proposals[0][0], "score")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, None)
 
@@ -62,6 +65,60 @@ class TestRecords:
         assert not imported_modules(synthworld) & {".model", ".losses", "json"}
 
 
+finite = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def video_proposals(draw):
+    """A video's (T, M, 4) proposal boxes with positive sides, (T, M) scores
+    and (T, M, D) features."""
+    n_frames, n_proposals = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 4))
+    centers = draw(arrays(np.float64, (n_frames, n_proposals, 2), elements=finite))
+    sides = draw(arrays(np.float64, (n_frames, n_proposals, 2),
+                        elements=st.floats(0.0, 1e6, exclude_min=True)))
+    return (np.concatenate((centers, sides), axis=2),
+            draw(arrays(np.float64, (n_frames, n_proposals), elements=finite)),
+            draw(arrays(np.float64, (n_frames, n_proposals, dim), elements=finite)))
+
+
+class TestProposalSet:
+    @settings(max_examples=100, deadline=None)
+    @given(video_proposals())
+    def test_records_are_built_from_the_array_rows(self, video):
+        xywh, scores, feats = video
+        frames = data.proposal_frames(xywh, scores, feats)
+        assert len(frames) == len(xywh)
+        for t, proposals in enumerate(frames):
+            for got, want in ((proposals.xywh, xywh), (proposals.scores, scores),
+                              (proposals.feats, feats)):
+                assert np.shares_memory(got, want) and (got == want[t]).all()
+            records = list(proposals)
+            assert len(records) == len(proposals) == xywh.shape[1]
+            for i, record in enumerate(records):
+                box = record.box
+                assert (box.cx, box.cy, box.w, box.h) == tuple(xywh[t, i])
+                assert type(record.score) is float and record.score == scores[t, i]
+                assert np.shares_memory(record.feat, feats) and (record.feat == feats[t, i]).all()
+            assert proposals[-1].score == records[-1].score
+            with pytest.raises(IndexError):
+                proposals[len(records)]
+
+    @pytest.mark.parametrize("part,index,value,named", [
+        ("xywh", (1, 2, 2), 0.0, "frame 1: proposal 2 has box [0.5, 0.5, 0.0, 0.25]"),
+        ("xywh", (0, 1, 3), -0.25, "frame 0: proposal 1 has box [0.5, 0.5, 0.25, -0.25]"),
+        ("xywh", (1, 0, 0), np.inf, "frame 1: proposal 0 has box [inf, 0.5, 0.25, 0.25]"),
+        ("scores", (0, 2), np.nan, "frame 0: proposal 2 has box [0.5, 0.5, 0.25, 0.25] "
+                                   "and score nan"),
+    ], ids=["zero width", "negative height", "infinite center", "NaN score"])
+    def test_a_bad_proposal_names_its_frame(self, part, index, value, named):
+        video = dict(xywh=np.tile([0.5, 0.5, 0.25, 0.25], (2, 3, 1)), scores=np.ones((2, 3)),
+                     feats=np.zeros((2, 3, 1)))
+        video[part][index] = value
+        with pytest.raises(ValueError, match="^" + re.escape(named)):
+            data.proposal_frames(**video)
+
+
 class TestFileLayout:
     def test_arrays_and_conventions(self, dataset):
         with np.load(dataset, allow_pickle=False) as npz:
@@ -73,8 +130,9 @@ class TestFileLayout:
         assert np.isnan(risky[1]).all() and not np.isnan(risky[[0, 2]]).any()
 
     def test_videos_must_share_their_sizes(self, tmp_path, samples):
-        short = dataclasses.replace(
-            samples[1], proposals=tuple(props[:-1] for props in samples[1].proposals))
+        short = dataclasses.replace(samples[1], proposals=tuple(
+            data.ProposalSet(ps.xywh[:-1], ps.scores[:-1], ps.feats[:-1])
+            for ps in samples[1].proposals))
         with pytest.raises(ValueError, match="proposal_box has shape"):
             write_dataset(tmp_path / "bad.dat", [samples[0], short])
 
@@ -101,6 +159,20 @@ CORRUPTIONS = {
     "invalid box": lambda p: _rewrite(
         p, lambda a: a["agent_box"].__setitem__((1, 2, 2), -0.5)),
 }
+# key and index of the value set, the value; the index names the video, the
+# frame and the proposal
+PROPOSAL_FAULTS = {
+    "zero-width proposal box": ("proposal_box", (1, 2, 3, 2), 0.0),
+    "infinite proposal center": ("proposal_box", (0, 3, 4, 1), -np.inf),
+    "NaN proposal score": ("proposal_score", (2, 1, 5), np.nan),
+}
+
+
+def _set_proposal_value(key, index, value):
+    return lambda p: _rewrite(p, lambda a: a[key].__setitem__(index, value))
+
+
+CORRUPTIONS.update({name: _set_proposal_value(*fault) for name, fault in PROPOSAL_FAULTS.items()})
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
@@ -108,6 +180,15 @@ def test_malformed_file_raises_value_error_naming_it(dataset, corrupt):
     corrupt(dataset)
     with pytest.raises(ValueError, match=re.escape(f"{dataset}: ")):
         read_dataset(dataset)
+
+
+@pytest.mark.parametrize("key,index,value", PROPOSAL_FAULTS.values(), ids=PROPOSAL_FAULTS.keys())
+def test_a_bad_proposal_names_the_file_the_video_and_the_frame(dataset, key, index, value):
+    _set_proposal_value(key, index, value)(dataset)
+    with pytest.raises(ValueError, match=re.escape(f"{dataset}: ")) as err:
+        read_dataset(dataset)
+    video, frame, proposal = index[:3]
+    assert f"video val-{video:05d}: frame {frame}: proposal {proposal} has box " in str(err.value)
 
 
 def _copy_risky_box(a, src, dst):

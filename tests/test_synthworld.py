@@ -1,4 +1,6 @@
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,10 +39,8 @@ def assert_same_sample(a, b):
         assert np.array_equal(fa.region_feats, fb.region_feats)
     assert len(a.proposals) == len(b.proposals)
     for pa, pb in zip(a.proposals, b.proposals):
-        assert len(pa) == len(pb)
-        for x, y in zip(pa, pb):
-            assert (x.box, x.score) == (y.box, y.score)
-            assert np.array_equal(x.feat, y.feat)
+        for part in ("xywh", "scores", "feats"):
+            assert_same_bits(getattr(pa, part), getattr(pb, part))
 
 
 def dataset_digest(path) -> str:
@@ -55,17 +55,19 @@ def dataset_digest(path) -> str:
     return digest.hexdigest()
 
 
-def proposal_arrays(proposals) -> tuple:
-    """Per-frame counts, then the boxes, scores and features of every
-    proposal as arrays."""
-    flat = [p for frame in proposals for p in frame]
-    return (np.array([len(frame) for frame in proposals]), stack_boxes(p.box for p in flat),
-            np.array([p.score for p in flat]), np.array([p.feat for p in flat]))
-
-
 def assert_same_bits(got: np.ndarray, want: np.ndarray):
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+
+
+def assert_same_proposals(got, want):
+    """Each frame's ProposalSet holds the boxes, scores and features of the
+    reference's Proposal records for that frame, bit for bit."""
+    assert len(got) == len(want)
+    for proposals, records in zip(got, want):
+        assert_same_bits(proposals.xywh, stack_boxes(p.box for p in records))
+        assert_same_bits(proposals.scores, np.array([p.score for p in records]))
+        assert_same_bits(proposals.feats, np.array([p.feat for p in records]))
 
 
 def assert_same_stream_position(got, want):
@@ -112,8 +114,7 @@ class TestArrayDrawsMatchTheScalarReference:
         got_rng, want_rng = paired_generators(entropy)
         got = synthesize_proposals(cfg, frames, classes, embeddings, got_rng)
         want = oracles.synthesize_proposals(cfg, frames, classes, embeddings, want_rng)
-        for got_array, want_array in zip(proposal_arrays(got), proposal_arrays(want)):
-            assert_same_bits(got_array, want_array)
+        assert_same_proposals(got, want)
         assert_same_stream_position(got_rng, want_rng)
 
     @settings(max_examples=100, deadline=None)
@@ -158,6 +159,18 @@ class TestDatasetFiles:
         path = tmp_path / "train.dat"
         write_dataset(path, samples)
         read = read_dataset(path)
+        assert len(read) == len(samples)
+        for a, b in zip(samples, read):
+            assert_same_sample(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(scenario_configs(), st.integers(1, 3), st.sampled_from(["train", "val", "test"]))
+    def test_reading_a_written_split_gives_back_its_arrays(self, cfg, n_videos, split):
+        samples = generate_split(cfg, n_videos, split)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{split}.dat"
+            write_dataset(path, samples)
+            read = read_dataset(path)
         assert len(read) == len(samples)
         for a, b in zip(samples, read):
             assert_same_sample(a, b)

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskrnn.config import RunConfig
-from riskrnn.data import Proposal
-from riskrnn.geometry import Box, stack_boxes
+from riskrnn.data import ProposalSet
+from riskrnn.geometry import stack_boxes
 from riskrnn.synthworld import ScenarioConfig, generate_scenario
 from riskrnn.tracking import Track, deduplicate_tracks, track_by_detection
-from riskrnn.training import _proposal_arrays, detected_tracks
+from riskrnn.training import detected_tracks
 
 import oracles
 
@@ -21,9 +21,8 @@ RUN = RunConfig(top_init=6, top_iou=4)
 
 def track_videos(videos, **kwargs):
     """Per video, its Tracks from one tracker call over videos given as
-    per-frame proposal lists, all of one frame count and one proposal count."""
-    boxes, feats, scores = track_by_detection(
-        (_proposal_arrays(frames) for frames in zip(*videos)), **kwargs)
+    per-frame ProposalSets, all of one frame count and one proposal count."""
+    boxes, feats, scores = track_by_detection(videos, **kwargs)
     return [[Track(boxes[v, :, k], feats[v, :, k], scores[v, :, k])
              for k in range(boxes.shape[2])] for v in range(len(videos))]
 
@@ -46,8 +45,9 @@ class TestTrackByDetection:
                 sample.video_id
 
     def test_no_frame_is_an_error(self):
-        with pytest.raises(ValueError, match="at least one frame"):
-            track_by_detection([])
+        for videos in ([], [()]):
+            with pytest.raises(ValueError, match="at least one video and one frame"):
+                track_by_detection(videos)
 
 
 class TestDeduplicateTracks:
@@ -78,7 +78,8 @@ class TestDetectedTracks:
         samples = [generate_scenario(CFG, index % 2 == 0, index=index, split="test")
                    for index in range(3)]
         proposals = list(samples[1].proposals)
-        proposals[4] = proposals[4][:-1]
+        short = proposals[4]
+        proposals[4] = ProposalSet(short.xywh[:-1], short.scores[:-1], short.feats[:-1])
         samples[1] = replace(samples[1], proposals=tuple(proposals))
         with pytest.raises(ValueError, match=f"^video {samples[1].video_id}: frames have "
                                              f"{len(proposals[4])} to {len(proposals[0])} "
@@ -89,30 +90,30 @@ class TestDetectedTracks:
 # Coordinates on a coarse grid and small-integer features keep every IoU and
 # cosine exact, so equal IoUs, equal similarities (duplicate or parallel
 # features) and equal object scores all occur and the tie order is exercised.
-grid_boxes = st.builds(Box, st.sampled_from([0.25, 0.375, 0.5, 0.625]),
-                       st.sampled_from([0.25, 0.5, 0.75]),
-                       st.sampled_from([0.125, 0.25, 0.5]), st.sampled_from([0.25, 0.5]))
-small_features = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(
-    lambda v: np.array(v, dtype=np.float64))
-proposals = st.builds(Proposal, grid_boxes, st.sampled_from([0.1, 0.5, 0.9]), small_features)
+GRID = ([0.25, 0.375, 0.5, 0.625], [0.25, 0.5, 0.75], [0.125, 0.25, 0.5], [0.25, 0.5])
+
+
+@st.composite
+def proposal_sets(draw, n_proposals):
+    xywh = np.array([[draw(st.sampled_from(axis)) for axis in GRID]
+                     for _ in range(n_proposals)]).reshape(-1, 4)
+    scores = np.array([draw(st.sampled_from([0.1, 0.5, 0.9])) for _ in range(n_proposals)])
+    feats = np.array([[draw(st.integers(-2, 2)) for _ in range(3)]
+                      for _ in range(n_proposals)], dtype=np.float64).reshape(-1, 3)
+    # repeat one proposal's feature within the frame
+    if n_proposals > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n_proposals)))[:2]
+        feats[dst] = feats[src]
+    return ProposalSet(xywh, scores, feats)
 
 
 @st.composite
 def proposal_videos(draw):
-    """Videos of one frame count and one proposal count, as per-frame lists."""
+    """Videos of one frame count and one proposal count, as per-frame
+    ProposalSets."""
     n_frames, n_proposals = draw(st.integers(1, 6)), draw(st.integers(1, 7))
-    videos = []
-    for _ in range(draw(st.integers(1, 4))):
-        frames = [tuple(draw(st.lists(proposals, min_size=n_proposals, max_size=n_proposals)))
-                  for _ in range(n_frames)]
-        # repeat one proposal's feature within each frame
-        for t, frame in enumerate(frames):
-            if len(frame) > 1 and draw(st.booleans()):
-                src, dst = draw(st.permutations(range(len(frame))))[:2]
-                copy = Proposal(frame[dst].box, frame[dst].score, frame[src].feat.copy())
-                frames[t] = frame[:dst] + (copy,) + frame[dst + 1:]
-        videos.append(frames)
-    return videos
+    return [tuple(draw(proposal_sets(n_proposals)) for _ in range(n_frames))
+            for _ in range(draw(st.integers(1, 4)))]
 
 
 class TestMatchesScalarReference:
