@@ -1,8 +1,8 @@
 """Agent-centric risk assessment: accident anticipation, risky-region
 localization, and future-location imagination on synthetic scenarios."""
 
-from .geometry import Box, encode_box_transform, iou, stack_boxes
-from .data import (FrameInput, Proposal, ProposalSet, RegionSet, VideoSample, VideoTargets,
+from .geometry import Box, encode_box_transform, iou
+from .data import (FrameInput, Proposal, ProposalSet, VideoSample, VideoTargets,
                    read_dataset, write_dataset)
 from .model import (AgentTracks, ModelConfig, ModelOutput, RiskModel, VARIANTS,
                     VideoRegions, forward_video, fuse_predictions, variant_config)
@@ -16,8 +16,8 @@ from .training import train_model
 from .pipeline import evaluate_model
 
 __all__ = [
-    "Box", "encode_box_transform", "iou", "stack_boxes",
-    "FrameInput", "Proposal", "ProposalSet", "RegionSet", "VideoSample", "VideoTargets",
+    "Box", "encode_box_transform", "iou",
+    "FrameInput", "Proposal", "ProposalSet", "VideoSample", "VideoTargets",
     "read_dataset", "write_dataset",
     "AgentTracks", "ModelConfig", "ModelOutput", "RiskModel", "VARIANTS", "VideoRegions",
     "forward_video", "fuse_predictions", "variant_config",

@@ -39,14 +39,8 @@ class Node:
     def __add__(self, other):
         return add(self, _wrap(self.tape, other))
 
-    def __radd__(self, other):
-        return add(_wrap(self.tape, other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(self.tape, other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(self.tape, other), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(self.tape, other))
@@ -56,9 +50,6 @@ class Node:
 
     def __neg__(self):
         return self * -1.0
-
-    def __repr__(self):
-        return f"Node(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
 class Tape:
@@ -75,13 +66,6 @@ class Tape:
 
     def const(self, value) -> Node:
         return Node(self, np.asarray(value, dtype=np.float64), False)
-
-    def leaf(self, value) -> Node:
-        """A differentiable input that is not a stored parameter."""
-        node = Node(self, np.asarray(value, dtype=np.float64), self.train)
-        if node.requires_grad:
-            self.nodes.append(node)
-        return node
 
     def param(self, pm) -> Node:
         """Leaf node viewing a ParamMatrix's values; cached so reuse shares one node."""

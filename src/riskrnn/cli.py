@@ -170,11 +170,9 @@ def cmd_infer(cfg, args) -> int:
     result = eval_video(model, sample, detected_tracks([sample], cfg)[0], cfg)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        n_regions = len(sample.frames[0].region_boxes)
         writer.writerow(["frame", "accident_prob"] +
-                        [f"region_{i}" for i in range(n_regions)])
-        for t in range(sample.n_frames):
-            _, scores = result.frame_regions[t]
+                        [f"region_{i}" for i in range(result.region_scores.shape[1])])
+        for t, scores in enumerate(result.region_scores):
             writer.writerow([t, f"{result.frame_probs[t]:.17g}"] +
                             [f"{s:.17g}" for s in scores])
     print(f"{sample.video_id}: {sample.n_frames} frames over {result.n_tracks} "

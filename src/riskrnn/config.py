@@ -19,16 +19,10 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    # scenario
-    frames_per_video: int = 12
-    n_regions: int = 8
-    feature_dim: int = 32
-    n_classes: int = 6
-    noise_sigma: float = 0.1
-    collision_iou: float = 0.3
-    proposal_jitter: float = 0.05
-    n_distractor_proposals: int = 20
+class RunConfig(ScenarioConfig):
+    """Every setting of a run: the scenario's keys (ScenarioConfig's fields,
+    ``seed`` among them), then those below."""
+
     # splits
     n_train: int = 200
     n_val: int = 50
@@ -56,8 +50,6 @@ class RunConfig:
     per_video_region_ap: bool = False
     grid_w: int = 64
     grid_h: int = 36
-    # run
-    seed: int = 0
 
     def validate(self) -> None:
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
@@ -67,7 +59,7 @@ class RunConfig:
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("split sizes must be >= 1")
         try:
-            self.scenario_config().validate()
+            super().validate()
             self.model_config("L-RAI").validate()
         except ValueError as err:
             raise ConfigError(str(err)) from None

@@ -1,17 +1,24 @@
-"""Video records and the dataset file.
+"""Videos and the dataset file.
 
-A video holds its frames (the agent's appearance and box, and the candidate
-regions), its targets and its per-frame proposals; every record is frozen.
+A ``VideoSample`` is one video's rows of the dataset file's arrays, its
+fields named as the file's keys (the layout below, without the leading V).
+The generator builds them from the arrays it draws, and ``read_dataset``
+from row views of the arrays it loads, checked once per video by
+``VideoSample.check``. Every program path reads the arrays.
 
-A frame's proposals are arrays: its ``ProposalSet`` holds row views of the
-video's (T, M, 4) boxes, (T, M) object scores and (T, M, D) features, the
-arrays the generator draws and the file holds, checked once per video by
-``proposal_frames``. Indexing or iterating a ``ProposalSet`` builds
-``Proposal`` records on demand and keeps none; no program path does so.
-``Proposal`` remains for readers that compare proposal by proposal: the
-benchmark's check that a dataset reads back as written, and the scalar
-tracker reference of the tests. The agent, region and risky boxes are still
-``Box`` records.
+The records survive only as views, built on each call and kept nowhere,
+for one reader: the benchmark's check that a dataset reads back as written,
+which compares videos record by record. No program path reads them.
+
+- ``VideoSample.frames``, each frame's ``FrameInput`` with its ``Box``
+  records: read by ``bench/workloads.py::sample_mismatch`` and
+  ``inspect_data``;
+- ``VideoSample.targets``, the ``VideoTargets`` without the NaN padding
+  rows: read by ``sample_mismatch``;
+- ``VideoSample.proposals``, each frame's ``ProposalSet`` of row views,
+  whose indexing builds ``Proposal`` records: read by ``sample_mismatch``
+  and ``inspect_data``;
+- ``VideoSample.region_classes``: read by ``sample_mismatch``.
 
 A dataset file is one uncompressed ``.npz`` per split, written by ``np.savez``
 under the path as given and read with ``allow_pickle=False``. For V videos of
@@ -35,13 +42,12 @@ most R risky boxes per frame it holds, with boxes as (cx, cy, w, h) rows:
 """
 from __future__ import annotations
 
-import math
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, stack_boxes
+from .geometry import Box
 
 DATASET_HEADER = "RISKRNN-DATASET v2"
 
@@ -56,83 +62,37 @@ _LAYOUT = {
     "proposal_feat": (np.float64, "VTMD"), "risky_box": (np.float64, "VTR4"),
 }
 
-
-@dataclass(frozen=True, eq=False)
-class RegionSet:
-    """A frame's candidate regions: N boxes and their (N, D) appearances.
-    Construction also sets the (N, 4) array ``xywh`` of the box rows, which
-    the region labels and model.VideoRegions read."""
-
-    boxes: tuple
-    feats: np.ndarray
-
-    def __post_init__(self):
-        boxes = tuple(self.boxes)
-        feats = np.asarray(self.feats, dtype=np.float64)
-        if len(boxes) < 1:
-            raise ValueError("a frame needs at least one candidate region")
-        if feats.shape[0] != len(boxes):
-            raise ValueError(f"{len(boxes)} region boxes but {feats.shape[0]} feature rows")
-        for name, value in dict(boxes=boxes, feats=feats, xywh=stack_boxes(boxes)).items():
-            object.__setattr__(self, name, value)
-
-    def __len__(self):
-        return len(self.boxes)
+# for the check: what a row is called, its box, feature and score keys, and
+# what it needs
+_ROWS = (("agent", "agent_box", "agent_feat", None,
+          "a finite box with positive sides and finite features"),
+         ("region", "region_box", "region_feat", None,
+          "a finite box with positive sides and finite features"),
+         ("proposal", "proposal_box", "proposal_feat", "proposal_score",
+          "a finite box with positive sides, finite features and a finite score"),
+         ("risky box", "risky_box", None, None,
+          "a finite box with positive sides, or NaN in every column as padding"))
 
 
 @dataclass(frozen=True, slots=True)
 class FrameInput:
-    """One frame of observations: the agent plus its candidate regions."""
+    """One frame as records: the agent and its candidate regions."""
 
     agent_feat: np.ndarray
     agent_box: Box
-    regions: RegionSet
-
-    @property
-    def region_boxes(self) -> tuple:
-        return self.regions.boxes
-
-    @property
-    def region_feats(self) -> np.ndarray:
-        return self.regions.feats
+    region_boxes: tuple
+    region_feats: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
 class VideoTargets:
-    """Supervision for one video.
-
-    A negative has no ``t_accident`` (None) and no risky box;
-    ``agent_track`` and ``risky_boxes`` cover every frame for both labels.
-    """
+    """A video's supervision as records. A negative has no ``t_accident``
+    (None) and no risky box; ``risky_boxes`` has a tuple per frame."""
 
     positive: bool
     t_accident: int | None
     agent_track: tuple
-    risky_boxes: tuple  # per frame, the ground-truth boxes (empty when negative)
-
-    def validate(self, n_frames: int) -> None:
-        if len(self.agent_track) != n_frames:
-            raise ValueError(f"agent track has {len(self.agent_track)} boxes for {n_frames} frames")
-        if len(self.risky_boxes) != n_frames:
-            raise ValueError(f"risky boxes have {len(self.risky_boxes)} entries for {n_frames} "
-                             f"frames; a video needs one, empty when negative, per frame")
-        if self.positive:
-            if self.t_accident is None or not (0 <= self.t_accident < n_frames):
-                raise ValueError(f"positive video needs an accident frame in range, got {self.t_accident}")
-        elif self.t_accident is not None or any(self.risky_boxes):
-            raise ValueError(f"negative video needs no accident frame and no risky box, got "
-                             f"accident frame {self.t_accident} and "
-                             f"{sum(map(len, self.risky_boxes))} risky boxes")
-
-    def risky_array(self, n_risky: int | None = None) -> np.ndarray:
-        """The (T, R, 4) risky boxes, R = ``n_risky`` or else the most any
-        frame has; NaN rows, which overlap nothing, pad frames with fewer."""
-        if n_risky is None:
-            n_risky = max(map(len, self.risky_boxes), default=0)
-        risky = np.full((len(self.risky_boxes), n_risky, 4), np.nan)
-        for t, boxes in enumerate(self.risky_boxes):
-            risky[t, :len(boxes)] = stack_boxes(boxes)
-        return risky
+    risky_boxes: tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,81 +120,109 @@ class ProposalSet:
         return Proposal(Box(*self.xywh[i].tolist()), float(self.scores[i]), self.feats[i])
 
 
-def proposal_frames(xywh, scores, feats) -> tuple:
-    """Each frame's ProposalSet of a video's (T, M, 4) proposal boxes,
-    (T, M) object scores and (T, M, D) features, as row views of them.
-
-    Raises ValueError naming the first frame and proposal whose box is not
-    finite or has a side <= 0, or whose score is not finite.
-    """
-    good = (np.isfinite(xywh).all(axis=2) & (xywh[..., 2:] > 0.0).all(axis=2)
-            & np.isfinite(scores))
-    if not good.all():
-        t, i = np.argwhere(~good)[0]
-        raise ValueError(f"frame {t}: proposal {i} has box {xywh[t, i].tolist()} and score "
-                         f"{scores[t, i]}; a proposal needs a finite box with positive "
-                         f"sides and a finite score")
-    return tuple(map(ProposalSet, xywh, scores, feats))
+def _boxes(rows) -> tuple:
+    return tuple(Box(*row) for row in rows.tolist())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class VideoSample:
+    """One video: the (T, ·) rows of each array of the dataset file."""
+
     video_id: str
-    frames: tuple
-    targets: VideoTargets
-    proposals: tuple  # per frame, a ProposalSet
+    positive: bool
+    t_accident: int  # -1 for a video without an accident
     agent_class: int
-    region_classes: tuple
+    region_class: np.ndarray
+    agent_box: np.ndarray
+    agent_feat: np.ndarray
+    region_box: np.ndarray
+    region_feat: np.ndarray
+    proposal_box: np.ndarray
+    proposal_score: np.ndarray
+    proposal_feat: np.ndarray
+    risky_box: np.ndarray
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return len(self.agent_box)
+
+    def check(self) -> None:
+        """Raise ValueError, naming the video, if its labels disagree or a
+        row is not one the model can read, naming that row's frame and index.
+
+        A positive needs an accident frame in range; a negative has none and
+        no risky box. Every box is finite with sides > 0, every feature and
+        score finite, and every risky row a box or all-NaN padding.
+        """
+        try:
+            if self.positive and not 0 <= self.t_accident < self.n_frames:
+                raise ValueError(f"positive video needs an accident frame in range, "
+                                 f"got {self.t_accident}")
+            n_risky = int(np.count_nonzero(~np.isnan(self.risky_box).all(axis=2)))
+            if not self.positive and (self.t_accident != -1 or n_risky):
+                raise ValueError(f"negative video needs no accident frame and no risky box, "
+                                 f"got accident frame {self.t_accident} and {n_risky} risky boxes")
+            for row_kind in _ROWS:
+                self._check_rows(*row_kind)
+        except ValueError as err:
+            raise ValueError(f"video {self.video_id}: {err}") from None
+
+    def _check_rows(self, what, box_key, feat_key, score_key, needs) -> None:
+        boxes = getattr(self, box_key).reshape(self.n_frames, -1, 4)
+        good = np.isfinite(boxes).all(axis=2) & (boxes[..., 2:] > 0.0).all(axis=2)
+        if feat_key is not None:
+            good &= np.isfinite(getattr(self, feat_key)).all(axis=-1).reshape(good.shape)
+        if score_key is not None:
+            good &= np.isfinite(getattr(self, score_key))
+        if what == "risky box":
+            good |= np.isnan(boxes).all(axis=2)
+        if not good.all():
+            t, i = np.argwhere(~good)[0]
+            score = "" if score_key is None else f" and score {getattr(self, score_key)[t, i]}"
+            raise ValueError(f"frame {t}: {what} {i} has box {boxes[t, i].tolist()}{score}; "
+                             f"every {what} needs {needs}")
 
     @property
-    def positive(self) -> bool:
-        return self.targets.positive
+    def frames(self) -> tuple:
+        """Each frame's FrameInput record, built on each call."""
+        return tuple(map(FrameInput, self.agent_feat, _boxes(self.agent_box),
+                         map(_boxes, self.region_box), self.region_feat))
+
+    @property
+    def targets(self) -> VideoTargets:
+        """The VideoTargets record, without the NaN padding rows, built on each call."""
+        risky = tuple(tuple(Box(*row) for row in rows if not np.isnan(row).all())
+                      for rows in self.risky_box.tolist())
+        return VideoTargets(self.positive, None if self.t_accident == -1 else self.t_accident,
+                            _boxes(self.agent_box), risky)
+
+    @property
+    def proposals(self) -> tuple:
+        """Each frame's ProposalSet of row views, built on each call."""
+        return tuple(map(ProposalSet, self.proposal_box, self.proposal_score,
+                         self.proposal_feat))
+
+    @property
+    def region_classes(self) -> tuple:
+        return tuple(self.region_class.tolist())
 
 
 # ---------------------------------------------------------------------------
 # dataset files
 
-def _video_rows(sample: VideoSample, n_risky: int) -> dict:
-    """One video's entries of every array but ``video_id``."""
-    frames, props, targets = sample.frames, sample.proposals, sample.targets
-    if tuple(targets.agent_track) != tuple(f.agent_box for f in frames):
-        raise ValueError(f"video {sample.video_id}: the agent track is not the frames' agent boxes")
-    return {
-        "positive": sample.positive,
-        "t_accident": -1 if targets.t_accident is None else targets.t_accident,
-        "agent_class": sample.agent_class,
-        "region_class": sample.region_classes,
-        "agent_box": stack_boxes(f.agent_box for f in frames),
-        "agent_feat": [f.agent_feat for f in frames],
-        "region_box": [f.regions.xywh for f in frames],
-        "region_feat": [f.region_feats for f in frames],
-        "proposal_box": [ps.xywh for ps in props],
-        "proposal_score": [ps.scores for ps in props],
-        "proposal_feat": [ps.feats for ps in props],
-        "risky_box": targets.risky_array(n_risky),
-    }
-
-
 def write_dataset(path, samples) -> None:
-    """Write the videos as one dataset file; they must share T, N, M and D."""
+    """Write the videos as one dataset file; they must share T, N, M, R and D."""
     samples = list(samples)
     if not samples:
         raise ValueError("a dataset needs at least one video")
-    n_risky = max(len(boxes) for s in samples for boxes in s.targets.risky_boxes)
-    arrays = {"video_id": np.array([s.video_id for s in samples], dtype=np.str_)}
-    for v, sample in enumerate(samples):
-        for key, rows in _video_rows(sample, n_risky).items():
-            rows = np.asarray(rows, dtype=_LAYOUT[key][0])
-            if v == 0:
-                arrays[key] = np.empty((len(samples),) + rows.shape, rows.dtype)
-            elif rows.shape != arrays[key].shape[1:]:
-                raise ValueError(f"video {sample.video_id}: {key} has shape {rows.shape}, "
-                                 f"not {arrays[key].shape[1:]} as video {samples[0].video_id}")
-            arrays[key][v] = rows
+    arrays = {}
+    for key, (dtype, _) in _LAYOUT.items():
+        rows = [getattr(sample, key) for sample in samples]
+        for sample, row in zip(samples, rows):
+            if np.shape(row) != np.shape(rows[0]):
+                raise ValueError(f"video {sample.video_id}: {key} has shape {np.shape(row)}, "
+                                 f"not {np.shape(rows[0])} as video {samples[0].video_id}")
+        arrays[key] = np.array(rows, dtype=dtype)
     with open(path, "wb") as fh:
         np.savez(fh, header=np.array(DATASET_HEADER), **arrays)
 
@@ -248,6 +236,9 @@ def _check_layout(arrays: dict) -> None:
             shape = ", ".join(d if d.isdigit() else f"{d}={sizes.get(d, '?')}" for d in dims)
             raise ValueError(f"array {key!r} is {a.dtype} {a.shape}, expected "
                              f"{np.dtype(dtype).name} ({shape})")
+    if min(sizes[d] for d in "VTNMD") < 1:
+        raise ValueError(f"sizes {sizes}: a dataset needs at least one video, frame, "
+                         f"region, proposal and feature dimension")
 
 
 def read_dataset(path) -> list[VideoSample]:
@@ -262,29 +253,13 @@ def read_dataset(path) -> list[VideoSample]:
                     raise ValueError(f"header {npz['header'].item()!r}")
                 arrays = {key: npz[key] for key in _LAYOUT}
             _check_layout(arrays)
-            return [_read_video(arrays, v) for v in range(arrays["video_id"].shape[0])]
+            # the labels as Python values, the other arrays as row views
+            columns = {key: a.tolist() if a.ndim == 1 else a for key, a in arrays.items()}
+            samples = [VideoSample(**{key: column[v] for key, column in columns.items()})
+                       for v in range(len(columns["video_id"]))]
+            for sample in samples:
+                sample.check()
+            return samples
         except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as err:
             raise ValueError(f"{path}: not a readable {DATASET_HEADER} file "
                              f"({type(err).__name__}: {err})") from None
-
-
-def _read_video(a: dict, v: int) -> VideoSample:
-    agent_boxes = tuple(Box(*row) for row in a["agent_box"][v].tolist())
-    frames = tuple(
-        FrameInput(feat, box, RegionSet([Box(*row) for row in rows], region_feat))
-        for feat, box, rows, region_feat in zip(
-            a["agent_feat"][v], agent_boxes, a["region_box"][v].tolist(), a["region_feat"][v]))
-    risky = tuple(tuple(Box(*row) for row in rows if not math.isnan(row[0]))
-                  for rows in a["risky_box"][v].tolist())
-    t_accident = int(a["t_accident"][v])
-    video_id = str(a["video_id"][v])
-    targets = VideoTargets(bool(a["positive"][v]), None if t_accident == -1 else t_accident,
-                           agent_boxes, risky)
-    try:
-        proposals = proposal_frames(a["proposal_box"][v], a["proposal_score"][v],
-                                    a["proposal_feat"][v])
-        targets.validate(len(frames))
-    except ValueError as err:
-        raise ValueError(f"video {video_id}: {err}") from None
-    return VideoSample(video_id, frames, targets, proposals,
-                       int(a["agent_class"][v]), tuple(a["region_class"][v].tolist()))

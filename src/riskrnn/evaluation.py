@@ -197,19 +197,20 @@ def oracle_region_average_precision(videos, per_video: bool = False):
 # risk maps
 
 def risk_map_raster(boxes, scores, grid_w: int, grid_h: int) -> RiskMap:
-    """Mean risk of the boxes covering each cell center; 0 where uncovered."""
+    """Mean risk of the (N, 4) boxes covering each cell center, given their
+    (N,) scores; 0 where uncovered."""
     if grid_w < 1 or grid_h < 1:
         raise ValueError(f"grid dims must be >= 1, got {grid_w}x{grid_h}")
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    half = 0.5 * boxes[:, 2:]
+    lo, hi = boxes[:, :2] - half, boxes[:, :2] + half
     xs = (np.arange(grid_w) + 0.5) / grid_w
     ys = (np.arange(grid_h) + 0.5) / grid_h
-    total = np.zeros((grid_h, grid_w))
-    count = np.zeros((grid_h, grid_w))
-    for box, score in zip(boxes, scores):
-        cover_x = (xs >= box.x1) & (xs <= box.x2)
-        cover_y = (ys >= box.y1) & (ys <= box.y2)
-        mask = np.outer(cover_y, cover_x)
-        total += mask * score
-        count += mask
+    cover_x = (xs >= lo[:, :1]) & (xs <= hi[:, :1])
+    cover_y = (ys >= lo[:, 1:]) & (ys <= hi[:, 1:])
+    mask = cover_y[:, :, None] & cover_x[:, None, :]
+    total = (mask * np.asarray(scores)[:, None, None]).sum(axis=0)
+    count = mask.sum(axis=0)
     values = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
     return RiskMap(grid_w, grid_h, np.clip(values, 0.0, 1.0))
 

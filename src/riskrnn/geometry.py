@@ -1,9 +1,9 @@
-"""Axis-aligned box arithmetic: the box record, IoU and box transforms.
+"""Axis-aligned box arithmetic: IoU and box transforms.
 
 All coordinates are frame-normalized fractions, center-parameterized as
-(cx, cy, w, h). ``Box`` is the record the data layer stores; the
-arithmetic takes arrays of such rows so a caller makes one call over all
-its boxes. Everything here is a pure function; nothing records onto an
+(cx, cy, w, h) rows of arrays, so a caller makes one call over all its
+boxes. ``Box`` is the record of one such row that ``data``'s record views
+build. Everything here is a pure function; nothing records onto an
 autodiff tape.
 """
 from __future__ import annotations
@@ -33,37 +33,9 @@ class Box:
                 and math.isfinite(self.w) and math.isfinite(self.h)):
             raise ValueError("box fields must be finite")
 
-    @property
-    def x1(self) -> float:
-        return self.cx - 0.5 * self.w
-
-    @property
-    def y1(self) -> float:
-        return self.cy - 0.5 * self.h
-
-    @property
-    def x2(self) -> float:
-        return self.cx + 0.5 * self.w
-
-    @property
-    def y2(self) -> float:
-        return self.cy + 0.5 * self.h
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
-
 
 #: Dimensionality of the relative configuration vector.
 RELATIVE_CONFIG_DIM = 9
-
-
-def stack_boxes(boxes) -> np.ndarray:
-    """The (n, 4) array of (cx, cy, w, h) rows of a sequence of boxes."""
-    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

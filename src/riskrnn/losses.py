@@ -17,12 +17,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
-from .geometry import encode_box_transform, iou, stack_boxes
+from .geometry import encode_box_transform, iou
 from .model import frame_major
 
 if TYPE_CHECKING:
-    from .data import VideoTargets
-    from .model import ModelOutput, VideoRegions
+    from .data import VideoSample
+    from .model import ModelOutput
 
 PROB_CLAMP = 1e-12
 RISKY_IOU_THRESHOLD = 0.4
@@ -82,11 +82,12 @@ def region_loss(tape: Tape, scores: Node, labels) -> Node:
     return -ad.vsum(ad.log(likelihood), axis=1)
 
 
-def transform_targets(agent_track, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (4, T) true transforms of a track and the (T,) mask of frames
-    that have one: the target at frame t encodes the move from track[t] to
-    track[t + horizon], so frames within ``horizon`` of the end have none."""
-    track = stack_boxes(agent_track).T
+def transform_targets(agent_track: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (4, T) true transforms of a (T, 4) track and the (T,) mask of
+    frames that have one: the target at frame t encodes the move from
+    track[t] to track[t + horizon], so frames within ``horizon`` of the end
+    have none."""
+    track = agent_track.T
     n_targets = max(track.shape[1] - horizon, 0)
     target = np.zeros(track.shape)
     if n_targets:
@@ -113,15 +114,13 @@ class SequenceTargets:
     has_transform: np.ndarray
 
     @classmethod
-    def of(cls, targets: VideoTargets, regions: VideoRegions, horizon: int,
-           time_scale: float = 1.0) -> "SequenceTargets":
-        """The targets of a video with the given regions and labels."""
-        n_frames = len(regions)
-        targets.validate(n_frames)
-        return cls(anticipation_weights(targets.positive, targets.t_accident, n_frames,
+    def of(cls, video: VideoSample, horizon: int, time_scale: float = 1.0) -> "SequenceTargets":
+        """The targets of a video: its labels, its agent track, and its
+        region boxes against its risky boxes."""
+        return cls(anticipation_weights(video.positive, video.t_accident, video.n_frames,
                                         time_scale),
-                   region_labels(regions.xywh, targets.risky_array()),
-                   *transform_targets(targets.agent_track, horizon))
+                   region_labels(video.region_box, video.risky_box),
+                   *transform_targets(video.agent_box, horizon))
 
 
 @dataclass

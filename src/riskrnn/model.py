@@ -146,25 +146,19 @@ class ModelOutput(Assessment):
 
 
 class VideoRegions:
-    """The candidate regions of every frame of a video, stacked: the (T, N, 4)
-    boxes ``xywh``, the (T, N) box arrays ``cx``, ``cy``, ``w``, ``h``,
-    ``x1``, ``y1``, ``x2``, ``y2`` and ``area`` that ad.relative_config
-    reads, and the (D, T, N) appearances ``feats``. The region passes need one
-    N for the whole video. ``interleave`` joins the regions of several
-    videos as rows of (frame, sequence) columns, the layout the model reads."""
+    """The candidate regions of every frame of a video, from its (T, N, 4)
+    boxes and (T, N, D) appearances: the boxes ``xywh``, the (T, N) box
+    arrays ``cx``, ``cy``, ``w``, ``h``, ``x1``, ``y1``, ``x2``, ``y2`` and
+    ``area`` that ad.relative_config reads, and the (D, T, N) appearances
+    ``feats``. ``interleave`` joins the regions of several videos as rows of
+    (frame, sequence) columns, the layout the model reads."""
 
     __slots__ = ("n", "xywh", "feats", "cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")
 
-    def __init__(self, region_sets):
-        if len(region_sets) == 0:
+    def __init__(self, xywh: np.ndarray, feats: np.ndarray):
+        if len(xywh) == 0:
             raise ValueError("a video needs at least one frame")
-        n = len(region_sets[0])
-        for t, regions in enumerate(region_sets):
-            if len(regions) != n:
-                raise ValueError(f"frame {t} has {len(regions)} regions and frame 0 "
-                                 f"has {n}; a video needs one region count")
-        self._set(np.stack([r.xywh for r in region_sets]),
-                  np.stack([r.feats.T for r in region_sets], axis=1))
+        self._set(xywh, np.ascontiguousarray(np.moveaxis(feats, 2, 0)))
 
     def _set(self, xywh: np.ndarray, feats: np.ndarray) -> None:
         self.n = xywh.shape[1]

@@ -11,7 +11,7 @@ regions with its risky boxes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +28,16 @@ from .training import detected_tracks, track_inputs, video_regions
 class VideoEvalResult:
     video_id: str
     positive: bool
-    t_accident: int | None
-    frame_probs: np.ndarray            # per frame, max over candidate tracks
-    frame_regions: list = field(default_factory=list)  # per frame (boxes, scores)
-    n_tracks: int = 0
+    t_accident: int                    # -1 for a video without an accident
+    frame_probs: np.ndarray            # (T,): per frame, max over candidate tracks
+    region_boxes: np.ndarray           # (T, N, 4)
+    region_scores: np.ndarray          # (T, N): per frame, the most alarmed track's
+    n_tracks: int
+
+    @property
+    def frame_regions(self) -> list:
+        """Per frame, its (N, 4) region boxes and (N,) region scores."""
+        return list(zip(self.region_boxes, self.region_scores))
 
 
 @dataclass
@@ -65,18 +71,13 @@ def eval_video(model: RiskModel, sample, tracks, run_cfg: RunConfig) -> VideoEva
     probs = y[:, 1].reshape(n_frames, len(tracks))
     region_scores = s.reshape(n_frames, len(tracks), -1)
 
-    frame_probs = probs.max(axis=1)
-    picks = probs.argmax(axis=1)
-    frame_regions = [
-        (sample.frames[t].region_boxes, region_scores[t, picks[t]])
-        for t in range(n_frames)
-    ]
     return VideoEvalResult(
         video_id=sample.video_id,
         positive=sample.positive,
-        t_accident=sample.targets.t_accident,
-        frame_probs=frame_probs,
-        frame_regions=frame_regions,
+        t_accident=sample.t_accident,
+        frame_probs=probs.max(axis=1),
+        region_boxes=sample.region_box,
+        region_scores=region_scores[np.arange(n_frames), probs.argmax(axis=1)],
         n_tracks=len(tracks),
     )
 
@@ -96,11 +97,8 @@ def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig) -> EvalSummary
                                          [r.positive for r in results])
     curve_rows, atta_frames = tta_atta(vpreds)
 
-    region_videos = []
-    for sample, result in zip(samples, results):
-        boxes = np.stack([frame.regions.xywh for frame in sample.frames])
-        scores = np.stack([frame_scores for _, frame_scores in result.frame_regions])
-        region_videos.append((scores, region_overlaps(boxes, sample.targets.risky_array())))
+    region_videos = [(result.region_scores, region_overlaps(sample.region_box, sample.risky_box))
+                     for sample, result in zip(samples, results)]
     region_map = region_average_precision(region_videos,
                                           per_video=run_cfg.per_video_region_ap)
     oracle_map = oracle_region_average_precision(

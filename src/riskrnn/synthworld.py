@@ -11,7 +11,8 @@ function of their configuration.
 Distractor regions and each frame's proposals are drawn as arrays, in the
 order in which a loop drawing one value at a time would take them from the
 generator, so the datasets are those of that loop bit for bit;
-``tests/oracles.py`` keeps the loop as the reference.
+``tests/oracles.py`` keeps the loop as the reference. A video holds the
+arrays as drawn; no record is built.
 """
 from __future__ import annotations
 
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FrameInput, RegionSet, VideoSample, VideoTargets, proposal_frames
+from .data import VideoSample
 from .data import read_dataset, write_dataset  # noqa: F401 - the split files' API
-from .geometry import Box, iou, stack_boxes
+from .geometry import iou
 
 HAZARD_CLASS = 0
 
@@ -87,14 +88,12 @@ def _video_rng(cfg: ScenarioConfig, split_tag: int, index: int):
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, split_tag, index]))
 
 
-def _collision_distance(agent_w, agent_h, hazard: Box, direction, threshold) -> float:
+def _collision_distance(agent_w, agent_h, hazard: np.ndarray, direction, threshold) -> float:
     """Center distance along ``direction`` where the agent-hazard IoU hits the
     collision threshold (bisection; IoU decreases with distance)."""
-    hazard_box = hazard.as_array()
-
     def overlap(d):  # of the hazard and the agent at distance d from its center
-        return iou(np.array([hazard.cx + direction[0] * d, hazard.cy + direction[1] * d,
-                             agent_w, agent_h]), hazard_box)
+        return iou(np.array([hazard[0] + direction[0] * d, hazard[1] + direction[1] * d,
+                             agent_w, agent_h]), hazard)
 
     if overlap(0.0) <= threshold:
         raise GenerationError("hazard too small for the collision threshold")
@@ -114,20 +113,21 @@ def _track_rows(xs, ys, agent_w, agent_h) -> np.ndarray:
 
 
 def _positive_walk(cfg: ScenarioConfig, rng):
-    """Agent track plus hazard with first collision exactly at the last frame."""
+    """The (T, 4) agent track and the (4,) hazard box, their first collision
+    exactly at the last frame."""
     last = cfg.frames_per_video - 1
     for _ in range(_MAX_ATTEMPTS):
         agent_w = rng.uniform(0.08, 0.12)
         agent_h = rng.uniform(0.08, 0.12)
-        hazard = Box(rng.uniform(0.35, 0.65), rng.uniform(0.35, 0.65),
-                     agent_w * rng.uniform(0.9, 1.3), agent_h * rng.uniform(0.9, 1.3))
+        hazard = np.array([rng.uniform(0.35, 0.65), rng.uniform(0.35, 0.65),
+                           agent_w * rng.uniform(0.9, 1.3), agent_h * rng.uniform(0.9, 1.3)])
         theta = rng.uniform(0.0, 2.0 * np.pi)
         direction = np.array([np.cos(theta), np.sin(theta)])
         d_hit = _collision_distance(agent_w, agent_h, hazard, direction, cfg.collision_iou)
         d_final = d_hit * rng.uniform(0.55, 0.8)
         step = rng.uniform(0.025, 0.04) if last > 0 else 0.0
         distances = d_final + step * np.arange(last, -1.0, -1.0)
-        centers = hazard.cx + direction[0] * distances, hazard.cy + direction[1] * distances
+        centers = hazard[0] + direction[0] * distances, hazard[1] + direction[1] * distances
         xs, ys = centers
         # heading noise perpendicular to the walk, final frame kept exact
         perp = np.array([-direction[1], direction[0]])
@@ -138,14 +138,14 @@ def _positive_walk(cfg: ScenarioConfig, rng):
         if xs.min() < 0.03 or xs.max() > 0.97 or ys.min() < 0.03 or ys.max() > 0.97:
             continue
         track = _track_rows(xs, ys, agent_w, agent_h)
-        hit = iou(track, hazard.as_array()) > cfg.collision_iou
+        hit = iou(track, hazard) > cfg.collision_iou
         if hit[last] and not hit[:last].any():
-            return [Box(*row) for row in track.tolist()], hazard
+            return track, hazard
     raise GenerationError("could not construct a positive walk within the attempt budget")
 
 
 def _negative_walk(cfg: ScenarioConfig, rng):
-    """Agent track plus a hazard the walk never collides with."""
+    """The (T, 4) agent track and a (4,) hazard box the walk never collides with."""
     for _ in range(_MAX_ATTEMPTS):
         agent_w = rng.uniform(0.08, 0.12)
         agent_h = rng.uniform(0.08, 0.12)
@@ -158,19 +158,20 @@ def _negative_walk(cfg: ScenarioConfig, rng):
         ys = start[1] + direction[1] * offsets + rng.normal(0.0, 0.006, cfg.frames_per_video)
         if xs.min() < 0.03 or xs.max() > 0.97 or ys.min() < 0.03 or ys.max() > 0.97:
             continue
-        hazard = Box(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
-                     agent_w * rng.uniform(0.9, 1.3), agent_h * rng.uniform(0.9, 1.3))
+        hazard = np.array([rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
+                           agent_w * rng.uniform(0.9, 1.3), agent_h * rng.uniform(0.9, 1.3)])
         track = _track_rows(xs, ys, agent_w, agent_h)
-        if not iou(track, hazard.as_array()).any():
-            return [Box(*row) for row in track.tolist()], hazard
+        if not iou(track, hazard).any():
+            return track, hazard
     raise GenerationError("could not construct a negative walk within the attempt budget")
 
 
 def _distractor_regions(cfg: ScenarioConfig, rng):
-    """The boxes and the non-hazard classes of the ``n_regions - 1`` benign regions."""
+    """The (n, 4) boxes and the (n,) non-hazard classes of the n = ``n_regions - 1``
+    benign regions."""
     n = cfg.n_regions - 1
     rows = rng.uniform(_RANDOM_LO[:4], _RANDOM_HI[:4], size=(n, 4))
-    return [Box(*row) for row in rows.tolist()], rng.integers(1, cfg.n_classes, size=n).tolist()
+    return rows, rng.integers(1, cfg.n_classes, size=n)
 
 
 def generate_scenario(cfg: ScenarioConfig, positive: bool, *, index: int = 0,
@@ -185,48 +186,51 @@ def generate_scenario(cfg: ScenarioConfig, positive: bool, *, index: int = 0,
 
     if positive:
         track, hazard = _positive_walk(cfg, rng)
-        t_accident = n_frames - 1
     else:
         track, hazard = _negative_walk(cfg, rng)
-        t_accident = None
 
     distractors, distractor_classes = _distractor_regions(cfg, rng)
-    region_boxes = distractors + [hazard]
-    region_classes = distractor_classes + [HAZARD_CLASS]
     order = rng.permutation(cfg.n_regions)
-    region_boxes = [region_boxes[i] for i in order]
-    region_classes = [region_classes[i] for i in order]
+    region_box = np.vstack((distractors, hazard))[order]
+    region_class = np.append(distractor_classes, HAZARD_CLASS)[order]
 
-    agent_feats = synthesize_features(cfg, embeddings, [agent_class_id(cfg)], n_frames, rng)[:, 0]
-    region_feats = synthesize_features(cfg, embeddings, region_classes, n_frames, rng)
-
-    frames = tuple(FrameInput(agent_feats[t], track[t], RegionSet(region_boxes, region_feats[t]))
-                   for t in range(n_frames))
-    risky_boxes = tuple((hazard,) if positive else () for _ in range(n_frames))
-    targets = VideoTargets(positive, t_accident, tuple(track), risky_boxes)
+    agent_feat = synthesize_features(cfg, embeddings, [agent_class_id(cfg)], n_frames, rng)[:, 0]
+    region_feat = synthesize_features(cfg, embeddings, region_class, n_frames, rng)
+    region_box = np.repeat(region_box[None], n_frames, axis=0)
+    proposal_box, proposal_score, proposal_feat = synthesize_proposals(
+        cfg, track, region_box, region_class, embeddings, rng)
     return VideoSample(
         video_id=video_id or f"{split}-{index:05d}",
-        frames=frames,
-        targets=targets,
-        proposals=synthesize_proposals(cfg, frames, region_classes, embeddings, rng),
+        positive=positive,
+        t_accident=n_frames - 1 if positive else -1,
         agent_class=agent_class_id(cfg),
-        region_classes=tuple(region_classes),
+        region_class=region_class,
+        agent_box=track,
+        agent_feat=agent_feat,
+        region_box=region_box,
+        region_feat=region_feat,
+        proposal_box=proposal_box,
+        proposal_score=proposal_score,
+        proposal_feat=proposal_feat,
+        risky_box=np.repeat(hazard[None, None] if positive else np.full((1, 1, 4), np.nan),
+                            n_frames, axis=0),
     )
 
 
-def synthesize_proposals(cfg: ScenarioConfig, frames, region_classes,
-                         embeddings: np.ndarray, rng) -> tuple:
-    """Per frame, a ProposalSet: one jittered high-score copy of each true
-    box plus random low-score distractor boxes, each carrying a feature of
-    its source class. Every frame's set is a row view of the video's
-    (T, M, ·) arrays, checked by ``data.proposal_frames``.
+def synthesize_proposals(cfg: ScenarioConfig, agent_box: np.ndarray, region_box: np.ndarray,
+                         region_classes, embeddings: np.ndarray, rng) -> tuple:
+    """The (T, M, 4) boxes, (T, M) object scores and (T, M, D) features of
+    each frame's proposals, given the video's (T, 4) agent boxes and
+    (T, N, 4) region boxes: one jittered high-score copy of each true box
+    plus random low-score distractor boxes, each carrying a feature of its
+    source class.
 
     A frame takes from ``rng`` one normal draw for all its true boxes (the
     agent's, then the regions'), each row holding four jitters, a score and
     the feature noise; then for each distractor its class, its feature noise
     and the uniforms of its box and score.
     """
-    n_frames, n_fake = len(frames), cfg.n_distractor_proposals
+    n_frames, n_fake = len(agent_box), cfg.n_distractor_proposals
     true_classes = [agent_class_id(cfg), *region_classes]
     true_z = np.empty((n_frames, len(true_classes), 5 + cfg.feature_dim))
     fake_classes = np.empty((n_frames, n_fake), dtype=np.int64)
@@ -240,7 +244,7 @@ def synthesize_proposals(cfg: ScenarioConfig, frames, region_classes,
             rng.random(out=fake_u[t, j])
 
     # rng.normal(0, s) and rng.uniform(lo, hi) are 0 + s * z and lo + (hi - lo) * u
-    true_boxes = np.stack([np.vstack((f.agent_box.as_array(), f.regions.xywh)) for f in frames])
+    true_boxes = np.concatenate((agent_box[:, None], region_box), axis=1)
     sides = true_boxes[..., 2:]
     jitter = 0.0 + cfg.proposal_jitter * true_z[..., :4]
     fakes = _RANDOM_LO + _RANDOM_SPAN * fake_u
@@ -251,7 +255,7 @@ def synthesize_proposals(cfg: ScenarioConfig, frames, region_classes,
                              fakes[..., 4]), axis=1)
     feats = np.concatenate((embeddings[true_classes] + (0.0 + cfg.noise_sigma * true_z[..., 5:]),
                             embeddings[fake_classes] + (0.0 + cfg.noise_sigma * fake_z)), axis=1)
-    return proposal_frames(boxes, scores, feats)
+    return boxes, scores, feats
 
 
 def generate_split(cfg: ScenarioConfig, n_videos: int, split: str) -> list[VideoSample]:
@@ -264,9 +268,8 @@ def generate_split(cfg: ScenarioConfig, n_videos: int, split: str) -> list[Video
 
 def verify_collision_predicate(sample: VideoSample, collision_iou: float) -> bool:
     """Re-check the label against the stored boxes, independent of generation."""
-    hazards = sample.frames[0].regions.xywh[np.asarray(sample.region_classes) == HAZARD_CLASS]
-    track = stack_boxes(sample.targets.agent_track)
-    hit = iou(track[:, None], hazards[None]).max(axis=1) > collision_iou
+    hazards = sample.region_box[0, sample.region_class == HAZARD_CLASS]
+    hit = iou(sample.agent_box[:, None], hazards[None]).max(axis=1) > collision_iou
     if sample.positive:
         return bool(hit[-1] and not hit[:-1].any())
     return not hit.any()

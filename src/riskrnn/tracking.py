@@ -9,6 +9,8 @@ are collapsed onto the one with the best average object score.
 The tracker runs V videos of one frame count and one proposal count at once:
 every step is one IoU gate, one similarity matmul and one lexsort over a
 leading video axis, and each video's result is the one it would get alone.
+It reads the videos' proposal arrays as the dataset holds them, (T, M, ·)
+per video, and stacks each frame's (V, M, ·) arrays when it reaches it.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import iou, stack_boxes
+from .geometry import iou
 
 
 @dataclass
@@ -28,23 +30,20 @@ class Track:
     feats: np.ndarray
     scores: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.boxes)
-
     @property
     def mean_score(self) -> float:
         return float(np.mean(self.scores))
 
 
-def track_by_detection(videos, top_init: int = 10, top_iou: int = 10):
+def track_by_detection(boxes, feats, scores, top_init: int = 10, top_iou: int = 10):
     """Chain each video's proposals into tracks, all videos in one loop over
     frames.
 
     Args:
-        videos: V videos, each its T frames' proposals (data.ProposalSet):
-            M proposals' (M, 4) boxes ``xywh``, (M, D) features ``feats``
-            and (M,) object scores ``scores``, one T and one M for all
-            videos. Each frame's (V, M, ·) arrays are stacked when the loop
+        boxes, feats, scores: the (V, T, M, 4) proposal boxes, (V, T, M, D)
+            features and (V, T, M) object scores of V videos of one T and
+            one M, each given as an array or as a sequence of V per-video
+            arrays. Each frame's (V, M, ·) arrays are stacked when the loop
             reaches it.
         top_init: how many top object-score proposals of frame 0 seed tracks.
         top_iou: per step, how many best-IoU candidates the feature match
@@ -56,31 +55,31 @@ def track_by_detection(videos, top_init: int = 10, top_iou: int = 10):
     their first frame's object score (stable on ties). Each frame's picks
     are written into these arrays, allocated at frame 0.
     """
-    n_frames = len(videos[0]) if len(videos) else 0
+    n_videos = len(boxes)
+    n_frames = len(boxes[0]) if n_videos else 0
     if n_frames == 0:
         raise ValueError("need at least one video and one frame of proposals")
-    rows = np.arange(len(videos))[:, None]
+    rows = np.arange(n_videos)[:, None]
     for t in range(n_frames):
-        frame = [video[t] for video in videos]
-        boxes = np.stack([proposals.xywh for proposals in frame])
-        feats = np.stack([proposals.feats for proposals in frame])
-        scores = np.stack([proposals.scores for proposals in frame])
+        frame_boxes, frame_feats, frame_scores = (np.stack([video[t] for video in part])
+                                                  for part in (boxes, feats, scores))
         if t == 0:
-            chosen = np.argsort(-scores, axis=1, kind="stable")[:, :top_init]
-            shape = (len(videos), n_frames, chosen.shape[1])
-            tracks = np.empty(shape + (4,)), np.empty(shape + feats.shape[2:]), np.empty(shape)
+            chosen = np.argsort(-frame_scores, axis=1, kind="stable")[:, :top_init]
+            shape = (n_videos, n_frames, chosen.shape[1])
+            tracks = (np.empty(shape + (4,)), np.empty(shape + frame_feats.shape[2:]),
+                      np.empty(shape))
         else:
-            gate = np.argsort(-iou(track_boxes[:, :, None], boxes[:, None]), axis=2,
+            gate = np.argsort(-iou(track_boxes[:, :, None], frame_boxes[:, None]), axis=2,
                               kind="stable")[:, :, :top_iou]
             norms = (np.linalg.norm(track_feats, axis=2)[:, :, None]
-                     * np.linalg.norm(feats, axis=2)[:, None])
-            similarity = np.divide(track_feats @ feats.transpose(0, 2, 1), norms,
+                     * np.linalg.norm(frame_feats, axis=2)[:, None])
+            similarity = np.divide(track_feats @ frame_feats.transpose(0, 2, 1), norms,
                                    out=np.zeros_like(norms), where=norms != 0.0)
-            order = np.lexsort((gate, -scores[rows[:, :, None], gate],
+            order = np.lexsort((gate, -frame_scores[rows[:, :, None], gate],
                                 -np.take_along_axis(similarity, gate, axis=2)), axis=2)
             chosen = np.take_along_axis(gate, order[:, :, :1], axis=2)[:, :, 0]
-        track_boxes, track_feats = boxes[rows, chosen], feats[rows, chosen]
-        for part, picked in zip(tracks, (track_boxes, track_feats, scores[rows, chosen])):
+        track_boxes, track_feats = frame_boxes[rows, chosen], frame_feats[rows, chosen]
+        for part, picked in zip(tracks, (track_boxes, track_feats, frame_scores[rows, chosen])):
             part[:, t] = picked
     return tracks
 
@@ -115,10 +114,7 @@ def select_training_track(gt_track: Track, td_tracks, rng) -> Track:
     return pool[int(rng.integers(0, len(pool)))]
 
 
-def track_from_targets(sample) -> Track:
-    """The annotated agent track as a Track (object score 1 everywhere)."""
-    return Track(
-        boxes=stack_boxes(sample.targets.agent_track),
-        feats=np.array([frame.agent_feat for frame in sample.frames], dtype=np.float64),
-        scores=np.ones(sample.n_frames),
-    )
+def annotated_track(sample) -> Track:
+    """A video's annotated agent track, its agent boxes and features, as a
+    Track (object score 1 everywhere)."""
+    return Track(sample.agent_box, sample.agent_feat, np.ones(sample.n_frames))

@@ -2,10 +2,8 @@
 and early stopping on validation loss; and the tracks a split's videos give.
 
 ``detected_tracks`` tracks a whole split before any forward pass: its videos
-of one frame count and one proposal count run as one tracker call, which
-stacks each frame's proposal arrays from the videos' ProposalSets without
-building a proposal record, and each video's tracks are then deduplicated on
-their own.
+of one frame count and one proposal count run as one tracker call over their
+proposal arrays, and each video's tracks are then deduplicated on their own.
 
 Each epoch runs every training video once on a track drawn uniformly from
 {annotated track} + {detected tracks}; the video's accident label is shared
@@ -30,8 +28,8 @@ from .evaluation import average_precision
 from .losses import SequenceTargets, total_loss
 from .model import AgentTracks, RiskModel, VideoRegions, forward_video
 from .nn import TrainingError, adam_step
-from .tracking import (Track, deduplicate_tracks, select_training_track,
-                       track_by_detection, track_from_targets)
+from .tracking import (Track, annotated_track, deduplicate_tracks, select_training_track,
+                       track_by_detection)
 
 _TRAIN_STREAM = 7
 _INIT_STREAM = 11
@@ -47,7 +45,7 @@ class EpochStats:
 
 def video_regions(sample) -> VideoRegions:
     """The candidate regions of every frame of a video."""
-    return VideoRegions([frame.regions for frame in sample.frames])
+    return VideoRegions(sample.region_box, sample.region_feat)
 
 
 def track_inputs(tracks, regions) -> AgentTracks:
@@ -65,30 +63,26 @@ def detected_tracks(samples, run_cfg: RunConfig) -> list[list[Track]]:
     """Each video's deduplicated tracks, found in its proposals.
 
     Videos of one frame count and one proposal count are tracked in one
-    tracker call, which reads their ProposalSets' arrays; every video's
-    tracks are then deduplicated on their own.
+    tracker call over their proposal arrays; every video's tracks are then
+    deduplicated on their own.
 
-    Raises ValueError naming the first video that has a frame without
-    proposals, and that frame, or frames of different proposal counts.
+    Raises ValueError naming the first video without proposals, and its
+    first frame: a video's frames share one proposal count.
     """
     samples = list(samples)
     groups = defaultdict(list)
     for i, sample in enumerate(samples):
-        counts = [len(frame) for frame in sample.proposals]
-        if 0 in counts:
-            raise ValueError(f"video {sample.video_id}: frame {counts.index(0)} has no "
-                             f"proposals to track the agent through")
-        if len(set(counts)) > 1:
-            raise ValueError(f"video {sample.video_id}: frames have {min(counts)} to "
-                             f"{max(counts)} proposals; the tracker needs one proposal "
-                             f"count per video")
-        groups[len(counts), counts[0] if counts else 0].append(i)
+        if sample.proposal_score.shape[1] == 0:
+            raise ValueError(f"video {sample.video_id}: frame 0 has no proposals to track the "
+                             f"agent through")
+        groups[sample.proposal_score.shape].append(i)
 
     tracks = [None] * len(samples)
     for members in groups.values():
-        boxes, feats, scores = track_by_detection([samples[i].proposals for i in members],
-                                                  top_init=run_cfg.top_init,
-                                                  top_iou=run_cfg.top_iou)
+        videos = [samples[i] for i in members]
+        boxes, feats, scores = track_by_detection(
+            [v.proposal_box for v in videos], [v.proposal_feat for v in videos],
+            [v.proposal_score for v in videos], top_init=run_cfg.top_init, top_iou=run_cfg.top_iou)
         for j, i in enumerate(members):
             found = [Track(boxes[j, :, k], feats[j, :, k], scores[j, :, k])
                      for k in range(boxes.shape[2])]
@@ -103,9 +97,8 @@ class _Split:
     def __init__(self, videos, horizon: int, time_scale: float):
         self.videos = list(videos)
         self.regions = [video_regions(v) for v in self.videos]
-        self.annotated = [track_from_targets(v) for v in self.videos]
-        self.targets = [SequenceTargets.of(v.targets, regions, horizon, time_scale)
-                        for v, regions in zip(self.videos, self.regions)]
+        self.annotated = [annotated_track(v) for v in self.videos]
+        self.targets = [SequenceTargets.of(v, horizon, time_scale) for v in self.videos]
 
     def loss(self, model: RiskModel, batch, tracks, tape: Tape):
         """One forward pass and loss of the batch's videos, each on its track.

@@ -1,96 +1,95 @@
-"""Shared builders for model-level tests: random frames, targets, stores,
-the model input and the loss targets, and the finite-difference gradient
-check."""
+"""Shared builders for model-level tests: random videos as arrays, the
+model input, stores, a differentiable leaf, and the finite-difference
+gradient check."""
+import dataclasses
+
 import numpy as np
 
-from riskrnn.data import FrameInput, RegionSet, VideoTargets
-from riskrnn.geometry import Box, stack_boxes
-from riskrnn.losses import SequenceTargets
-from riskrnn.model import AgentTracks, ModelConfig, RiskModel, VideoRegions
+from riskrnn.autodiff import Node, Tape
+from riskrnn.data import VideoSample
+from riskrnn.model import AgentTracks, ModelConfig, RiskModel
 from riskrnn.nn import ParameterStore
-from riskrnn.tracking import Track
-from riskrnn.training import track_inputs
+from riskrnn.tracking import annotated_track
+from riskrnn.training import track_inputs, video_regions
 
 TINY_CONFIG = ModelConfig(d_agent=8, d_region=8, d_u=6, h_agent=8, h_aa=8,
                           horizon=1, imagine_steps=1, lambdas=(0.6, 0.4))
 
 
-def random_box(rng, lo=0.1, hi=0.9) -> Box:
-    return Box(rng.uniform(lo, hi), rng.uniform(lo, hi),
-               rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.3))
+def random_box(rng, lo=0.1, hi=0.9) -> np.ndarray:
+    """A (cx, cy, w, h) row."""
+    return np.array([rng.uniform(lo, hi), rng.uniform(lo, hi),
+                     rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.3)])
 
 
-def moderate_box(rng) -> Box:
+def moderate_box(rng) -> np.ndarray:
     """Well-conditioned box for finite-difference fixtures.
 
     Tiny sides put 1/w^4-scale curvature into the relative-configuration
     terms, which swamps central differences at h = 1e-5; moderate sides keep
     the comparison noise-limited well below the 1e-4 gate.
     """
-    return Box(rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7),
-               rng.uniform(0.15, 0.35), rng.uniform(0.15, 0.35))
+    return np.array([rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7),
+                     rng.uniform(0.15, 0.35), rng.uniform(0.15, 0.35)])
+
+
+def video(agent_box, agent_feat, region_box, region_feat, t_accident=-1, risky_box=None,
+          video_id="video") -> VideoSample:
+    """A video of the given (T, 4) agent boxes, (T, D) agent features,
+    (T, N, 4) region boxes and (T, N, D) region features, without
+    proposals; positive when ``t_accident`` is a frame. ``risky_box``
+    defaults to no risky box, (T, 0, 4)."""
+    agent_box, region_box = np.asarray(agent_box, dtype=np.float64), np.asarray(region_box)
+    n_frames, n_regions = region_box.shape[:2]
+    return VideoSample(
+        video_id=video_id, positive=t_accident >= 0, t_accident=t_accident, agent_class=0,
+        region_class=np.zeros(n_regions, dtype=np.int64), agent_box=agent_box,
+        agent_feat=np.asarray(agent_feat), region_box=region_box,
+        region_feat=np.asarray(region_feat), proposal_box=np.empty((n_frames, 0, 4)),
+        proposal_score=np.empty((n_frames, 0)), proposal_feat=np.empty((n_frames, 0, 1)),
+        risky_box=np.empty((n_frames, 0, 4)) if risky_box is None else np.asarray(risky_box))
+
+
+def random_video(rng, cfg: ModelConfig, n_frames: int, n_regions: int,
+                 box=random_box) -> VideoSample:
+    """A negative video of random boxes and features, drawn frame by frame:
+    the agent's feature and box, then the regions' boxes and features."""
+    frames = [(rng.normal(size=cfg.d_agent), box(rng), [box(rng) for _ in range(n_regions)],
+               rng.normal(size=(n_regions, cfg.d_region))) for _ in range(n_frames)]
+    agent_feat, agent_box, region_box, region_feat = map(np.array, zip(*frames))
+    return video(agent_box, agent_feat, region_box, region_feat)
+
+
+def random_targets(rng, sample: VideoSample, positive: bool, box=random_box) -> VideoSample:
+    """The video, positive with an accident at its last frame and one random
+    risky box per frame, or negative."""
+    if not positive:
+        return sample
+    risky = np.array([[box(rng)] for _ in range(sample.n_frames)])
+    return dataclasses.replace(sample, positive=True, t_accident=sample.n_frames - 1,
+                               risky_box=risky)
 
 
 def gradcheck_fixture(rng, cfg: ModelConfig, n_frames: int, n_regions: int,
-                      positive: bool):
-    """Frames plus targets built from moderate boxes, for gradient checks."""
-    frames = []
-    for _ in range(n_frames):
-        frames.append(FrameInput(
-            rng.normal(size=cfg.d_agent),
-            moderate_box(rng),
-            RegionSet([moderate_box(rng) for _ in range(n_regions)],
-                      rng.normal(size=(n_regions, cfg.d_region))),
-        ))
-    track = [f.agent_box for f in frames]
-    if positive:
-        targets = VideoTargets(True, n_frames - 1, track,
-                               [[moderate_box(rng)] for _ in range(n_frames)])
-    else:
-        targets = VideoTargets(False, None, track, [[] for _ in range(n_frames)])
-    return frames, targets
+                      positive: bool) -> VideoSample:
+    """A video built from moderate boxes, for gradient checks."""
+    return random_targets(rng, random_video(rng, cfg, n_frames, n_regions, moderate_box),
+                          positive, moderate_box)
 
 
-def random_frames(rng, cfg: ModelConfig, n_frames: int, n_regions: int):
-    frames = []
-    for _ in range(n_frames):
-        frames.append(FrameInput(
-            rng.normal(size=cfg.d_agent),
-            random_box(rng),
-            RegionSet([random_box(rng) for _ in range(n_regions)],
-                      rng.normal(size=(n_regions, cfg.d_region))),
-        ))
-    return frames
+def agent_tracks(*videos) -> AgentTracks:
+    """The model input of B sequences, each a video's agent track over its
+    own regions, built as training.track_inputs builds it."""
+    return track_inputs([annotated_track(v) for v in videos],
+                        [video_regions(v) for v in videos])
 
 
-def video_regions(frames) -> VideoRegions:
-    return VideoRegions([frame.regions for frame in frames])
-
-
-def agent_tracks(*tracks) -> AgentTracks:
-    """The model input of B sequences, each a list of FrameInput over T
-    frames playing the agent over its own frames' regions, built as
-    training.track_inputs builds it: K tracks of one video share its
-    RegionSets, B videos of a batch have their own."""
-    agents = [Track(stack_boxes(frame.agent_box for frame in track),
-                    np.array([frame.agent_feat for frame in track]), np.ones(len(track)))
-              for track in tracks]
-    return track_inputs(agents, [video_regions(track) for track in tracks])
-
-
-def loss_targets(frames, targets: VideoTargets, horizon: int,
-                 time_scale: float = 1.0) -> SequenceTargets:
-    """The loss targets of a video of FrameInput."""
-    return SequenceTargets.of(targets, video_regions(frames), horizon, time_scale)
-
-
-def random_targets(rng, frames, positive: bool) -> VideoTargets:
-    n = len(frames)
-    track = [f.agent_box for f in frames]
-    if positive:
-        risky = [[random_box(rng)] for _ in range(n)]
-        return VideoTargets(True, n - 1, track, risky)
-    return VideoTargets(False, None, track, [[] for _ in range(n)])
+def leaf(tape: Tape, value) -> Node:
+    """A differentiable input that is not a stored parameter."""
+    node = Node(tape, np.asarray(value, dtype=np.float64), tape.train)
+    if node.requires_grad:
+        tape.nodes.append(node)
+    return node
 
 
 def tiny_model(seed: int, cfg: ModelConfig = TINY_CONFIG) -> RiskModel:

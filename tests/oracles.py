@@ -1,7 +1,9 @@
-"""Scalar references that tests compare the array code with.
+"""Scalar references that tests compare the array code with, over records
+built from the arrays' rows.
 
-- box geometry one pair of boxes at a time: IoU, the agent-relative
-  configuration and the box transform;
+- box geometry one pair of boxes at a time: a box's corners, IoU, the
+  agent-relative configuration and the box transform; and the (n, 4) array
+  of a sequence of boxes;
 - the per-frame forward and loss that the model computed before it ran whole
   videos as column passes, written out with numpy and the scalar geometry;
 - the tracker, one video, one track and one proposal at a time over scalar
@@ -15,6 +17,8 @@
 - average precision over (score, positive) pairs and region AP over
   per-frame (detections, ground-truth boxes) lists, the way they were
   written before the metrics took arrays;
+- the risk map, adding one box's cover at a time, the way it was written
+  before it took the boxes as one array;
 - the synthetic world's distractor regions and per-frame proposals drawn
   one value at a time, the stream order that synthworld's array draws keep;
 - Adam one named matrix at a time, with a dict of moments per parameter,
@@ -31,7 +35,7 @@ import numpy as np
 from riskrnn.autodiff import Node, _accum, _unbroadcast
 from riskrnn.data import Proposal
 from riskrnn.evaluation import REGION_IOU_THRESHOLD, video_level_scores
-from riskrnn.geometry import MAX_LOG_SCALE, Box, encode_box_transform, stack_boxes
+from riskrnn.geometry import MAX_LOG_SCALE, Box, encode_box_transform
 from riskrnn.losses import PROB_CLAMP, RISKY_IOU_THRESHOLD
 from riskrnn.synthworld import agent_class_id
 from riskrnn.tracking import Track
@@ -40,14 +44,34 @@ from riskrnn.tracking import Track
 # ---------------------------------------------------------------------------
 # box geometry
 
+def corners(box: Box) -> tuple:
+    """(x1, y1, x2, y2): the min and max corners."""
+    return (box.cx - 0.5 * box.w, box.cy - 0.5 * box.h,
+            box.cx + 0.5 * box.w, box.cy + 0.5 * box.h)
+
+
+def stack_boxes(boxes) -> np.ndarray:
+    """The (n, 4) array of (cx, cy, w, h) rows of a sequence of boxes."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def as_array(box: Box) -> np.ndarray:
+    return stack_boxes([box])[0]
+
+
+def boxes(rows) -> list:
+    """The Box records of an array's (cx, cy, w, h) rows."""
+    return [Box(*row) for row in np.asarray(rows).tolist()]
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1].
 
     Areas are computed from the same corner expressions as the overlap so
     iou(a, a) is exactly 1 despite rounding.
     """
-    ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
-    bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+    ax1, ay1, ax2, ay2 = corners(a)
+    bx1, by1, bx2, by2 = corners(b)
     iw = min(ax2, bx2) - max(ax1, bx1)
     ih = min(ay2, by2) - max(ay1, by1)
     if iw <= 0.0 or ih <= 0.0:
@@ -65,13 +89,14 @@ def relative_config(agent: Box, region: Box) -> np.ndarray:
     then the two size ratios and the IoU of the boxes."""
     inv_w = 1.0 / agent.w
     inv_h = 1.0 / agent.h
+    x1, y1, x2, y2 = corners(region)
     return np.array([
         (region.cx - agent.cx) * inv_w,
         (region.cy - agent.cy) * inv_h,
-        (region.x1 - agent.cx) * inv_w,
-        (region.y1 - agent.cy) * inv_h,
-        (region.x2 - agent.cx) * inv_w,
-        (region.y2 - agent.cy) * inv_h,
+        (x1 - agent.cx) * inv_w,
+        (y1 - agent.cy) * inv_h,
+        (x2 - agent.cx) * inv_w,
+        (y2 - agent.cy) * inv_h,
         region.w * inv_w,
         region.h * inv_h,
         iou(agent, region),
@@ -117,12 +142,12 @@ def lstm_step(W, b, x, h, c):
     return o * np.tanh(c), c
 
 
-def score_regions(p, agent_code, agent_box, frame):
-    u = np.stack([relative_config(agent_box, box) for box in frame.region_boxes], axis=1)
+def score_regions(p, agent_code, agent_box, region_boxes, region_feats):
+    u = np.stack([relative_config(agent_box, box) for box in region_boxes], axis=1)
     embedded = relu(p["geom_fc_W"] @ u + p["geom_fc_b"])
     joined = np.vstack([np.repeat(agent_code[:, None], u.shape[1], axis=1), embedded])
     weights = relu(p["scorer_fc_W"] @ joined + p["scorer_fc_b"])
-    return sigmoid((weights * frame.region_feats.T).sum(axis=0))
+    return sigmoid((weights * region_feats.T).sum(axis=0))
 
 
 def anticipate(p, cfg, state, agent_code, pooled):
@@ -137,30 +162,32 @@ def anticipate(p, cfg, state, agent_code, pooled):
     return state, o, e / e.sum()
 
 
-def forward(store, cfg, frames):
-    """Per frame: a dict of y, s, the imagined (box, y, s) per hop, the first
-    hop's transform c, and the fused y and s."""
+def forward(store, cfg, video):
+    """Per frame of the video's agent track: a dict of y, s, the imagined
+    (box, y, s) per hop, the first hop's transform c, and the fused y and s."""
     p = {pm.name: pm.values for pm in store}
     agent = (np.zeros(cfg.h_agent), np.zeros(cfg.h_agent))
     risk = (np.zeros(cfg.h_aa), np.zeros(cfg.h_aa))
     out = []
-    for frame in frames:
+    for agent_feat, agent_box, region_rows, region_feats in zip(
+            video.agent_feat, boxes(video.agent_box), video.region_box, video.region_feat):
+        region_boxes = boxes(region_rows)
         if cfg.use_memory:
-            x = np.concatenate([frame.agent_feat, frame.agent_box.as_array()])
+            x = np.concatenate([agent_feat, as_array(agent_box)])
             agent = lstm_step(p["agent_rnn_W"], p["agent_rnn_b"], x, *agent)
             code = agent[0]
         else:
-            code = frame.agent_feat
-        s = score_regions(p, code, frame.agent_box, frame)
-        risk, o, y = anticipate(p, cfg, risk, code, frame.region_feats.T @ s)
+            code = agent_feat
+        s = score_regions(p, code, agent_box, region_boxes, region_feats)
+        risk, o, y = anticipate(p, cfg, risk, code, region_feats.T @ s)
         hops, c_first = [], None
-        state, box = risk, frame.agent_box
+        state, box = risk, agent_box
         for _ in range(cfg.imagine_steps):
             c = p["imagine_head_W"] @ o
             c_first = c if c_first is None else c_first
             box = apply_box_transform(box, c)
-            s_hat = score_regions(p, code, box, frame)
-            state, o, y_hat = anticipate(p, cfg, state, code, frame.region_feats.T @ s_hat)
+            s_hat = score_regions(p, code, box, region_boxes, region_feats)
+            state, o, y_hat = anticipate(p, cfg, state, code, region_feats.T @ s_hat)
             hops.append((box, y_hat, s_hat))
         lam = cfg.lambdas
         y_fused = lam[0] * y + sum(w * y_hat for w, (_, y_hat, _) in zip(lam[1:], hops))
@@ -169,30 +196,33 @@ def forward(store, cfg, frames):
     return out
 
 
-def total_loss(cfg, frames, preds, targets, time_scale=1.0):
-    """The imagination-weighted loss of ``forward``'s output, frame by frame."""
+def total_loss(cfg, video, preds, time_scale=1.0):
+    """The imagination-weighted loss of ``forward``'s output on the video,
+    frame by frame; its risky boxes are the rows that are not NaN padding."""
     def log_clip(v):
         return np.log(np.clip(v, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
+    track = boxes(video.agent_box)
     loss = 0.0
     for t, pred in enumerate(preds):
-        if pred["c"] is not None and t + cfg.horizon < len(frames):
-            target = encode_box_transform(targets.agent_track[t].as_array(),
-                                          targets.agent_track[t + cfg.horizon].as_array())
+        if pred["c"] is not None and t + cfg.horizon < len(track):
+            target = encode_box_transform(as_array(track[t]), as_array(track[t + cfg.horizon]))
             a = np.abs(pred["c"] - target)
             loss += np.where(a < 1.0, 0.5 * a * a, a - 0.5).sum()
     for level, weight in enumerate(cfg.lambdas):
         level_loss = 0.0
-        for t, (frame, pred) in enumerate(zip(frames, preds)):
+        for t, (region_rows, risky_rows, pred) in enumerate(
+                zip(video.region_box, video.risky_box, preds)):
             y, s = (pred["y"], pred["s"]) if level == 0 else pred["hops"][level - 1][1:]
-            if targets.positive:
-                gap = targets.t_accident - t
+            risky = boxes([row for row in risky_rows if not np.isnan(row).all()])
+            if video.positive:
+                gap = video.t_accident - t
                 level_loss -= np.exp(-gap * time_scale) * log_clip(y[1])
-                labels = np.array([max(iou(box, gt) for gt in targets.risky_boxes[t])
-                                   > RISKY_IOU_THRESHOLD for box in frame.region_boxes])
+                labels = np.array([max(iou(box, gt) for gt in risky) > RISKY_IOU_THRESHOLD
+                                   for box in boxes(region_rows)])
             else:
                 level_loss -= log_clip(y[0])
-                labels = np.zeros(len(frame.region_boxes))
+                labels = np.zeros(len(region_rows))
             p = np.clip(s, PROB_CLAMP, 1.0 - PROB_CLAMP)
             level_loss -= (labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).sum()
         loss += weight * level_loss
@@ -213,14 +243,15 @@ def distractor_regions(cfg, rng):
     return boxes, [int(rng.integers(1, cfg.n_classes)) for _ in boxes]
 
 
-def synthesize_proposals(cfg, frames, region_classes, embeddings: np.ndarray, rng) -> tuple:
+def synthesize_proposals(cfg, agent_box, region_box, region_classes,
+                         embeddings: np.ndarray, rng) -> tuple:
     """synthworld.synthesize_proposals, one draw per jitter, score, feature
-    and coordinate."""
+    and coordinate; per frame, a tuple of Proposal records."""
     out = []
     sigma = cfg.proposal_jitter
     true_classes = [agent_class_id(cfg)] + list(region_classes)
-    for frame in frames:
-        true_boxes = [frame.agent_box] + list(frame.region_boxes)
+    for agent_row, region_rows in zip(agent_box, region_box):
+        true_boxes = boxes(np.vstack((agent_row, region_rows)))
         props = []
         for box, cls in zip(true_boxes, true_classes):
             jittered = Box(
@@ -250,14 +281,16 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b)) / denom
 
 
-def track_by_detection(proposals_per_frame, top_init: int = 10,
+def track_by_detection(xywh, feats, scores, top_init: int = 10,
                        top_iou: int = 10) -> list[Track]:
-    """tracking.track_by_detection of one video given as per-frame
-    ProposalSets, over their Proposal records, one track and one proposal at
-    a time."""
-    if len(proposals_per_frame) == 0:
+    """tracking.track_by_detection of one video given as its (T, M, 4)
+    proposal boxes, (T, M, D) features and (T, M) scores, over Proposal
+    records, one track and one proposal at a time."""
+    if len(xywh) == 0:
         raise ValueError("need at least one frame of proposals")
-    proposals_per_frame = [list(frame) for frame in proposals_per_frame]
+    proposals_per_frame = [[Proposal(box, float(score), feat)
+                            for box, score, feat in zip(boxes(frame), frame_scores, frame_feats)]
+                           for frame, frame_scores, frame_feats in zip(xywh, scores, feats)]
     first = proposals_per_frame[0]
     order = sorted(range(len(first)), key=lambda i: (-first[i].score, i))
     chains = [[first[i]] for i in order[:top_init]]
@@ -381,6 +414,22 @@ def oracle_region_average_precision(frames, per_video=False):
         warnings.warn("no proposal overlaps any ground truth; oracle region AP reported as 0")
         return 0.0
     return region_average_precision(rescored, per_video=per_video)
+
+
+def risk_map_raster(scored, grid_w: int, grid_h: int) -> np.ndarray:
+    """The values of evaluation.risk_map_raster over (box, score) pairs,
+    adding one box's cover at a time."""
+    xs = (np.arange(grid_w) + 0.5) / grid_w
+    ys = (np.arange(grid_h) + 0.5) / grid_h
+    total = np.zeros((grid_h, grid_w))
+    count = np.zeros((grid_h, grid_w))
+    for box, score in scored:
+        x1, y1, x2, y2 = corners(box)
+        mask = np.outer((ys >= y1) & (ys <= y2), (xs >= x1) & (xs <= x2))
+        total += mask * score
+        count += mask
+    values = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+    return np.clip(values, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ import pytest
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
-from riskrnn.data import RegionSet
 from riskrnn.geometry import Box
 from riskrnn.model import VideoRegions
 
+import helpers
 import oracles
 
 
@@ -33,14 +33,14 @@ def numeric_gradient(fn, x, h=1e-6):
 def check_gradient(build, x0, tol=1e-6):
     """build(tape, leaf) must return a scalar node."""
     tape = Tape()
-    leaf = tape.leaf(x0)
+    leaf = helpers.leaf(tape, x0)
     loss = build(tape, leaf)
     tape.backward(loss)
     analytic = leaf.grad
 
     def value(x):
         t = Tape()
-        return float(build(t, t.leaf(x)).value)
+        return float(build(t, helpers.leaf(t, x)).value)
 
     numeric = numeric_gradient(value, np.array(x0, dtype=np.float64))
     np.testing.assert_allclose(analytic, numeric, rtol=tol, atol=tol)
@@ -49,14 +49,14 @@ def check_gradient(build, x0, tol=1e-6):
 class TestBasics:
     def test_scalar_product_gradient(self):
         tape = Tape()
-        w = tape.leaf(2.0)
+        w = helpers.leaf(tape, 2.0)
         loss = w * 3.0
         tape.backward(loss)
         assert w.grad == pytest.approx(3.0)
 
     def test_sigmoid_gradient_at_zero(self):
         tape = Tape()
-        w = tape.leaf(0.0)
+        w = helpers.leaf(tape, 0.0)
         loss = ad.sigmoid(w)
         tape.backward(loss)
         assert w.grad == pytest.approx(0.25, abs=1e-12)
@@ -67,7 +67,7 @@ class TestBasics:
 
     def test_backward_requires_scalar(self):
         tape = Tape()
-        v = tape.leaf(np.ones(3))
+        v = helpers.leaf(tape, np.ones(3))
         with pytest.raises(ValueError):
             tape.backward(v)
 
@@ -76,7 +76,7 @@ class TestBasics:
 
         def grads(scale):
             tape = Tape()
-            leaf = tape.leaf(x0)
+            leaf = helpers.leaf(tape, x0)
             loss = ad.vsum(ad.sigmoid(leaf) * leaf) * scale
             tape.backward(loss)
             return leaf.grad
@@ -85,14 +85,14 @@ class TestBasics:
 
     def test_seed_scales_gradients(self):
         tape = Tape()
-        leaf = tape.leaf(np.array([1.0, 2.0]))
+        leaf = helpers.leaf(tape, np.array([1.0, 2.0]))
         loss = ad.vsum(leaf * leaf)
         tape.backward(loss, seed=0.5)
         np.testing.assert_allclose(leaf.grad, [1.0, 2.0])
 
     def test_reused_node_accumulates(self):
         tape = Tape()
-        w = tape.leaf(1.5)
+        w = helpers.leaf(tape, 1.5)
         loss = w * 2.0 + w * 3.0
         tape.backward(loss)
         assert w.grad == pytest.approx(5.0)
@@ -106,7 +106,7 @@ class TestBasics:
 
     def test_inference_tape_records_nothing(self):
         tape = Tape(train=False)
-        leaf = tape.leaf(np.ones(3))
+        leaf = helpers.leaf(tape, np.ones(3))
         out = ad.sigmoid(leaf * 2.0)
         assert not out.requires_grad
         assert tape.nodes == []
@@ -114,7 +114,7 @@ class TestBasics:
     def test_determinism(self):
         def run():
             tape = Tape()
-            leaf = tape.leaf(np.linspace(-1, 1, 7))
+            leaf = helpers.leaf(tape, np.linspace(-1, 1, 7))
             loss = ad.vsum(ad.softmax(leaf) * ad.sigmoid(leaf))
             tape.backward(loss)
             return float(loss.value), leaf.grad.copy()
@@ -127,7 +127,7 @@ class TestBasics:
     def test_released_tape_is_freed_without_the_cycle_collector(self):
         def backward_once(release):
             tape = Tape()
-            leaf = tape.leaf(np.ones(3))
+            leaf = helpers.leaf(tape, np.ones(3))
             tape.backward(ad.vsum(ad.sigmoid(leaf * 2.0)))
             if release:
                 tape.release()
@@ -240,7 +240,7 @@ class TestOpGradients:
 
     def test_clip_boundary_blocks_gradient(self):
         tape = Tape()
-        x = tape.leaf(np.array([2.0, 0.5]))
+        x = helpers.leaf(tape, np.array([2.0, 0.5]))
         loss = ad.vsum(ad.clip(x, 0.0, 1.0))
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [0.0, 1.0])
@@ -276,7 +276,7 @@ def composed_relative_config(tape, agent, regions):
 
 def one_frame(boxes):
     """The regions of a one-frame video, as ad.relative_config reads them."""
-    return VideoRegions([RegionSet([Box(*b) for b in boxes], np.zeros((len(boxes), 1)))])
+    return VideoRegions(np.array([boxes]), np.zeros((1, len(boxes), 1)))
 
 
 class TestRelativeConfig:
@@ -307,7 +307,7 @@ class TestRelativeConfig:
         for op in (lambda t, x: ad.relative_config(x, regions),
                    lambda t, x: composed_relative_config(t, x, regions)):
             tape = Tape()
-            agent = tape.leaf([[0.5], [0.5], [0.25], [0.25]])
+            agent = helpers.leaf(tape, [[0.5], [0.5], [0.25], [0.25]])
             out = op(tape, agent)
             tape.backward(ad.vsum(out * tape.const(weights)))
             values.append(out.value)
@@ -320,8 +320,7 @@ class TestRelativeConfig:
         sets = [[(0.58, 0.43, 0.16, 0.2), (0.9, 0.1, 0.1, 0.1)],
                 [(0.52, 0.48, 0.5, 0.6), (0.3, 0.74, 0.3, 0.1)],
                 [(0.49, 0.52, 0.1, 0.12), (0.55, 0.45, 0.2, 0.2)]]
-        regions = VideoRegions([RegionSet([Box(*b) for b in boxes], np.zeros((2, 1)))
-                                for boxes in sets])
+        regions = VideoRegions(np.array(sets), np.zeros((3, 2, 1)))
         agents = np.array([self.AGENT[:, 0], [0.45, 0.55, 0.3, 0.25], [0.5, 0.5, 0.4, 0.4]]).T.copy()
         weights = rng.normal(size=(9, 3, 2))
         check_gradient(
@@ -329,12 +328,12 @@ class TestRelativeConfig:
             agents)
         # column t and its gradient are those of frame t on its own
         tape = Tape()
-        batched = tape.leaf(agents)
+        batched = helpers.leaf(tape, agents)
         out = ad.relative_config(batched, regions)
         tape.backward(ad.vsum(out * tape.const(weights)))
         for t, boxes in enumerate(sets):
             single = Tape()
-            agent = single.leaf(agents[:, t:t + 1])
+            agent = helpers.leaf(single, agents[:, t:t + 1])
             frame_out = ad.relative_config(agent, one_frame(boxes))
             single.backward(ad.vsum(frame_out * single.const(weights[:, t:t + 1])))
             np.testing.assert_array_equal(out.value[:, t:t + 1], frame_out.value)
@@ -346,7 +345,7 @@ class TestRelativeConfig:
         tape = Tape()
         ad.relative_config(tape.const(self.AGENT), regions)
         assert tape.nodes == []
-        ad.relative_config(tape.leaf(self.AGENT), regions)
+        ad.relative_config(helpers.leaf(tape, self.AGENT), regions)
         assert len(tape.nodes) == 2  # the leaf and the op
 
 
@@ -359,7 +358,7 @@ class TestBoxTransform:
         out = ad.apply_box_transform(tape.const(self.BOXES), tape.const(c)).value
         for t in range(2):
             want = oracles.apply_box_transform(Box(*self.BOXES[:, t]), c[:, t])
-            np.testing.assert_allclose(out[:, t], want.as_array(), rtol=1e-15)
+            np.testing.assert_allclose(out[:, t], oracles.as_array(want), rtol=1e-15)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(42)

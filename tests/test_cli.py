@@ -1,10 +1,13 @@
+import importlib
 import inspect
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 
-from riskrnn import autodiff, data, nn, pipeline
+import riskrnn
+from riskrnn import pipeline
 from riskrnn.cli import main
 from riskrnn.config import RunConfig
 from riskrnn.evaluation import read_report
@@ -109,29 +112,55 @@ def test_a_split_without_positives_is_a_runtime_failure_naming_the_file(
         f"error: {bad}: no positive video among the {len(negatives)} test videos")
 
 
-# Reached only by callers outside src and tests, each named.
+# Reached only by callers outside the package's own run, each named. The
+# record views rebuild what the benchmark's data check compares record by
+# record; read_report stays beside write_report because the golden test,
+# which is kept as pinned, imports it from there.
 CALLED_OUTSIDE_THE_CLI = {
-    # the benchmark's data check compares read-back proposals record by record
     "riskrnn.data.ProposalSet.__getitem__": "bench/workloads.py::sample_mismatch",
+    "riskrnn.data.ProposalSet.__len__": "bench/workloads.py::sample_mismatch",
+    "riskrnn.data.VideoSample.frames": "bench/workloads.py::sample_mismatch and inspect_data",
+    "riskrnn.data.VideoSample.proposals": "bench/workloads.py::sample_mismatch and inspect_data",
+    "riskrnn.data.VideoSample.region_classes": "bench/workloads.py::sample_mismatch",
+    "riskrnn.data.VideoSample.targets": "bench/workloads.py::sample_mismatch",
+    "riskrnn.data._boxes": "the record views above",
+    "riskrnn.geometry.Box.__post_init__": "the record views above",
+    "riskrnn.model.AgentTracks.__len__": "bench/tracing.py::_forward",
+    "riskrnn.synthworld.verify_collision_predicate": "bench/workloads.py::inspect_data",
+    "riskrnn.evaluation.read_report": "tests/test_golden.py",
 }
 
 
-def test_the_cli_calls_every_autodiff_nn_and_data_function(tmp_path):
-    # these modules hold only what the program runs; a function, method or
-    # property that only tests reach belongs with the tests
-    defined = {fn.__code__: f"{module.__name__}.{name}" for module in (autodiff, nn, data)
-               for name, fn in vars(module).items()
-               if inspect.isfunction(fn) and fn.__module__ == module.__name__}
-    for module in (nn, data):
-        for owner, cls in vars(module).items():
-            if not (inspect.isclass(cls) and cls.__module__ == module.__name__):
+def package_functions() -> dict:
+    """The code of every function of the package's modules and of every
+    method and property of their classes, each with its dotted name."""
+    defined = {}
+    for info in pkgutil.iter_modules(riskrnn.__path__):
+        module = importlib.import_module(f"riskrnn.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
                 continue
-            for name, attr in vars(cls).items():
-                fn = attr.fget if isinstance(attr, property) else attr
-                # a dataclass's generated methods are compiled from strings,
-                # not from the module's file
-                if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
-                    defined[fn.__code__] = f"{module.__name__}.{owner}.{name}"
+            if inspect.isfunction(obj):
+                defined[obj.__code__] = f"{module.__name__}.{name}"
+            elif inspect.isclass(obj):
+                for attr_name, attr in vars(obj).items():
+                    fn = attr.fget if isinstance(attr, property) else getattr(
+                        attr, "__func__", attr)
+                    # a dataclass's generated methods are compiled from
+                    # strings, not from the module's file
+                    if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
+                        defined[fn.__code__] = f"{module.__name__}.{name}.{attr_name}"
+    return defined
+
+
+def test_the_cli_calls_every_autodiff_nn_and_data_function(tmp_path):
+    # named for the modules it first covered; it covers every module
+    # the package holds only what the program runs; a function, method or
+    # property that only tests reach belongs with the tests
+    defined = package_functions()
+    assert len({name.split(".")[1] for name in defined.values()}) >= 13
+    config = tmp_path / "run.cfg"
+    config.write_text("[splits]\nn_train = 2\nn_val = 2\nn_test = 4\n[training]\nepochs = 1\n")
     called = set()
 
     def profile(frame, event, arg):
@@ -141,14 +170,18 @@ def test_the_cli_calls_every_autodiff_nn_and_data_function(tmp_path):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        assert main(["generate", "--out", str(tmp_path), *TINY]) == 0
+        assert main(["generate", "--out", str(tmp_path), "--config", str(config)]) == 0
         models = []
         for variant in VARIANTS:
             code, model = train(tmp_path, tmp_path, variant)
             assert code == 0
             models += ["--model", str(model)]
-        assert main(["eval", "--data", str(tmp_path), *models,
-                     "--out", str(tmp_path / "report.txt"), *TINY]) == 0
+        assert main(["eval", "--data", str(tmp_path), *models, "--out",
+                     str(tmp_path / "report.txt"), "--riskmap-dir", str(tmp_path / "maps"),
+                     *TINY]) == 0
+        for command, out in (("infer", tmp_path / "infer.csv"), ("riskmap", tmp_path / "map")):
+            assert main([command, "--data", str(tmp_path), "--model", models[-1],
+                         "--out", str(out), *TINY]) == 0
     finally:
         sys.setprofile(previous)
     unreached = sorted(name for code, name in defined.items() if code not in called)

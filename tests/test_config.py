@@ -39,3 +39,7 @@ def test_every_scenario_field_reaches_scenario_config():
     scenario = dataclasses.replace(RunConfig(), **changed).scenario_config()
     assert scenario == ScenarioConfig(**changed)
     scenario.validate()
+
+
+def test_run_config_defaults_are_the_scenario_defaults():
+    assert RunConfig().scenario_config() == ScenarioConfig()

@@ -42,22 +42,36 @@ def imported_modules(module) -> set:
     return names
 
 
+# one video of CFG, cut to two frames, whose arrays a test replaces
+VIDEO = generate_split(CFG, 1, "val")[0]
+FRAME_KEYS = [key for key, (_, dims) in data._LAYOUT.items() if dims.startswith("VT")]
+
+
+def two_frames(**arrays) -> data.VideoSample:
+    cut = {key: getattr(VIDEO, key)[:2] for key in FRAME_KEYS}
+    return dataclasses.replace(VIDEO, t_accident=1, **{**cut, **arrays})
+
+
 class TestRecords:
     def test_fields_cannot_be_set(self, samples):
         s = samples[0]
-        for record, name in ((s, "proposals"), (s.targets, "t_accident"),
-                             (s.frames[0], "agent_box"), (s.frames[0].regions, "feats"),
+        for record, name in ((s, "proposal_box"), (s.targets, "t_accident"),
+                             (s.frames[0], "agent_box"), (s.frames[0], "region_feats"),
                              (s.proposals[0], "scores"), (s.proposals[0][0], "score")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, None)
 
     def test_a_negative_needs_an_empty_risky_entry_per_frame(self, samples):
-        b = samples[0].targets.agent_track[0]
-        with pytest.raises(ValueError, match="risky boxes have 0 entries for 2 frames"):
-            data.VideoTargets(False, None, (b, b), ()).validate(2)
-        negative = data.VideoTargets(False, None, (b, b), ((), ()))
-        negative.validate(2)
-        assert negative.risky_array().shape == (2, 0, 4)
+        positive, negative = samples[0], samples[1]
+        assert np.isnan(negative.risky_box).all()
+        negative.check()
+        assert negative.targets.risky_boxes == ((),) * negative.n_frames
+        risky = negative.risky_box.copy()
+        risky[2] = positive.risky_box[2]
+        with pytest.raises(ValueError, match=re.escape(
+                f"video {negative.video_id}: negative video needs no accident frame and no "
+                f"risky box, got accident frame -1 and 1 risky boxes")):
+            dataclasses.replace(negative, risky_box=risky).check()
 
     def test_data_layer_does_not_import_the_model(self):
         stdlib = set(sys.stdlib_module_names) | {"__future__"}
@@ -66,28 +80,74 @@ class TestRecords:
 
 
 finite = st.floats(-1e6, 1e6)
+sides = st.floats(0.0, 1e6, exclude_min=True)
 
 
 @st.composite
-def video_proposals(draw):
-    """A video's (T, M, 4) proposal boxes with positive sides, (T, M) scores
-    and (T, M, D) features."""
-    n_frames, n_proposals = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    dim = draw(st.integers(1, 4))
-    centers = draw(arrays(np.float64, (n_frames, n_proposals, 2), elements=finite))
-    sides = draw(arrays(np.float64, (n_frames, n_proposals, 2),
-                        elements=st.floats(0.0, 1e6, exclude_min=True)))
-    return (np.concatenate((centers, sides), axis=2),
-            draw(arrays(np.float64, (n_frames, n_proposals), elements=finite)),
-            draw(arrays(np.float64, (n_frames, n_proposals, dim), elements=finite)))
+def box_arrays(draw, shape):
+    """(*shape, 4) boxes with finite centers and positive sides."""
+    return np.concatenate((draw(arrays(np.float64, shape + (2,), elements=finite)),
+                           draw(arrays(np.float64, shape + (2,), elements=sides))), axis=-1)
+
+
+@st.composite
+def videos(draw):
+    """A video of small random sizes whose risky rows are boxes or NaN padding."""
+    n_frames, n_regions, n_proposals, n_risky, dim = (
+        draw(st.integers(lo, 3)) for lo in (1, 1, 1, 0, 1))
+    risky = draw(box_arrays((n_frames, n_risky)))
+    risky[draw(arrays(np.bool_, (n_frames, n_risky)))] = np.nan
+    t_accident = draw(st.integers(-1, n_frames - 1))
+    return data.VideoSample(
+        video_id=draw(st.text(max_size=5)), positive=t_accident >= 0, t_accident=t_accident,
+        agent_class=draw(st.integers(0, 9)),
+        region_class=draw(arrays(np.int64, n_regions, elements=st.integers(0, 9))),
+        agent_box=draw(box_arrays((n_frames,))),
+        agent_feat=draw(arrays(np.float64, (n_frames, dim), elements=finite)),
+        region_box=draw(box_arrays((n_frames, n_regions))),
+        region_feat=draw(arrays(np.float64, (n_frames, n_regions, dim), elements=finite)),
+        proposal_box=draw(box_arrays((n_frames, n_proposals))),
+        proposal_score=draw(arrays(np.float64, (n_frames, n_proposals), elements=finite)),
+        proposal_feat=draw(arrays(np.float64, (n_frames, n_proposals, dim), elements=finite)),
+        risky_box=risky)
+
+
+def fields(box) -> tuple:
+    return (box.cx, box.cy, box.w, box.h)
+
+
+class TestRecordViews:
+    @settings(max_examples=100, deadline=None)
+    @given(videos())
+    def test_the_views_are_the_array_rows(self, video):
+        frames, targets = video.frames, video.targets
+        assert len(frames) == len(targets.agent_track) == len(targets.risky_boxes) == \
+            video.n_frames
+        assert (targets.positive, targets.t_accident) == \
+            (video.positive, None if video.t_accident == -1 else video.t_accident)
+        assert video.region_classes == tuple(video.region_class)
+        for t, frame in enumerate(frames):
+            assert fields(frame.agent_box) == fields(targets.agent_track[t]) == \
+                tuple(video.agent_box[t])
+            assert [fields(box) for box in frame.region_boxes] == \
+                [tuple(row) for row in video.region_box[t]]
+            for got, want in ((frame.agent_feat, video.agent_feat[t]),
+                              (frame.region_feats, video.region_feat[t])):
+                assert np.shares_memory(got, want) and (got == want).all()
+            # the risky view keeps exactly the rows that are not NaN padding
+            assert [fields(box) for box in targets.risky_boxes[t]] == \
+                [tuple(row) for row in video.risky_box[t] if not np.isnan(row).all()]
 
 
 class TestProposalSet:
     @settings(max_examples=100, deadline=None)
-    @given(video_proposals())
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 5))).flatmap(
+        lambda tm: st.tuples(box_arrays(tm), arrays(np.float64, tm, elements=finite),
+                             arrays(np.float64, tm + (3,), elements=finite))))
     def test_records_are_built_from_the_array_rows(self, video):
         xywh, scores, feats = video
-        frames = data.proposal_frames(xywh, scores, feats)
+        frames = dataclasses.replace(VIDEO, proposal_box=xywh, proposal_score=scores,
+                                     proposal_feat=feats).proposals
         assert len(frames) == len(xywh)
         for t, proposals in enumerate(frames):
             for got, want in ((proposals.xywh, xywh), (proposals.scores, scores),
@@ -96,8 +156,7 @@ class TestProposalSet:
             records = list(proposals)
             assert len(records) == len(proposals) == xywh.shape[1]
             for i, record in enumerate(records):
-                box = record.box
-                assert (box.cx, box.cy, box.w, box.h) == tuple(xywh[t, i])
+                assert fields(record.box) == tuple(xywh[t, i])
                 assert type(record.score) is float and record.score == scores[t, i]
                 assert np.shares_memory(record.feat, feats) and (record.feat == feats[t, i]).all()
             assert proposals[-1].score == records[-1].score
@@ -105,18 +164,22 @@ class TestProposalSet:
                 proposals[len(records)]
 
     @pytest.mark.parametrize("part,index,value,named", [
-        ("xywh", (1, 2, 2), 0.0, "frame 1: proposal 2 has box [0.5, 0.5, 0.0, 0.25]"),
-        ("xywh", (0, 1, 3), -0.25, "frame 0: proposal 1 has box [0.5, 0.5, 0.25, -0.25]"),
-        ("xywh", (1, 0, 0), np.inf, "frame 1: proposal 0 has box [inf, 0.5, 0.25, 0.25]"),
-        ("scores", (0, 2), np.nan, "frame 0: proposal 2 has box [0.5, 0.5, 0.25, 0.25] "
-                                   "and score nan"),
+        ("proposal_box", (1, 2, 2), 0.0, "frame 1: proposal 2 has box [0.5, 0.5, 0.0, 0.25]"),
+        ("proposal_box", (0, 1, 3), -0.25,
+         "frame 0: proposal 1 has box [0.5, 0.5, 0.25, -0.25]"),
+        ("proposal_box", (1, 0, 0), np.inf,
+         "frame 1: proposal 0 has box [inf, 0.5, 0.25, 0.25]"),
+        ("proposal_score", (0, 2), np.nan, "frame 0: proposal 2 has box [0.5, 0.5, 0.25, 0.25] "
+                                           "and score nan"),
     ], ids=["zero width", "negative height", "infinite center", "NaN score"])
     def test_a_bad_proposal_names_its_frame(self, part, index, value, named):
-        video = dict(xywh=np.tile([0.5, 0.5, 0.25, 0.25], (2, 3, 1)), scores=np.ones((2, 3)),
-                     feats=np.zeros((2, 3, 1)))
-        video[part][index] = value
-        with pytest.raises(ValueError, match="^" + re.escape(named)):
-            data.proposal_frames(**video)
+        proposals = dict(proposal_box=np.tile([0.5, 0.5, 0.25, 0.25], (2, 3, 1)),
+                         proposal_score=np.ones((2, 3)), proposal_feat=np.zeros((2, 3, 1)))
+        video = two_frames(**proposals)
+        video.check()
+        proposals[part][index] = value
+        with pytest.raises(ValueError, match=re.escape(f"video {VIDEO.video_id}: {named}")):
+            video.check()
 
 
 class TestFileLayout:
@@ -130,9 +193,9 @@ class TestFileLayout:
         assert np.isnan(risky[1]).all() and not np.isnan(risky[[0, 2]]).any()
 
     def test_videos_must_share_their_sizes(self, tmp_path, samples):
-        short = dataclasses.replace(samples[1], proposals=tuple(
-            data.ProposalSet(ps.xywh[:-1], ps.scores[:-1], ps.feats[:-1])
-            for ps in samples[1].proposals))
+        short = dataclasses.replace(samples[1], proposal_box=samples[1].proposal_box[:, :-1],
+                                    proposal_score=samples[1].proposal_score[:, :-1],
+                                    proposal_feat=samples[1].proposal_feat[:, :-1])
         with pytest.raises(ValueError, match="proposal_box has shape"):
             write_dataset(tmp_path / "bad.dat", [samples[0], short])
 
@@ -158,7 +221,12 @@ CORRUPTIONS = {
         p, lambda a: a.update(region_class=a["region_class"][:, :-1])),
     "invalid box": lambda p: _rewrite(
         p, lambda a: a["agent_box"].__setitem__((1, 2, 2), -0.5)),
+    "no frames": lambda p: _rewrite(
+        p, lambda a: a.update({key: a[key][:, :0] for key in FRAME_KEYS})),
+    "no proposals": lambda p: _rewrite(
+        p, lambda a: a.update({key: a[key][:, :, :0] for key in PROPOSAL_KEYS})),
 }
+PROPOSAL_KEYS = ("proposal_box", "proposal_score", "proposal_feat")
 # key and index of the value set, the value; the index names the video, the
 # frame and the proposal
 PROPOSAL_FAULTS = {
@@ -166,13 +234,22 @@ PROPOSAL_FAULTS = {
     "infinite proposal center": ("proposal_box", (0, 3, 4, 1), -np.inf),
     "NaN proposal score": ("proposal_score", (2, 1, 5), np.nan),
 }
+# the same, and what the row is called; the index names the video, the frame
+# and the row
+ROW_FAULTS = {
+    "NaN agent feature": ("agent_feat", (1, 2, 4), np.nan, "agent"),
+    "NaN region feature": ("region_feat", (0, 3, 2, 0), np.nan, "region"),
+    "infinite proposal feature": ("proposal_feat", (2, 0, 4, 3), np.inf, "proposal"),
+    "risky box with a NaN center": ("risky_box", (2, 1, 0, 0), np.nan, "risky box"),
+}
 
 
-def _set_proposal_value(key, index, value):
+def _set_value(key, index, value, *_):
     return lambda p: _rewrite(p, lambda a: a[key].__setitem__(index, value))
 
 
-CORRUPTIONS.update({name: _set_proposal_value(*fault) for name, fault in PROPOSAL_FAULTS.items()})
+CORRUPTIONS.update({name: _set_value(*fault) for name, fault in PROPOSAL_FAULTS.items()})
+CORRUPTIONS.update({name: _set_value(*fault) for name, fault in ROW_FAULTS.items()})
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
@@ -184,11 +261,24 @@ def test_malformed_file_raises_value_error_naming_it(dataset, corrupt):
 
 @pytest.mark.parametrize("key,index,value", PROPOSAL_FAULTS.values(), ids=PROPOSAL_FAULTS.keys())
 def test_a_bad_proposal_names_the_file_the_video_and_the_frame(dataset, key, index, value):
-    _set_proposal_value(key, index, value)(dataset)
+    _set_value(key, index, value)(dataset)
     with pytest.raises(ValueError, match=re.escape(f"{dataset}: ")) as err:
         read_dataset(dataset)
     video, frame, proposal = index[:3]
     assert f"video val-{video:05d}: frame {frame}: proposal {proposal} has box " in str(err.value)
+
+
+@pytest.mark.parametrize("fault", ROW_FAULTS.values(), ids=ROW_FAULTS.keys())
+def test_a_bad_row_names_the_file_the_video_the_frame_and_the_row(dataset, fault):
+    # before the video check, each of these read without complaint: a NaN
+    # feature went on into the metrics, and the risky row counted as padding
+    key, index, value, what = fault
+    _set_value(*fault)(dataset)
+    with pytest.raises(ValueError, match=re.escape(f"{dataset}: ")) as err:
+        read_dataset(dataset)
+    video, frame = index[:2]
+    row = index[2] if len(index) == 4 else 0
+    assert f"video val-{video:05d}: frame {frame}: {what} {row} has box " in str(err.value)
 
 
 def _copy_risky_box(a, src, dst):

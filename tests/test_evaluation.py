@@ -7,9 +7,10 @@ from riskrnn.evaluation import (REGION_IOU_THRESHOLD, VideoPrediction, average_p
                                 match_frame_detections, oracle_region_average_precision,
                                 region_average_precision, region_overlaps, risk_map_raster,
                                 tta_atta)
-from riskrnn.geometry import Box, iou, stack_boxes
+from riskrnn.geometry import Box, iou
 
 import oracles
+from oracles import as_array, stack_boxes
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False)
 labelled = st.lists(st.tuples(unit_floats, st.booleans()), min_size=1, max_size=60).filter(
@@ -132,9 +133,9 @@ class TestMatchFrameDetections:
         # overlaps only the first ground truth, which is left to it
         first, second = Box(0.4375, 0.5, 0.25, 0.25), Box(0.5625, 0.5, 0.25, 0.25)
         strong = Box(0.5, 0.5, 0.25, 0.25)
-        assert iou(strong.as_array(), first.as_array()) == iou(strong.as_array(),
-                                                               second.as_array()) == 0.6
-        assert iou(first.as_array(), second.as_array()) < 0.4
+        assert iou(as_array(strong), as_array(first)) == iou(as_array(strong),
+                                                             as_array(second)) == 0.6
+        assert iou(as_array(first), as_array(second)) < 0.4
         got = match_frame_detections(np.array([0.8, 0.9]),
                                      frame_overlaps([first, strong], [first, second]))
         assert got.tolist() == [True, True]
@@ -211,15 +212,31 @@ class TestOracleRegionAp:
             assert oracle_region_average_precision(missed) == 0.0
 
 
+scored_boxes = st.lists(st.tuples(st.builds(Box, st.floats(-0.5, 1.5), st.floats(-0.5, 1.5),
+                                            st.floats(1e-3, 2.0), st.floats(1e-3, 2.0)),
+                                  unit_floats), max_size=8)
+# dyadic edges on power-of-two grids put box edges on cell centers
+sixteenths = st.integers(1, 16).map(lambda k: k / 16)
+dyadic_scored_boxes = st.lists(st.tuples(st.builds(Box, sixteenths, sixteenths, sixteenths,
+                                                   sixteenths), unit_floats), max_size=8)
+
+
 class TestRiskMapRaster:
     @settings(deadline=None)
-    @given(st.lists(st.tuples(st.builds(Box, st.floats(-0.5, 1.5), st.floats(-0.5, 1.5),
-                                        st.floats(1e-3, 2.0), st.floats(1e-3, 2.0)),
-                              unit_floats), max_size=8),
-           st.integers(1, 16), st.integers(1, 16))
+    @given(scored_boxes, st.integers(1, 16), st.integers(1, 16))
     def test_values_lie_in_the_unit_interval(self, scored, grid_w, grid_h):
-        boxes = [box for box, _ in scored]
+        boxes = stack_boxes(box for box, _ in scored)
         scores = [score for _, score in scored]
         values = risk_map_raster(boxes, scores, grid_w, grid_h).values
         assert values.shape == (grid_h, grid_w)
         assert np.all((values >= 0.0) & (values <= 1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_boxes | dyadic_scored_boxes, st.sampled_from([1, 4, 8, 16]),
+           st.integers(1, 16))
+    def test_equals_the_per_box_reference_bit_for_bit(self, scored, grid_w, grid_h):
+        boxes = stack_boxes(box for box, _ in scored)
+        scores = np.array([score for _, score in scored])
+        got = risk_map_raster(boxes, scores, grid_w, grid_h).values
+        want = oracles.risk_map_raster(scored, grid_w, grid_h)
+        assert got.tobytes() == want.tobytes()

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from riskrnn.autodiff import Tape
-from riskrnn.data import VideoTargets
-from riskrnn.geometry import Box, encode_box_transform, iou, stack_boxes
+from riskrnn.geometry import Box, encode_box_transform, iou
 import riskrnn.autodiff as ad
-from riskrnn.losses import (anticipation_loss, anticipation_weights, region_labels,
-                            region_loss, total_loss, transform_loss, transform_targets)
+from riskrnn.losses import (SequenceTargets, anticipation_loss, anticipation_weights,
+                            region_labels, region_loss, total_loss, transform_loss,
+                            transform_targets)
 from riskrnn.model import RiskModel, forward_video, variant_config
 
 import oracles
-from helpers import (TINY_CONFIG, agent_tracks, loss_targets, random_box, random_frames,
-                     random_targets, tiny_model)
+from oracles import as_array, stack_boxes
+from helpers import (TINY_CONFIG, agent_tracks, leaf, random_box, random_targets, random_video,
+                     tiny_model)
 
 
 def prob_nodes(tape, values):
@@ -55,7 +56,7 @@ class TestRegionLabels:
         # leave the region unlabeled
         region = Box(0.25, 0.25, 0.5, 0.5)
         gt = Box(0.125, 0.25, 0.75, 0.25)
-        assert iou(region.as_array(), gt.as_array()) == 0.4
+        assert iou(as_array(region), as_array(gt)) == 0.4
         assert frame_labels([region], [gt]).tolist() == [0.0]
 
     def test_negative_video_all_zero(self):
@@ -73,14 +74,16 @@ class TestRegionLabels:
 
     def test_each_frame_against_its_own_risky_boxes_as_the_scalar_reference(self):
         rng = np.random.default_rng(7)
-        regions = [[random_box(rng) for _ in range(5)] for _ in range(4)]
+        regions = np.array([[random_box(rng) for _ in range(5)] for _ in range(4)])
         # frames 1 and 3 hold one of their own regions; the NaN rows that pad
         # frames 0, 2 and 3 to two risky boxes overlap nothing
         risky = [[random_box(rng)], [random_box(rng), regions[1][0]], [], [regions[3][2]]]
-        targets = VideoTargets(True, 3, [b[0] for b in regions], risky)
-        got = region_labels(np.stack([stack_boxes(r) for r in regions]), targets.risky_array())
-        want = [[float(any(oracles.iou(box, gt) > 0.4 for gt in gts)) for box in boxes]
-                for boxes, gts in zip(regions, risky)]
+        padded = np.full((4, 2, 4), np.nan)
+        for t, rows in enumerate(risky):
+            padded[t, :len(rows)] = np.reshape(rows, (-1, 4))
+        got = region_labels(regions, padded)
+        want = [[float(any(oracles.iou(box, gt) > 0.4 for gt in oracles.boxes(gts)))
+                 for box in oracles.boxes(boxes)] for boxes, gts in zip(regions, risky)]
         assert got.tolist() == want
         assert got[1, 0] == got[3, 2] == 1.0
 
@@ -166,23 +169,24 @@ class TestTransformLoss:
         track = self.track(4)
         c = np.zeros((4, 4))
         for t in range(3):
-            c[:, t] = encode_box_transform(track[t].as_array(), track[t + 1].as_array())
+            c[:, t] = encode_box_transform(as_array(track[t]), as_array(track[t + 1]))
         c[:, 3] = 5.0  # the last frame has no target
-        loss = transform_loss(tape, tape.const(c), *transform_targets(track, horizon=1))
+        loss = transform_loss(tape, tape.const(c),
+                              *transform_targets(stack_boxes(track), horizon=1))
         assert summed(loss) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_half_unit_error(self):
         tape = Tape()
         track = [Box(0.5, 0.5, 0.1, 0.1)] * 2
         c = tape.const([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        loss = transform_loss(tape, c, *transform_targets(track, horizon=1))
+        loss = transform_loss(tape, c, *transform_targets(stack_boxes(track), horizon=1))
         assert summed(loss) == pytest.approx(0.125, abs=1e-12)
 
     def test_static_track_zero_transform(self):
         tape = Tape()
         track = [Box(0.5, 0.5, 0.1, 0.1)] * 5
         loss = transform_loss(tape, tape.const(np.zeros((4, 5))),
-                              *transform_targets(track, horizon=2))
+                              *transform_targets(stack_boxes(track), horizon=2))
         assert summed(loss) == 0.0
 
     def test_tail_frames_skipped(self):
@@ -190,8 +194,8 @@ class TestTransformLoss:
         track = self.track(3)
         # only frame 0 has a target at horizon 2; frames 1, 2 contribute nothing
         c = np.array([[0.0, 9.0, 9.0], [0.0, 9.0, 9.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        with_tail = tape.leaf(c)
-        target, has_target = transform_targets(track, horizon=2)
+        with_tail = leaf(tape, c)
+        target, has_target = transform_targets(stack_boxes(track), horizon=2)
         assert has_target.tolist() == [True, False, False]
         loss = transform_loss(tape, with_tail, target, has_target)
         only_first = transform_loss(tape, tape.const(c[:, :1]), target[:, :1], has_target[:1])
@@ -204,10 +208,10 @@ class TestTransformLoss:
         # reads the transform targets
         cfg = variant_config(TINY_CONFIG, "RA")
         rng = np.random.default_rng(8)
-        frames = random_frames(rng, cfg, 3, 2)
-        seq = loss_targets(frames, random_targets(rng, frames, positive=True), cfg.horizon)
+        sample = random_targets(rng, random_video(rng, cfg, 3, 2), positive=True)
+        seq = SequenceTargets.of(sample, cfg.horizon)
         tape = Tape()
-        out = forward_video(RiskModel.create(cfg, seed=8).store, cfg, agent_tracks(frames), tape)
+        out = forward_video(RiskModel.create(cfg, seed=8).store, cfg, agent_tracks(sample), tape)
         assert out.c_node is None
         garbled = replace(seq, transforms=np.full_like(seq.transforms, np.nan))
         assert (float(total_loss(tape, out, [garbled], (1.0,)).total.value)
@@ -219,15 +223,13 @@ class TestTotalLoss:
         cfg = variant_config(TINY_CONFIG, "L-RA")
         model = RiskModel.create(cfg, seed=3)
         rng = np.random.default_rng(3)
-        frames = random_frames(rng, cfg, 4, 3)
-        targets = random_targets(rng, frames, positive=True)
+        sample = random_targets(rng, random_video(rng, cfg, 4, 3), positive=True)
         tape = Tape(train=False)
-        inputs = agent_tracks(frames)
+        inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, out, [loss_targets(frames, targets, cfg.horizon)], (1.0,))
-        labels = region_labels(np.stack([f.regions.xywh for f in frames]),
-                               targets.risky_array())
-        weights = anticipation_weights(True, targets.t_accident, len(frames))
+        total = total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)], (1.0,))
+        labels = region_labels(sample.region_box, sample.risky_box)
+        weights = anticipation_weights(True, sample.t_accident, sample.n_frames)
         want = (summed(anticipation_loss(tape, out.y_node, weights))
                 + summed(region_loss(tape, out.s_node, labels)))
         assert float(total.total.value) == pytest.approx(want, rel=1e-12)
@@ -240,41 +242,38 @@ class TestTotalLoss:
         model = tiny_model(4)
         model.store["imagine_head_W"].values[...] = 0.0
         rng = np.random.default_rng(4)
-        frames = random_frames(rng, cfg, 3, 3)
-        targets = random_targets(rng, frames, positive=False)
+        sample = random_targets(rng, random_video(rng, cfg, 3, 3), positive=False)
         tape = Tape(train=False)
-        inputs = agent_tracks(frames)
+        inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, out, [loss_targets(frames, targets, cfg.horizon)],
-                           cfg.lambdas)
-        labels = [[0.0] * 3 for _ in frames]
-        weights = anticipation_weights(False, None, len(frames))
+        total = total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)], cfg.lambdas)
+        labels = [[0.0] * 3] * sample.n_frames
+        weights = anticipation_weights(False, None, sample.n_frames)
         obs = (summed(anticipation_loss(tape, out.y_node, weights))
                + summed(region_loss(tape, out.s_node, labels)))
         imag = (summed(anticipation_loss(tape, out.imagined[0].y_node, weights))
                 + summed(region_loss(tape, out.imagined[0].s_node, labels)))
         lp = summed(transform_loss(tape, out.c_node,
-                                   *transform_targets(targets.agent_track, cfg.horizon)))
+                                   *transform_targets(sample.agent_box, cfg.horizon)))
         assert float(total.total.value) == pytest.approx(lp + 0.6 * obs + 0.4 * imag,
                                                          rel=1e-12)
 
     def test_lambda_mismatch_rejected(self):
         model = tiny_model(5)
         rng = np.random.default_rng(5)
-        frames = random_frames(rng, TINY_CONFIG, 2, 3)
-        targets = random_targets(rng, frames, positive=False)
+        sample = random_targets(rng, random_video(rng, TINY_CONFIG, 2, 3), positive=False)
         tape = Tape(train=False)
-        out = forward_video(model.store, TINY_CONFIG, agent_tracks(frames), tape)
+        out = forward_video(model.store, TINY_CONFIG, agent_tracks(sample), tape)
         with pytest.raises(ValueError):
-            total_loss(tape, out, [loss_targets(frames, targets, TINY_CONFIG.horizon)], (1.0,))
+            total_loss(tape, out, [SequenceTargets.of(sample, TINY_CONFIG.horizon)], (1.0,))
 
     def test_gradient_matches_finite_differences(self):
         from helpers import finite_diff_check, gradcheck_fixture
         model = tiny_model(6)
         rng = np.random.default_rng(6)
-        frames, targets = gradcheck_fixture(rng, TINY_CONFIG, 2, 3, positive=True)
-        inputs = agent_tracks(frames)
-        seq = [loss_targets(frames, targets, TINY_CONFIG.horizon)]
+        sample = gradcheck_fixture(rng, TINY_CONFIG, 2, 3, positive=True)
+        inputs = agent_tracks(sample)
+        seq = [SequenceTargets.of(sample, TINY_CONFIG.horizon)]
 
         def make_loss():
             tape = Tape()
@@ -284,7 +283,9 @@ class TestTotalLoss:
         assert finite_diff_check(model.store, make_loss) < 1e-4
 
     def test_targets_validation(self):
-        with pytest.raises(ValueError):
-            VideoTargets(True, None, [Box(0.5, 0.5, 0.1, 0.1)], [[]]).validate(1)
-        with pytest.raises(ValueError):
-            VideoTargets(False, None, [], []).validate(2)
+        sample = random_video(np.random.default_rng(9), TINY_CONFIG, 2, 3)
+        sample.check()
+        with pytest.raises(ValueError, match="positive video needs an accident frame"):
+            replace(sample, positive=True).check()
+        with pytest.raises(ValueError, match="negative video needs no accident frame"):
+            replace(sample, risky_box=sample.region_box[:, :1]).check()

@@ -6,9 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
-from riskrnn.data import FrameInput, RegionSet, VideoTargets
-from riskrnn.geometry import Box, stack_boxes
-from riskrnn.losses import total_loss
+from riskrnn.geometry import Box
+from riskrnn.losses import SequenceTargets, total_loss
 from riskrnn.model import (ModelConfig, RiskModel, VideoRegions,
                            agent_rnn_step, anticipate_step, forward_video,
                            fuse_predictions, imagine_location, param_specs,
@@ -16,18 +15,23 @@ from riskrnn.model import (ModelConfig, RiskModel, VideoRegions,
 from riskrnn.nn import LstmState, lstm_step
 
 import oracles
-from helpers import (TINY_CONFIG, agent_tracks, loss_targets, random_box, random_frames,
-                     random_targets, tiny_model, zeroed_model)
+from helpers import (TINY_CONFIG, agent_tracks, random_box, random_targets, random_video,
+                     tiny_model, video, zeroed_model)
+
+
+def random_regions(rng, n_frames, n_regions, d_feat):
+    """(T, N, 4) region boxes and (T, N, D) features, drawn frame by frame."""
+    frames = [([random_box(rng) for _ in range(n_regions)], rng.normal(size=(n_regions, d_feat)))
+              for _ in range(n_frames)]
+    return tuple(np.array(part) for part in zip(*frames))
 
 
 def video_regions(rng, n_frames, n_regions, d_feat):
-    return VideoRegions([RegionSet([random_box(rng) for _ in range(n_regions)],
-                                   rng.normal(size=(n_regions, d_feat)))
-                         for _ in range(n_frames)])
+    return VideoRegions(*random_regions(rng, n_frames, n_regions, d_feat))
 
 
 def box_columns(boxes):
-    return stack_boxes(boxes).T
+    return np.array(boxes).reshape(-1, 4).T
 
 
 class TestConfig:
@@ -65,23 +69,24 @@ class TestTapeGeometry:
         rng = np.random.default_rng(21)
         for _ in range(30):
             agent = random_box(rng)
-            regions = RegionSet([random_box(rng) for _ in range(5)],
-                                rng.normal(size=(5, 3)))
+            region_box, region_feat = random_regions(rng, 1, 5, 3)
             tape = Tape()
-            got = ad.relative_config(tape.const(box_columns([agent])), VideoRegions([regions]))
-            want = np.stack([oracles.relative_config(agent, r)
-                             for r in regions.boxes], axis=1)
+            got = ad.relative_config(tape.const(box_columns([agent])),
+                                     VideoRegions(region_box, region_feat))
+            want = np.stack([oracles.relative_config(Box(*agent), r)
+                             for r in oracles.boxes(region_box[0])], axis=1)
             np.testing.assert_allclose(got.value[:, 0], want, rtol=1e-12, atol=1e-12)
 
     def test_batched_relative_config_column_is_the_frame(self):
         rng = np.random.default_rng(22)
-        sets = [RegionSet([random_box(rng) for _ in range(4)], rng.normal(size=(4, 3)))
-                for _ in range(6)]
-        agents = [random_box(rng) for _ in sets]
-        got = ad.relative_config(Tape().const(box_columns(agents)), VideoRegions(sets))
+        region_box, region_feat = random_regions(rng, 6, 4, 3)
+        agents = [random_box(rng) for _ in region_box]
+        got = ad.relative_config(Tape().const(box_columns(agents)),
+                                 VideoRegions(region_box, region_feat))
         assert got.value.shape == (9, 6, 4)
-        for t, (agent, regions) in enumerate(zip(agents, sets)):
-            want = np.stack([oracles.relative_config(agent, r) for r in regions.boxes], axis=1)
+        for t, (agent, regions) in enumerate(zip(agents, region_box)):
+            want = np.stack([oracles.relative_config(Box(*agent), r)
+                             for r in oracles.boxes(regions)], axis=1)
             np.testing.assert_allclose(got.value[:, t], want, rtol=1e-12, atol=1e-12)
 
     def test_box_transform_matches_scalar_version(self):
@@ -122,11 +127,11 @@ class TestScoreRegions:
     def test_identical_regions_get_identical_scores(self):
         model = tiny_model(3)
         rng = np.random.default_rng(2)
-        sets = []
+        frames = []
         for _ in range(3):
             box, feat = random_box(rng), rng.normal(size=TINY_CONFIG.d_region)
-            sets.append(RegionSet([box, box], np.stack([feat, feat])))
-        regions = VideoRegions(sets)
+            frames.append(([box, box], [feat, feat]))
+        regions = VideoRegions(*(np.array(part) for part in zip(*frames)))
         tape = Tape()
         u = ad.relative_config(tape.const(box_columns([random_box(rng) for _ in range(3)])),
                                regions)
@@ -151,15 +156,15 @@ class TestPoolRegions:
     def test_single_region_full_weight(self):
         rng = np.random.default_rng(4)
         feats = rng.normal(size=(2, 4))
-        regions = VideoRegions([RegionSet([random_box(rng)], f[None, :]) for f in feats])
+        regions = VideoRegions(np.array([[random_box(rng)] for _ in feats]), feats[:, None])
         tape = Tape()
         out = pool_regions(tape, tape.const(np.ones((2, 1))), regions)
         np.testing.assert_allclose(out.value, feats.T)
 
     def test_hand_weighted_sum(self):
         rng = np.random.default_rng(5)
-        regions = VideoRegions([RegionSet([random_box(rng), random_box(rng)],
-                                          np.array([[1.0, 0.0], [0.0, 1.0]]))] * 2)
+        regions = VideoRegions(np.array([[random_box(rng), random_box(rng)]] * 2),
+                               np.array([[[1.0, 0.0], [0.0, 1.0]]] * 2))
         tape = Tape()
         out = pool_regions(tape, tape.const([[0.5, 0.5], [1.0, 0.25]]), regions)
         np.testing.assert_allclose(out.value, [[0.5, 1.0], [0.5, 0.25]])
@@ -223,7 +228,7 @@ class TestImagination:
         model = tiny_model(9)
         model.store["imagine_head_W"].values[...] = 0.0
         rng = np.random.default_rng(9)
-        out = model.forward_video(agent_tracks(random_frames(rng, TINY_CONFIG, 3, 4)))
+        out = model.forward_video(agent_tracks(random_video(rng, TINY_CONFIG, 3, 4)))
         np.testing.assert_allclose(out.imagined[0].s, out.s, atol=1e-12)
 
     def test_zero_head_reassessment_memoryless_reproduces_y(self):
@@ -234,7 +239,7 @@ class TestImagination:
         model = RiskModel.create(cfg, seed=9)
         model.store["imagine_head_W"].values[...] = 0.0
         rng = np.random.default_rng(9)
-        out = model.forward_video(agent_tracks(random_frames(rng, cfg, 3, 4)))
+        out = model.forward_video(agent_tracks(random_video(rng, cfg, 3, 4)))
         np.testing.assert_allclose(out.imagined[0].y, out.y, atol=1e-12)
         np.testing.assert_allclose(out.imagined[0].s, out.s, atol=1e-12)
 
@@ -243,9 +248,9 @@ class TestImagination:
         cfg_off = variant_config(TINY_CONFIG, "L-RA")
         model = tiny_model(10)
         rng = np.random.default_rng(10)
-        frames = random_frames(rng, cfg_on, 4, 3)
-        on = forward_video(model.store, cfg_on, agent_tracks(frames), Tape(train=False))
-        off = forward_video(model.store, cfg_off, agent_tracks(frames), Tape(train=False))
+        sample = random_video(rng, cfg_on, 4, 3)
+        on = forward_video(model.store, cfg_on, agent_tracks(sample), Tape(train=False))
+        off = forward_video(model.store, cfg_off, agent_tracks(sample), Tape(train=False))
         assert np.array_equal(on.y, off.y)
         assert np.array_equal(on.s, off.s)
 
@@ -256,10 +261,10 @@ class TestImagination:
                           horizon=1, imagine_steps=2, lambdas=(0.5, 0.3, 0.2))
         model = RiskModel.create(cfg, seed=11)
         rng = np.random.default_rng(11)
-        frames = random_frames(rng, cfg, 2, 3)
-        out = model.forward_video(agent_tracks(frames))
+        sample = random_video(rng, cfg, 2, 3)
+        out = model.forward_video(agent_tracks(sample))
         assert len(out.imagined) == 2
-        for t, ref in enumerate(oracles.forward(model.store, cfg, frames)):
+        for t, ref in enumerate(oracles.forward(model.store, cfg, sample)):
             first, second = ref["hops"]
             assert second[0] != first[0]  # the hops moved the box twice
             np.testing.assert_allclose(out.imagined[1].s[t], second[2], rtol=1e-12, atol=1e-12)
@@ -299,40 +304,30 @@ class TestForwardVideo:
     def test_zero_model_single_frame(self):
         model = zeroed_model(TINY_CONFIG)
         rng = np.random.default_rng(13)
-        out = model.forward_video(agent_tracks(random_frames(rng, TINY_CONFIG, 1, 4)))
+        out = model.forward_video(agent_tracks(random_video(rng, TINY_CONFIG, 1, 4)))
         np.testing.assert_allclose(out.y, [[0.5, 0.5]])
         np.testing.assert_allclose(out.s, np.full((1, 4), 0.5))
 
     def test_empty_video_rejected(self):
         with pytest.raises(ValueError, match="at least one frame"):
-            VideoRegions([])
-
-    def test_frames_need_one_region_count(self):
-        rng = np.random.default_rng(14)
-        frames = random_frames(rng, TINY_CONFIG, 2, 3) + random_frames(rng, TINY_CONFIG, 1, 4)
-        with pytest.raises(ValueError, match="frame 2 has 4 regions"):
-            tiny_model(14).forward_video(agent_tracks(frames))
+            VideoRegions(np.empty((0, 3, 4)), np.empty((0, 3, 2)))
 
     def test_frame_count_preserved(self):
         model = tiny_model(14)
         rng = np.random.default_rng(14)
-        out = model.forward_video(agent_tracks(random_frames(rng, TINY_CONFIG, 5, 3)))
+        out = model.forward_video(agent_tracks(random_video(rng, TINY_CONFIG, 5, 3)))
         assert out.y.shape == out.y_fused.shape == (5, 2)
         assert out.s.shape == out.s_fused.shape == (5, 3)
 
     def test_region_permutation_equivariance(self):
         model = tiny_model(15)
         rng = np.random.default_rng(15)
-        frames = random_frames(rng, TINY_CONFIG, 3, 6)
+        sample = random_video(rng, TINY_CONFIG, 3, 6)
         perm = rng.permutation(6)
-        frames_p = [
-            FrameInput(f.agent_feat, f.agent_box,
-                       RegionSet([f.region_boxes[i] for i in perm],
-                                 f.region_feats[perm]))
-            for f in frames
-        ]
-        a = model.forward_video(agent_tracks(frames))
-        b = model.forward_video(agent_tracks(frames_p))
+        permuted = replace(sample, region_box=sample.region_box[:, perm],
+                           region_feat=sample.region_feat[:, perm])
+        a = model.forward_video(agent_tracks(sample))
+        b = model.forward_video(agent_tracks(permuted))
         np.testing.assert_allclose(b.s, a.s[:, perm], rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.y, a.y, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b.y_fused, a.y_fused, rtol=0, atol=1e-12)
@@ -341,7 +336,7 @@ class TestForwardVideo:
         rng = np.random.default_rng(16)
         for trial in range(25):
             model = tiny_model(100 + trial)
-            out = model.forward_video(agent_tracks(random_frames(rng, TINY_CONFIG, 2, 3)))
+            out = model.forward_video(agent_tracks(random_video(rng, TINY_CONFIG, 2, 3)))
             assert np.all(np.abs(out.y.sum(axis=1) - 1.0) <= 1e-12)
             assert np.all(np.abs(out.y_fused.sum(axis=1) - 1.0) <= 1e-12)
             assert np.all((out.s > 0.0) & (out.s < 1.0))
@@ -353,29 +348,23 @@ class TestForwardVideo:
         model.store["agent_rnn_W"].values[:, cfg.d_agent:cfg.d_agent + 4] = 0.0
         rng = np.random.default_rng(17)
 
-        def dyadic_box(shift=0.0):
-            cx = rng.integers(16, 48) / 64.0 + shift
-            cy = rng.integers(16, 48) / 64.0 + shift
-            w = rng.integers(4, 16) / 64.0
-            h = rng.integers(4, 16) / 64.0
-            return Box(cx, cy, w, h)
+        def dyadic_box():
+            return np.array([rng.integers(16, 48) / 64.0, rng.integers(16, 48) / 64.0,
+                             rng.integers(4, 16) / 64.0, rng.integers(4, 16) / 64.0])
 
         state = np.random.default_rng(18)
-        frames, moved = [], []
-        shift = 0.25
+        frames = []
         for _ in range(3):
             agent = dyadic_box()
             boxes = [dyadic_box() for _ in range(4)]
             feats = state.normal(size=(4, cfg.d_region))
-            agent_feat = state.normal(size=cfg.d_agent)
-            frames.append(FrameInput(agent_feat, agent, RegionSet(boxes, feats)))
-            moved.append(FrameInput(
-                agent_feat,
-                Box(agent.cx + shift, agent.cy + shift, agent.w, agent.h),
-                RegionSet([Box(b.cx + shift, b.cy + shift, b.w, b.h) for b in boxes],
-                          feats)))
-        a = model.forward_video(agent_tracks(frames))
-        b = model.forward_video(agent_tracks(moved))
+            frames.append((agent, state.normal(size=cfg.d_agent), boxes, feats))
+        agent_box, agent_feat, region_box, region_feat = map(np.array, zip(*frames))
+        shift = np.array([0.25, 0.25, 0.0, 0.0])
+        a = model.forward_video(agent_tracks(video(agent_box, agent_feat, region_box,
+                                                   region_feat)))
+        b = model.forward_video(agent_tracks(video(agent_box + shift, agent_feat,
+                                                   region_box + shift, region_feat)))
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.s, b.s)
 
@@ -396,15 +385,14 @@ class TestMatchesPerFrameReference:
                                      lambdas=lambdas), variant)
         rng = np.random.default_rng(seed)
         model = RiskModel.create(cfg, seed=seed)
-        frames = random_frames(rng, cfg, n_frames, n_regions)
-        targets = random_targets(rng, frames, positive)
+        sample = random_targets(rng, random_video(rng, cfg, n_frames, n_regions), positive)
         tape = Tape()
-        inputs = agent_tracks(frames)
+        inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        loss = total_loss(tape, out, [loss_targets(frames, targets, cfg.horizon)],
+        loss = total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)],
                           cfg.lambdas).total
-        ref = oracles.forward(model.store, cfg, frames)
-        ref_loss = oracles.total_loss(cfg, frames, ref, targets)
+        ref = oracles.forward(model.store, cfg, sample)
+        ref_loss = oracles.total_loss(cfg, sample, ref)
 
         def close(got, want):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -438,9 +426,12 @@ class TestTracksAsColumns:
                                      lambdas=lambdas), variant)
         rng = np.random.default_rng(seed)
         model = RiskModel.create(cfg, seed=seed)
-        shared = random_frames(rng, cfg, n_frames, n_regions)
-        tracks = [[FrameInput(rng.normal(size=cfg.d_agent), random_box(rng), frame.regions)
-                   for frame in shared] for _ in range(n_tracks)]
+        shared = random_video(rng, cfg, n_frames, n_regions)
+        tracks = []
+        for _ in range(n_tracks):
+            frames = [(rng.normal(size=cfg.d_agent), random_box(rng)) for _ in range(n_frames)]
+            agent_feat, agent_box = map(np.array, zip(*frames))
+            tracks.append(replace(shared, agent_box=agent_box, agent_feat=agent_feat))
         out = forward_video(model.store, cfg, agent_tracks(*tracks), Tape(train=False))
 
         def close(got, want):
@@ -460,15 +451,15 @@ class TestTracksAsColumns:
                 close(out.c_node.value[:, columns].T, [r["c"] for r in ref])
 
 
-def mixed_targets(rng, frames, positive: bool) -> VideoTargets:
-    """Targets with an accident frame anywhere in a positive video and, at
-    each frame, a risky box that is one of its regions or a random box."""
-    track = [frame.agent_box for frame in frames]
+def mixed_targets(rng, sample, positive: bool):
+    """The video with an accident frame anywhere if positive and, at each
+    frame, a risky box that is one of its regions or a random box."""
     if not positive:
-        return VideoTargets(False, None, track, [[] for _ in frames])
-    risky = [[frame.region_boxes[rng.integers(len(frame.region_boxes))]
-              if rng.random() < 0.5 else random_box(rng)] for frame in frames]
-    return VideoTargets(True, int(rng.integers(len(frames))), track, risky)
+        return sample
+    risky = [[regions[rng.integers(len(regions))] if rng.random() < 0.5 else random_box(rng)]
+             for regions in sample.region_box]
+    return replace(sample, positive=True, t_accident=int(rng.integers(sample.n_frames)),
+                   risky_box=np.array(risky))
 
 
 class TestVideosAsSequences:
@@ -494,9 +485,9 @@ class TestVideosAsSequences:
                                      lambdas=lambdas), variant)
         rng = np.random.default_rng(seed)
         model = RiskModel.create(cfg, seed=seed)
-        videos = [random_frames(rng, cfg, n_frames, n_regions) for _ in range(n_videos)]
-        seqs = [loss_targets(frames, mixed_targets(rng, frames, positive), cfg.horizon)
-                for frames, positive in zip(videos, positives)]
+        videos = [random_video(rng, cfg, n_frames, n_regions) for _ in range(n_videos)]
+        seqs = [SequenceTargets.of(mixed_targets(rng, sample, positive), cfg.horizon)
+                for sample, positive in zip(videos, positives)]
 
         def run(batch, batch_seqs):
             tape = Tape()
@@ -511,7 +502,7 @@ class TestVideosAsSequences:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
         losses, grads = run(videos, seqs)
-        alone = [run([frames], [seq]) for frames, seq in zip(videos, seqs)]
+        alone = [run([sample], [seq]) for sample, seq in zip(videos, seqs)]
         close(losses, [loss[0] for loss, _ in alone])
         for name, grad in grads.items():
             # a sum of terms that cancel keeps their rounding, not its own:
@@ -533,12 +524,11 @@ class TestNodeCount:
     def test_at_most(self, variant, limit):
         cfg = variant_config(TINY_CONFIG, variant)
         rng = np.random.default_rng(23)
-        frames = random_frames(rng, cfg, 12, 8)
-        targets = random_targets(rng, frames, positive=True)
+        sample = random_targets(rng, random_video(rng, cfg, 12, 8), positive=True)
         tape = Tape()
-        inputs = agent_tracks(frames)
+        inputs = agent_tracks(sample)
         out = forward_video(RiskModel.create(cfg, seed=23).store, cfg, inputs, tape)
-        total_loss(tape, out, [loss_targets(frames, targets, cfg.horizon)], cfg.lambdas)
+        total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)], cfg.lambdas)
         assert len(tape.nodes) <= limit
 
     @pytest.mark.parametrize("variant", ["RA", "RAI", "L-RA", "L-RAI"])
@@ -548,9 +538,9 @@ class TestNodeCount:
         store = RiskModel.create(cfg, seed=24).store
         counts = []
         for n_videos in range(1, 6):
-            videos = [random_frames(rng, cfg, 12, 8) for _ in range(n_videos)]
-            seqs = [loss_targets(frames, random_targets(rng, frames, positive=b % 2 == 0),
-                                 cfg.horizon) for b, frames in enumerate(videos)]
+            videos = [random_video(rng, cfg, 12, 8) for _ in range(n_videos)]
+            seqs = [SequenceTargets.of(random_targets(rng, sample, positive=b % 2 == 0),
+                                       cfg.horizon) for b, sample in enumerate(videos)]
             tape = Tape()
             out = forward_video(store, cfg, agent_tracks(*videos), tape)
             total_loss(tape, out, seqs, cfg.lambdas)
@@ -563,9 +553,9 @@ class TestGradients:
         from helpers import finite_diff_check, gradcheck_fixture
         model = tiny_model(19)
         rng = np.random.default_rng(19)
-        frames, targets = gradcheck_fixture(rng, TINY_CONFIG, 3, 4, positive=True)
-        inputs = agent_tracks(frames)
-        seq = [loss_targets(frames, targets, TINY_CONFIG.horizon)]
+        sample = gradcheck_fixture(rng, TINY_CONFIG, 3, 4, positive=True)
+        inputs = agent_tracks(sample)
+        seq = [SequenceTargets.of(sample, TINY_CONFIG.horizon)]
 
         def make_loss():
             tape = Tape()
@@ -653,12 +643,12 @@ class TestSaveLoad:
     def test_roundtrip_preserves_forward(self, tmp_path):
         model = tiny_model(20)
         rng = np.random.default_rng(20)
-        frames = random_frames(rng, TINY_CONFIG, 3, 4)
+        sample = random_video(rng, TINY_CONFIG, 3, 4)
         path = tmp_path / "model.rrm"
         model.save(path)
         loaded = RiskModel.load(path)
         assert loaded.cfg == model.cfg
-        inputs = agent_tracks(frames)
+        inputs = agent_tracks(sample)
         a, b = model.forward_video(inputs), loaded.forward_video(inputs)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.s, b.s)

@@ -12,7 +12,7 @@ from riskrnn.nn import (LstmState, ParamMatrix, ParameterStore, TrainingError,
                         lstm_sweep, save_params)
 
 import oracles
-from helpers import finite_diff_check
+from helpers import finite_diff_check, leaf
 from oracles import lstm_step as reference_lstm_step
 
 
@@ -155,7 +155,7 @@ class TestLstmSweep:
     def sweep(self, store, x_source):
         """x_source: an array, taken as a leaf, or a ParamMatrix."""
         tape = Tape()
-        x = tape.param(x_source) if isinstance(x_source, ParamMatrix) else tape.leaf(x_source)
+        x = tape.param(x_source) if isinstance(x_source, ParamMatrix) else leaf(tape, x_source)
         state = lstm_sweep(tape, store["w"], store["b"], x)
         loss = (ad.vsum(state.hidden * tape.const(self.gh))
                 + ad.vsum(state.cell * tape.const(self.gc)))
@@ -169,7 +169,7 @@ class TestLstmSweep:
 
         store.grad.fill(0.0)
         tape = Tape()
-        columns = [tape.leaf(self.x[:, t:t + 1]) for t in range(6)]
+        columns = [leaf(tape, self.x[:, t:t + 1]) for t in range(6)]
         state = zero_state(tape, 3)
         chained = tape.const(0.0)
         for t, column in enumerate(columns):

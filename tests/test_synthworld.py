@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrnn.data import _LAYOUT, FrameInput, RegionSet
-from riskrnn.geometry import Box, stack_boxes
+from riskrnn.data import _LAYOUT
 from riskrnn.synthworld import (ScenarioConfig, _distractor_regions, class_embeddings,
                                 generate_scenario, generate_split, read_dataset,
                                 synthesize_proposals, verify_collision_predicate,
                                 write_dataset)
 
 import oracles
+from oracles import stack_boxes
 
 CFG = ScenarioConfig(frames_per_video=6, n_regions=4, feature_dim=5,
                      n_distractor_proposals=3, seed=3)
@@ -27,20 +27,14 @@ DATASET_SHA256 = "ff571063f8089e3591bc0462cb0e231f95d2faa50605399bb90645fe1f1ea5
 
 
 def assert_same_sample(a, b):
-    """Exact equality of every stored field of two videos."""
-    assert (a.video_id, a.positive, a.agent_class, a.region_classes) == \
-        (b.video_id, b.positive, b.agent_class, b.region_classes)
-    assert a.targets == b.targets
-    assert len(a.frames) == len(b.frames)
-    for fa, fb in zip(a.frames, b.frames):
-        assert fa.agent_box == fb.agent_box
-        assert fa.region_boxes == fb.region_boxes
-        assert np.array_equal(fa.agent_feat, fb.agent_feat)
-        assert np.array_equal(fa.region_feats, fb.region_feats)
-    assert len(a.proposals) == len(b.proposals)
-    for pa, pb in zip(a.proposals, b.proposals):
-        for part in ("xywh", "scores", "feats"):
-            assert_same_bits(getattr(pa, part), getattr(pb, part))
+    """Every field of two videos is the same: the labels equal, the arrays
+    bit for bit once of the file's dtype."""
+    for key, (dtype, dims) in _LAYOUT.items():
+        got, want = getattr(a, key), getattr(b, key)
+        if dims == "V":
+            assert (type(got), got) == (type(want), want), key
+        else:
+            assert_same_bits(np.asarray(got, dtype), np.asarray(want, dtype))
 
 
 def dataset_digest(path) -> str:
@@ -61,13 +55,14 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray):
 
 
 def assert_same_proposals(got, want):
-    """Each frame's ProposalSet holds the boxes, scores and features of the
-    reference's Proposal records for that frame, bit for bit."""
-    assert len(got) == len(want)
-    for proposals, records in zip(got, want):
-        assert_same_bits(proposals.xywh, stack_boxes(p.box for p in records))
-        assert_same_bits(proposals.scores, np.array([p.score for p in records]))
-        assert_same_bits(proposals.feats, np.array([p.feat for p in records]))
+    """The (T, M, ·) proposal boxes, scores and features hold, at each frame,
+    those of the reference's Proposal records for that frame, bit for bit."""
+    boxes, scores, feats = got
+    assert len(boxes) == len(scores) == len(feats) == len(want)
+    for t, records in enumerate(want):
+        assert_same_bits(boxes[t], stack_boxes(p.box for p in records))
+        assert_same_bits(scores[t], np.array([p.score for p in records]))
+        assert_same_bits(feats[t], np.array([p.feat for p in records]))
 
 
 def assert_same_stream_position(got, want):
@@ -81,12 +76,13 @@ def paired_generators(entropy):
     return (np.random.default_rng(np.random.SeedSequence(entropy)) for _ in range(2))
 
 
-def random_frames(rng, n_frames, n_regions, feature_dim) -> list:
-    """Frames of a moving agent among fixed regions, all random boxes."""
+def random_track(rng, n_frames, n_regions) -> tuple:
+    """The (T, 4) boxes of a moving agent and the (T, N, 4) boxes of fixed
+    regions, all random."""
     def box():
-        return Box(*rng.uniform([0.05, 0.05, 0.02, 0.02], [0.95, 0.95, 0.3, 0.3]).tolist())
-    regions = RegionSet([box() for _ in range(n_regions)], np.zeros((n_regions, feature_dim)))
-    return [FrameInput(np.zeros(feature_dim), box(), regions) for _ in range(n_frames)]
+        return rng.uniform([0.05, 0.05, 0.02, 0.02], [0.95, 0.95, 0.3, 0.3])
+    regions = np.array([box() for _ in range(n_regions)]).reshape(-1, 4)
+    return np.array([box() for _ in range(n_frames)]), np.repeat(regions[None], n_frames, axis=0)
 
 
 noise_levels = st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.5)
@@ -107,13 +103,12 @@ class TestArrayDrawsMatchTheScalarReference:
     @settings(max_examples=150, deadline=None)
     @given(scenario_configs(), st.integers(0, 2**64 - 1))
     def test_proposals(self, cfg, entropy):
-        frames = random_frames(np.random.default_rng(entropy), cfg.frames_per_video,
-                               cfg.n_regions, cfg.feature_dim)
+        track = random_track(np.random.default_rng(entropy), cfg.frames_per_video, cfg.n_regions)
         classes = np.random.default_rng(entropy).integers(0, cfg.n_classes, cfg.n_regions).tolist()
         embeddings = class_embeddings(cfg)
         got_rng, want_rng = paired_generators(entropy)
-        got = synthesize_proposals(cfg, frames, classes, embeddings, got_rng)
-        want = oracles.synthesize_proposals(cfg, frames, classes, embeddings, want_rng)
+        got = synthesize_proposals(cfg, *track, classes, embeddings, got_rng)
+        want = oracles.synthesize_proposals(cfg, *track, classes, embeddings, want_rng)
         assert_same_proposals(got, want)
         assert_same_stream_position(got_rng, want_rng)
 
@@ -123,8 +118,8 @@ class TestArrayDrawsMatchTheScalarReference:
         got_rng, want_rng = paired_generators(entropy)
         got_boxes, got_classes = _distractor_regions(cfg, got_rng)
         want_boxes, want_classes = oracles.distractor_regions(cfg, want_rng)
-        assert got_classes == want_classes
-        assert_same_bits(stack_boxes(got_boxes), stack_boxes(want_boxes))
+        assert got_classes.tolist() == want_classes
+        assert_same_bits(got_boxes, stack_boxes(want_boxes))
         assert_same_stream_position(got_rng, want_rng)
 
 
@@ -139,7 +134,7 @@ class TestGeneration:
         assert_same_sample(a, generate_scenario(CFG, positive, index=4, split="val"))
         for other in (generate_scenario(CFG, positive, index=5, split="val"),
                       generate_scenario(CFG, positive, index=4, split="test")):
-            assert other.targets.agent_track != a.targets.agent_track
+            assert not np.array_equal(other.agent_box, a.agent_box)
 
     def test_labels_match_the_collision_predicate(self):
         samples = generate_split(CFG, 12, "test")
@@ -150,7 +145,7 @@ class TestGeneration:
         with pytest.raises(ValueError, match="n_classes must be >= 2, got 1"):
             generate_scenario(ScenarioConfig(n_regions=2, n_classes=1), positive=True)
         lone = generate_scenario(ScenarioConfig(n_regions=1, n_classes=1), positive=True)
-        assert lone.region_classes == (0,)
+        assert lone.region_class.tolist() == [0]
 
 
 class TestDatasetFiles:

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskrnn.config import RunConfig
-from riskrnn.data import ProposalSet
-from riskrnn.geometry import stack_boxes
 from riskrnn.synthworld import ScenarioConfig, generate_scenario
 from riskrnn.tracking import Track, deduplicate_tracks, track_by_detection
 from riskrnn.training import detected_tracks
@@ -20,11 +18,16 @@ RUN = RunConfig(top_init=6, top_iou=4)
 
 
 def track_videos(videos, **kwargs):
-    """Per video, its Tracks from one tracker call over videos given as
-    per-frame ProposalSets, all of one frame count and one proposal count."""
-    boxes, feats, scores = track_by_detection(videos, **kwargs)
+    """Per video, its Tracks from one tracker call over videos given as their
+    (T, M, 4) proposal boxes, (T, M, D) features and (T, M) scores, all of
+    one frame count and one proposal count."""
+    boxes, feats, scores = track_by_detection(*zip(*videos), **kwargs)
     return [[Track(boxes[v, :, k], feats[v, :, k], scores[v, :, k])
              for k in range(boxes.shape[2])] for v in range(len(videos))]
+
+
+def proposals(sample):
+    return sample.proposal_box, sample.proposal_feat, sample.proposal_score
 
 
 def assert_same_tracks(got, want):
@@ -39,22 +42,22 @@ class TestTrackByDetection:
         cfg = replace(CFG, proposal_jitter=0.0)
         samples = [generate_scenario(cfg, positive, index=index, split="test")
                    for index, positive in enumerate([True, False, True, False])]
-        for sample, tracks in zip(samples, track_videos([s.proposals for s in samples])):
-            annotated = stack_boxes(sample.targets.agent_track)
-            assert any(np.array_equal(track.boxes, annotated) for track in tracks), \
+        for sample, tracks in zip(samples, track_videos([proposals(s) for s in samples])):
+            assert any(np.array_equal(track.boxes, sample.agent_box) for track in tracks), \
                 sample.video_id
 
     def test_no_frame_is_an_error(self):
-        for videos in ([], [()]):
+        for boxes in ([], [np.empty((0, 3, 4))]):
             with pytest.raises(ValueError, match="at least one video and one frame"):
-                track_by_detection(videos)
+                track_by_detection(boxes, [np.empty((0, 3, 2))] * len(boxes),
+                                   [np.empty((0, 3))] * len(boxes))
 
 
 class TestDeduplicateTracks:
     def test_is_idempotent(self):
         samples = [generate_scenario(CFG, index % 2 == 0, index=index, split="val")
                    for index in range(4)]
-        for tracks in track_videos([s.proposals for s in samples]):
+        for tracks in track_videos([proposals(s) for s in samples]):
             for overlap in (0.1, 0.4, 0.7):
                 kept = deduplicate_tracks(tracks, overlap)
                 again = deduplicate_tracks(kept, overlap)
@@ -71,20 +74,8 @@ class TestDetectedTracks:
         assert len(together) == len(split)
         for sample, tracks in zip(split, together):
             assert len(tracks) > 1
-            assert all(len(track) == sample.n_frames for track in tracks)
+            assert all(len(track.boxes) == sample.n_frames for track in tracks)
             assert_same_tracks(tracks, detected_tracks([sample], RUN)[0])
-
-    def test_frames_of_different_proposal_counts_name_the_video(self):
-        samples = [generate_scenario(CFG, index % 2 == 0, index=index, split="test")
-                   for index in range(3)]
-        proposals = list(samples[1].proposals)
-        short = proposals[4]
-        proposals[4] = ProposalSet(short.xywh[:-1], short.scores[:-1], short.feats[:-1])
-        samples[1] = replace(samples[1], proposals=tuple(proposals))
-        with pytest.raises(ValueError, match=f"^video {samples[1].video_id}: frames have "
-                                             f"{len(proposals[4])} to {len(proposals[0])} "
-                                             f"proposals"):
-            detected_tracks(samples, RUN)
 
 
 # Coordinates on a coarse grid and small-integer features keep every IoU and
@@ -94,7 +85,8 @@ GRID = ([0.25, 0.375, 0.5, 0.625], [0.25, 0.5, 0.75], [0.125, 0.25, 0.5], [0.25,
 
 
 @st.composite
-def proposal_sets(draw, n_proposals):
+def proposal_frame(draw, n_proposals):
+    """One frame's (M, 4) boxes, (M, 3) features and (M,) scores."""
     xywh = np.array([[draw(st.sampled_from(axis)) for axis in GRID]
                      for _ in range(n_proposals)]).reshape(-1, 4)
     scores = np.array([draw(st.sampled_from([0.1, 0.5, 0.9])) for _ in range(n_proposals)])
@@ -104,15 +96,16 @@ def proposal_sets(draw, n_proposals):
     if n_proposals > 1 and draw(st.booleans()):
         src, dst = draw(st.permutations(range(n_proposals)))[:2]
         feats[dst] = feats[src]
-    return ProposalSet(xywh, scores, feats)
+    return xywh, feats, scores
 
 
 @st.composite
 def proposal_videos(draw):
-    """Videos of one frame count and one proposal count, as per-frame
-    ProposalSets."""
+    """Videos of one frame count and one proposal count, each its (T, M, 4)
+    boxes, (T, M, 3) features and (T, M) scores."""
     n_frames, n_proposals = draw(st.integers(1, 6)), draw(st.integers(1, 7))
-    return [tuple(draw(proposal_sets(n_proposals)) for _ in range(n_frames))
+    return [tuple(map(np.array, zip(*(draw(proposal_frame(n_proposals))
+                                      for _ in range(n_frames)))))
             for _ in range(draw(st.integers(1, 4)))]
 
 
@@ -123,8 +116,9 @@ class TestMatchesScalarReference:
     def test_same_track_choices(self, videos, top_init, top_iou, overlap):
         # the videos are tracked in one call, the reference tracks each alone
         got = track_videos(videos, top_init=top_init, top_iou=top_iou)
-        for frames, tracks in zip(videos, got):
-            want = oracles.track_by_detection(frames, top_init=top_init, top_iou=top_iou)
+        for (boxes, feats, scores), tracks in zip(videos, got):
+            want = oracles.track_by_detection(boxes, feats, scores, top_init=top_init,
+                                              top_iou=top_iou)
             assert_same_tracks(tracks, want)
             assert_same_tracks(deduplicate_tracks(tracks, overlap),
                                oracles.deduplicate_tracks(want, overlap))
