@@ -359,38 +359,39 @@ def lstm(w: Node, b: Node, x: Node, h0: Node | None = None,
     return vec_slice(out, 0, hdim), vec_slice(out, hdim, 2 * hdim)
 
 
-def relative_config(agent: Node, regions) -> Node:
+def relative_config(agent: Node, region_boxes: np.ndarray) -> Node:
     """Fused configuration of every region relative to the agent box.
 
-    ``agent`` holds a (cx, cy, w, h) column per model column, (4, C).
-    ``regions`` supplies (C, N) arrays ``cx``, ``cy``, ``w``, ``h``, ``x1``,
-    ``y1``, ``x2``, ``y2`` and ``area``, row c being the regions column c
-    sees, as model.VideoRegions does. The output is (9, C, N). Rows are the
-    region's center, min-corner and max-corner offsets from the agent center
-    (x over agent width, y over agent height), its size ratios, and the IoU
-    of the two boxes, the same cues as the scalar reference in
-    tests/oracles.py. The backward pass returns the gradient with respect to
-    the agent box only; overlap ties route to the agent's corner, and a span
-    of exactly zero passes no gradient.
+    ``agent`` holds a (cx, cy, w, h) column per model column, (4, C), and
+    ``region_boxes`` the (C, N, 4) (cx, cy, w, h) boxes of the regions each
+    column sees. The output is (9, C, N). Rows are the region's center,
+    min-corner and max-corner offsets from the agent center (x over agent
+    width, y over agent height), its size ratios, and the IoU of the two
+    boxes, the same cues as the scalar reference in tests/oracles.py. The
+    backward pass returns the gradient with respect to the agent box only;
+    overlap ties route to the agent's corner, and a span of exactly zero
+    passes no gradient.
     """
     cx, cy, w, h = agent.value[:, :, None]
+    rcx, rcy, rw, rh = np.moveaxis(region_boxes, 2, 0)
+    rx1, ry1, rx2, ry2 = rcx - 0.5 * rw, rcy - 0.5 * rh, rcx + 0.5 * rw, rcy + 0.5 * rh
     inv_w, inv_h = 1.0 / w, 1.0 / h
     ax1, ax2 = cx - 0.5 * w, cx + 0.5 * w
     ay1, ay2 = cy - 0.5 * h, cy + 0.5 * h
-    span_x = np.minimum(ax2, regions.x2) - np.maximum(ax1, regions.x1)
-    span_y = np.minimum(ay2, regions.y2) - np.maximum(ay1, regions.y1)
+    span_x = np.minimum(ax2, rx2) - np.maximum(ax1, rx1)
+    span_y = np.minimum(ay2, ry2) - np.maximum(ay1, ry1)
     iw, ih = np.maximum(span_x, 0.0), np.maximum(span_y, 0.0)
     inter = iw * ih
-    union = w * h + regions.area - inter
+    union = w * h + rw * rh - inter
     out = np.stack([
-        (regions.cx - cx) * inv_w,
-        (regions.cy - cy) * inv_h,
-        (regions.x1 - cx) * inv_w,
-        (regions.y1 - cy) * inv_h,
-        (regions.x2 - cx) * inv_w,
-        (regions.y2 - cy) * inv_h,
-        regions.w * inv_w,
-        regions.h * inv_h,
+        (rcx - cx) * inv_w,
+        (rcy - cy) * inv_h,
+        (rx1 - cx) * inv_w,
+        (ry1 - cy) * inv_h,
+        (rx2 - cx) * inv_w,
+        (ry2 - cy) * inv_h,
+        rw * inv_w,
+        rh * inv_h,
         inter / union,
     ])
 
@@ -404,8 +405,8 @@ def relative_config(agent: Node, regions) -> Node:
         g_span_x = g_inter * ih * (span_x > 0.0)
         g_span_y = g_inter * iw * (span_y > 0.0)
         # span = min(a2, r2) - max(a1, r1); ties go to the agent's corner
-        g_ax2, g_ax1 = g_span_x * (ax2 <= regions.x2), -g_span_x * (ax1 >= regions.x1)
-        g_ay2, g_ay1 = g_span_y * (ay2 <= regions.y2), -g_span_y * (ay1 >= regions.y1)
+        g_ax2, g_ax1 = g_span_x * (ax2 <= rx2), -g_span_x * (ax1 >= rx1)
+        g_ay2, g_ay1 = g_span_y * (ay2 <= ry2), -g_span_y * (ay1 >= ry1)
         # each offset row is (r - c) / s and each size row r / s
         g_cx = -inv_w * per_box(g_x[:3].sum(axis=0)) + per_box(g_ax1 + g_ax2)
         g_cy = -inv_h * per_box(g_y[:3].sum(axis=0)) + per_box(g_ay1 + g_ay2)

@@ -144,7 +144,8 @@ def cmd_eval(cfg, args) -> int:
         curve_path = out.with_name(f"{out.stem}_curves_{name.replace('#', '_')}.csv")
         write_curve_csv(curve_path, summary.curve_rows)
         if args.riskmap_dir:
-            _write_riskmaps(Path(args.riskmap_dir) / name, summary.videos, cfg)
+            for video in summary.videos:
+                _write_riskmaps(Path(args.riskmap_dir) / name / video.video_id, video, cfg)
         print(f"{name}: anticipation mAP {summary.anticipation_map:.4f}, "
               f"ATTA {summary.atta_frames:.2f} frames, "
               f"region mAP {summary.region_map:.4f} "
@@ -154,13 +155,12 @@ def cmd_eval(cfg, args) -> int:
     return 0
 
 
-def _write_riskmaps(root: Path, videos, cfg) -> None:
-    for video in videos:
-        vdir = root / video.video_id
-        vdir.mkdir(parents=True, exist_ok=True)
-        for t, (boxes, scores) in enumerate(video.frame_regions):
-            rm = risk_map_raster(boxes, scores, cfg.grid_w, cfg.grid_h)
-            write_pgm(vdir / f"frame_{t:03d}.pgm", rm)
+def _write_riskmaps(out: Path, result, cfg) -> None:
+    """One video's risk maps, a PGM per frame, into the directory ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    for t, (boxes, scores) in enumerate(result.frame_regions):
+        write_pgm(out / f"frame_{t:03d}.pgm",
+                  risk_map_raster(boxes, scores, cfg.grid_w, cfg.grid_h))
 
 
 def cmd_infer(cfg, args) -> int:
@@ -186,10 +186,7 @@ def cmd_riskmap(cfg, args) -> int:
     model = RiskModel.load(args.model)
     result = eval_video(model, sample, detected_tracks([sample], cfg)[0], cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for t, (boxes, scores) in enumerate(result.frame_regions):
-        rm = risk_map_raster(boxes, scores, cfg.grid_w, cfg.grid_h)
-        write_pgm(out / f"frame_{t:03d}.pgm", rm)
+    _write_riskmaps(out, result, cfg)
     print(f"{sample.n_frames} risk maps -> {out}")
     return 0
 

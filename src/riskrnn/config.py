@@ -5,7 +5,7 @@ headers in files are organizational only. Unknown keys are rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 
 import numpy as np
 
@@ -18,22 +18,23 @@ class ConfigError(ValueError):
     pass
 
 
+# The ModelConfig keys a run sets, with ModelConfig's types and defaults; the
+# variant sets the others, and the scenario's feature_dim the input sizes.
+_ModelKeys = make_dataclass("_ModelKeys", [
+    (f.name, f.type, field(default=f.default)) for f in fields(ModelConfig)
+    if f.name in ("d_u", "h_agent", "h_aa", "horizon", "imagine_steps", "lambdas")])
+
+
 @dataclass
-class RunConfig(ScenarioConfig):
+class RunConfig(ScenarioConfig, _ModelKeys):
     """Every setting of a run: the scenario's keys (ScenarioConfig's fields,
-    ``seed`` among them), then those below."""
+    ``seed`` among them), the model's (_ModelKeys' fields), then those
+    below."""
 
     # splits
     n_train: int = 200
     n_val: int = 50
     n_test: int = 100
-    # model
-    d_u: int = 16
-    h_agent: int = 64
-    h_aa: int = 64
-    horizon: int = 5
-    imagine_steps: int = 1
-    lambdas: tuple = (0.6, 0.4)
     # training
     lr: float = 0.0001
     batch_size: int = 5
@@ -58,6 +59,10 @@ class RunConfig(ScenarioConfig):
             raise ConfigError("lr, fps and time_scale must be positive")
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("split sizes must be >= 1")
+        if min(self.top_init, self.top_iou, self.grid_w, self.grid_h) < 1:
+            raise ConfigError("top_init, top_iou, grid_w and grid_h must be >= 1")
+        if not 0.0 <= self.dedup_iou <= 1.0:
+            raise ConfigError(f"dedup_iou must lie in [0, 1], got {self.dedup_iou}")
         try:
             super().validate()
             self.model_config("L-RAI").validate()
@@ -68,7 +73,7 @@ class RunConfig(ScenarioConfig):
         return ScenarioConfig(**{f.name: getattr(self, f.name) for f in fields(ScenarioConfig)})
 
     def model_config(self, variant: str) -> ModelConfig:
-        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name in _FIELD_TYPES}
+        shared = {f.name: getattr(self, f.name) for f in fields(_ModelKeys)}
         base = ModelConfig(d_agent=self.feature_dim, d_region=self.feature_dim, **shared)
         return variant_config(base, variant)
 

@@ -209,7 +209,10 @@ def risk_map_raster(boxes, scores, grid_w: int, grid_h: int) -> RiskMap:
     cover_x = (xs >= lo[:, :1]) & (xs <= hi[:, :1])
     cover_y = (ys >= lo[:, 1:]) & (ys <= hi[:, 1:])
     mask = cover_y[:, :, None] & cover_x[:, None, :]
-    total = (mask * np.asarray(scores)[:, None, None]).sum(axis=0)
+    # a running sum adds the boxes in order on every grid; sum() would add
+    # them pairwise where the grid is one cell
+    weighted = mask * np.asarray(scores)[:, None, None]
+    total = np.cumsum(weighted, axis=0)[-1] if len(boxes) else np.zeros((grid_h, grid_w))
     count = mask.sum(axis=0)
     values = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
     return RiskMap(grid_w, grid_h, np.clip(values, 0.0, 1.0))

@@ -15,12 +15,14 @@ Four ablation variants are supported: RA (single frame), RAI (adds
 imagination), L-RA (adds the two LSTMs), and L-RAI (everything).
 
 The input is B sequences over T frames (AgentTracks), each an agent track
-over its own video's regions. Every (frame, sequence) pair is one column,
-frame-major: column t * B + b is sequence b at frame t, seeing the regions
-of sequence b's video at frame t. Eval runs every detected track of one
-video as its sequences, all over that video's regions; training runs each
-video of a batch on one track, over its own regions. The model never needs
-to know whether sequences share a video. The passes run over those columns
+over its own video's regions, held as the four arrays the passes read: the
+agents' appearances and boxes, and the regions' boxes and appearances. Every
+(frame, sequence) pair is one column, frame-major: column t * B + b is
+sequence b at frame t, seeing the regions of sequence b's video at frame t
+(``frame_major`` lays sequences out so). Eval runs every detected track of
+one video as its sequences, all over that video's regions; training runs
+each video of a batch on one track, over its own regions. The model never
+needs to know whether sequences share a video. The passes run over those columns
 (or over the (frame, sequence, region) columns), each a handful of tape
 nodes however long the videos are and however many sequences there are:
 
@@ -145,43 +147,6 @@ class ModelOutput(Assessment):
     c_node: Node | None
 
 
-class VideoRegions:
-    """The candidate regions of every frame of a video, from its (T, N, 4)
-    boxes and (T, N, D) appearances: the boxes ``xywh``, the (T, N) box
-    arrays ``cx``, ``cy``, ``w``, ``h``, ``x1``, ``y1``, ``x2``, ``y2`` and
-    ``area`` that ad.relative_config reads, and the (D, T, N) appearances
-    ``feats``. ``interleave`` joins the regions of several videos as rows of
-    (frame, sequence) columns, the layout the model reads."""
-
-    __slots__ = ("n", "xywh", "feats", "cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")
-
-    def __init__(self, xywh: np.ndarray, feats: np.ndarray):
-        if len(xywh) == 0:
-            raise ValueError("a video needs at least one frame")
-        self._set(xywh, np.ascontiguousarray(np.moveaxis(feats, 2, 0)))
-
-    def _set(self, xywh: np.ndarray, feats: np.ndarray) -> None:
-        self.n = xywh.shape[1]
-        self.xywh, self.feats = xywh, feats
-        cx, cy, w, h = np.moveaxis(xywh, 2, 0).copy()
-        self.cx, self.cy, self.w, self.h = cx, cy, w, h
-        self.x1, self.y1 = cx - 0.5 * w, cy - 0.5 * h
-        self.x2, self.y2 = cx + 0.5 * w, cy + 0.5 * h
-        self.area = w * h
-
-    def __len__(self) -> int:
-        return self.xywh.shape[0]
-
-    @classmethod
-    def interleave(cls, videos) -> "VideoRegions":
-        """The regions of B videos with one T and one N, one row per (frame,
-        sequence) column: row t * B + b holds frame t of ``videos[b]``."""
-        out = object.__new__(cls)
-        out._set(frame_major([v.xywh for v in videos], 0),
-                 frame_major([v.feats for v in videos], 1))
-        return out
-
-
 def frame_major(arrays, axis: int) -> np.ndarray:
     """B arrays of one shape, T frames along ``axis``, joined along it as
     the T * B (frame, sequence) columns of the model: entry t * B + b is
@@ -192,24 +157,33 @@ def frame_major(arrays, axis: int) -> np.ndarray:
 
 
 class AgentTracks:
-    """The model input: B agent sequences over T frames. ``feats`` holds
-    the (D, T, B) agent appearances and ``boxes`` the (4, T, B) agent boxes
-    as (cx, cy, w, h) rows; entry (t, b) is sequence b at frame t.
-    ``regions`` has a row per (frame, sequence) column, t * B + b, holding
-    the regions sequence b sees at frame t. ``len()`` is T."""
+    """The model input: B agent sequences over T frames, over C = T * B
+    (frame, sequence) columns. ``feats`` holds the (D, T, B) agent
+    appearances and ``boxes`` the (4, T, B) agent boxes as (cx, cy, w, h)
+    rows; entry (t, b) is sequence b at frame t. ``region_boxes`` (C, N, 4)
+    and ``region_feats`` (D, C, N) hold, at column t * B + b, the regions
+    sequence b sees at frame t. ``len()`` is T."""
 
-    __slots__ = ("feats", "boxes", "regions")
+    __slots__ = ("feats", "boxes", "region_boxes", "region_feats")
 
-    def __init__(self, feats: np.ndarray, boxes: np.ndarray, regions: VideoRegions):
-        feats = np.ascontiguousarray(feats, dtype=np.float64)
-        boxes = np.ascontiguousarray(boxes, dtype=np.float64)
+    def __init__(self, feats, boxes, region_boxes, region_feats):
+        feats, boxes, region_boxes, region_feats = (
+            np.ascontiguousarray(a, dtype=np.float64)
+            for a in (feats, boxes, region_boxes, region_feats))
         if feats.ndim != 3 or boxes.shape != (4,) + feats.shape[1:]:
             raise ValueError(f"agent features {feats.shape} and boxes {boxes.shape} are not "
                              f"(D, T, B) and (4, T, B)")
-        if feats.shape[1] * feats.shape[2] != len(regions):
-            raise ValueError(f"{feats.shape[2]} sequences of {feats.shape[1]} frames need a "
-                             f"row of regions per column, got {len(regions)} rows")
-        self.feats, self.boxes, self.regions = feats, boxes, regions
+        if feats.shape[1] == 0:
+            raise ValueError("a video needs at least one frame")
+        columns = feats.shape[1] * feats.shape[2]
+        n_regions = region_boxes.shape[1] if region_boxes.ndim == 3 else None
+        if (region_boxes.shape != (columns, n_regions, 4)
+                or region_feats.shape[1:] != (columns, n_regions)):
+            raise ValueError(f"{feats.shape[2]} sequences of {feats.shape[1]} frames need "
+                             f"(C, N, 4) region boxes and (D, C, N) region features with "
+                             f"C = {columns}, got {region_boxes.shape} and {region_feats.shape}")
+        self.feats, self.boxes = feats, boxes
+        self.region_boxes, self.region_feats = region_boxes, region_feats
 
     def __len__(self) -> int:
         return self.feats.shape[1]
@@ -242,26 +216,26 @@ def param_specs(cfg: ModelConfig):
 # model stages, each over every (frame, sequence) column at once
 
 def score_regions(tape: Tape, store: ParameterStore, agent_code: Node,
-                  u: Node, regions: VideoRegions) -> Node:
+                  u: Node, region_feats: np.ndarray) -> Node:
     """(C, N) risk scores of every region of every column.
 
     Each (column, region) pair of the (9, C, N) geometry is embedded, joined
     with that column of the (A, C) agent code, and mapped to a weight
     vector whose dot product with the region's appearance is squashed to a
-    probability. ``regions`` has one row per column.
+    probability. ``region_feats`` holds the (D, C, N) region appearances.
     """
     u_cols = ad.reshape(u, (u.value.shape[0], -1))
     embedded = ad.relu(dense(tape, store["geom_fc_W"], u_cols, store["geom_fc_b"]))
-    joined = ad.concat([ad.repeat_cols(agent_code, regions.n), embedded])
+    joined = ad.concat([ad.repeat_cols(agent_code, region_feats.shape[2]), embedded])
     weights = ad.relu(dense(tape, store["scorer_fc_W"], joined, store["scorer_fc_b"]))
-    feats = tape.const(regions.feats.reshape(weights.value.shape))
+    feats = tape.const(region_feats.reshape(weights.value.shape))
     logits = ad.reshape(ad.vsum(weights * feats, axis=0), u.value.shape[1:])
     return ad.sigmoid(logits)
 
 
-def pool_regions(tape: Tape, scores: Node, regions: VideoRegions) -> Node:
-    """(D, C): per column, the risk-weighted sum of its region appearances."""
-    return ad.vsum(tape.const(regions.feats) * scores, axis=2)
+def pool_regions(tape: Tape, scores: Node, region_feats: np.ndarray) -> Node:
+    """(D, C): per column, the risk-weighted sum of its (D, N) region appearances."""
+    return ad.vsum(tape.const(region_feats) * scores, axis=2)
 
 
 def agent_rnn_step(tape: Tape, store: ParameterStore, inputs: np.ndarray) -> LstmState:
@@ -307,7 +281,7 @@ def imagine_location(tape: Tape, store: ParameterStore, o: Node, boxes: Node):
 
 def imagined_reassessment(tape: Tape, store: ParameterStore, cfg: ModelConfig,
                           agent_code: Node, state: LstmState | None,
-                          o_prev: Node, boxes: Node, regions: VideoRegions):
+                          o_prev: Node, boxes: Node, frames: AgentTracks):
     """One imagination hop for every column: move the agent, re-score the
     unchanged regions.
 
@@ -315,9 +289,9 @@ def imagined_reassessment(tape: Tape, store: ParameterStore, cfg: ModelConfig,
     committed state is never mutated.
     """
     c, new_boxes = imagine_location(tape, store, o_prev, boxes)
-    u_hat = ad.relative_config(new_boxes, regions)
-    s_hat = score_regions(tape, store, agent_code, u_hat, regions)
-    pooled = pool_regions(tape, s_hat, regions)
+    u_hat = ad.relative_config(new_boxes, frames.region_boxes)
+    s_hat = score_regions(tape, store, agent_code, u_hat, frames.region_feats)
+    pooled = pool_regions(tape, s_hat, frames.region_feats)
     new_state, new_o, y_hat = anticipate_step(tape, store, cfg, state, agent_code, pooled)
     return c, new_boxes, y_hat, s_hat, new_state, new_o
 
@@ -337,10 +311,10 @@ def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
                   tape: Tape) -> ModelOutput:
     """Run the configured variant over B agent sequences of T frames.
 
-    Every (frame, sequence) pair is a column, t * B + b, with its own row of
-    ``frames.regions``, so all sequences run as passes at once: the agent
-    memory sweep, region scoring and pooling over all T x B x N columns, the
-    risk memory sweep with the anticipation head, and each imagination hop.
+    Every (frame, sequence) pair is a column, t * B + b, with its own
+    regions, so all sequences run as passes at once: the agent memory sweep,
+    region scoring and pooling over all T x B x N columns, the risk memory
+    sweep with the anticipation head, and each imagination hop.
     Only the two memory sweeps are sequential, each over B independent
     sequences.
     Imagination branches from the risk state of each column, so observed
@@ -349,8 +323,8 @@ def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
     d_agent, _, sequences = frames.feats.shape
     if d_agent != cfg.d_agent:
         raise ValueError(f"agent feature dim {d_agent} != {cfg.d_agent}")
-    if frames.regions.feats.shape[0] != cfg.d_region:
-        raise ValueError(f"region feature dim {frames.regions.feats.shape[0]} "
+    if frames.region_feats.shape[0] != cfg.d_region:
+        raise ValueError(f"region feature dim {frames.region_feats.shape[0]} "
                          f"!= {cfg.d_region}")
     boxes = tape.const(frames.boxes.reshape(4, -1))
     if cfg.use_memory:
@@ -359,16 +333,16 @@ def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
     else:
         agent_code = tape.const(frames.feats.reshape(d_agent, -1))
 
-    s = score_regions(tape, store, agent_code, ad.relative_config(boxes, frames.regions),
-                      frames.regions)
-    pooled = pool_regions(tape, s, frames.regions)
+    s = score_regions(tape, store, agent_code, ad.relative_config(boxes, frames.region_boxes),
+                      frames.region_feats)
+    pooled = pool_regions(tape, s, frames.region_feats)
     state, o, y = anticipate_step(tape, store, cfg, None, agent_code, pooled, sequences)
 
     imagined = []
     c_first = None
     for _ in range(cfg.imagine_steps):
         c, boxes, y_hat, s_hat, state, o = imagined_reassessment(
-            tape, store, cfg, agent_code, state, o, boxes, frames.regions)
+            tape, store, cfg, agent_code, state, o, boxes, frames)
         c_first = c if c_first is None else c_first
         imagined.append(Assessment(y_hat, s_hat))
 

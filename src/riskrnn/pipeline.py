@@ -21,7 +21,7 @@ from .evaluation import (VideoPrediction, average_precision,
                          region_average_precision, region_overlaps, tta_atta,
                          video_level_scores)
 from .model import RiskModel
-from .training import detected_tracks, track_inputs, video_regions
+from .training import detected_tracks, track_inputs
 
 
 @dataclass
@@ -63,13 +63,15 @@ class EvalSummary:
 
 
 def eval_video(model: RiskModel, sample, tracks, run_cfg: RunConfig) -> VideoEvalResult:
-    """Run every candidate track of the video, its ``detected_tracks``, through
-    the model in one pass and reduce per frame."""
+    """Run every candidate track of the video, its ``detected_tracks`` (K, T, 4)
+    boxes and (K, T, D) features, through the model in one pass and reduce
+    per frame."""
+    boxes, feats = tracks
     n_frames = sample.n_frames
-    out = model.forward_video(track_inputs(tracks, [video_regions(sample)] * len(tracks)))
+    out = model.forward_video(track_inputs(boxes, feats, [sample] * len(boxes)))
     y, s = (out.y_fused, out.s_fused) if run_cfg.use_fused else (out.y, out.s)
-    probs = y[:, 1].reshape(n_frames, len(tracks))
-    region_scores = s.reshape(n_frames, len(tracks), -1)
+    probs = y[:, 1].reshape(n_frames, len(boxes))
+    region_scores = s.reshape(n_frames, len(boxes), -1)
 
     return VideoEvalResult(
         video_id=sample.video_id,
@@ -78,7 +80,7 @@ def eval_video(model: RiskModel, sample, tracks, run_cfg: RunConfig) -> VideoEva
         frame_probs=probs.max(axis=1),
         region_boxes=sample.region_box,
         region_scores=region_scores[np.arange(n_frames), probs.argmax(axis=1)],
-        n_tracks=len(tracks),
+        n_tracks=len(boxes),
     )
 
 

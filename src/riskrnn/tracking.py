@@ -11,28 +11,15 @@ every step is one IoU gate, one similarity matmul and one lexsort over a
 leading video axis, and each video's result is the one it would get alone.
 It reads the videos' proposal arrays as the dataset holds them, (T, M, ·)
 per video, and stacks each frame's (V, M, ·) arrays when it reaches it.
+Tracks stay arrays throughout: a video's K tracks are its (K, T, ·) view of
+the tracker's output, and deduplication returns the indices of the tracks it
+keeps.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import iou
-
-
-@dataclass
-class Track:
-    """One track over T frames: its (T, 4) boxes, (T, D) features and (T,)
-    object scores."""
-
-    boxes: np.ndarray
-    feats: np.ndarray
-    scores: np.ndarray
-
-    @property
-    def mean_score(self) -> float:
-        return float(np.mean(self.scores))
 
 
 def track_by_detection(boxes, feats, scores, top_init: int = 10, top_iou: int = 10):
@@ -84,37 +71,28 @@ def track_by_detection(boxes, feats, scores, top_init: int = 10, top_iou: int = 
     return tracks
 
 
-def deduplicate_tracks(tracks, overlap_iou: float = 0.7) -> list[Track]:
+def deduplicate_tracks(boxes, scores, overlap_iou: float = 0.7) -> np.ndarray:
     """Collapse tracks whose final boxes overlap above the threshold.
 
-    Grouping is single-link on final-frame IoU; each group keeps the track
-    with the highest mean object score (first one on a tie).
+    ``boxes`` and ``scores`` are the (K, T, 4) boxes and (K, T) object
+    scores of K tracks. Grouping is single-link on final-frame IoU; each
+    group keeps the track with the highest mean object score (first one on a
+    tie). Returns the kept tracks' indices, ascending.
     """
-    if len(tracks) == 0:
-        return []
-    last = np.array([track.boxes[-1] for track in tracks])
+    if len(boxes) == 0:
+        return np.empty(0, dtype=np.intp)
+    last = np.asarray(boxes)[:, -1]
     linked = iou(last[:, None], last[None]) > overlap_iou
     np.fill_diagonal(linked, True)
     # each track takes the lowest group label it links to until none
     # changes, which labels every group by its lowest index
-    group, previous = np.arange(len(tracks)), None
+    group, previous = np.arange(len(boxes)), None
     while not np.array_equal(group, previous):
-        group, previous = np.where(linked, group, len(tracks)).min(axis=1), group
+        group, previous = np.where(linked, group, len(boxes)).min(axis=1), group
 
+    means = [float(np.mean(track)) for track in scores]
     best: dict[int, int] = {}
     for i, root in enumerate(group.tolist()):
-        if root not in best or tracks[i].mean_score > tracks[best[root]].mean_score:
+        if root not in best or means[i] > means[best[root]]:
             best[root] = i
-    return [tracks[i] for i in sorted(best.values())]
-
-
-def select_training_track(gt_track: Track, td_tracks, rng) -> Track:
-    """Uniform choice over the ground-truth track plus the detected ones."""
-    pool = [gt_track] + list(td_tracks)
-    return pool[int(rng.integers(0, len(pool)))]
-
-
-def annotated_track(sample) -> Track:
-    """A video's annotated agent track, its agent boxes and features, as a
-    Track (object score 1 everywhere)."""
-    return Track(sample.agent_box, sample.agent_feat, np.ones(sample.n_frames))
+    return np.array(sorted(best.values()), dtype=np.intp)

@@ -5,14 +5,18 @@ and early stopping on validation loss; and the tracks a split's videos give.
 of one frame count and one proposal count run as one tracker call over their
 proposal arrays, and each video's tracks are then deduplicated on their own.
 
-Each epoch runs every training video once on a track drawn uniformly from
-{annotated track} + {detected tracks}; the video's accident label is shared
-by whichever track is drawn. A batch of B videos runs as one forward pass of
-B sequences, each video's track over that video's own regions, so column
-t * B + b is video b at frame t; one loss and one backward pass give the
-batch's mean gradient. Validation runs the annotated tracks, batch_size
-videos per forward pass, so the early-stopping signal is deterministic. The
-videos of one pass need one frame count and one region count.
+Tracks are arrays: a video's detected tracks are its (K, T, 4) boxes and
+(K, T, D) features, and its candidates put its annotated track (its agent
+boxes and features) at index 0 ahead of them. Each epoch runs every training
+video once on a candidate drawn uniformly as an index; the video's accident
+label is shared by whichever track is drawn. A batch of B videos runs as one
+forward pass of B sequences, each video's track over that video's own
+regions, so column t * B + b is video b at frame t; ``track_inputs`` builds
+that input from the drawn tracks' and the videos' arrays in one step. One
+loss and one backward pass give the batch's mean gradient. Validation runs
+the annotated tracks, batch_size videos per forward pass, so the
+early-stopping signal is deterministic. The videos of one pass need one
+frame count and one region count.
 """
 from __future__ import annotations
 
@@ -26,10 +30,9 @@ from .autodiff import Tape
 from .config import RunConfig, derive_seed
 from .evaluation import average_precision
 from .losses import SequenceTargets, total_loss
-from .model import AgentTracks, RiskModel, VideoRegions, forward_video
+from .model import AgentTracks, RiskModel, forward_video, frame_major
 from .nn import TrainingError, adam_step
-from .tracking import (Track, annotated_track, deduplicate_tracks, select_training_track,
-                       track_by_detection)
+from .tracking import deduplicate_tracks, track_by_detection
 
 _TRAIN_STREAM = 7
 _INIT_STREAM = 11
@@ -43,24 +46,22 @@ class EpochStats:
     val_map: float
 
 
-def video_regions(sample) -> VideoRegions:
-    """The candidate regions of every frame of a video."""
-    return VideoRegions(sample.region_box, sample.region_feat)
+def track_inputs(boxes, feats, videos) -> AgentTracks:
+    """The model input of B sequences: sequence b is the (T, 4) boxes
+    ``boxes[b]`` and (T, D) features ``feats[b]`` playing the agent over the
+    regions of ``videos[b]``. Eval passes one video for each of its tracks,
+    training each batch video's own."""
+    # contiguous per video first: np.stack lays its output out in its inputs'
+    # stride order, and the pooling sums run over that layout
+    region_feats = [np.ascontiguousarray(np.moveaxis(v.region_feat, 2, 0)) for v in videos]
+    return AgentTracks(np.transpose(feats, (2, 1, 0)), np.transpose(boxes, (2, 1, 0)),
+                       frame_major([v.region_box for v in videos], 0),
+                       frame_major(region_feats, 1))
 
 
-def track_inputs(tracks, regions) -> AgentTracks:
-    """The model input of B sequences: sequence b is ``tracks[b]`` playing
-    the agent over ``regions[b]``, the VideoRegions of its video. Eval passes
-    one video's regions for each of its tracks, training each batch video's
-    own."""
-    feats = np.array([track.feats for track in tracks], dtype=np.float64)
-    boxes = np.array([track.boxes for track in tracks], dtype=np.float64)
-    return AgentTracks(feats.transpose(2, 1, 0), boxes.transpose(2, 1, 0),
-                       VideoRegions.interleave(regions))
-
-
-def detected_tracks(samples, run_cfg: RunConfig) -> list[list[Track]]:
-    """Each video's deduplicated tracks, found in its proposals.
+def detected_tracks(samples, run_cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each video's deduplicated tracks, found in its proposals, as its
+    (K, T, 4) boxes and (K, T, D) features.
 
     Videos of one frame count and one proposal count are tracked in one
     tracker call over their proposal arrays; every video's tracks are then
@@ -84,39 +85,48 @@ def detected_tracks(samples, run_cfg: RunConfig) -> list[list[Track]]:
             [v.proposal_box for v in videos], [v.proposal_feat for v in videos],
             [v.proposal_score for v in videos], top_init=run_cfg.top_init, top_iou=run_cfg.top_iou)
         for j, i in enumerate(members):
-            found = [Track(boxes[j, :, k], feats[j, :, k], scores[j, :, k])
-                     for k in range(boxes.shape[2])]
-            tracks[i] = deduplicate_tracks(found, overlap_iou=run_cfg.dedup_iou)
+            video_boxes = boxes[j].transpose(1, 0, 2)
+            kept = deduplicate_tracks(video_boxes, scores[j].T, overlap_iou=run_cfg.dedup_iou)
+            tracks[i] = video_boxes[kept], feats[j].transpose(1, 0, 2)[kept]
     return tracks
 
 
 class _Split:
     """A split's videos with what every epoch reuses, built once: each
-    video's regions, annotated track and loss targets."""
+    video's candidate tracks and loss targets. A video's candidates are its
+    (1 + K, T, 4) boxes and (1 + K, T, D) features: index 0 is its annotated
+    track, the rest its K detected tracks (none unless ``detected`` gives
+    them)."""
 
-    def __init__(self, videos, horizon: int, time_scale: float):
+    def __init__(self, videos, horizon: int, time_scale: float, detected=()):
         self.videos = list(videos)
-        self.regions = [video_regions(v) for v in self.videos]
-        self.annotated = [annotated_track(v) for v in self.videos]
+        self.track_boxes = [v.agent_box[None] for v in self.videos]
+        self.track_feats = [v.agent_feat[None] for v in self.videos]
+        for i, (boxes, feats) in enumerate(detected):
+            self.track_boxes[i] = np.concatenate([self.track_boxes[i], boxes])
+            self.track_feats[i] = np.concatenate([self.track_feats[i], feats])
         self.targets = [SequenceTargets.of(v, horizon, time_scale) for v in self.videos]
 
-    def loss(self, model: RiskModel, batch, tracks, tape: Tape):
-        """One forward pass and loss of the batch's videos, each on its track.
+    def loss(self, model: RiskModel, batch, picks, tape: Tape):
+        """One forward pass and loss of the batch's videos, each on the
+        candidate track ``picks`` gives it.
 
         Raises ValueError naming the first video whose frame or region count
         differs from the batch's first video.
         """
-        first = self.regions[batch[0]]
+        first = self.videos[batch[0]]
         for i in batch[1:]:
-            for what, got, want in (("frames", len(self.regions[i]), len(first)),
-                                    ("regions per frame", self.regions[i].n, first.n)):
+            for what, got, want in zip(("frames", "regions per frame"),
+                                       self.videos[i].region_box.shape, first.region_box.shape):
                 if got != want:
                     raise ValueError(
                         f"video {self.videos[i].video_id} has {got} {what} and video "
-                        f"{self.videos[batch[0]].video_id} has {want}; the videos of a "
-                        f"batch need one frame count and one region count")
-        out = forward_video(model.store, model.cfg,
-                            track_inputs(tracks, [self.regions[i] for i in batch]), tape)
+                        f"{first.video_id} has {want}; the videos of a batch need one frame "
+                        f"count and one region count")
+        frames = track_inputs([self.track_boxes[i][k] for i, k in zip(batch, picks)],
+                              [self.track_feats[i][k] for i, k in zip(batch, picks)],
+                              [self.videos[i] for i in batch])
+        out = forward_video(model.store, model.cfg, frames, tape)
         return total_loss(tape, out, [self.targets[i] for i in batch], model.cfg.lambdas), out
 
 
@@ -126,8 +136,7 @@ def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig):
     peaks = []
     for start in range(0, len(split.videos), run_cfg.batch_size):
         chunk = range(start, min(start + run_cfg.batch_size, len(split.videos)))
-        loss, out = split.loss(model, chunk, [split.annotated[i] for i in chunk],
-                               Tape(train=False))
+        loss, out = split.loss(model, chunk, [0] * len(chunk), Tape(train=False))
         losses.extend(loss.per_sequence)
         probs = out.y_fused[:, 1] if run_cfg.use_fused else out.y[:, 1]
         peaks.append(probs.reshape(-1, len(chunk)).max(axis=0))
@@ -136,7 +145,7 @@ def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig):
     return float(np.mean(losses)), val_map
 
 
-def _backward_pass(model: RiskModel, split: _Split, batch, tracks, epoch: int) -> np.ndarray:
+def _backward_pass(model: RiskModel, split: _Split, batch, picks, epoch: int) -> np.ndarray:
     """Add the batch's mean gradient to the parameters with one forward and
     one backward pass; returns each video's loss. The pass's graph is freed
     on return, before the next pass builds its own.
@@ -145,7 +154,7 @@ def _backward_pass(model: RiskModel, split: _Split, batch, tracks, epoch: int) -
     whose loss is not finite.
     """
     tape = Tape(train=True)
-    loss, _ = split.loss(model, batch, tracks, tape)
+    loss, _ = split.loss(model, batch, picks, tape)
     bad = np.flatnonzero(~np.isfinite(loss.per_sequence))
     if len(bad):
         raise TrainingError(f"non-finite loss at epoch {epoch}, "
@@ -166,9 +175,10 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
     rng = np.random.default_rng(
         np.random.SeedSequence([run_cfg.seed, _TRAIN_STREAM]))
 
-    train = _Split(train_videos, model.cfg.horizon, run_cfg.time_scale)
+    train_videos = list(train_videos)
+    train = _Split(train_videos, model.cfg.horizon, run_cfg.time_scale,
+                   detected_tracks(train_videos, run_cfg))
     val = _Split(val_videos, model.cfg.horizon, run_cfg.time_scale)
-    td_tracks = detected_tracks(train.videos, run_cfg)
 
     history: list[EpochStats] = []
     best_values = model.store.values.copy()
@@ -182,9 +192,9 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
         epoch_losses = []
         for start in range(0, n, run_cfg.batch_size):
             batch = order[start:start + run_cfg.batch_size]
-            tracks = [select_training_track(train.annotated[i], td_tracks[i], rng)
-                      for i in batch]
-            epoch_losses.extend(_backward_pass(model, train, batch, tracks, epoch))
+            # uniform over each video's annotated track and its detected ones
+            picks = [int(rng.integers(0, len(train.track_boxes[i]))) for i in batch]
+            epoch_losses.extend(_backward_pass(model, train, batch, picks, epoch))
             step += 1
             adam_step(model.store, lr=run_cfg.lr, t=step)
 

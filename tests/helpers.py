@@ -9,8 +9,7 @@ from riskrnn.autodiff import Node, Tape
 from riskrnn.data import VideoSample
 from riskrnn.model import AgentTracks, ModelConfig, RiskModel
 from riskrnn.nn import ParameterStore
-from riskrnn.tracking import annotated_track
-from riskrnn.training import track_inputs, video_regions
+from riskrnn.training import track_inputs
 
 TINY_CONFIG = ModelConfig(d_agent=8, d_region=8, d_u=6, h_agent=8, h_aa=8,
                           horizon=1, imagine_steps=1, lambdas=(0.6, 0.4))
@@ -78,10 +77,9 @@ def gradcheck_fixture(rng, cfg: ModelConfig, n_frames: int, n_regions: int,
 
 
 def agent_tracks(*videos) -> AgentTracks:
-    """The model input of B sequences, each a video's agent track over its
-    own regions, built as training.track_inputs builds it."""
-    return track_inputs([annotated_track(v) for v in videos],
-                        [video_regions(v) for v in videos])
+    """The model input of B sequences, each a video's annotated agent track
+    over its own regions, built by training.track_inputs."""
+    return track_inputs([v.agent_box for v in videos], [v.agent_feat for v in videos], videos)
 
 
 def leaf(tape: Tape, value) -> Node:

@@ -7,7 +7,8 @@ built from the arrays' rows.
 - the per-frame forward and loss that the model computed before it ran whole
   videos as column passes, written out with numpy and the scalar geometry;
 - the tracker, one video, one track and one proposal at a time over scalar
-  IoU, the way it was written before it ran a split's videos as arrays;
+  IoU, the way it was written before it ran a split's videos as arrays, and
+  deduplication over its Track records;
 - the per-frame detection matching and the oracle rescoring as pair loops
   over scalar IoU, the way they were written before they took whole IoU
   matrices;
@@ -29,6 +30,7 @@ built from the arrays' rows.
 """
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from riskrnn.evaluation import REGION_IOU_THRESHOLD, video_level_scores
 from riskrnn.geometry import MAX_LOG_SCALE, Box, encode_box_transform
 from riskrnn.losses import PROB_CLAMP, RISKY_IOU_THRESHOLD
 from riskrnn.synthworld import agent_class_id
-from riskrnn.tracking import Track
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +282,20 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b)) / denom
 
 
+@dataclass
+class Track:
+    """One track over T frames: its (T, 4) boxes, (T, D) features and (T,)
+    object scores."""
+
+    boxes: np.ndarray
+    feats: np.ndarray
+    scores: np.ndarray
+
+    @property
+    def mean_score(self) -> float:
+        return float(np.mean(self.scores))
+
+
 def track_by_detection(xywh, feats, scores, top_init: int = 10,
                        top_iou: int = 10) -> list[Track]:
     """tracking.track_by_detection of one video given as its (T, M, 4)
@@ -310,7 +325,8 @@ def track_by_detection(xywh, feats, scores, top_init: int = 10,
 
 
 def deduplicate_tracks(tracks, overlap_iou: float = 0.7) -> list[Track]:
-    """tracking.deduplicate_tracks with a union-find over every pair."""
+    """tracking.deduplicate_tracks over Track records, keeping the records,
+    with a union-find over every pair."""
     n = len(tracks)
     if n == 0:
         return []

@@ -7,7 +7,6 @@ import pytest
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
 from riskrnn.geometry import Box
-from riskrnn.model import VideoRegions
 
 import helpers
 import oracles
@@ -253,13 +252,15 @@ class TestOpGradients:
             ad.matmul(tape.const(np.ones((2, 3))), tape.const(np.ones(3)))
 
 
-def composed_relative_config(tape, agent, regions):
+def composed_relative_config(tape, agent, region_boxes):
     """Reference for ad.relative_config built from primitive ops."""
     cx, cy = oracles.pick(agent, 0), oracles.pick(agent, 1)
     w, h = oracles.pick(agent, 2), oracles.pick(agent, 3)
     inv_w, inv_h = oracles.div(tape.const(1.0), w), oracles.div(tape.const(1.0), h)
-    r = {k: tape.const(getattr(regions, k))
-         for k in ("cx", "cy", "w", "h", "x1", "y1", "x2", "y2", "area")}
+    rcx, rcy, rw, rh = np.moveaxis(region_boxes, 2, 0)
+    r = {"cx": rcx, "cy": rcy, "w": rw, "h": rh, "x1": rcx - 0.5 * rw, "y1": rcy - 0.5 * rh,
+         "x2": rcx + 0.5 * rw, "y2": rcy + 0.5 * rh, "area": rw * rh}
+    r = {k: tape.const(v) for k, v in r.items()}
     ax1, ax2 = cx - 0.5 * w, cx + 0.5 * w
     ay1, ay2 = cy - 0.5 * h, cy + 0.5 * h
     iw = ad.relu(oracles.minimum(ax2, r["x2"]) - oracles.maximum(ax1, r["x1"]))
@@ -275,8 +276,8 @@ def composed_relative_config(tape, agent, regions):
 
 
 def one_frame(boxes):
-    """The regions of a one-frame video, as ad.relative_config reads them."""
-    return VideoRegions(np.array([boxes]), np.zeros((1, len(boxes), 1)))
+    """The (1, N, 4) region boxes of one column, as ad.relative_config reads them."""
+    return np.array([boxes], dtype=np.float64)
 
 
 class TestRelativeConfig:
@@ -320,7 +321,7 @@ class TestRelativeConfig:
         sets = [[(0.58, 0.43, 0.16, 0.2), (0.9, 0.1, 0.1, 0.1)],
                 [(0.52, 0.48, 0.5, 0.6), (0.3, 0.74, 0.3, 0.1)],
                 [(0.49, 0.52, 0.1, 0.12), (0.55, 0.45, 0.2, 0.2)]]
-        regions = VideoRegions(np.array(sets), np.zeros((3, 2, 1)))
+        regions = np.array(sets)
         agents = np.array([self.AGENT[:, 0], [0.45, 0.55, 0.3, 0.25], [0.5, 0.5, 0.4, 0.4]]).T.copy()
         weights = rng.normal(size=(9, 3, 2))
         check_gradient(

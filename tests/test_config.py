@@ -4,6 +4,7 @@ import re
 import pytest
 
 from riskrnn.config import ConfigError, RunConfig, load_run_config
+from riskrnn.model import VARIANTS, ModelConfig, variant_config
 from riskrnn.synthworld import ScenarioConfig
 
 
@@ -43,3 +44,16 @@ def test_every_scenario_field_reaches_scenario_config():
 
 def test_run_config_defaults_are_the_scenario_defaults():
     assert RunConfig().scenario_config() == ScenarioConfig()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_config_defaults_are_the_model_defaults(variant):
+    assert RunConfig().model_config(variant) == variant_config(
+        ModelConfig(d_agent=32, d_region=32), variant)
+
+
+def test_every_model_key_reaches_model_config():
+    changed = {"d_u": 3, "h_agent": 5, "h_aa": 7, "horizon": 2, "imagine_steps": 2,
+               "lambdas": (0.5, 0.25, 0.25)}
+    cfg = dataclasses.replace(RunConfig(), **changed).model_config("L-RAI")
+    assert {key: getattr(cfg, key) for key in changed} == changed

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskrnn.evaluation import (REGION_IOU_THRESHOLD, VideoPrediction, average_precision,
@@ -234,6 +234,10 @@ class TestRiskMapRaster:
     @settings(max_examples=200, deadline=None)
     @given(scored_boxes | dyadic_scored_boxes, st.sampled_from([1, 4, 8, 16]),
            st.integers(1, 16))
+    # eight boxes on one cell: a pairwise sum is 2.8e-17 off the running one
+    @example([(Box(0.0, 0.0, 1.0, 1.0), score)
+              for score in (0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.5510275822490188,
+                            0.27664533870162616)], 1, 1)
     def test_equals_the_per_box_reference_bit_for_bit(self, scored, grid_w, grid_h):
         boxes = stack_boxes(box for box, _ in scored)
         scores = np.array([score for _, score in scored])

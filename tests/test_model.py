@@ -8,7 +8,7 @@ import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
 from riskrnn.geometry import Box
 from riskrnn.losses import SequenceTargets, total_loss
-from riskrnn.model import (ModelConfig, RiskModel, VideoRegions,
+from riskrnn.model import (AgentTracks, ModelConfig, RiskModel,
                            agent_rnn_step, anticipate_step, forward_video,
                            fuse_predictions, imagine_location, param_specs,
                            pool_regions, score_regions, variant_config)
@@ -26,8 +26,10 @@ def random_regions(rng, n_frames, n_regions, d_feat):
     return tuple(np.array(part) for part in zip(*frames))
 
 
-def video_regions(rng, n_frames, n_regions, d_feat):
-    return VideoRegions(*random_regions(rng, n_frames, n_regions, d_feat))
+def feats_first(region_feat):
+    """One video's (T, N, D) region features as the model reads them when it
+    runs the video alone, (D, T, N)."""
+    return np.moveaxis(np.asarray(region_feat, dtype=np.float64), 2, 0)
 
 
 def box_columns(boxes):
@@ -71,8 +73,7 @@ class TestTapeGeometry:
             agent = random_box(rng)
             region_box, region_feat = random_regions(rng, 1, 5, 3)
             tape = Tape()
-            got = ad.relative_config(tape.const(box_columns([agent])),
-                                     VideoRegions(region_box, region_feat))
+            got = ad.relative_config(tape.const(box_columns([agent])), region_box)
             want = np.stack([oracles.relative_config(Box(*agent), r)
                              for r in oracles.boxes(region_box[0])], axis=1)
             np.testing.assert_allclose(got.value[:, 0], want, rtol=1e-12, atol=1e-12)
@@ -81,8 +82,7 @@ class TestTapeGeometry:
         rng = np.random.default_rng(22)
         region_box, region_feat = random_regions(rng, 6, 4, 3)
         agents = [random_box(rng) for _ in region_box]
-        got = ad.relative_config(Tape().const(box_columns(agents)),
-                                 VideoRegions(region_box, region_feat))
+        got = ad.relative_config(Tape().const(box_columns(agents)), region_box)
         assert got.value.shape == (9, 6, 4)
         for t, (agent, regions) in enumerate(zip(agents, region_box)):
             want = np.stack([oracles.relative_config(Box(*agent), r)
@@ -116,11 +116,12 @@ class TestScoreRegions:
     def test_zero_scorer_gives_half(self):
         model = zeroed_model(TINY_CONFIG)
         rng = np.random.default_rng(1)
-        regions = video_regions(rng, 3, 4, TINY_CONFIG.d_region)
+        region_box, region_feat = random_regions(rng, 3, 4, TINY_CONFIG.d_region)
         tape = Tape()
         u = ad.relative_config(tape.const(box_columns([random_box(rng) for _ in range(3)])),
-                               regions)
-        scores = score_regions(tape, model.store, tape.const(np.zeros((8, 3))), u, regions)
+                               region_box)
+        scores = score_regions(tape, model.store, tape.const(np.zeros((8, 3))), u,
+                               feats_first(region_feat))
         assert scores.value.shape == (3, 4)
         np.testing.assert_allclose(scores.value, 0.5)
 
@@ -131,11 +132,12 @@ class TestScoreRegions:
         for _ in range(3):
             box, feat = random_box(rng), rng.normal(size=TINY_CONFIG.d_region)
             frames.append(([box, box], [feat, feat]))
-        regions = VideoRegions(*(np.array(part) for part in zip(*frames)))
+        region_box, region_feat = (np.array(part) for part in zip(*frames))
         tape = Tape()
         u = ad.relative_config(tape.const(box_columns([random_box(rng) for _ in range(3)])),
-                               regions)
-        scores = score_regions(tape, model.store, tape.const(rng.normal(size=(8, 3))), u, regions)
+                               region_box)
+        scores = score_regions(tape, model.store, tape.const(rng.normal(size=(8, 3))), u,
+                               feats_first(region_feat))
         np.testing.assert_array_equal(scores.value[:, 0], scores.value[:, 1])
 
     def test_sigmoid_of_logit(self):
@@ -147,26 +149,23 @@ class TestScoreRegions:
 class TestPoolRegions:
     def test_zero_scores_give_zero_vector(self):
         rng = np.random.default_rng(3)
-        regions = video_regions(rng, 2, 3, 4)
+        _, region_feat = random_regions(rng, 2, 3, 4)
         tape = Tape()
-        out = pool_regions(tape, tape.const(np.zeros((2, 3))), regions)
+        out = pool_regions(tape, tape.const(np.zeros((2, 3))), feats_first(region_feat))
         assert out.value.shape == (4, 2)
         np.testing.assert_allclose(out.value, 0.0)
 
     def test_single_region_full_weight(self):
         rng = np.random.default_rng(4)
         feats = rng.normal(size=(2, 4))
-        regions = VideoRegions(np.array([[random_box(rng)] for _ in feats]), feats[:, None])
         tape = Tape()
-        out = pool_regions(tape, tape.const(np.ones((2, 1))), regions)
+        out = pool_regions(tape, tape.const(np.ones((2, 1))), feats_first(feats[:, None]))
         np.testing.assert_allclose(out.value, feats.T)
 
     def test_hand_weighted_sum(self):
-        rng = np.random.default_rng(5)
-        regions = VideoRegions(np.array([[random_box(rng), random_box(rng)]] * 2),
-                               np.array([[[1.0, 0.0], [0.0, 1.0]]] * 2))
         tape = Tape()
-        out = pool_regions(tape, tape.const([[0.5, 0.5], [1.0, 0.25]]), regions)
+        out = pool_regions(tape, tape.const([[0.5, 0.5], [1.0, 0.25]]),
+                           feats_first([[[1.0, 0.0], [0.0, 1.0]]] * 2))
         np.testing.assert_allclose(out.value, [[0.5, 1.0], [0.5, 0.25]])
 
 
@@ -310,7 +309,8 @@ class TestForwardVideo:
 
     def test_empty_video_rejected(self):
         with pytest.raises(ValueError, match="at least one frame"):
-            VideoRegions(np.empty((0, 3, 4)), np.empty((0, 3, 2)))
+            AgentTracks(np.empty((2, 0, 1)), np.empty((4, 0, 1)), np.empty((0, 3, 4)),
+                        np.empty((2, 0, 3)))
 
     def test_frame_count_preserved(self):
         model = tiny_model(14)

@@ -10,7 +10,7 @@ from riskrnn.config import RunConfig
 from riskrnn.model import VARIANTS, RiskModel
 from riskrnn.pipeline import eval_video, evaluate_model
 from riskrnn.synthworld import generate_split
-from riskrnn.training import detected_tracks, track_inputs, video_regions
+from riskrnn.training import detected_tracks, track_inputs
 
 CFG = RunConfig(n_test=3, seed=6)
 
@@ -29,14 +29,14 @@ def outputs(out, use_fused):
 def test_each_frame_follows_its_most_alarmed_track(samples, variant, use_fused):
     cfg = replace(CFG, use_fused=use_fused)
     model = RiskModel.create(cfg.model_config(variant), seed=6)
-    for sample, tracks in zip(samples, detected_tracks(samples, cfg)):
+    for sample, (boxes, feats) in zip(samples, detected_tracks(samples, cfg)):
         y, s = outputs(model.forward_video(
-            track_inputs(tracks, [video_regions(sample)] * len(tracks))), use_fused)
+            track_inputs(boxes, feats, [sample] * len(boxes))), use_fused)
         # column t * K + k is track k at frame t
-        probs = y[:, 1].reshape(sample.n_frames, len(tracks))
-        scores = s.reshape(sample.n_frames, len(tracks), -1)
-        result = eval_video(model, sample, tracks, cfg)
-        assert result.n_tracks == len(tracks) > 1
+        probs = y[:, 1].reshape(sample.n_frames, len(boxes))
+        scores = s.reshape(sample.n_frames, len(boxes), -1)
+        result = eval_video(model, sample, (boxes, feats), cfg)
+        assert result.n_tracks == len(boxes) > 1
         assert len(result.frame_probs) == len(result.region_scores) == sample.n_frames
         assert result.region_boxes is sample.region_box
         for t, region_scores in enumerate(result.region_scores):
@@ -51,14 +51,14 @@ def test_the_batched_pass_matches_one_forward_per_track(samples, variant, use_fu
     # columns agree with the separate forwards to rounding, not bit for bit
     cfg = replace(CFG, use_fused=use_fused)
     model = RiskModel.create(cfg.model_config(variant), seed=6)
-    for sample, tracks in zip(samples, detected_tracks(samples, cfg)):
+    for sample, (boxes, feats) in zip(samples, detected_tracks(samples, cfg)):
         y, s = outputs(model.forward_video(
-            track_inputs(tracks, [video_regions(sample)] * len(tracks))), use_fused)
-        for k, track in enumerate(tracks):
+            track_inputs(boxes, feats, [sample] * len(boxes))), use_fused)
+        for k in range(len(boxes)):
             y_k, s_k = outputs(model.forward_video(
-                track_inputs([track], [video_regions(sample)])), use_fused)
-            np.testing.assert_allclose(y[k::len(tracks)], y_k, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(s[k::len(tracks)], s_k, rtol=1e-12, atol=1e-12)
+                track_inputs(boxes[k:k + 1], feats[k:k + 1], [sample])), use_fused)
+            np.testing.assert_allclose(y[k::len(boxes)], y_k, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(s[k::len(boxes)], s_k, rtol=1e-12, atol=1e-12)
 
 
 # a video's frames share one proposal count, so a frame without proposals is

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from riskrnn.config import RunConfig
 from riskrnn.synthworld import ScenarioConfig, generate_scenario
-from riskrnn.tracking import Track, deduplicate_tracks, track_by_detection
+from riskrnn.tracking import deduplicate_tracks, track_by_detection
 from riskrnn.training import detected_tracks
 
 import oracles
@@ -18,12 +18,13 @@ RUN = RunConfig(top_init=6, top_iou=4)
 
 
 def track_videos(videos, **kwargs):
-    """Per video, its Tracks from one tracker call over videos given as their
-    (T, M, 4) proposal boxes, (T, M, D) features and (T, M) scores, all of
-    one frame count and one proposal count."""
+    """Per video, the (K, T, 4) boxes, (K, T, D) features and (K, T) scores
+    of its tracks, from one tracker call over videos given as their (T, M, 4)
+    proposal boxes, (T, M, D) features and (T, M) scores, all of one frame
+    count and one proposal count."""
     boxes, feats, scores = track_by_detection(*zip(*videos), **kwargs)
-    return [[Track(boxes[v, :, k], feats[v, :, k], scores[v, :, k])
-             for k in range(boxes.shape[2])] for v in range(len(videos))]
+    return [(boxes[v].transpose(1, 0, 2), feats[v].transpose(1, 0, 2), scores[v].T)
+            for v in range(len(videos))]
 
 
 def proposals(sample):
@@ -31,10 +32,12 @@ def proposals(sample):
 
 
 def assert_same_tracks(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for part in ("boxes", "feats", "scores"):
-            np.testing.assert_array_equal(getattr(g, part), getattr(w, part))
+    """The arrays of K tracks, (K, T, ·) each, hold the oracle's K Track
+    records, compared with ==."""
+    assert all(len(part) == len(want) for part in got)
+    for part, name in zip(got, ("boxes", "feats", "scores")):
+        for g, w in zip(part, want):
+            np.testing.assert_array_equal(g, getattr(w, name))
 
 
 class TestTrackByDetection:
@@ -42,8 +45,8 @@ class TestTrackByDetection:
         cfg = replace(CFG, proposal_jitter=0.0)
         samples = [generate_scenario(cfg, positive, index=index, split="test")
                    for index, positive in enumerate([True, False, True, False])]
-        for sample, tracks in zip(samples, track_videos([proposals(s) for s in samples])):
-            assert any(np.array_equal(track.boxes, sample.agent_box) for track in tracks), \
+        for sample, (boxes, _, _) in zip(samples, track_videos([proposals(s) for s in samples])):
+            assert any(np.array_equal(track, sample.agent_box) for track in boxes), \
                 sample.video_id
 
     def test_no_frame_is_an_error(self):
@@ -57,11 +60,16 @@ class TestDeduplicateTracks:
     def test_is_idempotent(self):
         samples = [generate_scenario(CFG, index % 2 == 0, index=index, split="val")
                    for index in range(4)]
-        for tracks in track_videos([proposals(s) for s in samples]):
+        for boxes, _, scores in track_videos([proposals(s) for s in samples]):
             for overlap in (0.1, 0.4, 0.7):
-                kept = deduplicate_tracks(tracks, overlap)
-                again = deduplicate_tracks(kept, overlap)
-                assert [id(t) for t in again] == [id(t) for t in kept]
+                kept = deduplicate_tracks(boxes, scores, overlap)
+                assert np.all(np.diff(kept) > 0)
+                again = deduplicate_tracks(boxes[kept], scores[kept], overlap)
+                np.testing.assert_array_equal(again, np.arange(len(kept)))
+
+    def test_no_track_keeps_none(self):
+        kept = deduplicate_tracks(np.empty((0, 3, 4)), np.empty((0, 3)))
+        assert kept.shape == (0,)
 
 
 class TestDetectedTracks:
@@ -72,10 +80,13 @@ class TestDetectedTracks:
                                    index=index, split="test") for index in range(9)]
         together = detected_tracks(split, RUN)
         assert len(together) == len(split)
-        for sample, tracks in zip(split, together):
-            assert len(tracks) > 1
-            assert all(len(track.boxes) == sample.n_frames for track in tracks)
-            assert_same_tracks(tracks, detected_tracks([sample], RUN)[0])
+        for sample, (boxes, feats) in zip(split, together):
+            assert len(boxes) == len(feats) > 1
+            assert boxes.shape[1:] == sample.agent_box.shape
+            assert feats.shape[1:] == sample.agent_feat.shape
+            alone_boxes, alone_feats = detected_tracks([sample], RUN)[0]
+            np.testing.assert_array_equal(boxes, alone_boxes)
+            np.testing.assert_array_equal(feats, alone_feats)
 
 
 # Coordinates on a coarse grid and small-integer features keep every IoU and
@@ -120,5 +131,6 @@ class TestMatchesScalarReference:
             want = oracles.track_by_detection(boxes, feats, scores, top_init=top_init,
                                               top_iou=top_iou)
             assert_same_tracks(tracks, want)
-            assert_same_tracks(deduplicate_tracks(tracks, overlap),
+            kept = deduplicate_tracks(tracks[0], tracks[2], overlap)
+            assert_same_tracks([part[kept] for part in tracks],
                                oracles.deduplicate_tracks(want, overlap))

@@ -1,14 +1,19 @@
 """The training loop: the best-validation model it returns, its checks on the
-loss and on the shapes of a batch, and its determinism."""
+loss and on the shapes of a batch, and its determinism; and the model input
+it builds from the tracks' and the videos' arrays."""
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskrnn.config import RunConfig
 from riskrnn.nn import TrainingError
 from riskrnn.synthworld import generate_scenario, generate_split
-from riskrnn.training import _Split, _validation_pass, train_model
+from riskrnn.training import _Split, _validation_pass, track_inputs, train_model
+
+from helpers import TINY_CONFIG, random_video
 
 # a learning rate this high makes validation loss rise after epoch 3 on this
 # split, so the returned model is not the last epoch's
@@ -92,3 +97,33 @@ def test_one_seed_gives_one_run(splits):
     assert first_history == second_history
     for pm in first.store:
         assert np.array_equal(pm.values, second.store[pm.name].values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_sequences=st.integers(1, 4), n_frames=st.integers(1, 5), n_regions=st.integers(1, 4),
+       views=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_track_inputs_puts_frame_t_of_sequence_b_at_column_t_times_b_plus_b(
+        n_sequences, n_frames, n_regions, views, seed):
+    rng = np.random.default_rng(seed)
+    videos = [random_video(rng, TINY_CONFIG, n_frames, n_regions) for _ in range(n_sequences)]
+    boxes = rng.uniform(size=(n_frames, n_sequences, 4)).transpose(1, 0, 2)
+    feats = rng.normal(size=(n_frames, n_sequences, TINY_CONFIG.d_agent)).transpose(1, 0, 2)
+    if views:  # strided inputs, as the tracker's output and a file's rows can be
+        videos = [dataclasses.replace(v, region_box=np.asfortranarray(v.region_box),
+                                      region_feat=np.asfortranarray(v.region_feat))
+                  for v in videos]
+    else:
+        boxes, feats = list(boxes.copy()), list(feats.copy())
+    frames = track_inputs(boxes, feats, videos)
+    agent_feats = frames.feats.reshape(TINY_CONFIG.d_agent, -1)
+    agent_boxes = frames.boxes.reshape(4, -1)
+    for b, video in enumerate(videos):
+        for t in range(n_frames):
+            column = t * n_sequences + b
+            assert np.all(agent_feats[:, column] == feats[b][t])
+            assert np.all(agent_boxes[:, column] == boxes[b][t])
+            assert np.all(frames.region_boxes[column] == video.region_box[t])
+            assert np.all(frames.region_feats[:, column] == video.region_feat[t].T)
+    assert len(frames) == n_frames
+    assert all(a.flags.c_contiguous for a in (frames.feats, frames.boxes, frames.region_boxes,
+                                              frames.region_feats))
