@@ -5,7 +5,7 @@ from .geometry import Box, encode_box_transform, iou
 from .data import (FrameInput, Proposal, ProposalSet, VideoSample, VideoTargets,
                    read_dataset, write_dataset)
 from .model import (AgentTracks, ModelConfig, ModelOutput, RiskModel, VARIANTS,
-                    forward_video, fuse_predictions, variant_config)
+                    forward_video, variant_config)
 from .losses import SequenceTargets, region_labels, total_loss
 from .synthworld import ScenarioConfig, generate_scenario, generate_split
 from .tracking import deduplicate_tracks, track_by_detection
@@ -20,7 +20,7 @@ __all__ = [
     "FrameInput", "Proposal", "ProposalSet", "VideoSample", "VideoTargets",
     "read_dataset", "write_dataset",
     "AgentTracks", "ModelConfig", "ModelOutput", "RiskModel", "VARIANTS",
-    "forward_video", "fuse_predictions", "variant_config",
+    "forward_video", "variant_config",
     "SequenceTargets", "region_labels", "total_loss",
     "ScenarioConfig", "generate_scenario", "generate_split",
     "deduplicate_tracks", "track_by_detection",

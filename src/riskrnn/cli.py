@@ -167,7 +167,7 @@ def cmd_infer(cfg, args) -> int:
     samples = read_dataset(_dataset_path(args.data, "test"))
     sample = _pick_video(samples, args.video_id)
     model = RiskModel.load(args.model)
-    result = eval_video(model, sample, detected_tracks([sample], cfg)[0], cfg)
+    result = eval_video(model, sample, detected_tracks([sample], cfg)[0])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "accident_prob"] +
@@ -184,7 +184,7 @@ def cmd_riskmap(cfg, args) -> int:
     samples = read_dataset(_dataset_path(args.data, "test"))
     sample = _pick_video(samples, args.video_id)
     model = RiskModel.load(args.model)
-    result = eval_video(model, sample, detected_tracks([sample], cfg)[0], cfg)
+    result = eval_video(model, sample, detected_tracks([sample], cfg)[0])
     out = Path(args.out)
     _write_riskmaps(out, result, cfg)
     print(f"{sample.n_frames} risk maps -> {out}")

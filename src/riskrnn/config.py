@@ -47,8 +47,6 @@ class RunConfig(ScenarioConfig, _ModelKeys):
     dedup_iou: float = 0.7
     # evaluation
     fps: float = 20.0
-    use_fused: bool = True
-    per_video_region_ap: bool = False
     grid_w: int = 64
     grid_h: int = 36
 

@@ -28,11 +28,13 @@ REGION_IOU_THRESHOLD = 0.4
 @dataclass
 class VideoPrediction:
     """Per-frame anticipation probabilities for one video (already reduced
-    over candidate tracks), with its label and accident frame."""
+    over candidate tracks), with its label, its accident frame (-1 for a
+    video without an accident) and its id."""
 
     probs: np.ndarray
     positive: bool
-    t_accident: int | None = None
+    t_accident: int = -1
+    video_id: str = ""
 
 
 @dataclass
@@ -81,11 +83,16 @@ def tta_atta(videos):
     increments, summed exactly as newly recalled positives times mean TTA
     over the positive count, so it never exceeds the largest accident frame.
     Returns (rows, atta) where each row is
-    (threshold, precision, recall, mean_tta).
+    (threshold, precision, recall, mean_tta). Raises ValueError, naming the
+    video, for a positive whose accident frame is not one of its frames.
     """
     positives = [v for v in videos if v.positive]
     if not positives:
         raise ValueError("time-to-accident needs at least one positive video")
+    for v in positives:
+        if not 0 <= v.t_accident < len(v.probs):
+            raise ValueError(f"video {v.video_id}: positive video needs an accident frame "
+                             f"in [0, {len(v.probs)}), got {v.t_accident}")
     scores = video_level_scores(videos)
     thresholds = sorted(set(scores.tolist()), reverse=True)
     # each positive's first crossing of every threshold is where its running
@@ -145,39 +152,29 @@ def _ground_truth_count(overlaps: np.ndarray) -> int:
     return int(np.count_nonzero(~np.isnan(overlaps).all(axis=1)))
 
 
-def region_average_precision(videos, per_video: bool = False):
+def region_average_precision(videos):
     """Detection AP over videos given as (scores, overlaps) pairs: the
     (T, N) detection scores and their (T, N, R) IoU matrix.
 
     Detections are matched frame by frame, pooled across every frame of
-    every video, and the recall axis counts all ground-truth boxes. With
-    ``per_video`` the AP is instead averaged over videos that have any
-    ground truth.
+    every video, and the recall axis counts all ground-truth boxes.
     """
-    def pooled_ap(video_list):
-        scores, hits = [], []
-        n_gt = 0
-        for video_scores, overlaps in video_list:
-            n_gt += _ground_truth_count(overlaps)
-            scores.append(np.ravel(video_scores))
-            # a frame where no detection reaches a ground truth matches none
-            video_hits = np.zeros(video_scores.shape, dtype=bool)
-            for t in np.flatnonzero((overlaps >= REGION_IOU_THRESHOLD).any(axis=(1, 2))):
-                video_hits[t] = match_frame_detections(video_scores[t], overlaps[t])
-            hits.append(video_hits.ravel())
-        if n_gt == 0:
-            raise ValueError("region AP needs at least one ground-truth box")
-        return average_precision(np.concatenate(scores), np.concatenate(hits), n_positive=n_gt)
-
-    if not per_video:
-        return pooled_ap(videos)
-    aps = [pooled_ap([video]) for video in videos if _ground_truth_count(video[1])]
-    if not aps:
+    scores, hits = [], []
+    n_gt = 0
+    for video_scores, overlaps in videos:
+        n_gt += _ground_truth_count(overlaps)
+        scores.append(np.ravel(video_scores))
+        # a frame where no detection reaches a ground truth matches none
+        video_hits = np.zeros(video_scores.shape, dtype=bool)
+        for t in np.flatnonzero((overlaps >= REGION_IOU_THRESHOLD).any(axis=(1, 2))):
+            video_hits[t] = match_frame_detections(video_scores[t], overlaps[t])
+        hits.append(video_hits.ravel())
+    if n_gt == 0:
         raise ValueError("region AP needs at least one ground-truth box")
-    return float(np.mean(aps))
+    return average_precision(np.concatenate(scores), np.concatenate(hits), n_positive=n_gt)
 
 
-def oracle_region_average_precision(videos, per_video: bool = False):
+def oracle_region_average_precision(videos):
     """Upper bound: every detection overlapping ground truth scores 1, else 0.
     Takes the (scores, overlaps) pairs of ``region_average_precision`` and
     rescores from the same overlaps.
@@ -190,7 +187,7 @@ def oracle_region_average_precision(videos, per_video: bool = False):
     if not any(scores.any() for scores, _ in rescored):
         warnings.warn("no proposal overlaps any ground truth; oracle region AP reported as 0")
         return 0.0
-    return region_average_precision(rescored, per_video=per_video)
+    return region_average_precision(rescored)
 
 
 # ---------------------------------------------------------------------------

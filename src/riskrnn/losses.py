@@ -41,7 +41,7 @@ def region_labels(region_boxes: np.ndarray, risky_boxes: np.ndarray) -> np.ndarr
     return (overlaps > RISKY_IOU_THRESHOLD).any(axis=2).astype(np.float64)
 
 
-def anticipation_weights(positive: bool, t_accident: int | None, n_frames: int,
+def anticipation_weights(positive: bool, t_accident: int, n_frames: int,
                          time_scale: float = 1.0) -> np.ndarray:
     """(2, T) weights of the per-frame (non-accident, accident) log
     probabilities in the anticipation loss.
@@ -53,8 +53,6 @@ def anticipation_weights(positive: bool, t_accident: int | None, n_frames: int,
     """
     weights = np.zeros((2, n_frames))
     if positive:
-        if t_accident is None:
-            raise ValueError("positive sequence needs the accident frame index")
         t = np.arange(n_frames, dtype=np.float64)
         weights[1] = np.exp(-(t_accident - t) * time_scale)
     else:
@@ -116,7 +114,11 @@ class SequenceTargets:
     @classmethod
     def of(cls, video: VideoSample, horizon: int, time_scale: float = 1.0) -> "SequenceTargets":
         """The targets of a video: its labels, its agent track, and its
-        region boxes against its risky boxes."""
+        region boxes against its risky boxes. Raises ValueError, naming the
+        video, for a positive whose accident frame is not one of its frames."""
+        if video.positive and not 0 <= video.t_accident < video.n_frames:
+            raise ValueError(f"video {video.video_id}: positive video needs an accident frame "
+                             f"in [0, {video.n_frames}), got {video.t_accident}")
         return cls(anticipation_weights(video.positive, video.t_accident, video.n_frames,
                                         time_scale),
                    region_labels(video.region_box, video.risky_box),
@@ -133,20 +135,17 @@ class SequenceLosses:
     per_sequence: np.ndarray
 
 
-def total_loss(tape: Tape, predictions: ModelOutput, targets, lambdas) -> SequenceLosses:
+def total_loss(tape: Tape, predictions: ModelOutput, targets) -> SequenceLosses:
     """Transform loss plus the fusion-weighted sum of per-level task losses,
     for each of the B sequences of a pass, one SequenceTargets each.
 
-    Level 0 is the observed predictions; level n >= 1 is the n-th imagination
-    hop, scored against the same accident time and the same per-frame region
-    labels (regions are frozen during imagination).
+    The levels and their weights are the output's ``levels`` and
+    ``lambdas``: level 0 is the observed assessment, level n >= 1 the n-th
+    imagination hop, scored against the same accident time and the same
+    per-frame region labels (regions are frozen during imagination).
     """
-    lam = np.asarray(lambdas, dtype=np.float64)
-    levels = [predictions] + list(predictions.imagined)
-    if lam.shape[0] != len(levels):
-        raise ValueError(f"need {len(levels)} fusion weights, got {lam.shape[0]}")
     n_frames = targets[0].labels.shape[0]
-    columns = predictions.y_node.value.shape[1]
+    columns = predictions.levels[0][0].value.shape[1]
     if columns != n_frames * len(targets) or any(
             t.labels.shape[0] != n_frames for t in targets):
         raise ValueError(f"{columns} columns are not {len(targets)} sequences of "
@@ -159,9 +158,9 @@ def total_loss(tape: Tape, predictions: ModelOutput, targets, lambdas) -> Sequen
         per_column = transform_loss(tape, predictions.c_node,
                                     frame_major([t.transforms for t in targets], 1),
                                     frame_major([t.has_transform for t in targets], 0))
-    for weight, level in zip(lam, levels):
-        level_loss = float(weight) * (anticipation_loss(tape, level.y_node, weights)
-                                      + region_loss(tape, level.s_node, labels))
+    for weight, (y, s) in zip(predictions.lambdas, predictions.levels, strict=True):
+        level_loss = float(weight) * (anticipation_loss(tape, y, weights)
+                                      + region_loss(tape, s, labels))
         per_column = level_loss if per_column is None else per_column + level_loss
     per_sequence = ad.vsum(ad.reshape(per_column, (n_frames, len(targets))), axis=0)
     return SequenceLosses(ad.vsum(per_sequence), per_sequence.value)

@@ -7,9 +7,11 @@ state and each region's relative geometry into per-region classifier weights,
 whose dot product with the region appearance gives a risk score. Risk-weighted
 region pooling plus the agent state feed an anticipation head that outputs a
 (non-accident, accident) distribution. With imagination enabled, the model
-regresses its own box a fixed number of frames ahead, re-scores every region
-from the imagined position without touching the committed recurrent state,
-and fuses observed and imagined outputs as a convex combination.
+regresses its own box a fixed number of frames ahead and assesses the
+unchanged regions again from the imagined position, branching from the
+committed recurrent state without touching it. Each assessment is one level:
+the observed one, then one per imagination hop. The fused outputs are their
+convex combination.
 
 Four ablation variants are supported: RA (single frame), RAI (adds
 imagination), L-RA (adds the two LSTMs), and L-RAI (everything).
@@ -28,11 +30,12 @@ nodes however long the videos are and however many sequences there are:
 
 1. the agent memory: one LSTM sweep over the tracks' appearance and box,
    the B sequences independent;
-2. region scoring and pooling over all T x B x N columns;
+2. the observed level: region scoring and pooling over all T x B x N columns;
 3. the risk memory: one LSTM sweep over the pooled columns, again B
    sequences, then the anticipation head on all T x B columns;
-4. each imagination hop: the box transform, the relative geometry, scoring,
-   pooling and one branched LSTM step, for all T x B columns at once.
+4. each imagination hop, one more level: the box transform, then the same
+   passes as 2 and 3 from the moved boxes, with one branched LSTM step in
+   place of the sweep, for all T x B columns at once.
 
 Only the two memory sweeps (1 and 3) are sequential over time; RA and RAI
 have none.
@@ -116,35 +119,30 @@ def variant_config(base: ModelConfig, variant: str) -> ModelConfig:
 
 
 @dataclass
-class Assessment:
-    """One assessment of every column, as tape nodes: the (2, C)
-    (non-accident, accident) distributions and the (C, N) region scores,
-    C = T * B (frame, sequence) columns, frame-major. The ``y`` and ``s``
-    arrays have a row per column: (C, 2) and (C, N)."""
+class ModelOutput:
+    """The model's assessments of C = T * B (frame, sequence) columns,
+    frame-major. ``levels`` holds, as tape nodes, each level's (2, C)
+    (non-accident, accident) distributions and (C, N) region scores: the
+    observed level, then one per imagination hop. ``c_node`` holds the first
+    hop's (4, C) box transforms (None without imagination), and ``lambdas``
+    one fusion weight per level. ``y`` (C, 2) and ``s`` (C, N) are the fused
+    outputs, the weighted sum of the levels in level order."""
 
-    y_node: Node
-    s_node: Node
+    levels: list
+    c_node: Node | None
+    lambdas: tuple
+
+    def _fused(self, part: int) -> np.ndarray:
+        return sum(weight * level[part].value
+                   for weight, level in zip(self.lambdas, self.levels, strict=True))
 
     @property
     def y(self) -> np.ndarray:
-        return self.y_node.value.T.copy()
+        return self._fused(0).T
 
     @property
     def s(self) -> np.ndarray:
-        return self.s_node.value.copy()
-
-
-@dataclass
-class ModelOutput(Assessment):
-    """The observed assessment, the fused (C, 2) and (C, N) outputs,
-    one more assessment per imagination hop, and the first hop's (4, C) box
-    transforms ``c_node`` (None without imagination). The nodes are kept for
-    loss construction."""
-
-    y_fused: np.ndarray
-    s_fused: np.ndarray
-    imagined: list
-    c_node: Node | None
+        return self._fused(1)
 
 
 def frame_major(arrays, axis: int) -> np.ndarray:
@@ -270,55 +268,19 @@ def anticipate_step(tape: Tape, store: ParameterStore, cfg: ModelConfig,
     return state, o, y
 
 
-def imagine_location(tape: Tape, store: ParameterStore, o: Node, boxes: Node):
-    """Regress the (4, C) transforms taking each column's box to the imagined one."""
-    c = ad.matmul(tape.param(store["imagine_head_W"]), o)
-    largest = np.abs(c.value[2:4]).max()
-    if largest > MAX_LOG_SCALE:
-        raise ValueError(f"log size ratios out of range: |{largest}| > {MAX_LOG_SCALE}")
-    return c, ad.apply_box_transform(boxes, c)
-
-
-def imagined_reassessment(tape: Tape, store: ParameterStore, cfg: ModelConfig,
-                          agent_code: Node, state: LstmState | None,
-                          o_prev: Node, boxes: Node, frames: AgentTracks):
-    """One imagination hop for every column: move the agent, re-score the
-    unchanged regions.
-
-    The recurrent state advances on a branched copy only; the caller's
-    committed state is never mutated.
-    """
-    c, new_boxes = imagine_location(tape, store, o_prev, boxes)
-    u_hat = ad.relative_config(new_boxes, frames.region_boxes)
-    s_hat = score_regions(tape, store, agent_code, u_hat, frames.region_feats)
-    pooled = pool_regions(tape, s_hat, frames.region_feats)
-    new_state, new_o, y_hat = anticipate_step(tape, store, cfg, state, agent_code, pooled)
-    return c, new_boxes, y_hat, s_hat, new_state, new_o
-
-
-def fuse_predictions(y: np.ndarray, s: np.ndarray, imagined_ys, imagined_ss, lambdas):
-    """Convex combination of observed and imagined outputs."""
-    lam = np.asarray(lambdas, dtype=np.float64)
-    y_fused = lam[0] * y
-    s_fused = lam[0] * s
-    for weight, y_hat, s_hat in zip(lam[1:], imagined_ys, imagined_ss):
-        y_fused = y_fused + weight * y_hat
-        s_fused = s_fused + weight * s_hat
-    return y_fused, s_fused
-
-
 def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
                   tape: Tape) -> ModelOutput:
     """Run the configured variant over B agent sequences of T frames.
 
     Every (frame, sequence) pair is a column, t * B + b, with its own
-    regions, so all sequences run as passes at once: the agent memory sweep,
-    region scoring and pooling over all T x B x N columns, the risk memory
-    sweep with the anticipation head, and each imagination hop.
+    regions, so all sequences run as passes at once. After the agent memory
+    sweep, level 0 assesses the observed boxes: region scoring and pooling
+    over all T x B x N columns, the risk memory sweep and the anticipation
+    head. Each imagination hop moves the boxes and assesses them the same
+    way, with one branched step from the last level's risk state in place of
+    the sweep, so the observed level is identical with imagination on or off.
     Only the two memory sweeps are sequential, each over B independent
-    sequences.
-    Imagination branches from the risk state of each column, so observed
-    outputs are identical with it on or off. The outputs have T * B columns.
+    sequences. The outputs have T * B columns.
     """
     d_agent, _, sequences = frames.feats.shape
     if d_agent != cfg.d_agent:
@@ -333,23 +295,23 @@ def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
     else:
         agent_code = tape.const(frames.feats.reshape(d_agent, -1))
 
-    s = score_regions(tape, store, agent_code, ad.relative_config(boxes, frames.region_boxes),
-                      frames.region_feats)
-    pooled = pool_regions(tape, s, frames.region_feats)
-    state, o, y = anticipate_step(tape, store, cfg, None, agent_code, pooled, sequences)
-
-    imagined = []
-    c_first = None
-    for _ in range(cfg.imagine_steps):
-        c, boxes, y_hat, s_hat, state, o = imagined_reassessment(
-            tape, store, cfg, agent_code, state, o, boxes, frames)
-        c_first = c if c_first is None else c_first
-        imagined.append(Assessment(y_hat, s_hat))
-
-    y_fused, s_fused = fuse_predictions(
-        y.value.T, s.value, [a.y for a in imagined], [a.s for a in imagined], cfg.lambdas)
-    return ModelOutput(y_node=y, s_node=s, imagined=imagined, c_node=c_first,
-                       y_fused=y_fused, s_fused=s_fused)
+    state = o = c_node = None
+    levels = []
+    for level in range(cfg.imagine_steps + 1):
+        if level:
+            # an imagination hop: move every column's box from the last level's code
+            c = ad.matmul(tape.param(store["imagine_head_W"]), o)
+            largest = np.abs(c.value[2:4]).max()
+            if largest > MAX_LOG_SCALE:
+                raise ValueError(f"log size ratios out of range: |{largest}| > {MAX_LOG_SCALE}")
+            boxes = ad.apply_box_transform(boxes, c)
+            c_node = c if level == 1 else c_node
+        s = score_regions(tape, store, agent_code,
+                          ad.relative_config(boxes, frames.region_boxes), frames.region_feats)
+        pooled = pool_regions(tape, s, frames.region_feats)
+        state, o, y = anticipate_step(tape, store, cfg, state, agent_code, pooled, sequences)
+        levels.append((y, s))
+    return ModelOutput(levels, c_node, cfg.lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +341,13 @@ class RiskModel:
 
     @classmethod
     def load(cls, path) -> "RiskModel":
-        """Read a model file; its parameters must be the ones its config needs."""
+        """Read a model file; its header must be the variant line and the
+        config keys, that variant the config's, and its parameters the ones
+        the config needs."""
         store, raw = load_params(path)
+        unknown = raw.keys() - {"variant"} - {f.name for f in fields(ModelConfig)}
+        if unknown:
+            raise ValueError(f"{path}: unknown config key {sorted(unknown)[0]!r}")
         values = {}
         for f in fields(ModelConfig):
             if f.name not in raw:
@@ -395,4 +362,7 @@ class RiskModel:
         if found != expected:
             raise ValueError(f"{path}: parameters {found} are not the {expected} "
                              f"its {cfg.variant} config needs")
+        if raw.get("variant") != cfg.variant:
+            raise ValueError(f"{path}: variant {raw.get('variant')!r} is not the "
+                             f"{cfg.variant} its config describes")
         return cls(cfg, store)

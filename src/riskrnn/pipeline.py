@@ -62,16 +62,15 @@ class EvalSummary:
         }
 
 
-def eval_video(model: RiskModel, sample, tracks, run_cfg: RunConfig) -> VideoEvalResult:
+def eval_video(model: RiskModel, sample, tracks) -> VideoEvalResult:
     """Run every candidate track of the video, its ``detected_tracks`` (K, T, 4)
     boxes and (K, T, D) features, through the model in one pass and reduce
     per frame."""
     boxes, feats = tracks
     n_frames = sample.n_frames
     out = model.forward_video(track_inputs(boxes, feats, [sample] * len(boxes)))
-    y, s = (out.y_fused, out.s_fused) if run_cfg.use_fused else (out.y, out.s)
-    probs = y[:, 1].reshape(n_frames, len(boxes))
-    region_scores = s.reshape(n_frames, len(boxes), -1)
+    probs = out.y[:, 1].reshape(n_frames, len(boxes))
+    region_scores = out.s.reshape(n_frames, len(boxes), -1)
 
     return VideoEvalResult(
         video_id=sample.video_id,
@@ -90,10 +89,10 @@ def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig) -> EvalSummary
     if not any(sample.positive for sample in samples):
         raise ValueError(f"no positive video among the {len(samples)} test videos; "
                          f"anticipation AP, ATTA and region AP need at least one")
-    results = [eval_video(model, sample, tracks, run_cfg)
+    results = [eval_video(model, sample, tracks)
                for sample, tracks in zip(samples, detected_tracks(samples, run_cfg))]
 
-    vpreds = [VideoPrediction(r.frame_probs, r.positive, r.t_accident)
+    vpreds = [VideoPrediction(r.frame_probs, r.positive, r.t_accident, r.video_id)
               for r in results]
     anticipation_map = average_precision(video_level_scores(vpreds),
                                          [r.positive for r in results])
@@ -101,10 +100,8 @@ def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig) -> EvalSummary
 
     region_videos = [(result.region_scores, region_overlaps(sample.region_box, sample.risky_box))
                      for sample, result in zip(samples, results)]
-    region_map = region_average_precision(region_videos,
-                                          per_video=run_cfg.per_video_region_ap)
-    oracle_map = oracle_region_average_precision(
-        region_videos, per_video=run_cfg.per_video_region_ap)
+    region_map = region_average_precision(region_videos)
+    oracle_map = oracle_region_average_precision(region_videos)
 
     return EvalSummary(
         anticipation_map=float(anticipation_map),

@@ -127,7 +127,7 @@ class _Split:
                               [self.track_feats[i][k] for i, k in zip(batch, picks)],
                               [self.videos[i] for i in batch])
         out = forward_video(model.store, model.cfg, frames, tape)
-        return total_loss(tape, out, [self.targets[i] for i in batch], model.cfg.lambdas), out
+        return total_loss(tape, out, [self.targets[i] for i in batch]), out
 
 
 def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig):
@@ -138,8 +138,7 @@ def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig):
         chunk = range(start, min(start + run_cfg.batch_size, len(split.videos)))
         loss, out = split.loss(model, chunk, [0] * len(chunk), Tape(train=False))
         losses.extend(loss.per_sequence)
-        probs = out.y_fused[:, 1] if run_cfg.use_fused else out.y[:, 1]
-        peaks.append(probs.reshape(-1, len(chunk)).max(axis=0))
+        peaks.append(out.y[:, 1].reshape(-1, len(chunk)).max(axis=0))
     positive = [video.positive for video in split.videos]
     val_map = average_precision(np.concatenate(peaks), positive) if any(positive) else 0.0
     return float(np.mean(losses)), val_map

@@ -399,37 +399,29 @@ def average_precision(pairs, n_positive=None) -> float:
     return math.fsum(precisions) / n_positive
 
 
-def region_average_precision(frames, per_video=False):
+def region_average_precision(frames):
     """evaluation.region_average_precision over videos given as lists of
     per-frame (detections, gt_boxes) pairs, detections being (box, score)
     pairs."""
-    def pooled_ap(videos):
-        pairs = []
-        n_gt = 0
-        for video in videos:
-            for detections, gt_boxes in video:
-                n_gt += len(gt_boxes)
-                pairs.extend(match_frame_detections(detections, gt_boxes))
-        if n_gt == 0:
-            raise ValueError("region AP needs at least one ground-truth box")
-        return average_precision(pairs, n_positive=n_gt)
-
-    if not per_video:
-        return pooled_ap(frames)
-    aps = [pooled_ap([video]) for video in frames if any(gt for _, gt in video)]
-    if not aps:
+    pairs = []
+    n_gt = 0
+    for video in frames:
+        for detections, gt_boxes in video:
+            n_gt += len(gt_boxes)
+            pairs.extend(match_frame_detections(detections, gt_boxes))
+    if n_gt == 0:
         raise ValueError("region AP needs at least one ground-truth box")
-    return float(np.mean(aps))
+    return average_precision(pairs, n_positive=n_gt)
 
 
-def oracle_region_average_precision(frames, per_video=False):
+def oracle_region_average_precision(frames):
     """evaluation.oracle_region_average_precision over the per-frame lists
     of region_average_precision."""
     rescored = oracle_rescore(frames)
     if not any(score for video in rescored for dets, _ in video for _, score in dets):
         warnings.warn("no proposal overlaps any ground truth; oracle region AP reported as 0")
         return 0.0
-    return region_average_precision(rescored, per_video=per_video)
+    return region_average_precision(rescored)
 
 
 def risk_map_raster(scored, grid_w: int, grid_h: int) -> np.ndarray:

@@ -113,6 +113,19 @@ def test_a_split_without_positives_is_a_runtime_failure_naming_the_file(
         f"error: {bad}: no positive video among the {len(negatives)} test videos")
 
 
+@pytest.mark.parametrize("old,new", [("variant = RA", "variant = L-RAI"),
+                                     ("h_aa = ", "no_such_key = 3\nh_aa = ")],
+                         ids=["other variant", "unknown key"])
+def test_a_hand_edited_model_file_is_a_runtime_failure_naming_it(
+        data_dir, tmp_path, capsys, old, new):
+    model = tmp_path / "RA.rrm"
+    RiskModel.create(RunConfig().model_config("RA"), seed=0).save(model)
+    model.write_text(model.read_text().replace(old, new))
+    assert main(["eval", "--data", str(data_dir), "--model", str(model),
+                 "--out", str(tmp_path / "report.txt"), *TINY]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+
+
 # Reached only by callers outside the package's own run, each named. The
 # record views rebuild what the benchmark's data check compares record by
 # record; read_report stays beside write_report because the golden test,

@@ -81,7 +81,7 @@ def labelled_videos(draw):
     for _ in range(draw(st.integers(1, 15))):
         probs = np.array(draw(st.lists(tied_probs, min_size=1, max_size=12)))
         positive = draw(st.booleans())
-        t_accident = draw(st.integers(0, len(probs) - 1)) if positive else None
+        t_accident = draw(st.integers(0, len(probs) - 1)) if positive else -1
         videos.append(VideoPrediction(probs, positive, t_accident))
     if not any(v.positive for v in videos):
         videos[0] = VideoPrediction(videos[0].probs, True, len(videos[0].probs) - 1)
@@ -93,6 +93,14 @@ class TestTtaAtta:
         videos = [VideoPrediction(np.full(12, 0.9 - 0.05 * i), True, 11) for i in range(12)]
         _, atta = tta_atta(videos)
         assert atta == 11.0
+
+    @pytest.mark.parametrize("t_accident", [-1, 12])
+    def test_a_positive_without_an_accident_frame_names_the_video(self, t_accident):
+        videos = [VideoPrediction(np.full(12, 0.5), True, 11, "kept"),
+                  VideoPrediction(np.full(12, 0.5), True, t_accident, "broken")]
+        with pytest.raises(ValueError, match=rf"^video broken: positive video needs an accident "
+                                             rf"frame in \[0, 12\), got {t_accident}$"):
+            tta_atta(videos)
 
     @settings(deadline=None)
     @given(labelled_videos())
@@ -177,11 +185,10 @@ def random_region_videos(rng, n_videos=4, n_frames=5):
 
 class TestRegionAp:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("per_video", [False, True])
-    def test_equals_the_scalar_reference(self, seed, per_video):
+    def test_equals_the_scalar_reference(self, seed):
         frames, arrays = random_region_videos(np.random.default_rng(seed))
-        got = region_average_precision(arrays, per_video=per_video)
-        assert 0.0 < got == oracles.region_average_precision(frames, per_video=per_video)
+        got = region_average_precision(arrays)
+        assert 0.0 < got == oracles.region_average_precision(frames)
 
     def test_padding_columns_are_not_ground_truth(self):
         frames, arrays = random_region_videos(np.random.default_rng(0), n_videos=1)
@@ -198,11 +205,10 @@ class TestRegionAp:
 
 class TestOracleRegionAp:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("per_video", [False, True])
-    def test_equals_the_scalar_reference(self, seed, per_video):
+    def test_equals_the_scalar_reference(self, seed):
         frames, arrays = random_region_videos(np.random.default_rng(seed))
-        got = oracle_region_average_precision(arrays, per_video=per_video)
-        assert 0.0 < got == oracles.oracle_region_average_precision(frames, per_video=per_video)
+        got = oracle_region_average_precision(arrays)
+        assert 0.0 < got == oracles.oracle_region_average_precision(frames)
 
     def test_no_detection_on_any_ground_truth_warns_and_reports_zero(self):
         frames, arrays = random_region_videos(np.random.default_rng(1))

@@ -24,7 +24,7 @@ def prob_nodes(tape, values):
     return tape.const(np.stack([1.0 - values, values]))
 
 
-def anticipation(values, positive, t_accident=None, time_scale=1.0) -> float:
+def anticipation(values, positive, t_accident=-1, time_scale=1.0) -> float:
     """The anticipation loss of one video with per-frame accident
     probabilities ``values``, summed over its frames."""
     tape = Tape()
@@ -214,8 +214,8 @@ class TestTransformLoss:
         out = forward_video(RiskModel.create(cfg, seed=8).store, cfg, agent_tracks(sample), tape)
         assert out.c_node is None
         garbled = replace(seq, transforms=np.full_like(seq.transforms, np.nan))
-        assert (float(total_loss(tape, out, [garbled], (1.0,)).total.value)
-                == float(total_loss(tape, out, [seq], (1.0,)).total.value))
+        assert (float(total_loss(tape, out, [garbled]).total.value)
+                == float(total_loss(tape, out, [seq]).total.value))
 
 
 class TestTotalLoss:
@@ -227,11 +227,12 @@ class TestTotalLoss:
         tape = Tape(train=False)
         inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)], (1.0,))
+        total = total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)])
         labels = region_labels(sample.region_box, sample.risky_box)
         weights = anticipation_weights(True, sample.t_accident, sample.n_frames)
-        want = (summed(anticipation_loss(tape, out.y_node, weights))
-                + summed(region_loss(tape, out.s_node, labels)))
+        (y, s), = out.levels
+        want = (summed(anticipation_loss(tape, y, weights))
+                + summed(region_loss(tape, s, labels)))
         assert float(total.total.value) == pytest.approx(want, rel=1e-12)
         assert total.per_sequence.tolist() == [float(total.total.value)]
 
@@ -246,26 +247,27 @@ class TestTotalLoss:
         tape = Tape(train=False)
         inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)], cfg.lambdas)
+        total = total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)])
         labels = [[0.0] * 3] * sample.n_frames
-        weights = anticipation_weights(False, None, sample.n_frames)
-        obs = (summed(anticipation_loss(tape, out.y_node, weights))
-               + summed(region_loss(tape, out.s_node, labels)))
-        imag = (summed(anticipation_loss(tape, out.imagined[0].y_node, weights))
-                + summed(region_loss(tape, out.imagined[0].s_node, labels)))
+        weights = anticipation_weights(False, -1, sample.n_frames)
+        obs, imag = (summed(anticipation_loss(tape, y, weights))
+                     + summed(region_loss(tape, s, labels)) for y, s in out.levels)
         lp = summed(transform_loss(tape, out.c_node,
                                    *transform_targets(sample.agent_box, cfg.horizon)))
         assert float(total.total.value) == pytest.approx(lp + 0.6 * obs + 0.4 * imag,
                                                          rel=1e-12)
 
     def test_lambda_mismatch_rejected(self):
+        # the model config holds one weight per level; an output built with
+        # another count is not scored on a subset of its levels
         model = tiny_model(5)
         rng = np.random.default_rng(5)
         sample = random_targets(rng, random_video(rng, TINY_CONFIG, 2, 3), positive=False)
         tape = Tape(train=False)
         out = forward_video(model.store, TINY_CONFIG, agent_tracks(sample), tape)
         with pytest.raises(ValueError):
-            total_loss(tape, out, [SequenceTargets.of(sample, TINY_CONFIG.horizon)], (1.0,))
+            total_loss(tape, replace(out, lambdas=(1.0,)),
+                       [SequenceTargets.of(sample, TINY_CONFIG.horizon)])
 
     def test_gradient_matches_finite_differences(self):
         from helpers import finite_diff_check, gradcheck_fixture
@@ -278,9 +280,18 @@ class TestTotalLoss:
         def make_loss():
             tape = Tape()
             out = forward_video(model.store, TINY_CONFIG, inputs, tape)
-            return tape, total_loss(tape, out, seq, TINY_CONFIG.lambdas).total
+            return tape, total_loss(tape, out, seq).total
 
         assert finite_diff_check(model.store, make_loss) < 1e-4
+
+    @pytest.mark.parametrize("t_accident", [-1, 2])
+    def test_a_positive_needs_an_accident_frame_among_its_frames(self, t_accident):
+        rng = np.random.default_rng(10)
+        sample = random_targets(rng, random_video(rng, TINY_CONFIG, 2, 3), positive=True)
+        broken = replace(sample, t_accident=t_accident, video_id="broken")
+        with pytest.raises(ValueError, match=rf"^video broken: positive video needs an accident "
+                                             rf"frame in \[0, 2\), got {t_accident}$"):
+            SequenceTargets.of(broken, TINY_CONFIG.horizon)
 
     def test_targets_validation(self):
         sample = random_video(np.random.default_rng(9), TINY_CONFIG, 2, 3)

@@ -20,22 +20,15 @@ def samples():
     return generate_split(CFG.scenario_config(), CFG.n_test, "test")
 
 
-def outputs(out, use_fused):
-    return (out.y_fused, out.s_fused) if use_fused else (out.y, out.s)
-
-
-@pytest.mark.parametrize("use_fused", [True, False])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_each_frame_follows_its_most_alarmed_track(samples, variant, use_fused):
-    cfg = replace(CFG, use_fused=use_fused)
-    model = RiskModel.create(cfg.model_config(variant), seed=6)
-    for sample, (boxes, feats) in zip(samples, detected_tracks(samples, cfg)):
-        y, s = outputs(model.forward_video(
-            track_inputs(boxes, feats, [sample] * len(boxes))), use_fused)
+def test_each_frame_follows_its_most_alarmed_track(samples, variant):
+    model = RiskModel.create(CFG.model_config(variant), seed=6)
+    for sample, (boxes, feats) in zip(samples, detected_tracks(samples, CFG)):
+        out = model.forward_video(track_inputs(boxes, feats, [sample] * len(boxes)))
         # column t * K + k is track k at frame t
-        probs = y[:, 1].reshape(sample.n_frames, len(boxes))
-        scores = s.reshape(sample.n_frames, len(boxes), -1)
-        result = eval_video(model, sample, (boxes, feats), cfg)
+        probs = out.y[:, 1].reshape(sample.n_frames, len(boxes))
+        scores = out.s.reshape(sample.n_frames, len(boxes), -1)
+        result = eval_video(model, sample, (boxes, feats))
         assert result.n_tracks == len(boxes) > 1
         assert len(result.frame_probs) == len(result.region_scores) == sample.n_frames
         assert result.region_boxes is sample.region_box
@@ -44,19 +37,27 @@ def test_each_frame_follows_its_most_alarmed_track(samples, variant, use_fused):
             np.testing.assert_array_equal(region_scores, scores[t, probs[t].argmax()])
 
 
-@pytest.mark.parametrize("use_fused", [True, False])
+def outputs(out, fused):
+    """The fused (C, 2) and (C, N) outputs, or every level's, each column's
+    levels side by side."""
+    if fused:
+        return out.y, out.s
+    return (np.concatenate([y.value.T for y, _ in out.levels], axis=1),
+            np.concatenate([s.value for _, s in out.levels], axis=1))
+
+
+@pytest.mark.parametrize("fused", [True, False])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_the_batched_pass_matches_one_forward_per_track(samples, variant, use_fused):
+def test_the_batched_pass_matches_one_forward_per_track(samples, variant, fused):
     # the batched matmuls sum in another order than one track's, so the
     # columns agree with the separate forwards to rounding, not bit for bit
-    cfg = replace(CFG, use_fused=use_fused)
-    model = RiskModel.create(cfg.model_config(variant), seed=6)
-    for sample, (boxes, feats) in zip(samples, detected_tracks(samples, cfg)):
+    model = RiskModel.create(CFG.model_config(variant), seed=6)
+    for sample, (boxes, feats) in zip(samples, detected_tracks(samples, CFG)):
         y, s = outputs(model.forward_video(
-            track_inputs(boxes, feats, [sample] * len(boxes))), use_fused)
+            track_inputs(boxes, feats, [sample] * len(boxes))), fused)
         for k in range(len(boxes)):
             y_k, s_k = outputs(model.forward_video(
-                track_inputs(boxes[k:k + 1], feats[k:k + 1], [sample])), use_fused)
+                track_inputs(boxes[k:k + 1], feats[k:k + 1], [sample])), fused)
             np.testing.assert_allclose(y[k::len(boxes)], y_k, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(s[k::len(boxes)], s_k, rtol=1e-12, atol=1e-12)
 

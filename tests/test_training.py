@@ -91,6 +91,18 @@ def test_a_frame_without_proposals_names_the_video_and_the_frame(splits, empty_f
         train_model(CFG, "L-RA", [train[0], broken], val)
 
 
+# in-memory videos are not checked as a dataset file's are
+@pytest.mark.parametrize("t_accident", [-1, CFG.frames_per_video])
+def test_a_positive_without_an_accident_frame_names_the_video(splits, t_accident):
+    train, val = splits
+    broken = dataclasses.replace(train[0], t_accident=t_accident)
+    assert broken.positive
+    with pytest.raises(ValueError, match=rf"^video {broken.video_id}: positive video needs an "
+                                         rf"accident frame in \[0, {CFG.frames_per_video}\), "
+                                         rf"got {t_accident}$"):
+        train_model(CFG, "RA", [broken, train[1]], val)
+
+
 def test_one_seed_gives_one_run(splits):
     (first, first_history), (second, second_history) = (
         train_model(CFG, "L-RAI", *splits) for _ in range(2))
