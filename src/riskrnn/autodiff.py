@@ -1,18 +1,20 @@
 """Reverse-mode autodiff on numpy arrays, recorded on a per-pass tape.
 
-Nodes hold 64-bit arrays (any shape, 0-d scalars included). Ops append nodes
+Nodes hold 64-bit arrays (any shape, 0-d scalars included) that are never
+written once made, so an op may return a view of its input. Ops append nodes
 in creation order, which is already a topological order, so the backward pass
 is a single reverse sweep that visits each node once. Gradients accumulate
-additively, so several loss terms seeded on the same tape combine into one
-weighted gradient sum. Nodes that cannot reach a parameter skip closure
-creation entirely, which keeps constant-only subgraphs (frozen inference,
+additively and out of place, so several loss terms seeded on the same tape
+combine into one weighted gradient sum and ops may pass one gradient buffer
+to several nodes. Nodes that cannot reach a parameter skip closure creation
+entirely, which keeps constant-only subgraphs (frozen inference,
 observed-frame geometry) cheap.
 
 The ops are the ones the risk model and its losses run, on whole-video
 matrices: broadcasting arithmetic, the nonlinearities and matrix and shape
 ops they need, and three fused ops with hand-derived backward passes. These
-are ``lstm``, the only LSTM, which runs S steps of B independent cells,
-``relative_config`` and ``apply_box_transform``. Tests compose references
+are ``lstm``, the only LSTM, which runs S steps of B independent cells on
+step-major columns, ``relative_config`` and ``apply_box_transform``. Tests compose references
 from these ops and from the few extra ops in tests/oracles.py.
 
 A tape is single-use for backward; build a fresh one per forward/backward
@@ -119,12 +121,9 @@ def _wrap(tape: Tape, x) -> Node:
 
 
 def _accum(node: Node, g) -> None:
-    if not node.requires_grad:
-        return
-    if node.grad is None:
-        node.grad = np.array(g, dtype=np.float64)  # own the buffer
-    else:
-        node.grad += g
+    """Add ``g`` to the node's gradient out of place: gradients may share buffers."""
+    if node.requires_grad:
+        node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -268,7 +267,7 @@ def vec_slice(x: Node, lo: int, hi: int) -> Node:
         full = np.zeros_like(x.value)
         full[lo:hi] = g
         _accum(x, full)
-    return x.tape._make(x.value[lo:hi].copy(), (x,), backward)
+    return x.tape._make(x.value[lo:hi], (x,), backward)
 
 
 def reshape(x: Node, shape) -> Node:
@@ -280,53 +279,56 @@ def reshape(x: Node, shape) -> Node:
 # ---------------------------------------------------------------------------
 # fused model ops with hand-derived backward passes
 
-def lstm(w: Node, b: Node, x: Node, h0: Node | None = None,
-         c0: Node | None = None) -> tuple[Node, Node]:
+def lstm(w: Node, b: Node, x: Node, h0: Node | None = None, c0: Node | None = None,
+         sequences: int = 1) -> tuple[Node, Node]:
     """S steps of B independent LSTM cells (no peepholes) as one op.
 
     ``w`` is the (4H, I + H) weight acting on [input; previous hidden] and
     ``b`` the (4H, 1) bias, gates ordered [input, forget, candidate, output].
-    ``x`` is (I, S, B): column (s, b) is the input of cell b at step s. The
-    cells start from the (H, B) states ``h0`` and ``c0``, zero when None.
-    Returns the (H, S, B) hidden and cell sequences, entry s being the state
-    after step s. The inputs of all steps are projected in one matmul; the
-    backward pass runs backpropagation through time, forms the weight
-    gradient as one product dZ @ [X; H_prev]^T and passes gradients on to
-    ``x``, ``h0`` and ``c0``. Fusing the gates and the recurrence into one
-    taped op keeps node counts low, which dominates training cost at desk
-    scale.
+    ``x`` is (I, S * B): column t * B + b is the input of cell b at step t.
+    The cells start from the (H, B) states ``h0`` and ``c0``, zero when None;
+    B is the column count of ``h0`` if given, else ``sequences``. Returns the
+    (H, S * B) hidden and cell states, column t * B + b being cell b after
+    step t. The inputs of all steps are projected in one matmul; the backward
+    pass runs backpropagation through time, forms the weight gradient as one
+    product dZ @ [X; H_prev]^T and passes gradients on to ``x``, ``h0`` and
+    ``c0``. Fusing the gates and the recurrence into one taped op keeps node
+    counts low, which dominates training cost at desk scale.
     """
     wv, xv = w.value, x.value
     hdim = wv.shape[0] // 4
-    n_in, batch = xv.shape[0], xv.shape[-1]
+    batch = sequences if h0 is None else h0.value.shape[-1]
     h0v = np.zeros((hdim, batch)) if h0 is None else h0.value
     c0v = np.zeros((hdim, batch)) if c0 is None else c0.value
-    if (xv.ndim != 3 or wv.shape != (4 * hdim, n_in + hdim) or b.value.shape != (4 * hdim, 1)
+    if (xv.ndim != 2 or batch < 1 or xv.shape[1] % batch != 0
+            or wv.shape != (4 * hdim, xv.shape[0] + hdim) or b.value.shape != (4 * hdim, 1)
             or h0v.shape != (hdim, batch) or c0v.shape != (hdim, batch)):
-        raise ValueError(f"lstm shape mismatch: weight {wv.shape}, bias {b.value.shape}, "
-                         f"input {xv.shape}, states {h0v.shape} and {c0v.shape}")
-    steps = xv.shape[1]
+        raise ValueError(f"lstm shape mismatch: weight {wv.shape}, bias {b.value.shape}, input "
+                         f"{xv.shape} of {batch} cells, states {h0v.shape} and {c0v.shape}")
+    n_in, columns = xv.shape
+    steps = columns // batch
     w_x, w_h = wv[:, :n_in], wv[:, n_in:]
-    z_in = (w_x @ xv.reshape(n_in, steps * batch) + b.value).reshape(4 * hdim, steps, batch)
-    acts = np.empty((4 * hdim, steps, batch))  # [input; forget; candidate; output] gates
-    tanh_c = np.empty((hdim, steps, batch))
-    hc = np.empty((2 * hdim, steps, batch))    # [hidden; cell]
+    z_in = w_x @ xv + b.value
+    acts = np.empty((4 * hdim, columns))  # [input; forget; candidate; output] gates
+    tanh_c = np.empty((hdim, columns))
+    hc = np.empty((2 * hdim, columns))    # [hidden; cell]
     h, c = h0v, c0v
     for t in range(steps):
-        z = z_in[:, t] + w_h @ h
+        step = slice(t * batch, (t + 1) * batch)
+        z = z_in[:, step] + w_h @ h
         a = _logistic(z)
         a[2 * hdim:3 * hdim] = np.tanh(z[2 * hdim:3 * hdim])
         c = a[hdim:2 * hdim] * c + a[0:hdim] * a[2 * hdim:3 * hdim]
-        tanh_c[:, t] = np.tanh(c)
-        h = a[3 * hdim:] * tanh_c[:, t]
-        acts[:, t] = a
-        hc[:hdim, t] = h
-        hc[hdim:, t] = c
+        tanh_c[:, step] = np.tanh(c)
+        h = a[3 * hdim:] * tanh_c[:, step]
+        acts[:, step] = a
+        hc[:hdim, step] = h
+        hc[hdim:, step] = c
 
     def backward(grad):
         i, f, g_, o = acts[0:hdim], acts[hdim:2 * hdim], acts[2 * hdim:3 * hdim], acts[3 * hdim:]
-        h_prev = np.concatenate([h0v[:, None], hc[:hdim, :-1]], axis=1)
-        c_prev = np.concatenate([c0v[:, None], hc[hdim:, :-1]], axis=1)
+        h_prev = np.concatenate([h0v, hc[:hdim, :-batch]], axis=1)
+        c_prev = np.concatenate([c0v, hc[hdim:, :-batch]], axis=1)
         # local derivatives, an entry per step and cell: of the input, forget
         # and candidate preactivations per unit of cell gradient, of the
         # output preactivation per unit of hidden gradient, and of
@@ -334,22 +336,21 @@ def lstm(w: Node, b: Node, x: Node, h0: Node | None = None,
         dz_dc = np.stack([g_ * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g_ * g_)])
         dz_dh = tanh_c * o * (1.0 - o)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty((4 * hdim, steps, batch))
-        dz_cell = dz[:3 * hdim].reshape(3, hdim, steps, batch)
+        dz = np.empty((4 * hdim, columns))
+        dz_cell = dz[:3 * hdim].reshape(3, hdim, columns)
         dh_next = dc_next = np.zeros((hdim, batch))
         for t in range(steps - 1, -1, -1):
-            dh = grad[:hdim, t] + dh_next
-            dc = grad[hdim:, t] + dc_next + dh * dc_dh[:, t]
-            dz_cell[:, :, t] = dc * dz_dc[:, :, t]
-            dz[3 * hdim:, t] = dh * dz_dh[:, t]
-            dc_next = dc * f[:, t]
-            dh_next = (dz[:, t].T @ w_h).T
-        dz_cols = dz.reshape(4 * hdim, steps * batch)
-        inputs = np.concatenate([xv, h_prev]).reshape(n_in + hdim, steps * batch)
-        _accum(w, dz_cols @ inputs.T)
-        _accum(b, dz_cols.sum(axis=1, keepdims=True))
+            step = slice(t * batch, (t + 1) * batch)
+            dh = grad[:hdim, step] + dh_next
+            dc = grad[hdim:, step] + dc_next + dh * dc_dh[:, step]
+            dz_cell[:, :, step] = dc * dz_dc[:, :, step]
+            dz[3 * hdim:, step] = dh * dz_dh[:, step]
+            dc_next = dc * f[:, step]
+            dh_next = (dz[:, step].T @ w_h).T
+        _accum(w, dz @ np.concatenate([xv, h_prev]).T)
+        _accum(b, dz.sum(axis=1, keepdims=True))
         if x.requires_grad:
-            _accum(x, (w_x.T @ dz_cols).reshape(xv.shape))
+            _accum(x, w_x.T @ dz)
         if h0 is not None:
             _accum(h0, dh_next)
         if c0 is not None:

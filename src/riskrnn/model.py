@@ -28,14 +28,14 @@ needs to know whether sequences share a video. The passes run over those columns
 (or over the (frame, sequence, region) columns), each a handful of tape
 nodes however long the videos are and however many sequences there are:
 
-1. the agent memory: one LSTM sweep over the tracks' appearance and box,
-   the B sequences independent;
+1. the agent memory: one ``lstm_step`` sweep over the frame-major columns
+   of the tracks' appearance and box, the B sequences independent;
 2. the observed level: region scoring and pooling over all T x B x N columns;
-3. the risk memory: one LSTM sweep over the pooled columns, again B
-   sequences, then the anticipation head on all T x B columns;
-4. each imagination hop, one more level: the box transform, then the same
-   passes as 2 and 3 from the moved boxes, with one branched LSTM step in
-   place of the sweep, for all T x B columns at once.
+3. the risk memory: one ``lstm_step`` sweep over the pooled columns, again
+   B sequences, then the anticipation head on all T x B columns;
+4. each imagination hop, one more level: the box transform, then passes 2
+   and 3 from the moved boxes, where ``lstm_step`` from the last level's
+   state steps all T x B columns once, branched, in place of the sweep.
 
 Only the two memory sweeps (1 and 3) are sequential over time; RA and RAI
 have none.
@@ -49,8 +49,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, Tape
 from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM
-from .nn import (LstmState, ParameterStore, dense, init_params, load_params,
-                 lstm_step, lstm_sweep, parse_config_value, save_params)
+from .nn import (ParameterStore, dense, init_params, load_params, lstm_step,
+                 parse_config_value, save_params)
 
 VARIANTS = ("RA", "RAI", "L-RA", "L-RAI")
 
@@ -236,32 +236,28 @@ def pool_regions(tape: Tape, scores: Node, region_feats: np.ndarray) -> Node:
     return ad.vsum(tape.const(region_feats) * scores, axis=2)
 
 
-def agent_rnn_step(tape: Tape, store: ParameterStore, inputs: np.ndarray) -> LstmState:
+def agent_rnn_step(tape: Tape, store: ParameterStore, inputs: np.ndarray) -> tuple[Node, Node]:
     """The agent memory: one sweep over the (d_agent + 4, T, B) appearances
-    and boxes of B independent sequences; returns (H, T * B) states,
-    frame-major."""
+    and boxes of B independent sequences; returns the (hidden, cell) states,
+    each (H, T * B) and frame-major."""
     rows, _, sequences = inputs.shape
-    return lstm_sweep(tape, store["agent_rnn_W"], store["agent_rnn_b"],
-                      tape.const(inputs.reshape(rows, -1)), sequences)
+    return lstm_step(tape, store["agent_rnn_W"], store["agent_rnn_b"],
+                     tape.const(inputs.reshape(rows, -1)), sequences=sequences)
 
 
 def anticipate_step(tape: Tape, store: ParameterStore, cfg: ModelConfig,
-                    state: LstmState | None, agent_code: Node, pooled: Node,
+                    state: tuple[Node, Node] | None, agent_code: Node, pooled: Node,
                     sequences: int = 1):
     """Anticipation for every column; returns (state, holistic code, (2, C) probabilities).
 
-    With memory, ``state=None`` runs the risk memory over the C = T * B
-    frame-major columns as ``sequences`` = B sequences from a zero state, while
-    a given state (one per column) advances each column by one branched step.
+    With memory, the risk memory's (hidden, cell) ``state`` is None to sweep
+    the C = T * B frame-major columns as ``sequences`` = B sequences from a
+    zero state, or one (H, C) pair to advance each column by one branched step.
     """
     q = ad.concat([agent_code, pooled])
     if cfg.use_memory:
-        weight, bias = store["risk_rnn_W"], store["risk_rnn_b"]
-        if state is None:
-            state = lstm_sweep(tape, weight, bias, q, sequences)
-        else:
-            state = lstm_step(tape, weight, bias, q, state)
-        o = state.hidden
+        state = lstm_step(tape, store["risk_rnn_W"], store["risk_rnn_b"], q, state, sequences)
+        o = state[0]
     else:
         o = q
     y = ad.softmax(ad.matmul(tape.param(store["accident_head_W"]), o))
@@ -290,8 +286,7 @@ def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
                          f"!= {cfg.d_region}")
     boxes = tape.const(frames.boxes.reshape(4, -1))
     if cfg.use_memory:
-        agent_code = agent_rnn_step(tape, store,
-                                    np.concatenate([frames.feats, frames.boxes])).hidden
+        agent_code, _ = agent_rnn_step(tape, store, np.concatenate([frames.feats, frames.boxes]))
     else:
         agent_code = tape.const(frames.feats.reshape(d_agent, -1))
 

@@ -1,17 +1,17 @@
-"""Parameter storage, dense/LSTM building blocks, Adam, and model files.
+"""Parameter storage, the dense and LSTM layers, Adam, and model files.
 
 A ParameterStore holds every parameter in one flat float64 vector, in
 declaration order, with the gradients and Adam moments in vectors beside it.
 Each ParamMatrix views its span of ``values`` and ``grad`` in its declared
 shape (biases are (n, 1) columns). Names ending in ``_rnn_b`` are LSTM bias
 blocks laid out as [input, forget, candidate, output]; their forget quarter is
-initialized to one so fresh cells retain memory.
+initialized to one so fresh cells retain memory. ``lstm_step`` is the one
+LSTM layer: a sweep over B sequences from a zero state, or one step per
+column from a given state.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -100,38 +100,13 @@ def dense(tape: Tape, weight: ParamMatrix, x: Node, bias: ParamMatrix | None = N
     return out
 
 
-@dataclass
-class LstmState:
-    """Hidden and cell states as (H, C) tape nodes, with a column per step of
-    each sequence or per independent cell."""
-
-    hidden: Node
-    cell: Node
-
-
-def _columns(seq: Node) -> Node:
-    """An (H, S, B) sequence of ad.lstm as (H, S * B) columns."""
-    return ad.reshape(seq, (seq.value.shape[0], -1))
-
-
-def lstm_step(tape: Tape, weight: ParamMatrix, bias: ParamMatrix,
-              x: Node, state: LstmState) -> LstmState:
-    """One LSTM step of B independent cells: the (I, B) input advances
-    column b of the (H, B) state by one step."""
-    hidden, cell = ad.lstm(tape.param(weight), tape.param(bias),
-                           ad.reshape(x, (x.value.shape[0], 1, -1)), state.hidden, state.cell)
-    return LstmState(_columns(hidden), _columns(cell))
-
-
-def lstm_sweep(tape: Tape, weight: ParamMatrix, bias: ParamMatrix, x: Node,
-               sequences: int = 1) -> LstmState:
-    """One LSTM cell run over B = ``sequences`` independent sequences from a
-    zero state. The (I, T * B) input is frame-major: column t * B + b is step
-    t of sequence b. Returns the (H, T * B) hidden and cell states in the same
-    layout."""
-    hidden, cell = ad.lstm(tape.param(weight), tape.param(bias),
-                           ad.reshape(x, (x.value.shape[0], -1, sequences)))
-    return LstmState(_columns(hidden), _columns(cell))
+def lstm_step(tape: Tape, weight: ParamMatrix, bias: ParamMatrix, x: Node,
+              state: tuple[Node, Node] | None = None, sequences: int = 1) -> tuple[Node, Node]:
+    """The LSTM layer on its (I, C) input columns, returning its (hidden,
+    cell) states as (H, C) nodes. With no ``state`` it sweeps the columns as
+    B = ``sequences`` sequences from zero, frame-major: column t * B + b is
+    step t of sequence b. A given (hidden, cell) state steps each column once."""
+    return ad.lstm(tape.param(weight), tape.param(bias), x, *(state or ()), sequences=sequences)
 
 
 def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,
@@ -252,8 +227,12 @@ _PARSERS = {"int": int, "float": float, "bool": lambda raw: _BOOLS[raw.lower()],
 
 def parse_config_value(kind: str, raw: str):
     """Read back a value of a dataclass field annotated ``kind`` (int, float,
-    bool or tuple of floats), as written above or typed in a config file."""
+    bool or tuple of floats), as written above or typed in a config file.
+    A float or tuple entry must be finite."""
     try:
-        return _PARSERS[kind](raw.strip())
+        value = _PARSERS[kind](raw.strip())
     except (KeyError, ValueError):
         raise ValueError(f"cannot parse {raw!r} as {kind}") from None
+    if kind in ("float", "tuple") and not np.isfinite(value).all():
+        raise ValueError(f"{raw!r} is not finite")
+    return value

@@ -167,14 +167,18 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
                 progress=None) -> tuple[RiskModel, list[EpochStats]]:
     """Train one ablation variant; returns the best-validation model.
 
-    Raises TrainingError if any video produces a non-finite loss.
+    Raises ValueError naming an empty split, and TrainingError if any video
+    produces a non-finite loss.
     """
+    train_videos, val_videos = list(train_videos), list(val_videos)
+    for name, videos in (("training", train_videos), ("validation", val_videos)):
+        if not videos:
+            raise ValueError(f"the {name} split has no videos")
     model = RiskModel.create(run_cfg.model_config(variant),
                              seed=derive_seed(run_cfg.seed, _INIT_STREAM))
     rng = np.random.default_rng(
         np.random.SeedSequence([run_cfg.seed, _TRAIN_STREAM]))
 
-    train_videos = list(train_videos)
     train = _Split(train_videos, model.cfg.horizon, run_cfg.time_scale,
                    detected_tracks(train_videos, run_cfg))
     val = _Split(val_videos, model.cfg.horizon, run_cfg.time_scale)

@@ -96,6 +96,15 @@ class TestBasics:
         tape.backward(loss)
         assert w.grad == pytest.approx(5.0)
 
+    def test_a_gradient_shared_between_nodes_is_never_added_into(self):
+        # add passes its output's gradient on to both operands as it is
+        tape = Tape()
+        x = helpers.leaf(tape, 1.5)
+        y = x + x
+        tape.backward(y)
+        assert x.grad == 2.0
+        assert y.grad == 1.0
+
     def test_constants_record_nothing(self):
         tape = Tape()
         a = tape.const(np.ones(4))

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
-from riskrnn.nn import (LstmState, ParamMatrix, ParameterStore, TrainingError,
-                        adam_step, dense, init_params, load_params, lstm_step,
-                        lstm_sweep, save_params)
+from riskrnn.nn import (ParamMatrix, ParameterStore, TrainingError, adam_step, dense,
+                        init_params, load_params, lstm_step, save_params)
 
 import oracles
 from helpers import finite_diff_check, leaf
@@ -77,18 +76,17 @@ class TestDense:
 
 
 def zero_state(tape, hidden_dim, batch=1):
-    return LstmState(tape.const(np.zeros((hidden_dim, batch))),
-                     tape.const(np.zeros((hidden_dim, batch))))
+    return tape.const(np.zeros((hidden_dim, batch))), tape.const(np.zeros((hidden_dim, batch)))
 
 
 class TestLstmStep:
     def test_all_zero_parameters_and_state(self):
         store = store_from_arrays(w=np.zeros((8, 5)), b=np.zeros((8, 1)))
         tape = Tape()
-        out = lstm_step(tape, store["w"], store["b"], tape.const(np.ones((3, 1))),
-                        zero_state(tape, 2))
-        np.testing.assert_allclose(out.hidden.value, 0.0)
-        np.testing.assert_allclose(out.cell.value, 0.0)
+        hidden, cell = lstm_step(tape, store["w"], store["b"], tape.const(np.ones((3, 1))),
+                                 zero_state(tape, 2))
+        np.testing.assert_allclose(hidden.value, 0.0)
+        np.testing.assert_allclose(cell.value, 0.0)
 
     def test_memory_retention_with_saturated_gates(self):
         # zero weights; forget bias huge, input bias hugely negative
@@ -98,9 +96,9 @@ class TestLstmStep:
         store = store_from_arrays(w=np.zeros((8, 5)), b=b)
         tape = Tape()
         cell = np.array([[0.7], [-0.3]])
-        state = LstmState(tape.const(np.zeros((2, 1))), tape.const(cell))
-        out = lstm_step(tape, store["w"], store["b"], tape.const(np.ones((3, 1))), state)
-        np.testing.assert_allclose(out.cell.value, cell, atol=1e-12)
+        state = tape.const(np.zeros((2, 1))), tape.const(cell)
+        _, out = lstm_step(tape, store["w"], store["b"], tape.const(np.ones((3, 1))), state)
+        np.testing.assert_allclose(out.value, cell, atol=1e-12)
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(11)
@@ -111,11 +109,11 @@ class TestLstmStep:
         c = rng.normal(size=3)
         store = store_from_arrays(w=W, b=b)
         tape = Tape()
-        out = lstm_step(tape, store["w"], store["b"], tape.const(x[:, None]),
-                        LstmState(tape.const(h[:, None]), tape.const(c[:, None])))
+        hidden, cell = lstm_step(tape, store["w"], store["b"], tape.const(x[:, None]),
+                                 (tape.const(h[:, None]), tape.const(c[:, None])))
         ref_h, ref_c = reference_lstm_step(W, b, x, h, c)
-        np.testing.assert_allclose(out.hidden.value[:, 0], ref_h, atol=1e-12)
-        np.testing.assert_allclose(out.cell.value[:, 0], ref_c, atol=1e-12)
+        np.testing.assert_allclose(hidden.value[:, 0], ref_h, atol=1e-12)
+        np.testing.assert_allclose(cell.value[:, 0], ref_c, atol=1e-12)
 
     def test_shape_mismatch(self):
         store = store_from_arrays(w=np.zeros((8, 5)), b=np.zeros((8, 1)))
@@ -134,16 +132,16 @@ class TestLstmStep:
         x, h, c = rng.normal(size=(4, 5)), rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
         store = store_from_arrays(w=W, b=b)
         tape = Tape()
-        out = lstm_step(tape, store["w"], store["b"], tape.const(x),
-                        LstmState(tape.const(h), tape.const(c)))
+        hidden, cell = lstm_step(tape, store["w"], store["b"], tape.const(x),
+                                 (tape.const(h), tape.const(c)))
         for t in range(5):
             ref_h, ref_c = reference_lstm_step(W, b, x[:, t], h[:, t], c[:, t])
-            np.testing.assert_allclose(out.hidden.value[:, t], ref_h, rtol=1e-13, atol=1e-15)
-            np.testing.assert_allclose(out.cell.value[:, t], ref_c, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(hidden.value[:, t], ref_h, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(cell.value[:, t], ref_c, rtol=1e-13, atol=1e-15)
 
 
 class TestLstmSweep:
-    """The fused sweep against T chained ``lstm_step`` calls."""
+    """``lstm_step`` from no state, a sweep, against T chained steps."""
 
     def setup_method(self):
         rng = np.random.default_rng(14)
@@ -156,9 +154,9 @@ class TestLstmSweep:
         """x_source: an array, taken as a leaf, or a ParamMatrix."""
         tape = Tape()
         x = tape.param(x_source) if isinstance(x_source, ParamMatrix) else leaf(tape, x_source)
-        state = lstm_sweep(tape, store["w"], store["b"], x)
-        loss = (ad.vsum(state.hidden * tape.const(self.gh))
-                + ad.vsum(state.cell * tape.const(self.gc)))
+        hidden, cell = lstm_step(tape, store["w"], store["b"], x)
+        loss = (ad.vsum(hidden * tape.const(self.gh))
+                + ad.vsum(cell * tape.const(self.gc)))
         return tape, loss, x
 
     def test_matches_chained_steps(self):
@@ -174,8 +172,8 @@ class TestLstmSweep:
         chained = tape.const(0.0)
         for t, column in enumerate(columns):
             state = lstm_step(tape, store["w"], store["b"], column, state)
-            chained = (chained + ad.vsum(state.hidden * tape.const(self.gh[:, t:t + 1]))
-                       + ad.vsum(state.cell * tape.const(self.gc[:, t:t + 1])))
+            chained = (chained + ad.vsum(state[0] * tape.const(self.gh[:, t:t + 1]))
+                       + ad.vsum(state[1] * tape.const(self.gc[:, t:t + 1])))
         tape.backward(chained)
         stepped = (float(chained.value), store["w"].grad, store["b"].grad,
                    np.concatenate([c.grad for c in columns], axis=1))
@@ -191,19 +189,29 @@ class TestLstmSweep:
     def test_shape_mismatch(self):
         store = store_from_arrays(w=np.zeros((8, 5)), b=np.zeros((8, 1)))
         with pytest.raises(ValueError):
-            lstm_sweep(Tape(), store["w"], store["b"], Tape().const(np.ones((4, 3))))
+            lstm_step(Tape(), store["w"], store["b"], Tape().const(np.ones((4, 3))))
+
+    def test_sequences_are_swept_independently(self):
+        # the six columns as three frames of two sequences, frame-major
+        store = store_from_arrays(w=self.W, b=self.b)
+        tape = Tape()
+        both = lstm_step(tape, store["w"], store["b"], tape.const(self.x), sequences=2)
+        for k in range(2):
+            alone = lstm_step(tape, store["w"], store["b"], tape.const(self.x[:, k::2]))
+            for got, want in zip(both, alone):
+                np.testing.assert_allclose(got.value[:, k::2], want.value, rtol=1e-13, atol=1e-15)
 
 
 class TestLstmOp:
-    """ad.lstm with S steps of B cells from given states."""
+    """ad.lstm with S steps of B cells from given states, on step-major columns."""
 
     def setup_method(self):
         rng = np.random.default_rng(15)
         self.store = store_from_arrays(w=rng.normal(scale=0.5, size=(12, 7)),
                                        b=rng.normal(scale=0.5, size=(12, 1)))
-        self.states = store_from_arrays(x=rng.normal(size=(4, 3, 2)), h0=rng.normal(size=(3, 2)),
+        self.states = store_from_arrays(x=rng.normal(size=(4, 6)), h0=rng.normal(size=(3, 2)),
                                         c0=rng.normal(size=(3, 2)))
-        self.gh, self.gc = rng.normal(size=(3, 3, 2)), rng.normal(size=(3, 3, 2))
+        self.gh, self.gc = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
 
     def run(self):
         tape = Tape()
@@ -221,9 +229,9 @@ class TestLstmOp:
         for k in range(2):
             h, c = h0[:, k], c0[:, k]
             for s in range(3):
-                h, c = reference_lstm_step(w, b, x[:, s, k], h, c)
-                np.testing.assert_allclose(hidden.value[:, s, k], h, rtol=1e-13, atol=1e-15)
-                np.testing.assert_allclose(cell.value[:, s, k], c, rtol=1e-13, atol=1e-15)
+                h, c = reference_lstm_step(w, b, x[:, 2 * s + k], h, c)
+                np.testing.assert_allclose(hidden.value[:, 2 * s + k], h, rtol=1e-13, atol=1e-15)
+                np.testing.assert_allclose(cell.value[:, 2 * s + k], c, rtol=1e-13, atol=1e-15)
 
     def test_gradients_into_the_inputs_and_states_match_central_differences(self):
         assert finite_diff_check(self.store, lambda: self.run()[:2]) < 1e-6
@@ -231,9 +239,15 @@ class TestLstmOp:
 
     def test_states_must_have_a_column_per_cell(self):
         tape = Tape()
-        with pytest.raises(ValueError, match="lstm shape mismatch"):
-            ad.lstm(tape.param(self.store["w"]), tape.param(self.store["b"]),
-                    tape.const(np.ones((4, 3, 2))), tape.const(np.zeros((3, 1))))
+        for x_shape, h0_cols, c0_cols in [
+                ((4, 6), 4, 4),     # six input columns are no whole number of steps of four cells
+                ((4, 6), 2, 1),     # a cell state for each cell
+                ((4, 3, 2), 2, 2),  # the input is columns, not (I, S, B)
+        ]:
+            with pytest.raises(ValueError, match="lstm shape mismatch"):
+                ad.lstm(tape.param(self.store["w"]), tape.param(self.store["b"]),
+                        tape.const(np.ones(x_shape)), tape.const(np.zeros((3, h0_cols))),
+                        tape.const(np.zeros((3, c0_cols))))
 
 
 class TestAdam:

@@ -36,6 +36,14 @@ def test_the_returned_model_has_the_least_validation_loss(splits, variant):
     assert _validation_pass(model, val, CFG)[0] == best
 
 
+@pytest.mark.parametrize("empty", ["training", "validation"])
+def test_an_empty_split_is_an_error_naming_it(splits, empty):
+    train, val = splits
+    with pytest.raises(ValueError, match=f"the {empty} split has no videos"):
+        train_model(CFG, "RA", [] if empty == "training" else train,
+                    [] if empty == "validation" else val)
+
+
 def with_nan_region_features(sample):
     return dataclasses.replace(sample, region_feat=np.full_like(sample.region_feat, np.nan))
 
