@@ -1,9 +1,8 @@
 """Agent-centric risk assessment: accident anticipation, risky-region
 localization, and future-location imagination on synthetic scenarios."""
 
-from .geometry import Box, encode_box_transform, iou
-from .data import (FrameInput, Proposal, ProposalSet, VideoSample, VideoTargets,
-                   read_dataset, write_dataset)
+from .geometry import encode_box_transform, iou
+from .data import VideoSample, read_dataset, write_dataset
 from .model import (AgentTracks, ModelConfig, ModelOutput, RiskModel, VARIANTS,
                     forward_video, variant_config)
 from .losses import SequenceTargets, region_labels, total_loss
@@ -16,9 +15,8 @@ from .training import train_model
 from .pipeline import evaluate_model
 
 __all__ = [
-    "Box", "encode_box_transform", "iou",
-    "FrameInput", "Proposal", "ProposalSet", "VideoSample", "VideoTargets",
-    "read_dataset", "write_dataset",
+    "encode_box_transform", "iou",
+    "VideoSample", "read_dataset", "write_dataset",
     "AgentTracks", "ModelConfig", "ModelOutput", "RiskModel", "VARIANTS",
     "forward_video", "variant_config",
     "SequenceTargets", "region_labels", "total_loss",

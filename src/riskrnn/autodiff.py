@@ -6,9 +6,10 @@ in creation order, which is already a topological order, so the backward pass
 is a single reverse sweep that visits each node once. Gradients accumulate
 additively and out of place, so several loss terms seeded on the same tape
 combine into one weighted gradient sum and ops may pass one gradient buffer
-to several nodes. Nodes that cannot reach a parameter skip closure creation
-entirely, which keeps constant-only subgraphs (frozen inference,
-observed-frame geometry) cheap.
+to several nodes. Every op builds its backward closure, but a node none of
+whose inputs needs a gradient is not taped and ``_make`` drops the closure,
+so constant-only subgraphs (frozen inference, observed-frame geometry) cost
+nothing in the backward sweep.
 
 The ops are the ones the risk model and its losses run, on whole-video
 matrices: broadcasting arithmetic, the nonlinearities and matrix and shape

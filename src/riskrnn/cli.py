@@ -107,6 +107,8 @@ def cmd_generate(cfg, args) -> int:
 
 
 def cmd_train(cfg, args) -> int:
+    if Path(args.data).is_file():  # one file would serve as both splits
+        raise ConfigError(f"--data {args.data}: train needs a dataset directory, not a file")
     train_videos = read_dataset(_dataset_path(args.data, "train"))
     val_videos = read_dataset(_dataset_path(args.data, "val"))
     progress = None

@@ -210,19 +210,26 @@ class VideoSample:
 # ---------------------------------------------------------------------------
 # dataset files
 
+def check_one_shape(samples) -> None:
+    """Raise ValueError unless the videos share one T, N, M, R and D, as a
+    file's do, naming the first key (in the file's order) and then the
+    first video whose shape differs from the first video's."""
+    for key in _LAYOUT:
+        for sample in samples[1:]:
+            shape, first = np.shape(getattr(sample, key)), np.shape(getattr(samples[0], key))
+            if shape != first:
+                raise ValueError(f"video {sample.video_id}: {key} has shape {shape}, "
+                                 f"not {first} as video {samples[0].video_id}")
+
+
 def write_dataset(path, samples) -> None:
-    """Write the videos as one dataset file; they must share T, N, M, R and D."""
+    """Write the videos as one dataset file; they must share one shape."""
     samples = list(samples)
     if not samples:
         raise ValueError("a dataset needs at least one video")
-    arrays = {}
-    for key, (dtype, _) in _LAYOUT.items():
-        rows = [getattr(sample, key) for sample in samples]
-        for sample, row in zip(samples, rows):
-            if np.shape(row) != np.shape(rows[0]):
-                raise ValueError(f"video {sample.video_id}: {key} has shape {np.shape(row)}, "
-                                 f"not {np.shape(rows[0])} as video {samples[0].video_id}")
-        arrays[key] = np.array(rows, dtype=dtype)
+    check_one_shape(samples)
+    arrays = {key: np.array([getattr(sample, key) for sample in samples], dtype=dtype)
+              for key, (dtype, _) in _LAYOUT.items()}
     with open(path, "wb") as fh:
         np.savez(fh, header=np.array(DATASET_HEADER), **arrays)
 

@@ -37,13 +37,6 @@ class VideoPrediction:
     video_id: str = ""
 
 
-@dataclass
-class RiskMap:
-    width: int
-    height: int
-    values: np.ndarray  # (height, width), each cell in [0, 1]
-
-
 def average_precision(scores, positive, n_positive: int | None = None) -> float:
     """Area under the all-point precision-recall curve of items given as
     ``scores`` and boolean ``positive`` flags, two arrays of one length.
@@ -193,9 +186,10 @@ def oracle_region_average_precision(videos):
 # ---------------------------------------------------------------------------
 # risk maps
 
-def risk_map_raster(boxes, scores, grid_w: int, grid_h: int) -> RiskMap:
-    """Mean risk of the (N, 4) boxes covering each cell center, given their
-    (N,) scores; 0 where uncovered."""
+def risk_map_raster(boxes, scores, grid_w: int, grid_h: int) -> np.ndarray:
+    """The (grid_h, grid_w) risk map: the mean risk of the (N, 4) boxes
+    covering each cell center, given their (N,) scores; 0 where uncovered.
+    Each cell lies in [0, 1]."""
     if grid_w < 1 or grid_h < 1:
         raise ValueError(f"grid dims must be >= 1, got {grid_w}x{grid_h}")
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
@@ -212,14 +206,16 @@ def risk_map_raster(boxes, scores, grid_w: int, grid_h: int) -> RiskMap:
     total = np.cumsum(weighted, axis=0)[-1] if len(boxes) else np.zeros((grid_h, grid_w))
     count = mask.sum(axis=0)
     values = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
-    return RiskMap(grid_w, grid_h, np.clip(values, 0.0, 1.0))
+    return np.clip(values, 0.0, 1.0)
 
 
-def write_pgm(path, risk_map: RiskMap) -> None:
-    """Plain-text PGM (P2, maxval 255), cell = round(255 * risk)."""
-    pixels = np.rint(risk_map.values * 255.0).astype(int)
+def write_pgm(path, risk_map: np.ndarray) -> None:
+    """The (height, width) risk map as a plain-text PGM (P2, maxval 255),
+    cell = round(255 * risk)."""
+    pixels = np.rint(risk_map * 255.0).astype(int)
+    height, width = risk_map.shape
     with open(path, "w") as fh:
-        fh.write(f"P2\n{risk_map.width} {risk_map.height}\n255\n")
+        fh.write(f"P2\n{width} {height}\n255\n")
         for row in pixels:
             fh.write(" ".join(str(v) for v in row) + "\n")
 

@@ -125,7 +125,8 @@ def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,
     if store.adam_m is None:
         store.adam_m, store.adam_v = np.zeros_like(store.grad), np.zeros_like(store.grad)
     g, m, v = store.grad, store.adam_m, store.adam_v
-    # in place: a temporary as long as a large model costs more than its arithmetic
+    # the moments update in place, but the scaled gradients, m_hat, v_hat and
+    # each term of the update are still temporaries as long as the parameters
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2

@@ -6,14 +6,14 @@ similar in feature space to the current box, so appearance carries a track
 through cluttered geometry. Near-duplicate tracks (final boxes overlapping)
 are collapsed onto the one with the best average object score.
 
-The tracker runs V videos of one frame count and one proposal count at once:
-every step is one IoU gate, one similarity matmul and one lexsort over a
-leading video axis, and each video's result is the one it would get alone.
-It reads the videos' proposal arrays as the dataset holds them, (T, M, ·)
-per video, and stacks each frame's (V, M, ·) arrays when it reaches it.
-Tracks stay arrays throughout: a video's K tracks are its (K, T, ·) view of
-the tracker's output, and deduplication returns the indices of the tracks it
-keeps.
+The tracker runs V videos at once, and they share one shape as a split's
+videos do: one frame count, proposal count and feature size. Every step is
+one IoU gate, one similarity matmul and one lexsort over a leading video
+axis, and each video's result is the one it would get alone. It reads the
+videos' proposal arrays as the dataset holds them, (T, M, ·) per video, and
+stacks each frame's (V, M, ·) arrays when it reaches it. Tracks stay arrays
+throughout: a video's K tracks are its (K, T, ·) row of the tracker's
+output, and deduplication returns the indices of the tracks it keeps.
 """
 from __future__ import annotations
 
@@ -28,16 +28,16 @@ def track_by_detection(boxes, feats, scores, top_init: int = 10, top_iou: int = 
 
     Args:
         boxes, feats, scores: the (V, T, M, 4) proposal boxes, (V, T, M, D)
-            features and (V, T, M) object scores of V videos of one T and
-            one M, each given as an array or as a sequence of V per-video
-            arrays. Each frame's (V, M, ·) arrays are stacked when the loop
-            reaches it.
+            features and (V, T, M) object scores of V videos that share
+            one T, M and D, as a split's videos do, each given as an array
+            or as a sequence of V per-video arrays. Each frame's (V, M, ·)
+            arrays are stacked when the loop reaches it.
         top_init: how many top object-score proposals of frame 0 seed tracks.
         top_iou: per step, how many best-IoU candidates the feature match
             chooses among. Candidate ties on similarity fall to the higher
             object score, then the lower proposal index.
 
-    Returns the (V, T, K, 4) boxes, (V, T, K, D) features and (V, T, K)
+    Returns the (V, K, T, 4) boxes, (V, K, T, D) features and (V, K, T)
     object scores of each video's K = min(top_init, M) tracks, ordered by
     their first frame's object score (stable on ties). Each frame's picks
     are written into these arrays, allocated at frame 0.
@@ -52,7 +52,7 @@ def track_by_detection(boxes, feats, scores, top_init: int = 10, top_iou: int = 
                                                   for part in (boxes, feats, scores))
         if t == 0:
             chosen = np.argsort(-frame_scores, axis=1, kind="stable")[:, :top_init]
-            shape = (n_videos, n_frames, chosen.shape[1])
+            shape = (n_videos, chosen.shape[1], n_frames)
             tracks = (np.empty(shape + (4,)), np.empty(shape + frame_feats.shape[2:]),
                       np.empty(shape))
         else:
@@ -67,7 +67,7 @@ def track_by_detection(boxes, feats, scores, top_init: int = 10, top_iou: int = 
             chosen = np.take_along_axis(gate, order[:, :, :1], axis=2)[:, :, 0]
         track_boxes, track_feats = frame_boxes[rows, chosen], frame_feats[rows, chosen]
         for part, picked in zip(tracks, (track_boxes, track_feats, frame_scores[rows, chosen])):
-            part[:, t] = picked
+            part[:, :, t] = picked
     return tracks
 
 

@@ -1,9 +1,11 @@
 """Training loop: noisy-track selection, one pass per batch of videos, Adam,
 and early stopping on validation loss; and the tracks a split's videos give.
 
-``detected_tracks`` tracks a whole split before any forward pass: its videos
-of one frame count and one proposal count run as one tracker call over their
-proposal arrays, and each video's tracks are then deduplicated on their own.
+A split's videos share one shape, as a dataset file's do. ``check_one_shape``
+checks it once per split, before any tracking or training, so a mixed split
+fails with one message whatever the batch size or the shuffle.
+``detected_tracks`` tracks a whole split in one tracker call before any
+forward pass, and deduplicates each video's tracks on their own.
 
 Tracks are arrays: a video's detected tracks are its (K, T, 4) boxes and
 (K, T, D) features, and its candidates put its annotated track (its agent
@@ -15,19 +17,18 @@ regions, so column t * B + b is video b at frame t; ``track_inputs`` builds
 that input from the drawn tracks' and the videos' arrays in one step. One
 loss and one backward pass give the batch's mean gradient. Validation runs
 the annotated tracks, batch_size videos per forward pass, so the
-early-stopping signal is deterministic. The videos of one pass need one
-frame count and one region count.
+early-stopping signal is deterministic.
 """
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tape
 from .config import RunConfig, derive_seed
+from .data import check_one_shape
 from .evaluation import average_precision
 from .losses import SequenceTargets, total_loss
 from .model import AgentTracks, RiskModel, forward_video, frame_major
@@ -61,33 +62,27 @@ def track_inputs(boxes, feats, videos) -> AgentTracks:
 
 def detected_tracks(samples, run_cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each video's deduplicated tracks, found in its proposals, as its
-    (K, T, 4) boxes and (K, T, D) features.
-
-    Videos of one frame count and one proposal count are tracked in one
-    tracker call over their proposal arrays; every video's tracks are then
-    deduplicated on their own.
+    (K, T, 4) boxes and (K, T, D) features. The split's videos, which must
+    share one shape, are tracked in one tracker call; each video's tracks
+    are then deduplicated on their own.
 
     Raises ValueError naming the first video without proposals, and its
-    first frame: a video's frames share one proposal count.
+    first frame (a video's frames share one proposal count), or else,
+    before any tracking, the first video of another shape.
     """
     samples = list(samples)
-    groups = defaultdict(list)
-    for i, sample in enumerate(samples):
+    for sample in samples:
         if sample.proposal_score.shape[1] == 0:
             raise ValueError(f"video {sample.video_id}: frame 0 has no proposals to track the "
                              f"agent through")
-        groups[sample.proposal_score.shape].append(i)
-
-    tracks = [None] * len(samples)
-    for members in groups.values():
-        videos = [samples[i] for i in members]
-        boxes, feats, scores = track_by_detection(
-            [v.proposal_box for v in videos], [v.proposal_feat for v in videos],
-            [v.proposal_score for v in videos], top_init=run_cfg.top_init, top_iou=run_cfg.top_iou)
-        for j, i in enumerate(members):
-            video_boxes = boxes[j].transpose(1, 0, 2)
-            kept = deduplicate_tracks(video_boxes, scores[j].T, overlap_iou=run_cfg.dedup_iou)
-            tracks[i] = video_boxes[kept], feats[j].transpose(1, 0, 2)[kept]
+    check_one_shape(samples)
+    boxes, feats, scores = track_by_detection(
+        [v.proposal_box for v in samples], [v.proposal_feat for v in samples],
+        [v.proposal_score for v in samples], top_init=run_cfg.top_init, top_iou=run_cfg.top_iou)
+    tracks = []
+    for video_boxes, video_feats, video_scores in zip(boxes, feats, scores):
+        kept = deduplicate_tracks(video_boxes, video_scores, overlap_iou=run_cfg.dedup_iou)
+        tracks.append((video_boxes[kept], video_feats[kept]))
     return tracks
 
 
@@ -96,10 +91,11 @@ class _Split:
     video's candidate tracks and loss targets. A video's candidates are its
     (1 + K, T, 4) boxes and (1 + K, T, D) features: index 0 is its annotated
     track, the rest its K detected tracks (none unless ``detected`` gives
-    them)."""
+    them). A split of two shapes raises ``check_one_shape``'s ValueError."""
 
     def __init__(self, videos, horizon: int, time_scale: float, detected=()):
         self.videos = list(videos)
+        check_one_shape(self.videos)
         self.track_boxes = [v.agent_box[None] for v in self.videos]
         self.track_feats = [v.agent_feat[None] for v in self.videos]
         for i, (boxes, feats) in enumerate(detected):
@@ -109,20 +105,7 @@ class _Split:
 
     def loss(self, model: RiskModel, batch, picks, tape: Tape):
         """One forward pass and loss of the batch's videos, each on the
-        candidate track ``picks`` gives it.
-
-        Raises ValueError naming the first video whose frame or region count
-        differs from the batch's first video.
-        """
-        first = self.videos[batch[0]]
-        for i in batch[1:]:
-            for what, got, want in zip(("frames", "regions per frame"),
-                                       self.videos[i].region_box.shape, first.region_box.shape):
-                if got != want:
-                    raise ValueError(
-                        f"video {self.videos[i].video_id} has {got} {what} and video "
-                        f"{first.video_id} has {want}; the videos of a batch need one frame "
-                        f"count and one region count")
+        candidate track ``picks`` gives it."""
         frames = track_inputs([self.track_boxes[i][k] for i, k in zip(batch, picks)],
                               [self.track_feats[i][k] for i, k in zip(batch, picks)],
                               [self.videos[i] for i in batch])
@@ -179,9 +162,9 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
     rng = np.random.default_rng(
         np.random.SeedSequence([run_cfg.seed, _TRAIN_STREAM]))
 
+    val = _Split(val_videos, model.cfg.horizon, run_cfg.time_scale)
     train = _Split(train_videos, model.cfg.horizon, run_cfg.time_scale,
                    detected_tracks(train_videos, run_cfg))
-    val = _Split(val_videos, model.cfg.horizon, run_cfg.time_scale)
 
     history: list[EpochStats] = []
     best_values = model.store.values.copy()

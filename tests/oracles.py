@@ -425,8 +425,8 @@ def oracle_region_average_precision(frames):
 
 
 def risk_map_raster(scored, grid_w: int, grid_h: int) -> np.ndarray:
-    """The values of evaluation.risk_map_raster over (box, score) pairs,
-    adding one box's cover at a time."""
+    """evaluation.risk_map_raster over (box, score) pairs, adding one box's
+    cover at a time."""
     xs = (np.arange(grid_w) + 0.5) / grid_w
     ys = (np.arange(grid_h) + 0.5) / grid_h
     total = np.zeros((grid_h, grid_w))

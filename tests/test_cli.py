@@ -1,3 +1,4 @@
+import csv
 import importlib
 import inspect
 import pkgutil
@@ -11,8 +12,13 @@ from riskrnn import pipeline
 from riskrnn.cli import main
 from riskrnn.config import RunConfig
 from riskrnn.evaluation import read_report
+from riskrnn.geometry import Box
 from riskrnn.model import VARIANTS, RiskModel
+from riskrnn.pipeline import eval_video
 from riskrnn.synthworld import read_dataset, write_dataset
+from riskrnn.training import detected_tracks
+
+import oracles
 
 TINY = ["--n_train", "2", "--n_val", "2", "--n_test", "4", "--epochs", "1"]
 
@@ -72,6 +78,17 @@ def test_missing_dataset_is_a_runtime_failure(tmp_path):
                  "--out", str(tmp_path / "m.rrm"), *TINY]) == 1
 
 
+def test_train_on_a_dataset_file_is_a_configuration_error_naming_it(data_dir, tmp_path, capsys):
+    # a file would serve as both the training and the validation split
+    data = data_dir / "train.dat"
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["train", "--data", str(data), "--out", str(out / "m.rrm"), *TINY]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(data) in err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("cut", [0, 1000], ids=["empty", "truncated"])
 def test_unreadable_dataset_is_a_runtime_failure_naming_it(data_dir, tmp_path, capsys, cut):
     bad = tmp_path / "test.dat"
@@ -125,6 +142,55 @@ def test_a_hand_edited_model_file_is_a_runtime_failure_naming_it(
     assert main(["eval", "--data", str(data_dir), "--model", str(model),
                  "--out", str(tmp_path / "report.txt"), *TINY]) == 1
     assert capsys.readouterr().err.startswith(f"error: {model}: ")
+
+
+@pytest.fixture(scope="module")
+def untrained_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "L-RAI.rrm"
+    RiskModel.create(RunConfig().model_config("L-RAI"), seed=3).save(path)
+    return path
+
+
+def eval_result(data_dir, model_path, video):
+    """eval_video's result for the test split's ``video``-th video under the
+    default tracking settings, as the CLI's single-video commands run it."""
+    sample = read_dataset(data_dir / "test.dat")[video]
+    tracks = detected_tracks([sample], RunConfig())[0]
+    return sample, eval_video(RiskModel.load(model_path), sample, tracks)
+
+
+def test_infer_writes_each_frames_probability_and_region_scores(
+        data_dir, untrained_model, tmp_path):
+    sample, result = eval_result(data_dir, untrained_model, 1)
+    out = tmp_path / "infer.csv"
+    assert main(["infer", "--data", str(data_dir), "--model", str(untrained_model),
+                 "--video-id", sample.video_id, "--out", str(out), *TINY]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    n_regions = result.region_scores.shape[1]
+    assert rows[0] == ["frame", "accident_prob"] + [f"region_{i}" for i in range(n_regions)]
+    assert rows[1:] == [[str(t), f"{prob:.17g}"] + [f"{score:.17g}" for score in scores]
+                        for t, (prob, scores) in enumerate(zip(result.frame_probs,
+                                                               result.region_scores))]
+
+
+def test_riskmap_writes_a_pgm_per_frame_of_the_first_video(data_dir, untrained_model, tmp_path):
+    grid_w, grid_h = 7, 5
+    sample, result = eval_result(data_dir, untrained_model, 0)
+    out = tmp_path / "maps"
+    assert main(["riskmap", "--data", str(data_dir), "--model", str(untrained_model),
+                 "--out", str(out), "--grid_w", str(grid_w), "--grid_h", str(grid_h),
+                 *TINY]) == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        f"frame_{t:03d}.pgm" for t in range(sample.n_frames)]
+    for t, (boxes, scores) in enumerate(result.frame_regions):
+        lines = (out / f"frame_{t:03d}.pgm").read_text().splitlines()
+        assert lines[:3] == ["P2", f"{grid_w} {grid_h}", "255"]
+        # the reference raster equals evaluation.risk_map_raster bit for bit
+        risk = oracles.risk_map_raster([(Box(*box), score) for box, score in
+                                        zip(boxes.tolist(), scores)], grid_w, grid_h)
+        assert [[int(v) for v in line.split()] for line in lines[3:]] == \
+            np.rint(255.0 * risk).astype(int).tolist()
 
 
 # Reached only by callers outside the package's own run, each named. The

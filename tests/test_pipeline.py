@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from riskrnn import training
 from riskrnn.config import RunConfig
 from riskrnn.model import VARIANTS, RiskModel
 from riskrnn.pipeline import eval_video, evaluate_model
-from riskrnn.synthworld import generate_split
+from riskrnn.synthworld import generate_scenario, generate_split
 from riskrnn.training import detected_tracks, track_inputs
 
 CFG = RunConfig(n_test=3, seed=6)
@@ -74,3 +75,16 @@ def test_a_frame_without_proposals_names_the_video_and_the_frame(samples, empty_
     with pytest.raises(ValueError, match=f"^video {sample.video_id}: frame {empty_frame} "
                                          f"has no proposals"):
         evaluate_model(model, [samples[0], broken, samples[2]], CFG)
+
+
+def test_a_split_of_two_shapes_fails_before_the_tracker(samples, monkeypatch):
+    odd = generate_scenario(replace(CFG, frames_per_video=CFG.frames_per_video - 2)
+                            .scenario_config(), positive=True, split="test", video_id="odd")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a split of two shapes reached the tracker")
+
+    monkeypatch.setattr(training, "track_by_detection", never)
+    model = RiskModel.create(CFG.model_config("RA"), seed=6)
+    with pytest.raises(ValueError, match=r"^video odd: agent_box has shape "):
+        evaluate_model(model, [*samples, odd], CFG)

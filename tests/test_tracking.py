@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskrnn.config import RunConfig
 from riskrnn.synthworld import ScenarioConfig, generate_scenario
 from riskrnn.tracking import deduplicate_tracks, track_by_detection
-from riskrnn.training import detected_tracks
 
 import oracles
 
 CFG = ScenarioConfig(frames_per_video=8, n_regions=5, feature_dim=16,
                      n_distractor_proposals=12, seed=11)
-RUN = RunConfig(top_init=6, top_iou=4)
 
 
 def track_videos(videos, **kwargs):
@@ -22,9 +19,7 @@ def track_videos(videos, **kwargs):
     of its tracks, from one tracker call over videos given as their (T, M, 4)
     proposal boxes, (T, M, D) features and (T, M) scores, all of one frame
     count and one proposal count."""
-    boxes, feats, scores = track_by_detection(*zip(*videos), **kwargs)
-    return [(boxes[v].transpose(1, 0, 2), feats[v].transpose(1, 0, 2), scores[v].T)
-            for v in range(len(videos))]
+    return list(zip(*track_by_detection(*zip(*videos), **kwargs)))
 
 
 def proposals(sample):
@@ -70,23 +65,6 @@ class TestDeduplicateTracks:
     def test_no_track_keeps_none(self):
         kept = deduplicate_tracks(np.empty((0, 3, 4)), np.empty((0, 3)))
         assert kept.shape == (0,)
-
-
-class TestDetectedTracks:
-    def test_a_split_of_mixed_shapes_gives_each_video_its_own_tracks(self):
-        shapes = [{}, {"frames_per_video": 5}, {"n_distractor_proposals": 7},
-                  {"frames_per_video": 5, "n_distractor_proposals": 7}]
-        split = [generate_scenario(replace(CFG, **shapes[index % 4]), index % 3 == 0,
-                                   index=index, split="test") for index in range(9)]
-        together = detected_tracks(split, RUN)
-        assert len(together) == len(split)
-        for sample, (boxes, feats) in zip(split, together):
-            assert len(boxes) == len(feats) > 1
-            assert boxes.shape[1:] == sample.agent_box.shape
-            assert feats.shape[1:] == sample.agent_feat.shape
-            alone_boxes, alone_feats = detected_tracks([sample], RUN)[0]
-            np.testing.assert_array_equal(boxes, alone_boxes)
-            np.testing.assert_array_equal(feats, alone_feats)
 
 
 # Coordinates on a coarse grid and small-integer features keep every IoU and

@@ -1,13 +1,15 @@
 """The training loop: the best-validation model it returns, its checks on the
-loss and on the shapes of a batch, and its determinism; and the model input
+loss and on the shapes of a split, and its determinism; and the model input
 it builds from the tracks' and the videos' arrays."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskrnn import training
 from riskrnn.config import RunConfig
 from riskrnn.nn import TrainingError
 from riskrnn.synthworld import generate_scenario, generate_split
@@ -62,27 +64,30 @@ def test_a_non_finite_loss_names_the_epoch_and_the_video(splits):
             train_model(dataclasses.replace(CFG, batch_size=3), "RA", videos, val)
 
 
-@pytest.mark.parametrize("field,what", [("frames_per_video", "frames"),
-                                        ("n_regions", "regions per frame")])
-def test_a_batch_of_two_shapes_names_the_first_odd_video_and_both_counts(splits, field, what):
+@pytest.mark.parametrize("field,key", [("frames_per_video", "agent_box"),
+                                       ("n_regions", "region_class")], ids=["frames", "regions"])
+def test_a_split_of_two_shapes_fails_before_any_tracking_or_epoch(splits, monkeypatch,
+                                                                  field, key):
     train, val = splits
     odd_cfg = dataclasses.replace(CFG, **{field: getattr(CFG, field) - 2})
     odd = generate_scenario(odd_cfg.scenario_config(), positive=True, split="test",
                             video_id="odd")
-    n, odd_n = getattr(CFG, field), getattr(odd_cfg, field)
-    cfg = dataclasses.replace(CFG, batch_size=4)
-    # a training batch comes in drawn order: the odd video is either the first
-    # to differ from the batch's first video, or that first video itself
-    with pytest.raises(ValueError, match=(
-            rf"^video ({odd.video_id} has {odd_n} {what} and video \S+ has {n}|"
-            rf"\S+ has {n} {what} and video {odd.video_id} has {odd_n}); the videos of a "
-            rf"batch need one frame count and one region count$")):
-        train_model(cfg, "RA", [*train, odd], val)
-    # validation runs its videos in order
-    with pytest.raises(ValueError, match=(
-            rf"^video {odd.video_id} has {odd_n} {what} and video {val[0].video_id} "
-            rf"has {n}; ")):
-        train_model(cfg, "RA", train, [val[0], odd])
+
+    def never(*args, **kwargs):
+        raise AssertionError("a split of two shapes reached the tracker or an epoch")
+
+    monkeypatch.setattr(training, "track_by_detection", never)
+    # the split is checked as a whole, so neither the batch size nor the
+    # shuffle's seed decides whether or how it fails
+    for train_videos, val_videos, first in (([*train, odd], val, train[0]),
+                                            (train, [val[0], odd], val[0])):
+        message = (f"video odd: {key} has shape {getattr(odd, key).shape}, not "
+                   f"{getattr(first, key).shape} as video {first.video_id}")
+        for batch_size in (1, 4):
+            for seed in range(8):
+                cfg = dataclasses.replace(CFG, batch_size=batch_size, seed=seed)
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    train_model(cfg, "RA", train_videos, val_videos, progress=never)
 
 
 # a video's frames share one proposal count, so a frame without proposals is
