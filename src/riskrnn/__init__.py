@@ -9,7 +9,7 @@ from .losses import SequenceTargets, region_labels, total_loss
 from .synthworld import ScenarioConfig, generate_scenario, generate_split
 from .tracking import deduplicate_tracks, track_by_detection
 from .evaluation import (average_precision, region_average_precision,
-                         risk_map_raster, tta_atta, video_level_scores)
+                         risk_map_raster, tta_atta)
 from .config import RunConfig, load_run_config
 from .training import train_model
 from .pipeline import evaluate_model
@@ -22,8 +22,7 @@ __all__ = [
     "SequenceTargets", "region_labels", "total_loss",
     "ScenarioConfig", "generate_scenario", "generate_split",
     "deduplicate_tracks", "track_by_detection",
-    "average_precision", "region_average_precision", "risk_map_raster",
-    "tta_atta", "video_level_scores",
+    "average_precision", "region_average_precision", "risk_map_raster", "tta_atta",
     "RunConfig", "load_run_config", "train_model", "evaluate_model",
 ]
 

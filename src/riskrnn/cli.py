@@ -84,15 +84,6 @@ def _dataset_path(data, split: str) -> Path:
     return path / f"{split}.dat" if path.is_dir() else path
 
 
-def _pick_video(samples, video_id):
-    if video_id is None:
-        return samples[0]
-    for sample in samples:
-        if sample.video_id == video_id:
-            return sample
-    raise ValueError(f"video id {video_id!r} not found in dataset")
-
-
 def cmd_generate(cfg, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,11 +156,20 @@ def _write_riskmaps(out: Path, result, cfg) -> None:
                   risk_map_raster(boxes, scores, cfg.grid_w, cfg.grid_h))
 
 
-def cmd_infer(cfg, args) -> int:
+def _eval_one_video(cfg, args):
+    """The test split's video ``--video-id`` names (by default its first)
+    and ``eval_video``'s result for its detected tracks under the
+    ``--model`` file's model."""
     samples = read_dataset(_dataset_path(args.data, "test"))
-    sample = _pick_video(samples, args.video_id)
-    model = RiskModel.load(args.model)
-    result = eval_video(model, sample, detected_tracks([sample], cfg)[0])
+    picked = [s for s in samples if args.video_id in (None, s.video_id)]
+    if not picked:
+        raise ValueError(f"video id {args.video_id!r} not found in dataset")
+    sample, model = picked[0], RiskModel.load(args.model)
+    return sample, eval_video(model, sample, detected_tracks([sample], cfg)[0])
+
+
+def cmd_infer(cfg, args) -> int:
+    sample, result = _eval_one_video(cfg, args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "accident_prob"] +
@@ -183,10 +183,7 @@ def cmd_infer(cfg, args) -> int:
 
 
 def cmd_riskmap(cfg, args) -> int:
-    samples = read_dataset(_dataset_path(args.data, "test"))
-    sample = _pick_video(samples, args.video_id)
-    model = RiskModel.load(args.model)
-    result = eval_video(model, sample, detected_tracks([sample], cfg)[0])
+    sample, result = _eval_one_video(cfg, args)
     out = Path(args.out)
     _write_riskmaps(out, result, cfg)
     print(f"{sample.n_frames} risk maps -> {out}")

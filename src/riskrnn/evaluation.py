@@ -1,11 +1,13 @@
-"""Metrics: average precision, video-level anticipation scores, time-to-accident
-curves, per-frame region detection AP with its oracle bound, and risk-map
-rasterization, plus the report/CSV/PGM writers.
+"""Metrics: average precision, time-to-accident curves, per-frame region
+detection AP with its oracle bound, and risk-map rasterization, plus the
+report/CSV/PGM writers.
 
-The metrics take arrays: AP a score and a positive flag per item; region AP
-and its oracle, per video, the (T, N) detection scores and one (T, N, R) IoU
-matrix with the ground truth (``region_overlaps``), whose NaN columns pad
-frames with fewer ground-truth boxes and count as none.
+The metrics take a split's arrays, its videos sharing one shape: AP a score
+and a positive flag per item; the time-to-accident sweep the (V, T) frame
+scores with each video's label and accident frame; region AP and its oracle
+the (V, T, N) detection scores and the one (V, T, N, R) IoU matrix of the
+split's regions with its ground truth (``region_overlaps``), whose NaN
+columns pad frames with fewer ground-truth boxes and count as none.
 
 Tie conventions are pessimistic and deterministic: at equal scores negatives
 rank before positives, and equal-scored detections keep their input order.
@@ -15,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +24,6 @@ from .geometry import iou
 
 REPORT_HEADER = "RISKRNN-REPORT v1"
 REGION_IOU_THRESHOLD = 0.4
-
-
-@dataclass
-class VideoPrediction:
-    """Per-frame anticipation probabilities for one video (already reduced
-    over candidate tracks), with its label, its accident frame (-1 for a
-    video without an accident) and its id."""
-
-    probs: np.ndarray
-    positive: bool
-    t_accident: int = -1
-    video_id: str = ""
 
 
 def average_precision(scores, positive, n_positive: int | None = None) -> float:
@@ -60,63 +49,62 @@ def average_precision(scores, positive, n_positive: int | None = None) -> float:
     return math.fsum((np.arange(1, positives + 1) / ranks).tolist()) / n_positive
 
 
-def video_level_scores(videos) -> np.ndarray:
-    """The (V,) video scores: each video's max per-frame probability."""
-    return np.array([v.probs.max() for v in videos], dtype=np.float64)
-
-
-def tta_atta(videos):
+def tta_atta(probs, positive, t_accident, video_ids):
     """Sweep thresholds over the distinct video scores and summarize lead time.
 
-    At each operating point (taken just below a distinct score, so crossings
-    are inclusive) we compute precision/recall over video-level scores and,
-    for the recalled positives, the mean time to accident T - t_hat, floored
-    at zero, where t_hat is the first frame reaching the threshold. The
-    scalar summary integrates mean TTA over the recall axis by recall
-    increments, summed exactly as newly recalled positives times mean TTA
-    over the positive count, so it never exceeds the largest accident frame.
+    Takes the (V, T) frame scores, the (V,) positive flags and accident
+    frames (-1 for a video without an accident), and the video ids, which
+    only name a broken video. A video scores its peak frame. At each
+    operating point (taken just below a distinct score, so crossings are
+    inclusive) we compute precision/recall over video scores and, for the
+    recalled positives, the mean time to accident T - t_hat, floored at
+    zero, where t_hat is the first frame reaching the threshold. The scalar
+    summary integrates mean TTA over the recall axis by recall increments,
+    summed exactly as newly recalled positives times mean TTA over the
+    positive count, so it never exceeds the largest accident frame.
     Returns (rows, atta) where each row is
     (threshold, precision, recall, mean_tta). Raises ValueError, naming the
     video, for a positive whose accident frame is not one of its frames.
     """
-    positives = [v for v in videos if v.positive]
-    if not positives:
+    probs = np.asarray(probs, dtype=np.float64)
+    positive, t_accident = np.asarray(positive, dtype=bool), np.asarray(t_accident)
+    if not positive.any():
         raise ValueError("time-to-accident needs at least one positive video")
-    for v in positives:
-        if not 0 <= v.t_accident < len(v.probs):
-            raise ValueError(f"video {v.video_id}: positive video needs an accident frame "
-                             f"in [0, {len(v.probs)}), got {v.t_accident}")
-    scores = video_level_scores(videos)
-    thresholds = sorted(set(scores.tolist()), reverse=True)
+    n_frames = probs.shape[1]
+    bad = np.flatnonzero(positive & ((t_accident < 0) | (t_accident >= n_frames)))
+    if len(bad):
+        raise ValueError(f"video {video_ids[bad[0]]}: positive video needs an accident frame "
+                         f"in [0, {n_frames}), got {t_accident[bad[0]]}")
+    scores = probs.max(axis=1)
+    thresholds = np.unique(scores)[::-1]
     # each positive's first crossing of every threshold is where its running
-    # maximum first reaches it; above its peak, where it is not recalled, the
-    # search gives its length, which is never read
-    crossings = np.array([np.searchsorted(np.maximum.accumulate(v.probs), thresholds,
-                                          side="left") for v in positives])
-    ttas = np.maximum(0.0, np.array([v.t_accident for v in positives])[:, None] - crossings)
-    recalled = video_level_scores(positives)[:, None] >= np.array(thresholds)
-    predicted = len(scores) - np.searchsorted(np.sort(scores), thresholds, side="left")
-    n_pos = len(positives)
-    rows = []
-    terms = []
-    prev_recalled = 0
-    for j, threshold in enumerate(thresholds):
-        n_recalled = int(np.count_nonzero(recalled[:, j]))
-        precision = n_recalled / int(predicted[j])
-        mean_tta = float(np.mean(ttas[recalled[:, j], j])) if n_recalled else 0.0
-        terms.append((n_recalled - prev_recalled) * mean_tta)
-        rows.append((threshold, precision, n_recalled / n_pos, mean_tta))
-        prev_recalled = n_recalled
-    return rows, math.fsum(terms) / n_pos
+    # maximum first reaches it
+    crossings = np.array([np.searchsorted(running, thresholds, side="left")
+                          for running in np.maximum.accumulate(probs[positive], axis=1)])
+    recalled = scores[positive][:, None] >= thresholds
+    # above a positive's peak its crossing is T, past its accident frame, so
+    # its TTA is 0 where it is not recalled; TTAs are whole frame counts, so
+    # their sums are exact in any order
+    ttas = np.maximum(0.0, t_accident[positive][:, None] - crossings)
+    n_recalled = np.count_nonzero(recalled, axis=0)
+    predicted = np.count_nonzero(scores[:, None] >= thresholds, axis=0)
+    mean_tta = np.divide(ttas.sum(axis=0), n_recalled, out=np.zeros(len(thresholds)),
+                         where=n_recalled > 0)
+    n_pos = len(crossings)
+    rows = list(zip(thresholds.tolist(), (n_recalled / predicted).tolist(),
+                    (n_recalled / n_pos).tolist(), mean_tta.tolist()))
+    terms = np.diff(n_recalled, prepend=0) * mean_tta
+    return rows, math.fsum(terms.tolist()) / n_pos
 
 
 # ---------------------------------------------------------------------------
 # risky-region detection AP
 
 def region_overlaps(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
-    """The (T, N, R) IoU of a video's (T, N, 4) detections with its (T, R, 4)
-    ground truth; NaN padding rows give NaN columns."""
-    return iou(boxes[:, :, None], gt_boxes[:, None])
+    """The (..., N, R) IoU of (..., N, 4) detections with (..., R, 4) ground
+    truth, the leading axes (a split's videos and frames) shared; NaN
+    padding rows give NaN columns."""
+    return iou(boxes[..., :, None, :], gt_boxes[..., None, :, :])
 
 
 def match_frame_detections(scores, overlaps, iou_threshold=REGION_IOU_THRESHOLD) -> np.ndarray:
@@ -140,47 +128,39 @@ def match_frame_detections(scores, overlaps, iou_threshold=REGION_IOU_THRESHOLD)
     return matched
 
 
-def _ground_truth_count(overlaps: np.ndarray) -> int:
-    """The columns of a (T, N, R) IoU matrix that are not NaN padding."""
-    return int(np.count_nonzero(~np.isnan(overlaps).all(axis=1)))
-
-
-def region_average_precision(videos):
-    """Detection AP over videos given as (scores, overlaps) pairs: the
-    (T, N) detection scores and their (T, N, R) IoU matrix.
+def region_average_precision(scores, overlaps):
+    """Detection AP of a split's (V, T, N) detection scores, given their
+    (V, T, N, R) IoU matrix with the ground truth.
 
     Detections are matched frame by frame, pooled across every frame of
     every video, and the recall axis counts all ground-truth boxes.
     """
-    scores, hits = [], []
-    n_gt = 0
-    for video_scores, overlaps in videos:
-        n_gt += _ground_truth_count(overlaps)
-        scores.append(np.ravel(video_scores))
-        # a frame where no detection reaches a ground truth matches none
-        video_hits = np.zeros(video_scores.shape, dtype=bool)
-        for t in np.flatnonzero((overlaps >= REGION_IOU_THRESHOLD).any(axis=(1, 2))):
-            video_hits[t] = match_frame_detections(video_scores[t], overlaps[t])
-        hits.append(video_hits.ravel())
+    scores = np.reshape(scores, (-1, np.shape(scores)[-1]))
+    overlaps = np.reshape(overlaps, (-1,) + np.shape(overlaps)[-2:])
+    # the columns that are not NaN padding
+    n_gt = int(np.count_nonzero(~np.isnan(overlaps).all(axis=1)))
     if n_gt == 0:
         raise ValueError("region AP needs at least one ground-truth box")
-    return average_precision(np.concatenate(scores), np.concatenate(hits), n_positive=n_gt)
+    # a frame where no detection reaches a ground truth matches none
+    hits = np.zeros(scores.shape, dtype=bool)
+    for f in np.flatnonzero((overlaps >= REGION_IOU_THRESHOLD).any(axis=(1, 2))):
+        hits[f] = match_frame_detections(scores[f], overlaps[f])
+    return average_precision(scores.ravel(), hits.ravel(), n_positive=n_gt)
 
 
-def oracle_region_average_precision(videos):
+def oracle_region_average_precision(overlaps):
     """Upper bound: every detection overlapping ground truth scores 1, else 0.
-    Takes the (scores, overlaps) pairs of ``region_average_precision`` and
-    rescores from the same overlaps.
+    Takes the (V, T, N, R) IoU matrix of ``region_average_precision``, which
+    is all it reads.
 
     Degenerate inputs where no detection overlaps any ground truth report 0
     with a warning instead of failing.
     """
-    rescored = [((overlaps >= REGION_IOU_THRESHOLD).any(axis=2).astype(np.float64), overlaps)
-                for _, overlaps in videos]
-    if not any(scores.any() for scores, _ in rescored):
+    hit = (overlaps >= REGION_IOU_THRESHOLD).any(axis=-1)
+    if not hit.any():
         warnings.warn("no proposal overlaps any ground truth; oracle region AP reported as 0")
         return 0.0
-    return region_average_precision(rescored)
+    return region_average_precision(hit.astype(np.float64), overlaps)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ The split is tracked once, before any forward pass (``detected_tracks``).
 Then all detected tracks of a video run through the model as one forward
 pass, each track a sequence over the video's regions, its (frame, track)
 columns frame-major, and each frame reduces over its K columns.
-Region AP and its oracle bound share one IoU matrix per video, of its
-regions with its risky boxes.
+The metrics then read the split's arrays: its (V, T) frame scores, and its
+(V, T, N) region scores with the one (V, T, N, R) IoU matrix of its regions
+with its risky boxes, which region AP and its oracle bound share.
 """
 from __future__ import annotations
 
@@ -16,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .evaluation import (VideoPrediction, average_precision,
-                         oracle_region_average_precision,
-                         region_average_precision, region_overlaps, tta_atta,
-                         video_level_scores)
+from .evaluation import (average_precision, oracle_region_average_precision,
+                         region_average_precision, region_overlaps, tta_atta)
 from .model import RiskModel
 from .training import detected_tracks, track_inputs
 
@@ -28,7 +27,6 @@ from .training import detected_tracks, track_inputs
 class VideoEvalResult:
     video_id: str
     positive: bool
-    t_accident: int                    # -1 for a video without an accident
     frame_probs: np.ndarray            # (T,): per frame, max over candidate tracks
     region_boxes: np.ndarray           # (T, N, 4)
     region_scores: np.ndarray          # (T, N): per frame, the most alarmed track's
@@ -75,7 +73,6 @@ def eval_video(model: RiskModel, sample, tracks) -> VideoEvalResult:
     return VideoEvalResult(
         video_id=sample.video_id,
         positive=sample.positive,
-        t_accident=sample.t_accident,
         frame_probs=probs.max(axis=1),
         region_boxes=sample.region_box,
         region_scores=region_scores[np.arange(n_frames), probs.argmax(axis=1)],
@@ -92,16 +89,17 @@ def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig) -> EvalSummary
     results = [eval_video(model, sample, tracks)
                for sample, tracks in zip(samples, detected_tracks(samples, run_cfg))]
 
-    vpreds = [VideoPrediction(r.frame_probs, r.positive, r.t_accident, r.video_id)
-              for r in results]
-    anticipation_map = average_precision(video_level_scores(vpreds),
-                                         [r.positive for r in results])
-    curve_rows, atta_frames = tta_atta(vpreds)
+    probs = np.stack([result.frame_probs for result in results])
+    positive = [sample.positive for sample in samples]
+    anticipation_map = average_precision(probs.max(axis=1), positive)
+    curve_rows, atta_frames = tta_atta(probs, positive, [sample.t_accident for sample in samples],
+                                       [sample.video_id for sample in samples])
 
-    region_videos = [(result.region_scores, region_overlaps(sample.region_box, sample.risky_box))
-                     for sample, result in zip(samples, results)]
-    region_map = region_average_precision(region_videos)
-    oracle_map = oracle_region_average_precision(region_videos)
+    overlaps = region_overlaps(np.stack([sample.region_box for sample in samples]),
+                               np.stack([sample.risky_box for sample in samples]))
+    region_map = region_average_precision(np.stack([result.region_scores for result in results]),
+                                          overlaps)
+    oracle_map = oracle_region_average_precision(overlaps)
 
     return EvalSummary(
         anticipation_map=float(anticipation_map),

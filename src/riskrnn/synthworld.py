@@ -57,6 +57,8 @@ class ScenarioConfig:
             raise ValueError(f"scenario counts must be >= 1, got {counts}")
         if self.noise_sigma < 0 or self.proposal_jitter < 0 or self.n_distractor_proposals < 0:
             raise ValueError("noise levels and proposal counts must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.collision_iou < 1.0):
             raise ValueError(f"collision_iou must lie in (0, 1), got {self.collision_iou}")
         if self.n_regions > 1 and self.n_classes < 2:

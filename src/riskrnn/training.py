@@ -113,8 +113,10 @@ class _Split:
         return total_loss(tape, out, [self.targets[i] for i in batch]), out
 
 
-def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig):
-    """Deterministic loss and anticipation AP on the annotated tracks."""
+def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig, epoch: int):
+    """Deterministic loss and anticipation AP on the annotated tracks. Raises
+    TrainingError naming the epoch and the first video whose loss is not
+    finite, which no epoch's loss could improve on."""
     losses = []
     peaks = []
     for start in range(0, len(split.videos), run_cfg.batch_size):
@@ -122,9 +124,14 @@ def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig):
         loss, out = split.loss(model, chunk, [0] * len(chunk), Tape(train=False))
         losses.extend(loss.per_sequence)
         peaks.append(out.y[:, 1].reshape(-1, len(chunk)).max(axis=0))
+    val_loss = float(np.mean(losses))
+    if not math.isfinite(val_loss):
+        bad = next(i for i, loss in enumerate(losses) if not math.isfinite(loss))
+        raise TrainingError(f"non-finite validation loss at epoch {epoch}, "
+                            f"video {split.videos[bad].video_id}")
     positive = [video.positive for video in split.videos]
     val_map = average_precision(np.concatenate(peaks), positive) if any(positive) else 0.0
-    return float(np.mean(losses)), val_map
+    return val_loss, val_map
 
 
 def _backward_pass(model: RiskModel, split: _Split, batch, picks, epoch: int) -> np.ndarray:
@@ -150,8 +157,8 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
                 progress=None) -> tuple[RiskModel, list[EpochStats]]:
     """Train one ablation variant; returns the best-validation model.
 
-    Raises ValueError naming an empty split, and TrainingError if any video
-    produces a non-finite loss.
+    Raises ValueError naming an empty split, and TrainingError if any video,
+    training or validation, produces a non-finite loss.
     """
     train_videos, val_videos = list(train_videos), list(val_videos)
     for name, videos in (("training", train_videos), ("validation", val_videos)):
@@ -184,7 +191,7 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
             step += 1
             adam_step(model.store, lr=run_cfg.lr, t=step)
 
-        val_loss, val_map = _validation_pass(model, val, run_cfg)
+        val_loss, val_map = _validation_pass(model, val, run_cfg, epoch)
         stats = EpochStats(epoch, float(np.mean(epoch_losses)), val_loss, val_map)
         history.append(stats)
         if progress is not None:

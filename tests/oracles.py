@@ -36,7 +36,7 @@ import numpy as np
 
 from riskrnn.autodiff import Node, _accum, _unbroadcast
 from riskrnn.data import Proposal
-from riskrnn.evaluation import REGION_IOU_THRESHOLD, video_level_scores
+from riskrnn.evaluation import REGION_IOU_THRESHOLD
 from riskrnn.geometry import MAX_LOG_SCALE, Box, encode_box_transform
 from riskrnn.losses import PROB_CLAMP, RISKY_IOU_THRESHOLD
 from riskrnn.synthworld import agent_class_id
@@ -449,26 +449,29 @@ def first_crossing(probs: np.ndarray, threshold: float) -> int | None:
     return int(hits[0]) if hits.shape[0] else None
 
 
-def tta_atta(videos):
-    """evaluation.tta_atta with a first-crossing search per recalled positive
-    at every threshold."""
-    positives = [v for v in videos if v.positive]
+def tta_atta(probs, positive, t_accident):
+    """evaluation.tta_atta over the rows of the (V, T) frame scores, each
+    video scoring its peak frame, with a first-crossing search per recalled
+    positive at every threshold."""
+    videos = list(zip(probs, positive, t_accident))
+    positives = [(video_probs, t) for video_probs, is_positive, t in videos if is_positive]
     if not positives:
         raise ValueError("time-to-accident needs at least one positive video")
-    scores = video_level_scores(videos)
+    scores = [float(video_probs.max()) for video_probs, _, _ in videos]
     n_pos = len(positives)
     rows = []
     terms = []
     prev_recalled = 0
-    for threshold in sorted(set(scores.tolist()), reverse=True):
-        predicted = int(np.sum(scores >= threshold))
-        recalled = [v for v in positives if float(v.probs.max()) >= threshold]
+    for threshold in sorted(set(scores), reverse=True):
+        predicted = sum(1 for score in scores if score >= threshold)
+        recalled = [(video_probs, t) for video_probs, t in positives
+                    if float(video_probs.max()) >= threshold]
         recall = len(recalled) / n_pos
         precision = len(recalled) / predicted if predicted else 0.0
         ttas = []
-        for v in recalled:
-            t_hat = first_crossing(v.probs, threshold)
-            ttas.append(max(0.0, float(v.t_accident - t_hat)))
+        for video_probs, t in recalled:
+            t_hat = first_crossing(video_probs, threshold)
+            ttas.append(max(0.0, float(t - t_hat)))
         mean_tta = float(np.mean(ttas)) if ttas else 0.0
         terms.append((len(recalled) - prev_recalled) * mean_tta)
         rows.append((threshold, precision, recall, mean_tta))

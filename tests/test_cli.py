@@ -65,7 +65,7 @@ def test_unknown_key_is_a_configuration_error(tmp_path):
     ("n_regions", "0"), ("collision_iou", "1.5"), ("noise_sigma", "-1"), ("h_agent", "0"),
     ("n_classes", "1"), ("top_init", "0"), ("top_iou", "0"), ("dedup_iou", "-1"),
     ("dedup_iou", "1.5"), ("grid_w", "0"), ("grid_h", "0"), ("noise_sigma", "nan"),
-    ("proposal_jitter", "inf"), ("lr", "nan"), ("lambdas", "nan,nan"),
+    ("proposal_jitter", "inf"), ("lr", "nan"), ("lambdas", "nan,nan"), ("seed", "-1"),
 ])
 def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, key, value):
     assert main(["generate", "--out", str(tmp_path), f"--{key}", value, *TINY]) == 2

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from riskrnn.evaluation import (REGION_IOU_THRESHOLD, VideoPrediction, average_precision,
-                                match_frame_detections, oracle_region_average_precision,
-                                region_average_precision, region_overlaps, risk_map_raster,
-                                tta_atta)
+from riskrnn.evaluation import (REGION_IOU_THRESHOLD, average_precision, match_frame_detections,
+                                oracle_region_average_precision, region_average_precision,
+                                region_overlaps, risk_map_raster, tta_atta)
 from riskrnn.geometry import Box, iou
 
 import oracles
@@ -77,43 +76,50 @@ tied_probs = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), unit_floats)
 
 @st.composite
 def labelled_videos(draw):
-    videos = []
-    for _ in range(draw(st.integers(1, 15))):
-        probs = np.array(draw(st.lists(tied_probs, min_size=1, max_size=12)))
-        positive = draw(st.booleans())
-        t_accident = draw(st.integers(0, len(probs) - 1)) if positive else -1
-        videos.append(VideoPrediction(probs, positive, t_accident))
-    if not any(v.positive for v in videos):
-        videos[0] = VideoPrediction(videos[0].probs, True, len(videos[0].probs) - 1)
-    return videos
+    """A split's (V, T) frame scores, one T per split, with each video's
+    positive flag and accident frame (-1 for a negative); one video at
+    least is positive."""
+    n_videos, n_frames = draw(st.integers(1, 15)), draw(st.integers(1, 12))
+    probs = np.array(draw(st.lists(st.lists(tied_probs, min_size=n_frames, max_size=n_frames),
+                                   min_size=n_videos, max_size=n_videos)))
+    positive = np.array(draw(st.lists(st.booleans(), min_size=n_videos, max_size=n_videos)))
+    positive[0] |= not positive.any()
+    t_accident = np.array([draw(st.integers(0, n_frames - 1)) if is_positive else -1
+                           for is_positive in positive])
+    return probs, positive, t_accident
+
+
+def video_ids(n_videos):
+    return [f"v{i}" for i in range(n_videos)]
 
 
 class TestTtaAtta:
     def test_twelve_positives_crossing_at_frame_zero_give_exactly_eleven(self):
-        videos = [VideoPrediction(np.full(12, 0.9 - 0.05 * i), True, 11) for i in range(12)]
-        _, atta = tta_atta(videos)
+        probs = np.repeat(0.9 - 0.05 * np.arange(12)[:, None], 12, axis=1)
+        _, atta = tta_atta(probs, np.ones(12, bool), np.full(12, 11), video_ids(12))
         assert atta == 11.0
 
     @pytest.mark.parametrize("t_accident", [-1, 12])
     def test_a_positive_without_an_accident_frame_names_the_video(self, t_accident):
-        videos = [VideoPrediction(np.full(12, 0.5), True, 11, "kept"),
-                  VideoPrediction(np.full(12, 0.5), True, t_accident, "broken")]
         with pytest.raises(ValueError, match=rf"^video broken: positive video needs an accident "
                                              rf"frame in \[0, 12\), got {t_accident}$"):
-            tta_atta(videos)
+            tta_atta(np.full((2, 12), 0.5), [True, True], [11, t_accident], ["kept", "broken"])
 
     @settings(deadline=None)
     @given(labelled_videos())
     def test_atta_is_bounded_by_the_latest_accident(self, videos):
-        rows, atta = tta_atta(videos)
-        assert 0.0 <= atta <= max(v.t_accident for v in videos if v.positive)
+        probs, positive, t_accident = videos
+        rows, atta = tta_atta(probs, positive, t_accident, video_ids(len(probs)))
+        assert 0.0 <= atta <= t_accident.max()
         recalls = [recall for _, _, recall, _ in rows]
         assert recalls == sorted(recalls)
 
     @settings(max_examples=200, deadline=None)
     @given(labelled_videos())
     def test_equals_the_scalar_reference_bit_for_bit(self, videos):
-        assert tta_atta(videos) == oracles.tta_atta(videos)
+        probs, positive, t_accident = videos
+        assert tta_atta(probs, positive, t_accident, video_ids(len(probs))) == \
+            oracles.tta_atta(probs, positive, t_accident)
 
 
 # grid boxes make equal IoUs, and so ties between ground-truth boxes, common
@@ -150,23 +156,27 @@ class TestMatchFrameDetections:
 
 
 def random_region_videos(rng, n_videos=4, n_frames=5):
-    """Videos as the per-frame (detections, ground truth) lists of the
-    scalar references and as the (scores, overlaps) arrays of the metrics.
+    """A split as the per-frame (detections, ground truth) lists of the
+    scalar references and as the metrics' (V, T, N) scores and
+    (V, T, N, R) overlaps, from one ``region_overlaps`` call.
 
-    Each video has one detection count N and up to R = 3 ground-truth boxes
-    a frame, NaN-padded to R where a frame has fewer; R is 0 for some
-    videos. About half the ground truth is a jittered copy of a detection so
-    some overlaps pass 0.4, and scores tie often. The first frame of the
-    first video has its first detection as ground truth, so every draw has
-    a match."""
+    The split has one detection count N and up to R (1 to 3) ground-truth
+    boxes a frame, NaN-padded to R where a frame has fewer; a video drawn
+    without ground truth is all padding. About half the ground truth is a
+    jittered copy of a detection so some overlaps pass 0.4, and scores tie
+    often. The first frame of the first video has its first detection as
+    ground truth, so every draw has a match."""
     def box():
         return Box(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.05, 0.3, 2))
 
-    frames, arrays = [], []
+    n_dets, n_gt = rng.integers(1, 7), rng.integers(1, 4)
+    frames = []
+    scores = np.zeros((n_videos, n_frames, n_dets))
+    boxes = np.zeros(scores.shape + (4,))
+    gt = np.full((n_videos, n_frames, n_gt, 4), np.nan)
     for v in range(n_videos):
-        n_dets, max_gt = rng.integers(1, 7), rng.integers(0 if v else 1, 4)
-        video, boxes, scores = [], [], []
-        gt = np.full((n_frames, max_gt, 4), np.nan)
+        max_gt = rng.integers(0 if v else 1, n_gt + 1)
+        video = []
         for t in range(n_frames):
             dets = [(box(), float(rng.choice([0.0, 0.5, 1.0, rng.uniform()])))
                     for _ in range(n_dets)]
@@ -175,45 +185,43 @@ def random_region_videos(rng, n_videos=4, n_frames=5):
             if v == t == 0:
                 gt_boxes[:1] = [dets[0][0]]
             video.append((dets, gt_boxes))
-            boxes.append(stack_boxes(b for b, _ in dets))
-            scores.append([s for _, s in dets])
-            gt[t, :len(gt_boxes)] = stack_boxes(gt_boxes)
+            boxes[v, t] = stack_boxes(b for b, _ in dets)
+            scores[v, t] = [s for _, s in dets]
+            gt[v, t, :len(gt_boxes)] = stack_boxes(gt_boxes)
         frames.append(video)
-        arrays.append((np.array(scores), region_overlaps(np.stack(boxes), gt)))
-    return frames, arrays
+    return frames, scores, region_overlaps(boxes, gt)
 
 
 class TestRegionAp:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_the_scalar_reference(self, seed):
-        frames, arrays = random_region_videos(np.random.default_rng(seed))
-        got = region_average_precision(arrays)
+        frames, scores, overlaps = random_region_videos(np.random.default_rng(seed))
+        got = region_average_precision(scores, overlaps)
         assert 0.0 < got == oracles.region_average_precision(frames)
 
     def test_padding_columns_are_not_ground_truth(self):
-        frames, arrays = random_region_videos(np.random.default_rng(0), n_videos=1)
-        scores, overlaps = arrays[0]
-        padded = np.concatenate([overlaps, np.full(overlaps.shape[:2] + (2,), np.nan)], axis=2)
-        assert region_average_precision([(scores, padded)]) == \
-            region_average_precision(arrays) == oracles.region_average_precision(frames)
+        frames, scores, overlaps = random_region_videos(np.random.default_rng(0), n_videos=1)
+        padded = np.concatenate([overlaps, np.full(overlaps.shape[:3] + (2,), np.nan)], axis=3)
+        assert region_average_precision(scores, padded) == \
+            region_average_precision(scores, overlaps) == oracles.region_average_precision(frames)
 
     def test_an_overlap_exactly_at_the_threshold_matches(self):
-        scores = np.array([[0.9, 0.5]])
-        overlaps = np.array([[[REGION_IOU_THRESHOLD], [0.1]]])
-        assert region_average_precision([(scores, overlaps)]) == 1.0
+        scores = np.array([[[0.9, 0.5]]])
+        overlaps = np.array([[[[REGION_IOU_THRESHOLD], [0.1]]]])
+        assert region_average_precision(scores, overlaps) == 1.0
 
 
 class TestOracleRegionAp:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_the_scalar_reference(self, seed):
-        frames, arrays = random_region_videos(np.random.default_rng(seed))
-        got = oracle_region_average_precision(arrays)
+        frames, _, overlaps = random_region_videos(np.random.default_rng(seed))
+        got = oracle_region_average_precision(overlaps)
         assert 0.0 < got == oracles.oracle_region_average_precision(frames)
 
     def test_no_detection_on_any_ground_truth_warns_and_reports_zero(self):
-        frames, arrays = random_region_videos(np.random.default_rng(1))
+        _, _, overlaps = random_region_videos(np.random.default_rng(1))
         # every detection moved off its frame's ground truth
-        missed = [(scores, np.where(np.isnan(overlaps), np.nan, 0.0)) for scores, overlaps in arrays]
+        missed = np.where(np.isnan(overlaps), np.nan, 0.0)
         with pytest.warns(UserWarning, match="no proposal overlaps any ground truth"):
             assert oracle_region_average_precision(missed) == 0.0
 

@@ -13,6 +13,8 @@ from riskrnn.pipeline import eval_video, evaluate_model
 from riskrnn.synthworld import generate_scenario, generate_split
 from riskrnn.training import detected_tracks, track_inputs
 
+import oracles
+
 CFG = RunConfig(n_test=3, seed=6)
 
 
@@ -88,3 +90,33 @@ def test_a_split_of_two_shapes_fails_before_the_tracker(samples, monkeypatch):
     model = RiskModel.create(CFG.model_config("RA"), seed=6)
     with pytest.raises(ValueError, match=r"^video odd: agent_box has shape "):
         evaluate_model(model, [*samples, odd], CFG)
+
+
+@pytest.mark.parametrize("variant", ["RA", "L-RAI"])
+def test_the_report_equals_the_scalar_references_of_each_metric(variant):
+    # an untrained model on a split with several positives and risky boxes
+    cfg = replace(CFG, n_test=10)
+    samples = generate_split(cfg.scenario_config(), cfg.n_test, "test")
+    model = RiskModel.create(cfg.model_config(variant), seed=6)
+    summary = evaluate_model(model, samples, cfg)
+    results = summary.videos
+    assert [r.video_id for r in results] == [s.video_id for s in samples]
+
+    peaks = [(float(r.frame_probs.max()), s.positive) for r, s in zip(results, samples)]
+    assert summary.anticipation_map == oracles.average_precision(peaks)
+    rows, atta = oracles.tta_atta([r.frame_probs for r in results],
+                                  [s.positive for s in samples],
+                                  [s.t_accident for s in samples])
+    assert summary.curve_rows == rows
+    assert summary.atta_frames == atta and summary.atta_seconds == atta / cfg.fps
+
+    # per video, per frame: its (box, score) detections and its risky boxes
+    frames = [[(list(zip(oracles.boxes(region_box), scores.tolist())),
+                oracles.boxes(risky[~np.isnan(risky).any(axis=1)]))
+               for region_box, scores, risky in zip(s.region_box, r.region_scores, s.risky_box)]
+              for r, s in zip(results, samples)]
+    assert 0.0 < summary.region_map == oracles.region_average_precision(frames)
+    assert 0.0 < summary.oracle_region_map == oracles.oracle_region_average_precision(frames)
+    fields = summary.report_fields()
+    assert (fields["n_videos"], fields["n_positive"]) == (
+        len(samples), sum(s.positive for s in samples))

@@ -32,10 +32,10 @@ def splits():
 @pytest.mark.parametrize("variant", ["RA", "L-RAI"])
 def test_the_returned_model_has_the_least_validation_loss(splits, variant):
     model, history = train_model(CFG, variant, *splits)
-    best = min(stats.val_loss for stats in history)
-    assert history[-1].val_loss > best
+    best = min(history, key=lambda stats: stats.val_loss)
+    assert history[-1].val_loss > best.val_loss
     val = _Split(splits[1], model.cfg.horizon, CFG.time_scale)
-    assert _validation_pass(model, val, CFG)[0] == best
+    assert _validation_pass(model, val, CFG, best.epoch)[0] == best.val_loss
 
 
 @pytest.mark.parametrize("empty", ["training", "validation"])
@@ -62,6 +62,18 @@ def test_a_non_finite_loss_names_the_epoch_and_the_video(splits):
         videos[broken] = with_nan_region_features(sample)
         with pytest.raises(TrainingError, match=f"at epoch 1, video {sample.video_id}$"):
             train_model(dataclasses.replace(CFG, batch_size=3), "RA", videos, val)
+
+
+@pytest.mark.parametrize("batch_size", [1, 2])
+def test_a_non_finite_validation_loss_names_the_epoch_and_the_video(splits, batch_size):
+    # NaN never improves on the best validation loss, so training would
+    # otherwise return the untrained model without a word
+    train, val = splits
+    broken = with_nan_region_features(val[1])
+    with pytest.raises(TrainingError, match=f"^non-finite validation loss at epoch 1, "
+                                            f"video {broken.video_id}$"):
+        train_model(dataclasses.replace(CFG, batch_size=batch_size), "RA", train,
+                    [val[0], broken])
 
 
 @pytest.mark.parametrize("field,key", [("frames_per_video", "agent_box"),
