@@ -160,10 +160,12 @@ def _eval_one_video(cfg, args):
     """The test split's video ``--video-id`` names (by default its first)
     and ``eval_video``'s result for its detected tracks under the
     ``--model`` file's model."""
-    samples = read_dataset(_dataset_path(args.data, "test"))
+    path = _dataset_path(args.data, "test")
+    samples = read_dataset(path)
     picked = [s for s in samples if args.video_id in (None, s.video_id)]
     if not picked:
-        raise ValueError(f"video id {args.video_id!r} not found in dataset")
+        raise ValueError(f"{path}: video id {args.video_id!r} not found among its "
+                         f"{len(samples)} videos")
     sample, model = picked[0], RiskModel.load(args.model)
     return sample, eval_video(model, sample, detected_tracks([sample], cfg)[0])
 

@@ -1,10 +1,20 @@
 """Videos and the dataset file.
 
-A ``VideoSample`` is one video's rows of the dataset file's arrays, its
-fields named as the file's keys (the layout below, without the leading V).
-The generator builds them from the arrays it draws, and ``read_dataset``
-from row views of the arrays it loads, checked once per video by
-``VideoSample.check``. Every program path reads the arrays.
+A dataset file is one uncompressed ``.npz`` per split, written by ``np.savez``
+under the path as given and read with ``allow_pickle=False``. It holds a
+``header`` array, ``"RISKRNN-DATASET v2"``, and one array per field of
+``VideoSample``, named as the field, of the dtype and dims the field
+declares. For V videos of T frames, N regions and M proposals per frame, D
+feature dimensions and at most R risky boxes per frame, boxes are
+(cx, cy, w, h) rows. A ``VideoSample`` is one video's rows of these arrays.
+
+One check, ``_check_split``, holds the file's contract over a split's
+arrays: their dtypes and sizes, the labels, and every row the model reads.
+``write_dataset`` runs it on the arrays it stacks, before it saves them, and
+``read_dataset`` on the arrays it loads, before it builds each video's row
+views, so every file one writes the other reads. A split built in memory is
+not checked: training and evaluation check only that its videos share one
+shape (``check_one_shape``), so a non-finite value there reaches the model.
 
 The records survive only as views, built on each call and kept nowhere,
 for one reader: the benchmark's check that a dataset reads back as written,
@@ -19,48 +29,17 @@ which compares videos record by record. No program path reads them.
   whose indexing builds ``Proposal`` records: read by ``sample_mismatch``
   and ``inspect_data``;
 - ``VideoSample.region_classes``: read by ``sample_mismatch``.
-
-A dataset file is one uncompressed ``.npz`` per split, written by ``np.savez``
-under the path as given and read with ``allow_pickle=False``. For V videos of
-T frames, N regions and M proposals per frame, D feature dimensions and at
-most R risky boxes per frame it holds, with boxes as (cx, cy, w, h) rows:
-
-    header          ()            str       "RISKRNN-DATASET v2"
-    video_id        (V,)          str
-    positive        (V,)          bool
-    t_accident      (V,)          int64     -1 for a video without an accident
-    agent_class     (V,)          int64
-    region_class    (V, N)        int64
-    agent_box       (V, T, 4)     float64   also the annotated agent track
-    agent_feat      (V, T, D)     float64
-    region_box      (V, T, N, 4)  float64
-    region_feat     (V, T, N, D)  float64
-    proposal_box    (V, T, M, 4)  float64
-    proposal_score  (V, T, M)     float64
-    proposal_feat   (V, T, M, D)  float64
-    risky_box       (V, T, R, 4)  float64   NaN rows pad frames with fewer boxes
 """
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .geometry import Box
 
 DATASET_HEADER = "RISKRNN-DATASET v2"
-
-# key -> (dtype, dims); a digit is a fixed size, a letter a size shared by keys
-_LAYOUT = {
-    "video_id": (np.str_, "V"), "positive": (np.bool_, "V"),
-    "t_accident": (np.int64, "V"), "agent_class": (np.int64, "V"),
-    "region_class": (np.int64, "VN"),
-    "agent_box": (np.float64, "VT4"), "agent_feat": (np.float64, "VTD"),
-    "region_box": (np.float64, "VTN4"), "region_feat": (np.float64, "VTND"),
-    "proposal_box": (np.float64, "VTM4"), "proposal_score": (np.float64, "VTM"),
-    "proposal_feat": (np.float64, "VTMD"), "risky_box": (np.float64, "VTR4"),
-}
 
 # for the check: what a row is called, its box, feature and score keys, and
 # what it needs
@@ -126,61 +105,30 @@ def _boxes(rows) -> tuple:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class VideoSample:
-    """One video: the (T, ·) rows of each array of the dataset file."""
+    """One video: the (T, ·) rows of each array of the dataset file. Each
+    field's ``layout`` is its array's dtype and dims in the file; a digit is
+    a fixed size, a letter a size shared by arrays."""
 
-    video_id: str
-    positive: bool
-    t_accident: int  # -1 for a video without an accident
-    agent_class: int
-    region_class: np.ndarray
-    agent_box: np.ndarray
-    agent_feat: np.ndarray
-    region_box: np.ndarray
-    region_feat: np.ndarray
-    proposal_box: np.ndarray
-    proposal_score: np.ndarray
-    proposal_feat: np.ndarray
-    risky_box: np.ndarray
+    video_id: str = field(metadata={"layout": (np.str_, "V")})
+    positive: bool = field(metadata={"layout": (np.bool_, "V")})
+    # -1 for a video without an accident
+    t_accident: int = field(metadata={"layout": (np.int64, "V")})
+    agent_class: int = field(metadata={"layout": (np.int64, "V")})
+    region_class: np.ndarray = field(metadata={"layout": (np.int64, "VN")})
+    # also the annotated agent track
+    agent_box: np.ndarray = field(metadata={"layout": (np.float64, "VT4")})
+    agent_feat: np.ndarray = field(metadata={"layout": (np.float64, "VTD")})
+    region_box: np.ndarray = field(metadata={"layout": (np.float64, "VTN4")})
+    region_feat: np.ndarray = field(metadata={"layout": (np.float64, "VTND")})
+    proposal_box: np.ndarray = field(metadata={"layout": (np.float64, "VTM4")})
+    proposal_score: np.ndarray = field(metadata={"layout": (np.float64, "VTM")})
+    proposal_feat: np.ndarray = field(metadata={"layout": (np.float64, "VTMD")})
+    # NaN rows pad frames with fewer boxes
+    risky_box: np.ndarray = field(metadata={"layout": (np.float64, "VTR4")})
 
     @property
     def n_frames(self) -> int:
         return len(self.agent_box)
-
-    def check(self) -> None:
-        """Raise ValueError, naming the video, if its labels disagree or a
-        row is not one the model can read, naming that row's frame and index.
-
-        A positive needs an accident frame in range; a negative has none and
-        no risky box. Every box is finite with sides > 0, every feature and
-        score finite, and every risky row a box or all-NaN padding.
-        """
-        try:
-            if self.positive and not 0 <= self.t_accident < self.n_frames:
-                raise ValueError(f"positive video needs an accident frame in range, "
-                                 f"got {self.t_accident}")
-            n_risky = int(np.count_nonzero(~np.isnan(self.risky_box).all(axis=2)))
-            if not self.positive and (self.t_accident != -1 or n_risky):
-                raise ValueError(f"negative video needs no accident frame and no risky box, "
-                                 f"got accident frame {self.t_accident} and {n_risky} risky boxes")
-            for row_kind in _ROWS:
-                self._check_rows(*row_kind)
-        except ValueError as err:
-            raise ValueError(f"video {self.video_id}: {err}") from None
-
-    def _check_rows(self, what, box_key, feat_key, score_key, needs) -> None:
-        boxes = getattr(self, box_key).reshape(self.n_frames, -1, 4)
-        good = np.isfinite(boxes).all(axis=2) & (boxes[..., 2:] > 0.0).all(axis=2)
-        if feat_key is not None:
-            good &= np.isfinite(getattr(self, feat_key)).all(axis=-1).reshape(good.shape)
-        if score_key is not None:
-            good &= np.isfinite(getattr(self, score_key))
-        if what == "risky box":
-            good |= np.isnan(boxes).all(axis=2)
-        if not good.all():
-            t, i = np.argwhere(~good)[0]
-            score = "" if score_key is None else f" and score {getattr(self, score_key)[t, i]}"
-            raise ValueError(f"frame {t}: {what} {i} has box {boxes[t, i].tolist()}{score}; "
-                             f"every {what} needs {needs}")
 
     @property
     def frames(self) -> tuple:
@@ -207,6 +155,10 @@ class VideoSample:
         return tuple(self.region_class.tolist())
 
 
+# key -> (dtype, dims)
+_LAYOUT = {f.name: f.metadata["layout"] for f in fields(VideoSample)}
+
+
 # ---------------------------------------------------------------------------
 # dataset files
 
@@ -222,19 +174,19 @@ def check_one_shape(samples) -> None:
                                  f"not {first} as video {samples[0].video_id}")
 
 
-def write_dataset(path, samples) -> None:
-    """Write the videos as one dataset file; they must share one shape."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("a dataset needs at least one video")
-    check_one_shape(samples)
-    arrays = {key: np.array([getattr(sample, key) for sample in samples], dtype=dtype)
-              for key, (dtype, _) in _LAYOUT.items()}
-    with open(path, "wb") as fh:
-        np.savez(fh, header=np.array(DATASET_HEADER), **arrays)
+def _check_split(arrays: dict) -> None:
+    """Raise ValueError unless a split's arrays, one per key of ``_LAYOUT``,
+    make a dataset file. Each has its dtype and dims, every size but R is at
+    least 1, and the labels and rows of every video hold:
 
+    - a positive has an accident frame in range; a negative has none and no
+      risky box;
+    - every box is finite with sides > 0, every feature and score finite,
+      and every risky row a box or all-NaN padding.
 
-def _check_layout(arrays: dict) -> None:
+    The first rule above that a video breaks is named, with the first video
+    that breaks it and, for a row, its frame and index.
+    """
     sizes: dict = {}
     for key, (dtype, dims) in _LAYOUT.items():
         a = arrays[key]
@@ -246,6 +198,46 @@ def _check_layout(arrays: dict) -> None:
     if min(sizes[d] for d in "VTNMD") < 1:
         raise ValueError(f"sizes {sizes}: a dataset needs at least one video, frame, "
                          f"region, proposal and feature dimension")
+    ids, positive, t_accident = arrays["video_id"], arrays["positive"], arrays["t_accident"]
+    n_risky = np.count_nonzero(~np.isnan(arrays["risky_box"]).all(axis=3), axis=(1, 2))
+    for bad, fault in (
+            (positive & ((t_accident < 0) | (t_accident >= sizes["T"])),
+             "positive video needs an accident frame in range, got {t}"),
+            (~positive & ((t_accident != -1) | (n_risky > 0)),
+             "negative video needs no accident frame and no risky box, "
+             "got accident frame {t} and {n} risky boxes")):
+        if bad.any():
+            v = bad.argmax()
+            raise ValueError(f"video {ids[v]}: " + fault.format(t=t_accident[v], n=n_risky[v]))
+    for what, box_key, feat_key, score_key, needs in _ROWS:
+        boxes = arrays[box_key].reshape(sizes["V"], sizes["T"], -1, 4)
+        good = np.isfinite(boxes).all(axis=3) & (boxes[..., 2:] > 0.0).all(axis=3)
+        if feat_key is not None:
+            good &= np.isfinite(arrays[feat_key]).all(axis=-1).reshape(good.shape)
+        if score_key is not None:
+            good &= np.isfinite(arrays[score_key])
+        if what == "risky box":
+            good |= np.isnan(boxes).all(axis=3)
+        if not good.all():
+            v, t, i = np.argwhere(~good)[0]
+            score = "" if score_key is None else f" and score {arrays[score_key][v, t, i]}"
+            raise ValueError(f"video {ids[v]}: frame {t}: {what} {i} has box "
+                             f"{boxes[v, t, i].tolist()}{score}; every {what} needs {needs}")
+
+
+def write_dataset(path, samples) -> None:
+    """Write the videos as one dataset file. They must share one shape, and
+    their arrays pass the check ``read_dataset`` makes; otherwise raise
+    ValueError and write nothing."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("a dataset needs at least one video")
+    check_one_shape(samples)
+    arrays = {key: np.array([getattr(sample, key) for sample in samples], dtype=dtype)
+              for key, (dtype, _) in _LAYOUT.items()}
+    _check_split(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(DATASET_HEADER), **arrays)
 
 
 def read_dataset(path) -> list[VideoSample]:
@@ -259,14 +251,11 @@ def read_dataset(path) -> list[VideoSample]:
                 if npz["header"].item() != DATASET_HEADER:
                     raise ValueError(f"header {npz['header'].item()!r}")
                 arrays = {key: npz[key] for key in _LAYOUT}
-            _check_layout(arrays)
-            # the labels as Python values, the other arrays as row views
-            columns = {key: a.tolist() if a.ndim == 1 else a for key, a in arrays.items()}
-            samples = [VideoSample(**{key: column[v] for key, column in columns.items()})
-                       for v in range(len(columns["video_id"]))]
-            for sample in samples:
-                sample.check()
-            return samples
+            _check_split(arrays)
         except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as err:
             raise ValueError(f"{path}: not a readable {DATASET_HEADER} file "
                              f"({type(err).__name__}: {err})") from None
+    # the labels as Python values, the other arrays as row views
+    columns = {key: a.tolist() if a.ndim == 1 else a for key, a in arrays.items()}
+    return [VideoSample(**{key: column[v] for key, column in columns.items()})
+            for v in range(len(columns["video_id"]))]

@@ -337,8 +337,8 @@ class RiskModel:
     @classmethod
     def load(cls, path) -> "RiskModel":
         """Read a model file; its header must be the variant line and the
-        config keys, that variant the config's, and its parameters the ones
-        the config needs."""
+        config keys, once each, the config valid, that variant the config's,
+        and its parameters the ones the config needs."""
         store, raw = load_params(path)
         unknown = raw.keys() - {"variant"} - {f.name for f in fields(ModelConfig)}
         if unknown:
@@ -352,6 +352,10 @@ class RiskModel:
             except ValueError as err:
                 raise ValueError(f"{path}: {err} for key {f.name!r}") from None
         cfg = ModelConfig(**values)
+        try:
+            cfg.validate()
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         expected = {name: (rows, cols) for name, rows, cols in param_specs(cfg)}
         found = {pm.name: pm.values.shape for pm in store}
         if found != expected:

@@ -167,9 +167,9 @@ def save_params(path, store: ParameterStore, config: dict | None = None) -> None
 def load_params(path) -> tuple[ParameterStore, dict[str, str]]:
     """Read a model file back; returns (store, raw config strings).
 
-    Raises ValueError on a bad header, a malformed or repeated block, a
-    missing final checksum line (a truncated file), a non-finite value or a
-    checksum mismatch.
+    Raises ValueError on a bad header, a repeated config key, a malformed or
+    repeated block, a missing final checksum line (a truncated file), a
+    non-finite value or a checksum mismatch.
     """
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
@@ -184,8 +184,10 @@ def load_params(path) -> tuple[ParameterStore, dict[str, str]]:
         expected = float(lines[-1].split()[1])
         while i < len(lines) - 1:
             if " = " in lines[i]:
-                key, _, value = lines[i].partition(" = ")
-                config[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in lines[i].partition(" = "))
+                if key in config:
+                    raise ValueError(f"duplicate config key {key!r}")
+                config[key] = value
                 i += 1
                 continue
             name, rows, cols = lines[i].split()

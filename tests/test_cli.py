@@ -2,6 +2,7 @@ import csv
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 
 import numpy as np
@@ -73,6 +74,17 @@ def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, key, valu
     assert not any(tmp_path.iterdir())
 
 
+# exp of the jittered proposal sides overflows; the dataset check, not the
+# warning, must fail the run
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_a_split_the_dataset_check_rejects_is_a_runtime_failure_writing_nothing(
+        tmp_path, capsys):
+    assert main(["generate", "--out", str(tmp_path), "--proposal_jitter", "1000", *TINY]) == 1
+    assert re.match(r"error: video train-\d{5}: frame \d+: proposal \d+ has box ",
+                    capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+
+
 def test_missing_dataset_is_a_runtime_failure(tmp_path):
     assert main(["train", "--data", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "m.rrm"), *TINY]) == 1
@@ -131,17 +143,22 @@ def test_a_split_without_positives_is_a_runtime_failure_naming_the_file(
         f"error: {bad}: no positive video among the {len(negatives)} test videos")
 
 
-@pytest.mark.parametrize("old,new", [("variant = RA", "variant = L-RAI"),
-                                     ("h_aa = ", "no_such_key = 3\nh_aa = ")],
-                         ids=["other variant", "unknown key"])
+@pytest.mark.parametrize("old,new,says", [
+    ("variant = RA", "variant = L-RAI", "variant 'L-RAI' is not the RA its config describes"),
+    ("h_aa = ", "no_such_key = 3\nh_aa = ", "unknown config key 'no_such_key'"),
+    ("h_aa = 64", "h_aa = 64\nh_aa = 32", "duplicate config key 'h_aa'"),
+    ("horizon = 5", "horizon = 0", "imagination horizon must be >= 1, got 0"),
+    ("h_aa = 64", "h_aa = 0", "model dims must be >= 1"),
+], ids=["other variant", "unknown key", "repeated key", "zero horizon", "zero dim"])
 def test_a_hand_edited_model_file_is_a_runtime_failure_naming_it(
-        data_dir, tmp_path, capsys, old, new):
+        data_dir, tmp_path, capsys, old, new, says):
     model = tmp_path / "RA.rrm"
     RiskModel.create(RunConfig().model_config("RA"), seed=0).save(model)
     model.write_text(model.read_text().replace(old, new))
     assert main(["eval", "--data", str(data_dir), "--model", str(model),
                  "--out", str(tmp_path / "report.txt"), *TINY]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {model}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: ") and says in err
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +189,15 @@ def test_infer_writes_each_frames_probability_and_region_scores(
     assert rows[1:] == [[str(t), f"{prob:.17g}"] + [f"{score:.17g}" for score in scores]
                         for t, (prob, scores) in enumerate(zip(result.frame_probs,
                                                                result.region_scores))]
+
+
+@pytest.mark.parametrize("command", ["infer", "riskmap"])
+def test_an_unknown_video_id_is_a_runtime_failure_naming_the_file(
+        data_dir, untrained_model, tmp_path, capsys, command):
+    assert main([command, "--data", str(data_dir), "--model", str(untrained_model),
+                 "--video-id", "nope", "--out", str(tmp_path / "out"), *TINY]) == 1
+    assert capsys.readouterr().err == (f"error: {data_dir / 'test.dat'}: video id 'nope' "
+                                       f"not found among its 4 videos\n")
 
 
 def test_riskmap_writes_a_pgm_per_frame_of_the_first_video(data_dir, untrained_model, tmp_path):

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -61,17 +62,18 @@ class TestRecords:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, None)
 
-    def test_a_negative_needs_an_empty_risky_entry_per_frame(self, samples):
+    def test_a_negative_needs_an_empty_risky_entry_per_frame(self, tmp_path, samples):
         positive, negative = samples[0], samples[1]
         assert np.isnan(negative.risky_box).all()
-        negative.check()
+        write_dataset(tmp_path / "negative.dat", [negative])
         assert negative.targets.risky_boxes == ((),) * negative.n_frames
         risky = negative.risky_box.copy()
         risky[2] = positive.risky_box[2]
         with pytest.raises(ValueError, match=re.escape(
                 f"video {negative.video_id}: negative video needs no accident frame and no "
                 f"risky box, got accident frame -1 and 1 risky boxes")):
-            dataclasses.replace(negative, risky_box=risky).check()
+            write_dataset(tmp_path / "bad.dat", [dataclasses.replace(negative, risky_box=risky)])
+        assert not (tmp_path / "bad.dat").exists()
 
     def test_data_layer_does_not_import_the_model(self):
         stdlib = set(sys.stdlib_module_names) | {"__future__"}
@@ -172,14 +174,15 @@ class TestProposalSet:
         ("proposal_score", (0, 2), np.nan, "frame 0: proposal 2 has box [0.5, 0.5, 0.25, 0.25] "
                                            "and score nan"),
     ], ids=["zero width", "negative height", "infinite center", "NaN score"])
-    def test_a_bad_proposal_names_its_frame(self, part, index, value, named):
+    def test_a_bad_proposal_names_its_frame(self, tmp_path, part, index, value, named):
         proposals = dict(proposal_box=np.tile([0.5, 0.5, 0.25, 0.25], (2, 3, 1)),
-                         proposal_score=np.ones((2, 3)), proposal_feat=np.zeros((2, 3, 1)))
+                         proposal_score=np.ones((2, 3)),
+                         proposal_feat=np.zeros((2, 3, CFG.feature_dim)))
         video = two_frames(**proposals)
-        video.check()
+        write_dataset(tmp_path / "video.dat", [video])
         proposals[part][index] = value
         with pytest.raises(ValueError, match=re.escape(f"video {VIDEO.video_id}: {named}")):
-            video.check()
+            write_dataset(tmp_path / "video.dat", [video])
 
 
 class TestFileLayout:
@@ -300,3 +303,65 @@ def test_inconsistent_accident_labels_name_the_file_and_the_video(dataset, video
     with pytest.raises(ValueError, match=re.escape(f"{dataset}: ")) as err:
         read_dataset(dataset)
     assert f"video val-{video:05d}: " in str(err.value)
+
+
+def test_of_several_faults_the_first_rule_is_named_then_the_first_video(tmp_path, samples):
+    # video 0 breaks a row rule and video 2 a label rule; the labels come first
+    agent_feat = samples[0].agent_feat.copy()
+    agent_feat[1, 0] = np.nan
+    split = [dataclasses.replace(samples[0], agent_feat=agent_feat), samples[1],
+             dataclasses.replace(samples[2], t_accident=-1)]
+    with pytest.raises(ValueError, match=re.escape(
+            f"video {samples[2].video_id}: positive video needs an accident frame")):
+        write_dataset(tmp_path / "val.dat", split)
+
+
+SPLIT = generate_split(CFG, 3, "val")
+FLOAT_KEYS = [key for key, (dtype, _) in data._LAYOUT.items() if dtype is np.float64]
+
+
+@st.composite
+def corrupted_splits(draw):
+    """SPLIT with one field of one video changed: an entry of one of its
+    arrays set to NaN, an infinity, a side <= 0 or a value that may be
+    harmless, or its label flipped or its accident frame moved."""
+    v = draw(st.integers(0, len(SPLIT) - 1))
+    video = SPLIT[v]
+    key = draw(st.sampled_from(FLOAT_KEYS + ["positive", "t_accident"]))
+    if key == "positive":
+        value = not video.positive
+    elif key == "t_accident":
+        value = draw(st.integers(-2, video.n_frames + 1))
+    else:
+        value = getattr(video, key).copy()
+        index = tuple(draw(st.integers(0, n - 1)) for n in value.shape)
+        value[index] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.5, 0.5]))
+    return SPLIT[:v] + [dataclasses.replace(video, **{key: value})] + SPLIT[v + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_splits())
+def test_write_rejects_exactly_the_files_read_rejects(split):
+    # the same arrays saved without the check, as a file from elsewhere would be
+    arrays = {key: np.array([getattr(video, key) for video in split], dtype=dtype)
+              for key, (dtype, _) in data._LAYOUT.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, written = Path(tmp) / "saved.dat", Path(tmp) / "written.dat"
+        with open(saved, "wb") as fh:
+            np.savez(fh, header=np.array(DATASET_HEADER), **arrays)
+        try:
+            read_dataset(saved)
+        except ValueError as err:
+            with pytest.raises(ValueError) as rejected:
+                write_dataset(written, split)
+            assert str(err) == (f"{saved}: not a readable {DATASET_HEADER} file "
+                                f"(ValueError: {rejected.value})")
+            assert not written.exists()
+            return
+        write_dataset(written, split)
+        read = read_dataset(written)
+    assert len(read) == len(split)
+    for got, want in zip(read, split):
+        for key, (dtype, _) in data._LAYOUT.items():
+            got_a, want_a = np.asarray(getattr(got, key), dtype), np.asarray(getattr(want, key), dtype)
+            assert (got_a.shape, got_a.tobytes()) == (want_a.shape, want_a.tobytes()), key

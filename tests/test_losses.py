@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from riskrnn.autodiff import Tape
+from riskrnn.data import write_dataset
 from riskrnn.geometry import Box, encode_box_transform, iou
 import riskrnn.autodiff as ad
 from riskrnn.losses import (SequenceTargets, anticipation_loss, anticipation_weights,
@@ -293,10 +294,15 @@ class TestTotalLoss:
                                              rf"frame in \[0, 2\), got {t_accident}$"):
             SequenceTargets.of(broken, TINY_CONFIG.horizon)
 
-    def test_targets_validation(self):
+    def test_targets_validation(self, tmp_path):
         sample = random_video(np.random.default_rng(9), TINY_CONFIG, 2, 3)
-        sample.check()
+        # a file needs proposals: the regions serve
+        sample = replace(sample, proposal_box=sample.region_box,
+                         proposal_score=np.ones(sample.region_box.shape[:2]),
+                         proposal_feat=sample.region_feat)
+        write_dataset(tmp_path / "video.dat", [sample])
         with pytest.raises(ValueError, match="positive video needs an accident frame"):
-            replace(sample, positive=True).check()
+            write_dataset(tmp_path / "video.dat", [replace(sample, positive=True)])
         with pytest.raises(ValueError, match="negative video needs no accident frame"):
-            replace(sample, risky_box=sample.region_box[:, :1]).check()
+            write_dataset(tmp_path / "video.dat",
+                          [replace(sample, risky_box=sample.region_box[:, :1])])
