@@ -158,8 +158,8 @@ def _write_riskmaps(out: Path, result, cfg) -> None:
 
 def _eval_one_video(cfg, args):
     """The test split's video ``--video-id`` names (by default its first)
-    and ``eval_video``'s result for its detected tracks under the
-    ``--model`` file's model."""
+    and ``eval_video``'s result for its detected tracks, a batch of one
+    video, under the ``--model`` file's model."""
     path = _dataset_path(args.data, "test")
     samples = read_dataset(path)
     picked = [s for s in samples if args.video_id in (None, s.video_id)]
@@ -167,7 +167,7 @@ def _eval_one_video(cfg, args):
         raise ValueError(f"{path}: video id {args.video_id!r} not found among its "
                          f"{len(samples)} videos")
     sample, model = picked[0], RiskModel.load(args.model)
-    return sample, eval_video(model, sample, detected_tracks([sample], cfg)[0])
+    return sample, eval_video(model, [sample], detected_tracks([sample], cfg))[0]
 
 
 def cmd_infer(cfg, args) -> int:

@@ -37,6 +37,7 @@ class RunConfig(ScenarioConfig, _ModelKeys):
     n_test: int = 100
     # training
     lr: float = 0.0001
+    # videos per forward pass: per training step, and in validation and eval
     batch_size: int = 5
     epochs: int = 100
     patience: int = 10

@@ -108,44 +108,50 @@ def region_overlaps(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
 
 
 def match_frame_detections(scores, overlaps, iou_threshold=REGION_IOU_THRESHOLD) -> np.ndarray:
-    """Greedy matching within one frame of N detections and R ground truths.
+    """Greedy matching within each frame of N detections and R ground truths.
 
-    Takes the (N,) detection scores and their (N, R) IoU matrix. Detections
-    are visited in descending score order (ties keep input order); each
-    claims the best still-unmatched ground truth overlapping at or above the
-    threshold. Returns the (N,) matched flags in input order.
+    Takes the (..., N) detection scores and their (..., N, R) IoU matrix,
+    the leading axes (a split's videos and frames) shared. Within a frame,
+    detections are visited in descending score order (ties keep input
+    order); each claims the best still-unmatched ground truth overlapping at
+    or above the threshold, of equal ones the last. Every frame takes its
+    next detection at once, so the loop runs over the N ranks. Returns the
+    (..., N) matched flags in input order.
     """
-    over = overlaps >= iou_threshold
-    matched = np.zeros(len(scores), dtype=bool)
-    open_gt = np.ones(overlaps.shape[1], dtype=bool)
-    order = np.argsort(-scores, kind="stable")
-    for i in order[over.any(axis=1)[order]]:
+    scores, overlaps = np.asarray(scores), np.asarray(overlaps)
+    if overlaps.size == 0:  # no frame, detection or ground truth to match
+        return np.zeros(scores.shape, dtype=bool)
+    n_gt = overlaps.shape[-1]
+    flat_scores = scores.reshape(-1, scores.shape[-1])
+    flat_overlaps = overlaps.reshape(flat_scores.shape + (n_gt,))
+    frames = np.arange(len(flat_scores))
+    matched = np.zeros(flat_scores.shape, dtype=bool)
+    open_gt = np.ones((len(flat_scores), n_gt), dtype=bool)
+    for picked in np.argsort(-flat_scores, axis=1, kind="stable").T:
+        row = flat_overlaps[frames, picked]
+        candidates = open_gt & (row >= iou_threshold)
+        claims = np.flatnonzero(candidates.any(axis=1))
         # the best open ground truth; of equal ones, the last
-        candidates = np.flatnonzero(open_gt & over[i])[::-1]
-        if candidates.size:
-            open_gt[candidates[np.argmax(overlaps[i, candidates])]] = False
-            matched[i] = True
-    return matched
+        best = n_gt - 1 - np.argmax(np.where(candidates, row, -np.inf)[claims, ::-1], axis=1)
+        open_gt[claims, best] = False
+        matched[claims, picked[claims]] = True
+    return matched.reshape(scores.shape)
 
 
 def region_average_precision(scores, overlaps):
     """Detection AP of a split's (V, T, N) detection scores, given their
     (V, T, N, R) IoU matrix with the ground truth.
 
-    Detections are matched frame by frame, pooled across every frame of
-    every video, and the recall axis counts all ground-truth boxes.
+    Detections are matched frame by frame, all frames in one call, pooled
+    across every frame of every video, and the recall axis counts all
+    ground-truth boxes.
     """
-    scores = np.reshape(scores, (-1, np.shape(scores)[-1]))
-    overlaps = np.reshape(overlaps, (-1,) + np.shape(overlaps)[-2:])
     # the columns that are not NaN padding
-    n_gt = int(np.count_nonzero(~np.isnan(overlaps).all(axis=1)))
+    n_gt = int(np.count_nonzero(~np.isnan(overlaps).all(axis=-2)))
     if n_gt == 0:
         raise ValueError("region AP needs at least one ground-truth box")
-    # a frame where no detection reaches a ground truth matches none
-    hits = np.zeros(scores.shape, dtype=bool)
-    for f in np.flatnonzero((overlaps >= REGION_IOU_THRESHOLD).any(axis=(1, 2))):
-        hits[f] = match_frame_detections(scores[f], overlaps[f])
-    return average_precision(scores.ravel(), hits.ravel(), n_positive=n_gt)
+    hits = match_frame_detections(scores, overlaps)
+    return average_precision(np.ravel(scores), hits.ravel(), n_positive=n_gt)
 
 
 def oracle_region_average_precision(overlaps):

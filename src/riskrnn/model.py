@@ -22,9 +22,9 @@ agents' appearances and boxes, and the regions' boxes and appearances. Every
 (frame, sequence) pair is one column, frame-major: column t * B + b is
 sequence b at frame t, seeing the regions of sequence b's video at frame t
 (``frame_major`` lays sequences out so). Eval runs every detected track of
-one video as its sequences, all over that video's regions; training runs
-each video of a batch on one track, over its own regions. The model never
-needs to know whether sequences share a video. The passes run over those columns
+a batch of videos as its sequences, each over its own video's regions;
+training runs each video of a batch on one track, over its own regions. The
+model never needs to know whether sequences share a video. The passes run over those columns
 (or over the (frame, sequence, region) columns), each a handful of tape
 nodes however long the videos are and however many sequences there are:
 

@@ -172,7 +172,9 @@ def load_params(path) -> tuple[ParameterStore, dict[str, str]]:
     non-finite value or a checksum mismatch.
     """
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        # the non-blank lines, each with its line number in the file
+        numbered = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
+    numbers, lines = [n for n, _ in numbered], [line for _, line in numbered]
     if not lines or lines[0] != MODEL_HEADER:
         raise ValueError(f"{path}: not a {MODEL_HEADER} file")
     if not lines[-1].startswith("checksum "):
@@ -200,7 +202,7 @@ def load_params(path) -> tuple[ParameterStore, dict[str, str]]:
             blocks[name] = block
             i += 1 + int(rows)
     except ValueError as err:
-        raise ValueError(f"{path}: line {i + 1}: {err}") from None
+        raise ValueError(f"{path}: line {numbers[i]}: {err}") from None
     store = ParameterStore((name, block.shape) for name, block in blocks.items())
     for pm, block in zip(store, blocks.values()):
         pm.values[...] = block

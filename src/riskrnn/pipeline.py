@@ -3,12 +3,15 @@ the video-level anticipation score, and region riskiness taken from whichever
 track is most alarmed at each frame.
 
 The split is tracked once, before any forward pass (``detected_tracks``).
-Then all detected tracks of a video run through the model as one forward
-pass, each track a sequence over the video's regions, its (frame, track)
-columns frame-major, and each frame reduces over its K columns.
-The metrics then read the split's arrays: its (V, T) frame scores, and its
-(V, T, N) region scores with the one (V, T, N, R) IoU matrix of its regions
-with its risky boxes, which region AP and its oracle bound share.
+Then ``eval_video`` runs the videos ``batch_size`` at a time, as validation
+does: all detected tracks of a batch's videos run through the model as one
+forward pass, each track a sequence over its own video's regions, the
+sequences video-major and their (frame, track) columns frame-major, and
+each frame of a video reduces over its video's K columns. The CLI's
+single-video commands run a batch of one. The metrics then read the split's
+arrays: its (V, T) frame scores, and its (V, T, N) region scores with the
+one (V, T, N, R) IoU matrix of its regions with its risky boxes, which
+region AP and its oracle bound share, each matching every frame in one call.
 """
 from __future__ import annotations
 
@@ -60,34 +63,44 @@ class EvalSummary:
         }
 
 
-def eval_video(model: RiskModel, sample, tracks) -> VideoEvalResult:
-    """Run every candidate track of the video, its ``detected_tracks`` (K, T, 4)
-    boxes and (K, T, D) features, through the model in one pass and reduce
-    per frame."""
-    boxes, feats = tracks
-    n_frames = sample.n_frames
-    out = model.forward_video(track_inputs(boxes, feats, [sample] * len(boxes)))
-    probs = out.y[:, 1].reshape(n_frames, len(boxes))
-    region_scores = out.s.reshape(n_frames, len(boxes), -1)
-
-    return VideoEvalResult(
-        video_id=sample.video_id,
-        positive=sample.positive,
-        frame_probs=probs.max(axis=1),
-        region_boxes=sample.region_box,
-        region_scores=region_scores[np.arange(n_frames), probs.argmax(axis=1)],
-        n_tracks=len(boxes),
-    )
+def eval_video(model: RiskModel, samples, tracks) -> list[VideoEvalResult]:
+    """Run every candidate track of the videos, each video's
+    ``detected_tracks`` (K, T, 4) boxes and (K, T, D) features, through the
+    model in one pass, and reduce each video's tracks per frame. The
+    videos share one shape; returns one result per video, in order."""
+    counts = [len(boxes) for boxes, _ in tracks]
+    out = model.forward_video(track_inputs(np.concatenate([boxes for boxes, _ in tracks]),
+                                           np.concatenate([feats for _, feats in tracks]),
+                                           samples, counts))
+    n_frames, n_tracks = samples[0].n_frames, sum(counts)
+    # column t * B + b is sequence b at frame t, each video's K tracks in turn
+    starts = np.cumsum(counts)[:-1]
+    probs = np.split(out.y[:, 1].reshape(n_frames, n_tracks), starts, axis=1)
+    region_scores = np.split(out.s.reshape(n_frames, n_tracks, -1), starts, axis=1)
+    frames = np.arange(n_frames)
+    return [VideoEvalResult(video_id=sample.video_id,
+                            positive=sample.positive,
+                            frame_probs=video_probs.max(axis=1),
+                            region_boxes=sample.region_box,
+                            region_scores=video_scores[frames, video_probs.argmax(axis=1)],
+                            n_tracks=count)
+            for sample, count, video_probs, video_scores
+            in zip(samples, counts, probs, region_scores)]
 
 
 def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig) -> EvalSummary:
-    """Score the split; one without a positive video raises ValueError
-    before any tracking or forward pass."""
+    """Score the split, ``run_cfg.batch_size`` videos per forward pass; one
+    without a positive video raises ValueError before any tracking or
+    forward pass."""
+    samples = list(samples)
     if not any(sample.positive for sample in samples):
         raise ValueError(f"no positive video among the {len(samples)} test videos; "
                          f"anticipation AP, ATTA and region AP need at least one")
-    results = [eval_video(model, sample, tracks)
-               for sample, tracks in zip(samples, detected_tracks(samples, run_cfg))]
+    tracks = detected_tracks(samples, run_cfg)
+    results = []
+    for start in range(0, len(samples), run_cfg.batch_size):
+        stop = start + run_cfg.batch_size
+        results.extend(eval_video(model, samples[start:stop], tracks[start:stop]))
 
     probs = np.stack([result.frame_probs for result in results])
     positive = [sample.positive for sample in samples]

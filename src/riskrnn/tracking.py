@@ -90,7 +90,7 @@ def deduplicate_tracks(boxes, scores, overlap_iou: float = 0.7) -> np.ndarray:
     while not np.array_equal(group, previous):
         group, previous = np.where(linked, group, len(boxes)).min(axis=1), group
 
-    means = [float(np.mean(track)) for track in scores]
+    means = np.asarray(scores).mean(axis=1).tolist()
     best: dict[int, int] = {}
     for i, root in enumerate(group.tolist()):
         if root not in best or means[i] > means[best[root]]:

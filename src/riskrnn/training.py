@@ -31,7 +31,7 @@ from .config import RunConfig, derive_seed
 from .data import check_one_shape
 from .evaluation import average_precision
 from .losses import SequenceTargets, total_loss
-from .model import AgentTracks, RiskModel, forward_video, frame_major
+from .model import AgentTracks, RiskModel, forward_video
 from .nn import TrainingError, adam_step
 from .tracking import deduplicate_tracks, track_by_detection
 
@@ -47,17 +47,25 @@ class EpochStats:
     val_map: float
 
 
-def track_inputs(boxes, feats, videos) -> AgentTracks:
-    """The model input of B sequences: sequence b is the (T, 4) boxes
-    ``boxes[b]`` and (T, D) features ``feats[b]`` playing the agent over the
-    regions of ``videos[b]``. Eval passes one video for each of its tracks,
-    training each batch video's own."""
+def track_inputs(boxes, feats, videos, counts=1) -> AgentTracks:
+    """The model input of B sequences, video-major: sequence b is the (T, 4)
+    boxes ``boxes[b]`` and (T, D) features ``feats[b]`` playing the agent
+    over its video's regions, the next ``counts[v]`` sequences (one each by
+    default) being those of ``videos[v]``. Training runs each batch video on
+    one track, eval each video on all its tracks; each video's regions are
+    stacked once and repeated over its sequences."""
     # contiguous per video first: np.stack lays its output out in its inputs'
     # stride order, and the pooling sums run over that layout
-    region_feats = [np.ascontiguousarray(np.moveaxis(v.region_feat, 2, 0)) for v in videos]
+    region_feats = np.stack([np.ascontiguousarray(np.moveaxis(v.region_feat, 2, 0))
+                             for v in videos], axis=2)
+    region_boxes = np.stack([v.region_box for v in videos], axis=1)
+    if np.any(np.not_equal(counts, 1)):  # a repeat of one each would only copy
+        region_feats = np.repeat(region_feats, counts, axis=2)
+        region_boxes = np.repeat(region_boxes, counts, axis=1)
+    d_region, _, _, n_regions = region_feats.shape
     return AgentTracks(np.transpose(feats, (2, 1, 0)), np.transpose(boxes, (2, 1, 0)),
-                       frame_major([v.region_box for v in videos], 0),
-                       frame_major(region_feats, 1))
+                       region_boxes.reshape(-1, n_regions, 4),
+                       region_feats.reshape(d_region, -1, n_regions))
 
 
 def detected_tracks(samples, run_cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray]]:

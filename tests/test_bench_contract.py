@@ -53,8 +53,9 @@ def test_a_traced_training_epoch_reaches_every_wrapper():
     assert all(metrics[name] is not None for name in metrics), metrics
 
 
-def test_a_traced_eval_runs_one_forward_per_video():
-    cfg = RunConfig(n_test=4, seed=5)
+def test_a_traced_eval_runs_one_forward_per_batch():
+    # two batches of two videos, then one of one
+    cfg, batches = RunConfig(n_test=5, batch_size=2, seed=5), 3
     test_videos = generate_split(cfg.scenario_config(), cfg.n_test, "test")
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
@@ -64,11 +65,13 @@ def test_a_traced_eval_runs_one_forward_per_video():
             pipeline.evaluate_model(riskmodel, test_videos, cfg)
             tracer.commit(cfg.n_test)
     for variant in VARIANTS:
-        # every candidate track of a video runs in its one forward pass
-        assert len(tracer.seconds("model.forward_video.inference", variant)) == cfg.n_test
-        assert len(tracer.seconds("pipeline.eval_video", variant)) == cfg.n_test
+        # every candidate track of a batch's videos runs in its one forward pass
+        assert len(tracer.seconds("model.forward_video.inference", variant)) == batches
+        assert len(tracer.seconds("pipeline.eval_video", variant)) == batches
         # the split is tracked in one call, but each video is deduplicated on
         # its own, so tracking.tracks_per_video still counts per video
         assert len(tracer.seconds("tracking.deduplicate_tracks", variant)) == cfg.n_test
+        # region AP and its oracle bound each match the split's frames in one call
+        assert tracer.total("evaluation.match_frame_detections", variant) == 2
     metrics = tracing.layer_metrics("eval", tracer)
     assert all(metrics[name] is not None for name in metrics), metrics

@@ -172,8 +172,8 @@ def eval_result(data_dir, model_path, video):
     """eval_video's result for the test split's ``video``-th video under the
     default tracking settings, as the CLI's single-video commands run it."""
     sample = read_dataset(data_dir / "test.dat")[video]
-    tracks = detected_tracks([sample], RunConfig())[0]
-    return sample, eval_video(RiskModel.load(model_path), sample, tracks)
+    tracks = detected_tracks([sample], RunConfig())
+    return sample, eval_video(RiskModel.load(model_path), [sample], tracks)[0]
 
 
 def test_infer_writes_each_frames_probability_and_region_scores(

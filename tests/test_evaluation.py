@@ -142,6 +142,30 @@ class TestMatchFrameDetections:
         assert got.shape == (len(dets),) and got.sum() <= len(gt)
         assert got.tolist() == [hit for _, hit in oracles.match_frame_detections(dets, gt)]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(0, 8), st.integers(0, 4))
+    def test_a_split_matches_each_frame_as_the_scalar_reference(self, data, n_videos, n_frames,
+                                                               n_dets, n_gt):
+        # the split shares one N and one R; a frame's ground truth short of R
+        # is NaN padding, and R = 0 leaves nothing to match
+        scores = np.zeros((n_videos, n_frames, n_dets))
+        boxes = np.zeros(scores.shape + (4,))
+        gt = np.full((n_videos, n_frames, n_gt, 4), np.nan)
+        frames = []
+        for index in np.ndindex(n_videos, n_frames):
+            dets = data.draw(st.lists(st.tuples(grid_boxes, st.sampled_from([0.2, 0.5, 0.8])),
+                                      min_size=n_dets, max_size=n_dets))
+            gt_boxes = data.draw(st.lists(grid_boxes, max_size=n_gt))
+            frames.append((index, dets, gt_boxes))
+            scores[index] = [score for _, score in dets]
+            boxes[index] = stack_boxes(box for box, _ in dets)
+            gt[index][:len(gt_boxes)] = stack_boxes(gt_boxes)
+        got = match_frame_detections(scores, region_overlaps(boxes, gt))
+        assert got.shape == scores.shape
+        for index, dets, gt_boxes in frames:
+            assert got[index].tolist() == [
+                hit for _, hit in oracles.match_frame_detections(dets, gt_boxes)]
+
     def test_at_equal_iou_the_later_ground_truth_is_claimed(self):
         # dyadic boxes make both overlaps exactly 0.6; the weaker detection
         # overlaps only the first ground truth, which is left to it

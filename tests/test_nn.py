@@ -460,6 +460,14 @@ class TestSerialization:
             load_params(path)
         assert str(err.value) == f"{path}: line 4: duplicate parameter name: a"
 
+    def test_an_error_names_its_line_counting_blank_lines(self, tmp_path):
+        path = tmp_path / "model.rrm"
+        path.write_text("RISKRNN-MODEL v1\nh_aa = 64\n\n\nh_aa = 32\na 1 1\n0.5\n"
+                        "checksum 0.5\n")
+        with pytest.raises(ValueError) as err:
+            load_params(path)
+        assert str(err.value) == f"{path}: line 5: duplicate config key 'h_aa'"
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bogus.rrm"
         path.write_text("NOT-A-MODEL\n")

@@ -1,6 +1,7 @@
 """The test-time protocol of pipeline.eval_video: every detected track of a
-video runs through the model in one pass, and each frame takes its score and
-its region scores from the most alarmed track."""
+batch of videos runs through the model in one pass, and each frame of a
+video takes its score and its region scores from that video's most alarmed
+track."""
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ def test_each_frame_follows_its_most_alarmed_track(samples, variant):
         # column t * K + k is track k at frame t
         probs = out.y[:, 1].reshape(sample.n_frames, len(boxes))
         scores = out.s.reshape(sample.n_frames, len(boxes), -1)
-        result = eval_video(model, sample, (boxes, feats))
+        [result] = eval_video(model, [sample], [(boxes, feats)])
         assert result.n_tracks == len(boxes) > 1
         assert len(result.frame_probs) == len(result.region_scores) == sample.n_frames
         assert result.region_boxes is sample.region_box
@@ -92,11 +93,47 @@ def test_a_split_of_two_shapes_fails_before_the_tracker(samples, monkeypatch):
         evaluate_model(model, [*samples, odd], CFG)
 
 
+@pytest.fixture(scope="module")
+def ten_samples():
+    """A split with several positives and risky boxes."""
+    return generate_split(CFG.scenario_config(), 10, "test")
+
+
 @pytest.mark.parametrize("variant", ["RA", "L-RAI"])
-def test_the_report_equals_the_scalar_references_of_each_metric(variant):
+def test_one_video_per_pass_is_eval_video_on_each_video_alone(ten_samples, variant):
+    cfg = replace(CFG, batch_size=1)
+    model = RiskModel.create(cfg.model_config(variant), seed=6)
+    summary = evaluate_model(model, ten_samples, cfg)
+    for sample, tracks, result in zip(ten_samples, detected_tracks(ten_samples, cfg),
+                                      summary.videos, strict=True):
+        [alone] = eval_video(model, [sample], [tracks])
+        assert (result.video_id, result.n_tracks) == (alone.video_id, alone.n_tracks)
+        np.testing.assert_array_equal(result.frame_probs, alone.frame_probs)
+        np.testing.assert_array_equal(result.region_scores, alone.region_scores)
+
+
+@pytest.mark.parametrize("variant", ["RA", "L-RAI"])
+def test_a_batch_of_videos_scores_each_as_it_scores_alone(ten_samples, variant):
+    # 10 videos three to a pass, so the last pass holds one; the batched
+    # matmuls sum in another order than one video's, so the scores agree to
+    # rounding, not bit for bit
+    model = RiskModel.create(CFG.model_config(variant), seed=6)
+    alone = evaluate_model(model, ten_samples, replace(CFG, batch_size=1))
+    batched = evaluate_model(model, ten_samples, replace(CFG, batch_size=3))
+    assert batched.report_fields() == alone.report_fields()
+    np.testing.assert_allclose(batched.curve_rows, alone.curve_rows, rtol=0, atol=1e-12)
+    for got, want in zip(batched.videos, alone.videos, strict=True):
+        assert (got.video_id, got.positive, got.n_tracks) == (
+            want.video_id, want.positive, want.n_tracks)
+        assert got.region_boxes is want.region_boxes
+        np.testing.assert_allclose(got.frame_probs, want.frame_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.region_scores, want.region_scores, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["RA", "L-RAI"])
+def test_the_report_equals_the_scalar_references_of_each_metric(ten_samples, variant):
     # an untrained model on a split with several positives and risky boxes
-    cfg = replace(CFG, n_test=10)
-    samples = generate_split(cfg.scenario_config(), cfg.n_test, "test")
+    cfg, samples = replace(CFG, n_test=10), ten_samples
     model = RiskModel.create(cfg.model_config(variant), seed=6)
     summary = evaluate_model(model, samples, cfg)
     results = summary.videos
