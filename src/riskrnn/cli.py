@@ -1,8 +1,8 @@
 """Command-line entry points: generate, train, eval, infer, riskmap.
 
 Settings come from defaults, then an optional `--config file`, then repeated
-`--key value` overrides for any configuration key. Exit codes: 0 success,
-1 runtime failure, 2 configuration error.
+`--key value` or `--key=value` overrides for any configuration key. Exit
+codes: 0 success, 1 runtime failure, 2 configuration error.
 """
 from __future__ import annotations
 
@@ -67,15 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_overrides(extra) -> dict:
-    """Turn leftover `--key value` pairs into a raw override mapping."""
-    overrides = {}
-    i = 0
-    while i < len(extra):
-        token = extra[i]
-        if not token.startswith("--") or i + 1 >= len(extra):
-            raise ConfigError(f"expected '--key value' pairs, got {extra[i:]}")
-        overrides[token[2:]] = extra[i + 1]
-        i += 2
+    """Turn leftover `--key value` pairs and `--key=value` tokens, as
+    argparse takes its own options, into a raw override mapping."""
+    overrides, tokens = {}, iter(extra)
+    for token in tokens:
+        key, equals, value = token.partition("=")
+        value = value if equals else next(tokens, "--")  # none left: as if a key
+        if not key.startswith("--") or value.startswith("--"):
+            raise ConfigError(f"expected '--key value' or '--key=value', got {token!r}")
+        overrides[key[2:]] = value
     return overrides
 
 

@@ -54,7 +54,7 @@ class RunConfig(ScenarioConfig, _ModelKeys):
     def validate(self) -> None:
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
             raise ConfigError("batch_size, epochs and patience must be >= 1")
-        if self.lr <= 0 or self.fps <= 0 or self.time_scale <= 0:
+        if not (self.lr > 0 and self.fps > 0 and self.time_scale > 0):
             raise ConfigError("lr, fps and time_scale must be positive")
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("split sizes must be >= 1")

@@ -174,12 +174,23 @@ def check_one_shape(samples) -> None:
                                  f"not {first} as video {samples[0].video_id}")
 
 
+def check_accident_frames(video_ids, positive, t_accident, n_frames: int) -> None:
+    """Raise ValueError naming the first video, of the (V,) arrays of ids,
+    positive flags and accident frames, that is positive but whose accident
+    frame is not one of its ``n_frames`` frames."""
+    bad = positive & ((t_accident < 0) | (t_accident >= n_frames))
+    if bad.any():
+        v = bad.argmax()
+        raise ValueError(f"video {video_ids[v]}: positive video needs an accident frame "
+                         f"in [0, {n_frames}), got {t_accident[v]}")
+
+
 def _check_split(arrays: dict) -> None:
     """Raise ValueError unless a split's arrays, one per key of ``_LAYOUT``,
     make a dataset file. Each has its dtype and dims, every size but R is at
     least 1, and the labels and rows of every video hold:
 
-    - a positive has an accident frame in range; a negative has none and no
+    - a positive has an accident frame in [0, T); a negative has none and no
       risky box;
     - every box is finite with sides > 0, every feature and score finite,
       and every risky row a box or all-NaN padding.
@@ -199,16 +210,13 @@ def _check_split(arrays: dict) -> None:
         raise ValueError(f"sizes {sizes}: a dataset needs at least one video, frame, "
                          f"region, proposal and feature dimension")
     ids, positive, t_accident = arrays["video_id"], arrays["positive"], arrays["t_accident"]
+    check_accident_frames(ids, positive, t_accident, sizes["T"])
     n_risky = np.count_nonzero(~np.isnan(arrays["risky_box"]).all(axis=3), axis=(1, 2))
-    for bad, fault in (
-            (positive & ((t_accident < 0) | (t_accident >= sizes["T"])),
-             "positive video needs an accident frame in range, got {t}"),
-            (~positive & ((t_accident != -1) | (n_risky > 0)),
-             "negative video needs no accident frame and no risky box, "
-             "got accident frame {t} and {n} risky boxes")):
-        if bad.any():
-            v = bad.argmax()
-            raise ValueError(f"video {ids[v]}: " + fault.format(t=t_accident[v], n=n_risky[v]))
+    bad = ~positive & ((t_accident != -1) | (n_risky > 0))
+    if bad.any():
+        v = bad.argmax()
+        raise ValueError(f"video {ids[v]}: negative video needs no accident frame and no risky "
+                         f"box, got accident frame {t_accident[v]} and {n_risky[v]} risky boxes")
     for what, box_key, feat_key, score_key, needs in _ROWS:
         boxes = arrays[box_key].reshape(sizes["V"], sizes["T"], -1, 4)
         good = np.isfinite(boxes).all(axis=3) & (boxes[..., 2:] > 0.0).all(axis=3)

@@ -20,6 +20,7 @@ import warnings
 
 import numpy as np
 
+from .data import check_accident_frames
 from .geometry import iou
 
 REPORT_HEADER = "RISKRNN-REPORT v1"
@@ -70,11 +71,7 @@ def tta_atta(probs, positive, t_accident, video_ids):
     positive, t_accident = np.asarray(positive, dtype=bool), np.asarray(t_accident)
     if not positive.any():
         raise ValueError("time-to-accident needs at least one positive video")
-    n_frames = probs.shape[1]
-    bad = np.flatnonzero(positive & ((t_accident < 0) | (t_accident >= n_frames)))
-    if len(bad):
-        raise ValueError(f"video {video_ids[bad[0]]}: positive video needs an accident frame "
-                         f"in [0, {n_frames}), got {t_accident[bad[0]]}")
+    check_accident_frames(video_ids, positive, t_accident, probs.shape[1])
     scores = probs.max(axis=1)
     thresholds = np.unique(scores)[::-1]
     # each positive's first crossing of every threshold is where its running

@@ -1,12 +1,14 @@
 """Task losses: anticipation, region risk, box-transform regression, and the
 imagination-weighted total.
 
-The losses read the model's (frame, sequence) columns, t * B + b, with a
-SequenceTargets per sequence. Each term gives a loss per column, and the
-total sums each sequence's columns, so a batch of B videos records as many
-tape nodes as one video, and each video's loss is the one its own pass gives.
-Per-frame terms are summed (not averaged) within a video; batch averaging is
-the trainer's job. Log arguments are clamped to [1e-12, 1 - 1e-12].
+A split's targets are stacked once (``SequenceTargets.of``), and a pass takes
+sequence s's from video ``video_of[s]``, one ``np.take`` per target array,
+into the model's (frame, sequence) columns t * S + s. Each term gives a loss
+per column and the total sums each sequence's, so a pass of S sequences
+tapes as many nodes as one, and each sequence's loss is the one its own pass
+gives. Per-frame terms are summed (not averaged) within a sequence; batch
+averaging is the trainer's job. Log arguments are clamped to
+[1e-12, 1 - 1e-12].
 """
 from __future__ import annotations
 
@@ -17,11 +19,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
+from .data import check_accident_frames
 from .geometry import encode_box_transform, iou
-from .model import frame_major
 
 if TYPE_CHECKING:
-    from .data import VideoSample
     from .model import ModelOutput
 
 PROB_CLAMP = 1e-12
@@ -29,34 +30,29 @@ RISKY_IOU_THRESHOLD = 0.4
 
 
 def region_labels(region_boxes: np.ndarray, risky_boxes: np.ndarray) -> np.ndarray:
-    """(T, N) labels of a video's (T, N, 4) region boxes against its
-    (T, R, 4) ground-truth risky boxes: 1 for a region overlapping any risky
-    box of its frame above 0.4 IoU.
-
-    The comparison is strict (> 0.4). No ground truth (R = 0, as in negative
-    videos) labels everything 0, and NaN rows, which pad frames with fewer
-    risky boxes, overlap nothing.
-    """
-    overlaps = iou(region_boxes[:, :, None], risky_boxes[:, None])
-    return (overlaps > RISKY_IOU_THRESHOLD).any(axis=2).astype(np.float64)
+    """(..., N) labels of frames' (..., N, 4) region boxes against their
+    (..., R, 4) risky boxes, the leading axes (a video's frames, or a split's
+    frames and videos) shared: 1 for a region overlapping any risky box of
+    its frame above 0.4 IoU, strictly. No ground truth (R = 0) labels
+    everything 0, and all-NaN rows, which pad frames with fewer risky boxes,
+    overlap nothing."""
+    overlaps = iou(region_boxes[..., :, None, :], risky_boxes[..., None, :, :])
+    return (overlaps > RISKY_IOU_THRESHOLD).any(axis=-1).astype(np.float64)
 
 
-def anticipation_weights(positive: bool, t_accident: int, n_frames: int,
+def anticipation_weights(positive, t_accident, n_frames: int,
                          time_scale: float = 1.0) -> np.ndarray:
-    """(2, T) weights of the per-frame (non-accident, accident) log
-    probabilities in the anticipation loss.
-
+    """(2, T, ...) weights of the per-frame (non-accident, accident) log
+    probabilities in the anticipation loss, for videos whose positive flags
+    and accident frames have the trailing shape (none for one video).
     Negatives pay -log y[0] every frame. Positives pay -log y[1] weighted by
     exp(-(t_accident - t) * time_scale), so frames close to the accident
-    dominate. ``time_scale`` rescales the frame-unit gap (1.0 = one e-fold
-    per frame).
-    """
-    weights = np.zeros((2, n_frames))
-    if positive:
-        t = np.arange(n_frames, dtype=np.float64)
-        weights[1] = np.exp(-(t_accident - t) * time_scale)
-    else:
-        weights[0] = 1.0
+    dominate (``time_scale`` 1.0 is one e-fold per frame)."""
+    positive = np.asarray(positive, dtype=bool)
+    weights = np.zeros((2, n_frames) + positive.shape)
+    weights[0] = ~positive
+    t = np.arange(n_frames, dtype=np.float64)[:, None]
+    weights[1][:, positive] = np.exp(-(np.asarray(t_accident)[positive] - t) * time_scale)
     return weights
 
 
@@ -81,16 +77,17 @@ def region_loss(tape: Tape, scores: Node, labels) -> Node:
 
 
 def transform_targets(agent_track: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (4, T) true transforms of a (T, 4) track and the (T,) mask of
-    frames that have one: the target at frame t encodes the move from
-    track[t] to track[t + horizon], so frames within ``horizon`` of the end
-    have none."""
-    track = agent_track.T
+    """The (4, T, ...) true transforms of (T, ..., 4) tracks and the (T, ...)
+    mask of frames that have one: the target at frame t encodes the move
+    from track[t] to track[t + horizon], so frames within ``horizon`` of the
+    end have none."""
+    track = np.moveaxis(agent_track, -1, 0)
     n_targets = max(track.shape[1] - horizon, 0)
     target = np.zeros(track.shape)
-    if n_targets:
-        target[:, :n_targets] = encode_box_transform(track[:, :n_targets], track[:, horizon:])
-    return target, np.arange(track.shape[1]) < n_targets
+    has_target = np.zeros(track.shape[1:], dtype=bool)
+    target[:, :n_targets] = encode_box_transform(track[:, :n_targets], track[:, horizon:])
+    has_target[:n_targets] = True
+    return target, has_target
 
 
 def transform_loss(tape: Tape, c: Node, target: np.ndarray, has_target: np.ndarray) -> Node:
@@ -101,10 +98,11 @@ def transform_loss(tape: Tape, c: Node, target: np.ndarray, has_target: np.ndarr
 
 @dataclass(frozen=True)
 class SequenceTargets:
-    """A video's loss targets over its T frames: the (2, T) anticipation
-    weights, the (T, N) region labels, and the (4, T) box transforms with
-    the (T,) mask of frames that have one. They depend only on the video and
-    the loss settings, so a trainer builds them once per video."""
+    """A split's loss targets, built once: the (2, T, V) anticipation
+    weights, the (T, V, N) region labels, and the (4, T, V) box transforms
+    with the (T, V) mask of frames that have one. The video axis follows the
+    frame axis, so a pass takes its sequences' videos along it and merges
+    the two into its (frame, sequence) columns."""
 
     weights: np.ndarray
     labels: np.ndarray
@@ -112,55 +110,66 @@ class SequenceTargets:
     has_transform: np.ndarray
 
     @classmethod
-    def of(cls, video: VideoSample, horizon: int, time_scale: float = 1.0) -> "SequenceTargets":
-        """The targets of a video: its labels, its agent track, and its
-        region boxes against its risky boxes. Raises ValueError, naming the
-        video, for a positive whose accident frame is not one of its frames."""
-        if video.positive and not 0 <= video.t_accident < video.n_frames:
-            raise ValueError(f"video {video.video_id}: positive video needs an accident frame "
-                             f"in [0, {video.n_frames}), got {video.t_accident}")
-        return cls(anticipation_weights(video.positive, video.t_accident, video.n_frames,
-                                        time_scale),
-                   region_labels(video.region_box, video.risky_box),
-                   *transform_targets(video.agent_box, horizon))
+    def of(cls, videos, horizon: int, time_scale: float = 1.0) -> "SequenceTargets":
+        """The targets of videos of one shape: their labels, their agent
+        tracks, and their region boxes against their risky boxes. Raises
+        ValueError, naming the video, for a positive whose accident frame is
+        not one of its frames."""
+        videos = list(videos)
+        n_frames = videos[0].n_frames
+        positive = np.array([v.positive for v in videos])
+        t_accident = np.array([v.t_accident for v in videos])
+        check_accident_frames([v.video_id for v in videos], positive, t_accident, n_frames)
+        boxes = {key: np.stack([getattr(v, key) for v in videos], axis=1)
+                 for key in ("agent_box", "region_box", "risky_box")}
+        return cls(anticipation_weights(positive, t_accident, n_frames, time_scale),
+                   region_labels(boxes["region_box"], boxes["risky_box"]),
+                   *transform_targets(boxes["agent_box"], horizon))
+
+
+def _columns(targets: np.ndarray, video_of, frame_axis: int) -> np.ndarray:
+    """The split-wide ``targets`` of each sequence's video ``video_of[s]``,
+    with the frame and sequence axes merged into the columns t * S + s."""
+    taken = np.take(targets, video_of, axis=frame_axis + 1)
+    return taken.reshape(targets.shape[:frame_axis] + (-1,) + targets.shape[frame_axis + 2:])
 
 
 @dataclass
 class SequenceLosses:
     """The loss of a pass: ``total`` is the scalar tape node summing the
-    (B,) ``per_sequence`` losses, each sequence's loss as its own pass gives
-    it."""
+    (S,) ``per_sequence`` losses."""
 
     total: Node
     per_sequence: np.ndarray
 
 
-def total_loss(tape: Tape, predictions: ModelOutput, targets) -> SequenceLosses:
+def total_loss(tape: Tape, predictions: ModelOutput, targets: SequenceTargets,
+               video_of) -> SequenceLosses:
     """Transform loss plus the fusion-weighted sum of per-level task losses,
-    for each of the B sequences of a pass, one SequenceTargets each.
+    for each of the S sequences of a pass, sequence s scored against the
+    targets of the split's video ``video_of[s]``.
 
     The levels and their weights are the output's ``levels`` and
     ``lambdas``: level 0 is the observed assessment, level n >= 1 the n-th
     imagination hop, scored against the same accident time and the same
     per-frame region labels (regions are frozen during imagination).
     """
-    n_frames = targets[0].labels.shape[0]
+    n_frames, n_sequences = targets.labels.shape[0], len(video_of)
     columns = predictions.levels[0][0].value.shape[1]
-    if columns != n_frames * len(targets) or any(
-            t.labels.shape[0] != n_frames for t in targets):
-        raise ValueError(f"{columns} columns are not {len(targets)} sequences of "
-                         f"{[t.labels.shape[0] for t in targets]} frames")
+    if columns != n_frames * n_sequences:
+        raise ValueError(f"{columns} columns are not {n_sequences} sequences of "
+                         f"{n_frames} frames")
 
-    weights = frame_major([t.weights for t in targets], 1)
-    labels = frame_major([t.labels for t in targets], 0)
+    weights = _columns(targets.weights, video_of, 1)
+    labels = _columns(targets.labels, video_of, 0)
     per_column = None
     if predictions.c_node is not None:
         per_column = transform_loss(tape, predictions.c_node,
-                                    frame_major([t.transforms for t in targets], 1),
-                                    frame_major([t.has_transform for t in targets], 0))
+                                    _columns(targets.transforms, video_of, 1),
+                                    _columns(targets.has_transform, video_of, 0))
     for weight, (y, s) in zip(predictions.lambdas, predictions.levels, strict=True):
         level_loss = float(weight) * (anticipation_loss(tape, y, weights)
                                       + region_loss(tape, s, labels))
         per_column = level_loss if per_column is None else per_column + level_loss
-    per_sequence = ad.vsum(ad.reshape(per_column, (n_frames, len(targets))), axis=0)
+    per_sequence = ad.vsum(ad.reshape(per_column, (n_frames, n_sequences)), axis=0)
     return SequenceLosses(ad.vsum(per_sequence), per_sequence.value)

@@ -16,17 +16,13 @@ convex combination.
 Four ablation variants are supported: RA (single frame), RAI (adds
 imagination), L-RA (adds the two LSTMs), and L-RAI (everything).
 
-The input is B sequences over T frames (AgentTracks), each an agent track
-over its own video's regions, held as the four arrays the passes read: the
-agents' appearances and boxes, and the regions' boxes and appearances. Every
+The input (AgentTracks) is B agent sequences over T frames, each over its
+own video's regions, as ``training.track_inputs`` builds it from stacked
+regions and a pass's ``video_of``, the video of each sequence. Every
 (frame, sequence) pair is one column, frame-major: column t * B + b is
-sequence b at frame t, seeing the regions of sequence b's video at frame t
-(``frame_major`` lays sequences out so). Eval runs every detected track of
-a batch of videos as its sequences, each over its own video's regions;
-training runs each video of a batch on one track, over its own regions. The
-model never needs to know whether sequences share a video. The passes run over those columns
-(or over the (frame, sequence, region) columns), each a handful of tape
-nodes however long the videos are and however many sequences there are:
+sequence b at frame t, so the model never needs to know whether sequences
+share a video. Each pass runs over all columns (or all (frame, sequence,
+region) columns) as a handful of tape nodes:
 
 1. the agent memory: one ``lstm_step`` sweep over the frame-major columns
    of the tracks' appearance and box, the B sequences independent;
@@ -84,7 +80,7 @@ class ModelConfig:
             raise ValueError(
                 f"need {self.imagine_steps + 1} fusion weights, got {lam.shape[0]}"
             )
-        if np.any(lam < 0.0) or abs(lam.sum() - 1.0) > 1e-9:
+        if not (np.all(lam >= 0.0) and abs(lam.sum() - 1.0) <= 1e-9):
             raise ValueError(f"fusion weights must be non-negative and sum to 1, got {self.lambdas}")
 
     @property
@@ -143,15 +139,6 @@ class ModelOutput:
     @property
     def s(self) -> np.ndarray:
         return self._fused(1)
-
-
-def frame_major(arrays, axis: int) -> np.ndarray:
-    """B arrays of one shape, T frames along ``axis``, joined along it as
-    the T * B (frame, sequence) columns of the model: entry t * B + b is
-    ``arrays[b]`` at frame t."""
-    shape = list(arrays[0].shape)
-    shape[axis] = -1
-    return np.stack(arrays, axis=axis + 1).reshape(shape)
 
 
 class AgentTracks:
@@ -266,18 +253,10 @@ def anticipate_step(tape: Tape, store: ParameterStore, cfg: ModelConfig,
 
 def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
                   tape: Tape) -> ModelOutput:
-    """Run the configured variant over B agent sequences of T frames.
-
-    Every (frame, sequence) pair is a column, t * B + b, with its own
-    regions, so all sequences run as passes at once. After the agent memory
-    sweep, level 0 assesses the observed boxes: region scoring and pooling
-    over all T x B x N columns, the risk memory sweep and the anticipation
-    head. Each imagination hop moves the boxes and assesses them the same
-    way, with one branched step from the last level's risk state in place of
-    the sweep, so the observed level is identical with imagination on or off.
-    Only the two memory sweeps are sequential, each over B independent
-    sequences. The outputs have T * B columns.
-    """
+    """Run the configured variant over B agent sequences of T frames, all
+    T * B columns at once, by the passes the module docstring lists. Each
+    imagination hop branches from the last level's risk state, so the
+    observed level is identical with imagination on or off."""
     d_agent, _, sequences = frames.feats.shape
     if d_agent != cfg.d_agent:
         raise ValueError(f"agent feature dim {d_agent} != {cfg.d_agent}")

@@ -4,10 +4,10 @@ track is most alarmed at each frame.
 
 The split is tracked once, before any forward pass (``detected_tracks``).
 Then ``eval_video`` runs the videos ``batch_size`` at a time, as validation
-does: all detected tracks of a batch's videos run through the model as one
-forward pass, each track a sequence over its own video's regions, the
-sequences video-major and their (frame, track) columns frame-major, and
-each frame of a video reduces over its video's K columns. The CLI's
+does, by the rule of every pass: the batch's regions are stacked once, and
+its ``video_of`` repeats each video's index over its K detected tracks, so
+all its tracks run as one forward pass, each over its own video's regions,
+and each frame of a video reduces over its K columns. The CLI's
 single-video commands run a batch of one. The metrics then read the split's
 arrays: its (V, T) frame scores, and its (V, T, N) region scores with the
 one (V, T, N, R) IoU matrix of its regions with its risky boxes, which
@@ -23,7 +23,7 @@ from .config import RunConfig
 from .evaluation import (average_precision, oracle_region_average_precision,
                          region_average_precision, region_overlaps, tta_atta)
 from .model import RiskModel
-from .training import detected_tracks, track_inputs
+from .training import detected_tracks, stack_regions, track_inputs
 
 
 @dataclass
@@ -71,7 +71,8 @@ def eval_video(model: RiskModel, samples, tracks) -> list[VideoEvalResult]:
     counts = [len(boxes) for boxes, _ in tracks]
     out = model.forward_video(track_inputs(np.concatenate([boxes for boxes, _ in tracks]),
                                            np.concatenate([feats for _, feats in tracks]),
-                                           samples, counts))
+                                           stack_regions(samples),
+                                           np.repeat(np.arange(len(samples)), counts)))
     n_frames, n_tracks = samples[0].n_frames, sum(counts)
     # column t * B + b is sequence b at frame t, each video's K tracks in turn
     starts = np.cumsum(counts)[:-1]

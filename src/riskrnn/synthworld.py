@@ -55,7 +55,9 @@ class ScenarioConfig:
         counts = (self.frames_per_video, self.n_regions, self.feature_dim, self.n_classes)
         if any(c < 1 for c in counts):
             raise ValueError(f"scenario counts must be >= 1, got {counts}")
-        if self.noise_sigma < 0 or self.proposal_jitter < 0 or self.n_distractor_proposals < 0:
+        # each comparison is written so that NaN fails it
+        if not (self.noise_sigma >= 0 and self.proposal_jitter >= 0
+                and self.n_distractor_proposals >= 0):
             raise ValueError("noise levels and proposal counts must be non-negative")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

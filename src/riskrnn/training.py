@@ -1,23 +1,25 @@
 """Training loop: noisy-track selection, one pass per batch of videos, Adam,
-and early stopping on validation loss; and the tracks a split's videos give.
+and early stopping on validation loss; the tracks a split's videos give; and
+the model input of every pass.
 
 A split's videos share one shape, as a dataset file's do. ``check_one_shape``
 checks it once per split, before any tracking or training, so a mixed split
 fails with one message whatever the batch size or the shuffle.
-``detected_tracks`` tracks a whole split in one tracker call before any
-forward pass, and deduplicates each video's tracks on their own.
+
+Every pass, training's and eval's, follows one rule: its videos' regions
+(``stack_regions``) and loss targets (``SequenceTargets.of``) are stacked
+once, and ``track_inputs`` and ``total_loss`` read them through the pass's
+``video_of``, the video of each sequence. A training batch's ``video_of`` is
+its videos' indices in the split; eval repeats each video's over its tracks.
 
 Tracks are arrays: a video's detected tracks are its (K, T, 4) boxes and
 (K, T, D) features, and its candidates put its annotated track (its agent
 boxes and features) at index 0 ahead of them. Each epoch runs every training
 video once on a candidate drawn uniformly as an index; the video's accident
-label is shared by whichever track is drawn. A batch of B videos runs as one
-forward pass of B sequences, each video's track over that video's own
-regions, so column t * B + b is video b at frame t; ``track_inputs`` builds
-that input from the drawn tracks' and the videos' arrays in one step. One
-loss and one backward pass give the batch's mean gradient. Validation runs
-the annotated tracks, batch_size videos per forward pass, so the
-early-stopping signal is deterministic.
+label is shared by whichever track is drawn. One loss and one backward pass
+give the batch's mean gradient. Validation runs the annotated tracks,
+batch_size videos per forward pass, so the early-stopping signal is
+deterministic.
 """
 from __future__ import annotations
 
@@ -47,37 +49,40 @@ class EpochStats:
     val_map: float
 
 
-def track_inputs(boxes, feats, videos, counts=1) -> AgentTracks:
-    """The model input of B sequences, video-major: sequence b is the (T, 4)
-    boxes ``boxes[b]`` and (T, D) features ``feats[b]`` playing the agent
-    over its video's regions, the next ``counts[v]`` sequences (one each by
-    default) being those of ``videos[v]``. Training runs each batch video on
-    one track, eval each video on all its tracks; each video's regions are
-    stacked once and repeated over its sequences."""
-    # contiguous per video first: np.stack lays its output out in its inputs'
-    # stride order, and the pooling sums run over that layout
-    region_feats = np.stack([np.ascontiguousarray(np.moveaxis(v.region_feat, 2, 0))
-                             for v in videos], axis=2)
-    region_boxes = np.stack([v.region_box for v in videos], axis=1)
-    if np.any(np.not_equal(counts, 1)):  # a repeat of one each would only copy
-        region_feats = np.repeat(region_feats, counts, axis=2)
-        region_boxes = np.repeat(region_boxes, counts, axis=1)
+def stack_regions(videos) -> tuple[np.ndarray, np.ndarray]:
+    """The regions of videos of one shape, stacked once, the video axis just
+    after the frame axis: the (T, V, N, 4) boxes and the (D, T, V, N)
+    appearances."""
+    n_frames, n_regions, d_region = videos[0].region_feat.shape
+    # each video's appearances are copied once, into the stack
+    feats = np.empty((d_region, n_frames, len(videos), n_regions))
+    np.stack([np.moveaxis(v.region_feat, 2, 0) for v in videos], axis=2, out=feats)
+    return np.ascontiguousarray(np.stack([v.region_box for v in videos], axis=1)), feats
+
+
+def track_inputs(boxes, feats, regions, video_of) -> AgentTracks:
+    """The model input of S sequences: sequence s is the (T, 4) boxes
+    ``boxes[s]`` and (T, D) features ``feats[s]`` playing the agent over the
+    regions of video ``video_of[s]`` of ``regions``, the (T, V, N, 4) boxes
+    and (D, T, V, N) appearances ``stack_regions`` gives. Each region array
+    is copied once: ``np.take`` along its video axis, unlike a fancy index
+    there, gives a contiguous (T, S) that merges into columns as a view."""
+    region_boxes, region_feats = regions
     d_region, _, _, n_regions = region_feats.shape
-    return AgentTracks(np.transpose(feats, (2, 1, 0)), np.transpose(boxes, (2, 1, 0)),
-                       region_boxes.reshape(-1, n_regions, 4),
-                       region_feats.reshape(d_region, -1, n_regions))
+    return AgentTracks(
+        np.transpose(feats, (2, 1, 0)), np.transpose(boxes, (2, 1, 0)),
+        np.take(region_boxes, video_of, axis=1).reshape(-1, n_regions, 4),
+        np.take(region_feats, video_of, axis=2).reshape(d_region, -1, n_regions))
 
 
 def detected_tracks(samples, run_cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each video's deduplicated tracks, found in its proposals, as its
     (K, T, 4) boxes and (K, T, D) features. The split's videos, which must
     share one shape, are tracked in one tracker call; each video's tracks
-    are then deduplicated on their own.
-
-    Raises ValueError naming the first video without proposals, and its
-    first frame (a video's frames share one proposal count), or else,
-    before any tracking, the first video of another shape.
-    """
+    are then deduplicated on their own. Raises ValueError naming the first
+    video without proposals, and its first frame (a video's frames share one
+    proposal count), or else, before any tracking, the first video of
+    another shape."""
     samples = list(samples)
     for sample in samples:
         if sample.proposal_score.shape[1] == 0:
@@ -95,8 +100,8 @@ def detected_tracks(samples, run_cfg: RunConfig) -> list[tuple[np.ndarray, np.nd
 
 
 class _Split:
-    """A split's videos with what every epoch reuses, built once: each
-    video's candidate tracks and loss targets. A video's candidates are its
+    """A split's videos with what every epoch reuses, built once: its
+    stacked regions and loss targets, and each video's candidates, its
     (1 + K, T, 4) boxes and (1 + K, T, D) features: index 0 is its annotated
     track, the rest its K detected tracks (none unless ``detected`` gives
     them). A split of two shapes raises ``check_one_shape``'s ValueError."""
@@ -109,26 +114,26 @@ class _Split:
         for i, (boxes, feats) in enumerate(detected):
             self.track_boxes[i] = np.concatenate([self.track_boxes[i], boxes])
             self.track_feats[i] = np.concatenate([self.track_feats[i], feats])
-        self.targets = [SequenceTargets.of(v, horizon, time_scale) for v in self.videos]
+        self.targets = SequenceTargets.of(self.videos, horizon, time_scale)
+        self.regions = stack_regions(self.videos)
 
     def loss(self, model: RiskModel, batch, picks, tape: Tape):
-        """One forward pass and loss of the batch's videos, each on the
-        candidate track ``picks`` gives it."""
+        """One forward pass and loss of the batch, the split's video indices,
+        each video on the candidate track ``picks`` gives it."""
         frames = track_inputs([self.track_boxes[i][k] for i, k in zip(batch, picks)],
                               [self.track_feats[i][k] for i, k in zip(batch, picks)],
-                              [self.videos[i] for i in batch])
+                              self.regions, batch)
         out = forward_video(model.store, model.cfg, frames, tape)
-        return total_loss(tape, out, [self.targets[i] for i in batch]), out
+        return total_loss(tape, out, self.targets, batch), out
 
 
 def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig, epoch: int):
     """Deterministic loss and anticipation AP on the annotated tracks. Raises
     TrainingError naming the epoch and the first video whose loss is not
     finite, which no epoch's loss could improve on."""
-    losses = []
-    peaks = []
+    losses, peaks = [], []
     for start in range(0, len(split.videos), run_cfg.batch_size):
-        chunk = range(start, min(start + run_cfg.batch_size, len(split.videos)))
+        chunk = np.arange(start, min(start + run_cfg.batch_size, len(split.videos)))
         loss, out = split.loss(model, chunk, [0] * len(chunk), Tape(train=False))
         losses.extend(loss.per_sequence)
         peaks.append(out.y[:, 1].reshape(-1, len(chunk)).max(axis=0))
@@ -145,11 +150,9 @@ def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig, epoch:
 def _backward_pass(model: RiskModel, split: _Split, batch, picks, epoch: int) -> np.ndarray:
     """Add the batch's mean gradient to the parameters with one forward and
     one backward pass; returns each video's loss. The pass's graph is freed
-    on return, before the next pass builds its own.
-
-    Raises TrainingError naming the epoch and the first video of the batch
-    whose loss is not finite.
-    """
+    on return, before the next pass builds its own. Raises TrainingError
+    naming the epoch and the first video of the batch whose loss is not
+    finite."""
     tape = Tape(train=True)
     loss, _ = split.loss(model, batch, picks, tape)
     bad = np.flatnonzero(~np.isfinite(loss.per_sequence))

@@ -9,7 +9,7 @@ from riskrnn.autodiff import Node, Tape
 from riskrnn.data import VideoSample
 from riskrnn.model import AgentTracks, ModelConfig, RiskModel
 from riskrnn.nn import ParameterStore
-from riskrnn.training import track_inputs
+from riskrnn.training import stack_regions, track_inputs
 
 TINY_CONFIG = ModelConfig(d_agent=8, d_region=8, d_u=6, h_agent=8, h_aa=8,
                           horizon=1, imagine_steps=1, lambdas=(0.6, 0.4))
@@ -69,6 +69,12 @@ def random_targets(rng, sample: VideoSample, positive: bool, box=random_box) -> 
                                risky_box=risky)
 
 
+def padded_negative(sample: VideoSample) -> VideoSample:
+    """The negative video with one all-NaN risky row a frame, the padding of
+    a split whose positives have one risky box a frame."""
+    return dataclasses.replace(sample, risky_box=np.full((sample.n_frames, 1, 4), np.nan))
+
+
 def gradcheck_fixture(rng, cfg: ModelConfig, n_frames: int, n_regions: int,
                       positive: bool) -> VideoSample:
     """A video built from moderate boxes, for gradient checks."""
@@ -79,7 +85,8 @@ def gradcheck_fixture(rng, cfg: ModelConfig, n_frames: int, n_regions: int,
 def agent_tracks(*videos) -> AgentTracks:
     """The model input of B sequences, each a video's annotated agent track
     over its own regions, built by training.track_inputs."""
-    return track_inputs([v.agent_box for v in videos], [v.agent_feat for v in videos], videos)
+    return track_inputs([v.agent_box for v in videos], [v.agent_feat for v in videos],
+                        stack_regions(videos), np.arange(len(videos)))
 
 
 def leaf(tape: Tape, value) -> Node:

@@ -62,6 +62,20 @@ def test_unknown_key_is_a_configuration_error(tmp_path):
     assert main(["generate", "--out", str(tmp_path), "--no_such_key", "1"]) == 2
 
 
+def test_an_override_is_a_pair_or_one_key_value_token(tmp_path, capsys):
+    # as argparse takes --out and --seed, either form, in any mix
+    assert main(["generate", "--out", str(tmp_path), "--n_train=2", "--n_val", "1",
+                 "--n_test=2", "--frames_per_video", "4", "--seed=3"]) == 0
+    assert [line.split(" (")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "train: 2 videos", "val: 1 videos", "test: 2 videos"]
+    # a key without its value is named, not the token after it
+    for extra, message in ((["n_val", "1"], "got 'n_val'"), (["--n_val"], "got '--n_val'"),
+                           (["--n_val", "--n_test", "2"], "got '--n_val'")):
+        assert main(["generate", "--out", str(tmp_path / "bad"), *extra]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("n_regions", "0"), ("collision_iou", "1.5"), ("noise_sigma", "-1"), ("h_agent", "0"),
     ("n_classes", "1"), ("top_init", "0"), ("top_iou", "0"), ("dedup_iou", "-1"),

@@ -57,3 +57,26 @@ def test_every_model_key_reaches_model_config():
                "lambdas": (0.5, 0.25, 0.25)}
     cfg = dataclasses.replace(RunConfig(), **changed).model_config("L-RAI")
     assert {key: getattr(cfg, key) for key in changed} == changed
+
+
+NAN = float("nan")
+NAN_SETTINGS = {
+    "model lambdas": ModelConfig(lambdas=(NAN, 0.4)),
+    "run lambdas": RunConfig(lambdas=(0.6, NAN)),
+    "lr": RunConfig(lr=NAN),
+    "time_scale": RunConfig(time_scale=NAN),
+    "fps": RunConfig(fps=NAN),
+    "dedup_iou": RunConfig(dedup_iou=NAN),
+    "noise_sigma": ScenarioConfig(noise_sigma=NAN),
+    "proposal_jitter": ScenarioConfig(proposal_jitter=NAN),
+    "collision_iou": ScenarioConfig(collision_iou=NAN),
+}
+
+
+@pytest.mark.parametrize("config", NAN_SETTINGS.values(), ids=NAN_SETTINGS.keys())
+def test_a_nan_setting_fails_validation(config):
+    # a comparison that NaN passes would let it through; the CLI rejects
+    # non-finite values when it parses them, but a config built in code is
+    # only validated
+    with pytest.raises(ValueError, match="must"):
+        config.validate()

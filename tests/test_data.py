@@ -14,6 +14,8 @@ from hypothesis.extra.numpy import arrays
 import riskrnn.data as data
 import riskrnn.synthworld as synthworld
 from riskrnn.data import DATASET_HEADER, read_dataset, write_dataset
+from riskrnn.evaluation import tta_atta
+from riskrnn.losses import SequenceTargets
 from riskrnn.synthworld import ScenarioConfig, generate_split
 
 CFG = ScenarioConfig(frames_per_video=4, n_regions=3, feature_dim=5,
@@ -314,6 +316,23 @@ def test_of_several_faults_the_first_rule_is_named_then_the_first_video(tmp_path
     with pytest.raises(ValueError, match=re.escape(
             f"video {samples[2].video_id}: positive video needs an accident frame")):
         write_dataset(tmp_path / "val.dat", split)
+
+
+@pytest.mark.parametrize("t_accident", [-1, CFG.frames_per_video])
+def test_a_file_the_loss_targets_and_tta_name_one_accident_frame_fault_alike(tmp_path, samples,
+                                                                             t_accident):
+    # videos 0 and 2 are positive; two broken ones, and the first is named
+    split = [samples[0], samples[1], dataclasses.replace(samples[2], t_accident=t_accident),
+             dataclasses.replace(samples[0], video_id="later", t_accident=-1)]
+    message = (f"video {samples[2].video_id}: positive video needs an accident frame in "
+               f"[0, {CFG.frames_per_video}), got {t_accident}")
+    probs = np.full((len(split), CFG.frames_per_video), 0.5)
+    for check in (lambda: write_dataset(tmp_path / "val.dat", split),
+                  lambda: SequenceTargets.of(split, horizon=1),
+                  lambda: tta_atta(probs, [v.positive for v in split],
+                                   [v.t_accident for v in split], [v.video_id for v in split])):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check()
 
 
 SPLIT = generate_split(CFG, 3, "val")

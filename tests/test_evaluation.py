@@ -126,7 +126,33 @@ class TestTtaAtta:
 grid_boxes = st.builds(Box, st.sampled_from([0.25, 0.375, 0.5, 0.625]),
                        st.sampled_from([0.25, 0.375, 0.5]),
                        st.sampled_from([0.125, 0.25, 0.5]), st.sampled_from([0.25, 0.5]))
-detections = st.lists(st.tuples(grid_boxes, st.sampled_from([0.2, 0.5, 0.8])), max_size=8)
+detection_scores = st.sampled_from([0.2, 0.5, 0.8])
+
+
+@st.composite
+def contested_frames(draw, n_dets, max_gt):
+    """A frame's ``n_dets`` (box, score) detections and at most ``max_gt``
+    ground-truth boxes, grid boxes all, in any order.
+
+    Where there is room, the frame may hold a contest: a detection's grid box
+    shifted a quarter of its side each way gives two ground-truth boxes that
+    it overlaps at one IoU, 0.6, and that overlap each other below 0.4, and a
+    weaker detection copies one of them. That copy is matched only if the
+    stronger detection claimed the other, so the contest decides which of
+    equal ground truths a detection claims.
+    """
+    contest = n_dets >= 2 and max_gt >= 2 and draw(st.booleans())
+    gt_boxes = draw(st.lists(grid_boxes, max_size=max_gt - 2 * contest))
+    size = n_dets - 2 * contest
+    dets = draw(st.lists(st.tuples(grid_boxes, detection_scores), min_size=size, max_size=size))
+    if contest:
+        box = draw(grid_boxes)
+        dx, dy = draw(st.sampled_from([(box.w / 4, 0.0), (0.0, box.h / 4)]))
+        pair = [Box(box.cx - dx, box.cy - dy, box.w, box.h),
+                Box(box.cx + dx, box.cy + dy, box.w, box.h)]
+        gt_boxes = draw(st.permutations(gt_boxes + pair))
+        dets = draw(st.permutations(dets + [(box, 0.8), (draw(st.sampled_from(pair)), 0.1)]))
+    return dets, gt_boxes
 
 
 def frame_overlaps(boxes, gt_boxes):
@@ -135,15 +161,16 @@ def frame_overlaps(boxes, gt_boxes):
 
 class TestMatchFrameDetections:
     @settings(max_examples=300, deadline=None)
-    @given(detections, st.lists(grid_boxes, max_size=5))
-    def test_claims_each_ground_truth_once_as_the_scalar_reference(self, dets, gt):
+    @given(st.data(), st.integers(0, 5))
+    def test_claims_each_ground_truth_once_as_the_scalar_reference(self, data, n_dets):
+        dets, gt = data.draw(contested_frames(n_dets, max_gt=4))
         scores = np.array([score for _, score in dets])
         got = match_frame_detections(scores, frame_overlaps([box for box, _ in dets], gt))
         assert got.shape == (len(dets),) and got.sum() <= len(gt)
         assert got.tolist() == [hit for _, hit in oracles.match_frame_detections(dets, gt)]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(0, 8), st.integers(0, 4))
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(0, 4), st.integers(0, 4))
     def test_a_split_matches_each_frame_as_the_scalar_reference(self, data, n_videos, n_frames,
                                                                n_dets, n_gt):
         # the split shares one N and one R; a frame's ground truth short of R
@@ -153,9 +180,7 @@ class TestMatchFrameDetections:
         gt = np.full((n_videos, n_frames, n_gt, 4), np.nan)
         frames = []
         for index in np.ndindex(n_videos, n_frames):
-            dets = data.draw(st.lists(st.tuples(grid_boxes, st.sampled_from([0.2, 0.5, 0.8])),
-                                      min_size=n_dets, max_size=n_dets))
-            gt_boxes = data.draw(st.lists(grid_boxes, max_size=n_gt))
+            dets, gt_boxes = data.draw(contested_frames(n_dets, n_gt))
             frames.append((index, dets, gt_boxes))
             scores[index] = [score for _, score in dets]
             boxes[index] = stack_boxes(box for box, _ in dets)

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskrnn.autodiff import Tape
 from riskrnn.data import write_dataset
@@ -11,12 +13,13 @@ import riskrnn.autodiff as ad
 from riskrnn.losses import (SequenceTargets, anticipation_loss, anticipation_weights,
                             region_labels, region_loss, total_loss, transform_loss,
                             transform_targets)
-from riskrnn.model import RiskModel, forward_video, variant_config
+from riskrnn.model import VARIANTS, RiskModel, forward_video, variant_config
+from riskrnn.training import stack_regions, track_inputs
 
 import oracles
 from oracles import as_array, stack_boxes
-from helpers import (TINY_CONFIG, agent_tracks, leaf, random_box, random_targets, random_video,
-                     tiny_model)
+from helpers import (TINY_CONFIG, agent_tracks, leaf, padded_negative, random_box, random_targets,
+                     random_video, tiny_model)
 
 
 def prob_nodes(tape, values):
@@ -210,13 +213,13 @@ class TestTransformLoss:
         cfg = variant_config(TINY_CONFIG, "RA")
         rng = np.random.default_rng(8)
         sample = random_targets(rng, random_video(rng, cfg, 3, 2), positive=True)
-        seq = SequenceTargets.of(sample, cfg.horizon)
+        targets = SequenceTargets.of([sample], cfg.horizon)
         tape = Tape()
         out = forward_video(RiskModel.create(cfg, seed=8).store, cfg, agent_tracks(sample), tape)
         assert out.c_node is None
-        garbled = replace(seq, transforms=np.full_like(seq.transforms, np.nan))
-        assert (float(total_loss(tape, out, [garbled]).total.value)
-                == float(total_loss(tape, out, [seq]).total.value))
+        garbled = replace(targets, transforms=np.full_like(targets.transforms, np.nan))
+        assert (float(total_loss(tape, out, garbled, [0]).total.value)
+                == float(total_loss(tape, out, targets, [0]).total.value))
 
 
 class TestTotalLoss:
@@ -228,7 +231,7 @@ class TestTotalLoss:
         tape = Tape(train=False)
         inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)])
+        total = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon), [0])
         labels = region_labels(sample.region_box, sample.risky_box)
         weights = anticipation_weights(True, sample.t_accident, sample.n_frames)
         (y, s), = out.levels
@@ -248,7 +251,7 @@ class TestTotalLoss:
         tape = Tape(train=False)
         inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)])
+        total = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon), [0])
         labels = [[0.0] * 3] * sample.n_frames
         weights = anticipation_weights(False, -1, sample.n_frames)
         obs, imag = (summed(anticipation_loss(tape, y, weights))
@@ -268,7 +271,7 @@ class TestTotalLoss:
         out = forward_video(model.store, TINY_CONFIG, agent_tracks(sample), tape)
         with pytest.raises(ValueError):
             total_loss(tape, replace(out, lambdas=(1.0,)),
-                       [SequenceTargets.of(sample, TINY_CONFIG.horizon)])
+                       SequenceTargets.of([sample], TINY_CONFIG.horizon), [0])
 
     def test_gradient_matches_finite_differences(self):
         from helpers import finite_diff_check, gradcheck_fixture
@@ -276,14 +279,45 @@ class TestTotalLoss:
         rng = np.random.default_rng(6)
         sample = gradcheck_fixture(rng, TINY_CONFIG, 2, 3, positive=True)
         inputs = agent_tracks(sample)
-        seq = [SequenceTargets.of(sample, TINY_CONFIG.horizon)]
+        targets = SequenceTargets.of([sample], TINY_CONFIG.horizon)
 
         def make_loss():
             tape = Tape()
             out = forward_video(model.store, TINY_CONFIG, inputs, tape)
-            return tape, total_loss(tape, out, seq).total
+            return tape, total_loss(tape, out, targets, [0]).total
 
         assert finite_diff_check(model.store, make_loss) < 1e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), variant=st.sampled_from(VARIANTS), n_videos=st.integers(1, 3),
+           n_frames=st.integers(1, 6), n_regions=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_pass_is_the_sum_of_each_sequences_own_loss(self, data, variant, n_videos,
+                                                           n_frames, n_regions, seed):
+        # any video_of, repeats and all, against each sequence run alone on
+        # the targets and regions of its video alone; the batched matmuls sum
+        # in another order, so the losses agree to rounding
+        video_of = data.draw(st.lists(st.integers(0, n_videos - 1), min_size=1, max_size=5))
+        cfg = variant_config(TINY_CONFIG, variant)
+        rng = np.random.default_rng(seed)
+        videos = [random_video(rng, cfg, n_frames, n_regions) for _ in range(n_videos)]
+        videos = [random_targets(rng, v, positive=True) if rng.random() < 0.5
+                  else padded_negative(v) for v in videos]
+        boxes = np.array([[random_box(rng) for _ in range(n_frames)] for _ in video_of])
+        feats = rng.normal(size=(len(video_of), n_frames, cfg.d_agent))
+        store = RiskModel.create(cfg, seed=seed).store
+
+        def loss(boxes, feats, split, video_of):
+            tape = Tape(train=False)
+            out = forward_video(store, cfg, track_inputs(boxes, feats, stack_regions(split),
+                                                         video_of), tape)
+            return total_loss(tape, out, SequenceTargets.of(split, cfg.horizon), video_of)
+
+        got = loss(boxes, feats, videos, video_of)
+        alone = [loss(boxes[s:s + 1], feats[s:s + 1], [videos[v]], [0]).per_sequence[0]
+                 for s, v in enumerate(video_of)]
+        np.testing.assert_allclose(got.per_sequence, alone, rtol=1e-12, atol=1e-12)
+        assert float(got.total.value) == pytest.approx(math.fsum(alone), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("t_accident", [-1, 2])
     def test_a_positive_needs_an_accident_frame_among_its_frames(self, t_accident):
@@ -292,7 +326,7 @@ class TestTotalLoss:
         broken = replace(sample, t_accident=t_accident, video_id="broken")
         with pytest.raises(ValueError, match=rf"^video broken: positive video needs an accident "
                                              rf"frame in \[0, 2\), got {t_accident}$"):
-            SequenceTargets.of(broken, TINY_CONFIG.horizon)
+            SequenceTargets.of([sample, broken], TINY_CONFIG.horizon)
 
     def test_targets_validation(self, tmp_path):
         sample = random_video(np.random.default_rng(9), TINY_CONFIG, 2, 3)

@@ -14,8 +14,8 @@ from riskrnn.model import (AgentTracks, ModelConfig, ModelOutput, RiskModel,
 from riskrnn.nn import lstm_step
 
 import oracles
-from helpers import (TINY_CONFIG, agent_tracks, random_box, random_targets, random_video,
-                     tiny_model, video, zeroed_model)
+from helpers import (TINY_CONFIG, agent_tracks, padded_negative, random_box, random_targets,
+                     random_video, tiny_model, video, zeroed_model)
 
 
 def random_regions(rng, n_frames, n_regions, d_feat):
@@ -428,7 +428,7 @@ class TestMatchesPerFrameReference:
         tape = Tape()
         inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        loss = total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)]).total
+        loss = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon), [0]).total
         ref = oracles.forward(model.store, cfg, sample)
         ref_loss = oracles.total_loss(cfg, sample, ref)
 
@@ -490,9 +490,10 @@ class TestTracksAsColumns:
 
 def mixed_targets(rng, sample, positive: bool):
     """The video with an accident frame anywhere if positive and, at each
-    frame, a risky box that is one of its regions or a random box."""
+    frame, a risky box that is one of its regions or a random box; a
+    negative has padding in its place, so a split of them shares one shape."""
     if not positive:
-        return sample
+        return padded_negative(sample)
     risky = [[regions[rng.integers(len(regions))] if rng.random() < 0.5 else random_box(rng)]
              for regions in sample.region_box]
     return replace(sample, positive=True, t_accident=int(rng.integers(sample.n_frames)),
@@ -523,13 +524,14 @@ class TestVideosAsSequences:
         rng = np.random.default_rng(seed)
         model = RiskModel.create(cfg, seed=seed)
         videos = [random_video(rng, cfg, n_frames, n_regions) for _ in range(n_videos)]
-        seqs = [SequenceTargets.of(mixed_targets(rng, sample, positive), cfg.horizon)
-                for sample, positive in zip(videos, positives)]
+        targets = SequenceTargets.of([mixed_targets(rng, sample, positive)
+                                      for sample, positive in zip(videos, positives)],
+                                     cfg.horizon)
 
-        def run(batch, batch_seqs):
+        def run(batch, video_of):
             tape = Tape()
             out = forward_video(model.store, cfg, agent_tracks(*batch), tape)
-            loss = total_loss(tape, out, batch_seqs)
+            loss = total_loss(tape, out, targets, video_of)
             tape.backward(loss.total)
             grads = {pm.name: pm.grad.copy() for pm in model.store}
             model.store.grad.fill(0.0)
@@ -538,8 +540,8 @@ class TestVideosAsSequences:
         def close(got, want):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-        losses, grads = run(videos, seqs)
-        alone = [run([sample], [seq]) for sample, seq in zip(videos, seqs)]
+        losses, grads = run(videos, np.arange(n_videos))
+        alone = [run([sample], [b]) for b, sample in enumerate(videos)]
         close(losses, [loss[0] for loss, _ in alone])
         for name, grad in grads.items():
             # a sum of terms that cancel keeps their rounding, not its own:
@@ -565,7 +567,7 @@ class TestNodeCount:
         tape = Tape()
         inputs = agent_tracks(sample)
         out = forward_video(RiskModel.create(cfg, seed=23).store, cfg, inputs, tape)
-        total_loss(tape, out, [SequenceTargets.of(sample, cfg.horizon)])
+        total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon), [0])
         assert len(tape.nodes) == count
 
     @pytest.mark.parametrize("variant", ["RA", "RAI", "L-RA", "L-RAI"])
@@ -576,11 +578,12 @@ class TestNodeCount:
         counts = []
         for n_videos in range(1, 6):
             videos = [random_video(rng, cfg, 12, 8) for _ in range(n_videos)]
-            seqs = [SequenceTargets.of(random_targets(rng, sample, positive=b % 2 == 0),
-                                       cfg.horizon) for b, sample in enumerate(videos)]
+            targets = SequenceTargets.of(
+                [random_targets(rng, sample, positive=True) if b % 2 == 0
+                 else padded_negative(sample) for b, sample in enumerate(videos)], cfg.horizon)
             tape = Tape()
             out = forward_video(store, cfg, agent_tracks(*videos), tape)
-            total_loss(tape, out, seqs)
+            total_loss(tape, out, targets, np.arange(n_videos))
             counts.append(len(tape.nodes))
         assert counts == [counts[0]] * 5
 
@@ -592,12 +595,12 @@ class TestGradients:
         rng = np.random.default_rng(19)
         sample = gradcheck_fixture(rng, TINY_CONFIG, 3, 4, positive=True)
         inputs = agent_tracks(sample)
-        seq = [SequenceTargets.of(sample, TINY_CONFIG.horizon)]
+        targets = SequenceTargets.of([sample], TINY_CONFIG.horizon)
 
         def make_loss():
             tape = Tape()
             preds = forward_video(model.store, TINY_CONFIG, inputs, tape)
-            return tape, total_loss(tape, preds, seq).total
+            return tape, total_loss(tape, preds, targets, [0]).total
 
         assert finite_diff_check(model.store, make_loss) < 1e-4
 

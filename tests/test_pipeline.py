@@ -12,7 +12,7 @@ from riskrnn.config import RunConfig
 from riskrnn.model import VARIANTS, RiskModel
 from riskrnn.pipeline import eval_video, evaluate_model
 from riskrnn.synthworld import generate_scenario, generate_split
-from riskrnn.training import detected_tracks, track_inputs
+from riskrnn.training import detected_tracks, stack_regions, track_inputs
 
 import oracles
 
@@ -28,7 +28,8 @@ def samples():
 def test_each_frame_follows_its_most_alarmed_track(samples, variant):
     model = RiskModel.create(CFG.model_config(variant), seed=6)
     for sample, (boxes, feats) in zip(samples, detected_tracks(samples, CFG)):
-        out = model.forward_video(track_inputs(boxes, feats, [sample] * len(boxes)))
+        out = model.forward_video(track_inputs(boxes, feats, stack_regions([sample]),
+                                               np.zeros(len(boxes), dtype=int)))
         # column t * K + k is track k at frame t
         probs = out.y[:, 1].reshape(sample.n_frames, len(boxes))
         scores = out.s.reshape(sample.n_frames, len(boxes), -1)
@@ -57,11 +58,12 @@ def test_the_batched_pass_matches_one_forward_per_track(samples, variant, fused)
     # columns agree with the separate forwards to rounding, not bit for bit
     model = RiskModel.create(CFG.model_config(variant), seed=6)
     for sample, (boxes, feats) in zip(samples, detected_tracks(samples, CFG)):
+        regions = stack_regions([sample])
         y, s = outputs(model.forward_video(
-            track_inputs(boxes, feats, [sample] * len(boxes))), fused)
+            track_inputs(boxes, feats, regions, np.zeros(len(boxes), dtype=int))), fused)
         for k in range(len(boxes)):
             y_k, s_k = outputs(model.forward_video(
-                track_inputs(boxes[k:k + 1], feats[k:k + 1], [sample])), fused)
+                track_inputs(boxes[k:k + 1], feats[k:k + 1], regions, [0])), fused)
             np.testing.assert_allclose(y[k::len(boxes)], y_k, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(s[k::len(boxes)], s_k, rtol=1e-12, atol=1e-12)
 

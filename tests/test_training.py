@@ -13,7 +13,7 @@ from riskrnn import training
 from riskrnn.config import RunConfig
 from riskrnn.nn import TrainingError
 from riskrnn.synthworld import generate_scenario, generate_split
-from riskrnn.training import _Split, _validation_pass, track_inputs, train_model
+from riskrnn.training import _Split, _validation_pass, stack_regions, track_inputs, train_model
 
 from helpers import TINY_CONFIG, random_video
 
@@ -137,30 +137,38 @@ def test_one_seed_gives_one_run(splits):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n_sequences=st.integers(1, 4), n_frames=st.integers(1, 5), n_regions=st.integers(1, 4),
-       views=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@given(data=st.data(), n_videos=st.integers(1, 4), n_frames=st.integers(1, 5),
+       n_regions=st.integers(1, 4), views=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_track_inputs_puts_frame_t_of_sequence_b_at_column_t_times_b_plus_b(
-        n_sequences, n_frames, n_regions, views, seed):
+        data, n_videos, n_frames, n_regions, views, seed):
+    # any video_of: a permutation of the videos, or any list of them, with
+    # repeats, and a single video among them
+    video_of = data.draw(st.one_of(st.permutations(range(n_videos)),
+                                   st.lists(st.integers(0, n_videos - 1), min_size=1,
+                                            max_size=6)))
+    n_sequences = len(video_of)
     rng = np.random.default_rng(seed)
-    videos = [random_video(rng, TINY_CONFIG, n_frames, n_regions) for _ in range(n_sequences)]
+    videos = [random_video(rng, TINY_CONFIG, n_frames, n_regions) for _ in range(n_videos)]
     boxes = rng.uniform(size=(n_frames, n_sequences, 4)).transpose(1, 0, 2)
     feats = rng.normal(size=(n_frames, n_sequences, TINY_CONFIG.d_agent)).transpose(1, 0, 2)
     if views:  # strided inputs, as the tracker's output and a file's rows can be
         videos = [dataclasses.replace(v, region_box=np.asfortranarray(v.region_box),
                                       region_feat=np.asfortranarray(v.region_feat))
                   for v in videos]
+        regions = tuple(map(np.asfortranarray, stack_regions(videos)))
     else:
         boxes, feats = list(boxes.copy()), list(feats.copy())
-    frames = track_inputs(boxes, feats, videos)
+        regions = stack_regions(videos)
+    frames = track_inputs(boxes, feats, regions, video_of)
     agent_feats = frames.feats.reshape(TINY_CONFIG.d_agent, -1)
     agent_boxes = frames.boxes.reshape(4, -1)
-    for b, video in enumerate(videos):
+    for s, v in enumerate(video_of):
         for t in range(n_frames):
-            column = t * n_sequences + b
-            assert np.all(agent_feats[:, column] == feats[b][t])
-            assert np.all(agent_boxes[:, column] == boxes[b][t])
-            assert np.all(frames.region_boxes[column] == video.region_box[t])
-            assert np.all(frames.region_feats[:, column] == video.region_feat[t].T)
+            column = t * n_sequences + s
+            assert np.all(agent_feats[:, column] == feats[s][t])
+            assert np.all(agent_boxes[:, column] == boxes[s][t])
+            assert np.all(frames.region_boxes[column] == videos[v].region_box[t])
+            assert np.all(frames.region_feats[:, column] == videos[v].region_feat[t].T)
     assert len(frames) == n_frames
     assert all(a.flags.c_contiguous for a in (frames.feats, frames.boxes, frames.region_boxes,
                                               frames.region_feats))
