@@ -28,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--seed", type=int, help="override the run seed")
 
     p = sub.add_parser("generate", help="write train/val/test dataset files")
     common(p)
@@ -205,10 +204,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     try:
-        overrides = parse_overrides(extra)
-        if args.seed is not None:
-            overrides["seed"] = str(args.seed)
-        cfg = load_run_config(args.config, overrides)
+        cfg = load_run_config(args.config, parse_overrides(extra))
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -54,8 +54,8 @@ class RunConfig(ScenarioConfig, _ModelKeys):
     def validate(self) -> None:
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
             raise ConfigError("batch_size, epochs and patience must be >= 1")
-        if not (self.lr > 0 and self.fps > 0 and self.time_scale > 0):
-            raise ConfigError("lr, fps and time_scale must be positive")
+        if not all(0 < value < np.inf for value in (self.lr, self.fps, self.time_scale)):
+            raise ConfigError("lr, fps and time_scale must be positive and finite")
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("split sizes must be >= 1")
         if min(self.top_init, self.top_iou, self.grid_w, self.grid_h) < 1:
@@ -91,18 +91,24 @@ def parse_config_file(path) -> dict:
     """Flat `key = value` lines; `[section]` headers are ignored for lookup
     but keys must still be unique across the file."""
     entries: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line or (line.startswith("[") and line.endswith("]")):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in entries:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = value.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as err:
+        raise ConfigError(f"{path}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a text file of 'key = value' lines") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line or (line.startswith("[") and line.endswith("]")):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value.strip()
     return entries
 
 

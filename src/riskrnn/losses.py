@@ -2,18 +2,17 @@
 imagination-weighted total.
 
 A split's targets are stacked once (``SequenceTargets.of``), and a pass takes
-sequence s's from video ``video_of[s]``, one ``np.take`` per target array,
-into the model's (frame, sequence) columns t * S + s. Each term gives a loss
-per column and the total sums each sequence's, so a pass of S sequences
-tapes as many nodes as one, and each sequence's loss is the one its own pass
-gives. Per-frame terms are summed (not averaged) within a sequence; batch
-averaging is the trainer's job. Log arguments are clamped to
-[1e-12, 1 - 1e-12].
+sequence s's from video ``video_of[s]`` into the model's (frame, sequence)
+columns t * S + s, one ``model.take_columns`` per target array. Each term
+gives a loss per column and the total sums each sequence's, so a pass of S
+sequences tapes as many nodes as one, and each sequence's loss is the one
+its own pass gives. Per-frame terms are summed (not averaged) within a
+sequence; batch averaging is the trainer's job. Log arguments are clamped
+to [1e-12, 1 - 1e-12].
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,9 +20,7 @@ from . import autodiff as ad
 from .autodiff import Node, Tape
 from .data import check_accident_frames
 from .geometry import encode_box_transform, iou
-
-if TYPE_CHECKING:
-    from .model import ModelOutput
+from .model import ModelOutput, take_columns
 
 PROB_CLAMP = 1e-12
 RISKY_IOU_THRESHOLD = 0.4
@@ -127,13 +124,6 @@ class SequenceTargets:
                    *transform_targets(boxes["agent_box"], horizon))
 
 
-def _columns(targets: np.ndarray, video_of, frame_axis: int) -> np.ndarray:
-    """The split-wide ``targets`` of each sequence's video ``video_of[s]``,
-    with the frame and sequence axes merged into the columns t * S + s."""
-    taken = np.take(targets, video_of, axis=frame_axis + 1)
-    return taken.reshape(targets.shape[:frame_axis] + (-1,) + targets.shape[frame_axis + 2:])
-
-
 @dataclass
 class SequenceLosses:
     """The loss of a pass: ``total`` is the scalar tape node summing the
@@ -160,13 +150,13 @@ def total_loss(tape: Tape, predictions: ModelOutput, targets: SequenceTargets,
         raise ValueError(f"{columns} columns are not {n_sequences} sequences of "
                          f"{n_frames} frames")
 
-    weights = _columns(targets.weights, video_of, 1)
-    labels = _columns(targets.labels, video_of, 0)
+    weights = take_columns(targets.weights, video_of, 1)
+    labels = take_columns(targets.labels, video_of, 0)
     per_column = None
     if predictions.c_node is not None:
         per_column = transform_loss(tape, predictions.c_node,
-                                    _columns(targets.transforms, video_of, 1),
-                                    _columns(targets.has_transform, video_of, 0))
+                                    take_columns(targets.transforms, video_of, 1),
+                                    take_columns(targets.has_transform, video_of, 0))
     for weight, (y, s) in zip(predictions.lambdas, predictions.levels, strict=True):
         level_loss = float(weight) * (anticipation_loss(tape, y, weights)
                                       + region_loss(tape, s, labels))

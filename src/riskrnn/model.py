@@ -17,12 +17,14 @@ Four ablation variants are supported: RA (single frame), RAI (adds
 imagination), L-RA (adds the two LSTMs), and L-RAI (everything).
 
 The input (AgentTracks) is B agent sequences over T frames, each over its
-own video's regions, as ``training.track_inputs`` builds it from stacked
-regions and a pass's ``video_of``, the video of each sequence. Every
-(frame, sequence) pair is one column, frame-major: column t * B + b is
+own video's regions, as ``training.track_inputs`` builds it from rows of a
+split's track table and a pass's ``video_of``, the video of each sequence.
+Every (frame, sequence) pair is one column, frame-major: column t * B + b is
 sequence b at frame t, so the model never needs to know whether sequences
-share a video. Each pass runs over all columns (or all (frame, sequence,
-region) columns) as a handful of tape nodes:
+share a video. One rule, ``take_columns``, takes any split-wide per-video
+array (the stacked regions, the loss targets) into these columns. Each pass
+runs over all columns (or all (frame, sequence, region) columns) as a
+handful of tape nodes:
 
 1. the agent memory: one ``lstm_step`` sweep over the frame-major columns
    of the tracks' appearance and box, the B sequences independent;
@@ -172,6 +174,16 @@ class AgentTracks:
 
     def __len__(self) -> int:
         return self.feats.shape[1]
+
+
+def take_columns(array: np.ndarray, video_of, frame_axis: int) -> np.ndarray:
+    """The split-wide ``array``, whose video axis follows its frame axis,
+    taken at each sequence's video ``video_of[s]``, with the frame and
+    sequence axes merged into the columns t * S + s. ``np.take`` along the
+    video axis, unlike a fancy index there, gives a contiguous (T, S), so
+    the merge is a view of its one copy."""
+    taken = np.take(array, video_of, axis=frame_axis + 1)
+    return taken.reshape(array.shape[:frame_axis] + (-1,) + array.shape[frame_axis + 2:])
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,8 @@ def load_params(path) -> tuple[ParameterStore, dict[str, str]]:
     repeated block, a missing final checksum line (a truncated file), a
     non-finite value or a checksum mismatch.
     """
-    with open(path) as fh:
+    # bytes that are not text are replaced, so that such a file fails a check below
+    with open(path, errors="replace") as fh:
         # the non-blank lines, each with its line number in the file
         numbered = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
     numbers, lines = [n for n, _ in numbered], [line for _, line in numbered]

@@ -2,12 +2,14 @@
 the video-level anticipation score, and region riskiness taken from whichever
 track is most alarmed at each frame.
 
-The split is tracked once, before any forward pass (``detected_tracks``).
-Then ``eval_video`` runs the videos ``batch_size`` at a time, as validation
-does, by the rule of every pass: the batch's regions are stacked once, and
-its ``video_of`` repeats each video's index over its K detected tracks, so
+The split is tracked once, before any forward pass, into one row table
+(``detected_tracks``): each track's boxes, features and video, the rows
+sorted by video. Then ``eval_video`` runs the videos ``batch_size`` at a
+time, as validation does, on their rows of the table, by the rule of every
+pass: the batch's regions are stacked once, and its rows' ``video_of``
+takes each track's into the model's columns (``model.take_columns``), so
 all its tracks run as one forward pass, each over its own video's regions,
-and each frame of a video reduces over its K columns. The CLI's
+and each frame of a video reduces over its rows' columns. The CLI's
 single-video commands run a batch of one. The metrics then read the split's
 arrays: its (V, T) frame scores, and its (V, T, N) region scores with the
 one (V, T, N, R) IoU matrix of its regions with its risky boxes, which
@@ -64,18 +66,15 @@ class EvalSummary:
 
 
 def eval_video(model: RiskModel, samples, tracks) -> list[VideoEvalResult]:
-    """Run every candidate track of the videos, each video's
-    ``detected_tracks`` (K, T, 4) boxes and (K, T, D) features, through the
-    model in one pass, and reduce each video's tracks per frame. The
-    videos share one shape; returns one result per video, in order."""
-    counts = [len(boxes) for boxes, _ in tracks]
-    out = model.forward_video(track_inputs(np.concatenate([boxes for boxes, _ in tracks]),
-                                           np.concatenate([feats for _, feats in tracks]),
-                                           stack_regions(samples),
-                                           np.repeat(np.arange(len(samples)), counts)))
-    n_frames, n_tracks = samples[0].n_frames, sum(counts)
-    # column t * B + b is sequence b at frame t, each video's K tracks in turn
-    starts = np.cumsum(counts)[:-1]
+    """Run every row of ``tracks``, the videos' ``detected_tracks`` table
+    (its ``video_of`` indexing ``samples``), through the model in one pass,
+    and reduce each video's rows per frame. The videos share one shape;
+    returns one result per video, in order."""
+    boxes, feats, video_of = tracks
+    out = model.forward_video(track_inputs(boxes, feats, stack_regions(samples), video_of))
+    n_frames, n_tracks = samples[0].n_frames, len(video_of)
+    # column t * S + s is row s at frame t, each video's rows in turn
+    starts = np.searchsorted(video_of, np.arange(1, len(samples)))
     probs = np.split(out.y[:, 1].reshape(n_frames, n_tracks), starts, axis=1)
     region_scores = np.split(out.s.reshape(n_frames, n_tracks, -1), starts, axis=1)
     frames = np.arange(n_frames)
@@ -84,9 +83,8 @@ def eval_video(model: RiskModel, samples, tracks) -> list[VideoEvalResult]:
                             frame_probs=video_probs.max(axis=1),
                             region_boxes=sample.region_box,
                             region_scores=video_scores[frames, video_probs.argmax(axis=1)],
-                            n_tracks=count)
-            for sample, count, video_probs, video_scores
-            in zip(samples, counts, probs, region_scores)]
+                            n_tracks=video_probs.shape[1])
+            for sample, video_probs, video_scores in zip(samples, probs, region_scores)]
 
 
 def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig) -> EvalSummary:
@@ -97,11 +95,13 @@ def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig) -> EvalSummary
     if not any(sample.positive for sample in samples):
         raise ValueError(f"no positive video among the {len(samples)} test videos; "
                          f"anticipation AP, ATTA and region AP need at least one")
-    tracks = detected_tracks(samples, run_cfg)
+    boxes, feats, video_of = detected_tracks(samples, run_cfg)
     results = []
     for start in range(0, len(samples), run_cfg.batch_size):
         stop = start + run_cfg.batch_size
-        results.extend(eval_video(model, samples[start:stop], tracks[start:stop]))
+        rows = slice(*np.searchsorted(video_of, [start, stop]))
+        results.extend(eval_video(model, samples[start:stop],
+                                  (boxes[rows], feats[rows], video_of[rows] - start)))
 
     probs = np.stack([result.frame_probs for result in results])
     positive = [sample.positive for sample in samples]

@@ -56,9 +56,9 @@ class ScenarioConfig:
         if any(c < 1 for c in counts):
             raise ValueError(f"scenario counts must be >= 1, got {counts}")
         # each comparison is written so that NaN fails it
-        if not (self.noise_sigma >= 0 and self.proposal_jitter >= 0
+        if not (0 <= self.noise_sigma < np.inf and 0 <= self.proposal_jitter < np.inf
                 and self.n_distractor_proposals >= 0):
-            raise ValueError("noise levels and proposal counts must be non-negative")
+            raise ValueError("noise levels and proposal counts must be finite and non-negative")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.collision_iou < 1.0):

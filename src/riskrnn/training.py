@@ -6,20 +6,26 @@ A split's videos share one shape, as a dataset file's do. ``check_one_shape``
 checks it once per split, before any tracking or training, so a mixed split
 fails with one message whatever the batch size or the shuffle.
 
-Every pass, training's and eval's, follows one rule: its videos' regions
-(``stack_regions``) and loss targets (``SequenceTargets.of``) are stacked
-once, and ``track_inputs`` and ``total_loss`` read them through the pass's
-``video_of``, the video of each sequence. A training batch's ``video_of`` is
-its videos' indices in the split; eval repeats each video's over its tracks.
+A split's tracks are one row table: (S, T, 4) boxes, (S, T, D) features
+and the (S,) ``video_of`` of each row, its video's index in the split, the
+rows sorted by video. ``detected_tracks`` gives the table of the tracks
+found in the proposals, each video's rows in the tracker's order, and
+``_Split`` puts each video's annotated track (its agent boxes and features)
+just ahead of its detected rows, so video v's candidates are rows
+``first[v]:first[v + 1]``, its annotated track first.
 
-Tracks are arrays: a video's detected tracks are its (K, T, 4) boxes and
-(K, T, D) features, and its candidates put its annotated track (its agent
-boxes and features) at index 0 ahead of them. Each epoch runs every training
-video once on a candidate drawn uniformly as an index; the video's accident
-label is shared by whichever track is drawn. One loss and one backward pass
-give the batch's mean gradient. Validation runs the annotated tracks,
-batch_size videos per forward pass, so the early-stopping signal is
-deterministic.
+A pass selects rows of such a table, and every pass, training's and eval's,
+follows one rule: its videos' regions (``stack_regions``) and loss targets
+(``SequenceTargets.of``) are stacked once, and ``track_inputs`` and
+``total_loss`` take each sequence's from them by ``model.take_columns`` and
+the pass's ``video_of``, the video of each sequence. A training batch's
+``video_of`` is its videos' indices in the split; eval's is its rows'.
+
+Each epoch runs every training video once on a candidate drawn uniformly,
+row ``first[v]`` plus the draw; the video's accident label is shared by
+whichever track is drawn. One loss and one backward pass give the batch's
+mean gradient. Validation runs the annotated tracks, batch_size videos per
+forward pass, so the early-stopping signal is deterministic.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ from .config import RunConfig, derive_seed
 from .data import check_one_shape
 from .evaluation import average_precision
 from .losses import SequenceTargets, total_loss
-from .model import AgentTracks, RiskModel, forward_video
+from .model import AgentTracks, RiskModel, forward_video, take_columns
 from .nn import TrainingError, adam_step
 from .tracking import deduplicate_tracks, track_by_detection
 
@@ -64,25 +70,23 @@ def track_inputs(boxes, feats, regions, video_of) -> AgentTracks:
     """The model input of S sequences: sequence s is the (T, 4) boxes
     ``boxes[s]`` and (T, D) features ``feats[s]`` playing the agent over the
     regions of video ``video_of[s]`` of ``regions``, the (T, V, N, 4) boxes
-    and (D, T, V, N) appearances ``stack_regions`` gives. Each region array
-    is copied once: ``np.take`` along its video axis, unlike a fancy index
-    there, gives a contiguous (T, S) that merges into columns as a view."""
+    and (D, T, V, N) appearances ``stack_regions`` gives, each taken into
+    the pass's columns by ``take_columns``."""
     region_boxes, region_feats = regions
-    d_region, _, _, n_regions = region_feats.shape
-    return AgentTracks(
-        np.transpose(feats, (2, 1, 0)), np.transpose(boxes, (2, 1, 0)),
-        np.take(region_boxes, video_of, axis=1).reshape(-1, n_regions, 4),
-        np.take(region_feats, video_of, axis=2).reshape(d_region, -1, n_regions))
+    return AgentTracks(np.transpose(feats, (2, 1, 0)), np.transpose(boxes, (2, 1, 0)),
+                       take_columns(region_boxes, video_of, 0),
+                       take_columns(region_feats, video_of, 1))
 
 
-def detected_tracks(samples, run_cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each video's deduplicated tracks, found in its proposals, as its
-    (K, T, 4) boxes and (K, T, D) features. The split's videos, which must
-    share one shape, are tracked in one tracker call; each video's tracks
-    are then deduplicated on their own. Raises ValueError naming the first
-    video without proposals, and its first frame (a video's frames share one
-    proposal count), or else, before any tracking, the first video of
-    another shape."""
+def detected_tracks(samples, run_cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split's deduplicated tracks, found in its proposals, as one row
+    table: the (S, T, 4) boxes, (S, T, D) features and (S,) ``video_of``
+    of its rows, sorted by video, each video's rows in the tracker's order.
+    The split's videos, which must share one shape, are tracked in one
+    tracker call; each video's tracks are then deduplicated on their own.
+    Raises ValueError naming the first video without proposals, and its
+    first frame (a video's frames share one proposal count), or else, before
+    any tracking, the first video of another shape."""
     samples = list(samples)
     for sample in samples:
         if sample.proposal_score.shape[1] == 0:
@@ -92,37 +96,41 @@ def detected_tracks(samples, run_cfg: RunConfig) -> list[tuple[np.ndarray, np.nd
     boxes, feats, scores = track_by_detection(
         [v.proposal_box for v in samples], [v.proposal_feat for v in samples],
         [v.proposal_score for v in samples], top_init=run_cfg.top_init, top_iou=run_cfg.top_iou)
-    tracks = []
-    for video_boxes, video_feats, video_scores in zip(boxes, feats, scores):
-        kept = deduplicate_tracks(video_boxes, video_scores, overlap_iou=run_cfg.dedup_iou)
-        tracks.append((video_boxes[kept], video_feats[kept]))
-    return tracks
+    kept = [deduplicate_tracks(video_boxes, video_scores, overlap_iou=run_cfg.dedup_iou)
+            for video_boxes, video_scores in zip(boxes, scores)]
+    video_of = np.repeat(np.arange(len(kept)), [len(rows) for rows in kept])
+    rows = np.concatenate(kept)
+    return boxes[video_of, rows], feats[video_of, rows], video_of
 
 
 class _Split:
     """A split's videos with what every epoch reuses, built once: its
-    stacked regions and loss targets, and each video's candidates, its
-    (1 + K, T, 4) boxes and (1 + K, T, D) features: index 0 is its annotated
-    track, the rest its K detected tracks (none unless ``detected`` gives
-    them). A split of two shapes raises ``check_one_shape``'s ValueError."""
+    stacked regions and loss targets, and its candidates as one row table,
+    the (S, T, 4) ``boxes`` and (S, T, D) ``feats``. Video v's candidates
+    are rows ``first[v]:first[v + 1]``: its annotated track, then its rows
+    of ``detected``, the split's ``detected_tracks`` table (none if not
+    given). A split of two shapes raises ``check_one_shape``'s ValueError."""
 
-    def __init__(self, videos, horizon: int, time_scale: float, detected=()):
+    def __init__(self, videos, horizon: int, time_scale: float, detected=None):
         self.videos = list(videos)
         check_one_shape(self.videos)
-        self.track_boxes = [v.agent_box[None] for v in self.videos]
-        self.track_feats = [v.agent_feat[None] for v in self.videos]
-        for i, (boxes, feats) in enumerate(detected):
-            self.track_boxes[i] = np.concatenate([self.track_boxes[i], boxes])
-            self.track_feats[i] = np.concatenate([self.track_feats[i], feats])
+        annotated = (np.stack([v.agent_box for v in self.videos]),
+                     np.stack([v.agent_feat for v in self.videos]), np.arange(len(self.videos)))
+        detected = detected or tuple(part[:0] for part in annotated)
+        # each video's annotated row goes just ahead of its first detected one
+        at = np.searchsorted(detected[2], annotated[2])
+        self.boxes, self.feats, video_of = (np.insert(rows, at, own, axis=0)
+                                            for rows, own in zip(detected, annotated))
+        self.first = np.searchsorted(video_of, np.arange(len(self.videos) + 1))
         self.targets = SequenceTargets.of(self.videos, horizon, time_scale)
         self.regions = stack_regions(self.videos)
 
     def loss(self, model: RiskModel, batch, picks, tape: Tape):
         """One forward pass and loss of the batch, the split's video indices,
-        each video on the candidate track ``picks`` gives it."""
-        frames = track_inputs([self.track_boxes[i][k] for i, k in zip(batch, picks)],
-                              [self.track_feats[i][k] for i, k in zip(batch, picks)],
-                              self.regions, batch)
+        each video on its candidate ``picks`` gives it, 0 its annotated
+        track."""
+        rows = self.first[batch] + picks
+        frames = track_inputs(self.boxes[rows], self.feats[rows], self.regions, batch)
         out = forward_video(model.store, model.cfg, frames, tape)
         return total_loss(tape, out, self.targets, batch), out
 
@@ -134,7 +142,7 @@ def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig, epoch:
     losses, peaks = [], []
     for start in range(0, len(split.videos), run_cfg.batch_size):
         chunk = np.arange(start, min(start + run_cfg.batch_size, len(split.videos)))
-        loss, out = split.loss(model, chunk, [0] * len(chunk), Tape(train=False))
+        loss, out = split.loss(model, chunk, 0, Tape(train=False))
         losses.extend(loss.per_sequence)
         peaks.append(out.y[:, 1].reshape(-1, len(chunk)).max(axis=0))
     val_loss = float(np.mean(losses))
@@ -189,7 +197,7 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
     best_val = math.inf
     epochs_since_best = 0
     step = 0
-    n = len(train.videos)
+    n, candidates = len(train.videos), np.diff(train.first)
 
     for epoch in range(1, run_cfg.epochs + 1):
         order = rng.permutation(n)
@@ -197,7 +205,7 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
         for start in range(0, n, run_cfg.batch_size):
             batch = order[start:start + run_cfg.batch_size]
             # uniform over each video's annotated track and its detected ones
-            picks = [int(rng.integers(0, len(train.track_boxes[i]))) for i in batch]
+            picks = [int(rng.integers(0, candidates[i])) for i in batch]
             epoch_losses.extend(_backward_pass(model, train, batch, picks, epoch))
             step += 1
             adam_step(model.store, lr=run_cfg.lr, t=step)

@@ -2,21 +2,28 @@
 that a change to the program keeps its outputs bit for bit.
 
     python tests/output_digest.py SRC_DIR
+    python tests/output_digest.py SRC_A SRC_B
 
-imports ``riskrnn`` from SRC_DIR (a checkout's ``src``) and prints, for
-seeds 7 and 11, one digest over all the outputs on the first line, then one
-digest for each part on its own line: ``data``, the bytes of the three
-dataset files as written; ``train``, for each of the four variants, the
-training history and the trained weights; and ``eval``, for the untrained
-and the trained model of each variant, the eval report's fields, each test
-video's frame probabilities, region scores and track count, and the
-time-to-accident curve rows. Run it on two trees and compare the lines.
+The first form imports ``riskrnn`` from SRC_DIR (a checkout's ``src``) and
+prints, for seeds 7 and 11, one digest over all the outputs on the first
+line, then one digest for each part on its own line: ``data``, the bytes of
+the three dataset files as written; ``train``, for each of the four
+variants, the training history and the trained weights; and ``eval``, for
+the untrained and the trained model of each variant, the eval report's
+fields, each test video's frame probabilities, region scores and track
+count, and the time-to-accident curve rows.
+
+The second form digests each tree in a process of its own, prints each
+tree's name and its lines, then ``same``, or ``differ:`` and the parts that
+differ, and exits 1 if any part does.
 """
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -70,21 +77,47 @@ def output_digest(seeds=SEEDS, **sizes) -> dict[str, str]:
     return {name: digest.hexdigest() for name, digest in digests.items()}
 
 
-def main(argv) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    src = Path(argv[0]).resolve()
+def tree_digest(src, seeds=SEEDS, **sizes) -> dict[str, str]:
+    """``output_digest`` of the ``riskrnn`` that the tree ``src`` holds.
+    Raises ImportError if this process imports ``riskrnn`` from elsewhere,
+    as it does once it has imported another tree's."""
+    src = Path(src).resolve()
     sys.path.insert(0, str(src))
     import riskrnn
     if not Path(riskrnn.__file__).resolve().is_relative_to(src):
-        print(f"error: riskrnn was imported from {riskrnn.__file__}, not from {src}",
-              file=sys.stderr)
+        raise ImportError(f"riskrnn was imported from {riskrnn.__file__}, not from {src}")
+    return output_digest(seeds, **sizes)
+
+
+def digest_lines(digests) -> list[str]:
+    return [digests["all"], *(f"{part} {digests[part]}" for part in PARTS)]
+
+
+def compare(trees, seeds=SEEDS, **sizes) -> int:
+    """Digest each of two trees in a new process of its own, print its name
+    and its lines, and name the parts that differ; returns 1 if any does."""
+    digests = []
+    for src in trees:
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            digests.append(pool.submit(tree_digest, src, seeds, **sizes).result())
+        print(src, *digest_lines(digests[-1]), sep="\n")
+    differ = [part for part in PARTS if digests[0][part] != digests[1][part]]
+    print(f"differ: {' '.join(differ)}" if differ else "same")
+    return 1 if differ else 0
+
+
+def main(argv) -> int:
+    if len(argv) == 2:
+        return compare(argv)
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    try:
+        digests = tree_digest(argv[0])
+    except ImportError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 1
-    digests = output_digest()
-    print(digests["all"])
-    for part in PARTS:
-        print(f"{part} {digests[part]}")
+    print(*digest_lines(digests), sep="\n")
     return 0
 
 

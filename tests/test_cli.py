@@ -63,7 +63,7 @@ def test_unknown_key_is_a_configuration_error(tmp_path):
 
 
 def test_an_override_is_a_pair_or_one_key_value_token(tmp_path, capsys):
-    # as argparse takes --out and --seed, either form, in any mix
+    # as argparse takes --out, either form, in any mix; the seed is one more key
     assert main(["generate", "--out", str(tmp_path), "--n_train=2", "--n_val", "1",
                  "--n_test=2", "--frames_per_video", "4", "--seed=3"]) == 0
     assert [line.split(" (")[0] for line in capsys.readouterr().out.splitlines()] == [
@@ -86,6 +86,23 @@ def test_out_of_range_value_is_a_configuration_error(tmp_path, capsys, key, valu
     assert main(["generate", "--out", str(tmp_path), f"--{key}", value, *TINY]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not any(tmp_path.iterdir())
+
+
+def test_a_seed_that_is_not_an_int_is_a_configuration_error(tmp_path, capsys):
+    # the seed is one more '--key value' override, parsed as every key is
+    assert main(["generate", "--out", str(tmp_path), "--seed", "abc", *TINY]) == 2
+    assert capsys.readouterr().err == ("configuration error: cannot parse 'abc' as int "
+                                       "for key 'seed'\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["test.dat", "missing.cfg"], ids=["not text", "missing"])
+def test_an_unreadable_config_file_is_a_configuration_error_naming_it(
+        data_dir, tmp_path, capsys, name):
+    config, out = data_dir / name, tmp_path / "out"
+    assert main(["generate", "--out", str(out), "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {config}: ")
+    assert not out.exists()
 
 
 # exp of the jittered proposal sides overflows; the dataset check, not the
@@ -173,6 +190,14 @@ def test_a_hand_edited_model_file_is_a_runtime_failure_naming_it(
                  "--out", str(tmp_path / "report.txt"), *TINY]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {model}: ") and says in err
+
+
+def test_a_model_file_that_is_not_text_is_a_runtime_failure_naming_it(
+        data_dir, tmp_path, capsys):
+    model = data_dir / "test.dat"
+    assert main(["eval", "--data", str(data_dir), "--model", str(model),
+                 "--out", str(tmp_path / "report.txt"), *TINY]) == 1
+    assert capsys.readouterr().err == f"error: {model}: not a RISKRNN-MODEL v1 file\n"
 
 
 @pytest.fixture(scope="module")

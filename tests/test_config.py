@@ -59,7 +59,7 @@ def test_every_model_key_reaches_model_config():
     assert {key: getattr(cfg, key) for key in changed} == changed
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 NAN_SETTINGS = {
     "model lambdas": ModelConfig(lambdas=(NAN, 0.4)),
     "run lambdas": RunConfig(lambdas=(0.6, NAN)),
@@ -70,13 +70,19 @@ NAN_SETTINGS = {
     "noise_sigma": ScenarioConfig(noise_sigma=NAN),
     "proposal_jitter": ScenarioConfig(proposal_jitter=NAN),
     "collision_iou": ScenarioConfig(collision_iou=NAN),
+    "lr inf": RunConfig(lr=INF),
+    "time_scale inf": RunConfig(time_scale=INF),
+    "fps inf": RunConfig(fps=INF),
+    "noise_sigma inf": ScenarioConfig(noise_sigma=INF),
+    "proposal_jitter inf": ScenarioConfig(proposal_jitter=INF),
 }
 
 
 @pytest.mark.parametrize("config", NAN_SETTINGS.values(), ids=NAN_SETTINGS.keys())
 def test_a_nan_setting_fails_validation(config):
-    # a comparison that NaN passes would let it through; the CLI rejects
-    # non-finite values when it parses them, but a config built in code is
-    # only validated
+    # a comparison that NaN or infinity passes would let it through; the CLI
+    # rejects non-finite values when it parses them, but a config built in
+    # code is only validated, and an infinite noise level writes features
+    # that the dataset check then rejects
     with pytest.raises(ValueError, match="must"):
         config.validate()

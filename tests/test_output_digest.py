@@ -1,9 +1,14 @@
 """The digests tests/output_digest.py prints to compare two trees bit for
 bit: at a tiny size they are the same on a second run, and each differs by
-seed."""
-from output_digest import PARTS, output_digest
+seed; and its two-tree form, which names each part that differs."""
+import shutil
+from pathlib import Path
+
+import riskrnn
+from output_digest import PARTS, compare, output_digest
 
 TINY = dict(n_train=2, n_val=1, n_test=2, epochs=1, frames_per_video=4, n_regions=3)
+SRC = Path(riskrnn.__file__).parents[1]
 
 
 def test_one_tree_gives_one_digest_and_each_seed_its_own():
@@ -14,3 +19,21 @@ def test_one_tree_gives_one_digest_and_each_seed_its_own():
     assert output_digest(seeds=(7,), **TINY) == first
     other = output_digest(seeds=(11,), **TINY)
     assert all(other[name] != first[name] for name in first)
+
+
+def test_two_trees_are_compared_part_by_part(tmp_path, capsys):
+    assert compare([SRC, SRC], seeds=(7,), **TINY) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "same"
+    # a loss constant changes training, and so the trained models' eval,
+    # but not the data
+    changed = tmp_path / "src"
+    shutil.copytree(SRC / "riskrnn", changed / "riskrnn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    losses = changed / "riskrnn" / "losses.py"
+    source = losses.read_text()
+    assert "RISKY_IOU_THRESHOLD = 0.4\n" in source
+    losses.write_text(source.replace("RISKY_IOU_THRESHOLD = 0.4\n", "RISKY_IOU_THRESHOLD = 1.0\n"))
+    assert compare([SRC, changed], seeds=(7,), **TINY) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == str(SRC) and lines[5] == str(changed)
+    assert lines[-1] == "differ: train eval"

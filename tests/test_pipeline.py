@@ -24,16 +24,25 @@ def samples():
     return generate_split(CFG.scenario_config(), CFG.n_test, "test")
 
 
+def each_video(samples, cfg):
+    """Each video with its rows of the split's ``detected_tracks`` table, as
+    the table of a batch of that video alone."""
+    boxes, feats, video_of = detected_tracks(samples, cfg)
+    return [(sample, (boxes[video_of == v], feats[video_of == v],
+                      np.zeros((video_of == v).sum(), dtype=int)))
+            for v, sample in enumerate(samples)]
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_each_frame_follows_its_most_alarmed_track(samples, variant):
     model = RiskModel.create(CFG.model_config(variant), seed=6)
-    for sample, (boxes, feats) in zip(samples, detected_tracks(samples, CFG)):
-        out = model.forward_video(track_inputs(boxes, feats, stack_regions([sample]),
-                                               np.zeros(len(boxes), dtype=int)))
+    for sample, tracks in each_video(samples, CFG):
+        boxes, feats, video_of = tracks
+        out = model.forward_video(track_inputs(boxes, feats, stack_regions([sample]), video_of))
         # column t * K + k is track k at frame t
         probs = out.y[:, 1].reshape(sample.n_frames, len(boxes))
         scores = out.s.reshape(sample.n_frames, len(boxes), -1)
-        [result] = eval_video(model, [sample], [(boxes, feats)])
+        [result] = eval_video(model, [sample], tracks)
         assert result.n_tracks == len(boxes) > 1
         assert len(result.frame_probs) == len(result.region_scores) == sample.n_frames
         assert result.region_boxes is sample.region_box
@@ -57,10 +66,9 @@ def test_the_batched_pass_matches_one_forward_per_track(samples, variant, fused)
     # the batched matmuls sum in another order than one track's, so the
     # columns agree with the separate forwards to rounding, not bit for bit
     model = RiskModel.create(CFG.model_config(variant), seed=6)
-    for sample, (boxes, feats) in zip(samples, detected_tracks(samples, CFG)):
+    for sample, (boxes, feats, video_of) in each_video(samples, CFG):
         regions = stack_regions([sample])
-        y, s = outputs(model.forward_video(
-            track_inputs(boxes, feats, regions, np.zeros(len(boxes), dtype=int))), fused)
+        y, s = outputs(model.forward_video(track_inputs(boxes, feats, regions, video_of)), fused)
         for k in range(len(boxes)):
             y_k, s_k = outputs(model.forward_video(
                 track_inputs(boxes[k:k + 1], feats[k:k + 1], regions, [0])), fused)
@@ -106,9 +114,9 @@ def test_one_video_per_pass_is_eval_video_on_each_video_alone(ten_samples, varia
     cfg = replace(CFG, batch_size=1)
     model = RiskModel.create(cfg.model_config(variant), seed=6)
     summary = evaluate_model(model, ten_samples, cfg)
-    for sample, tracks, result in zip(ten_samples, detected_tracks(ten_samples, cfg),
-                                      summary.videos, strict=True):
-        [alone] = eval_video(model, [sample], [tracks])
+    for (sample, tracks), result in zip(each_video(ten_samples, cfg), summary.videos,
+                                        strict=True):
+        [alone] = eval_video(model, [sample], tracks)
         assert (result.video_id, result.n_tracks) == (alone.video_id, alone.n_tracks)
         np.testing.assert_array_equal(result.frame_probs, alone.frame_probs)
         np.testing.assert_array_equal(result.region_scores, alone.region_scores)

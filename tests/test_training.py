@@ -1,8 +1,10 @@
 """The training loop: the best-validation model it returns, its checks on the
-loss and on the shapes of a split, and its determinism; and the model input
-it builds from the tracks' and the videos' arrays."""
+loss and on the shapes of a split, and its determinism; a split's track
+table and the rows a pass selects from it; and the model input it builds
+from the tracks' and the videos' arrays."""
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskrnn import training
+from riskrnn.autodiff import Tape
 from riskrnn.config import RunConfig
+from riskrnn.model import RiskModel
 from riskrnn.nn import TrainingError
+from riskrnn.pipeline import evaluate_model
 from riskrnn.synthworld import generate_scenario, generate_split
-from riskrnn.training import _Split, _validation_pass, stack_regions, track_inputs, train_model
+from riskrnn.tracking import deduplicate_tracks, track_by_detection
+from riskrnn.training import (_Split, _validation_pass, detected_tracks, stack_regions,
+                              track_inputs, train_model)
 
 from helpers import TINY_CONFIG, random_video
 
@@ -134,6 +141,53 @@ def test_one_seed_gives_one_run(splits):
     assert first_history == second_history
     for pm in first.store:
         assert np.array_equal(pm.values, second.store[pm.name].values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16), n_videos=st.integers(1, 4),
+       n_frames=st.integers(2, 4), dedup_iou=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       batch_size=st.integers(1, 4))
+def test_a_splits_tracks_are_one_table_of_each_videos_rows(data, seed, n_videos, n_frames,
+                                                          dedup_iou, batch_size):
+    cfg = RunConfig(seed=seed, frames_per_video=n_frames, n_regions=2, feature_dim=4,
+                    n_classes=2, n_distractor_proposals=3, top_init=4, dedup_iou=dedup_iou,
+                    batch_size=batch_size)
+    videos = generate_split(cfg.scenario_config(), n_videos, "train")
+    # the per-video reference: each video tracked alone, and the tracker's
+    # rows at its deduplicated indices
+    reference = []
+    for v in videos:
+        [boxes], [feats], [scores] = track_by_detection(
+            [v.proposal_box], [v.proposal_feat], [v.proposal_score], top_init=cfg.top_init,
+            top_iou=cfg.top_iou)
+        kept = deduplicate_tracks(boxes, scores, overlap_iou=dedup_iou)
+        reference.append((boxes[kept], feats[kept]))
+
+    table = detected_tracks(videos, cfg)
+    np.testing.assert_array_equal(table[0], np.concatenate([b for b, _ in reference]))
+    np.testing.assert_array_equal(table[1], np.concatenate([f for _, f in reference]))
+    np.testing.assert_array_equal(table[2], np.repeat(np.arange(n_videos),
+                                                      [len(b) for b, _ in reference]))
+
+    # a batch's rows of the split are the candidates the per-video lists,
+    # annotated track first, give its picks
+    split = _Split(videos, cfg.horizon, cfg.time_scale, table)
+    candidates = [(np.concatenate([v.agent_box[None], b]),
+                   np.concatenate([v.agent_feat[None], f]))
+                  for v, (b, f) in zip(videos, reference)]
+    batch = np.array(data.draw(st.permutations(range(n_videos)))[:batch_size])
+    picks = [data.draw(st.integers(0, len(candidates[i][0]) - 1)) for i in batch]
+    model = RiskModel.create(cfg.model_config("RA"), seed=0)
+    with mock.patch.object(training, "track_inputs", wraps=track_inputs) as spy:
+        split.loss(model, batch, picks, Tape(train=False))
+    boxes, feats, _, video_of = spy.call_args.args
+    np.testing.assert_array_equal(boxes, [candidates[i][0][k] for i, k in zip(batch, picks)])
+    np.testing.assert_array_equal(feats, [candidates[i][1][k] for i, k in zip(batch, picks)])
+    np.testing.assert_array_equal(video_of, batch)
+
+    # eval runs each video's rows, batch_size videos per pass
+    summary = evaluate_model(model, videos, cfg)
+    assert [result.n_tracks for result in summary.videos] == [len(b) for b, _ in reference]
 
 
 @settings(max_examples=60, deadline=None)
