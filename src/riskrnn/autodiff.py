@@ -14,8 +14,9 @@ nothing in the backward sweep.
 The ops are the ones the risk model and its losses run, on whole-video
 matrices: broadcasting arithmetic, the nonlinearities and matrix and shape
 ops they need, and three fused ops with hand-derived backward passes. These
-are ``lstm``, the only LSTM, which runs S steps of B independent cells on
-step-major columns, ``relative_config`` and ``apply_box_transform``. Tests compose references
+are ``lstm``, the only LSTM, which runs S steps of B independent cells
+(frame-major columns outside, one contiguous block per step inside),
+``relative_config`` and ``apply_box_transform``. Tests compose references
 from these ops and from the few extra ops in tests/oracles.py.
 
 A tape is single-use for backward; build a fresh one per forward/backward
@@ -295,6 +296,15 @@ def lstm(w: Node, b: Node, x: Node, h0: Node | None = None, c0: Node | None = No
     product dZ @ [X; H_prev]^T and passes gradients on to ``x``, ``h0`` and
     ``c0``. Fusing the gates and the recurrence into one taped op keeps node
     counts low, which dominates training cost at desk scale.
+
+    Inside, the steps are step-major: the gates, states and gradients of
+    step t are one contiguous (·, B) block of an (S, ·, B) array, so each
+    step's elementwise calls run on contiguous memory, not on B strided
+    columns of frame-major arrays; the gates become activations in place.
+    The output, and dZ and H_prev before the weight gradient, are transposed
+    back to frame-major columns once, so that dZ @ [X; H_prev]^T and the
+    bias sum reduce over the columns in the order the input gives them and
+    round exactly as a loop over frame-major columns does.
     """
     wv, xv = w.value, x.value
     hdim = wv.shape[0] // 4
@@ -309,46 +319,60 @@ def lstm(w: Node, b: Node, x: Node, h0: Node | None = None, c0: Node | None = No
     n_in, columns = xv.shape
     steps = columns // batch
     w_x, w_h = wv[:, :n_in], wv[:, n_in:]
-    z_in = w_x @ xv + b.value
-    acts = np.empty((4 * hdim, columns))  # [input; forget; candidate; output] gates
-    tanh_c = np.empty((hdim, columns))
-    hc = np.empty((2 * hdim, columns))    # [hidden; cell]
+    # step t's gates are the contiguous (4H, B) block acts[t], preactivations
+    # until the step turns them into activations in place
+    acts = np.empty((steps, 4 * hdim, batch))
+    np.add((w_x @ xv).reshape(4 * hdim, steps, batch).transpose(1, 0, 2), b.value, out=acts)
+    tanh_c = np.empty((steps, hdim, batch))
+    hc = np.empty((steps, 2 * hdim, batch))  # [hidden; cell]
+    i, f, g_, o = (acts[:, k * hdim:(k + 1) * hdim] for k in range(4))
     h, c = h0v, c0v
-    for t in range(steps):
-        step = slice(t * batch, (t + 1) * batch)
-        z = z_in[:, step] + w_h @ h
-        a = _logistic(z)
-        a[2 * hdim:3 * hdim] = np.tanh(z[2 * hdim:3 * hdim])
-        c = a[hdim:2 * hdim] * c + a[0:hdim] * a[2 * hdim:3 * hdim]
-        tanh_c[:, step] = np.tanh(c)
-        h = a[3 * hdim:] * tanh_c[:, step]
-        acts[:, step] = a
-        hc[:hdim, step] = h
-        hc[hdim:, step] = c
+    # below about -709 exp(-z) overflows to inf, which gives exactly 0, the right limit
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            z = acts[t]
+            z += w_h @ h
+            candidate = np.tanh(z[2 * hdim:3 * hdim])
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)  # the logistic of every gate ...
+            g_[t] = candidate         # ... but the candidate's, a tanh
+            c_prev = c
+            h, c = hc[t, :hdim], hc[t, hdim:]
+            np.multiply(f[t], c_prev, out=c)
+            c += i[t] * g_[t]
+            np.tanh(c, out=tanh_c[t])
+            np.multiply(o[t], tanh_c[t], out=h)
 
     def backward(grad):
-        i, f, g_, o = acts[0:hdim], acts[hdim:2 * hdim], acts[2 * hdim:3 * hdim], acts[3 * hdim:]
-        h_prev = np.concatenate([h0v, hc[:hdim, :-batch]], axis=1)
-        c_prev = np.concatenate([c0v, hc[hdim:, :-batch]], axis=1)
+        c_prev = np.concatenate([c0v[None], hc[:-1, hdim:]])
         # local derivatives, an entry per step and cell: of the input, forget
         # and candidate preactivations per unit of cell gradient, of the
         # output preactivation per unit of hidden gradient, and of
         # hidden = o * tanh(cell) with respect to the cell
-        dz_dc = np.stack([g_ * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g_ * g_)])
+        dz_dc = np.stack([g_ * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g_ * g_)],
+                         axis=1)
         dz_dh = tanh_c * o * (1.0 - o)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty((4 * hdim, columns))
-        dz_cell = dz[:3 * hdim].reshape(3, hdim, columns)
+        grad = np.ascontiguousarray(grad.reshape(2 * hdim, steps, batch).transpose(1, 0, 2))
+        dz = np.empty((steps, 4 * hdim, batch))
         dh_next = dc_next = np.zeros((hdim, batch))
         for t in range(steps - 1, -1, -1):
-            step = slice(t * batch, (t + 1) * batch)
-            dh = grad[:hdim, step] + dh_next
-            dc = grad[hdim:, step] + dc_next + dh * dc_dh[:, step]
-            dz_cell[:, :, step] = dc * dz_dc[:, :, step]
-            dz[3 * hdim:, step] = dh * dz_dh[:, step]
-            dc_next = dc * f[:, step]
-            dh_next = (dz[:, step].T @ w_h).T
-        _accum(w, dz @ np.concatenate([xv, h_prev]).T)
+            dh = grad[t, :hdim] + dh_next
+            dc = grad[t, hdim:] + dc_next + dh * dc_dh[t]
+            np.multiply(dc, dz_dc[t], out=dz[t, :3 * hdim].reshape(3, hdim, batch))
+            np.multiply(dh, dz_dh[t], out=dz[t, 3 * hdim:])
+            dc_next = dc * f[t]
+            dh_next = (dz[t].T @ w_h).T
+        # back to frame-major columns, so that the weight and bias gradients
+        # sum over the columns in the order of the input's
+        dz = np.ascontiguousarray(dz.transpose(1, 0, 2)).reshape(4 * hdim, columns)
+        xh = np.empty((n_in + hdim, steps, batch))  # [input; previous hidden]
+        xh[:n_in] = xv.reshape(n_in, steps, batch)
+        xh[n_in:, 0] = h0v
+        xh[n_in:, 1:] = hc[:-1, :hdim].transpose(1, 0, 2)
+        _accum(w, dz @ xh.reshape(n_in + hdim, columns).T)
         _accum(b, dz.sum(axis=1, keepdims=True))
         if x.requires_grad:
             _accum(x, w_x.T @ dz)
@@ -357,7 +381,8 @@ def lstm(w: Node, b: Node, x: Node, h0: Node | None = None, c0: Node | None = No
         if c0 is not None:
             _accum(c0, dc_next)
     states = tuple(s for s in (h0, c0) if s is not None)
-    out = w.tape._make(hc, (w, b, x) + states, backward)
+    out = w.tape._make(np.ascontiguousarray(hc.transpose(1, 0, 2)).reshape(2 * hdim, columns),
+                       (w, b, x) + states, backward)
     return vec_slice(out, 0, hdim), vec_slice(out, hdim, 2 * hdim)
 
 

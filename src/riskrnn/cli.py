@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import ConfigError, load_run_config
 from .evaluation import risk_map_raster, write_curve_csv, write_pgm, write_report
 from .model import VARIANTS, RiskModel
-from .pipeline import eval_video, evaluate_model
+from .pipeline import check_scorable, eval_video, evaluate_model
 from .synthworld import generate_split, read_dataset, write_dataset
 from .training import detected_tracks, train_model, write_training_log
 
@@ -96,7 +97,19 @@ def cmd_generate(cfg, args) -> int:
     return 0
 
 
+def _check_output_dirs(**paths) -> None:
+    """Raise ConfigError naming the first ``--flag path`` of the keyword
+    arguments whose directory does not exist, so that a command fails before
+    it does its work, not after."""
+    for flag, path in paths.items():
+        directory = Path(path).parent
+        if not directory.is_dir():
+            raise ConfigError(f"--{flag} {path}: no directory '{directory}'")
+
+
 def cmd_train(cfg, args) -> int:
+    log_path = args.log or f"{args.out}.log.csv"
+    _check_output_dirs(out=args.out, log=log_path)
     if Path(args.data).is_file():  # one file would serve as both splits
         raise ConfigError(f"--data {args.data}: train needs a dataset directory, not a file")
     train_videos = read_dataset(_dataset_path(args.data, "train"))
@@ -109,7 +122,6 @@ def cmd_train(cfg, args) -> int:
     model, history = train_model(cfg, args.variant, train_videos, val_videos,
                                  progress=progress)
     model.save(args.out)
-    log_path = args.log or f"{args.out}.log.csv"
     write_training_log(log_path, history)
     best = min(history, key=lambda s: s.val_loss)
     print(f"trained {args.variant} for {len(history)} epochs "
@@ -118,9 +130,23 @@ def cmd_train(cfg, args) -> int:
     return 0
 
 
+@contextmanager
+def _naming(path):
+    """Prefix a ValueError raised inside with ``path``, the data file whose
+    split cannot be scored."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def cmd_eval(cfg, args) -> int:
+    _check_output_dirs(out=args.out)
     path = _dataset_path(args.data, "test")
     samples = read_dataset(path)
+    with _naming(path):  # the split is tracked once, for every model
+        check_scorable(samples)
+        tracks = detected_tracks(samples, cfg)
     sections = {}
     out = Path(args.out)
     for model_path in args.model:
@@ -128,10 +154,8 @@ def cmd_eval(cfg, args) -> int:
         name = model.cfg.variant
         if name in sections:
             name = f"{name}#{sum(1 for k in sections if k.split('#')[0] == model.cfg.variant)}"
-        try:
-            summary = evaluate_model(model, samples, cfg)
-        except ValueError as err:  # the split cannot be scored: name its file
-            raise ValueError(f"{path}: {err}") from err
+        with _naming(path):
+            summary = evaluate_model(model, samples, cfg, tracks=tracks)
         sections[name] = summary.report_fields()
         curve_path = out.with_name(f"{out.stem}_curves_{name.replace('#', '_')}.csv")
         write_curve_csv(curve_path, summary.curve_rows)
@@ -170,6 +194,7 @@ def _eval_one_video(cfg, args):
 
 
 def cmd_infer(cfg, args) -> int:
+    _check_output_dirs(out=args.out)
     sample, result = _eval_one_video(cfg, args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

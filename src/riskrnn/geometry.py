@@ -45,15 +45,22 @@ def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Areas are computed from the same corner expressions as the overlap so a
     box's IoU with itself is exactly 1 despite rounding. A row of NaNs gives
     NaN, which no threshold comparison passes.
+
+    The corners of each input are computed once, over its own (..., 2)
+    arrays. The overlap, which broadcasts to the output's shape, is then
+    taken for the x and the y axis apart: a broadcast over a trailing axis of
+    length 2 costs several times one over the leading axes alone.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     a_center, b_center = a[..., :2], b[..., :2]
     a_half, b_half = 0.5 * a[..., 2:], 0.5 * b[..., 2:]
     a_lo, a_hi = a_center - a_half, a_center + a_half
     b_lo, b_hi = b_center - b_half, b_center + b_half
-    span = np.maximum(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0.0)
     a_side, b_side = a_hi - a_lo, b_hi - b_lo
-    inter = span[..., 0] * span[..., 1]
+    inter = (np.maximum(np.minimum(a_hi[..., 0], b_hi[..., 0])
+                        - np.maximum(a_lo[..., 0], b_lo[..., 0]), 0.0)
+             * np.maximum(np.minimum(a_hi[..., 1], b_hi[..., 1])
+                          - np.maximum(a_lo[..., 1], b_lo[..., 1]), 0.0))
     return inter / (a_side[..., 0] * a_side[..., 1] + b_side[..., 0] * b_side[..., 1] - inter)
 
 

@@ -36,14 +36,16 @@ class ParamMatrix:
 class ParameterStore:
     """Zero-filled parameters laid out in the order of the ``(name, shape)``
     pairs given, in a flat ``values`` vector with a ``grad`` vector of the same
-    length. The first adam_step adds ``adam_m`` and ``adam_v`` of that length."""
+    length. The first adam_step adds ``adam_m`` and ``adam_v`` of that length,
+    and the ``adam_scratch`` vector its steps work in."""
 
     def __init__(self, shapes):
         shapes = list(shapes)
         size = sum(math.prod(shape) for _, shape in shapes)
         self.values = np.zeros(size)
         self.grad = np.zeros(size)
-        self.adam_m = self.adam_v = None  # a model that only infers needs no moments
+        # a model that only infers needs no moments
+        self.adam_m = self.adam_v = self.adam_scratch = None
         self._params: dict[str, ParamMatrix] = {}
         start = 0
         for name, shape in shapes:
@@ -116,6 +118,12 @@ def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,
     ``t`` is the 1-based step index; first and second moments persist in the
     store across calls. One elementwise pass updates the whole flat vector;
     a non-finite gradient anywhere leaves every parameter unchanged.
+
+    Every operation writes into the store's vectors: the gradient, which the
+    step zeroes anyway, holds the update's denominator, and ``adam_scratch``
+    the scaled gradients and then its numerator, so a step allocates
+    nothing. Each value is the product or quotient of the textbook form,
+    operands swapped at most, so the result is the same bit for bit.
     """
     if t < 1:
         raise ValueError(f"adam step index must be >= 1, got {t}")
@@ -123,17 +131,20 @@ def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,
     if bad is not None:
         raise TrainingError(f"non-finite gradient in parameter {bad!r}")
     if store.adam_m is None:
-        store.adam_m, store.adam_v = np.zeros_like(store.grad), np.zeros_like(store.grad)
-    g, m, v = store.grad, store.adam_m, store.adam_v
-    # the moments update in place, but the scaled gradients, m_hat, v_hat and
-    # each term of the update are still temporaries as long as the parameters
+        store.adam_m, store.adam_v, store.adam_scratch = (np.zeros_like(store.grad)
+                                                          for _ in range(3))
+    g, m, v, s = store.grad, store.adam_m, store.adam_v, store.adam_scratch
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += np.multiply(g, 1.0 - beta1, out=s)
     v *= beta2
-    v += (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    store.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.multiply(g, 1.0 - beta2, out=s)
+    v += np.multiply(s, g, out=s)
+    np.divide(m, 1.0 - beta1 ** t, out=s)  # m_hat
+    s *= lr
+    np.divide(v, 1.0 - beta2 ** t, out=g)  # v_hat
+    np.sqrt(g, out=g)
+    g += eps
+    store.values -= np.divide(s, g, out=s)
     g.fill(0.0)
 
 

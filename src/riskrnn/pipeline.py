@@ -87,15 +87,26 @@ def eval_video(model: RiskModel, samples, tracks) -> list[VideoEvalResult]:
             for sample, video_probs, video_scores in zip(samples, probs, region_scores)]
 
 
-def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig) -> EvalSummary:
-    """Score the split, ``run_cfg.batch_size`` videos per forward pass; one
-    without a positive video raises ValueError before any tracking or
-    forward pass."""
-    samples = list(samples)
+def check_scorable(samples) -> None:
+    """Raise ValueError if the split has no positive video, which
+    anticipation AP, ATTA and region AP all need."""
     if not any(sample.positive for sample in samples):
         raise ValueError(f"no positive video among the {len(samples)} test videos; "
                          f"anticipation AP, ATTA and region AP need at least one")
-    boxes, feats, video_of = detected_tracks(samples, run_cfg)
+
+
+def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig, *,
+                   tracks=None) -> EvalSummary:
+    """Score the split, ``run_cfg.batch_size`` videos per forward pass.
+
+    ``tracks`` is the split's ``detected_tracks`` table under ``run_cfg``,
+    which depends on no model, so a caller that scores several models on one
+    split tracks it once and passes the table to each call; with none given
+    the split is tracked here. A split without a positive video raises
+    ValueError before any tracking or forward pass."""
+    samples = list(samples)
+    check_scorable(samples)
+    boxes, feats, video_of = detected_tracks(samples, run_cfg) if tracks is None else tracks
     results = []
     for start in range(0, len(samples), run_cfg.batch_size):
         stop = start + run_cfg.batch_size

@@ -8,8 +8,12 @@ are collapsed onto the one with the best average object score.
 
 The tracker runs V videos at once, and they share one shape as a split's
 videos do: one frame count, proposal count and feature size. Every step is
-one IoU gate, one similarity matmul and one lexsort over a leading video
-axis, and each video's result is the one it would get alone. It reads the
+one IoU gate, one similarity matmul and one pick over a leading video
+axis, and each video's result is the one it would get alone. The pick
+takes, among a track's gate, the candidates of the highest similarity,
+then among those the highest object score, then the lowest proposal
+index: two max reductions and one min over the gate, no sort, which holds
+for the finite features and scores a dataset holds. It reads the
 videos' proposal arrays as the dataset holds them, (T, M, ·) per video, and
 stacks each frame's (V, M, ·) arrays when it reaches it. Tracks stay arrays
 throughout: a video's K tracks are its (K, T, ·) row of the tracker's
@@ -62,9 +66,14 @@ def track_by_detection(boxes, feats, scores, top_init: int = 10, top_iou: int = 
                      * np.linalg.norm(frame_feats, axis=2)[:, None])
             similarity = np.divide(track_feats @ frame_feats.transpose(0, 2, 1), norms,
                                    out=np.zeros_like(norms), where=norms != 0.0)
-            order = np.lexsort((gate, -frame_scores[rows[:, :, None], gate],
-                                -np.take_along_axis(similarity, gate, axis=2)), axis=2)
-            chosen = np.take_along_axis(gate, order[:, :, :1], axis=2)[:, :, 0]
+            # of the gate: the most similar candidates, which keep their
+            # scores (the rest -inf); of these the top scored, which keep
+            # their proposal index (the rest M); of these the lowest index
+            gate_similarity = np.take_along_axis(similarity, gate, axis=2)
+            gate_scores = np.where(gate_similarity == gate_similarity.max(axis=2, keepdims=True),
+                                   frame_scores[rows[:, :, None], gate], -np.inf)
+            chosen = np.where(gate_scores == gate_scores.max(axis=2, keepdims=True), gate,
+                              frame_scores.shape[1]).min(axis=2)
         track_boxes, track_feats = frame_boxes[rows, chosen], frame_feats[rows, chosen]
         for part, picked in zip(tracks, (track_boxes, track_feats, frame_scores[rows, chosen])):
             part[:, :, t] = picked

@@ -218,7 +218,7 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
 
         if val_loss < best_val:
             best_val = val_loss
-            best_values = model.store.values.copy()
+            np.copyto(best_values, model.store.values)
             epochs_since_best = 0
         else:
             epochs_since_best += 1

@@ -6,6 +6,8 @@ built from the arrays' rows.
   of a sequence of boxes;
 - the per-frame forward and loss that the model computed before it ran whole
   videos as column passes, written out with numpy and the scalar geometry;
+- the LSTM op as it ran before it held its steps step-major, a loop over
+  strided column blocks of frame-major arrays;
 - the tracker, one video, one track and one proposal at a time over scalar
   IoU, the way it was written before it ran a split's videos as arrays, and
   deduplication over its Track records;
@@ -141,6 +143,59 @@ def lstm_step(W, b, x, h, c):
     g, o = np.tanh(z[2 * hdim:3 * hdim]), sigmoid(z[3 * hdim:])
     c = f * c + i * g
     return o * np.tanh(c), c
+
+
+def frame_major_lstm(w: Node, b: Node, x: Node, h0: Node, c0: Node) -> Node:
+    """autodiff.lstm from given (H, B) states, the way it ran before it held
+    its steps step-major: each step's gates, states and gradients are
+    strided (·, B) column blocks of frame-major (·, S * B) arrays. Returns
+    the one (2H, S * B) [hidden; cell] node that autodiff.lstm slices."""
+    wv, xv, h0v, c0v = w.value, x.value, h0.value, c0.value
+    hdim, batch = h0v.shape
+    n_in, columns = xv.shape
+    steps = columns // batch
+    w_x, w_h = wv[:, :n_in], wv[:, n_in:]
+    z_in = w_x @ xv + b.value
+    acts = np.empty((4 * hdim, columns))
+    tanh_c = np.empty((hdim, columns))
+    hc = np.empty((2 * hdim, columns))
+    h, c = h0v, c0v
+    for t in range(steps):
+        step = slice(t * batch, (t + 1) * batch)
+        z = z_in[:, step] + w_h @ h
+        a = sigmoid(z)
+        a[2 * hdim:3 * hdim] = np.tanh(z[2 * hdim:3 * hdim])
+        c = a[hdim:2 * hdim] * c + a[0:hdim] * a[2 * hdim:3 * hdim]
+        tanh_c[:, step] = np.tanh(c)
+        h = a[3 * hdim:] * tanh_c[:, step]
+        acts[:, step] = a
+        hc[:hdim, step] = h
+        hc[hdim:, step] = c
+
+    def backward(grad):
+        i, f, g_, o = acts[0:hdim], acts[hdim:2 * hdim], acts[2 * hdim:3 * hdim], acts[3 * hdim:]
+        h_prev = np.concatenate([h0v, hc[:hdim, :-batch]], axis=1)
+        c_prev = np.concatenate([c0v, hc[hdim:, :-batch]], axis=1)
+        dz_dc = np.stack([g_ * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g_ * g_)])
+        dz_dh = tanh_c * o * (1.0 - o)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((4 * hdim, columns))
+        dz_cell = dz[:3 * hdim].reshape(3, hdim, columns)
+        dh_next = dc_next = np.zeros((hdim, batch))
+        for t in range(steps - 1, -1, -1):
+            step = slice(t * batch, (t + 1) * batch)
+            dh = grad[:hdim, step] + dh_next
+            dc = grad[hdim:, step] + dc_next + dh * dc_dh[:, step]
+            dz_cell[:, :, step] = dc * dz_dc[:, :, step]
+            dz[3 * hdim:, step] = dh * dz_dh[:, step]
+            dc_next = dc * f[:, step]
+            dh_next = (dz[:, step].T @ w_h).T
+        _accum(w, dz @ np.concatenate([xv, h_prev]).T)
+        _accum(b, dz.sum(axis=1, keepdims=True))
+        _accum(x, w_x.T @ dz)
+        _accum(h0, dh_next)
+        _accum(c0, dc_next)
+    return w.tape._make(hc, (w, b, x, h0, c0), backward)
 
 
 def score_regions(p, agent_code, agent_box, region_boxes, region_feats):

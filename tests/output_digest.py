@@ -16,15 +16,24 @@ count, and the time-to-accident curve rows.
 The second form digests each tree in a process of its own, prints each
 tree's name and its lines, then ``same``, or ``differ:`` and the parts that
 differ, and exits 1 if any part does.
+
+Both forms digest each tree in a spawned process whose
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` are 1
+before it loads numpy: a matrix product may round differently with more
+BLAS threads, so the digests do not depend on the shell's setting. After
+the digest lines (in the second form, before the verdict) a ``blas`` line
+names the BLAS library and the thread settings the digests were made with.
 """
 from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -33,6 +42,7 @@ PARTS = ("data", "train", "eval")
 # every variant trains for several epochs of several batches, and each split
 # holds several positives; one core runs it in a few seconds
 SIZES = dict(n_train=20, n_val=5, n_test=30, epochs=8)
+BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def output_digest(seeds=SEEDS, **sizes) -> dict[str, str]:
@@ -77,16 +87,29 @@ def output_digest(seeds=SEEDS, **sizes) -> dict[str, str]:
     return {name: digest.hexdigest() for name, digest in digests.items()}
 
 
-def tree_digest(src, seeds=SEEDS, **sizes) -> dict[str, str]:
-    """``output_digest`` of the ``riskrnn`` that the tree ``src`` holds.
-    Raises ImportError if this process imports ``riskrnn`` from elsewhere,
-    as it does once it has imported another tree's."""
+def tree_digest(src, seeds=SEEDS, **sizes) -> tuple[dict[str, str], str]:
+    """``output_digest`` of the ``riskrnn`` that the tree ``src`` holds, and
+    the ``blas`` line of this process. Raises ImportError if this process
+    imports ``riskrnn`` from elsewhere, as it does once it has imported
+    another tree's."""
     src = Path(src).resolve()
     sys.path.insert(0, str(src))
     import riskrnn
     if not Path(riskrnn.__file__).resolve().is_relative_to(src):
         raise ImportError(f"riskrnn was imported from {riskrnn.__file__}, not from {src}")
-    return output_digest(seeds, **sizes)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = " ".join(f"{name}={os.environ.get(name)}" for name in BLAS_THREADS)
+    return output_digest(seeds, **sizes), f"blas {blas['name']} {blas['version']}, {threads}"
+
+
+def spawned_tree_digest(src, seeds=SEEDS, **sizes) -> tuple[dict[str, str], str]:
+    """``tree_digest`` in a new process of its own, spawned with
+    ``BLAS_THREADS`` in its environment so numpy loads with one BLAS
+    thread."""
+    # the child inherits the environment as it is when the pool spawns it
+    with (mock.patch.dict(os.environ, BLAS_THREADS),
+          ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool):
+        return pool.submit(tree_digest, src, seeds, **sizes).result()
 
 
 def digest_lines(digests) -> list[str]:
@@ -94,13 +117,15 @@ def digest_lines(digests) -> list[str]:
 
 
 def compare(trees, seeds=SEEDS, **sizes) -> int:
-    """Digest each of two trees in a new process of its own, print its name
-    and its lines, and name the parts that differ; returns 1 if any does."""
+    """Digest each of two trees in a spawned process of its own, print its
+    name and its lines, then the ``blas`` line, and name the parts that
+    differ; returns 1 if any does."""
     digests = []
     for src in trees:
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            digests.append(pool.submit(tree_digest, src, seeds, **sizes).result())
-        print(src, *digest_lines(digests[-1]), sep="\n")
+        tree, blas = spawned_tree_digest(src, seeds, **sizes)
+        digests.append(tree)
+        print(src, *digest_lines(tree), sep="\n")
+    print(blas)  # each child runs this interpreter's numpy, so one line serves both
     differ = [part for part in PARTS if digests[0][part] != digests[1][part]]
     print(f"differ: {' '.join(differ)}" if differ else "same")
     return 1 if differ else 0
@@ -113,11 +138,11 @@ def main(argv) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     try:
-        digests = tree_digest(argv[0])
+        digests, blas = spawned_tree_digest(argv[0])
     except ImportError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    print(*digest_lines(digests), sep="\n")
+    print(*digest_lines(digests), blas, sep="\n")
     return 0
 
 

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import riskrnn
-from riskrnn import pipeline
-from riskrnn.cli import main
-from riskrnn.config import RunConfig
-from riskrnn.evaluation import read_report
+from riskrnn import cli, pipeline, training
+from riskrnn.cli import main, parse_overrides
+from riskrnn.config import RunConfig, load_run_config
+from riskrnn.evaluation import read_report, write_report
 from riskrnn.geometry import Box
 from riskrnn.model import VARIANTS, RiskModel
-from riskrnn.pipeline import eval_video
+from riskrnn.pipeline import eval_video, evaluate_model
 from riskrnn.synthworld import read_dataset, write_dataset
 from riskrnn.training import detected_tracks
 
@@ -205,6 +205,48 @@ def untrained_model(tmp_path_factory):
     path = tmp_path_factory.mktemp("model") / "L-RAI.rrm"
     RiskModel.create(RunConfig().model_config("L-RAI"), seed=3).save(path)
     return path
+
+
+@pytest.mark.parametrize("command,flag", [("train", "--out"), ("train", "--log"),
+                                          ("eval", "--out"), ("infer", "--out")])
+def test_an_output_in_a_missing_directory_is_a_configuration_error_before_any_work(
+        data_dir, untrained_model, tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+
+    def read_dataset(path):
+        raise AssertionError(f"{path} was read before the output paths were checked")
+
+    monkeypatch.setattr(cli, "read_dataset", read_dataset)
+    outputs = {"--out": "out.txt", "--log": "log.csv"} if command == "train" else {"--out": "out"}
+    outputs[flag] = "nodir/x.csv"
+    model = [] if command == "train" else ["--model", str(untrained_model)]
+    assert main([command, "--data", str(data_dir), *model,
+                 *(part for pair in outputs.items() for part in pair), *TINY]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {flag} nodir/x.csv: no directory 'nodir'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_tracks_the_split_once_for_all_its_models(
+        data_dir, untrained_model, tmp_path, monkeypatch):
+    other = tmp_path / "RA.rrm"
+    RiskModel.create(RunConfig().model_config("RA"), seed=4).save(other)
+    # each model scored on its own, tracking the split itself
+    cfg = load_run_config(None, parse_overrides(TINY))
+    samples = read_dataset(data_dir / "test.dat")
+    write_report(tmp_path / "alone.txt", {
+        model.cfg.variant: evaluate_model(model, samples, cfg).report_fields()
+        for model in (RiskModel.load(untrained_model), RiskModel.load(other))})
+
+    calls = []
+    track = training.track_by_detection
+    monkeypatch.setattr(training, "track_by_detection",
+                        lambda *args, **kwargs: calls.append(args) or track(*args, **kwargs))
+    report = tmp_path / "report.txt"
+    assert main(["eval", "--data", str(data_dir), "--model", str(untrained_model),
+                 "--model", str(other), "--out", str(report), *TINY]) == 0
+    assert len(calls) == 1
+    assert report.read_bytes() == (tmp_path / "alone.txt").read_bytes()
 
 
 def eval_result(data_dir, model_path, video):

@@ -72,6 +72,16 @@ class TestIou:
         got = iou(stack_boxes(a)[:, None], stack_boxes(b)[None])
         assert got.shape == (7, 7)
         np.testing.assert_array_equal(got, [[oracles.iou(x, y) for y in b] for x in a])
+        # the tracker's gate: V = 2 videos' (K, 1, 4) track boxes against
+        # their (1, M, 4) proposals, the last one of each an all-NaN
+        # padding row, whose IoU is NaN
+        tracks, proposals = [a[:3], a[3:6]], [b[:3], b[3:6]]
+        padded = np.concatenate([np.stack([stack_boxes(p) for p in proposals]),
+                                 np.full((2, 1, 4), np.nan)], axis=1)
+        got = iou(np.stack([stack_boxes(t) for t in tracks])[:, :, None], padded[:, None])
+        assert got.shape == (2, 3, 4)
+        np.testing.assert_array_equal(got, [[[oracles.iou(x, y) for y in p] + [np.nan]
+                                             for x in t] for t, p in zip(tracks, proposals)])
 
     def test_leading_axes_broadcast(self):
         rng = np.random.default_rng(6)

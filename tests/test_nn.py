@@ -233,6 +233,33 @@ class TestLstmOp:
                 np.testing.assert_allclose(hidden.value[:, 2 * s + k], h, rtol=1e-13, atol=1e-15)
                 np.testing.assert_allclose(cell.value[:, 2 * s + k], c, rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("batch", [1, 4, 29])
+    @pytest.mark.parametrize("from_zero", [True, False])
+    def test_the_step_major_kernel_is_the_frame_major_loop_bit_for_bit(self, batch, from_zero):
+        # S = 12 steps of H = 64 cells, as the model runs them; the states are
+        # given either way, zero for a sweep from no state
+        rng = np.random.default_rng(batch)
+        w, b = rng.normal(scale=0.2, size=(256, 80)), rng.normal(scale=0.5, size=(256, 1))
+        x = rng.normal(size=(16, 12 * batch))
+        h0, c0 = ((np.zeros((64, batch)),) * 2 if from_zero
+                  else rng.normal(size=(2, 64, batch)))
+        g = rng.normal(size=(128, 12 * batch))
+
+        def run(kernel):
+            tape = Tape()
+            leaves = [leaf(tape, v) for v in (w, b, x, h0, c0)]
+            out = kernel(*leaves)
+            tape.backward(ad.vsum(out * tape.const(g)))
+            # a sweep from no state takes no state nodes, so passes them nothing
+            return [out.value] + [node.grad for node in leaves[:3 if from_zero else 5]]
+
+        def step_major(w, b, x, h0, c0):
+            states = () if from_zero else (h0, c0)
+            return ad.concat(ad.lstm(w, b, x, *states, sequences=batch))
+
+        for got, want in zip(run(step_major), run(oracles.frame_major_lstm), strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_gradients_into_the_inputs_and_states_match_central_differences(self):
         assert finite_diff_check(self.store, lambda: self.run()[:2]) < 1e-6
         assert finite_diff_check(self.states, lambda: self.run()[:2]) < 1e-6

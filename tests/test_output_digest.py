@@ -1,6 +1,7 @@
 """The digests tests/output_digest.py prints to compare two trees bit for
 bit: at a tiny size they are the same on a second run, and each differs by
-seed; and its two-tree form, which names each part that differs."""
+seed; its two-tree form, which names each part that differs; and that the
+lines do not depend on the caller's BLAS thread count."""
 import shutil
 from pathlib import Path
 
@@ -37,3 +38,19 @@ def test_two_trees_are_compared_part_by_part(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == str(SRC) and lines[5] == str(changed)
     assert lines[-1] == "differ: train eval"
+
+
+# eval's products at this size run on two BLAS threads where two are allowed
+# and round differently there; TINY's stay below OpenBLAS's threading size
+THREADED = dict(n_train=2, n_val=1, n_test=8, epochs=1)
+
+
+def test_the_lines_do_not_depend_on_the_callers_blas_threads(monkeypatch, capsys):
+    printed = {}
+    for threads in ("2", "1"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert compare([SRC, SRC], seeds=(7,), **THREADED) == 0
+        printed[threads] = capsys.readouterr().out
+    assert printed["2"] == printed["1"]
+    assert printed["1"].splitlines()[-2].endswith(
+        "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1")
