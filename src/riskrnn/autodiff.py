@@ -13,11 +13,13 @@ nothing in the backward sweep.
 
 The ops are the ones the risk model and its losses run, on whole-video
 matrices: broadcasting arithmetic, the nonlinearities and matrix and shape
-ops they need, and three fused ops with hand-derived backward passes. These
+ops they need, and four fused ops with hand-derived backward passes. These
 are ``lstm``, the only LSTM, which runs S steps of B independent cells
 (frame-major columns outside, one contiguous block per step inside),
-``relative_config`` and ``apply_box_transform``. Tests compose references
-from these ops and from the few extra ops in tests/oracles.py.
+``relative_config``, ``region_scores``, the region classifier with its
+agent half taken once per column, and ``apply_box_transform``. Tests
+compose references from these ops and from the few extra ops in
+tests/oracles.py.
 
 A tape is single-use for backward; build a fresh one per forward/backward
 pass. A recording tape and its nodes form a reference cycle (each node points
@@ -139,50 +141,43 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic (numpy broadcasting rules)
+# elementwise arithmetic (numpy broadcasting rules); an operand's gradient
+# is computed only if it needs one, so a constant operand costs nothing
 
 def add(a: Node, b: Node) -> Node:
     def backward(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(g, b.value.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.value.shape))
     return a.tape._make(a.value + b.value, (a, b), backward)
 
 
 def sub(a: Node, b: Node) -> Node:
     def backward(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(-g, b.value.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.value.shape))
     return a.tape._make(a.value - b.value, (a, b), backward)
 
 
 def mul(a: Node, b: Node) -> Node:
     def backward(g):
-        _accum(a, _unbroadcast(g * b.value, a.value.shape))
-        _accum(b, _unbroadcast(g * a.value, b.value.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.value, a.value.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.value, b.value.shape))
     return a.tape._make(a.value * b.value, (a, b), backward)
 
 
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def relu(x: Node) -> Node:
-    out = np.maximum(x.value, 0.0)
-    def backward(g):
-        _accum(x, g * (x.value > 0.0))
-    return x.tape._make(out, (x,), backward)
-
-
 def _logistic(z: np.ndarray) -> np.ndarray:
     # below about -709 exp(-z) overflows to inf, which gives exactly 0, the right limit
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-z))
-
-
-def sigmoid(x: Node) -> Node:
-    out = _logistic(x.value)
-    def backward(g):
-        _accum(x, g * out * (1.0 - out))
-    return x.tape._make(out, (x,), backward)
 
 
 def log(x: Node) -> Node:
@@ -253,15 +248,6 @@ def concat(parts) -> Node:
             _accum(p, g[lo:hi])
     return parts[0].tape._make(np.concatenate([p.value for p in parts]),
                                tuple(parts), backward)
-
-
-def repeat_cols(x: Node, n: int) -> Node:
-    """Repeat each column of a (k, T) matrix n times, copies side by side:
-    column t * n + j of the (k, T * n) result is column t."""
-    rows, cols = x.value.shape
-    def backward(g):
-        _accum(x, g.reshape(rows, cols, n).sum(axis=2))
-    return x.tape._make(np.repeat(x.value, n, axis=1), (x,), backward)
 
 
 def vec_slice(x: Node, lo: int, hi: int) -> Node:
@@ -443,6 +429,72 @@ def relative_config(agent: Node, region_boxes: np.ndarray) -> Node:
                + per_box(0.5 * (g_ay2 - g_ay1) + g_union * w))
         _accum(agent, np.stack([g_cx, g_cy, g_w, g_h]).reshape(agent.value.shape))
     return agent.tape._make(out, (agent,), backward)
+
+
+def region_scores(geom_w: Node, geom_b: Node, scorer_w: Node, scorer_b: Node,
+                  agent: Node, u: Node, feats: np.ndarray) -> Node:
+    """Fused (C, N) risk scores of every region of every column.
+
+    ``u`` is the (G, C, N) configuration of each region relative to its
+    column's agent, ``agent`` the (A, C) agent code and ``feats`` the
+    (R, C, N) region appearances. Each region's geometry is embedded as
+    E = relu(geom_w @ u + geom_b), (K, C, N); the (R, A + K) ``scorer_w``
+    acting on [agent; E] and the (R, 1) ``scorer_b`` give its classifier
+    weights P = relu(...), and its score is the logistic of P · feats.
+
+    The agent rows of [agent; E] are the same for every region of a column,
+    so ``scorer_w`` is split by columns into [W_a | W_e] and the agent half
+    W_a @ agent + scorer_b is one (R, C) product, broadcast over the N
+    regions, not N copies of the agent code stacked onto E. The backward
+    pass sums P's gradient over the regions once for the gradients of W_a,
+    ``scorer_b`` and the agent code, and passes none to ``agent`` or ``u``
+    when they are constants.
+    """
+    gw, sw, av, uv = geom_w.value, scorer_w.value, agent.value, u.value
+    n_agent, columns = av.shape
+    rows = sw.shape[0]
+    cells = uv.shape[1:]
+    if (uv.ndim != 3 or cells[0] != columns or gw.shape[1] != uv.shape[0]
+            or geom_b.value.shape != (gw.shape[0], 1)
+            or sw.shape[1] != n_agent + gw.shape[0] or scorer_b.value.shape != (rows, 1)
+            or feats.shape != (rows,) + cells):
+        raise ValueError(f"region_scores shape mismatch: geometry {gw.shape} and "
+                         f"{geom_b.value.shape} on {uv.shape}, scorer {sw.shape} and "
+                         f"{scorer_b.value.shape} on an {av.shape} agent code, "
+                         f"appearances {feats.shape}")
+    u_cols = uv.reshape(uv.shape[0], -1)
+    w_a, w_e = sw[:, :n_agent], sw[:, n_agent:]
+    embedded = gw @ u_cols
+    embedded += geom_b.value
+    np.maximum(embedded, 0.0, out=embedded)
+    per_column = w_a @ av
+    per_column += scorer_b.value
+    weights = w_e @ embedded
+    weights_3d = weights.reshape((rows,) + cells)
+    weights_3d += per_column[:, :, None]
+    # the backward pass needs only where P is live, so P is then multiplied
+    # by the appearances in place: no (R, C, N) temporary per call
+    live = weights_3d > 0.0
+    np.maximum(weights, 0.0, out=weights)
+    weights_3d *= feats
+    out = _logistic(weights_3d.sum(axis=0))
+
+    def backward(g):
+        g_pre = feats * (g * out * (1.0 - out))
+        g_pre *= live
+        g_pre_cols = g_pre.reshape(rows, -1)
+        g_column = g_pre.sum(axis=2)
+        g_embedded = w_e.T @ g_pre_cols
+        g_embedded *= embedded > 0.0
+        _accum(scorer_w, np.concatenate([g_column @ av.T, g_pre_cols @ embedded.T], axis=1))
+        _accum(scorer_b, g_column.sum(axis=1, keepdims=True))
+        _accum(geom_w, g_embedded @ u_cols.T)
+        _accum(geom_b, g_embedded.sum(axis=1, keepdims=True))
+        if agent.requires_grad:
+            _accum(agent, w_a.T @ g_column)
+        if u.requires_grad:
+            _accum(u, (gw.T @ g_embedded).reshape(uv.shape))
+    return agent.tape._make(out, (geom_w, geom_b, scorer_w, scorer_b, agent, u), backward)
 
 
 def apply_box_transform(box: Node, c: Node) -> Node:

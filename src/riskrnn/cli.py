@@ -142,6 +142,8 @@ def _naming(path):
 
 def cmd_eval(cfg, args) -> int:
     _check_output_dirs(out=args.out)
+    # every model file is read before any work, so a bad one writes nothing
+    models = [RiskModel.load(model_path) for model_path in args.model]
     path = _dataset_path(args.data, "test")
     samples = read_dataset(path)
     with _naming(path):  # the split is tracked once, for every model
@@ -149,8 +151,7 @@ def cmd_eval(cfg, args) -> int:
         tracks = detected_tracks(samples, cfg)
     sections = {}
     out = Path(args.out)
-    for model_path in args.model:
-        model = RiskModel.load(model_path)
+    for model in models:
         name = model.cfg.variant
         if name in sections:
             name = f"{name}#{sum(1 for k in sections if k.split('#')[0] == model.cfg.variant)}"

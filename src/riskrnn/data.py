@@ -167,8 +167,9 @@ def check_one_shape(samples) -> None:
     file's do, naming the first key (in the file's order) and then the
     first video whose shape differs from the first video's."""
     for key in _LAYOUT:
+        first = np.shape(getattr(samples[0], key))
         for sample in samples[1:]:
-            shape, first = np.shape(getattr(sample, key)), np.shape(getattr(samples[0], key))
+            shape = np.shape(getattr(sample, key))
             if shape != first:
                 raise ValueError(f"video {sample.video_id}: {key} has shape {shape}, "
                                  f"not {first} as video {samples[0].video_id}")

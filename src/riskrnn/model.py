@@ -28,7 +28,9 @@ handful of tape nodes:
 
 1. the agent memory: one ``lstm_step`` sweep over the frame-major columns
    of the tracks' appearance and box, the B sequences independent;
-2. the observed level: region scoring and pooling over all T x B x N columns;
+2. the observed level: region scoring and pooling over all T x B x N
+   columns, the scoring one fused op that takes the agent's half of the
+   per-region classifier once per (frame, sequence) column, not per region;
 3. the risk memory: one ``lstm_step`` sweep over the pooled columns, again
    B sequences, then the anticipation head on all T x B columns;
 4. each imagination hop, one more level: the box transform, then passes 2
@@ -47,8 +49,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, Tape
 from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM
-from .nn import (ParameterStore, dense, init_params, load_params, lstm_step,
-                 parse_config_value, save_params)
+from .nn import (ParameterStore, init_params, load_params, lstm_step, parse_config_value,
+                 save_params)
 
 VARIANTS = ("RA", "RAI", "L-RA", "L-RAI")
 
@@ -220,14 +222,17 @@ def score_regions(tape: Tape, store: ParameterStore, agent_code: Node,
     with that column of the (A, C) agent code, and mapped to a weight
     vector whose dot product with the region's appearance is squashed to a
     probability. ``region_feats`` holds the (D, C, N) region appearances.
+
+    This is one fused op, ``autodiff.region_scores``. The agent code is the
+    same for every region of a column, so its half of the scorer runs once
+    per column, (d_region, A) by (A, C), and is broadcast over the N
+    regions rather than copied onto each. ``scorer_fc_W`` keeps its
+    (d_region, A + d_u) layout, agent columns first, so model files do not
+    change.
     """
-    u_cols = ad.reshape(u, (u.value.shape[0], -1))
-    embedded = ad.relu(dense(tape, store["geom_fc_W"], u_cols, store["geom_fc_b"]))
-    joined = ad.concat([ad.repeat_cols(agent_code, region_feats.shape[2]), embedded])
-    weights = ad.relu(dense(tape, store["scorer_fc_W"], joined, store["scorer_fc_b"]))
-    feats = tape.const(region_feats.reshape(weights.value.shape))
-    logits = ad.reshape(ad.vsum(weights * feats, axis=0), u.value.shape[1:])
-    return ad.sigmoid(logits)
+    return ad.region_scores(tape.param(store["geom_fc_W"]), tape.param(store["geom_fc_b"]),
+                            tape.param(store["scorer_fc_W"]), tape.param(store["scorer_fc_b"]),
+                            agent_code, u, region_feats)
 
 
 def pool_regions(tape: Tape, scores: Node, region_feats: np.ndarray) -> Node:

@@ -1,4 +1,4 @@
-"""Parameter storage, the dense and LSTM layers, Adam, and model files.
+"""Parameter storage, the LSTM layer, Adam, and model files.
 
 A ParameterStore holds every parameter in one flat float64 vector, in
 declaration order, with the gradients and Adam moments in vectors beside it.
@@ -91,15 +91,6 @@ def init_params(specs, seed: int) -> ParameterStore:
             h = rows // 4
             pm.values[h:2 * h, 0] = 1.0
     return store
-
-
-def dense(tape: Tape, weight: ParamMatrix, x: Node, bias: ParamMatrix | None = None) -> Node:
-    """weight @ x (+ bias) over a matrix of column samples, recorded on the
-    tape; the (n, 1) bias broadcasts across the columns."""
-    out = ad.matmul(tape.param(weight), x)
-    if bias is not None:
-        out = out + tape.param(bias)
-    return out
 
 
 def lstm_step(tape: Tape, weight: ParamMatrix, bias: ParamMatrix, x: Node,

@@ -27,8 +27,11 @@ built from the arrays' rows.
 - Adam one named matrix at a time, with a dict of moments per parameter,
   the way it ran before the store held one flat vector;
 - the tape ops that only references composed from primitive ops use:
-  division, maximum, minimum, row stacking, the dot product and picking
-  one entry.
+  division, maximum, minimum, row stacking, the dot product, picking one
+  entry, the ReLU, the logistic, the dense layer and repeating columns;
+- region scoring composed from those ops, the way the model ran it before
+  it was one fused op that takes the agent's half of the scorer once per
+  column.
 """
 import math
 import warnings
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import riskrnn.autodiff as ad
 from riskrnn.autodiff import Node, _accum, _unbroadcast
 from riskrnn.data import Proposal
 from riskrnn.evaluation import REGION_IOU_THRESHOLD
@@ -605,3 +609,48 @@ def pick(x: Node, i: int) -> Node:
         full[i] = g
         _accum(x, full)
     return x.tape._make(np.asarray(x.value[i]), (x,), backward)
+
+
+def tape_relu(x: Node) -> Node:
+    def backward(g):
+        _accum(x, g * (x.value > 0.0))
+    return x.tape._make(relu(x.value), (x,), backward)
+
+
+def tape_sigmoid(x: Node) -> Node:
+    out = sigmoid(x.value)
+    def backward(g):
+        _accum(x, g * out * (1.0 - out))
+    return x.tape._make(out, (x,), backward)
+
+
+def dense(tape, weight, x: Node, bias=None) -> Node:
+    """weight @ x (+ bias) of a ParamMatrix weight and (n, 1) bias over a
+    matrix of column samples; the bias broadcasts across the columns."""
+    out = ad.matmul(tape.param(weight), x)
+    if bias is not None:
+        out = out + tape.param(bias)
+    return out
+
+
+def repeat_cols(x: Node, n: int) -> Node:
+    """Repeat each column of a (k, T) matrix n times, copies side by side:
+    column t * n + j of the (k, T * n) result is column t."""
+    rows, cols = x.value.shape
+    def backward(g):
+        _accum(x, g.reshape(rows, cols, n).sum(axis=2))
+    return x.tape._make(np.repeat(x.value, n, axis=1), (x,), backward)
+
+
+def composed_region_scores(tape, store, agent_code: Node, u: Node,
+                           region_feats: np.ndarray) -> Node:
+    """model.score_regions composed from primitive ops: the (A, C) agent
+    code repeated once per region, stacked onto the embedded (9, C, N)
+    geometry and multiplied by the whole scorer weight."""
+    u_cols = ad.reshape(u, (u.value.shape[0], -1))
+    embedded = tape_relu(dense(tape, store["geom_fc_W"], u_cols, store["geom_fc_b"]))
+    joined = ad.concat([repeat_cols(agent_code, region_feats.shape[2]), embedded])
+    weights = tape_relu(dense(tape, store["scorer_fc_W"], joined, store["scorer_fc_b"]))
+    feats = tape.const(region_feats.reshape(weights.value.shape))
+    logits = ad.reshape(ad.vsum(weights * feats, axis=0), u.value.shape[1:])
+    return tape_sigmoid(logits)

@@ -7,6 +7,7 @@ import pytest
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
 from riskrnn.geometry import Box
+from riskrnn.model import ModelConfig, RiskModel, score_regions, variant_config
 
 import helpers
 import oracles
@@ -56,13 +57,13 @@ class TestBasics:
     def test_sigmoid_gradient_at_zero(self):
         tape = Tape()
         w = helpers.leaf(tape, 0.0)
-        loss = ad.sigmoid(w)
+        loss = oracles.tape_sigmoid(w)
         tape.backward(loss)
         assert w.grad == pytest.approx(0.25, abs=1e-12)
 
     def test_sigmoid_of_a_huge_negative_logit_is_zero_without_a_warning(self):
         # exp(800) overflows; the suite turns the overflow warning into an error
-        assert ad.sigmoid(Tape().const(-800.0)).value == 0.0
+        assert oracles.tape_sigmoid(Tape().const(-800.0)).value == 0.0
 
     def test_backward_requires_scalar(self):
         tape = Tape()
@@ -76,7 +77,7 @@ class TestBasics:
         def grads(scale):
             tape = Tape()
             leaf = helpers.leaf(tape, x0)
-            loss = ad.vsum(ad.sigmoid(leaf) * leaf) * scale
+            loss = ad.vsum(oracles.tape_sigmoid(leaf) * leaf) * scale
             tape.backward(loss)
             return leaf.grad
 
@@ -108,14 +109,14 @@ class TestBasics:
     def test_constants_record_nothing(self):
         tape = Tape()
         a = tape.const(np.ones(4))
-        b = ad.relu(a * 2.0 + 1.0)
+        b = oracles.tape_relu(a * 2.0 + 1.0)
         assert not b.requires_grad
         assert tape.nodes == []
 
     def test_inference_tape_records_nothing(self):
         tape = Tape(train=False)
         leaf = helpers.leaf(tape, np.ones(3))
-        out = ad.sigmoid(leaf * 2.0)
+        out = oracles.tape_sigmoid(leaf * 2.0)
         assert not out.requires_grad
         assert tape.nodes == []
 
@@ -123,7 +124,7 @@ class TestBasics:
         def run():
             tape = Tape()
             leaf = helpers.leaf(tape, np.linspace(-1, 1, 7))
-            loss = ad.vsum(ad.softmax(leaf) * ad.sigmoid(leaf))
+            loss = ad.vsum(ad.softmax(leaf) * oracles.tape_sigmoid(leaf))
             tape.backward(loss)
             return float(loss.value), leaf.grad.copy()
 
@@ -136,7 +137,7 @@ class TestBasics:
         def backward_once(release):
             tape = Tape()
             leaf = helpers.leaf(tape, np.ones(3))
-            tape.backward(ad.vsum(ad.sigmoid(leaf * 2.0)))
+            tape.backward(ad.vsum(oracles.tape_sigmoid(leaf * 2.0)))
             if release:
                 tape.release()
             return weakref.ref(tape)
@@ -181,7 +182,8 @@ class TestOpGradients:
 
     def test_elementwise_chain(self):
         check_gradient(
-            lambda t, x: ad.vsum(ad.sigmoid(x) * ad.relu(x + 1.0) + ad.log(x * 0.3 + 1.0)),
+            lambda t, x: ad.vsum(oracles.tape_sigmoid(x) * oracles.tape_relu(x + 1.0)
+                                 + ad.log(x * 0.3 + 1.0)),
             np.array([0.2, -0.7, 1.3]))
 
     def test_division_and_log(self):
@@ -194,7 +196,7 @@ class TestOpGradients:
         w0 = rng.normal(size=(2, 3))
         m = rng.normal(size=(3, 5))
         check_gradient(
-            lambda t, w: ad.vsum(ad.sigmoid(ad.matmul(w, t.const(m)))),
+            lambda t, w: ad.vsum(oracles.tape_sigmoid(ad.matmul(w, t.const(m)))),
             w0)
 
     def test_broadcast_column_bias(self):
@@ -202,7 +204,7 @@ class TestOpGradients:
         b0 = rng.normal(size=(3, 1))
         m = rng.normal(size=(3, 4))
         check_gradient(
-            lambda t, b: ad.vsum(ad.sigmoid(t.const(m) + b)),
+            lambda t, b: ad.vsum(oracles.tape_sigmoid(t.const(m) + b)),
             b0)
 
     def test_maximum_minimum(self):
@@ -225,14 +227,15 @@ class TestOpGradients:
             b = ad.vec_slice(x, 2, 5)
             joined = ad.concat([a, b, a])
             columns = ad.reshape(ad.concat([joined, joined * 0.5]), (2, 7))
-            repeated = ad.repeat_cols(columns, 3)
+            repeated = oracles.repeat_cols(columns, 3)
             stacked = ad.concat([repeated, repeated * 0.5])
-            return ad.vsum(ad.sigmoid(stacked) * t.const(np.arange(84.0).reshape(4, 21) / 7))
+            weights = t.const(np.arange(84.0).reshape(4, 21) / 7)
+            return ad.vsum(oracles.tape_sigmoid(stacked) * weights)
         check_gradient(build, np.array([0.3, -0.2, 0.8, 1.1, -0.5]))
 
     def test_repeat_cols_keeps_each_column_together(self):
         tape = Tape()
-        out = ad.repeat_cols(tape.const([[1.0, 2.0], [3.0, 4.0]]), 3)
+        out = oracles.repeat_cols(tape.const([[1.0, 2.0], [3.0, 4.0]]), 3)
         np.testing.assert_array_equal(out.value, [[1, 1, 1, 2, 2, 2], [3, 3, 3, 4, 4, 4]])
 
     def test_stack_rows_and_scalars(self):
@@ -272,8 +275,8 @@ def composed_relative_config(tape, agent, region_boxes):
     r = {k: tape.const(v) for k, v in r.items()}
     ax1, ax2 = cx - 0.5 * w, cx + 0.5 * w
     ay1, ay2 = cy - 0.5 * h, cy + 0.5 * h
-    iw = ad.relu(oracles.minimum(ax2, r["x2"]) - oracles.maximum(ax1, r["x1"]))
-    ih = ad.relu(oracles.minimum(ay2, r["y2"]) - oracles.maximum(ay1, r["y1"]))
+    iw = oracles.tape_relu(oracles.minimum(ax2, r["x2"]) - oracles.maximum(ax1, r["x1"]))
+    ih = oracles.tape_relu(oracles.minimum(ay2, r["y2"]) - oracles.maximum(ay1, r["y1"]))
     inter = iw * ih
     iou = oracles.div(inter, w * h + r["area"] - inter)
     return oracles.stack_rows([
@@ -357,6 +360,95 @@ class TestRelativeConfig:
         assert tape.nodes == []
         ad.relative_config(helpers.leaf(tape, self.AGENT), regions)
         assert len(tape.nodes) == 2  # the leaf and the op
+
+
+class TestRegionScores:
+    # the op's inputs in order, the parameters by their model names
+    NAMES = ("geom_fc_W", "geom_fc_b", "scorer_fc_W", "scorer_fc_b", "agent", "u")
+
+    @staticmethod
+    def inputs(rng, n_agent=5, d_u=3, d_region=4, columns=3, n_regions=2):
+        return [rng.normal(size=(d_u, 9)), rng.normal(size=(d_u, 1)),
+                rng.normal(size=(d_region, n_agent + d_u)), rng.normal(size=(d_region, 1)),
+                rng.normal(size=(n_agent, columns)), rng.normal(size=(9, columns, n_regions))]
+
+    @staticmethod
+    def preactivations(geom_w, geom_b, scorer_w, scorer_b, agent, u):
+        """The geometry embedding's and the classifier weights' inputs to
+        their ReLUs, written out as one stacked product per region."""
+        pre_embedded = np.einsum("kg,gcn->kcn", geom_w, u) + geom_b[:, :, None]
+        joined = np.concatenate([np.broadcast_to(agent[:, :, None], agent.shape + u.shape[2:]),
+                                 np.maximum(pre_embedded, 0.0)])
+        return pre_embedded, np.einsum("rj,jcn->rcn", scorer_w, joined) + scorer_b[:, :, None]
+
+    @pytest.mark.parametrize("which", range(6), ids=NAMES)
+    def test_gradients_match_finite_differences(self, which):
+        rng = np.random.default_rng(51)
+        values = self.inputs(rng)
+        # every ReLU input is at least 0.01 from its kink, so no central
+        # difference of step 1e-6 crosses one
+        assert min(np.abs(p).min() for p in self.preactivations(*values)) > 0.01
+        feats = rng.normal(size=(4, 3, 2))
+        weights = rng.normal(size=(3, 2))
+
+        def build(t, x):
+            nodes = [x if i == which else t.const(v) for i, v in enumerate(values)]
+            return ad.vsum(ad.region_scores(*nodes, feats) * t.const(weights))
+        check_gradient(build, values[which])
+
+    @pytest.mark.parametrize("variant", ["RA", "L-RA"])
+    @pytest.mark.parametrize("agent_recorded", [False, True], ids=["const agent", "agent leaf"])
+    @pytest.mark.parametrize("u_recorded", [False, True], ids=["const u", "u leaf"])
+    def test_matches_the_composition_of_primitive_ops(self, variant, agent_recorded,
+                                                      u_recorded):
+        cfg = variant_config(ModelConfig(), variant)
+        rng = np.random.default_rng(52)
+        columns, n_regions = 12, 8
+        agent_boxes = np.array([helpers.random_box(rng) for _ in range(columns)]).T
+        region_boxes = np.array([[helpers.random_box(rng) for _ in range(n_regions)]
+                                 for _ in range(columns)])
+        agent_code = rng.normal(size=(cfg.agent_code_dim, columns))
+        region_feats = rng.normal(size=(cfg.d_region, columns, n_regions))
+        weights = rng.normal(size=(columns, n_regions))
+        runs = []
+        for score in (score_regions, oracles.composed_region_scores):
+            store = RiskModel.create(cfg, seed=52).store
+            tape = Tape()
+            boxes = helpers.leaf(tape, agent_boxes) if u_recorded else tape.const(agent_boxes)
+            agent = helpers.leaf(tape, agent_code) if agent_recorded else tape.const(agent_code)
+            u = ad.relative_config(boxes, region_boxes)
+            out = score(tape, store, agent, u, region_feats)
+            tape.backward(ad.vsum(out * tape.const(weights)))
+            runs.append([out.value] + [pm.grad.copy() for pm in store
+                                       if pm.name in self.NAMES] + [agent.grad, boxes.grad])
+        for got, want in zip(*runs, strict=True):
+            if want is None:  # a constant input's
+                assert got is None
+                continue
+            # the two sum in different orders, so an entry where terms cancel
+            # is bounded relative to its array's largest entry
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        assert (runs[0][5] is None, runs[0][6] is None) == (not agent_recorded, not u_recorded)
+
+    def test_a_huge_negative_logit_scores_zero_without_a_warning(self):
+        # every classifier weight is relu(0 + 1) = 1 and every appearance
+        # -1e3, so each logit is -4e3 and exp(-logit) overflows; the suite
+        # turns the overflow warning into an error
+        values = self.inputs(np.random.default_rng(54))
+        values[2][...] = 0.0
+        values[3][...] = 1.0
+        tape = Tape()
+        out = ad.region_scores(*map(tape.const, values), np.full((4, 3, 2), -1e3))
+        np.testing.assert_array_equal(out.value, 0.0)
+
+    def test_mismatched_shapes_are_named(self):
+        values = self.inputs(np.random.default_rng(55))
+        tape = Tape()
+        with pytest.raises(ValueError, match="region_scores shape mismatch"):
+            ad.region_scores(*map(tape.const, values), np.ones((4, 3, 5)))
+        values[2] = values[2][:, 1:]  # one agent column short
+        with pytest.raises(ValueError, match="region_scores shape mismatch"):
+            ad.region_scores(*map(tape.const, values), np.ones((4, 3, 2)))
 
 
 class TestBoxTransform:

@@ -133,16 +133,17 @@ def test_train_on_a_dataset_file_is_a_configuration_error_naming_it(data_dir, tm
 
 
 @pytest.mark.parametrize("cut", [0, 1000], ids=["empty", "truncated"])
-def test_unreadable_dataset_is_a_runtime_failure_naming_it(data_dir, tmp_path, capsys, cut):
+def test_unreadable_dataset_is_a_runtime_failure_naming_it(
+        data_dir, untrained_model, tmp_path, capsys, cut):
     bad = tmp_path / "test.dat"
     bad.write_bytes((data_dir / "test.dat").read_bytes()[:cut])
-    assert main(["eval", "--data", str(bad), "--model", str(tmp_path / "m.rrm"),
+    assert main(["eval", "--data", str(bad), "--model", str(untrained_model),
                  "--out", str(tmp_path / "report.txt"), *TINY]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: not a ")
 
 
 def test_inconsistent_accident_labels_are_a_runtime_failure_naming_the_file(
-        data_dir, tmp_path, capsys):
+        data_dir, untrained_model, tmp_path, capsys):
     with np.load(data_dir / "test.dat", allow_pickle=False) as npz:
         arrays = {key: npz[key] for key in npz.files}
     assert arrays["positive"].any()
@@ -150,7 +151,7 @@ def test_inconsistent_accident_labels_are_a_runtime_failure_naming_the_file(
     bad = tmp_path / "test.dat"
     with open(bad, "wb") as fh:
         np.savez(fh, **arrays)
-    assert main(["eval", "--data", str(bad), "--model", str(tmp_path / "m.rrm"),
+    assert main(["eval", "--data", str(bad), "--model", str(untrained_model),
                  "--out", str(tmp_path / "report.txt"), *TINY]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
@@ -198,6 +199,18 @@ def test_a_model_file_that_is_not_text_is_a_runtime_failure_naming_it(
     assert main(["eval", "--data", str(data_dir), "--model", str(model),
                  "--out", str(tmp_path / "report.txt"), *TINY]) == 1
     assert capsys.readouterr().err == f"error: {model}: not a RISKRNN-MODEL v1 file\n"
+
+
+def test_a_bad_later_model_file_fails_eval_before_any_model_is_scored(
+        data_dir, tmp_path, capsys):
+    good = tmp_path / "RA.rrm"
+    RiskModel.create(RunConfig().model_config("RA"), seed=0).save(good)
+    bad = data_dir / "test.dat"
+    assert main(["eval", "--data", str(data_dir), "--model", str(good), "--model", str(bad),
+                 "--out", str(tmp_path / "report.txt"), *TINY]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {bad}: not a RISKRNN-MODEL v1 file\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["RA.rrm"]
 
 
 @pytest.fixture(scope="module")

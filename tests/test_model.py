@@ -558,8 +558,8 @@ class TestNodeCount:
     frame, so the count grows neither with the video nor with the videos of a
     batch."""
 
-    @pytest.mark.parametrize("variant,count", [("RA", 36), ("RAI", 75),
-                                               ("L-RA", 47), ("L-RAI", 90)])
+    @pytest.mark.parametrize("variant,count", [("RA", 26), ("RAI", 54),
+                                               ("L-RA", 36), ("L-RAI", 67)])
     def test_exactly(self, variant, count):
         cfg = variant_config(TINY_CONFIG, variant)
         rng = np.random.default_rng(23)
