@@ -158,11 +158,12 @@ def cmd_eval(cfg, args) -> int:
         with _naming(path):
             summary = evaluate_model(model, samples, cfg, tracks=tracks)
         sections[name] = summary.report_fields()
-        curve_path = out.with_name(f"{out.stem}_curves_{name.replace('#', '_')}.csv")
-        write_curve_csv(curve_path, summary.curve_rows)
+        # the section's name on disk, for the curve file and the map directory
+        file_name = name.replace("#", "_")
+        write_curve_csv(out.with_name(f"{out.stem}_curves_{file_name}.csv"), summary.curve_rows)
         if args.riskmap_dir:
             for video in summary.videos:
-                _write_riskmaps(Path(args.riskmap_dir) / name / video.video_id, video, cfg)
+                _write_riskmaps(Path(args.riskmap_dir) / file_name / video.video_id, video, cfg)
         print(f"{name}: anticipation mAP {summary.anticipation_map:.4f}, "
               f"ATTA {summary.atta_frames:.2f} frames, "
               f"region mAP {summary.region_map:.4f} "

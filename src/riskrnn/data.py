@@ -9,26 +9,29 @@ feature dimensions and at most R risky boxes per frame, boxes are
 (cx, cy, w, h) rows. A ``VideoSample`` is one video's rows of these arrays.
 
 One check, ``_check_split``, holds the file's contract over a split's
-arrays: their dtypes and sizes, the labels, and every row the model reads.
-``write_dataset`` runs it on the arrays it stacks, before it saves them, and
-``read_dataset`` on the arrays it loads, before it builds each video's row
-views, so every file one writes the other reads. A split built in memory is
-not checked: training and evaluation check only that its videos share one
-shape (``check_one_shape``), so a non-finite value there reaches the model.
+arrays: their dtypes and sizes, the video ids, the labels, and every row
+the model reads. ``write_dataset`` runs it on the arrays it stacks, before
+it saves them, and ``read_dataset`` on the arrays it loads, before it
+builds each video's row views, so every file one writes the other reads. A
+split built in memory is not checked: training and evaluation check only
+that its videos share one shape (``check_one_shape``), so a non-finite
+value there reaches the model.
 
 The records survive only as views, built on each call and kept nowhere,
 for one reader: the benchmark's check that a dataset reads back as written,
-which compares videos record by record. No program path reads them.
+which compares videos record by record. No program path reads them. Each
+box in them is a ``(cx, cy, w, h)`` tuple of floats, one array row, which
+``_check_split`` has already checked.
 
-- ``VideoSample.frames``, each frame's ``FrameInput`` with its ``Box``
-  records: read by ``bench/workloads.py::sample_mismatch`` and
-  ``inspect_data``;
+- ``VideoSample.frames``, each frame's ``FrameInput``: read by
+  ``bench/workloads.py::sample_mismatch`` and ``inspect_data``;
 - ``VideoSample.targets``, the ``VideoTargets`` without the NaN padding
   rows: read by ``sample_mismatch``;
-- ``VideoSample.proposals``, each frame's ``ProposalSet`` of row views,
-  whose indexing builds ``Proposal`` records: read by ``sample_mismatch``
-  and ``inspect_data``;
+- ``VideoSample.proposals``, each frame's tuple of ``Proposal`` records:
+  read by ``sample_mismatch`` and ``inspect_data``;
 - ``VideoSample.region_classes``: read by ``sample_mismatch``.
+
+The module imports only numpy and the standard library.
 """
 from __future__ import annotations
 
@@ -36,8 +39,6 @@ import zipfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-
-from .geometry import Box
 
 DATASET_HEADER = "RISKRNN-DATASET v2"
 
@@ -58,7 +59,7 @@ class FrameInput:
     """One frame as records: the agent and its candidate regions."""
 
     agent_feat: np.ndarray
-    agent_box: Box
+    agent_box: tuple
     region_boxes: tuple
     region_feats: np.ndarray
 
@@ -76,31 +77,14 @@ class VideoTargets:
 
 @dataclass(frozen=True, slots=True)
 class Proposal:
-    box: Box
+    box: tuple
     score: float
     feat: np.ndarray
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class ProposalSet:
-    """A frame's M proposals: the (M, 4) boxes ``xywh``, the (M,) object
-    scores ``scores`` and the (M, D) appearances ``feats``."""
-
-    xywh: np.ndarray
-    scores: np.ndarray
-    feats: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def __getitem__(self, i) -> Proposal:
-        """Proposal ``i`` as a record, built on each call. Iteration calls
-        this with 0, 1, ... until the IndexError of index M."""
-        return Proposal(Box(*self.xywh[i].tolist()), float(self.scores[i]), self.feats[i])
-
-
 def _boxes(rows) -> tuple:
-    return tuple(Box(*row) for row in rows.tolist())
+    """The (cx, cy, w, h) tuples of an array's rows."""
+    return tuple(map(tuple, rows.tolist()))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -139,16 +123,18 @@ class VideoSample:
     @property
     def targets(self) -> VideoTargets:
         """The VideoTargets record, without the NaN padding rows, built on each call."""
-        risky = tuple(tuple(Box(*row) for row in rows if not np.isnan(row).all())
+        risky = tuple(tuple(tuple(row) for row in rows if not np.isnan(row).all())
                       for rows in self.risky_box.tolist())
         return VideoTargets(self.positive, None if self.t_accident == -1 else self.t_accident,
                             _boxes(self.agent_box), risky)
 
     @property
     def proposals(self) -> tuple:
-        """Each frame's ProposalSet of row views, built on each call."""
-        return tuple(map(ProposalSet, self.proposal_box, self.proposal_score,
-                         self.proposal_feat))
+        """Each frame's tuple of Proposal records, built on each call; each
+        ``feat`` is a row view."""
+        return tuple(tuple(map(Proposal, _boxes(boxes), scores.tolist(), feats))
+                     for boxes, scores, feats in zip(self.proposal_box, self.proposal_score,
+                                                     self.proposal_feat))
 
     @property
     def region_classes(self) -> tuple:
@@ -191,6 +177,7 @@ def _check_split(arrays: dict) -> None:
     make a dataset file. Each has its dtype and dims, every size but R is at
     least 1, and the labels and rows of every video hold:
 
+    - no video repeats the id of an earlier one;
     - a positive has an accident frame in [0, T); a negative has none and no
       risky box;
     - every box is finite with sides > 0, every feature and score finite,
@@ -211,6 +198,12 @@ def _check_split(arrays: dict) -> None:
         raise ValueError(f"sizes {sizes}: a dataset needs at least one video, frame, "
                          f"region, proposal and feature dimension")
     ids, positive, t_accident = arrays["video_id"], arrays["positive"], arrays["t_accident"]
+    _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+    repeats = first[which] != np.arange(len(ids))
+    if repeats.any():
+        v = repeats.argmax()
+        raise ValueError(f"video {ids[v]}: video {v} repeats the id of video {first[which[v]]}; "
+                         f"every video needs its own id")
     check_accident_frames(ids, positive, t_accident, sizes["T"])
     n_risky = np.count_nonzero(~np.isnan(arrays["risky_box"]).all(axis=3), axis=(1, 2))
     bad = ~positive & ((t_accident != -1) | (n_risky > 0))

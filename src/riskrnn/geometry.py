@@ -2,37 +2,15 @@
 
 All coordinates are frame-normalized fractions, center-parameterized as
 (cx, cy, w, h) rows of arrays, so a caller makes one call over all its
-boxes. ``Box`` is the record of one such row that ``data``'s record views
-build. Everything here is a pure function; nothing records onto an
+boxes. Everything here is a pure function; nothing records onto an
 autodiff tape.
 """
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # Log-scale transform components beyond this would overflow exp(); reject early.
 MAX_LOG_SCALE = 20.0
-
-
-@dataclass(frozen=True, slots=True)
-class Box:
-    """Axis-aligned rectangle with positive, finite sides."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if not (self.w > 0.0 and self.h > 0.0):
-            raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy)
-                and math.isfinite(self.w) and math.isfinite(self.h)):
-            raise ValueError("box fields must be finite")
-
 
 #: Dimensionality of the relative configuration vector.
 RELATIVE_CONFIG_DIM = 9

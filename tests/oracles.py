@@ -1,6 +1,7 @@
 """Scalar references that tests compare the array code with, over records
 built from the arrays' rows.
 
+- ``Box``, the record of one (cx, cy, w, h) row;
 - box geometry one pair of boxes at a time: a box's corners, IoU, the
   agent-relative configuration and the box transform; and the (n, 4) array
   of a sequence of boxes;
@@ -36,6 +37,7 @@ built from the arrays' rows.
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,13 +45,22 @@ import riskrnn.autodiff as ad
 from riskrnn.autodiff import Node, _accum, _unbroadcast
 from riskrnn.data import Proposal
 from riskrnn.evaluation import REGION_IOU_THRESHOLD
-from riskrnn.geometry import MAX_LOG_SCALE, Box, encode_box_transform
+from riskrnn.geometry import MAX_LOG_SCALE, encode_box_transform
 from riskrnn.losses import PROB_CLAMP, RISKY_IOU_THRESHOLD
 from riskrnn.synthworld import agent_class_id
 
 
 # ---------------------------------------------------------------------------
 # box geometry
+
+class Box(NamedTuple):
+    """One (cx, cy, w, h) row; equal to the tuple the data views build."""
+
+    cx: float
+    cy: float
+    w: float
+    h: float
+
 
 def corners(box: Box) -> tuple:
     """(x1, y1, x2, y2): the min and max corners."""

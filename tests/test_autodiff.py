@@ -6,11 +6,11 @@ import pytest
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
-from riskrnn.geometry import Box
 from riskrnn.model import ModelConfig, RiskModel, score_regions, variant_config
 
 import helpers
 import oracles
+from oracles import Box
 
 
 def numeric_gradient(fn, x, h=1e-6):

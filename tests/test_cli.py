@@ -13,13 +13,13 @@ from riskrnn import cli, pipeline, training
 from riskrnn.cli import main, parse_overrides
 from riskrnn.config import RunConfig, load_run_config
 from riskrnn.evaluation import read_report, write_report
-from riskrnn.geometry import Box
 from riskrnn.model import VARIANTS, RiskModel
 from riskrnn.pipeline import eval_video, evaluate_model
 from riskrnn.synthworld import read_dataset, write_dataset
 from riskrnn.training import detected_tracks
 
 import oracles
+from oracles import Box
 
 TINY = ["--n_train", "2", "--n_val", "2", "--n_test", "4", "--epochs", "1"]
 
@@ -220,6 +220,21 @@ def untrained_model(tmp_path_factory):
     return path
 
 
+def test_a_repeated_model_names_its_curve_file_and_map_directory_alike(
+        data_dir, untrained_model, tmp_path):
+    report, maps = tmp_path / "rep.txt", tmp_path / "maps"
+    assert main(["eval", "--data", str(data_dir), "--model", str(untrained_model),
+                 "--model", str(untrained_model), "--out", str(report),
+                 "--riskmap-dir", str(maps), *TINY]) == 0
+    assert list(read_report(report)) == ["L-RAI", "L-RAI#1"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "maps", "rep.txt", "rep_curves_L-RAI.csv", "rep_curves_L-RAI_1.csv"]
+    assert sorted(path.name for path in maps.iterdir()) == ["L-RAI", "L-RAI_1"]
+    video_ids = sorted(sample.video_id for sample in read_dataset(data_dir / "test.dat"))
+    for name in ("L-RAI", "L-RAI_1"):
+        assert sorted(path.name for path in (maps / name).iterdir()) == video_ids
+
+
 @pytest.mark.parametrize("command,flag", [("train", "--out"), ("train", "--log"),
                                           ("eval", "--out"), ("infer", "--out")])
 def test_an_output_in_a_missing_directory_is_a_configuration_error_before_any_work(
@@ -314,18 +329,16 @@ def test_riskmap_writes_a_pgm_per_frame_of_the_first_video(data_dir, untrained_m
 
 
 # Reached only by callers outside the package's own run, each named. The
-# record views rebuild what the benchmark's data check compares record by
-# record; read_report stays beside write_report because the golden test,
-# which is kept as pinned, imports it from there.
+# record views build, as tuples and frozen records over the array rows, what
+# the benchmark's data check compares record by record; read_report stays
+# beside write_report because the golden test, which is kept as pinned,
+# imports it from there.
 CALLED_OUTSIDE_THE_CLI = {
-    "riskrnn.data.ProposalSet.__getitem__": "bench/workloads.py::sample_mismatch",
-    "riskrnn.data.ProposalSet.__len__": "bench/workloads.py::sample_mismatch",
     "riskrnn.data.VideoSample.frames": "bench/workloads.py::sample_mismatch and inspect_data",
     "riskrnn.data.VideoSample.proposals": "bench/workloads.py::sample_mismatch and inspect_data",
     "riskrnn.data.VideoSample.region_classes": "bench/workloads.py::sample_mismatch",
     "riskrnn.data.VideoSample.targets": "bench/workloads.py::sample_mismatch",
     "riskrnn.data._boxes": "the record views above",
-    "riskrnn.geometry.Box.__post_init__": "the record views above",
     "riskrnn.model.AgentTracks.__len__": "bench/tracing.py::_forward",
     "riskrnn.synthworld.verify_collision_predicate": "bench/workloads.py::inspect_data",
     "riskrnn.evaluation.read_report": "tests/test_golden.py",

@@ -60,7 +60,7 @@ class TestRecords:
         s = samples[0]
         for record, name in ((s, "proposal_box"), (s.targets, "t_accident"),
                              (s.frames[0], "agent_box"), (s.frames[0], "region_feats"),
-                             (s.proposals[0], "scores"), (s.proposals[0][0], "score")):
+                             (s.proposals[0][0], "score"), (s.proposals[0][0], "box")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, None)
 
@@ -79,7 +79,7 @@ class TestRecords:
 
     def test_data_layer_does_not_import_the_model(self):
         stdlib = set(sys.stdlib_module_names) | {"__future__"}
-        assert imported_modules(data) - stdlib == {"numpy", ".geometry"}
+        assert imported_modules(data) - stdlib == {"numpy"}
         assert not imported_modules(synthworld) & {".model", ".losses", "json"}
 
 
@@ -116,8 +116,10 @@ def videos(draw):
         risky_box=risky)
 
 
-def fields(box) -> tuple:
-    return (box.cx, box.cy, box.w, box.h)
+def assert_boxes(got, rows) -> None:
+    """``got`` is the rows as (cx, cy, w, h) tuples of Python floats."""
+    assert list(got) == [tuple(map(float, row)) for row in rows]
+    assert all(type(box) is tuple and all(type(v) is float for v in box) for box in got)
 
 
 class TestRecordViews:
@@ -130,20 +132,21 @@ class TestRecordViews:
         assert (targets.positive, targets.t_accident) == \
             (video.positive, None if video.t_accident == -1 else video.t_accident)
         assert video.region_classes == tuple(video.region_class)
+        assert_boxes([frame.agent_box for frame in frames], video.agent_box)
+        assert_boxes(targets.agent_track, video.agent_box)
         for t, frame in enumerate(frames):
-            assert fields(frame.agent_box) == fields(targets.agent_track[t]) == \
-                tuple(video.agent_box[t])
-            assert [fields(box) for box in frame.region_boxes] == \
-                [tuple(row) for row in video.region_box[t]]
+            assert_boxes(frame.region_boxes, video.region_box[t])
             for got, want in ((frame.agent_feat, video.agent_feat[t]),
                               (frame.region_feats, video.region_feat[t])):
                 assert np.shares_memory(got, want) and (got == want).all()
             # the risky view keeps exactly the rows that are not NaN padding
-            assert [fields(box) for box in targets.risky_boxes[t]] == \
-                [tuple(row) for row in video.risky_box[t] if not np.isnan(row).all()]
+            assert_boxes(targets.risky_boxes[t],
+                         [row for row in video.risky_box[t] if not np.isnan(row).all()])
 
 
 class TestProposalSet:
+    """A frame's proposals: a tuple of Proposal records over its rows."""
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 5))).flatmap(
         lambda tm: st.tuples(box_arrays(tm), arrays(np.float64, tm, elements=finite),
@@ -152,20 +155,14 @@ class TestProposalSet:
         xywh, scores, feats = video
         frames = dataclasses.replace(VIDEO, proposal_box=xywh, proposal_score=scores,
                                      proposal_feat=feats).proposals
-        assert len(frames) == len(xywh)
-        for t, proposals in enumerate(frames):
-            for got, want in ((proposals.xywh, xywh), (proposals.scores, scores),
-                              (proposals.feats, feats)):
-                assert np.shares_memory(got, want) and (got == want[t]).all()
-            records = list(proposals)
-            assert len(records) == len(proposals) == xywh.shape[1]
+        assert type(frames) is tuple and len(frames) == len(xywh)
+        for t, records in enumerate(frames):
+            assert type(records) is tuple and len(records) == xywh.shape[1]
+            assert all(type(record) is data.Proposal for record in records)
+            assert_boxes([record.box for record in records], xywh[t])
             for i, record in enumerate(records):
-                assert fields(record.box) == tuple(xywh[t, i])
                 assert type(record.score) is float and record.score == scores[t, i]
                 assert np.shares_memory(record.feat, feats) and (record.feat == feats[t, i]).all()
-            assert proposals[-1].score == records[-1].score
-            with pytest.raises(IndexError):
-                proposals[len(records)]
 
     @pytest.mark.parametrize("part,index,value,named", [
         ("proposal_box", (1, 2, 2), 0.0, "frame 1: proposal 2 has box [0.5, 0.5, 0.0, 0.25]"),
@@ -318,6 +315,21 @@ def test_of_several_faults_the_first_rule_is_named_then_the_first_video(tmp_path
         write_dataset(tmp_path / "val.dat", split)
 
 
+def test_a_repeated_video_id_names_the_id_and_both_videos(tmp_path, dataset, samples):
+    # video 1 also breaks a label rule; the id rule comes first
+    split = [samples[0], dataclasses.replace(samples[1], t_accident=2),
+             dataclasses.replace(samples[2], video_id=samples[0].video_id)]
+    message = (f"video {samples[0].video_id}: video 2 repeats the id of video 0; "
+               f"every video needs its own id")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_dataset(tmp_path / "repeated.dat", split)
+    assert not (tmp_path / "repeated.dat").exists()
+    _rewrite(dataset, lambda a: a["video_id"].__setitem__(2, a["video_id"][0]))
+    with pytest.raises(ValueError, match=re.escape(f"{dataset}: not a readable "
+                                                   f"{DATASET_HEADER} file (ValueError: {message})")):
+        read_dataset(dataset)
+
+
 @pytest.mark.parametrize("t_accident", [-1, CFG.frames_per_video])
 def test_a_file_the_loss_targets_and_tta_name_one_accident_frame_fault_alike(tmp_path, samples,
                                                                              t_accident):
@@ -343,11 +355,14 @@ FLOAT_KEYS = [key for key, (dtype, _) in data._LAYOUT.items() if dtype is np.flo
 def corrupted_splits(draw):
     """SPLIT with one field of one video changed: an entry of one of its
     arrays set to NaN, an infinity, a side <= 0 or a value that may be
-    harmless, or its label flipped or its accident frame moved."""
+    harmless, its label flipped, its accident frame moved, or the id of a
+    video (maybe its own) copied onto it."""
     v = draw(st.integers(0, len(SPLIT) - 1))
     video = SPLIT[v]
-    key = draw(st.sampled_from(FLOAT_KEYS + ["positive", "t_accident"]))
-    if key == "positive":
+    key = draw(st.sampled_from(FLOAT_KEYS + ["positive", "t_accident", "video_id"]))
+    if key == "video_id":
+        value = SPLIT[draw(st.integers(0, len(SPLIT) - 1))].video_id
+    elif key == "positive":
         value = not video.positive
     elif key == "t_accident":
         value = draw(st.integers(-2, video.n_frames + 1))

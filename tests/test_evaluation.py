@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from riskrnn.evaluation import (REGION_IOU_THRESHOLD, average_precision, match_frame_detections,
                                 oracle_region_average_precision, region_average_precision,
                                 region_overlaps, risk_map_raster, tta_atta)
-from riskrnn.geometry import Box, iou
+from riskrnn.geometry import iou
 
 import oracles
-from oracles import as_array, stack_boxes
+from oracles import Box, as_array, stack_boxes
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False)
 labelled = st.lists(st.tuples(unit_floats, st.booleans()), min_size=1, max_size=60).filter(

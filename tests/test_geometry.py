@@ -1,14 +1,18 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
-from riskrnn.geometry import Box, encode_box_transform, iou
+from riskrnn.data import write_dataset
+from riskrnn.geometry import encode_box_transform, iou
+from riskrnn.synthworld import ScenarioConfig, generate_split
 
 import oracles
-from oracles import apply_box_transform, as_array, relative_config, stack_boxes
+from oracles import Box, apply_box_transform, as_array, relative_config, stack_boxes
 
 
 def random_box(rng) -> Box:
@@ -22,18 +26,27 @@ class TestBox:
         assert (x1, y1, x2, y2) == pytest.approx((0.4, 0.3, 0.6, 0.7))
         assert (x2 - x1) * (y2 - y1) == pytest.approx(0.08)
 
+    # a box is an array row, checked once, by the dataset check on write
+    # and on read; here on the agent's row of a one-video split
+    VIDEO = generate_split(ScenarioConfig(frames_per_video=2, n_regions=2, feature_dim=2,
+                                          n_distractor_proposals=1), 1, "val")[0]
+
+    def rejects(self, tmp_path, **fields):
+        agent_box = self.VIDEO.agent_box.copy()
+        agent_box[1] = [fields.get(name, 0.5) for name in ("cx", "cy", "w", "h")]
+        with pytest.raises(ValueError, match=re.escape(
+                f"frame 1: agent 0 has box {agent_box[1].tolist()}")):
+            write_dataset(tmp_path / "video.dat", [replace(self.VIDEO, agent_box=agent_box)])
+        assert not (tmp_path / "video.dat").exists()
+
     @pytest.mark.parametrize("w,h", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.1)])
-    def test_rejects_degenerate_sides(self, w, h):
-        with pytest.raises(ValueError):
-            Box(0.5, 0.5, w, h)
+    def test_rejects_degenerate_sides(self, tmp_path, w, h):
+        self.rejects(tmp_path, w=w, h=h)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["cx", "cy", "w", "h"])
-    def test_rejects_non_finite(self, field, value):
-        fields = dict(cx=0.5, cy=0.5, w=0.1, h=0.1)
-        fields[field] = value
-        with pytest.raises(ValueError):
-            Box(**fields)
+    def test_rejects_non_finite(self, tmp_path, field, value):
+        self.rejects(tmp_path, **{field: value})
 
 
 class TestStackBoxes:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from riskrnn.autodiff import Tape
 from riskrnn.data import write_dataset
-from riskrnn.geometry import Box, encode_box_transform, iou
+from riskrnn.geometry import encode_box_transform, iou
 import riskrnn.autodiff as ad
 from riskrnn.losses import (SequenceTargets, anticipation_loss, anticipation_weights,
                             region_labels, region_loss, total_loss, transform_loss,
@@ -17,7 +17,7 @@ from riskrnn.model import VARIANTS, RiskModel, forward_video, variant_config
 from riskrnn.training import stack_regions, track_inputs
 
 import oracles
-from oracles import as_array, stack_boxes
+from oracles import Box, as_array, stack_boxes
 from helpers import (TINY_CONFIG, agent_tracks, leaf, padded_negative, random_box, random_targets,
                      random_video, tiny_model)
 

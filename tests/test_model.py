@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
-from riskrnn.geometry import Box
 from riskrnn.losses import SequenceTargets, total_loss
 from riskrnn.model import (AgentTracks, ModelConfig, ModelOutput, RiskModel,
                            agent_rnn_step, anticipate_step, forward_video,
@@ -14,6 +13,7 @@ from riskrnn.model import (AgentTracks, ModelConfig, ModelOutput, RiskModel,
 from riskrnn.nn import lstm_step
 
 import oracles
+from oracles import Box
 from helpers import (TINY_CONFIG, agent_tracks, padded_negative, random_box, random_targets,
                      random_video, tiny_model, video, zeroed_model)
 
