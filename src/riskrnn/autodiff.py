@@ -267,21 +267,22 @@ def reshape(x: Node, shape) -> Node:
 # ---------------------------------------------------------------------------
 # fused model ops with hand-derived backward passes
 
-def lstm(w: Node, b: Node, x: Node, h0: Node | None = None, c0: Node | None = None,
-         sequences: int = 1) -> tuple[Node, Node]:
+def lstm(w: Node, b: Node, x: Node, state: tuple[Node, Node] | None,
+         sequences: int) -> tuple[Node, Node]:
     """S steps of B independent LSTM cells (no peepholes) as one op.
 
     ``w`` is the (4H, I + H) weight acting on [input; previous hidden] and
     ``b`` the (4H, 1) bias, gates ordered [input, forget, candidate, output].
     ``x`` is (I, S * B): column t * B + b is the input of cell b at step t.
-    The cells start from the (H, B) states ``h0`` and ``c0``, zero when None;
-    B is the column count of ``h0`` if given, else ``sequences``. Returns the
-    (H, S * B) hidden and cell states, column t * B + b being cell b after
-    step t. The inputs of all steps are projected in one matmul; the backward
-    pass runs backpropagation through time, forms the weight gradient as one
-    product dZ @ [X; H_prev]^T and passes gradients on to ``x``, ``h0`` and
-    ``c0``. Fusing the gates and the recurrence into one taped op keeps node
-    counts low, which dominates training cost at desk scale.
+    The cells start from ``state``, a (hidden, cell) pair of (H, B) nodes,
+    or from zero when it is None; B is the column count of the given state,
+    else ``sequences``. Returns the (H, S * B) hidden and cell states, column
+    t * B + b being cell b after step t. The inputs of all steps are
+    projected in one matmul; the backward pass runs backpropagation through
+    time, forms the weight gradient as one product dZ @ [X; H_prev]^T and
+    passes gradients on to ``x`` and the two start states. Fusing the gates
+    and the recurrence into one taped op keeps node counts low, which
+    dominates training cost at desk scale.
 
     Inside, the steps are step-major: the gates, states and gradients of
     step t are one contiguous (·, B) block of an (S, ·, B) array, so each
@@ -294,9 +295,10 @@ def lstm(w: Node, b: Node, x: Node, h0: Node | None = None, c0: Node | None = No
     """
     wv, xv = w.value, x.value
     hdim = wv.shape[0] // 4
-    batch = sequences if h0 is None else h0.value.shape[-1]
-    h0v = np.zeros((hdim, batch)) if h0 is None else h0.value
-    c0v = np.zeros((hdim, batch)) if c0 is None else c0.value
+    h0, c0 = state or (None, None)
+    batch = sequences if state is None else h0.value.shape[-1]
+    h0v = np.zeros((hdim, batch)) if state is None else h0.value
+    c0v = np.zeros((hdim, batch)) if state is None else c0.value
     if (xv.ndim != 2 or batch < 1 or xv.shape[1] % batch != 0
             or wv.shape != (4 * hdim, xv.shape[0] + hdim) or b.value.shape != (4 * hdim, 1)
             or h0v.shape != (hdim, batch) or c0v.shape != (hdim, batch)):
@@ -362,13 +364,11 @@ def lstm(w: Node, b: Node, x: Node, h0: Node | None = None, c0: Node | None = No
         _accum(b, dz.sum(axis=1, keepdims=True))
         if x.requires_grad:
             _accum(x, w_x.T @ dz)
-        if h0 is not None:
+        if state is not None:
             _accum(h0, dh_next)
-        if c0 is not None:
             _accum(c0, dc_next)
-    states = tuple(s for s in (h0, c0) if s is not None)
     out = w.tape._make(np.ascontiguousarray(hc.transpose(1, 0, 2)).reshape(2 * hdim, columns),
-                       (w, b, x) + states, backward)
+                       (w, b, x, *(state or ())), backward)
     return vec_slice(out, 0, hdim), vec_slice(out, hdim, 2 * hdim)
 
 

@@ -107,6 +107,14 @@ def _check_output_dirs(**paths) -> None:
             raise ConfigError(f"--{flag} {path}: no directory '{directory}'")
 
 
+def _check_map_dir(flag: str, path) -> None:
+    """Raise ConfigError before any work if ``--flag path``, a risk-map
+    directory, or else its nearest existing parent, is not a directory."""
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--{flag} {path}: '{existing}' is not a directory")
+
+
 def cmd_train(cfg, args) -> int:
     log_path = args.log or f"{args.out}.log.csv"
     _check_output_dirs(out=args.out, log=log_path)
@@ -142,6 +150,8 @@ def _naming(path):
 
 def cmd_eval(cfg, args) -> int:
     _check_output_dirs(out=args.out)
+    if args.riskmap_dir:
+        _check_map_dir("riskmap-dir", args.riskmap_dir)
     # every model file is read before any work, so a bad one writes nothing
     models = [RiskModel.load(model_path) for model_path in args.model]
     path = _dataset_path(args.data, "test")
@@ -211,6 +221,7 @@ def cmd_infer(cfg, args) -> int:
 
 
 def cmd_riskmap(cfg, args) -> int:
+    _check_map_dir("out", args.out)
     sample, result = _eval_one_video(cfg, args)
     out = Path(args.out)
     _write_riskmaps(out, result, cfg)

@@ -9,13 +9,14 @@ feature dimensions and at most R risky boxes per frame, boxes are
 (cx, cy, w, h) rows. A ``VideoSample`` is one video's rows of these arrays.
 
 One check, ``_check_split``, holds the file's contract over a split's
-arrays: their dtypes and sizes, the video ids, the labels, and every row
-the model reads. ``write_dataset`` runs it on the arrays it stacks, before
-it saves them, and ``read_dataset`` on the arrays it loads, before it
-builds each video's row views, so every file one writes the other reads. A
-split built in memory is not checked: training and evaluation check only
-that its videos share one shape (``check_one_shape``), so a non-finite
-value there reaches the model.
+arrays: their dtypes and sizes, the video ids, each its own and a plain
+file name (``eval --riskmap-dir`` names a directory by it), the labels,
+and every row the model reads. ``write_dataset`` runs it on the arrays it
+stacks, before it saves them, and ``read_dataset`` on the arrays it loads,
+before it builds each video's row views, so every file one writes the
+other reads. A split built in memory is not checked: training and
+evaluation check only that its videos share one shape
+(``check_one_shape``), so a non-finite value there reaches the model.
 
 The records survive only as views, built on each call and kept nowhere,
 for one reader: the benchmark's check that a dataset reads back as written,
@@ -178,6 +179,7 @@ def _check_split(arrays: dict) -> None:
     least 1, and the labels and rows of every video hold:
 
     - no video repeats the id of an earlier one;
+    - an id is a plain file name: not empty, ``.`` or ``..``, without ``/`` or NUL;
     - a positive has an accident frame in [0, T); a negative has none and no
       risky box;
     - every box is finite with sides > 0, every feature and score finite,
@@ -204,6 +206,12 @@ def _check_split(arrays: dict) -> None:
         v = repeats.argmax()
         raise ValueError(f"video {ids[v]}: video {v} repeats the id of video {first[which[v]]}; "
                          f"every video needs its own id")
+    names = ids.tolist()
+    v = next((v for v, name in enumerate(names)
+              if name in ("", ".", "..") or "/" in name or "\0" in name), None)
+    if v is not None:
+        raise ValueError(f"video {v}: id {names[v]!r} is not a plain file name; every id needs "
+                         f"to be non-empty, not '.' or '..', and without '/' or NUL")
     check_accident_frames(ids, positive, t_accident, sizes["T"])
     n_risky = np.count_nonzero(~np.isnan(arrays["risky_box"]).all(axis=3), axis=(1, 2))
     bad = ~positive & ((t_accident != -1) | (n_risky > 0))

@@ -104,16 +104,16 @@ def region_overlaps(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
     return iou(boxes[..., :, None, :], gt_boxes[..., None, :, :])
 
 
-def match_frame_detections(scores, overlaps, iou_threshold=REGION_IOU_THRESHOLD) -> np.ndarray:
+def match_frame_detections(scores, overlaps) -> np.ndarray:
     """Greedy matching within each frame of N detections and R ground truths.
 
     Takes the (..., N) detection scores and their (..., N, R) IoU matrix,
     the leading axes (a split's videos and frames) shared. Within a frame,
     detections are visited in descending score order (ties keep input
     order); each claims the best still-unmatched ground truth overlapping at
-    or above the threshold, of equal ones the last. Every frame takes its
-    next detection at once, so the loop runs over the N ranks. Returns the
-    (..., N) matched flags in input order.
+    or above ``REGION_IOU_THRESHOLD``, of equal ones the last. Every frame
+    takes its next detection at once, so the loop runs over the N ranks.
+    Returns the (..., N) matched flags in input order.
     """
     scores, overlaps = np.asarray(scores), np.asarray(overlaps)
     if overlaps.size == 0:  # no frame, detection or ground truth to match
@@ -126,7 +126,7 @@ def match_frame_detections(scores, overlaps, iou_threshold=REGION_IOU_THRESHOLD)
     open_gt = np.ones((len(flat_scores), n_gt), dtype=bool)
     for picked in np.argsort(-flat_scores, axis=1, kind="stable").T:
         row = flat_overlaps[frames, picked]
-        candidates = open_gt & (row >= iou_threshold)
+        candidates = open_gt & (row >= REGION_IOU_THRESHOLD)
         claims = np.flatnonzero(candidates.any(axis=1))
         # the best open ground truth; of equal ones, the last
         best = n_gt - 1 - np.argmax(np.where(candidates, row, -np.inf)[claims, ::-1], axis=1)

@@ -38,7 +38,8 @@ handful of tape nodes:
    state steps all T x B columns once, branched, in place of the sweep.
 
 Only the two memory sweeps (1 and 3) are sequential over time; RA and RAI
-have none.
+have none. Both call ``lstm_step``, this module's name for ``autodiff.lstm``
+(the name the benchmark's tracer times), with their parameters' tape nodes.
 """
 from __future__ import annotations
 
@@ -48,9 +49,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
+from .autodiff import lstm as lstm_step
 from .geometry import MAX_LOG_SCALE, RELATIVE_CONFIG_DIM
-from .nn import (ParameterStore, init_params, load_params, lstm_step, parse_config_value,
-                 save_params)
+from .nn import ParameterStore, init_params, load_params, parse_config_value, save_params
 
 VARIANTS = ("RA", "RAI", "L-RA", "L-RAI")
 
@@ -241,26 +242,27 @@ def pool_regions(tape: Tape, scores: Node, region_feats: np.ndarray) -> Node:
 
 
 def agent_rnn_step(tape: Tape, store: ParameterStore, inputs: np.ndarray) -> tuple[Node, Node]:
-    """The agent memory: one sweep over the (d_agent + 4, T, B) appearances
-    and boxes of B independent sequences; returns the (hidden, cell) states,
-    each (H, T * B) and frame-major."""
+    """The agent memory: one ``lstm_step`` sweep from zero over the
+    (d_agent + 4, T, B) appearances and boxes of B independent sequences;
+    returns the (hidden, cell) states, each (H, T * B) and frame-major."""
     rows, _, sequences = inputs.shape
-    return lstm_step(tape, store["agent_rnn_W"], store["agent_rnn_b"],
-                     tape.const(inputs.reshape(rows, -1)), sequences=sequences)
+    return lstm_step(tape.param(store["agent_rnn_W"]), tape.param(store["agent_rnn_b"]),
+                     tape.const(inputs.reshape(rows, -1)), None, sequences)
 
 
 def anticipate_step(tape: Tape, store: ParameterStore, cfg: ModelConfig,
                     state: tuple[Node, Node] | None, agent_code: Node, pooled: Node,
-                    sequences: int = 1):
+                    sequences: int):
     """Anticipation for every column; returns (state, holistic code, (2, C) probabilities).
 
-    With memory, the risk memory's (hidden, cell) ``state`` is None to sweep
-    the C = T * B frame-major columns as ``sequences`` = B sequences from a
-    zero state, or one (H, C) pair to advance each column by one branched step.
+    With memory, ``lstm_step`` runs the risk memory from ``state``: None to
+    sweep the C = T * B frame-major columns as ``sequences`` = B sequences
+    from zero, or an (H, C) (hidden, cell) pair for one branched step a column.
     """
     q = ad.concat([agent_code, pooled])
     if cfg.use_memory:
-        state = lstm_step(tape, store["risk_rnn_W"], store["risk_rnn_b"], q, state, sequences)
+        state = lstm_step(tape.param(store["risk_rnn_W"]), tape.param(store["risk_rnn_b"]),
+                          q, state, sequences)
         o = state[0]
     else:
         o = q

@@ -1,21 +1,20 @@
-"""Parameter storage, the LSTM layer, Adam, and model files.
+"""Parameter storage, Adam, and model files.
 
 A ParameterStore holds every parameter in one flat float64 vector, in
 declaration order, with the gradients and Adam moments in vectors beside it.
 Each ParamMatrix views its span of ``values`` and ``grad`` in its declared
 shape (biases are (n, 1) columns). Names ending in ``_rnn_b`` are LSTM bias
 blocks laid out as [input, forget, candidate, output]; their forget quarter is
-initialized to one so fresh cells retain memory. ``lstm_step`` is the one
-LSTM layer: a sweep over B sequences from a zero state, or one step per
-column from a given state.
+initialized to one so fresh cells retain memory. ``adam_step`` reads its
+decay rates and epsilon from ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+The module imports only numpy and the standard library.
 """
 from __future__ import annotations
 
 import math
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Node, Tape
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -93,17 +92,7 @@ def init_params(specs, seed: int) -> ParameterStore:
     return store
 
 
-def lstm_step(tape: Tape, weight: ParamMatrix, bias: ParamMatrix, x: Node,
-              state: tuple[Node, Node] | None = None, sequences: int = 1) -> tuple[Node, Node]:
-    """The LSTM layer on its (I, C) input columns, returning its (hidden,
-    cell) states as (H, C) nodes. With no ``state`` it sweeps the columns as
-    B = ``sequences`` sequences from zero, frame-major: column t * B + b is
-    step t of sequence b. A given (hidden, cell) state steps each column once."""
-    return ad.lstm(tape.param(weight), tape.param(bias), x, *(state or ()), sequences=sequences)
-
-
-def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8, *, t: int) -> None:
+def adam_step(store: ParameterStore, lr: float, *, t: int) -> None:
     """Bias-corrected Adam update from accumulated grads; zeroes grads after.
 
     ``t`` is the 1-based step index; first and second moments persist in the
@@ -125,16 +114,16 @@ def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,
         store.adam_m, store.adam_v, store.adam_scratch = (np.zeros_like(store.grad)
                                                           for _ in range(3))
     g, m, v, s = store.grad, store.adam_m, store.adam_v, store.adam_scratch
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=s)
-    v *= beta2
-    np.multiply(g, 1.0 - beta2, out=s)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s)
     v += np.multiply(s, g, out=s)
-    np.divide(m, 1.0 - beta1 ** t, out=s)  # m_hat
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=s)  # m_hat
     s *= lr
-    np.divide(v, 1.0 - beta2 ** t, out=g)  # v_hat
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=g)  # v_hat
     np.sqrt(g, out=g)
-    g += eps
+    g += ADAM_EPS
     store.values -= np.divide(s, g, out=s)
     g.fill(0.0)
 
@@ -145,18 +134,16 @@ def adam_step(store: ParameterStore, lr: float = 1e-4, beta1: float = 0.9,
 MODEL_HEADER = "RISKRNN-MODEL v1"
 
 
-def save_params(path, store: ParameterStore, config: dict | None = None) -> None:
+def save_params(path, store: ParameterStore, config: dict) -> None:
     """Write the versioned text model file.
 
-    Optional ``config`` entries become ``key = value`` lines between the
-    header and the parameter blocks. Values carry 17 significant digits so a
+    The ``config`` entries become ``key = value`` lines between the header
+    and the parameter blocks. Values carry 17 significant digits so a
     reload is bit-exact; the trailing checksum is the exact (fsum) total of
     every value written.
     """
     lines = [MODEL_HEADER]
-    if config:
-        for key, value in config.items():
-            lines.append(f"{key} = {_format_config_value(value)}")
+    lines.extend(f"{key} = {_format_config_value(value)}" for key, value in config.items())
     for pm in store:
         rows, cols = pm.values.shape
         lines.append(f"{pm.name} {rows} {cols}")

@@ -179,7 +179,7 @@ def _distractor_regions(cfg: ScenarioConfig, rng):
 
 
 def generate_scenario(cfg: ScenarioConfig, positive: bool, *, index: int = 0,
-                      split: str = "train", video_id: str | None = None) -> VideoSample:
+                      split: str = "train") -> VideoSample:
     """Build one deterministic video with features, targets, and proposals."""
     cfg.validate()
     if split not in _SPLIT_TAGS:
@@ -204,7 +204,7 @@ def generate_scenario(cfg: ScenarioConfig, positive: bool, *, index: int = 0,
     proposal_box, proposal_score, proposal_feat = synthesize_proposals(
         cfg, track, region_box, region_class, embeddings, rng)
     return VideoSample(
-        video_id=video_id or f"{split}-{index:05d}",
+        video_id=f"{split}-{index:05d}",
         positive=positive,
         t_accident=n_frames - 1 if positive else -1,
         agent_class=agent_class_id(cfg),

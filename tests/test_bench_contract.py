@@ -5,7 +5,7 @@ them."""
 import sys
 from pathlib import Path
 
-from riskrnn import geometry, model, pipeline, training
+from riskrnn import autodiff, geometry, model, pipeline, training
 from riskrnn.config import RunConfig
 from riskrnn.model import VARIANTS
 from riskrnn.synthworld import generate_split
@@ -25,6 +25,11 @@ def test_every_patched_iou_is_the_geometry_one():
     owners = [owner for owner, attr, _ in tracing._patches() if attr == "iou"]
     assert owners
     assert [o.__name__ for o in owners if o.iou is not geometry.iou] == []
+
+
+def test_the_patched_lstm_step_is_the_autodiff_op():
+    # a wrapper in the model would put a frame between the tracer and the op
+    assert model.lstm_step is autodiff.lstm
 
 
 def test_a_traced_training_epoch_reaches_every_wrapper():

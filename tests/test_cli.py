@@ -255,6 +255,48 @@ def test_an_output_in_a_missing_directory_is_a_configuration_error_before_any_wo
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,flag", [("eval", "--riskmap-dir"), ("riskmap", "--out")])
+@pytest.mark.parametrize("maps", ["F", "F/maps"])
+def test_a_map_directory_under_a_file_is_a_configuration_error_before_any_work(
+        data_dir, tmp_path, monkeypatch, capsys, command, flag, maps):
+    monkeypatch.chdir(tmp_path)
+
+    def read_dataset(path):
+        raise AssertionError(f"{path} was read before the map directory was checked")
+
+    monkeypatch.setattr(cli, "read_dataset", read_dataset)
+    (tmp_path / "F").write_text("")
+    # the model file does not exist either, so reading it first would fail with 1
+    outputs = (["--out", "report.txt", "--riskmap-dir", maps] if command == "eval"
+               else ["--out", maps])
+    assert main([command, "--data", str(data_dir), "--model", "missing.rrm", *outputs,
+                 *TINY]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {flag} {maps}: 'F' is not a directory\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["F"]
+
+
+@pytest.mark.parametrize("video_id", ["../escaped", "../../escaped"])
+def test_an_id_that_is_no_plain_file_name_fails_eval_before_it_writes_a_map(
+        data_dir, untrained_model, tmp_path, capsys, video_id):
+    run = tmp_path / "run"
+    run.mkdir()
+    with np.load(data_dir / "test.dat", allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    arrays["video_id"] = np.array([f"{video_id}-{v}" for v in range(len(arrays["video_id"]))])
+    bad = run / "test.dat"
+    with open(bad, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert main(["eval", "--data", str(bad), "--model", str(untrained_model),
+                 "--out", str(run / "report.txt"), "--riskmap-dir", str(run / "maps"),
+                 *TINY]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: not a readable RISKRNN-DATASET v2 file (ValueError: video 0: "
+        f"id '{video_id}-0' is not a plain file name; ")
+    assert sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*")) == [
+        run.relative_to(tmp_path), bad.relative_to(tmp_path)]
+
+
 def test_eval_tracks_the_split_once_for_all_its_models(
         data_dir, untrained_model, tmp_path, monkeypatch):
     other = tmp_path / "RA.rrm"

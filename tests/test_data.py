@@ -330,6 +330,25 @@ def test_a_repeated_video_id_names_the_id_and_both_videos(tmp_path, dataset, sam
         read_dataset(dataset)
 
 
+@pytest.mark.parametrize("video_id", ["../escaped", "", "..", "a\0b"])
+def test_an_id_that_is_no_plain_file_name_names_the_video_and_the_id(tmp_path, dataset, samples,
+                                                                    video_id):
+    # video 2 also breaks a label rule; the id rule comes first
+    split = [samples[0], dataclasses.replace(samples[1], video_id=video_id),
+             dataclasses.replace(samples[2], t_accident=-1)]
+    message = (f"video 1: id {video_id!r} is not a plain file name; every id needs to be "
+               f"non-empty, not '.' or '..', and without '/' or NUL")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_dataset(tmp_path / "escaped.dat", split)
+    assert not (tmp_path / "escaped.dat").exists()
+    # a new array, as the file's may be too narrow for the id
+    _rewrite(dataset, lambda a: a.update(video_id=np.array([v.video_id for v in split])))
+    _rewrite(dataset, lambda a: a["t_accident"].__setitem__(2, -1))
+    with pytest.raises(ValueError, match=re.escape(f"{dataset}: not a readable "
+                                                   f"{DATASET_HEADER} file (ValueError: {message})")):
+        read_dataset(dataset)
+
+
 @pytest.mark.parametrize("t_accident", [-1, CFG.frames_per_video])
 def test_a_file_the_loss_targets_and_tta_name_one_accident_frame_fault_alike(tmp_path, samples,
                                                                              t_accident):
@@ -348,6 +367,7 @@ def test_a_file_the_loss_targets_and_tta_name_one_accident_frame_fault_alike(tmp
 
 
 SPLIT = generate_split(CFG, 3, "val")
+NOT_FILE_NAMES = ["", ".", "..", "../escaped", "a/b", "/", "a\0b"]
 FLOAT_KEYS = [key for key, (dtype, _) in data._LAYOUT.items() if dtype is np.float64]
 
 
@@ -356,12 +376,12 @@ def corrupted_splits(draw):
     """SPLIT with one field of one video changed: an entry of one of its
     arrays set to NaN, an infinity, a side <= 0 or a value that may be
     harmless, its label flipped, its accident frame moved, or the id of a
-    video (maybe its own) copied onto it."""
+    video (maybe its own) or one that is no plain file name given to it."""
     v = draw(st.integers(0, len(SPLIT) - 1))
     video = SPLIT[v]
     key = draw(st.sampled_from(FLOAT_KEYS + ["positive", "t_accident", "video_id"]))
     if key == "video_id":
-        value = SPLIT[draw(st.integers(0, len(SPLIT) - 1))].video_id
+        value = draw(st.sampled_from([other.video_id for other in SPLIT] + NOT_FILE_NAMES))
     elif key == "positive":
         value = not video.positive
     elif key == "t_accident":

@@ -1,6 +1,6 @@
 """The package's import layering, read from its sources with ``ast``: the
-data layer does not import the model layer, and nothing outside numpy and
-the standard library is imported."""
+data layer does not import the model layer, ``nn`` imports no package
+module, and nothing outside numpy and the standard library is imported."""
 import ast
 import sys
 from pathlib import Path
@@ -42,6 +42,10 @@ def test_every_module_is_read():
 def test_the_data_layer_does_not_import_the_model_layer():
     crossings = {name: sorted(imports(SOURCES[name])[0] & MODEL_LAYER) for name in DATA_LAYER}
     assert crossings == {name: [] for name in DATA_LAYER}
+
+
+def test_nn_imports_no_package_module():
+    assert imports(SOURCES["nn"])[0] == set()
 
 
 def test_the_package_imports_only_numpy_and_the_standard_library():

@@ -10,7 +10,6 @@ from riskrnn.losses import SequenceTargets, total_loss
 from riskrnn.model import (AgentTracks, ModelConfig, ModelOutput, RiskModel,
                            agent_rnn_step, anticipate_step, forward_video,
                            param_specs, pool_regions, score_regions, variant_config)
-from riskrnn.nn import lstm_step
 
 import oracles
 from oracles import Box
@@ -195,8 +194,9 @@ class TestRecurrentSteps:
         got = agent_rnn_step(tape, model.store, inputs[:, :, None])
         state = (tape.const(np.zeros((8, 1))), tape.const(np.zeros((8, 1))))
         for t in range(5):
-            state = lstm_step(tape, model.store["agent_rnn_W"], model.store["agent_rnn_b"],
-                              tape.const(inputs[:, t:t + 1]), state)
+            state = ad.lstm(tape.param(model.store["agent_rnn_W"]),
+                            tape.param(model.store["agent_rnn_b"]),
+                            tape.const(inputs[:, t:t + 1]), state, 1)
             for swept, stepped in zip(got, state):
                 np.testing.assert_allclose(swept.value[:, t:t + 1], stepped.value,
                                            rtol=1e-13, atol=1e-15)
@@ -212,7 +212,7 @@ class TestRecurrentSteps:
         model = zeroed_model(TINY_CONFIG)
         tape = Tape()
         _, _, y = anticipate_step(tape, model.store, TINY_CONFIG, None,
-                                  tape.const(np.zeros((8, 3))), tape.const(np.ones((8, 3))))
+                                  tape.const(np.zeros((8, 3))), tape.const(np.ones((8, 3))), 1)
         np.testing.assert_allclose(y.value, 0.5)
 
     def test_y_sums_to_one(self):
@@ -220,8 +220,8 @@ class TestRecurrentSteps:
         rng = np.random.default_rng(8)
         tape = Tape()
         code, pooled = tape.const(rng.normal(size=(8, 20))), tape.const(rng.normal(size=(8, 20)))
-        state, _, y = anticipate_step(tape, model.store, TINY_CONFIG, None, code, pooled)
-        _, _, y_branch = anticipate_step(tape, model.store, TINY_CONFIG, state, code, pooled)
+        state, _, y = anticipate_step(tape, model.store, TINY_CONFIG, None, code, pooled, 1)
+        _, _, y_branch = anticipate_step(tape, model.store, TINY_CONFIG, state, code, pooled, 1)
         for probs in (y.value, y_branch.value):
             assert probs.shape == (2, 20)
             assert np.all(np.abs(probs.sum(axis=0) - 1.0) <= 1e-12)

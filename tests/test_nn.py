@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
 from riskrnn.nn import (ParamMatrix, ParameterStore, TrainingError, adam_step, init_params,
-                        load_params, lstm_step, save_params)
+                        load_params, save_params)
 
 import oracles
 from helpers import finite_diff_check, leaf
@@ -75,6 +75,11 @@ class TestDense:
             oracles.dense(tape, store["w"], tape.const(np.ones((4, 1))))
 
 
+def weight_and_bias(tape, store):
+    """The tape nodes of the store's LSTM parameters ``w`` and ``b``."""
+    return tape.param(store["w"]), tape.param(store["b"])
+
+
 def zero_state(tape, hidden_dim, batch=1):
     return tape.const(np.zeros((hidden_dim, batch))), tape.const(np.zeros((hidden_dim, batch)))
 
@@ -83,8 +88,8 @@ class TestLstmStep:
     def test_all_zero_parameters_and_state(self):
         store = store_from_arrays(w=np.zeros((8, 5)), b=np.zeros((8, 1)))
         tape = Tape()
-        hidden, cell = lstm_step(tape, store["w"], store["b"], tape.const(np.ones((3, 1))),
-                                 zero_state(tape, 2))
+        hidden, cell = ad.lstm(*weight_and_bias(tape, store), tape.const(np.ones((3, 1))),
+                               zero_state(tape, 2), 1)
         np.testing.assert_allclose(hidden.value, 0.0)
         np.testing.assert_allclose(cell.value, 0.0)
 
@@ -97,7 +102,7 @@ class TestLstmStep:
         tape = Tape()
         cell = np.array([[0.7], [-0.3]])
         state = tape.const(np.zeros((2, 1))), tape.const(cell)
-        _, out = lstm_step(tape, store["w"], store["b"], tape.const(np.ones((3, 1))), state)
+        _, out = ad.lstm(*weight_and_bias(tape, store), tape.const(np.ones((3, 1))), state, 1)
         np.testing.assert_allclose(out.value, cell, atol=1e-12)
 
     def test_matches_scalar_reference(self):
@@ -109,8 +114,8 @@ class TestLstmStep:
         c = rng.normal(size=3)
         store = store_from_arrays(w=W, b=b)
         tape = Tape()
-        hidden, cell = lstm_step(tape, store["w"], store["b"], tape.const(x[:, None]),
-                                 (tape.const(h[:, None]), tape.const(c[:, None])))
+        hidden, cell = ad.lstm(*weight_and_bias(tape, store), tape.const(x[:, None]),
+                               (tape.const(h[:, None]), tape.const(c[:, None])), 1)
         ref_h, ref_c = reference_lstm_step(W, b, x, h, c)
         np.testing.assert_allclose(hidden.value[:, 0], ref_h, atol=1e-12)
         np.testing.assert_allclose(cell.value[:, 0], ref_c, atol=1e-12)
@@ -119,11 +124,11 @@ class TestLstmStep:
         store = store_from_arrays(w=np.zeros((8, 5)), b=np.zeros((8, 1)))
         tape = Tape()
         with pytest.raises(ValueError):
-            lstm_step(tape, store["w"], store["b"], tape.const(np.ones((9, 1))),
-                      zero_state(tape, 2))
+            ad.lstm(*weight_and_bias(tape, store), tape.const(np.ones((9, 1))),
+                    zero_state(tape, 2), 1)
         with pytest.raises(ValueError):  # three inputs for two cells
-            lstm_step(tape, store["w"], store["b"], tape.const(np.ones((3, 3))),
-                      zero_state(tape, 2, batch=2))
+            ad.lstm(*weight_and_bias(tape, store), tape.const(np.ones((3, 3))),
+                    zero_state(tape, 2, batch=2), 2)
 
     def test_columns_are_independent_cells(self):
         rng = np.random.default_rng(12)
@@ -132,8 +137,8 @@ class TestLstmStep:
         x, h, c = rng.normal(size=(4, 5)), rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
         store = store_from_arrays(w=W, b=b)
         tape = Tape()
-        hidden, cell = lstm_step(tape, store["w"], store["b"], tape.const(x),
-                                 (tape.const(h), tape.const(c)))
+        hidden, cell = ad.lstm(*weight_and_bias(tape, store), tape.const(x),
+                               (tape.const(h), tape.const(c)), 5)
         for t in range(5):
             ref_h, ref_c = reference_lstm_step(W, b, x[:, t], h[:, t], c[:, t])
             np.testing.assert_allclose(hidden.value[:, t], ref_h, rtol=1e-13, atol=1e-15)
@@ -141,7 +146,7 @@ class TestLstmStep:
 
 
 class TestLstmSweep:
-    """``lstm_step`` from no state, a sweep, against T chained steps."""
+    """``autodiff.lstm`` from no state, a sweep, against T chained steps."""
 
     def setup_method(self):
         rng = np.random.default_rng(14)
@@ -154,7 +159,7 @@ class TestLstmSweep:
         """x_source: an array, taken as a leaf, or a ParamMatrix."""
         tape = Tape()
         x = tape.param(x_source) if isinstance(x_source, ParamMatrix) else leaf(tape, x_source)
-        hidden, cell = lstm_step(tape, store["w"], store["b"], x)
+        hidden, cell = ad.lstm(*weight_and_bias(tape, store), x, None, 1)
         loss = (ad.vsum(hidden * tape.const(self.gh))
                 + ad.vsum(cell * tape.const(self.gc)))
         return tape, loss, x
@@ -171,7 +176,7 @@ class TestLstmSweep:
         state = zero_state(tape, 3)
         chained = tape.const(0.0)
         for t, column in enumerate(columns):
-            state = lstm_step(tape, store["w"], store["b"], column, state)
+            state = ad.lstm(*weight_and_bias(tape, store), column, state, 1)
             chained = (chained + ad.vsum(state[0] * tape.const(self.gh[:, t:t + 1]))
                        + ad.vsum(state[1] * tape.const(self.gc[:, t:t + 1])))
         tape.backward(chained)
@@ -189,15 +194,15 @@ class TestLstmSweep:
     def test_shape_mismatch(self):
         store = store_from_arrays(w=np.zeros((8, 5)), b=np.zeros((8, 1)))
         with pytest.raises(ValueError):
-            lstm_step(Tape(), store["w"], store["b"], Tape().const(np.ones((4, 3))))
+            ad.lstm(*weight_and_bias(Tape(), store), Tape().const(np.ones((4, 3))), None, 1)
 
     def test_sequences_are_swept_independently(self):
         # the six columns as three frames of two sequences, frame-major
         store = store_from_arrays(w=self.W, b=self.b)
         tape = Tape()
-        both = lstm_step(tape, store["w"], store["b"], tape.const(self.x), sequences=2)
+        both = ad.lstm(*weight_and_bias(tape, store), tape.const(self.x), None, 2)
         for k in range(2):
-            alone = lstm_step(tape, store["w"], store["b"], tape.const(self.x[:, k::2]))
+            alone = ad.lstm(*weight_and_bias(tape, store), tape.const(self.x[:, k::2]), None, 1)
             for got, want in zip(both, alone):
                 np.testing.assert_allclose(got.value[:, k::2], want.value, rtol=1e-13, atol=1e-15)
 
@@ -216,8 +221,7 @@ class TestLstmOp:
     def run(self):
         tape = Tape()
         x, h0, c0 = (tape.param(self.states[k]) for k in ("x", "h0", "c0"))
-        hidden, cell = ad.lstm(tape.param(self.store["w"]), tape.param(self.store["b"]),
-                               x, h0, c0)
+        hidden, cell = ad.lstm(*weight_and_bias(tape, self.store), x, (h0, c0), 2)
         loss = (ad.vsum(hidden * tape.const(self.gh))
                 + ad.vsum(cell * tape.const(self.gc)))
         return tape, loss, hidden, cell
@@ -254,8 +258,7 @@ class TestLstmOp:
             return [out.value] + [node.grad for node in leaves[:3 if from_zero else 5]]
 
         def step_major(w, b, x, h0, c0):
-            states = () if from_zero else (h0, c0)
-            return ad.concat(ad.lstm(w, b, x, *states, sequences=batch))
+            return ad.concat(ad.lstm(w, b, x, None if from_zero else (h0, c0), batch))
 
         for got, want in zip(run(step_major), run(oracles.frame_major_lstm), strict=True):
             np.testing.assert_array_equal(got, want)
@@ -272,9 +275,9 @@ class TestLstmOp:
                 ((4, 3, 2), 2, 2),  # the input is columns, not (I, S, B)
         ]:
             with pytest.raises(ValueError, match="lstm shape mismatch"):
-                ad.lstm(tape.param(self.store["w"]), tape.param(self.store["b"]),
-                        tape.const(np.ones(x_shape)), tape.const(np.zeros((3, h0_cols))),
-                        tape.const(np.zeros((3, c0_cols))))
+                ad.lstm(*weight_and_bias(tape, self.store), tape.const(np.ones(x_shape)),
+                        (tape.const(np.zeros((3, h0_cols))), tape.const(np.zeros((3, c0_cols)))),
+                        h0_cols)
 
 
 class TestAdam:
@@ -298,7 +301,7 @@ class TestAdam:
         for t in (1, 2):
             g = 2.0 * theta  # gradient of theta^2
             store["w"].grad[...] = g
-            adam_step(store, lr=lr, beta1=b1, beta2=b2, eps=eps, t=t)
+            adam_step(store, lr=lr, t=t)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
@@ -384,7 +387,7 @@ class TestFlatLayout:
 
     def test_load_params_lays_out_one_vector(self, tmp_path):
         path = tmp_path / "model.rrm"
-        save_params(path, init_params(self.SPECS, seed=4))
+        save_params(path, init_params(self.SPECS, seed=4), {})
         self.assert_flat(load_params(path)[0])
 
     def test_backward_through_dense_adds_into_the_flat_grad(self):
@@ -425,14 +428,14 @@ class TestFiniteDiffCheck:
 
 
 class TestSerialization:
-    def roundtrip(self, tmp_path, store, config=None):
+    def roundtrip(self, tmp_path, store, config):
         path = tmp_path / "model.rrm"
         save_params(path, store, config)
         return load_params(path)
 
     def test_values_roundtrip_exactly(self, tmp_path):
         store = init_params([("a", 3, 5), ("agent_rnn_b", 8, 1)], seed=42)
-        loaded, config = self.roundtrip(tmp_path, store)
+        loaded, config = self.roundtrip(tmp_path, store, {})
         assert config == {}
         assert [pm.name for pm in loaded] == [pm.name for pm in store]
         assert np.array_equal(loaded.values, store.values)
@@ -448,7 +451,7 @@ class TestSerialization:
     def test_checksum_detects_corruption(self, tmp_path):
         store = init_params([("a", 2, 2)], seed=1)
         path = tmp_path / "model.rrm"
-        save_params(path, store)
+        save_params(path, store, {})
         lines = path.read_text().splitlines()
         lines[2] = "0.5 0.5"  # overwrite one row
         path.write_text("\n".join(lines) + "\n")
@@ -458,7 +461,7 @@ class TestSerialization:
     def test_file_without_its_checksum_line_is_truncated(self, tmp_path):
         store = init_params([("a", 2, 2), ("b", 1, 3)], seed=1)
         path = tmp_path / "model.rrm"
-        save_params(path, store)
+        save_params(path, store, {})
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:lines.index("b 1 3")]) + "\n")
         with pytest.raises(ValueError, match="truncated"):

@@ -91,8 +91,9 @@ def test_a_frame_without_proposals_names_the_video_and_the_frame(samples, empty_
 
 
 def test_a_split_of_two_shapes_fails_before_the_tracker(samples, monkeypatch):
-    odd = generate_scenario(replace(CFG, frames_per_video=CFG.frames_per_video - 2)
-                            .scenario_config(), positive=True, split="test", video_id="odd")
+    odd = replace(generate_scenario(replace(CFG, frames_per_video=CFG.frames_per_video - 2)
+                                    .scenario_config(), positive=True, split="test"),
+                  video_id="odd")
 
     def never(*args, **kwargs):
         raise AssertionError("a split of two shapes reached the tracker")

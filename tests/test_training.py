@@ -89,8 +89,8 @@ def test_a_split_of_two_shapes_fails_before_any_tracking_or_epoch(splits, monkey
                                                                   field, key):
     train, val = splits
     odd_cfg = dataclasses.replace(CFG, **{field: getattr(CFG, field) - 2})
-    odd = generate_scenario(odd_cfg.scenario_config(), positive=True, split="test",
-                            video_id="odd")
+    odd = dataclasses.replace(generate_scenario(odd_cfg.scenario_config(), positive=True,
+                                                split="test"), video_id="odd")
 
     def never(*args, **kwargs):
         raise AssertionError("a split of two shapes reached the tracker or an epoch")
