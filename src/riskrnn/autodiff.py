@@ -273,11 +273,11 @@ def lstm(w: Node, b: Node, x: Node, state: tuple[Node, Node] | None,
 
     ``w`` is the (4H, I + H) weight acting on [input; previous hidden] and
     ``b`` the (4H, 1) bias, gates ordered [input, forget, candidate, output].
-    ``x`` is (I, S * B): column t * B + b is the input of cell b at step t.
-    The cells start from ``state``, a (hidden, cell) pair of (H, B) nodes,
-    or from zero when it is None; B is the column count of the given state,
-    else ``sequences``. Returns the (H, S * B) hidden and cell states, column
-    t * B + b being cell b after step t. The inputs of all steps are
+    ``x`` is (I, S * B): column t * B + b is the input of cell b at step t,
+    B always being ``sequences``. The cells start from ``state``, a (hidden,
+    cell) pair of (H, B) nodes, or from zero when it is None; a state of
+    another column count is a shape error. Returns the (H, S * B) hidden and
+    cell states, column t * B + b being cell b after step t. The inputs of all steps are
     projected in one matmul; the backward pass runs backpropagation through
     time, forms the weight gradient as one product dZ @ [X; H_prev]^T and
     passes gradients on to ``x`` and the two start states. Fusing the gates
@@ -296,23 +296,22 @@ def lstm(w: Node, b: Node, x: Node, state: tuple[Node, Node] | None,
     wv, xv = w.value, x.value
     hdim = wv.shape[0] // 4
     h0, c0 = state or (None, None)
-    batch = sequences if state is None else h0.value.shape[-1]
-    h0v = np.zeros((hdim, batch)) if state is None else h0.value
-    c0v = np.zeros((hdim, batch)) if state is None else c0.value
-    if (xv.ndim != 2 or batch < 1 or xv.shape[1] % batch != 0
+    h0v = np.zeros((hdim, sequences)) if state is None else h0.value
+    c0v = np.zeros((hdim, sequences)) if state is None else c0.value
+    if (xv.ndim != 2 or sequences < 1 or xv.shape[1] % sequences != 0
             or wv.shape != (4 * hdim, xv.shape[0] + hdim) or b.value.shape != (4 * hdim, 1)
-            or h0v.shape != (hdim, batch) or c0v.shape != (hdim, batch)):
+            or h0v.shape != (hdim, sequences) or c0v.shape != (hdim, sequences)):
         raise ValueError(f"lstm shape mismatch: weight {wv.shape}, bias {b.value.shape}, input "
-                         f"{xv.shape} of {batch} cells, states {h0v.shape} and {c0v.shape}")
+                         f"{xv.shape} of {sequences} cells, states {h0v.shape} and {c0v.shape}")
     n_in, columns = xv.shape
-    steps = columns // batch
+    steps = columns // sequences
     w_x, w_h = wv[:, :n_in], wv[:, n_in:]
     # step t's gates are the contiguous (4H, B) block acts[t], preactivations
     # until the step turns them into activations in place
-    acts = np.empty((steps, 4 * hdim, batch))
-    np.add((w_x @ xv).reshape(4 * hdim, steps, batch).transpose(1, 0, 2), b.value, out=acts)
-    tanh_c = np.empty((steps, hdim, batch))
-    hc = np.empty((steps, 2 * hdim, batch))  # [hidden; cell]
+    acts = np.empty((steps, 4 * hdim, sequences))
+    np.add((w_x @ xv).reshape(4 * hdim, steps, sequences).transpose(1, 0, 2), b.value, out=acts)
+    tanh_c = np.empty((steps, hdim, sequences))
+    hc = np.empty((steps, 2 * hdim, sequences))  # [hidden; cell]
     i, f, g_, o = (acts[:, k * hdim:(k + 1) * hdim] for k in range(4))
     h, c = h0v, c0v
     # below about -709 exp(-z) overflows to inf, which gives exactly 0, the right limit
@@ -343,21 +342,21 @@ def lstm(w: Node, b: Node, x: Node, state: tuple[Node, Node] | None,
                          axis=1)
         dz_dh = tanh_c * o * (1.0 - o)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        grad = np.ascontiguousarray(grad.reshape(2 * hdim, steps, batch).transpose(1, 0, 2))
-        dz = np.empty((steps, 4 * hdim, batch))
-        dh_next = dc_next = np.zeros((hdim, batch))
+        grad = np.ascontiguousarray(grad.reshape(2 * hdim, steps, sequences).transpose(1, 0, 2))
+        dz = np.empty((steps, 4 * hdim, sequences))
+        dh_next = dc_next = np.zeros((hdim, sequences))
         for t in range(steps - 1, -1, -1):
             dh = grad[t, :hdim] + dh_next
             dc = grad[t, hdim:] + dc_next + dh * dc_dh[t]
-            np.multiply(dc, dz_dc[t], out=dz[t, :3 * hdim].reshape(3, hdim, batch))
+            np.multiply(dc, dz_dc[t], out=dz[t, :3 * hdim].reshape(3, hdim, sequences))
             np.multiply(dh, dz_dh[t], out=dz[t, 3 * hdim:])
             dc_next = dc * f[t]
             dh_next = (dz[t].T @ w_h).T
         # back to frame-major columns, so that the weight and bias gradients
         # sum over the columns in the order of the input's
         dz = np.ascontiguousarray(dz.transpose(1, 0, 2)).reshape(4 * hdim, columns)
-        xh = np.empty((n_in + hdim, steps, batch))  # [input; previous hidden]
-        xh[:n_in] = xv.reshape(n_in, steps, batch)
+        xh = np.empty((n_in + hdim, steps, sequences))  # [input; previous hidden]
+        xh[:n_in] = xv.reshape(n_in, steps, sequences)
         xh[n_in:, 0] = h0v
         xh[n_in:, 1:] = hc[:-1, :hdim].transpose(1, 0, 2)
         _accum(w, dz @ xh.reshape(n_in + hdim, columns).T)

@@ -154,6 +154,15 @@ def cmd_eval(cfg, args) -> int:
         _check_map_dir("riskmap-dir", args.riskmap_dir)
     # every model file is read before any work, so a bad one writes nothing
     models = [RiskModel.load(model_path) for model_path in args.model]
+    # each model's report section, RA#1 for the second RA, and its name on
+    # disk, RA_1, for its curve file and its map directory
+    variants = [model.cfg.variant for model in models]
+    names = [f"{v}#{variants[:i].count(v)}" if v in variants[:i] else v
+             for i, v in enumerate(variants)]
+    file_names = [name.replace("#", "_") for name in names]
+    if args.riskmap_dir:
+        for file_name in file_names:
+            _check_map_dir("riskmap-dir", Path(args.riskmap_dir) / file_name)
     path = _dataset_path(args.data, "test")
     samples = read_dataset(path)
     with _naming(path):  # the split is tracked once, for every model
@@ -161,15 +170,10 @@ def cmd_eval(cfg, args) -> int:
         tracks = detected_tracks(samples, cfg)
     sections = {}
     out = Path(args.out)
-    for model in models:
-        name = model.cfg.variant
-        if name in sections:
-            name = f"{name}#{sum(1 for k in sections if k.split('#')[0] == model.cfg.variant)}"
+    for model, name, file_name in zip(models, names, file_names):
         with _naming(path):
             summary = evaluate_model(model, samples, cfg, tracks=tracks)
         sections[name] = summary.report_fields()
-        # the section's name on disk, for the curve file and the map directory
-        file_name = name.replace("#", "_")
         write_curve_csv(out.with_name(f"{out.stem}_curves_{file_name}.csv"), summary.curve_rows)
         if args.riskmap_dir:
             for video in summary.videos:

@@ -104,14 +104,20 @@ def region_overlaps(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
     return iou(boxes[..., :, None, :], gt_boxes[..., None, :, :])
 
 
+def overlaps_enough(overlaps: np.ndarray) -> np.ndarray:
+    """The risky-region rule of training's labels, the matcher and the oracle
+    bound, elementwise: an IoU at or above the threshold; NaN padding never."""
+    return overlaps >= REGION_IOU_THRESHOLD
+
+
 def match_frame_detections(scores, overlaps) -> np.ndarray:
     """Greedy matching within each frame of N detections and R ground truths.
 
     Takes the (..., N) detection scores and their (..., N, R) IoU matrix,
     the leading axes (a split's videos and frames) shared. Within a frame,
     detections are visited in descending score order (ties keep input
-    order); each claims the best still-unmatched ground truth overlapping at
-    or above ``REGION_IOU_THRESHOLD``, of equal ones the last. Every frame
+    order); each claims the best still-unmatched ground truth it overlaps
+    enough (``overlaps_enough``), of equal ones the last. Every frame
     takes its next detection at once, so the loop runs over the N ranks.
     Returns the (..., N) matched flags in input order.
     """
@@ -126,7 +132,7 @@ def match_frame_detections(scores, overlaps) -> np.ndarray:
     open_gt = np.ones((len(flat_scores), n_gt), dtype=bool)
     for picked in np.argsort(-flat_scores, axis=1, kind="stable").T:
         row = flat_overlaps[frames, picked]
-        candidates = open_gt & (row >= REGION_IOU_THRESHOLD)
+        candidates = open_gt & overlaps_enough(row)
         claims = np.flatnonzero(candidates.any(axis=1))
         # the best open ground truth; of equal ones, the last
         best = n_gt - 1 - np.argmax(np.where(candidates, row, -np.inf)[claims, ::-1], axis=1)
@@ -152,14 +158,14 @@ def region_average_precision(scores, overlaps):
 
 
 def oracle_region_average_precision(overlaps):
-    """Upper bound: every detection overlapping ground truth scores 1, else 0.
+    """Upper bound: each detection that overlaps ground truth enough scores 1, else 0.
     Takes the (V, T, N, R) IoU matrix of ``region_average_precision``, which
     is all it reads.
 
     Degenerate inputs where no detection overlaps any ground truth report 0
     with a warning instead of failing.
     """
-    hit = (overlaps >= REGION_IOU_THRESHOLD).any(axis=-1)
+    hit = overlaps_enough(overlaps).any(axis=-1)
     if not hit.any():
         warnings.warn("no proposal overlaps any ground truth; oracle region AP reported as 0")
         return 0.0

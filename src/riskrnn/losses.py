@@ -19,26 +19,25 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, Tape
 from .data import check_accident_frames
+from .evaluation import overlaps_enough
 from .geometry import encode_box_transform, iou
 from .model import ModelOutput, take_columns
 
 PROB_CLAMP = 1e-12
-RISKY_IOU_THRESHOLD = 0.4
 
 
 def region_labels(region_boxes: np.ndarray, risky_boxes: np.ndarray) -> np.ndarray:
     """(..., N) labels of frames' (..., N, 4) region boxes against their
     (..., R, 4) risky boxes, the leading axes (a video's frames, or a split's
-    frames and videos) shared: 1 for a region overlapping any risky box of
-    its frame above 0.4 IoU, strictly. No ground truth (R = 0) labels
-    everything 0, and all-NaN rows, which pad frames with fewer risky boxes,
-    overlap nothing."""
+    frames and videos) shared: 1 for a region that overlaps some risky box
+    of its frame enough (``evaluation.overlaps_enough``), as the oracle bound
+    hits it. No ground truth (R = 0) labels everything 0, and all-NaN rows,
+    which pad frames with fewer risky boxes, overlap nothing."""
     overlaps = iou(region_boxes[..., :, None, :], risky_boxes[..., None, :, :])
-    return (overlaps > RISKY_IOU_THRESHOLD).any(axis=-1).astype(np.float64)
+    return overlaps_enough(overlaps).any(axis=-1).astype(np.float64)
 
 
-def anticipation_weights(positive, t_accident, n_frames: int,
-                         time_scale: float = 1.0) -> np.ndarray:
+def anticipation_weights(positive, t_accident, n_frames: int, time_scale: float) -> np.ndarray:
     """(2, T, ...) weights of the per-frame (non-accident, accident) log
     probabilities in the anticipation loss, for videos whose positive flags
     and accident frames have the trailing shape (none for one video).
@@ -107,7 +106,7 @@ class SequenceTargets:
     has_transform: np.ndarray
 
     @classmethod
-    def of(cls, videos, horizon: int, time_scale: float = 1.0) -> "SequenceTargets":
+    def of(cls, videos, horizon: int, time_scale: float) -> "SequenceTargets":
         """The targets of videos of one shape: their labels, their agent
         tracks, and their region boxes against their risky boxes. Raises
         ValueError, naming the video, for a positive whose accident frame is

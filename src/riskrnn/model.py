@@ -255,9 +255,10 @@ def anticipate_step(tape: Tape, store: ParameterStore, cfg: ModelConfig,
                     sequences: int):
     """Anticipation for every column; returns (state, holistic code, (2, C) probabilities).
 
-    With memory, ``lstm_step`` runs the risk memory from ``state``: None to
-    sweep the C = T * B frame-major columns as ``sequences`` = B sequences
-    from zero, or an (H, C) (hidden, cell) pair for one branched step a column.
+    With memory, ``lstm_step`` runs the risk memory from ``state`` over
+    ``sequences`` cells: None to sweep the C = T * B frame-major columns as
+    B sequences from zero, or an (H, C) (hidden, cell) pair for one branched
+    step of each of C cells, a column each.
     """
     q = ad.concat([agent_code, pooled])
     if cfg.use_memory:
@@ -276,7 +277,7 @@ def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
     T * B columns at once, by the passes the module docstring lists. Each
     imagination hop branches from the last level's risk state, so the
     observed level is identical with imagination on or off."""
-    d_agent, _, sequences = frames.feats.shape
+    d_agent, n_frames, sequences = frames.feats.shape
     if d_agent != cfg.d_agent:
         raise ValueError(f"agent feature dim {d_agent} != {cfg.d_agent}")
     if frames.region_feats.shape[0] != cfg.d_region:
@@ -302,7 +303,9 @@ def forward_video(store: ParameterStore, cfg: ModelConfig, frames: AgentTracks,
         s = score_regions(tape, store, agent_code,
                           ad.relative_config(boxes, frames.region_boxes), frames.region_feats)
         pooled = pool_regions(tape, s, frames.region_feats)
-        state, o, y = anticipate_step(tape, store, cfg, state, agent_code, pooled, sequences)
+        # the observed level sweeps B sequences; a hop steps each column once
+        cells = n_frames * sequences if level else sequences
+        state, o, y = anticipate_step(tape, store, cfg, state, agent_code, pooled, cells)
         levels.append((y, s))
     return ModelOutput(levels, c_node, cfg.lambdas)
 

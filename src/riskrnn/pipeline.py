@@ -17,7 +17,7 @@ region AP and its oracle bound share, each matching every frame in one call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,15 +54,10 @@ class EvalSummary:
     videos: list
 
     def report_fields(self) -> dict:
-        return {
-            "anticipation_map": self.anticipation_map,
-            "atta_frames": self.atta_frames,
-            "atta_seconds": self.atta_seconds,
-            "region_map": self.region_map,
-            "oracle_region_map": self.oracle_region_map,
-            "n_videos": len(self.videos),
-            "n_positive": sum(1 for v in self.videos if v.positive),
-        }
+        """Each float field, in field order, then the video and positive counts."""
+        metrics = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"}
+        return {**metrics, "n_videos": len(self.videos),
+                "n_positive": sum(1 for v in self.videos if v.positive)}
 
 
 def eval_video(model: RiskModel, samples, tracks) -> list[VideoEvalResult]:

@@ -26,7 +26,7 @@ import numpy as np
 from .geometry import iou
 
 
-def track_by_detection(boxes, feats, scores, top_init: int = 10, top_iou: int = 10):
+def track_by_detection(boxes, feats, scores, top_init: int, top_iou: int):
     """Chain each video's proposals into tracks, all videos in one loop over
     frames.
 
@@ -80,8 +80,8 @@ def track_by_detection(boxes, feats, scores, top_init: int = 10, top_iou: int = 
     return tracks
 
 
-def deduplicate_tracks(boxes, scores, overlap_iou: float = 0.7) -> np.ndarray:
-    """Collapse tracks whose final boxes overlap above the threshold.
+def deduplicate_tracks(boxes, scores, dedup_iou: float) -> np.ndarray:
+    """Collapse tracks whose final boxes overlap above ``dedup_iou``.
 
     ``boxes`` and ``scores`` are the (K, T, 4) boxes and (K, T) object
     scores of K tracks. Grouping is single-link on final-frame IoU; each
@@ -91,7 +91,7 @@ def deduplicate_tracks(boxes, scores, overlap_iou: float = 0.7) -> np.ndarray:
     if len(boxes) == 0:
         return np.empty(0, dtype=np.intp)
     last = np.asarray(boxes)[:, -1]
-    linked = iou(last[:, None], last[None]) > overlap_iou
+    linked = iou(last[:, None], last[None]) > dedup_iou
     np.fill_diagonal(linked, True)
     # each track takes the lowest group label it links to until none
     # changes, which labels every group by its lowest index

@@ -30,7 +30,7 @@ forward pass, so the early-stopping signal is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def detected_tracks(samples, run_cfg: RunConfig) -> tuple[np.ndarray, np.ndarray
     boxes, feats, scores = track_by_detection(
         [v.proposal_box for v in samples], [v.proposal_feat for v in samples],
         [v.proposal_score for v in samples], top_init=run_cfg.top_init, top_iou=run_cfg.top_iou)
-    kept = [deduplicate_tracks(video_boxes, video_scores, overlap_iou=run_cfg.dedup_iou)
+    kept = [deduplicate_tracks(video_boxes, video_scores, dedup_iou=run_cfg.dedup_iou)
             for video_boxes, video_scores in zip(boxes, scores)]
     video_of = np.repeat(np.arange(len(kept)), [len(rows) for rows in kept])
     rows = np.concatenate(kept)
@@ -231,7 +231,6 @@ def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
 
 def write_training_log(path, history) -> None:
     with open(path, "w") as fh:
-        fh.write("epoch,train_loss,val_loss,val_map\n")
+        fh.write(",".join(f.name for f in fields(EpochStats)) + "\n")
         for row in history:
-            fh.write(f"{row.epoch},{row.train_loss:.17g},"
-                     f"{row.val_loss:.17g},{row.val_map:.17g}\n")
+            fh.write(",".join(f"{value:.17g}" for value in astuple(row)) + "\n")

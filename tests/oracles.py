@@ -46,7 +46,7 @@ from riskrnn.autodiff import Node, _accum, _unbroadcast
 from riskrnn.data import Proposal
 from riskrnn.evaluation import REGION_IOU_THRESHOLD
 from riskrnn.geometry import MAX_LOG_SCALE, encode_box_transform
-from riskrnn.losses import PROB_CLAMP, RISKY_IOU_THRESHOLD
+from riskrnn.losses import PROB_CLAMP
 from riskrnn.synthworld import agent_class_id
 
 
@@ -289,7 +289,7 @@ def total_loss(cfg, video, preds, time_scale=1.0):
             if video.positive:
                 gap = video.t_accident - t
                 level_loss -= np.exp(-gap * time_scale) * log_clip(y[1])
-                labels = np.array([max(iou(box, gt) for gt in risky) > RISKY_IOU_THRESHOLD
+                labels = np.array([max(iou(box, gt) for gt in risky) >= REGION_IOU_THRESHOLD
                                    for box in boxes(region_rows)])
             else:
                 level_loss -= log_clip(y[0])

@@ -276,6 +276,27 @@ def test_a_map_directory_under_a_file_is_a_configuration_error_before_any_work(
     assert [path.name for path in tmp_path.iterdir()] == ["F"]
 
 
+@pytest.mark.parametrize("blocked", ["L-RAI", "L-RAI_1"])
+def test_a_file_where_a_models_map_directory_goes_fails_eval_before_any_work(
+        data_dir, untrained_model, tmp_path, monkeypatch, capsys, blocked):
+    monkeypatch.chdir(tmp_path)
+
+    def read_dataset(path):
+        raise AssertionError(f"{path} was read before the map directories were checked")
+
+    monkeypatch.setattr(cli, "read_dataset", read_dataset)
+    (tmp_path / "maps").mkdir()
+    (tmp_path / "maps" / blocked).write_text("")
+    assert main(["eval", "--data", str(data_dir), "--model", str(untrained_model),
+                 "--model", str(untrained_model), "--out", "rep.txt", "--riskmap-dir", "maps",
+                 *TINY]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: --riskmap-dir maps/{blocked}: 'maps/{blocked}' is not a "
+        f"directory\n")
+    assert sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")) == [
+        "maps", f"maps/{blocked}"]
+
+
 @pytest.mark.parametrize("video_id", ["../escaped", "../../escaped"])
 def test_an_id_that_is_no_plain_file_name_fails_eval_before_it_writes_a_map(
         data_dir, untrained_model, tmp_path, capsys, video_id):

@@ -1,8 +1,12 @@
+import ast
 import dataclasses
+import importlib
 import re
+from pathlib import Path
 
 import pytest
 
+import riskrnn
 from riskrnn.config import ConfigError, RunConfig, load_run_config
 from riskrnn.model import VARIANTS, ModelConfig, variant_config
 from riskrnn.synthworld import ScenarioConfig
@@ -86,3 +90,37 @@ def test_a_nan_setting_fails_validation(config):
     # that the dataset check then rejects
     with pytest.raises(ValueError, match="must"):
         config.validate()
+
+
+def copied_run_defaults(package_dir) -> list[str]:
+    """``module:line function(parameter=default)`` for each parameter of a
+    function, method or lambda written in the package's sources that is
+    named after a RunConfig key and defaults to that key's default. Each
+    default is evaluated in its module, so a constant copied under another
+    name counts too. Dataclass-generated ``__init__``s, where RunConfig's
+    own defaults live, have no source and are not read."""
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    copies = []
+    for path in sorted(Path(package_dir).glob("*.py")):
+        name = "riskrnn" if path.stem == "__init__" else f"riskrnn.{path.stem}"
+        namespace = vars(importlib.import_module(name))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                     *zip(args.kwonlyargs, args.kw_defaults)]
+            for arg, default in pairs:
+                if default is None or arg.arg not in defaults:
+                    continue
+                value = eval(compile(ast.Expression(default), str(path), "eval"), namespace)
+                if value == defaults[arg.arg]:
+                    copies.append(f"{path.stem}:{node.lineno} "
+                                  f"{getattr(node, 'name', '<lambda>')}({arg.arg}={value!r})")
+    return copies
+
+
+def test_no_parameter_restates_a_run_default():
+    # a copied default drifts from RunConfig's when either changes alone
+    assert copied_run_defaults(Path(riskrnn.__file__).parent) == []

@@ -359,7 +359,7 @@ def test_a_file_the_loss_targets_and_tta_name_one_accident_frame_fault_alike(tmp
                f"[0, {CFG.frames_per_video}), got {t_accident}")
     probs = np.full((len(split), CFG.frames_per_video), 0.5)
     for check in (lambda: write_dataset(tmp_path / "val.dat", split),
-                  lambda: SequenceTargets.of(split, horizon=1),
+                  lambda: SequenceTargets.of(split, horizon=1, time_scale=1.0),
                   lambda: tta_atta(probs, [v.positive for v in split],
                                    [v.t_accident for v in split], [v.video_id for v in split])):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from riskrnn.autodiff import Tape
 from riskrnn.data import write_dataset
+from riskrnn.evaluation import (REGION_IOU_THRESHOLD, match_frame_detections,
+                                oracle_region_average_precision, overlaps_enough,
+                                region_overlaps)
 from riskrnn.geometry import encode_box_transform, iou
 import riskrnn.autodiff as ad
 from riskrnn.losses import (SequenceTargets, anticipation_loss, anticipation_weights,
                             region_labels, region_loss, total_loss, transform_loss,
                             transform_targets)
 from riskrnn.model import VARIANTS, RiskModel, forward_video, variant_config
+from riskrnn.synthworld import ScenarioConfig, generate_split
 from riskrnn.training import stack_regions, track_inputs
 
 import oracles
@@ -54,14 +58,18 @@ class TestRegionLabels:
         assert frame_labels([Box(0.1, 0.1, 0.1, 0.1)],
                             [Box(0.9, 0.9, 0.1, 0.1)]).tolist() == [0.0]
 
-    def test_boundary_iou_is_strict(self):
-        # dyadic sides/centers make intersection 0.125 and union 0.3125 exact,
-        # so the IoU is the float 0.4 itself and the strict > comparison must
-        # leave the region unlabeled
-        region = Box(0.25, 0.25, 0.5, 0.5)
-        gt = Box(0.125, 0.25, 0.75, 0.25)
-        assert iou(as_array(region), as_array(gt)) == 0.4
-        assert frame_labels([region], [gt]).tolist() == [0.0]
+    def test_boundary_iou_is_risky_for_training_the_matcher_and_the_oracle(self):
+        # dyadic sides and centers make each intersection and union exact
+        # (0.125 / 0.3125 and 0.03125 / 0.078125), so the IoU is the float
+        # 0.4 itself, and one rule, at or above it, labels, matches and hits
+        for region, gt in [(Box(0.25, 0.25, 0.5, 0.5), Box(0.125, 0.25, 0.75, 0.25)),
+                           (Box(0.5, 0.5, 0.4375, 0.125), Box(0.6875, 0.5, 0.4375, 0.125))]:
+            overlaps = region_overlaps(stack_boxes([region])[None, None],
+                                       stack_boxes([gt])[None, None])
+            assert overlaps.item() == iou(as_array(region), as_array(gt)) == 0.4
+            assert frame_labels([region], [gt]).tolist() == [1.0]
+            assert match_frame_detections(np.ones((1, 1, 1)), overlaps).tolist() == [[[True]]]
+            assert oracle_region_average_precision(overlaps) == 1.0
 
     def test_negative_video_all_zero(self):
         boxes = [Box(0.5, 0.5, 0.2, 0.2), Box(0.3, 0.3, 0.1, 0.1)]
@@ -86,10 +94,30 @@ class TestRegionLabels:
         for t, rows in enumerate(risky):
             padded[t, :len(rows)] = np.reshape(rows, (-1, 4))
         got = region_labels(regions, padded)
-        want = [[float(any(oracles.iou(box, gt) > 0.4 for gt in oracles.boxes(gts)))
+        want = [[float(any(oracles.iou(box, gt) >= REGION_IOU_THRESHOLD
+                           for gt in oracles.boxes(gts)))
                  for box in oracles.boxes(boxes)] for boxes, gts in zip(regions, risky)]
         assert got.tolist() == want
         assert got[1, 0] == got[3, 2] == 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_videos=st.integers(1, 4), n_regions=st.integers(1, 6),
+           split=st.sampled_from(["train", "val", "test"]), shift=st.floats(0.0, 0.2))
+    def test_a_splits_labels_are_the_rule_on_its_region_overlaps(self, seed, n_videos,
+                                                                  n_regions, split, shift):
+        cfg = ScenarioConfig(frames_per_video=5, n_regions=n_regions, feature_dim=4,
+                             n_distractor_proposals=2, seed=seed)
+        # a generated risky box is a region's own box; moving each region's
+        # center by up to ``shift`` gives overlaps between 0 and 1
+        rng = np.random.default_rng(seed)
+        videos = [replace(v, region_box=v.region_box
+                          + [1, 1, 0, 0] * rng.uniform(-shift, shift, v.region_box.shape))
+                  for v in generate_split(cfg, n_videos, split)]
+        targets = SequenceTargets.of(videos, horizon=1, time_scale=1.0)
+        overlaps = region_overlaps(np.stack([v.region_box for v in videos]),
+                                   np.stack([v.risky_box for v in videos]))
+        np.testing.assert_array_equal(np.moveaxis(targets.labels, 1, 0),
+                                      overlaps_enough(overlaps).any(axis=-1))
 
 
 class TestAnticipationLoss:
@@ -111,7 +139,7 @@ class TestAnticipationLoss:
         n, p = 6, 0.3
         tape = Tape()
         loss = anticipation_loss(tape, prob_nodes(tape, [p] * n),
-                                 anticipation_weights(True, n - 1, n))
+                                 anticipation_weights(True, n - 1, n, 1.0))
         terms = [math.exp(-(n - 1 - t)) * -math.log(p) for t in range(n)]
         np.testing.assert_allclose(loss.value, terms, rtol=1e-12)
         assert summed(loss) == pytest.approx(sum(terms), rel=1e-12)
@@ -213,7 +241,7 @@ class TestTransformLoss:
         cfg = variant_config(TINY_CONFIG, "RA")
         rng = np.random.default_rng(8)
         sample = random_targets(rng, random_video(rng, cfg, 3, 2), positive=True)
-        targets = SequenceTargets.of([sample], cfg.horizon)
+        targets = SequenceTargets.of([sample], cfg.horizon, 1.0)
         tape = Tape()
         out = forward_video(RiskModel.create(cfg, seed=8).store, cfg, agent_tracks(sample), tape)
         assert out.c_node is None
@@ -231,9 +259,9 @@ class TestTotalLoss:
         tape = Tape(train=False)
         inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon), [0])
+        total = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon, 1.0), [0])
         labels = region_labels(sample.region_box, sample.risky_box)
-        weights = anticipation_weights(True, sample.t_accident, sample.n_frames)
+        weights = anticipation_weights(True, sample.t_accident, sample.n_frames, 1.0)
         (y, s), = out.levels
         want = (summed(anticipation_loss(tape, y, weights))
                 + summed(region_loss(tape, s, labels)))
@@ -251,9 +279,9 @@ class TestTotalLoss:
         tape = Tape(train=False)
         inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon), [0])
+        total = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon, 1.0), [0])
         labels = [[0.0] * 3] * sample.n_frames
-        weights = anticipation_weights(False, -1, sample.n_frames)
+        weights = anticipation_weights(False, -1, sample.n_frames, 1.0)
         obs, imag = (summed(anticipation_loss(tape, y, weights))
                      + summed(region_loss(tape, s, labels)) for y, s in out.levels)
         lp = summed(transform_loss(tape, out.c_node,
@@ -271,7 +299,7 @@ class TestTotalLoss:
         out = forward_video(model.store, TINY_CONFIG, agent_tracks(sample), tape)
         with pytest.raises(ValueError):
             total_loss(tape, replace(out, lambdas=(1.0,)),
-                       SequenceTargets.of([sample], TINY_CONFIG.horizon), [0])
+                       SequenceTargets.of([sample], TINY_CONFIG.horizon, 1.0), [0])
 
     def test_gradient_matches_finite_differences(self):
         from helpers import finite_diff_check, gradcheck_fixture
@@ -279,7 +307,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(6)
         sample = gradcheck_fixture(rng, TINY_CONFIG, 2, 3, positive=True)
         inputs = agent_tracks(sample)
-        targets = SequenceTargets.of([sample], TINY_CONFIG.horizon)
+        targets = SequenceTargets.of([sample], TINY_CONFIG.horizon, 1.0)
 
         def make_loss():
             tape = Tape()
@@ -311,7 +339,7 @@ class TestTotalLoss:
             tape = Tape(train=False)
             out = forward_video(store, cfg, track_inputs(boxes, feats, stack_regions(split),
                                                          video_of), tape)
-            return total_loss(tape, out, SequenceTargets.of(split, cfg.horizon), video_of)
+            return total_loss(tape, out, SequenceTargets.of(split, cfg.horizon, 1.0), video_of)
 
         got = loss(boxes, feats, videos, video_of)
         alone = [loss(boxes[s:s + 1], feats[s:s + 1], [videos[v]], [0]).per_sequence[0]
@@ -326,7 +354,7 @@ class TestTotalLoss:
         broken = replace(sample, t_accident=t_accident, video_id="broken")
         with pytest.raises(ValueError, match=rf"^video broken: positive video needs an accident "
                                              rf"frame in \[0, 2\), got {t_accident}$"):
-            SequenceTargets.of([sample, broken], TINY_CONFIG.horizon)
+            SequenceTargets.of([sample, broken], TINY_CONFIG.horizon, 1.0)
 
     def test_targets_validation(self, tmp_path):
         sample = random_video(np.random.default_rng(9), TINY_CONFIG, 2, 3)

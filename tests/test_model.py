@@ -221,7 +221,7 @@ class TestRecurrentSteps:
         tape = Tape()
         code, pooled = tape.const(rng.normal(size=(8, 20))), tape.const(rng.normal(size=(8, 20)))
         state, _, y = anticipate_step(tape, model.store, TINY_CONFIG, None, code, pooled, 1)
-        _, _, y_branch = anticipate_step(tape, model.store, TINY_CONFIG, state, code, pooled, 1)
+        _, _, y_branch = anticipate_step(tape, model.store, TINY_CONFIG, state, code, pooled, 20)
         for probs in (y.value, y_branch.value):
             assert probs.shape == (2, 20)
             assert np.all(np.abs(probs.sum(axis=0) - 1.0) <= 1e-12)
@@ -428,7 +428,7 @@ class TestMatchesPerFrameReference:
         tape = Tape()
         inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        loss = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon), [0]).total
+        loss = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon, 1.0), [0]).total
         ref = oracles.forward(model.store, cfg, sample)
         ref_loss = oracles.total_loss(cfg, sample, ref)
 
@@ -526,7 +526,7 @@ class TestVideosAsSequences:
         videos = [random_video(rng, cfg, n_frames, n_regions) for _ in range(n_videos)]
         targets = SequenceTargets.of([mixed_targets(rng, sample, positive)
                                       for sample, positive in zip(videos, positives)],
-                                     cfg.horizon)
+                                     cfg.horizon, 1.0)
 
         def run(batch, video_of):
             tape = Tape()
@@ -567,7 +567,7 @@ class TestNodeCount:
         tape = Tape()
         inputs = agent_tracks(sample)
         out = forward_video(RiskModel.create(cfg, seed=23).store, cfg, inputs, tape)
-        total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon), [0])
+        total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon, 1.0), [0])
         assert len(tape.nodes) == count
 
     @pytest.mark.parametrize("variant", ["RA", "RAI", "L-RA", "L-RAI"])
@@ -580,7 +580,8 @@ class TestNodeCount:
             videos = [random_video(rng, cfg, 12, 8) for _ in range(n_videos)]
             targets = SequenceTargets.of(
                 [random_targets(rng, sample, positive=True) if b % 2 == 0
-                 else padded_negative(sample) for b, sample in enumerate(videos)], cfg.horizon)
+                 else padded_negative(sample) for b, sample in enumerate(videos)],
+                cfg.horizon, 1.0)
             tape = Tape()
             out = forward_video(store, cfg, agent_tracks(*videos), tape)
             total_loss(tape, out, targets, np.arange(n_videos))
@@ -595,7 +596,7 @@ class TestGradients:
         rng = np.random.default_rng(19)
         sample = gradcheck_fixture(rng, TINY_CONFIG, 3, 4, positive=True)
         inputs = agent_tracks(sample)
-        targets = SequenceTargets.of([sample], TINY_CONFIG.horizon)
+        targets = SequenceTargets.of([sample], TINY_CONFIG.horizon, 1.0)
 
         def make_loss():
             tape = Tape()

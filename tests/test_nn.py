@@ -269,15 +269,16 @@ class TestLstmOp:
 
     def test_states_must_have_a_column_per_cell(self):
         tape = Tape()
-        for x_shape, h0_cols, c0_cols in [
-                ((4, 6), 4, 4),     # six input columns are no whole number of steps of four cells
-                ((4, 6), 2, 1),     # a cell state for each cell
-                ((4, 3, 2), 2, 2),  # the input is columns, not (I, S, B)
+        for x_shape, h0_cols, c0_cols, cells in [
+                ((4, 6), 4, 4, 4),  # six input columns are no whole number of steps of four cells
+                ((4, 6), 2, 1, 2),  # a cell state for each cell
+                ((4, 3, 2), 2, 2, 2),  # the input is columns, not (I, S, B)
+                ((4, 6), 2, 2, 3),  # B is ``sequences``, which a given state must match
         ]:
             with pytest.raises(ValueError, match="lstm shape mismatch"):
                 ad.lstm(*weight_and_bias(tape, self.store), tape.const(np.ones(x_shape)),
                         (tape.const(np.zeros((3, h0_cols))), tape.const(np.zeros((3, c0_cols)))),
-                        h0_cols)
+                        cells)
 
 
 class TestAdam:

@@ -25,15 +25,16 @@ def test_one_tree_gives_one_digest_and_each_seed_its_own():
 def test_two_trees_are_compared_part_by_part(tmp_path, capsys):
     assert compare([SRC, SRC], seeds=(7,), **TINY) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "same"
-    # a loss constant changes training, and so the trained models' eval,
-    # but not the data
+    # the risky-region threshold changes training's labels, and so the
+    # trained models' eval, but not the data
     changed = tmp_path / "src"
     shutil.copytree(SRC / "riskrnn", changed / "riskrnn",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    losses = changed / "riskrnn" / "losses.py"
-    source = losses.read_text()
-    assert "RISKY_IOU_THRESHOLD = 0.4\n" in source
-    losses.write_text(source.replace("RISKY_IOU_THRESHOLD = 0.4\n", "RISKY_IOU_THRESHOLD = 1.0\n"))
+    evaluation = changed / "riskrnn" / "evaluation.py"
+    source = evaluation.read_text()
+    assert "REGION_IOU_THRESHOLD = 0.4\n" in source
+    evaluation.write_text(source.replace("REGION_IOU_THRESHOLD = 0.4\n",
+                                         "REGION_IOU_THRESHOLD = 0.0\n"))
     assert compare([SRC, changed], seeds=(7,), **TINY) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == str(SRC) and lines[5] == str(changed)

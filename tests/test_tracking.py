@@ -40,7 +40,8 @@ class TestTrackByDetection:
         cfg = replace(CFG, proposal_jitter=0.0)
         samples = [generate_scenario(cfg, positive, index=index, split="test")
                    for index, positive in enumerate([True, False, True, False])]
-        for sample, (boxes, _, _) in zip(samples, track_videos([proposals(s) for s in samples])):
+        for sample, (boxes, _, _) in zip(samples, track_videos([proposals(s) for s in samples],
+                                                               top_init=10, top_iou=10)):
             assert any(np.array_equal(track, sample.agent_box) for track in boxes), \
                 sample.video_id
 
@@ -48,14 +49,15 @@ class TestTrackByDetection:
         for boxes in ([], [np.empty((0, 3, 4))]):
             with pytest.raises(ValueError, match="at least one video and one frame"):
                 track_by_detection(boxes, [np.empty((0, 3, 2))] * len(boxes),
-                                   [np.empty((0, 3))] * len(boxes))
+                                   [np.empty((0, 3))] * len(boxes), 10, 10)
 
 
 class TestDeduplicateTracks:
     def test_is_idempotent(self):
         samples = [generate_scenario(CFG, index % 2 == 0, index=index, split="val")
                    for index in range(4)]
-        for boxes, _, scores in track_videos([proposals(s) for s in samples]):
+        for boxes, _, scores in track_videos([proposals(s) for s in samples],
+                                              top_init=10, top_iou=10):
             for overlap in (0.1, 0.4, 0.7):
                 kept = deduplicate_tracks(boxes, scores, overlap)
                 assert np.all(np.diff(kept) > 0)
@@ -63,7 +65,7 @@ class TestDeduplicateTracks:
                 np.testing.assert_array_equal(again, np.arange(len(kept)))
 
     def test_no_track_keeps_none(self):
-        kept = deduplicate_tracks(np.empty((0, 3, 4)), np.empty((0, 3)))
+        kept = deduplicate_tracks(np.empty((0, 3, 4)), np.empty((0, 3)), 0.7)
         assert kept.shape == (0,)
 
 

@@ -160,7 +160,7 @@ def test_a_splits_tracks_are_one_table_of_each_videos_rows(data, seed, n_videos,
         [boxes], [feats], [scores] = track_by_detection(
             [v.proposal_box], [v.proposal_feat], [v.proposal_score], top_init=cfg.top_init,
             top_iou=cfg.top_iou)
-        kept = deduplicate_tracks(boxes, scores, overlap_iou=dedup_iou)
+        kept = deduplicate_tracks(boxes, scores, dedup_iou=dedup_iou)
         reference.append((boxes[kept], feats[kept]))
 
     table = detected_tracks(videos, cfg)
