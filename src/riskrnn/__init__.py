@@ -2,7 +2,7 @@
 localization, and future-location imagination on synthetic scenarios."""
 
 from .geometry import encode_box_transform, iou
-from .data import VideoSample, read_dataset, write_dataset
+from .data import Split, VideoSample, read_dataset, write_dataset
 from .model import (AgentTracks, ModelConfig, ModelOutput, RiskModel, VARIANTS,
                     forward_video, variant_config)
 from .losses import SequenceTargets, region_labels, total_loss
@@ -16,7 +16,7 @@ from .pipeline import evaluate_model
 
 __all__ = [
     "encode_box_transform", "iou",
-    "VideoSample", "read_dataset", "write_dataset",
+    "Split", "VideoSample", "read_dataset", "write_dataset",
     "AgentTracks", "ModelConfig", "ModelOutput", "RiskModel", "VARIANTS",
     "forward_video", "variant_config",
     "SequenceTargets", "region_labels", "total_loss",

@@ -89,9 +89,9 @@ def cmd_generate(cfg, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scenario_cfg = cfg.scenario_config()
     for split, count in (("train", cfg.n_train), ("val", cfg.n_val), ("test", cfg.n_test)):
-        samples = generate_split(scenario_cfg, count, split)
-        write_dataset(out / f"{split}.dat", samples)
-        positives = sum(1 for s in samples if s.positive)
+        videos = generate_split(scenario_cfg, count, split)
+        write_dataset(out / f"{split}.dat", videos)
+        positives = int(videos.positive.sum())
         print(f"{split}: {count} videos ({positives} positive / {count - positives} negative) "
               f"-> {out / (split + '.dat')}")
     return 0
@@ -164,15 +164,19 @@ def cmd_eval(cfg, args) -> int:
         for file_name in file_names:
             _check_map_dir("riskmap-dir", Path(args.riskmap_dir) / file_name)
     path = _dataset_path(args.data, "test")
-    samples = read_dataset(path)
+    videos = read_dataset(path)
+    if args.riskmap_dir:
+        for file_name in file_names:
+            for video_id in videos.video_id.tolist():
+                _check_map_dir("riskmap-dir", Path(args.riskmap_dir) / file_name / video_id)
     with _naming(path):  # the split is tracked once, for every model
-        check_scorable(samples)
-        tracks = detected_tracks(samples, cfg)
+        check_scorable(videos)
+        tracks = detected_tracks(videos, cfg)
     sections = {}
     out = Path(args.out)
     for model, name, file_name in zip(models, names, file_names):
         with _naming(path):
-            summary = evaluate_model(model, samples, cfg, tracks=tracks)
+            summary = evaluate_model(model, videos, cfg, tracks=tracks)
         sections[name] = summary.report_fields()
         write_curve_csv(out.with_name(f"{out.stem}_curves_{file_name}.csv"), summary.curve_rows)
         if args.riskmap_dir:
@@ -196,22 +200,22 @@ def _write_riskmaps(out: Path, result, cfg) -> None:
 
 
 def _eval_one_video(cfg, args):
-    """The test split's video ``--video-id`` names (by default its first)
-    and ``eval_video``'s result for its detected tracks, a batch of one
+    """``eval_video``'s result for the detected tracks of the test split's
+    video that ``--video-id`` names (by default its first), a batch of one
     video, under the ``--model`` file's model."""
     path = _dataset_path(args.data, "test")
-    samples = read_dataset(path)
-    picked = [s for s in samples if args.video_id in (None, s.video_id)]
-    if not picked:
+    videos = read_dataset(path)
+    picked = [0] if args.video_id is None else (videos.video_id == args.video_id).nonzero()[0]
+    if not len(picked):
         raise ValueError(f"{path}: video id {args.video_id!r} not found among its "
-                         f"{len(samples)} videos")
-    sample, model = picked[0], RiskModel.load(args.model)
-    return sample, eval_video(model, [sample], detected_tracks([sample], cfg))[0]
+                         f"{len(videos)} videos")
+    video, model = videos.take(picked[:1]), RiskModel.load(args.model)
+    return eval_video(model, video, detected_tracks(video, cfg))[0]
 
 
 def cmd_infer(cfg, args) -> int:
     _check_output_dirs(out=args.out)
-    sample, result = _eval_one_video(cfg, args)
+    result = _eval_one_video(cfg, args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "accident_prob"] +
@@ -219,17 +223,17 @@ def cmd_infer(cfg, args) -> int:
         for t, scores in enumerate(result.region_scores):
             writer.writerow([t, f"{result.frame_probs[t]:.17g}"] +
                             [f"{s:.17g}" for s in scores])
-    print(f"{sample.video_id}: {sample.n_frames} frames over {result.n_tracks} "
+    print(f"{result.video_id}: {len(result.frame_probs)} frames over {result.n_tracks} "
           f"candidate tracks -> {args.out}")
     return 0
 
 
 def cmd_riskmap(cfg, args) -> int:
     _check_map_dir("out", args.out)
-    sample, result = _eval_one_video(cfg, args)
+    result = _eval_one_video(cfg, args)
     out = Path(args.out)
     _write_riskmaps(out, result, cfg)
-    print(f"{sample.n_frames} risk maps -> {out}")
+    print(f"{len(result.frame_probs)} risk maps -> {out}")
     return 0
 
 

@@ -1,36 +1,32 @@
-"""Videos and the dataset file.
+"""Splits of videos and the dataset file.
 
-A dataset file is one uncompressed ``.npz`` per split, written by ``np.savez``
-under the path as given and read with ``allow_pickle=False``. It holds a
-``header`` array, ``"RISKRNN-DATASET v2"``, and one array per field of
-``VideoSample``, named as the field, of the dtype and dims the field
-declares. For V videos of T frames, N regions and M proposals per frame, D
-feature dimensions and at most R risky boxes per frame, boxes are
-(cx, cy, w, h) rows. A ``VideoSample`` is one video's rows of these arrays.
+A ``Split`` of V videos is one (V, ·) array per field of ``VideoSample``,
+named as the field, of the dtype and dims the field declares: for T
+frames, N regions and M proposals per frame, D feature dimensions and at
+most R risky boxes per frame, with boxes as (cx, cy, w, h) rows. Building
+one checks each array's dtype and dims, and that the arrays agree on every
+size they share.
 
-One check, ``_check_split``, holds the file's contract over a split's
-arrays: their dtypes and sizes, the video ids, each its own and a plain
-file name (``eval --riskmap-dir`` names a directory by it), the labels,
-and every row the model reads. ``write_dataset`` runs it on the arrays it
-stacks, before it saves them, and ``read_dataset`` on the arrays it loads,
-before it builds each video's row views, so every file one writes the
-other reads. A split built in memory is not checked: training and
-evaluation check only that its videos share one shape
-(``check_one_shape``), so a non-finite value there reaches the model.
+A dataset file is one uncompressed ``.npz`` per split (``np.savez`` under
+the path as given, read with ``allow_pickle=False``): a ``header`` array,
+``"RISKRNN-DATASET v2"``, and the split's arrays. ``_check_split`` holds
+the rest of the file's contract, which ``write_dataset`` checks before it
+saves and ``read_dataset`` after it loads: every size but R is at least 1,
+each video id is its own and a plain file name (``eval --riskmap-dir``
+names a directory by it), the labels agree, and every row the model reads
+is finite. A split built in memory has only its layout checked.
 
-The records survive only as views, built on each call and kept nowhere,
-for one reader: the benchmark's check that a dataset reads back as written,
-which compares videos record by record. No program path reads them. Each
-box in them is a ``(cx, cy, w, h)`` tuple of floats, one array row, which
-``_check_split`` has already checked.
+Iterating a split yields each video's ``VideoSample``, its rows. Their
+records are views, built on each call and kept nowhere, for one reader:
+the benchmark's check that a dataset reads back as written, which compares
+videos record by record. No program path reads them. Each box in them is
+a ``(cx, cy, w, h)`` tuple of floats, one array row.
 
-- ``VideoSample.frames``, each frame's ``FrameInput``: read by
+- ``VideoSample.frames``, each frame's ``FrameInput``, and ``.proposals``,
+  each frame's tuple of ``Proposal`` records: read by
   ``bench/workloads.py::sample_mismatch`` and ``inspect_data``;
 - ``VideoSample.targets``, the ``VideoTargets`` without the NaN padding
-  rows: read by ``sample_mismatch``;
-- ``VideoSample.proposals``, each frame's tuple of ``Proposal`` records:
-  read by ``sample_mismatch`` and ``inspect_data``;
-- ``VideoSample.region_classes``: read by ``sample_mismatch``.
+  rows, and ``.region_classes``: read by ``sample_mismatch``.
 
 The module imports only numpy and the standard library.
 """
@@ -112,10 +108,6 @@ class VideoSample:
     risky_box: np.ndarray = field(metadata={"layout": (np.float64, "VTR4")})
 
     @property
-    def n_frames(self) -> int:
-        return len(self.agent_box)
-
-    @property
     def frames(self) -> tuple:
         """Each frame's FrameInput record, built on each call."""
         return tuple(map(FrameInput, self.agent_feat, _boxes(self.agent_box),
@@ -146,21 +138,73 @@ class VideoSample:
 _LAYOUT = {f.name: f.metadata["layout"] for f in fields(VideoSample)}
 
 
+def _layout_sizes(arrays: dict) -> dict:
+    """The size each letter of ``_LAYOUT``'s dims stands for in the arrays;
+    raise ValueError naming the first array not of its key's dtype and dims."""
+    sizes: dict = {}
+    for key, (dtype, dims) in _LAYOUT.items():
+        a = arrays[key]
+        want = [int(d) if d.isdigit() else sizes.setdefault(d, n) for d, n in zip(dims, a.shape)]
+        if a.dtype.type is not dtype or a.ndim != len(dims) or list(a.shape) != want:
+            shape = ", ".join(d if d.isdigit() else f"{d}={sizes.get(d, '?')}" for d in dims)
+            raise ValueError(f"array {key!r} is {a.dtype} {a.shape}, expected "
+                             f"{np.dtype(dtype).name} ({shape})")
+    return sizes
+
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """V videos as the (V, ·) array of each key of ``_LAYOUT``. Construction
+    raises ValueError naming the first array (in the file's order) of
+    another dtype or number of dims, or of a size another array set."""
+
+    __annotations__ = dict.fromkeys(_LAYOUT, np.ndarray)
+
+    def __post_init__(self):
+        _layout_sizes(vars(self))
+
+    def __len__(self) -> int:
+        return len(self.video_id)
+
+    def take(self, indices) -> "Split":
+        """The videos at ``indices``, a slice or an index array, as a split."""
+        return Split(**{key: array[indices] for key, array in vars(self).items()})
+
+    __getitem__ = take
+
+    def __iter__(self):
+        """Each video's ``VideoSample``: labels as Python values, row views."""
+        columns = {key: a.tolist() if a.ndim == 1 else a for key, a in vars(self).items()}
+        return (VideoSample(**{key: column[v] for key, column in columns.items()})
+                for v in range(len(self)))
+
+    @classmethod
+    def of(cls, videos, n_videos: int) -> "Split":
+        """The split of the ``n_videos`` videos ``videos`` yields, each copied
+        into its rows as it comes, so a generator's are never held together.
+        Raises ValueError naming the first video, then key, whose shape is
+        not the first video's, or if fewer come; IndexError if more do."""
+        columns, count = {}, 0
+        for count, video in enumerate(videos, 1):
+            for key, (dtype, dims) in _LAYOUT.items():
+                value = getattr(video, key)
+                if count == 1:
+                    # labels stay Python values until the last: ids of any length fit
+                    columns[key] = np.empty((n_videos,) + np.shape(value),
+                                            object if len(dims) == 1 else dtype)
+                elif np.shape(value) != columns[key].shape[1:]:
+                    raise ValueError(f"video {video.video_id}: {key} has shape "
+                                     f"{np.shape(value)}, not {columns[key].shape[1:]} as "
+                                     f"video {columns['video_id'][0]}")
+                columns[key][count - 1] = value
+        if not 0 < count == n_videos:
+            raise ValueError(f"{count} videos for a split of {n_videos}; it needs one or more")
+        return cls(**{key: column.astype(_LAYOUT[key][0], copy=False)
+                      for key, column in columns.items()})
+
+
 # ---------------------------------------------------------------------------
 # dataset files
-
-def check_one_shape(samples) -> None:
-    """Raise ValueError unless the videos share one T, N, M, R and D, as a
-    file's do, naming the first key (in the file's order) and then the
-    first video whose shape differs from the first video's."""
-    for key in _LAYOUT:
-        first = np.shape(getattr(samples[0], key))
-        for sample in samples[1:]:
-            shape = np.shape(getattr(sample, key))
-            if shape != first:
-                raise ValueError(f"video {sample.video_id}: {key} has shape {shape}, "
-                                 f"not {first} as video {samples[0].video_id}")
-
 
 def check_accident_frames(video_ids, positive, t_accident, n_frames: int) -> None:
     """Raise ValueError naming the first video, of the (V,) arrays of ids,
@@ -173,10 +217,9 @@ def check_accident_frames(video_ids, positive, t_accident, n_frames: int) -> Non
                          f"in [0, {n_frames}), got {t_accident[v]}")
 
 
-def _check_split(arrays: dict) -> None:
-    """Raise ValueError unless a split's arrays, one per key of ``_LAYOUT``,
-    make a dataset file. Each has its dtype and dims, every size but R is at
-    least 1, and the labels and rows of every video hold:
+def _check_split(split: Split) -> None:
+    """Raise ValueError unless the split makes a dataset file: every size
+    but R is at least 1, and the labels and rows of every video hold:
 
     - no video repeats the id of an earlier one;
     - an id is a plain file name: not empty, ``.`` or ``..``, without ``/`` or NUL;
@@ -188,14 +231,8 @@ def _check_split(arrays: dict) -> None:
     The first rule above that a video breaks is named, with the first video
     that breaks it and, for a row, its frame and index.
     """
-    sizes: dict = {}
-    for key, (dtype, dims) in _LAYOUT.items():
-        a = arrays[key]
-        want = [int(d) if d.isdigit() else sizes.setdefault(d, n) for d, n in zip(dims, a.shape)]
-        if a.dtype.type is not dtype or a.ndim != len(dims) or list(a.shape) != want:
-            shape = ", ".join(d if d.isdigit() else f"{d}={sizes.get(d, '?')}" for d in dims)
-            raise ValueError(f"array {key!r} is {a.dtype} {a.shape}, expected "
-                             f"{np.dtype(dtype).name} ({shape})")
+    arrays = vars(split)
+    sizes = _layout_sizes(arrays)
     if min(sizes[d] for d in "VTNMD") < 1:
         raise ValueError(f"sizes {sizes}: a dataset needs at least one video, frame, "
                          f"region, proposal and feature dimension")
@@ -235,22 +272,15 @@ def _check_split(arrays: dict) -> None:
                              f"{boxes[v, t, i].tolist()}{score}; every {what} needs {needs}")
 
 
-def write_dataset(path, samples) -> None:
-    """Write the videos as one dataset file. They must share one shape, and
-    their arrays pass the check ``read_dataset`` makes; otherwise raise
-    ValueError and write nothing."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("a dataset needs at least one video")
-    check_one_shape(samples)
-    arrays = {key: np.array([getattr(sample, key) for sample in samples], dtype=dtype)
-              for key, (dtype, _) in _LAYOUT.items()}
-    _check_split(arrays)
+def write_dataset(path, split: Split) -> None:
+    """Write the split as one dataset file. It must pass the check
+    ``read_dataset`` makes; otherwise raise ValueError and write nothing."""
+    _check_split(split)
     with open(path, "wb") as fh:
-        np.savez(fh, header=np.array(DATASET_HEADER), **arrays)
+        np.savez(fh, header=np.array(DATASET_HEADER), **vars(split))
 
 
-def read_dataset(path) -> list[VideoSample]:
+def read_dataset(path) -> Split:
     """Read a dataset file; a malformed one raises ValueError naming the path."""
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":
@@ -260,12 +290,9 @@ def read_dataset(path) -> list[VideoSample]:
             with np.load(fh, allow_pickle=False) as npz:
                 if npz["header"].item() != DATASET_HEADER:
                     raise ValueError(f"header {npz['header'].item()!r}")
-                arrays = {key: npz[key] for key in _LAYOUT}
-            _check_split(arrays)
+                split = Split(**{key: npz[key] for key in _LAYOUT})
+            _check_split(split)
         except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as err:
             raise ValueError(f"{path}: not a readable {DATASET_HEADER} file "
                              f"({type(err).__name__}: {err})") from None
-    # the labels as Python values, the other arrays as row views
-    columns = {key: a.tolist() if a.ndim == 1 else a for key, a in arrays.items()}
-    return [VideoSample(**{key: column[v] for key, column in columns.items()})
-            for v in range(len(columns["video_id"]))]
+    return split

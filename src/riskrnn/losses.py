@@ -1,7 +1,7 @@
 """Task losses: anticipation, region risk, box-transform regression, and the
 imagination-weighted total.
 
-A split's targets are stacked once (``SequenceTargets.of``), and a pass takes
+A split's targets are built once (``SequenceTargets.of``), and a pass takes
 sequence s's from video ``video_of[s]`` into the model's (frame, sequence)
 columns t * S + s, one ``model.take_columns`` per target array. Each term
 gives a loss per column and the total sums each sequence's, so a pass of S
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tape
-from .data import check_accident_frames
+from .data import Split, check_accident_frames
 from .evaluation import overlaps_enough
 from .geometry import encode_box_transform, iou
 from .model import ModelOutput, take_columns
@@ -106,17 +106,15 @@ class SequenceTargets:
     has_transform: np.ndarray
 
     @classmethod
-    def of(cls, videos, horizon: int, time_scale: float) -> "SequenceTargets":
-        """The targets of videos of one shape: their labels, their agent
+    def of(cls, split: Split, horizon: int, time_scale: float) -> "SequenceTargets":
+        """The targets of a split's videos: their labels, their agent
         tracks, and their region boxes against their risky boxes. Raises
         ValueError, naming the video, for a positive whose accident frame is
         not one of its frames."""
-        videos = list(videos)
-        n_frames = videos[0].n_frames
-        positive = np.array([v.positive for v in videos])
-        t_accident = np.array([v.t_accident for v in videos])
-        check_accident_frames([v.video_id for v in videos], positive, t_accident, n_frames)
-        boxes = {key: np.stack([getattr(v, key) for v in videos], axis=1)
+        positive, t_accident, n_frames = split.positive, split.t_accident, split.agent_box.shape[1]
+        check_accident_frames(split.video_id, positive, t_accident, n_frames)
+        # the video axis after the frame axis, as the targets hold it
+        boxes = {key: np.swapaxes(getattr(split, key), 0, 1)
                  for key in ("agent_box", "region_box", "risky_box")}
         return cls(anticipation_weights(positive, t_accident, n_frames, time_scale),
                    region_labels(boxes["region_box"], boxes["risky_box"]),

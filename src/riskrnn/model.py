@@ -22,7 +22,7 @@ split's track table and a pass's ``video_of``, the video of each sequence.
 Every (frame, sequence) pair is one column, frame-major: column t * B + b is
 sequence b at frame t, so the model never needs to know whether sequences
 share a video. One rule, ``take_columns``, takes any split-wide per-video
-array (the stacked regions, the loss targets) into these columns. Each pass
+array (a split's regions, its loss targets) into these columns. Each pass
 runs over all columns (or all (frame, sequence, region) columns) as a
 handful of tape nodes:
 

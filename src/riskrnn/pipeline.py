@@ -6,13 +6,13 @@ The split is tracked once, before any forward pass, into one row table
 (``detected_tracks``): each track's boxes, features and video, the rows
 sorted by video. Then ``eval_video`` runs the videos ``batch_size`` at a
 time, as validation does, on their rows of the table, by the rule of every
-pass: the batch's regions are stacked once, and its rows' ``video_of``
-takes each track's into the model's columns (``model.take_columns``), so
-all its tracks run as one forward pass, each over its own video's regions,
-and each frame of a video reduces over its rows' columns. The CLI's
-single-video commands run a batch of one. The metrics then read the split's
-arrays: its (V, T) frame scores, and its (V, T, N) region scores with the
-one (V, T, N, R) IoU matrix of its regions with its risky boxes, which
+pass: its rows' ``video_of`` takes each track's regions from the batch's
+arrays into the model's columns (``model.take_columns``), so all its
+tracks run as one forward pass, each over its own video's regions, and
+each frame of a video reduces over its rows' columns. The CLI's
+single-video commands run a batch of one. The metrics then read its
+results' (V, T) frame scores and (V, T, N) region scores, with the one
+(V, T, N, R) IoU matrix of the split's regions with its risky boxes, which
 region AP and its oracle bound share, each matching every frame in one call.
 """
 from __future__ import annotations
@@ -22,10 +22,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import RunConfig
+from .data import Split
 from .evaluation import (average_precision, oracle_region_average_precision,
                          region_average_precision, region_overlaps, tta_atta)
 from .model import RiskModel
-from .training import detected_tracks, stack_regions, track_inputs
+from .training import detected_tracks, track_inputs
 
 
 @dataclass
@@ -60,37 +61,36 @@ class EvalSummary:
                 "n_positive": sum(1 for v in self.videos if v.positive)}
 
 
-def eval_video(model: RiskModel, samples, tracks) -> list[VideoEvalResult]:
-    """Run every row of ``tracks``, the videos' ``detected_tracks`` table
-    (its ``video_of`` indexing ``samples``), through the model in one pass,
-    and reduce each video's rows per frame. The videos share one shape;
-    returns one result per video, in order."""
+def eval_video(model: RiskModel, split: Split, tracks) -> list[VideoEvalResult]:
+    """Run every row of ``tracks``, the split's ``detected_tracks`` table,
+    through the model in one pass, and reduce each video's rows per frame.
+    Returns one result per video, in order."""
     boxes, feats, video_of = tracks
-    out = model.forward_video(track_inputs(boxes, feats, stack_regions(samples), video_of))
-    n_frames, n_tracks = samples[0].n_frames, len(video_of)
+    out = model.forward_video(track_inputs(boxes, feats, split, video_of))
+    n_frames, n_tracks = split.agent_box.shape[1], len(video_of)
     # column t * S + s is row s at frame t, each video's rows in turn
-    starts = np.searchsorted(video_of, np.arange(1, len(samples)))
+    starts = np.searchsorted(video_of, np.arange(1, len(split)))
     probs = np.split(out.y[:, 1].reshape(n_frames, n_tracks), starts, axis=1)
     region_scores = np.split(out.s.reshape(n_frames, n_tracks, -1), starts, axis=1)
-    frames = np.arange(n_frames)
-    return [VideoEvalResult(video_id=sample.video_id,
-                            positive=sample.positive,
+    frames, ids, positive = np.arange(n_frames), split.video_id.tolist(), split.positive.tolist()
+    return [VideoEvalResult(video_id=ids[v],
+                            positive=positive[v],
                             frame_probs=video_probs.max(axis=1),
-                            region_boxes=sample.region_box,
+                            region_boxes=split.region_box[v],
                             region_scores=video_scores[frames, video_probs.argmax(axis=1)],
                             n_tracks=video_probs.shape[1])
-            for sample, video_probs, video_scores in zip(samples, probs, region_scores)]
+            for v, (video_probs, video_scores) in enumerate(zip(probs, region_scores))]
 
 
-def check_scorable(samples) -> None:
+def check_scorable(split: Split) -> None:
     """Raise ValueError if the split has no positive video, which
     anticipation AP, ATTA and region AP all need."""
-    if not any(sample.positive for sample in samples):
-        raise ValueError(f"no positive video among the {len(samples)} test videos; "
+    if not split.positive.any():
+        raise ValueError(f"no positive video among the {len(split)} test videos; "
                          f"anticipation AP, ATTA and region AP need at least one")
 
 
-def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig, *,
+def evaluate_model(model: RiskModel, split: Split, run_cfg: RunConfig, *,
                    tracks=None) -> EvalSummary:
     """Score the split, ``run_cfg.batch_size`` videos per forward pass.
 
@@ -99,24 +99,20 @@ def evaluate_model(model: RiskModel, samples, run_cfg: RunConfig, *,
     split tracks it once and passes the table to each call; with none given
     the split is tracked here. A split without a positive video raises
     ValueError before any tracking or forward pass."""
-    samples = list(samples)
-    check_scorable(samples)
-    boxes, feats, video_of = detected_tracks(samples, run_cfg) if tracks is None else tracks
+    check_scorable(split)
+    boxes, feats, video_of = detected_tracks(split, run_cfg) if tracks is None else tracks
     results = []
-    for start in range(0, len(samples), run_cfg.batch_size):
+    for start in range(0, len(split), run_cfg.batch_size):
         stop = start + run_cfg.batch_size
         rows = slice(*np.searchsorted(video_of, [start, stop]))
-        results.extend(eval_video(model, samples[start:stop],
+        results.extend(eval_video(model, split[start:stop],
                                   (boxes[rows], feats[rows], video_of[rows] - start)))
 
     probs = np.stack([result.frame_probs for result in results])
-    positive = [sample.positive for sample in samples]
-    anticipation_map = average_precision(probs.max(axis=1), positive)
-    curve_rows, atta_frames = tta_atta(probs, positive, [sample.t_accident for sample in samples],
-                                       [sample.video_id for sample in samples])
+    anticipation_map = average_precision(probs.max(axis=1), split.positive)
+    curve_rows, atta_frames = tta_atta(probs, split.positive, split.t_accident, split.video_id)
 
-    overlaps = region_overlaps(np.stack([sample.region_box for sample in samples]),
-                               np.stack([sample.risky_box for sample in samples]))
+    overlaps = region_overlaps(split.region_box, split.risky_box)
     region_map = region_average_precision(np.stack([result.region_scores for result in results]),
                                           overlaps)
     oracle_map = oracle_region_average_precision(overlaps)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import VideoSample
+from .data import Split, VideoSample
 from .data import read_dataset, write_dataset  # noqa: F401 - the split files' API
 from .geometry import iou
 
@@ -262,18 +262,18 @@ def synthesize_proposals(cfg: ScenarioConfig, agent_box: np.ndarray, region_box:
     return boxes, scores, feats
 
 
-def generate_split(cfg: ScenarioConfig, n_videos: int, split: str) -> list[VideoSample]:
-    """Alternating positive/negative videos; an even count is exactly balanced."""
-    return [
-        generate_scenario(cfg, positive=(i % 2 == 0), index=i, split=split)
-        for i in range(n_videos)
-    ]
+def generate_split(cfg: ScenarioConfig, n_videos: int, split: str) -> Split:
+    """Alternating positive/negative videos; an even count is exactly
+    balanced. Each is copied into its rows of the split as it is drawn."""
+    return Split.of((generate_scenario(cfg, positive=(i % 2 == 0), index=i, split=split)
+                     for i in range(n_videos)), n_videos)
 
 
 def verify_collision_predicate(sample: VideoSample, collision_iou: float) -> bool:
-    """Re-check the label against the stored boxes, independent of generation."""
+    """Re-check the label against the stored boxes, independent of
+    generation. A video without a hazard region collides at no frame."""
     hazards = sample.region_box[0, sample.region_class == HAZARD_CLASS]
-    hit = iou(sample.agent_box[:, None], hazards[None]).max(axis=1) > collision_iou
+    hit = (iou(sample.agent_box[:, None], hazards[None]) > collision_iou).any(axis=1)
     if sample.positive:
         return bool(hit[-1] and not hit[:-1].any())
     return not hit.any()

@@ -13,11 +13,11 @@ axis, and each video's result is the one it would get alone. The pick
 takes, among a track's gate, the candidates of the highest similarity,
 then among those the highest object score, then the lowest proposal
 index: two max reductions and one min over the gate, no sort, which holds
-for the finite features and scores a dataset holds. It reads the
-videos' proposal arrays as the dataset holds them, (T, M, ·) per video, and
-stacks each frame's (V, M, ·) arrays when it reaches it. Tracks stay arrays
-throughout: a video's K tracks are its (K, T, ·) row of the tracker's
-output, and deduplication returns the indices of the tracks it keeps.
+for the finite features and scores a dataset holds. It reads a split's
+(V, T, M, ·) proposal arrays, each frame as its (V, M, ·) slices. Tracks
+stay arrays throughout: a video's K tracks are its (K, T, ·) row of the
+tracker's output, and deduplication returns the indices of the tracks it
+keeps.
 """
 from __future__ import annotations
 
@@ -32,10 +32,8 @@ def track_by_detection(boxes, feats, scores, top_init: int, top_iou: int):
 
     Args:
         boxes, feats, scores: the (V, T, M, 4) proposal boxes, (V, T, M, D)
-            features and (V, T, M) object scores of V videos that share
-            one T, M and D, as a split's videos do, each given as an array
-            or as a sequence of V per-video arrays. Each frame's (V, M, ·)
-            arrays are stacked when the loop reaches it.
+            features and (V, T, M) object scores of V videos, a split's
+            arrays.
         top_init: how many top object-score proposals of frame 0 seed tracks.
         top_iou: per step, how many best-IoU candidates the feature match
             chooses among. Candidate ties on similarity fall to the higher
@@ -46,14 +44,12 @@ def track_by_detection(boxes, feats, scores, top_init: int, top_iou: int):
     their first frame's object score (stable on ties). Each frame's picks
     are written into these arrays, allocated at frame 0.
     """
-    n_videos = len(boxes)
-    n_frames = len(boxes[0]) if n_videos else 0
-    if n_frames == 0:
+    n_videos, n_frames = boxes.shape[:2]
+    if n_videos == 0 or n_frames == 0:
         raise ValueError("need at least one video and one frame of proposals")
     rows = np.arange(n_videos)[:, None]
     for t in range(n_frames):
-        frame_boxes, frame_feats, frame_scores = (np.stack([video[t] for video in part])
-                                                  for part in (boxes, feats, scores))
+        frame_boxes, frame_feats, frame_scores = boxes[:, t], feats[:, t], scores[:, t]
         if t == 0:
             chosen = np.argsort(-frame_scores, axis=1, kind="stable")[:, :top_init]
             shape = (n_videos, chosen.shape[1], n_frames)

@@ -2,10 +2,6 @@
 and early stopping on validation loss; the tracks a split's videos give; and
 the model input of every pass.
 
-A split's videos share one shape, as a dataset file's do. ``check_one_shape``
-checks it once per split, before any tracking or training, so a mixed split
-fails with one message whatever the batch size or the shuffle.
-
 A split's tracks are one row table: (S, T, 4) boxes, (S, T, D) features
 and the (S,) ``video_of`` of each row, its video's index in the split, the
 rows sorted by video. ``detected_tracks`` gives the table of the tracks
@@ -15,10 +11,10 @@ just ahead of its detected rows, so video v's candidates are rows
 ``first[v]:first[v + 1]``, its annotated track first.
 
 A pass selects rows of such a table, and every pass, training's and eval's,
-follows one rule: its videos' regions (``stack_regions``) and loss targets
-(``SequenceTargets.of``) are stacked once, and ``track_inputs`` and
-``total_loss`` take each sequence's from them by ``model.take_columns`` and
-the pass's ``video_of``, the video of each sequence. A training batch's
+follows one rule: ``track_inputs`` and ``total_loss`` take each sequence's
+regions and loss targets from the split's arrays (``SequenceTargets.of``
+builds the targets once per split) by ``model.take_columns`` and the
+pass's ``video_of``, the video of each sequence. A training batch's
 ``video_of`` is its videos' indices in the split; eval's is its rows'.
 
 Each epoch runs every training video once on a candidate drawn uniformly,
@@ -36,7 +32,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .config import RunConfig, derive_seed
-from .data import check_one_shape
+from .data import Split
 from .evaluation import average_precision
 from .losses import SequenceTargets, total_loss
 from .model import AgentTracks, RiskModel, forward_video, take_columns
@@ -55,47 +51,31 @@ class EpochStats:
     val_map: float
 
 
-def stack_regions(videos) -> tuple[np.ndarray, np.ndarray]:
-    """The regions of videos of one shape, stacked once, the video axis just
-    after the frame axis: the (T, V, N, 4) boxes and the (D, T, V, N)
-    appearances."""
-    n_frames, n_regions, d_region = videos[0].region_feat.shape
-    # each video's appearances are copied once, into the stack
-    feats = np.empty((d_region, n_frames, len(videos), n_regions))
-    np.stack([np.moveaxis(v.region_feat, 2, 0) for v in videos], axis=2, out=feats)
-    return np.ascontiguousarray(np.stack([v.region_box for v in videos], axis=1)), feats
-
-
-def track_inputs(boxes, feats, regions, video_of) -> AgentTracks:
+def track_inputs(boxes, feats, split: Split, video_of) -> AgentTracks:
     """The model input of S sequences: sequence s is the (T, 4) boxes
     ``boxes[s]`` and (T, D) features ``feats[s]`` playing the agent over the
-    regions of video ``video_of[s]`` of ``regions``, the (T, V, N, 4) boxes
-    and (D, T, V, N) appearances ``stack_regions`` gives, each taken into
-    the pass's columns by ``take_columns``."""
-    region_boxes, region_feats = regions
+    regions of the split's video ``video_of[s]``, each taken into the
+    pass's columns by ``take_columns`` from a view of the split's region
+    arrays with the video axis after the frame axis."""
     return AgentTracks(np.transpose(feats, (2, 1, 0)), np.transpose(boxes, (2, 1, 0)),
-                       take_columns(region_boxes, video_of, 0),
-                       take_columns(region_feats, video_of, 1))
+                       take_columns(split.region_box.transpose(1, 0, 2, 3), video_of, 0),
+                       take_columns(split.region_feat.transpose(3, 1, 0, 2), video_of, 1))
 
 
-def detected_tracks(samples, run_cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def detected_tracks(split: Split, run_cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The split's deduplicated tracks, found in its proposals, as one row
     table: the (S, T, 4) boxes, (S, T, D) features and (S,) ``video_of``
     of its rows, sorted by video, each video's rows in the tracker's order.
-    The split's videos, which must share one shape, are tracked in one
-    tracker call; each video's tracks are then deduplicated on their own.
-    Raises ValueError naming the first video without proposals, and its
-    first frame (a video's frames share one proposal count), or else, before
-    any tracking, the first video of another shape."""
-    samples = list(samples)
-    for sample in samples:
-        if sample.proposal_score.shape[1] == 0:
-            raise ValueError(f"video {sample.video_id}: frame 0 has no proposals to track the "
-                             f"agent through")
-    check_one_shape(samples)
+    The split is tracked in one tracker call; each video's tracks are then
+    deduplicated on their own. Raises ValueError, before any tracking,
+    naming the first video and its first frame if the split has no
+    proposals (its frames share one proposal count)."""
+    if split.proposal_score.shape[2] == 0:
+        raise ValueError(f"video {split.video_id[0]}: frame 0 has no proposals to track the "
+                         f"agent through")
     boxes, feats, scores = track_by_detection(
-        [v.proposal_box for v in samples], [v.proposal_feat for v in samples],
-        [v.proposal_score for v in samples], top_init=run_cfg.top_init, top_iou=run_cfg.top_iou)
+        split.proposal_box, split.proposal_feat, split.proposal_score,
+        top_init=run_cfg.top_init, top_iou=run_cfg.top_iou)
     kept = [deduplicate_tracks(video_boxes, video_scores, dedup_iou=run_cfg.dedup_iou)
             for video_boxes, video_scores in zip(boxes, scores)]
     video_of = np.repeat(np.arange(len(kept)), [len(rows) for rows in kept])
@@ -104,33 +84,30 @@ def detected_tracks(samples, run_cfg: RunConfig) -> tuple[np.ndarray, np.ndarray
 
 
 class _Split:
-    """A split's videos with what every epoch reuses, built once: its
-    stacked regions and loss targets, and its candidates as one row table,
-    the (S, T, 4) ``boxes`` and (S, T, D) ``feats``. Video v's candidates
-    are rows ``first[v]:first[v + 1]``: its annotated track, then its rows
-    of ``detected``, the split's ``detected_tracks`` table (none if not
-    given). A split of two shapes raises ``check_one_shape``'s ValueError."""
+    """A split with what every epoch reuses, built once: its loss targets,
+    and its candidates as one row table, the (S, T, 4) ``boxes`` and
+    (S, T, D) ``feats``. Video v's candidates are rows
+    ``first[v]:first[v + 1]``: its annotated track, then its rows of
+    ``detected``, the split's ``detected_tracks`` table (none if not
+    given)."""
 
-    def __init__(self, videos, horizon: int, time_scale: float, detected=None):
-        self.videos = list(videos)
-        check_one_shape(self.videos)
-        annotated = (np.stack([v.agent_box for v in self.videos]),
-                     np.stack([v.agent_feat for v in self.videos]), np.arange(len(self.videos)))
+    def __init__(self, videos: Split, horizon: int, time_scale: float, detected=None):
+        self.videos = videos
+        annotated = (videos.agent_box, videos.agent_feat, np.arange(len(videos)))
         detected = detected or tuple(part[:0] for part in annotated)
         # each video's annotated row goes just ahead of its first detected one
         at = np.searchsorted(detected[2], annotated[2])
         self.boxes, self.feats, video_of = (np.insert(rows, at, own, axis=0)
                                             for rows, own in zip(detected, annotated))
-        self.first = np.searchsorted(video_of, np.arange(len(self.videos) + 1))
-        self.targets = SequenceTargets.of(self.videos, horizon, time_scale)
-        self.regions = stack_regions(self.videos)
+        self.first = np.searchsorted(video_of, np.arange(len(videos) + 1))
+        self.targets = SequenceTargets.of(videos, horizon, time_scale)
 
     def loss(self, model: RiskModel, batch, picks, tape: Tape):
         """One forward pass and loss of the batch, the split's video indices,
         each video on its candidate ``picks`` gives it, 0 its annotated
         track."""
         rows = self.first[batch] + picks
-        frames = track_inputs(self.boxes[rows], self.feats[rows], self.regions, batch)
+        frames = track_inputs(self.boxes[rows], self.feats[rows], self.videos, batch)
         out = forward_video(model.store, model.cfg, frames, tape)
         return total_loss(tape, out, self.targets, batch), out
 
@@ -149,9 +126,9 @@ def _validation_pass(model: RiskModel, split: _Split, run_cfg: RunConfig, epoch:
     if not math.isfinite(val_loss):
         bad = next(i for i, loss in enumerate(losses) if not math.isfinite(loss))
         raise TrainingError(f"non-finite validation loss at epoch {epoch}, "
-                            f"video {split.videos[bad].video_id}")
-    positive = [video.positive for video in split.videos]
-    val_map = average_precision(np.concatenate(peaks), positive) if any(positive) else 0.0
+                            f"video {split.videos.video_id[bad]}")
+    positive = split.videos.positive
+    val_map = average_precision(np.concatenate(peaks), positive) if positive.any() else 0.0
     return val_loss, val_map
 
 
@@ -166,22 +143,21 @@ def _backward_pass(model: RiskModel, split: _Split, batch, picks, epoch: int) ->
     bad = np.flatnonzero(~np.isfinite(loss.per_sequence))
     if len(bad):
         raise TrainingError(f"non-finite loss at epoch {epoch}, "
-                            f"video {split.videos[batch[bad[0]]].video_id}")
+                            f"video {split.videos.video_id[batch[bad[0]]]}")
     tape.backward(loss.total, seed=1.0 / len(batch))
     tape.release()
     return loss.per_sequence
 
 
-def train_model(run_cfg: RunConfig, variant: str, train_videos, val_videos,
+def train_model(run_cfg: RunConfig, variant: str, train_videos: Split, val_videos: Split,
                 progress=None) -> tuple[RiskModel, list[EpochStats]]:
     """Train one ablation variant; returns the best-validation model.
 
     Raises ValueError naming an empty split, and TrainingError if any video,
     training or validation, produces a non-finite loss.
     """
-    train_videos, val_videos = list(train_videos), list(val_videos)
     for name, videos in (("training", train_videos), ("validation", val_videos)):
-        if not videos:
+        if not len(videos):
             raise ValueError(f"the {name} split has no videos")
     model = RiskModel.create(run_cfg.model_config(variant),
                              seed=derive_seed(run_cfg.seed, _INIT_STREAM))

@@ -6,10 +6,10 @@ import dataclasses
 import numpy as np
 
 from riskrnn.autodiff import Node, Tape
-from riskrnn.data import VideoSample
+from riskrnn.data import Split, VideoSample
 from riskrnn.model import AgentTracks, ModelConfig, RiskModel
 from riskrnn.nn import ParameterStore
-from riskrnn.training import stack_regions, track_inputs
+from riskrnn.training import track_inputs
 
 TINY_CONFIG = ModelConfig(d_agent=8, d_region=8, d_u=6, h_agent=8, h_aa=8,
                           horizon=1, imagine_steps=1, lambdas=(0.6, 0.4))
@@ -39,13 +39,15 @@ def video(agent_box, agent_feat, region_box, region_feat, t_accident=-1, risky_b
     proposals; positive when ``t_accident`` is a frame. ``risky_box``
     defaults to no risky box, (T, 0, 4)."""
     agent_box, region_box = np.asarray(agent_box, dtype=np.float64), np.asarray(region_box)
+    agent_feat = np.asarray(agent_feat)
     n_frames, n_regions = region_box.shape[:2]
     return VideoSample(
         video_id=video_id, positive=t_accident >= 0, t_accident=t_accident, agent_class=0,
         region_class=np.zeros(n_regions, dtype=np.int64), agent_box=agent_box,
-        agent_feat=np.asarray(agent_feat), region_box=region_box,
+        agent_feat=agent_feat, region_box=region_box,
         region_feat=np.asarray(region_feat), proposal_box=np.empty((n_frames, 0, 4)),
-        proposal_score=np.empty((n_frames, 0)), proposal_feat=np.empty((n_frames, 0, 1)),
+        proposal_score=np.empty((n_frames, 0)),
+        proposal_feat=np.empty((n_frames, 0, agent_feat.shape[1])),
         risky_box=np.empty((n_frames, 0, 4)) if risky_box is None else np.asarray(risky_box))
 
 
@@ -64,15 +66,15 @@ def random_targets(rng, sample: VideoSample, positive: bool, box=random_box) -> 
     risky box per frame, or negative."""
     if not positive:
         return sample
-    risky = np.array([[box(rng)] for _ in range(sample.n_frames)])
-    return dataclasses.replace(sample, positive=True, t_accident=sample.n_frames - 1,
+    risky = np.array([[box(rng)] for _ in range(len(sample.agent_box))])
+    return dataclasses.replace(sample, positive=True, t_accident=len(sample.agent_box) - 1,
                                risky_box=risky)
 
 
 def padded_negative(sample: VideoSample) -> VideoSample:
     """The negative video with one all-NaN risky row a frame, the padding of
     a split whose positives have one risky box a frame."""
-    return dataclasses.replace(sample, risky_box=np.full((sample.n_frames, 1, 4), np.nan))
+    return dataclasses.replace(sample, risky_box=np.full((len(sample.agent_box), 1, 4), np.nan))
 
 
 def gradcheck_fixture(rng, cfg: ModelConfig, n_frames: int, n_regions: int,
@@ -82,11 +84,16 @@ def gradcheck_fixture(rng, cfg: ModelConfig, n_frames: int, n_regions: int,
                           positive, moderate_box)
 
 
+def split_of(*videos) -> Split:
+    """The split of the videos, which share one shape."""
+    return Split.of(videos, len(videos))
+
+
 def agent_tracks(*videos) -> AgentTracks:
     """The model input of B sequences, each a video's annotated agent track
     over its own regions, built by training.track_inputs."""
-    return track_inputs([v.agent_box for v in videos], [v.agent_feat for v in videos],
-                        stack_regions(videos), np.arange(len(videos)))
+    split = split_of(*videos)
+    return track_inputs(split.agent_box, split.agent_feat, split, np.arange(len(videos)))
 
 
 def leaf(tape: Tape, value) -> Node:

@@ -158,8 +158,9 @@ def test_inconsistent_accident_labels_are_a_runtime_failure_naming_the_file(
 
 def test_a_split_without_positives_is_a_runtime_failure_naming_the_file(
         data_dir, tmp_path, capsys, monkeypatch):
-    negatives = [s for s in read_dataset(data_dir / "test.dat") if not s.positive]
-    assert negatives
+    videos = read_dataset(data_dir / "test.dat")
+    negatives = videos.take(np.flatnonzero(~videos.positive))
+    assert len(negatives)
     bad = tmp_path / "test.dat"
     write_dataset(bad, negatives)
     model = tmp_path / "RA.rrm"
@@ -297,6 +298,21 @@ def test_a_file_where_a_models_map_directory_goes_fails_eval_before_any_work(
         "maps", f"maps/{blocked}"]
 
 
+def test_a_file_where_a_videos_map_directory_goes_fails_eval_before_any_scoring(
+        data_dir, untrained_model, tmp_path, monkeypatch, capsys):
+    # the videos' directories are known once the split is read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "maps" / "L-RAI").mkdir(parents=True)
+    (tmp_path / "maps" / "L-RAI" / "test-00001").write_text("")
+    assert main(["eval", "--data", str(data_dir), "--model", str(untrained_model),
+                 "--out", "rep.txt", "--riskmap-dir", "maps", *TINY]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --riskmap-dir maps/L-RAI/test-00001: 'maps/L-RAI/test-00001' "
+        "is not a directory\n")
+    assert sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")) == [
+        "maps", "maps/L-RAI", "maps/L-RAI/test-00001"]
+
+
 @pytest.mark.parametrize("video_id", ["../escaped", "../../escaped"])
 def test_an_id_that_is_no_plain_file_name_fails_eval_before_it_writes_a_map(
         data_dir, untrained_model, tmp_path, capsys, video_id):
@@ -343,9 +359,10 @@ def test_eval_tracks_the_split_once_for_all_its_models(
 def eval_result(data_dir, model_path, video):
     """eval_video's result for the test split's ``video``-th video under the
     default tracking settings, as the CLI's single-video commands run it."""
-    sample = read_dataset(data_dir / "test.dat")[video]
-    tracks = detected_tracks([sample], RunConfig())
-    return sample, eval_video(RiskModel.load(model_path), [sample], tracks)[0]
+    split = read_dataset(data_dir / "test.dat")[video:video + 1]
+    tracks = detected_tracks(split, RunConfig())
+    [sample] = split
+    return sample, eval_video(RiskModel.load(model_path), split, tracks)[0]
 
 
 def test_infer_writes_each_frames_probability_and_region_scores(
@@ -380,7 +397,7 @@ def test_riskmap_writes_a_pgm_per_frame_of_the_first_video(data_dir, untrained_m
                  "--out", str(out), "--grid_w", str(grid_w), "--grid_h", str(grid_h),
                  *TINY]) == 0
     assert sorted(path.name for path in out.iterdir()) == [
-        f"frame_{t:03d}.pgm" for t in range(sample.n_frames)]
+        f"frame_{t:03d}.pgm" for t in range(len(sample.agent_box))]
     for t, (boxes, scores) in enumerate(result.frame_regions):
         lines = (out / f"frame_{t:03d}.pgm").read_text().splitlines()
         assert lines[:3] == ["P2", f"{grid_w} {grid_h}", "255"]
@@ -397,6 +414,7 @@ def test_riskmap_writes_a_pgm_per_frame_of_the_first_video(data_dir, untrained_m
 # beside write_report because the golden test, which is kept as pinned,
 # imports it from there.
 CALLED_OUTSIDE_THE_CLI = {
+    "riskrnn.data.Split.__iter__": "bench/workloads.py::inspect_data",
     "riskrnn.data.VideoSample.frames": "bench/workloads.py::sample_mismatch and inspect_data",
     "riskrnn.data.VideoSample.proposals": "bench/workloads.py::sample_mismatch and inspect_data",
     "riskrnn.data.VideoSample.region_classes": "bench/workloads.py::sample_mismatch",

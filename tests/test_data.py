@@ -18,19 +18,21 @@ from riskrnn.evaluation import tta_atta
 from riskrnn.losses import SequenceTargets
 from riskrnn.synthworld import ScenarioConfig, generate_split
 
+from helpers import split_of
+
 CFG = ScenarioConfig(frames_per_video=4, n_regions=3, feature_dim=5,
                      n_distractor_proposals=2, seed=5)
 
 
 @pytest.fixture
 def samples():
-    return generate_split(CFG, 3, "val")
+    return list(generate_split(CFG, 3, "val"))
 
 
 @pytest.fixture
 def dataset(tmp_path, samples):
     path = tmp_path / "val.dat"
-    write_dataset(path, samples)
+    write_dataset(path, split_of(*samples))
     return path
 
 
@@ -46,7 +48,7 @@ def imported_modules(module) -> set:
 
 
 # one video of CFG, cut to two frames, whose arrays a test replaces
-VIDEO = generate_split(CFG, 1, "val")[0]
+[VIDEO] = generate_split(CFG, 1, "val")
 FRAME_KEYS = [key for key, (_, dims) in data._LAYOUT.items() if dims.startswith("VT")]
 
 
@@ -67,14 +69,15 @@ class TestRecords:
     def test_a_negative_needs_an_empty_risky_entry_per_frame(self, tmp_path, samples):
         positive, negative = samples[0], samples[1]
         assert np.isnan(negative.risky_box).all()
-        write_dataset(tmp_path / "negative.dat", [negative])
-        assert negative.targets.risky_boxes == ((),) * negative.n_frames
+        write_dataset(tmp_path / "negative.dat", split_of(negative))
+        assert negative.targets.risky_boxes == ((),) * len(negative.agent_box)
         risky = negative.risky_box.copy()
         risky[2] = positive.risky_box[2]
         with pytest.raises(ValueError, match=re.escape(
                 f"video {negative.video_id}: negative video needs no accident frame and no "
                 f"risky box, got accident frame -1 and 1 risky boxes")):
-            write_dataset(tmp_path / "bad.dat", [dataclasses.replace(negative, risky_box=risky)])
+            write_dataset(tmp_path / "bad.dat", split_of(dataclasses.replace(negative,
+                                                                          risky_box=risky)))
         assert not (tmp_path / "bad.dat").exists()
 
     def test_data_layer_does_not_import_the_model(self):
@@ -128,7 +131,7 @@ class TestRecordViews:
     def test_the_views_are_the_array_rows(self, video):
         frames, targets = video.frames, video.targets
         assert len(frames) == len(targets.agent_track) == len(targets.risky_boxes) == \
-            video.n_frames
+            len(video.agent_box)
         assert (targets.positive, targets.t_accident) == \
             (video.positive, None if video.t_accident == -1 else video.t_accident)
         assert video.region_classes == tuple(video.region_class)
@@ -178,10 +181,10 @@ class TestProposalSet:
                          proposal_score=np.ones((2, 3)),
                          proposal_feat=np.zeros((2, 3, CFG.feature_dim)))
         video = two_frames(**proposals)
-        write_dataset(tmp_path / "video.dat", [video])
+        write_dataset(tmp_path / "video.dat", split_of(video))
         proposals[part][index] = value
         with pytest.raises(ValueError, match=re.escape(f"video {VIDEO.video_id}: {named}")):
-            write_dataset(tmp_path / "video.dat", [video])
+            write_dataset(tmp_path / "video.dat", split_of(video))
 
 
 class TestFileLayout:
@@ -194,12 +197,12 @@ class TestFileLayout:
         assert risky.shape == (3, 4, 1, 4)
         assert np.isnan(risky[1]).all() and not np.isnan(risky[[0, 2]]).any()
 
-    def test_videos_must_share_their_sizes(self, tmp_path, samples):
+    def test_videos_must_share_their_sizes(self, samples):
         short = dataclasses.replace(samples[1], proposal_box=samples[1].proposal_box[:, :-1],
                                     proposal_score=samples[1].proposal_score[:, :-1],
                                     proposal_feat=samples[1].proposal_feat[:, :-1])
         with pytest.raises(ValueError, match="proposal_box has shape"):
-            write_dataset(tmp_path / "bad.dat", [samples[0], short])
+            split_of(samples[0], short)
 
 
 def _rewrite(path, change):
@@ -312,7 +315,7 @@ def test_of_several_faults_the_first_rule_is_named_then_the_first_video(tmp_path
              dataclasses.replace(samples[2], t_accident=-1)]
     with pytest.raises(ValueError, match=re.escape(
             f"video {samples[2].video_id}: positive video needs an accident frame")):
-        write_dataset(tmp_path / "val.dat", split)
+        write_dataset(tmp_path / "val.dat", split_of(*split))
 
 
 def test_a_repeated_video_id_names_the_id_and_both_videos(tmp_path, dataset, samples):
@@ -322,7 +325,7 @@ def test_a_repeated_video_id_names_the_id_and_both_videos(tmp_path, dataset, sam
     message = (f"video {samples[0].video_id}: video 2 repeats the id of video 0; "
                f"every video needs its own id")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        write_dataset(tmp_path / "repeated.dat", split)
+        write_dataset(tmp_path / "repeated.dat", split_of(*split))
     assert not (tmp_path / "repeated.dat").exists()
     _rewrite(dataset, lambda a: a["video_id"].__setitem__(2, a["video_id"][0]))
     with pytest.raises(ValueError, match=re.escape(f"{dataset}: not a readable "
@@ -339,7 +342,7 @@ def test_an_id_that_is_no_plain_file_name_names_the_video_and_the_id(tmp_path, d
     message = (f"video 1: id {video_id!r} is not a plain file name; every id needs to be "
                f"non-empty, not '.' or '..', and without '/' or NUL")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        write_dataset(tmp_path / "escaped.dat", split)
+        write_dataset(tmp_path / "escaped.dat", split_of(*split))
     assert not (tmp_path / "escaped.dat").exists()
     # a new array, as the file's may be too narrow for the id
     _rewrite(dataset, lambda a: a.update(video_id=np.array([v.video_id for v in split])))
@@ -358,15 +361,15 @@ def test_a_file_the_loss_targets_and_tta_name_one_accident_frame_fault_alike(tmp
     message = (f"video {samples[2].video_id}: positive video needs an accident frame in "
                f"[0, {CFG.frames_per_video}), got {t_accident}")
     probs = np.full((len(split), CFG.frames_per_video), 0.5)
-    for check in (lambda: write_dataset(tmp_path / "val.dat", split),
-                  lambda: SequenceTargets.of(split, horizon=1, time_scale=1.0),
+    for check in (lambda: write_dataset(tmp_path / "val.dat", split_of(*split)),
+                  lambda: SequenceTargets.of(split_of(*split), horizon=1, time_scale=1.0),
                   lambda: tta_atta(probs, [v.positive for v in split],
                                    [v.t_accident for v in split], [v.video_id for v in split])):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check()
 
 
-SPLIT = generate_split(CFG, 3, "val")
+SPLIT = list(generate_split(CFG, 3, "val"))
 NOT_FILE_NAMES = ["", ".", "..", "../escaped", "a/b", "/", "a\0b"]
 FLOAT_KEYS = [key for key, (dtype, _) in data._LAYOUT.items() if dtype is np.float64]
 
@@ -385,7 +388,7 @@ def corrupted_splits(draw):
     elif key == "positive":
         value = not video.positive
     elif key == "t_accident":
-        value = draw(st.integers(-2, video.n_frames + 1))
+        value = draw(st.integers(-2, len(video.agent_box) + 1))
     else:
         value = getattr(video, key).copy()
         index = tuple(draw(st.integers(0, n - 1)) for n in value.shape)
@@ -407,15 +410,93 @@ def test_write_rejects_exactly_the_files_read_rejects(split):
             read_dataset(saved)
         except ValueError as err:
             with pytest.raises(ValueError) as rejected:
-                write_dataset(written, split)
+                write_dataset(written, split_of(*split))
             assert str(err) == (f"{saved}: not a readable {DATASET_HEADER} file "
                                 f"(ValueError: {rejected.value})")
             assert not written.exists()
             return
-        write_dataset(written, split)
+        write_dataset(written, split_of(*split))
         read = read_dataset(written)
     assert len(read) == len(split)
     for got, want in zip(read, split):
         for key, (dtype, _) in data._LAYOUT.items():
             got_a, want_a = np.asarray(getattr(got, key), dtype), np.asarray(getattr(want, key), dtype)
             assert (got_a.shape, got_a.tobytes()) == (want_a.shape, want_a.tobytes()), key
+
+
+@st.composite
+def taken_splits(draw):
+    """A small generated split and a drawn subset of its video indices, in
+    a drawn order."""
+    cfg = ScenarioConfig(frames_per_video=draw(st.integers(2, 4)),
+                         n_regions=draw(st.integers(1, 3)), feature_dim=draw(st.integers(1, 4)),
+                         n_distractor_proposals=draw(st.integers(0, 3)),
+                         seed=draw(st.integers(0, 99)))
+    n_videos = draw(st.integers(1, 4))
+    split = generate_split(cfg, n_videos, draw(st.sampled_from(["train", "val", "test"])))
+    indices = draw(st.lists(st.integers(0, n_videos - 1), min_size=1, max_size=n_videos,
+                            unique=True))
+    return split, np.array(indices)
+
+
+def bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestSplit:
+    @settings(max_examples=40, deadline=None)
+    @given(taken_splits())
+    def test_take_gives_each_arrays_rows(self, drawn):
+        split, indices = drawn
+        taken = split.take(indices)
+        assert len(taken) == len(indices)
+        for key in data._LAYOUT:
+            assert bits(getattr(taken, key)) == bits(getattr(split, key)[indices]), key
+
+    @settings(max_examples=40, deadline=None)
+    @given(taken_splits())
+    def test_each_view_is_its_videos_row_and_the_views_rebuild_the_split(self, drawn):
+        split, _ = drawn
+        views = list(split)
+        assert len(views) == len(split)
+        for v, view in enumerate(views):
+            for key, (_, dims) in data._LAYOUT.items():
+                got, row = getattr(view, key), getattr(split, key)[v]
+                if dims == "V":
+                    assert (type(got), got) == (type(row.item()), row.item()), key
+                else:
+                    assert np.shares_memory(got, getattr(split, key)), key
+                    assert bits(got) == bits(row), key
+        rebuilt = data.Split.of(views, len(views))
+        for key in data._LAYOUT:
+            assert bits(getattr(rebuilt, key)) == bits(getattr(split, key)), key
+
+    @settings(max_examples=40, deadline=None)
+    @given(taken_splits())
+    def test_a_taken_split_reads_back_as_written(self, drawn):
+        split, indices = drawn
+        taken = split.take(indices)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "taken.dat"
+            write_dataset(path, taken)
+            read = read_dataset(path)
+        for key in data._LAYOUT:
+            assert bits(getattr(read, key)) == bits(getattr(taken, key)), key
+
+    @settings(max_examples=40, deadline=None)
+    @given(taken_splits(), st.data())
+    def test_arrays_of_disagreeing_sizes_are_rejected_naming_the_array(self, drawn, draws):
+        split, _ = drawn
+        # each size that two or more arrays share, and the arrays in file order
+        shared = {d: [key for key, (_, dims) in data._LAYOUT.items() if d in dims]
+                  for d in "VTNMD"}
+        size = draws.draw(st.sampled_from(sorted(shared)))
+        key = draws.draw(st.sampled_from(shared[size]))
+        axis = data._LAYOUT[key][1].index(size)
+        arrays = dict(vars(split))
+        # one more entry along the axis: the first one repeated
+        arrays[key] = np.concatenate((arrays[key], arrays[key].take([0], axis)), axis)
+        # the first array of a size sets it, so the next one is named
+        named = shared[size][1] if key == shared[size][0] else key
+        with pytest.raises(ValueError, match=f"^array '{named}' is "):
+            data.Split(**arrays)

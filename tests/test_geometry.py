@@ -7,7 +7,7 @@ import pytest
 
 import riskrnn.autodiff as ad
 from riskrnn.autodiff import Tape
-from riskrnn.data import write_dataset
+from riskrnn.data import Split, write_dataset
 from riskrnn.geometry import encode_box_transform, iou
 from riskrnn.synthworld import ScenarioConfig, generate_split
 
@@ -28,15 +28,16 @@ class TestBox:
 
     # a box is an array row, checked once, by the dataset check on write
     # and on read; here on the agent's row of a one-video split
-    VIDEO = generate_split(ScenarioConfig(frames_per_video=2, n_regions=2, feature_dim=2,
-                                          n_distractor_proposals=1), 1, "val")[0]
+    [VIDEO] = generate_split(ScenarioConfig(frames_per_video=2, n_regions=2, feature_dim=2,
+                                            n_distractor_proposals=1), 1, "val")
 
     def rejects(self, tmp_path, **fields):
         agent_box = self.VIDEO.agent_box.copy()
         agent_box[1] = [fields.get(name, 0.5) for name in ("cx", "cy", "w", "h")]
         with pytest.raises(ValueError, match=re.escape(
                 f"frame 1: agent 0 has box {agent_box[1].tolist()}")):
-            write_dataset(tmp_path / "video.dat", [replace(self.VIDEO, agent_box=agent_box)])
+            write_dataset(tmp_path / "video.dat",
+                          Split.of([replace(self.VIDEO, agent_box=agent_box)], 1))
         assert not (tmp_path / "video.dat").exists()
 
     @pytest.mark.parametrize("w,h", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.1)])

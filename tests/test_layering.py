@@ -1,6 +1,7 @@
 """The package's import layering, read from its sources with ``ast``: the
 data layer does not import the model layer, ``nn`` imports no package
-module, and nothing outside numpy and the standard library is imported."""
+module, nothing outside numpy and the standard library is imported, and
+past the data layer a split is read as its arrays, never video by video."""
 import ast
 import sys
 from pathlib import Path
@@ -52,3 +53,22 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
     allowed = set(sys.stdlib_module_names) | {"__future__", "numpy"}
     outside = {name: sorted(imports(path)[1] - allowed) for name, path in SOURCES.items()}
     assert outside == {name: [] for name in SOURCES}
+
+
+def names(path) -> set:
+    """Every name a source uses: its variables, attributes and imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def test_past_the_data_layer_no_module_names_the_per_video_view():
+    readers = MODEL_LAYER | {"tracking", "cli"}
+    naming = {name: "VideoSample" in names(SOURCES[name]) for name in readers}
+    assert naming == {name: False for name in readers}

@@ -18,12 +18,12 @@ from riskrnn.losses import (SequenceTargets, anticipation_loss, anticipation_wei
                             transform_targets)
 from riskrnn.model import VARIANTS, RiskModel, forward_video, variant_config
 from riskrnn.synthworld import ScenarioConfig, generate_split
-from riskrnn.training import stack_regions, track_inputs
+from riskrnn.training import track_inputs
 
 import oracles
 from oracles import Box, as_array, stack_boxes
 from helpers import (TINY_CONFIG, agent_tracks, leaf, padded_negative, random_box, random_targets,
-                     random_video, tiny_model)
+                     random_video, split_of, tiny_model)
 
 
 def prob_nodes(tape, values):
@@ -110,12 +110,11 @@ class TestRegionLabels:
         # a generated risky box is a region's own box; moving each region's
         # center by up to ``shift`` gives overlaps between 0 and 1
         rng = np.random.default_rng(seed)
-        videos = [replace(v, region_box=v.region_box
-                          + [1, 1, 0, 0] * rng.uniform(-shift, shift, v.region_box.shape))
-                  for v in generate_split(cfg, n_videos, split)]
+        videos = generate_split(cfg, n_videos, split)
+        videos = replace(videos, region_box=videos.region_box
+                         + [1, 1, 0, 0] * rng.uniform(-shift, shift, videos.region_box.shape))
         targets = SequenceTargets.of(videos, horizon=1, time_scale=1.0)
-        overlaps = region_overlaps(np.stack([v.region_box for v in videos]),
-                                   np.stack([v.risky_box for v in videos]))
+        overlaps = region_overlaps(videos.region_box, videos.risky_box)
         np.testing.assert_array_equal(np.moveaxis(targets.labels, 1, 0),
                                       overlaps_enough(overlaps).any(axis=-1))
 
@@ -241,7 +240,7 @@ class TestTransformLoss:
         cfg = variant_config(TINY_CONFIG, "RA")
         rng = np.random.default_rng(8)
         sample = random_targets(rng, random_video(rng, cfg, 3, 2), positive=True)
-        targets = SequenceTargets.of([sample], cfg.horizon, 1.0)
+        targets = SequenceTargets.of(split_of(sample), cfg.horizon, 1.0)
         tape = Tape()
         out = forward_video(RiskModel.create(cfg, seed=8).store, cfg, agent_tracks(sample), tape)
         assert out.c_node is None
@@ -259,9 +258,9 @@ class TestTotalLoss:
         tape = Tape(train=False)
         inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon, 1.0), [0])
+        total = total_loss(tape, out, SequenceTargets.of(split_of(sample), cfg.horizon, 1.0), [0])
         labels = region_labels(sample.region_box, sample.risky_box)
-        weights = anticipation_weights(True, sample.t_accident, sample.n_frames, 1.0)
+        weights = anticipation_weights(True, sample.t_accident, len(sample.agent_box), 1.0)
         (y, s), = out.levels
         want = (summed(anticipation_loss(tape, y, weights))
                 + summed(region_loss(tape, s, labels)))
@@ -279,9 +278,9 @@ class TestTotalLoss:
         tape = Tape(train=False)
         inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        total = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon, 1.0), [0])
-        labels = [[0.0] * 3] * sample.n_frames
-        weights = anticipation_weights(False, -1, sample.n_frames, 1.0)
+        total = total_loss(tape, out, SequenceTargets.of(split_of(sample), cfg.horizon, 1.0), [0])
+        labels = [[0.0] * 3] * len(sample.agent_box)
+        weights = anticipation_weights(False, -1, len(sample.agent_box), 1.0)
         obs, imag = (summed(anticipation_loss(tape, y, weights))
                      + summed(region_loss(tape, s, labels)) for y, s in out.levels)
         lp = summed(transform_loss(tape, out.c_node,
@@ -299,7 +298,7 @@ class TestTotalLoss:
         out = forward_video(model.store, TINY_CONFIG, agent_tracks(sample), tape)
         with pytest.raises(ValueError):
             total_loss(tape, replace(out, lambdas=(1.0,)),
-                       SequenceTargets.of([sample], TINY_CONFIG.horizon, 1.0), [0])
+                       SequenceTargets.of(split_of(sample), TINY_CONFIG.horizon, 1.0), [0])
 
     def test_gradient_matches_finite_differences(self):
         from helpers import finite_diff_check, gradcheck_fixture
@@ -307,7 +306,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(6)
         sample = gradcheck_fixture(rng, TINY_CONFIG, 2, 3, positive=True)
         inputs = agent_tracks(sample)
-        targets = SequenceTargets.of([sample], TINY_CONFIG.horizon, 1.0)
+        targets = SequenceTargets.of(split_of(sample), TINY_CONFIG.horizon, 1.0)
 
         def make_loss():
             tape = Tape()
@@ -337,12 +336,11 @@ class TestTotalLoss:
 
         def loss(boxes, feats, split, video_of):
             tape = Tape(train=False)
-            out = forward_video(store, cfg, track_inputs(boxes, feats, stack_regions(split),
-                                                         video_of), tape)
+            out = forward_video(store, cfg, track_inputs(boxes, feats, split, video_of), tape)
             return total_loss(tape, out, SequenceTargets.of(split, cfg.horizon, 1.0), video_of)
 
-        got = loss(boxes, feats, videos, video_of)
-        alone = [loss(boxes[s:s + 1], feats[s:s + 1], [videos[v]], [0]).per_sequence[0]
+        got = loss(boxes, feats, split_of(*videos), video_of)
+        alone = [loss(boxes[s:s + 1], feats[s:s + 1], split_of(videos[v]), [0]).per_sequence[0]
                  for s, v in enumerate(video_of)]
         np.testing.assert_allclose(got.per_sequence, alone, rtol=1e-12, atol=1e-12)
         assert float(got.total.value) == pytest.approx(math.fsum(alone), rel=1e-12, abs=1e-12)
@@ -354,7 +352,7 @@ class TestTotalLoss:
         broken = replace(sample, t_accident=t_accident, video_id="broken")
         with pytest.raises(ValueError, match=rf"^video broken: positive video needs an accident "
                                              rf"frame in \[0, 2\), got {t_accident}$"):
-            SequenceTargets.of([sample, broken], TINY_CONFIG.horizon, 1.0)
+            SequenceTargets.of(split_of(sample, broken), TINY_CONFIG.horizon, 1.0)
 
     def test_targets_validation(self, tmp_path):
         sample = random_video(np.random.default_rng(9), TINY_CONFIG, 2, 3)
@@ -362,9 +360,9 @@ class TestTotalLoss:
         sample = replace(sample, proposal_box=sample.region_box,
                          proposal_score=np.ones(sample.region_box.shape[:2]),
                          proposal_feat=sample.region_feat)
-        write_dataset(tmp_path / "video.dat", [sample])
+        write_dataset(tmp_path / "video.dat", split_of(sample))
         with pytest.raises(ValueError, match="positive video needs an accident frame"):
-            write_dataset(tmp_path / "video.dat", [replace(sample, positive=True)])
+            write_dataset(tmp_path / "video.dat", split_of(replace(sample, positive=True)))
         with pytest.raises(ValueError, match="negative video needs no accident frame"):
             write_dataset(tmp_path / "video.dat",
-                          [replace(sample, risky_box=sample.region_box[:, :1])])
+                          split_of(replace(sample, risky_box=sample.region_box[:, :1])))

@@ -14,7 +14,7 @@ from riskrnn.model import (AgentTracks, ModelConfig, ModelOutput, RiskModel,
 import oracles
 from oracles import Box
 from helpers import (TINY_CONFIG, agent_tracks, padded_negative, random_box, random_targets,
-                     random_video, tiny_model, video, zeroed_model)
+                     random_video, split_of, tiny_model, video, zeroed_model)
 
 
 def random_regions(rng, n_frames, n_regions, d_feat):
@@ -428,7 +428,7 @@ class TestMatchesPerFrameReference:
         tape = Tape()
         inputs = agent_tracks(sample)
         out = forward_video(model.store, cfg, inputs, tape)
-        loss = total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon, 1.0), [0]).total
+        loss = total_loss(tape, out, SequenceTargets.of(split_of(sample), cfg.horizon, 1.0), [0]).total
         ref = oracles.forward(model.store, cfg, sample)
         ref_loss = oracles.total_loss(cfg, sample, ref)
 
@@ -496,7 +496,7 @@ def mixed_targets(rng, sample, positive: bool):
         return padded_negative(sample)
     risky = [[regions[rng.integers(len(regions))] if rng.random() < 0.5 else random_box(rng)]
              for regions in sample.region_box]
-    return replace(sample, positive=True, t_accident=int(rng.integers(sample.n_frames)),
+    return replace(sample, positive=True, t_accident=int(rng.integers(len(sample.agent_box))),
                    risky_box=np.array(risky))
 
 
@@ -524,8 +524,8 @@ class TestVideosAsSequences:
         rng = np.random.default_rng(seed)
         model = RiskModel.create(cfg, seed=seed)
         videos = [random_video(rng, cfg, n_frames, n_regions) for _ in range(n_videos)]
-        targets = SequenceTargets.of([mixed_targets(rng, sample, positive)
-                                      for sample, positive in zip(videos, positives)],
+        targets = SequenceTargets.of(split_of(*[mixed_targets(rng, sample, positive)
+                                                for sample, positive in zip(videos, positives)]),
                                      cfg.horizon, 1.0)
 
         def run(batch, video_of):
@@ -567,7 +567,7 @@ class TestNodeCount:
         tape = Tape()
         inputs = agent_tracks(sample)
         out = forward_video(RiskModel.create(cfg, seed=23).store, cfg, inputs, tape)
-        total_loss(tape, out, SequenceTargets.of([sample], cfg.horizon, 1.0), [0])
+        total_loss(tape, out, SequenceTargets.of(split_of(sample), cfg.horizon, 1.0), [0])
         assert len(tape.nodes) == count
 
     @pytest.mark.parametrize("variant", ["RA", "RAI", "L-RA", "L-RAI"])
@@ -579,8 +579,8 @@ class TestNodeCount:
         for n_videos in range(1, 6):
             videos = [random_video(rng, cfg, 12, 8) for _ in range(n_videos)]
             targets = SequenceTargets.of(
-                [random_targets(rng, sample, positive=True) if b % 2 == 0
-                 else padded_negative(sample) for b, sample in enumerate(videos)],
+                split_of(*[random_targets(rng, sample, positive=True) if b % 2 == 0
+                           else padded_negative(sample) for b, sample in enumerate(videos)]),
                 cfg.horizon, 1.0)
             tape = Tape()
             out = forward_video(store, cfg, agent_tracks(*videos), tape)
@@ -596,7 +596,7 @@ class TestGradients:
         rng = np.random.default_rng(19)
         sample = gradcheck_fixture(rng, TINY_CONFIG, 3, 4, positive=True)
         inputs = agent_tracks(sample)
-        targets = SequenceTargets.of([sample], TINY_CONFIG.horizon, 1.0)
+        targets = SequenceTargets.of(split_of(sample), TINY_CONFIG.horizon, 1.0)
 
         def make_loss():
             tape = Tape()

@@ -12,9 +12,10 @@ from riskrnn.config import RunConfig
 from riskrnn.model import VARIANTS, RiskModel
 from riskrnn.pipeline import eval_video, evaluate_model
 from riskrnn.synthworld import generate_scenario, generate_split
-from riskrnn.training import detected_tracks, stack_regions, track_inputs
+from riskrnn.training import detected_tracks, track_inputs
 
 import oracles
+from helpers import split_of
 
 CFG = RunConfig(n_test=3, seed=6)
 
@@ -25,27 +26,30 @@ def samples():
 
 
 def each_video(samples, cfg):
-    """Each video with its rows of the split's ``detected_tracks`` table, as
-    the table of a batch of that video alone."""
+    """Each video, a split of one, with its rows of the split's
+    ``detected_tracks`` table, as the table of a batch of that video alone."""
     boxes, feats, video_of = detected_tracks(samples, cfg)
-    return [(sample, (boxes[video_of == v], feats[video_of == v],
-                      np.zeros((video_of == v).sum(), dtype=int)))
-            for v, sample in enumerate(samples)]
+    return [(samples[v:v + 1], (boxes[video_of == v], feats[video_of == v],
+                                np.zeros((video_of == v).sum(), dtype=int)))
+            for v in range(len(samples))]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_each_frame_follows_its_most_alarmed_track(samples, variant):
     model = RiskModel.create(CFG.model_config(variant), seed=6)
-    for sample, tracks in each_video(samples, CFG):
+    for video, tracks in each_video(samples, CFG):
         boxes, feats, video_of = tracks
-        out = model.forward_video(track_inputs(boxes, feats, stack_regions([sample]), video_of))
+        n_frames = video.agent_box.shape[1]
+        out = model.forward_video(track_inputs(boxes, feats, video, video_of))
         # column t * K + k is track k at frame t
-        probs = out.y[:, 1].reshape(sample.n_frames, len(boxes))
-        scores = out.s.reshape(sample.n_frames, len(boxes), -1)
-        [result] = eval_video(model, [sample], tracks)
+        probs = out.y[:, 1].reshape(n_frames, len(boxes))
+        scores = out.s.reshape(n_frames, len(boxes), -1)
+        [result] = eval_video(model, video, tracks)
         assert result.n_tracks == len(boxes) > 1
-        assert len(result.frame_probs) == len(result.region_scores) == sample.n_frames
-        assert result.region_boxes is sample.region_box
+        assert len(result.frame_probs) == len(result.region_scores) == n_frames
+        # the split's own region boxes, not a copy
+        assert np.shares_memory(result.region_boxes, video.region_box)
+        np.testing.assert_array_equal(result.region_boxes, video.region_box[0])
         for t, region_scores in enumerate(result.region_scores):
             assert result.frame_probs[t] == probs[t].max()
             np.testing.assert_array_equal(region_scores, scores[t, probs[t].argmax()])
@@ -66,12 +70,11 @@ def test_the_batched_pass_matches_one_forward_per_track(samples, variant, fused)
     # the batched matmuls sum in another order than one track's, so the
     # columns agree with the separate forwards to rounding, not bit for bit
     model = RiskModel.create(CFG.model_config(variant), seed=6)
-    for sample, (boxes, feats, video_of) in each_video(samples, CFG):
-        regions = stack_regions([sample])
-        y, s = outputs(model.forward_video(track_inputs(boxes, feats, regions, video_of)), fused)
+    for video, (boxes, feats, video_of) in each_video(samples, CFG):
+        y, s = outputs(model.forward_video(track_inputs(boxes, feats, video, video_of)), fused)
         for k in range(len(boxes)):
             y_k, s_k = outputs(model.forward_video(
-                track_inputs(boxes[k:k + 1], feats[k:k + 1], regions, [0])), fused)
+                track_inputs(boxes[k:k + 1], feats[k:k + 1], video, [0])), fused)
             np.testing.assert_allclose(y[k::len(boxes)], y_k, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(s[k::len(boxes)], s_k, rtol=1e-12, atol=1e-12)
 
@@ -80,14 +83,14 @@ def test_the_batched_pass_matches_one_forward_per_track(samples, variant, fused)
 # a video without them, and its first frame is named
 @pytest.mark.parametrize("empty_frame", [0])
 def test_a_frame_without_proposals_names_the_video_and_the_frame(samples, empty_frame):
-    sample = samples[1]
-    broken = replace(sample, proposal_box=sample.proposal_box[:, :0],
-                     proposal_score=sample.proposal_score[:, :0],
-                     proposal_feat=sample.proposal_feat[:, :0])
+    sample = list(samples)[1]
+    broken = replace(samples, proposal_box=samples.proposal_box[:, :, :0],
+                     proposal_score=samples.proposal_score[:, :, :0],
+                     proposal_feat=samples.proposal_feat[:, :, :0])
     model = RiskModel.create(CFG.model_config("L-RA"), seed=6)
     with pytest.raises(ValueError, match=f"^video {sample.video_id}: frame {empty_frame} "
                                          f"has no proposals"):
-        evaluate_model(model, [samples[0], broken, samples[2]], CFG)
+        evaluate_model(model, broken.take([1, 0, 2]), CFG)
 
 
 def test_a_split_of_two_shapes_fails_before_the_tracker(samples, monkeypatch):
@@ -101,7 +104,7 @@ def test_a_split_of_two_shapes_fails_before_the_tracker(samples, monkeypatch):
     monkeypatch.setattr(training, "track_by_detection", never)
     model = RiskModel.create(CFG.model_config("RA"), seed=6)
     with pytest.raises(ValueError, match=r"^video odd: agent_box has shape "):
-        evaluate_model(model, [*samples, odd], CFG)
+        evaluate_model(model, split_of(*samples, odd), CFG)
 
 
 @pytest.fixture(scope="module")
@@ -115,9 +118,9 @@ def test_one_video_per_pass_is_eval_video_on_each_video_alone(ten_samples, varia
     cfg = replace(CFG, batch_size=1)
     model = RiskModel.create(cfg.model_config(variant), seed=6)
     summary = evaluate_model(model, ten_samples, cfg)
-    for (sample, tracks), result in zip(each_video(ten_samples, cfg), summary.videos,
-                                        strict=True):
-        [alone] = eval_video(model, [sample], tracks)
+    for (video, tracks), result in zip(each_video(ten_samples, cfg), summary.videos,
+                                       strict=True):
+        [alone] = eval_video(model, video, tracks)
         assert (result.video_id, result.n_tracks) == (alone.video_id, alone.n_tracks)
         np.testing.assert_array_equal(result.frame_probs, alone.frame_probs)
         np.testing.assert_array_equal(result.region_scores, alone.region_scores)
@@ -136,7 +139,7 @@ def test_a_batch_of_videos_scores_each_as_it_scores_alone(ten_samples, variant):
     for got, want in zip(batched.videos, alone.videos, strict=True):
         assert (got.video_id, got.positive, got.n_tracks) == (
             want.video_id, want.positive, want.n_tracks)
-        assert got.region_boxes is want.region_boxes
+        assert np.shares_memory(got.region_boxes, want.region_boxes)
         np.testing.assert_allclose(got.frame_probs, want.frame_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.region_scores, want.region_scores, rtol=0, atol=1e-12)
 

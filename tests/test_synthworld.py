@@ -1,5 +1,6 @@
 import hashlib
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,12 @@ class TestGeneration:
         samples = generate_split(CFG, 12, "test")
         assert [s.positive for s in samples] == [i % 2 == 0 for i in range(12)]
         assert all(verify_collision_predicate(s, CFG.collision_iou) for s in samples)
+
+    @pytest.mark.parametrize("positive", [True, False])
+    def test_a_video_without_a_hazard_region_collides_at_no_frame(self, positive):
+        video = generate_scenario(CFG, positive, index=2, split="test")
+        no_hazard = replace(video, region_class=np.ones_like(video.region_class))
+        assert verify_collision_predicate(no_hazard, CFG.collision_iou) is (not positive)
 
     def test_distractor_regions_need_a_class_besides_the_hazard(self):
         with pytest.raises(ValueError, match="n_classes must be >= 2, got 1"):

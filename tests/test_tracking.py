@@ -19,7 +19,7 @@ def track_videos(videos, **kwargs):
     of its tracks, from one tracker call over videos given as their (T, M, 4)
     proposal boxes, (T, M, D) features and (T, M) scores, all of one frame
     count and one proposal count."""
-    return list(zip(*track_by_detection(*zip(*videos), **kwargs)))
+    return list(zip(*track_by_detection(*map(np.array, zip(*videos)), **kwargs)))
 
 
 def proposals(sample):
@@ -46,10 +46,11 @@ class TestTrackByDetection:
                 sample.video_id
 
     def test_no_frame_is_an_error(self):
-        for boxes in ([], [np.empty((0, 3, 4))]):
+        for videos_frames in ((0, 1), (1, 0)):
             with pytest.raises(ValueError, match="at least one video and one frame"):
-                track_by_detection(boxes, [np.empty((0, 3, 2))] * len(boxes),
-                                   [np.empty((0, 3))] * len(boxes), 10, 10)
+                track_by_detection(np.empty(videos_frames + (3, 4)),
+                                   np.empty(videos_frames + (3, 2)),
+                                   np.empty(videos_frames + (3,)), 10, 10)
 
 
 class TestDeduplicateTracks:

@@ -19,10 +19,9 @@ from riskrnn.nn import TrainingError
 from riskrnn.pipeline import evaluate_model
 from riskrnn.synthworld import generate_scenario, generate_split
 from riskrnn.tracking import deduplicate_tracks, track_by_detection
-from riskrnn.training import (_Split, _validation_pass, detected_tracks, stack_regions,
-                              track_inputs, train_model)
+from riskrnn.training import _Split, _validation_pass, detected_tracks, track_inputs, train_model
 
-from helpers import TINY_CONFIG, random_video
+from helpers import TINY_CONFIG, random_video, split_of
 
 # a learning rate this high makes validation loss rise after epoch 3 on this
 # split, so the returned model is not the last epoch's
@@ -49,8 +48,8 @@ def test_the_returned_model_has_the_least_validation_loss(splits, variant):
 def test_an_empty_split_is_an_error_naming_it(splits, empty):
     train, val = splits
     with pytest.raises(ValueError, match=f"the {empty} split has no videos"):
-        train_model(CFG, "RA", [] if empty == "training" else train,
-                    [] if empty == "validation" else val)
+        train_model(CFG, "RA", train[:0] if empty == "training" else train,
+                    val[:0] if empty == "validation" else val)
 
 
 def with_nan_region_features(sample):
@@ -59,16 +58,16 @@ def with_nan_region_features(sample):
 
 def test_a_non_finite_loss_names_the_epoch_and_the_video(splits):
     train, val = splits
-    sample = train[1]
+    sample = list(train)[1]
     with pytest.raises(TrainingError, match=f"at epoch 1, video {sample.video_id}$"):
-        train_model(CFG, "RA", [with_nan_region_features(sample)], val)
+        train_model(CFG, "RA", split_of(with_nan_region_features(sample)), val)
     # with batch_size 3 the three videos run as one batch, and at most one of
     # the three choices of the broken video puts it first in that batch
     for broken, sample in enumerate(train):
         videos = list(train)
         videos[broken] = with_nan_region_features(sample)
         with pytest.raises(TrainingError, match=f"at epoch 1, video {sample.video_id}$"):
-            train_model(dataclasses.replace(CFG, batch_size=3), "RA", videos, val)
+            train_model(dataclasses.replace(CFG, batch_size=3), "RA", split_of(*videos), val)
 
 
 @pytest.mark.parametrize("batch_size", [1, 2])
@@ -76,11 +75,12 @@ def test_a_non_finite_validation_loss_names_the_epoch_and_the_video(splits, batc
     # NaN never improves on the best validation loss, so training would
     # otherwise return the untrained model without a word
     train, val = splits
-    broken = with_nan_region_features(val[1])
+    first, second = val
+    broken = with_nan_region_features(second)
     with pytest.raises(TrainingError, match=f"^non-finite validation loss at epoch 1, "
                                             f"video {broken.video_id}$"):
         train_model(dataclasses.replace(CFG, batch_size=batch_size), "RA", train,
-                    [val[0], broken])
+                    split_of(first, broken))
 
 
 @pytest.mark.parametrize("field,key", [("frames_per_video", "agent_box"),
@@ -98,6 +98,7 @@ def test_a_split_of_two_shapes_fails_before_any_tracking_or_epoch(splits, monkey
     monkeypatch.setattr(training, "track_by_detection", never)
     # the split is checked as a whole, so neither the batch size nor the
     # shuffle's seed decides whether or how it fails
+    train, val = list(train), list(val)
     for train_videos, val_videos, first in (([*train, odd], val, train[0]),
                                             (train, [val[0], odd], val[0])):
         message = (f"video odd: {key} has shape {getattr(odd, key).shape}, not "
@@ -106,7 +107,8 @@ def test_a_split_of_two_shapes_fails_before_any_tracking_or_epoch(splits, monkey
             for seed in range(8):
                 cfg = dataclasses.replace(CFG, batch_size=batch_size, seed=seed)
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                    train_model(cfg, "RA", train_videos, val_videos, progress=never)
+                    train_model(cfg, "RA", split_of(*train_videos), split_of(*val_videos),
+                                progress=never)
 
 
 # a video's frames share one proposal count, so a frame without proposals is
@@ -114,25 +116,26 @@ def test_a_split_of_two_shapes_fails_before_any_tracking_or_epoch(splits, monkey
 @pytest.mark.parametrize("empty_frame", [0])
 def test_a_frame_without_proposals_names_the_video_and_the_frame(splits, empty_frame):
     train, val = splits
-    sample = train[1]
+    sample = list(train)[1]
     broken = dataclasses.replace(sample, proposal_box=sample.proposal_box[:, :0],
                                  proposal_score=sample.proposal_score[:, :0],
                                  proposal_feat=sample.proposal_feat[:, :0])
     with pytest.raises(ValueError, match=f"^video {sample.video_id}: frame {empty_frame} "
                                          f"has no proposals"):
-        train_model(CFG, "L-RA", [train[0], broken], val)
+        train_model(CFG, "L-RA", split_of(broken), val)
 
 
 # in-memory videos are not checked as a dataset file's are
 @pytest.mark.parametrize("t_accident", [-1, CFG.frames_per_video])
 def test_a_positive_without_an_accident_frame_names_the_video(splits, t_accident):
     train, val = splits
-    broken = dataclasses.replace(train[0], t_accident=t_accident)
+    first, second, _ = train
+    broken = dataclasses.replace(first, t_accident=t_accident)
     assert broken.positive
     with pytest.raises(ValueError, match=rf"^video {broken.video_id}: positive video needs an "
                                          rf"accident frame in \[0, {CFG.frames_per_video}\), "
                                          rf"got {t_accident}$"):
-        train_model(CFG, "RA", [broken, train[1]], val)
+        train_model(CFG, "RA", split_of(broken, second), val)
 
 
 def test_one_seed_gives_one_run(splits):
@@ -158,8 +161,8 @@ def test_a_splits_tracks_are_one_table_of_each_videos_rows(data, seed, n_videos,
     reference = []
     for v in videos:
         [boxes], [feats], [scores] = track_by_detection(
-            [v.proposal_box], [v.proposal_feat], [v.proposal_score], top_init=cfg.top_init,
-            top_iou=cfg.top_iou)
+            v.proposal_box[None], v.proposal_feat[None], v.proposal_score[None],
+            top_init=cfg.top_init, top_iou=cfg.top_iou)
         kept = deduplicate_tracks(boxes, scores, dedup_iou=dedup_iou)
         reference.append((boxes[kept], feats[kept]))
 
@@ -205,15 +208,13 @@ def test_track_inputs_puts_frame_t_of_sequence_b_at_column_t_times_b_plus_b(
     videos = [random_video(rng, TINY_CONFIG, n_frames, n_regions) for _ in range(n_videos)]
     boxes = rng.uniform(size=(n_frames, n_sequences, 4)).transpose(1, 0, 2)
     feats = rng.normal(size=(n_frames, n_sequences, TINY_CONFIG.d_agent)).transpose(1, 0, 2)
+    split = split_of(*videos)
     if views:  # strided inputs, as the tracker's output and a file's rows can be
-        videos = [dataclasses.replace(v, region_box=np.asfortranarray(v.region_box),
-                                      region_feat=np.asfortranarray(v.region_feat))
-                  for v in videos]
-        regions = tuple(map(np.asfortranarray, stack_regions(videos)))
+        split = dataclasses.replace(split, region_box=np.asfortranarray(split.region_box),
+                                    region_feat=np.asfortranarray(split.region_feat))
     else:
         boxes, feats = list(boxes.copy()), list(feats.copy())
-        regions = stack_regions(videos)
-    frames = track_inputs(boxes, feats, regions, video_of)
+    frames = track_inputs(boxes, feats, split, video_of)
     agent_feats = frames.feats.reshape(TINY_CONFIG.d_agent, -1)
     agent_boxes = frames.boxes.reshape(4, -1)
     for s, v in enumerate(video_of):
